@@ -32,7 +32,7 @@ use serde::{Deserialize, Serialize};
 /// computation. Incidental SIMD lanes only ever *add* energy at runtime,
 /// but they also only exist when the runtime chose to merge parked frames —
 /// the certificate bounds the program as declared, and the simulator's
-/// block-budget mode independently refuses to arm under incidental
+/// compiled engine independently refuses to arm blocks under incidental
 /// execution (see `nvp-sim`).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CostModel {

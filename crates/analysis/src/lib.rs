@@ -1,10 +1,10 @@
 //! `nvp-analysis`: a multi-pass static-analysis framework for NVP
 //! programs.
 //!
-//! The seed repo validated programs with a single linear scan
-//! (`nvp_isa::analysis::verify_ac_isolation`) that is unsound across
-//! loop back-edges and blind to memory. This crate replaces it with a
-//! proper pass infrastructure over [`nvp_isa::Program`]:
+//! The seed repo validated programs with a single linear register scan
+//! that was unsound across loop back-edges and blind to memory (it has
+//! since been deleted). This crate replaces it with a proper pass
+//! infrastructure over [`nvp_isa::Program`]:
 //!
 //! * [`cfg`] — basic-block discovery and a per-pc control-flow graph;
 //! * [`dataflow`] — a generic worklist fixpoint engine (forward and
@@ -115,8 +115,6 @@ use nvp_isa::Program;
 pub struct AnalysisConfig {
     /// Registers whose taint is deliberately accepted at use sites
     /// (kernel-declared sanitization, e.g. a value about to be clamped).
-    /// Mirrors the `sanitized` argument of the legacy
-    /// `verify_ac_isolation_with`.
     pub sanitized_regs: u16,
     /// Total data-memory words, when known (kernel specs carry it). Lets
     /// the bitwidth pass prove sanitized address ranges in bounds.

@@ -1,5 +1,5 @@
-//! Integration tests: the whole kernel suite lints clean, and the new
-//! fixpoint passes catch defects the seed's linear scan could not.
+//! Integration tests: the whole kernel suite lints clean, and the
+//! fixpoint passes catch defects a linear register-only scan cannot.
 
 use nvp_analysis::{analyze_program, AnalysisConfig, DeclaredBits, LintCode, Severity};
 use nvp_isa::{ProgramBuilder, Reg};
@@ -38,14 +38,13 @@ fn every_kernel_lints_clean() {
     }
 }
 
-/// Regression for the seed's unsoundness across loop back-edges: taint
-/// carried through *memory* around a back-edge. The loop body stores an
-/// AC register to `[60]`; the next iteration reloads `[60]` and branches
-/// on it. The old register-only scan sees `ld r5, [60]` as a fresh
-/// precise value (absolute loads have no register sources) and accepts
-/// the program; the memory-tracking fixpoint pass flags the branch.
+/// Taint carried through *memory* around a loop back-edge. The loop body
+/// stores an AC register to `[60]`; the next iteration reloads `[60]` and
+/// branches on it. A register-only scan sees `ld r5, [60]` as a fresh
+/// precise value (absolute loads have no register sources) and would
+/// accept the program; the memory-tracking fixpoint pass flags the branch.
 #[test]
-fn old_pass_misses_memory_taint_across_back_edge() {
+fn memory_taint_across_back_edge_is_flagged() {
     let mut b = ProgramBuilder::new();
     b.mark_ac(Reg(4)).approx_region(50, 100);
     let (i, n) = (Reg(0), Reg(1));
@@ -62,12 +61,6 @@ fn old_pass_misses_memory_taint_across_back_edge() {
     b.halt();
     let p = b.build().unwrap();
 
-    // The seed's verifier accepts the program...
-    assert!(
-        nvp_isa::analysis::verify_ac_isolation(&p).is_empty(),
-        "seed pass was expected to (wrongly) accept this loop"
-    );
-    // ...the fixpoint taint pass does not.
     let report = analyze_program(&p, &AnalysisConfig::default());
     assert!(report.has_errors());
     assert!(report

@@ -3,7 +3,9 @@
 //! `sweep_scaling` regenerates two sweep-heavy experiments at 1, 2, and 4
 //! workers so `cargo bench` records how the work-stealing pool scales on
 //! the host; `pool_overhead` isolates per-job scheduling cost; `vm_step`
-//! times the interpreter inner loop that dominates every simulation.
+//! times the interpreter inner loop that dominates every simulation;
+//! `vm_system` and `vm_compiled` compare the two engines at system and
+//! frame level.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use nvp_bench::bench_scale;
@@ -68,21 +70,22 @@ fn bench_vm_step(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_vm_block_budget(c: &mut Criterion) {
-    let mut g = c.benchmark_group("vm_block_budget");
+fn bench_vm_system(c: &mut Criterion) {
+    let mut g = c.benchmark_group("vm_system");
     g.sample_size(20);
     g.measurement_time(Duration::from_secs(2));
     g.warm_up_time(Duration::from_millis(500));
-    // Same full-system run, two capacitor-check schedules: `step` pays a
-    // reserve comparison and an energy-formula evaluation (one `powf` per
-    // lane) per instruction; `block` arms whole basic blocks against their
-    // static WCEC certificates (results are identical —
-    // crates/sim/tests/block_budget.rs). Wall power keeps every tick in
-    // the VM hot loop; harvested profiles spend most ticks charging and
-    // would bury the difference.
+    // Same full-system run under both engines: `step` pays a reserve
+    // comparison and an energy-formula evaluation (one `powf` per lane)
+    // per instruction; `compiled` arms whole basic blocks against their
+    // static WCEC certificates and dispatches them pre-decoded (results
+    // are identical — crates/sim/tests/compiled_lockstep.rs). Wall power
+    // keeps every tick in the VM hot loop; harvested profiles spend most
+    // ticks charging and would bury the difference.
     let id = KernelId::Sobel;
     let (w, h) = dims(id, 16);
     let spec = id.spec(w, h);
+    let compiled = Arc::new(nvp_sim::compile_kernel(&spec.program, spec.mem_words));
     let frames = Arc::new(vec![id.make_input(w, h, 0x51); 2]);
     let profile = PowerProfile::constant(Power::from_uw(500.0), Ticks(20_000));
     // Precise (8b) and fixed 4-bit datapaths: at full width the energy
@@ -92,20 +95,22 @@ fn bench_vm_block_budget(c: &mut Criterion) {
         ("precise", ExecMode::Precise),
         ("fixed4", ExecMode::Fixed(ApproxConfig::fixed(4))),
     ] {
-        for (name, engine) in [
-            ("step", ExecEngine::Step),
-            ("block", ExecEngine::BlockBudget),
-        ] {
-            g.bench_function(format!("{}_{mode_name}_{name}", id.name()), |b| {
-                b.iter(|| {
-                    let cfg = SystemConfig {
-                        exec_engine: engine,
-                        record_outputs: false,
-                        ..Default::default()
-                    };
-                    SystemSim::new(spec.clone(), frames.clone(), mode, cfg).run(&profile)
-                })
-            });
+        for engine in ExecEngine::ALL {
+            g.bench_function(
+                format!("{}_{mode_name}_{}", id.name(), engine.name()),
+                |b| {
+                    b.iter(|| {
+                        let cfg = SystemConfig {
+                            exec_engine: engine,
+                            record_outputs: false,
+                            ..Default::default()
+                        };
+                        let mut sim = SystemSim::new(spec.clone(), frames.clone(), mode, cfg);
+                        sim.set_compiled(compiled.clone());
+                        sim.run(&profile)
+                    })
+                },
+            );
         }
     }
     g.finish();
@@ -143,7 +148,7 @@ criterion_group!(
     bench_sweep_scaling,
     bench_pool_overhead,
     bench_vm_step,
-    bench_vm_block_budget,
+    bench_vm_system,
     bench_vm_compiled
 );
 criterion_main!(benches);

@@ -20,7 +20,8 @@
 //!   need reproducible *output* (the `repro` tables and `--trace` files)
 //!   get it for free.
 //! * **Panic propagation.** A panicking job aborts the sweep: workers stop
-//!   pulling new jobs, and the panic payload is re-raised on the caller's
+//!   pulling new jobs (best-effort — siblings may already have drained
+//!   the queue), and the panic payload is re-raised on the caller's
 //!   thread once all workers have parked, so a sweep can never silently
 //!   drop a failed cell.
 //! * **Scoped.** Jobs may borrow from the caller's stack

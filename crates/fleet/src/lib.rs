@@ -41,4 +41,4 @@ pub use engine::{run_chunks, Progress, RunOptions, RunStatus};
 pub use reservoir::{TopK, WeightedReservoir};
 pub use sample::{cell_for_device, splitmix64, CellKey};
 pub use snapshot::{decode_snapshot, encode_snapshot, SnapshotError};
-pub use spec::{engine_tag, scope_tag, FleetMode, ScenarioSpec, SpecError, Weighted, MAX_CELLS};
+pub use spec::{scope_tag, FleetMode, ScenarioSpec, SpecError, Weighted, MAX_CELLS};

@@ -8,7 +8,7 @@
 //! (the tiny modulo bias is irrelevant for population simulation and
 //! buys exact cross-platform determinism).
 
-use crate::spec::{engine_tag, scope_tag, FleetMode, ScenarioSpec, Weighted};
+use crate::spec::{scope_tag, FleetMode, ScenarioSpec, Weighted};
 use nvp_kernels::KernelId;
 use nvp_power::synth::WatchProfile;
 use nvp_sim::{BackupScope, ExecEngine};
@@ -66,7 +66,7 @@ impl CellKey {
             self.cap_nj,
             scope_tag(self.scope),
             self.mode.canonical(),
-            engine_tag(self.engine),
+            self.engine.name(),
             self.seed,
         )
     }

@@ -176,15 +176,6 @@ pub fn scope_tag(scope: BackupScope) -> &'static str {
     }
 }
 
-/// Canonical tag of an execution engine (matches `nvp-serve`'s spelling).
-pub fn engine_tag(engine: ExecEngine) -> &'static str {
-    match engine {
-        ExecEngine::Step => "step",
-        ExecEngine::BlockBudget => "block",
-        ExecEngine::Compiled => "compiled",
-    }
-}
-
 /// Bounds shared with `nvp-serve`'s request limits, so any cell a fleet
 /// expands to is also an admissible single-run service request.
 mod limits {
@@ -315,7 +306,11 @@ impl ScenarioSpec {
                 }
                 "scopes" => scopes = parse_axis(value, ln, parse_scope)?,
                 "modes" => modes = parse_axis(value, ln, FleetMode::parse)?,
-                "engines" => engines = parse_axis(value, ln, parse_engine)?,
+                "engines" => {
+                    engines = parse_axis(value, ln, |t, l| {
+                        ExecEngine::parse(t).map_err(|e| SpecError::new(l, e))
+                    })?
+                }
                 other => return Err(SpecError::new(ln, format!("unknown key '{other}'"))),
             }
         }
@@ -448,7 +443,7 @@ impl ScenarioSpec {
             axis(&self.caps_nj, |c| c.to_string()),
             axis(&self.scopes, |s| scope_tag(*s).to_string()),
             axis(&self.modes, |m| m.canonical()),
-            axis(&self.engines, |e| engine_tag(*e).to_string()),
+            axis(&self.engines, |e| e.name().to_string()),
         )
     }
 
@@ -530,18 +525,6 @@ fn parse_scope(token: &str, line: usize) -> Result<BackupScope, SpecError> {
         other => Err(SpecError::new(
             line,
             format!("unknown scope '{other}' (want full|live|live-dirty)"),
-        )),
-    }
-}
-
-fn parse_engine(token: &str, line: usize) -> Result<ExecEngine, SpecError> {
-    match token.to_ascii_lowercase().as_str() {
-        "step" => Ok(ExecEngine::Step),
-        "block" => Ok(ExecEngine::BlockBudget),
-        "compiled" => Ok(ExecEngine::Compiled),
-        other => Err(SpecError::new(
-            line,
-            format!("unknown engine '{other}' (want step|block|compiled)"),
         )),
     }
 }
@@ -644,6 +627,10 @@ mod tests {
             (
                 "fleet-spec-v1\ndevices = 5\nengines = jit\n",
                 "unknown engine",
+            ),
+            (
+                "fleet-spec-v1\ndevices = 5\nengines = block\n",
+                "unknown engine 'block'",
             ),
             ("fleet-spec-v1\ndevices = 5\nbogus = 1\n", "unknown key"),
             ("fleet-spec-v1\ndevices = 0\n", "outside"),

@@ -37,7 +37,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod approx;
 pub mod compiled;
 pub mod encoding;
@@ -47,9 +46,6 @@ pub mod program;
 pub mod regfile;
 pub mod vm;
 
-pub use analysis::{
-    analyze, verify_ac_isolation, verify_ac_isolation_with, AcViolation, ProgramStats,
-};
 pub use approx::{alu_approximate, alu_error_bound, mem_error_bound, mem_truncate, ApproxConfig};
 pub use compiled::{ChainEvent, CompileHints, CompiledProgram};
 pub use encoding::{decode_program, encode_program, DecodeError};

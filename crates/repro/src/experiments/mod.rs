@@ -30,6 +30,8 @@ pub use retention::{fig22, fig24, fig25};
 pub use visual::images;
 pub use wcecx::wcec;
 
+pub use crate::sweep::traced;
+
 use crate::sweep::{capture_active, capture_append};
 use crate::{dims, Scale, Table};
 use nvp_kernels::KernelId;
@@ -37,61 +39,8 @@ use nvp_power::synth::WatchProfile;
 use nvp_power::PowerProfile;
 use nvp_sim::{ExecEngine, ExecMode, RunReport, SystemConfig, SystemSim};
 use nvp_trace::{Event, JsonlBufSink, Tracer};
-use std::io::Write;
-use std::path::PathBuf;
-use std::sync::Mutex;
 
 pub(crate) use crate::catalog::{cached_spec, synth_profile, Frames};
-
-/// Where experiment runs append their JSONL event traces, if anywhere.
-/// Set once by the CLI's `--trace` flag before experiments run.
-static TRACE_PATH: Mutex<Option<PathBuf>> = Mutex::new(None);
-
-/// Routes every subsequent [`run_system`] / [`run_system_on`] call's event
-/// stream to `path` (appending one labelled run per simulation). `None`
-/// disables tracing.
-pub fn set_trace_path(path: Option<PathBuf>) {
-    *TRACE_PATH.lock().expect("trace path lock") = path;
-}
-
-/// Whether a `--trace` destination is currently set.
-pub(crate) fn trace_enabled() -> bool {
-    TRACE_PATH.lock().expect("trace path lock").is_some()
-}
-
-/// Default capacitor-check engine for experiment runs. Set once by the
-/// CLI's `--engine` flag; experiments that compare engines explicitly
-/// (their `tweak` sets `exec_engine`) still win over this default.
-static ENGINE: Mutex<ExecEngine> = Mutex::new(ExecEngine::Step);
-
-/// Selects the engine every subsequent [`run_system`] / [`run_system_on`]
-/// call starts from.
-pub fn set_engine(engine: ExecEngine) {
-    *ENGINE.lock().expect("engine lock") = engine;
-}
-
-/// The engine currently selected by [`set_engine`].
-pub(crate) fn default_engine() -> ExecEngine {
-    *ENGINE.lock().expect("engine lock")
-}
-
-/// Appends pre-rendered JSONL text to the trace file (the sweep engine's
-/// ordered merge of per-job capture buffers).
-pub(crate) fn append_trace_text(text: &str) {
-    if text.is_empty() {
-        return;
-    }
-    let path = TRACE_PATH.lock().expect("trace path lock").clone();
-    let Some(p) = path else { return };
-    let result = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&p)
-        .and_then(|mut f| f.write_all(text.as_bytes()));
-    if let Err(e) = result {
-        panic!("cannot write trace file {}: {e}", p.display());
-    }
-}
 
 /// Short stable tag for a mode, used in trace run labels.
 fn mode_tag(mode: &ExecMode) -> &'static str {
@@ -104,28 +53,16 @@ fn mode_tag(mode: &ExecMode) -> &'static str {
     }
 }
 
-/// Runs `sim`, appending a labelled trace to the `--trace` file when set.
-///
-/// Inside a sweep job the rendered JSONL goes to the job's capture buffer
-/// (merged into the file in job order by the sweep engine); outside one it
-/// is appended to the file directly. Both paths render through
-/// [`JsonlBufSink`]/[`JsonlSink`] with identical bytes per event.
+/// Runs `sim`, appending a labelled trace to the calling thread's
+/// [`traced`] capture when one is active.
 fn run_maybe_traced(sim: SystemSim, trace: &PowerProfile, label: String) -> RunReport {
-    if !trace_enabled() {
+    if !capture_active() {
         return sim.run(trace);
     }
     let mut sink = JsonlBufSink::new();
-    sink.record(&Event::RunStart {
-        tick: 0,
-        label: label.clone(),
-    });
+    sink.record(&Event::RunStart { tick: 0, label });
     let report = sim.run_traced(trace, &mut sink);
-    let text = sink.into_string();
-    if capture_active() {
-        capture_append(&text);
-    } else {
-        append_trace_text(&text);
-    }
+    capture_append(&sink.into_string());
     report
 }
 
@@ -148,7 +85,7 @@ pub(crate) fn run_system(
     let frames = make_frames(id, scale);
     let mut cfg = SystemConfig {
         record_outputs: false,
-        exec_engine: default_engine(),
+        exec_engine: scale.engine,
         ..Default::default()
     };
     tweak(&mut cfg);
@@ -175,7 +112,7 @@ pub(crate) fn run_system_on(
     let frames = make_frames(id, scale);
     let mut cfg = SystemConfig {
         record_outputs: false,
-        exec_engine: default_engine(),
+        exec_engine: scale.engine,
         ..Default::default()
     };
     tweak(&mut cfg);

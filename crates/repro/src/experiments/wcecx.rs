@@ -1,11 +1,12 @@
-//! WCEC certificates and the certificate-driven block execution engine.
+//! WCEC certificates and the certificate-armed compiled engine.
 //!
 //! Not a paper figure: the MICRO'17 evaluation assumes per-instruction
 //! capacitor checks. This experiment prints the static energy certificates
 //! `nvp-lint --energy` derives for every kernel (two-sided: the I002
 //! ceiling and the E006 floor) and then demonstrates that scheduling
-//! capacitor checks per *block* against those certificates leaves every
-//! simulated outcome untouched across the five watch profiles.
+//! capacitor checks per *block* against those certificates (the compiled
+//! engine) leaves every simulated outcome untouched across the five watch
+//! profiles.
 
 use super::{cached_spec, run_system, run_system_on};
 use crate::sweep::sweep;
@@ -99,16 +100,18 @@ pub fn wcec(scale: Scale) -> Vec<Table> {
         &["profile", "fp step", "fp block", "backups", "identical"],
     );
     for cells in sweep(scale, WatchProfile::ALL.to_vec(), |p| {
-        let step = run_system(KernelId::Sobel, scale, p, ExecMode::Precise, |_| {});
-        let block = run_system(KernelId::Sobel, scale, p, ExecMode::Precise, |c| {
-            c.exec_engine = ExecEngine::BlockBudget;
+        let step = run_system(KernelId::Sobel, scale, p, ExecMode::Precise, |c| {
+            c.exec_engine = ExecEngine::Step;
+        });
+        let compiled = run_system(KernelId::Sobel, scale, p, ExecMode::Precise, |c| {
+            c.exec_engine = ExecEngine::Compiled;
         });
         vec![
             format!("{p:?}"),
             step.forward_progress.to_string(),
-            block.forward_progress.to_string(),
-            block.backups.to_string(),
-            (step == block).to_string(),
+            compiled.forward_progress.to_string(),
+            compiled.backups.to_string(),
+            (step == compiled).to_string(),
         ]
     }) {
         bt.row(cells);
@@ -117,25 +120,16 @@ pub fn wcec(scale: Scale) -> Vec<Table> {
     vec![t, bt]
 }
 
-/// Wall-clock probe for the block engine's hot-loop win: runs the same
-/// sobel simulation under both capacitor-check schedules and returns
-/// `(step_s, block_s, identical)`, each the best of three runs. Feeds the
-/// `block_budget` section of `repro --perf-out` reports.
+/// Wall-clock probe for the compiled engine's hot-loop win: runs the same
+/// sobel simulation under both engines and returns `(step_seconds,
+/// compiled_seconds, reports_identical)`, each the best of three runs.
+/// Feeds the `compiled` section of `repro --perf-out` reports.
 ///
 /// Wall power keeps every tick in the VM hot loop, and the 4-bit fixed
 /// datapath keeps the per-instruction energy formula off libm's
 /// `powf(1.0, _)` fast path — the configuration where per-instruction
 /// checks genuinely cost (watch profiles spend most ticks charging and
 /// would bury the difference in harvesting noise).
-pub fn block_budget_timing(scale: Scale) -> (f64, f64, bool) {
-    let (step_s, step_r) = engine_time(scale, ExecEngine::Step);
-    let (block_s, block_r) = engine_time(scale, ExecEngine::BlockBudget);
-    (step_s, block_s, step_r == block_r)
-}
-
-/// Times the compiled superinstruction engine against the per-instruction
-/// reference on the same workload as [`block_budget_timing`]. Returns
-/// `(step_seconds, compiled_seconds, reports_identical)`.
 pub fn compiled_timing(scale: Scale) -> (f64, f64, bool) {
     let (step_s, step_r) = engine_time(scale, ExecEngine::Step);
     let (comp_s, comp_r) = engine_time(scale, ExecEngine::Compiled);

@@ -2,13 +2,15 @@
 //! IoT Nonvolatile Processors* (MICRO-50, 2017).
 //!
 //! ```text
-//! repro <experiment>... [--quick] [--jobs N] [--csv DIR] [--ablate] [--trace FILE]
+//! repro <experiment>... [--quick] [--jobs N] [--engine E] [--csv DIR] [--ablate] [--trace FILE]
 //! repro all [--quick] [--csv DIR] [--perf-out FILE]
 //! repro list
 //! ```
 
 use nvp_repro::experiments;
 use nvp_repro::{Scale, Table};
+use nvp_sim::ExecEngine;
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -73,18 +75,16 @@ fn main() -> ExitCode {
     let mut trace_path: Option<PathBuf> = None;
     let mut perf_out: Option<PathBuf> = None;
     let mut ablate = false;
-    let mut engine: Option<nvp_sim::ExecEngine> = None;
+    let mut engine = ExecEngine::Step;
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => quick = true,
             "--ablate" => ablate = true,
-            "--engine" => match it.next().as_deref() {
-                Some("step") => engine = Some(nvp_sim::ExecEngine::Step),
-                Some("block") => engine = Some(nvp_sim::ExecEngine::BlockBudget),
-                Some("compiled") => engine = Some(nvp_sim::ExecEngine::Compiled),
-                _ => {
-                    eprintln!("--engine requires one of: step, block, compiled");
+            "--engine" => match ExecEngine::parse(it.next().as_deref().unwrap_or_default()) {
+                Ok(e) => engine = e,
+                Err(e) => {
+                    eprintln!("--engine: {e}");
                     return ExitCode::FAILURE;
                 }
             },
@@ -140,10 +140,9 @@ fn main() -> ExitCode {
         usage();
         return ExitCode::FAILURE;
     }
-    let scale = if quick { Scale::quick() } else { Scale::full() }.with_jobs(jobs);
-    if let Some(e) = engine {
-        experiments::set_engine(e);
-    }
+    let scale = if quick { Scale::quick() } else { Scale::full() }
+        .with_jobs(jobs)
+        .with_engine(engine);
     if let Some(p) = &perf_out {
         // Perf mode: time each experiment serial vs parallel, check the
         // outputs match, and write a JSON report instead of the tables.
@@ -159,34 +158,44 @@ fn main() -> ExitCode {
             }
         };
     }
-    if let Some(p) = &trace_path {
-        // Truncate up front so each invocation produces a fresh trace, then
-        // let every simulation append its own labelled run.
-        if let Err(e) = std::fs::File::create(p) {
-            eprintln!("cannot create trace file {}: {e}", p.display());
-            return ExitCode::FAILURE;
-        }
-        experiments::set_trace_path(Some(p.clone()));
-    }
+    let mut trace_file = match &trace_path {
+        None => None,
+        Some(p) => match std::fs::File::create(p) {
+            Ok(f) => Some((f, p)),
+            Err(e) => {
+                eprintln!("cannot create trace file {}: {e}", p.display());
+                return ExitCode::FAILURE;
+            }
+        },
+    };
 
     let mut tables: Vec<Table> = Vec::new();
     for name in &names {
-        if name == "images" {
-            match experiments::images(scale, &out_dir) {
-                Ok(t) => {
-                    tables.extend(t);
-                    continue;
-                }
-                Err(e) => {
-                    eprintln!("image dump failed: {e}");
+        let run = || -> Result<Vec<Table>, String> {
+            if name == "images" {
+                return experiments::images(scale, &out_dir)
+                    .map_err(|e| format!("image dump failed: {e}"));
+            }
+            run_experiment(name, scale, ablate)
+                .ok_or_else(|| format!("unknown experiment '{name}' — try `repro list`"))
+        };
+        // Each experiment's runs are captured in order and written to the
+        // trace file before the next experiment starts.
+        let result = match &mut trace_file {
+            None => run(),
+            Some((file, p)) => {
+                let (result, text) = experiments::traced(run);
+                if let Err(e) = file.write_all(text.as_bytes()) {
+                    eprintln!("cannot write trace file {}: {e}", p.display());
                     return ExitCode::FAILURE;
                 }
+                result
             }
-        }
-        match run_experiment(name, scale, ablate) {
-            Some(t) => tables.extend(t),
-            None => {
-                eprintln!("unknown experiment '{name}' — try `repro list`");
+        };
+        match result {
+            Ok(t) => tables.extend(t),
+            Err(msg) => {
+                eprintln!("{msg}");
                 return ExitCode::FAILURE;
             }
         }
@@ -266,17 +275,9 @@ fn perf_report(
             serial_s / parallel_s.max(1e-9)
         ));
     }
-    // Also time the certificate-driven block execution engine against the
-    // per-instruction reference on the sweep's hot loop (sobel, precise).
-    let (step_s, block_s, bb_identical) = experiments::wcecx::block_budget_timing(scale);
-    let bb_speedup = step_s / block_s.max(1e-9);
-    all_identical &= bb_identical;
-    eprintln!(
-        "block_budget   step {step_s:>7.3}s  block {block_s:>7.3}s  \
-         speedup {bb_speedup:>5.2}x  identical={bb_identical}"
-    );
-    // And the compiled superinstruction engine: once on the same
-    // system-level workload, once per frame at the vm_step bench shape.
+    // Time the compiled engine against the per-instruction reference:
+    // once on a system-level hot loop, once per frame at the vm_step bench
+    // shape.
     let (cstep_s, comp_s, comp_identical) = experiments::wcecx::compiled_timing(scale);
     let comp_speedup = cstep_s / comp_s.max(1e-9);
     all_identical &= comp_identical;
@@ -315,8 +316,6 @@ fn perf_report(
     let json = format!(
         "{{\n  \"jobs\": {jobs},\n  \"host_cpus\": {},\n  \"scale\": {{\"trace_seconds\": {}, \
          \"img\": {}, \"frames\": {}}},\n  \"experiments\": [{entries}\n  ],\n  \
-         \"block_budget\": {{\"step_s\": {step_s:.6}, \"block_s\": {block_s:.6}, \
-         \"speedup\": {bb_speedup:.4}, \"identical\": {bb_identical}}},\n  \
          \"compiled\": {{\"step_s\": {cstep_s:.6}, \"compiled_s\": {comp_s:.6}, \
          \"speedup\": {comp_speedup:.4}, \"identical\": {comp_identical}, \
          \"frames\": [{frame_entries}]}},\n  \
@@ -389,7 +388,7 @@ fn usage() {
         "  --jobs N      worker threads for parameter sweeps (default: all cores; 1 = serial)"
     );
     eprintln!(
-        "  --engine E    capacitor-check engine: step (reference), block, or compiled \
+        "  --engine E    simulation engine: step (reference) or compiled \
          (results are identical; only speed differs)"
     );
     eprintln!("  --perf-out F  time each experiment serial vs parallel, write a JSON report");

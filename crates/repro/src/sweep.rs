@@ -1,37 +1,37 @@
-//! Parallel sweep execution with deterministic trace merging.
+//! Parallel sweep execution with deterministic trace capture.
 //!
 //! Every experiment iterates a cross-product of configurations and runs one
 //! independent simulation per cell. [`sweep`] fans those cells out over an
 //! [`nvp_exec::Pool`] sized by [`Scale::effective_jobs`], returning results
 //! in item order — so the printed tables are identical for any worker count.
 //!
-//! # Trace determinism
+//! # Trace capture
 //!
-//! When `--trace` is active, simulations inside a sweep job do *not* append
-//! to the trace file directly (interleaving would depend on scheduling).
-//! Instead each job installs a thread-local capture buffer; the experiment
-//! plumbing (`run_maybe_traced`) renders that job's runs as JSONL into the
-//! buffer, and after the pool drains, [`sweep`] appends all buffers to the
-//! trace file in item order. A job's internal runs stay in their serial
-//! order and jobs land in submission order, so the trace file is
-//! byte-identical to a `--jobs 1` run.
+//! Tracing is scoped to a caller, never to the process: [`traced`] turns
+//! it on for the calling thread and hands back the JSONL text of every
+//! experiment simulation run inside it. A sweep started inside a capture
+//! runs each job under its own nested capture on whichever worker picks it
+//! up, then splices the jobs' text into the caller's buffer in item order.
+//! A job's internal runs stay in their serial order and jobs land in
+//! submission order, so the captured text is byte-identical to a
+//! `--jobs 1` run. Sweeps outside a capture record nothing, whatever other
+//! threads in the process are tracing.
 
 use crate::Scale;
 use nvp_exec::Pool;
 use std::cell::RefCell;
 
 thread_local! {
-    /// The active capture buffer for this worker, if a traced sweep job is
-    /// running. `None` means "append straight to the trace file".
+    /// This thread's capture buffer while inside [`traced`].
     static CAPTURE: RefCell<Option<String>> = const { RefCell::new(None) };
 }
 
-/// Whether the current thread is inside a traced sweep job.
+/// Whether the current thread is inside [`traced`].
 pub(crate) fn capture_active() -> bool {
     CAPTURE.with(|c| c.borrow().is_some())
 }
 
-/// Appends rendered JSONL text to the current job's capture buffer.
+/// Appends rendered JSONL text to the current capture buffer, if any.
 pub(crate) fn capture_append(text: &str) {
     CAPTURE.with(|c| {
         if let Some(buf) = c.borrow_mut().as_mut() {
@@ -40,25 +40,33 @@ pub(crate) fn capture_append(text: &str) {
     });
 }
 
-/// RAII guard installing (and on drop, collecting) a capture buffer.
-struct CaptureScope;
+/// Reinstates the enclosing capture (or none) when a [`traced`] scope
+/// ends, including by panic.
+struct Restore(Option<String>);
 
-impl CaptureScope {
-    fn begin() -> Self {
-        CAPTURE.with(|c| *c.borrow_mut() = Some(String::new()));
-        CaptureScope
+impl Drop for Restore {
+    fn drop(&mut self) {
+        let outer = self.0.take();
+        CAPTURE.with(|c| *c.borrow_mut() = outer);
     }
+}
 
-    fn finish(self) -> String {
-        CAPTURE.with(|c| c.borrow_mut().take()).unwrap_or_default()
-    }
+/// Runs `f` with tracing on for the calling thread and returns its result
+/// together with the JSONL trace of every experiment simulation it ran
+/// (one labelled run each, in serial order). Captures nest: an inner
+/// capture's text goes to its caller, not to the enclosing capture.
+pub fn traced<T>(f: impl FnOnce() -> T) -> (T, String) {
+    let _restore = Restore(CAPTURE.with(|c| c.replace(Some(String::new()))));
+    let out = f();
+    let text = CAPTURE.with(|c| c.borrow_mut().take()).unwrap_or_default();
+    (out, text)
 }
 
 /// Runs `f` over `items` on the sweep pool, returning results in item order.
 ///
-/// When the `--trace` file is set, each job's trace output is captured and
-/// the buffers are appended to the file in item order afterwards (see the
-/// module docs for the determinism argument).
+/// Inside a [`traced`] capture, each job's trace is captured separately and
+/// appended to the caller's capture in item order (see the module docs for
+/// the determinism argument).
 pub fn sweep<I, T, F>(scale: Scale, items: Vec<I>, f: F) -> Vec<T>
 where
     I: Send,
@@ -66,21 +74,15 @@ where
     F: Fn(I) -> T + Sync,
 {
     let pool = Pool::new(scale.effective_jobs());
-    if !crate::experiments::trace_enabled() {
+    if !capture_active() {
         return pool.map(items, f);
     }
-    let pairs = pool.map(items, |item| {
-        let scope = CaptureScope::begin();
-        let out = f(item);
-        (out, scope.finish())
-    });
+    let pairs = pool.map(items, |item| traced(|| f(item)));
     let mut results = Vec::with_capacity(pairs.len());
-    let mut trace_text = String::new();
     for (out, text) in pairs {
         results.push(out);
-        trace_text.push_str(&text);
+        capture_append(&text);
     }
-    crate::experiments::append_trace_text(&trace_text);
     results
 }
 
@@ -96,9 +98,48 @@ mod tests {
     }
 
     #[test]
-    fn capture_is_inactive_outside_jobs() {
+    fn capture_is_inactive_outside_traced() {
         assert!(!capture_active());
         capture_append("ignored\n"); // must be a no-op, not a panic
         assert!(!capture_active());
+    }
+
+    #[test]
+    fn nested_captures_return_text_to_their_own_caller() {
+        let ((inner, outer_seen), outer) = traced(|| {
+            capture_append("a");
+            let inner = traced(|| capture_append("b")).1;
+            capture_append("c");
+            (inner, capture_active())
+        });
+        assert_eq!(inner, "b");
+        assert_eq!(outer, "ac");
+        assert!(outer_seen);
+        assert!(!capture_active());
+    }
+
+    #[test]
+    fn sweep_splices_job_captures_in_item_order() {
+        let scale = Scale::quick().with_jobs(4);
+        let (out, text) = traced(|| {
+            sweep(scale, (0..16).collect::<Vec<u32>>(), |i| {
+                capture_append(&format!("{i};"));
+                i
+            })
+        });
+        assert_eq!(out, (0..16).collect::<Vec<_>>());
+        let want: String = (0..16).map(|i| format!("{i};")).collect();
+        assert_eq!(text, want);
+    }
+
+    #[test]
+    fn a_panicking_capture_restores_the_enclosing_one() {
+        let ((), text) = traced(|| {
+            capture_append("x");
+            let r = std::panic::catch_unwind(|| traced(|| panic!("inner capture dies")));
+            assert!(r.is_err());
+            capture_append("y");
+        });
+        assert_eq!(text, "xy");
     }
 }

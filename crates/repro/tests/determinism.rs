@@ -1,9 +1,8 @@
 //! Parallel sweeps must be indistinguishable from serial runs: identical
 //! rendered tables and byte-identical JSONL traces, regardless of worker
-//! count or scheduling.
+//! count, scheduling, or what other threads are running.
 
 use nvp_repro::{experiments, Scale, Table};
-use std::path::PathBuf;
 
 fn render(tables: &[Table]) -> String {
     tables.iter().map(|t| t.to_string()).collect()
@@ -31,34 +30,56 @@ fn parallel_tables_match_serial() {
     }
 }
 
-/// Trace files are compared as raw bytes. The trace destination is
-/// process-global, so this single test owns it for its whole duration —
-/// do not add further `#[test]`s to this file that enable tracing.
+/// The trace `repro fig9 fig22 --trace` writes, as captured text.
+fn fig9_fig22_trace(scale: Scale) -> String {
+    let (_, a) = experiments::traced(|| experiments::fig9(scale));
+    let (_, b) = experiments::traced(|| experiments::fig22(scale));
+    a + &b
+}
+
 #[test]
 fn parallel_traces_match_serial_byte_for_byte() {
-    let dir = std::env::temp_dir();
-    let trace_for = |scale: Scale, tag: &str| -> Vec<u8> {
-        let path: PathBuf = dir.join(format!(
-            "nvp_determinism_{}_{tag}.jsonl",
-            std::process::id()
-        ));
-        std::fs::File::create(&path).expect("create trace file");
-        experiments::set_trace_path(Some(path.clone()));
-        experiments::fig9(scale);
-        experiments::fig22(scale);
-        experiments::set_trace_path(None);
-        let bytes = std::fs::read(&path).expect("read trace file");
-        let _ = std::fs::remove_file(&path);
-        bytes
-    };
-    let serial = trace_for(Scale::quick().with_jobs(1), "serial");
-    let par = trace_for(Scale::quick().with_jobs(4), "par4");
+    let serial = fig9_fig22_trace(Scale::quick().with_jobs(1));
+    let par = fig9_fig22_trace(Scale::quick().with_jobs(4));
     assert!(!serial.is_empty(), "serial trace is empty");
-    assert_eq!(
-        serial,
-        par,
+    assert!(
+        serial == par,
         "--jobs 4 trace differs from serial trace ({} vs {} bytes)",
         serial.len(),
         par.len()
     );
+}
+
+#[test]
+fn traces_are_unaffected_by_a_concurrent_untraced_sweep() {
+    // Tracing is scoped to the capturing thread: an untraced parallel
+    // sweep running alongside must add nothing to the capture.
+    let solo = experiments::traced(|| experiments::fig9(Scale::quick().with_jobs(1))).1;
+    let concurrent = std::thread::scope(|s| {
+        let traced = s.spawn(|| experiments::traced(|| experiments::fig9(Scale::quick())).1);
+        let untraced = s.spawn(|| experiments::fig9(Scale::quick().with_jobs(4)));
+        untraced.join().expect("untraced sweep");
+        traced.join().expect("traced run")
+    });
+    assert!(!solo.is_empty(), "solo trace is empty");
+    assert!(
+        solo == concurrent,
+        "concurrent sweep leaked into the trace ({} vs {} bytes)",
+        solo.len(),
+        concurrent.len()
+    );
+}
+
+#[test]
+fn engine_choice_changes_neither_tables_nor_traces() {
+    use nvp_sim::ExecEngine;
+    let run = |engine| {
+        let scale = Scale::quick().with_jobs(2).with_engine(engine);
+        let (tables, trace) = experiments::traced(|| experiments::fig9(scale));
+        (render(&tables), trace)
+    };
+    let step = run(ExecEngine::Step);
+    let compiled = run(ExecEngine::Compiled);
+    assert_eq!(step.0, compiled.0, "tables differ across engines");
+    assert!(step.1 == compiled.1, "traces differ across engines");
 }

@@ -234,7 +234,7 @@ impl SimKey {
             self.trace_ms,
             self.profile.index(),
             self.mode.canonical(),
-            engine_tag(self.engine),
+            self.engine.name(),
             self.seed,
             u8::from(self.trace),
         )
@@ -255,19 +255,9 @@ impl SimKey {
     }
 }
 
-/// Canonical wire spelling of an execution engine, used in cache keys,
-/// response bodies and `/metrics` labels.
-pub fn engine_tag(engine: ExecEngine) -> &'static str {
-    match engine {
-        ExecEngine::Step => "step",
-        ExecEngine::BlockBudget => "block",
-        ExecEngine::Compiled => "compiled",
-    }
-}
-
-/// Parses the optional `engine` field: `"step"`, `"block"` or
-/// `"compiled"`. The served default is the compiled engine — results are
-/// engine-invariant and it is the cheapest way to answer a cold request.
+/// Parses the optional `engine` field ([`ExecEngine::parse`]). The served
+/// default is the compiled engine — results are engine-invariant and it
+/// is the cheapest way to answer a cold request.
 fn parse_engine(body: &Json) -> Result<ExecEngine, BadRequest> {
     let Some(value) = body.get("engine") else {
         return Ok(ExecEngine::Compiled);
@@ -275,15 +265,7 @@ fn parse_engine(body: &Json) -> Result<ExecEngine, BadRequest> {
     let name = value
         .as_str()
         .ok_or_else(|| BadRequest::new("engine", "must be a string"))?;
-    match name.to_ascii_lowercase().as_str() {
-        "step" => Ok(ExecEngine::Step),
-        "block" => Ok(ExecEngine::BlockBudget),
-        "compiled" => Ok(ExecEngine::Compiled),
-        other => Err(BadRequest::new(
-            "engine",
-            format!("unknown engine '{other}' (want step|block|compiled)"),
-        )),
-    }
+    ExecEngine::parse(name).map_err(|e| BadRequest::new("engine", e))
 }
 
 fn parse_kernel(value: &Json) -> Result<KernelId, BadRequest> {
@@ -481,8 +463,13 @@ mod tests {
         assert_eq!(step.engine, ExecEngine::Step);
         assert_ne!(default.canonical(), step.canonical());
         assert!(step.canonical().contains("&engine=step&"));
-        let block = parse_run(r#"{"kernel":"sobel","engine":"block"}"#).unwrap();
-        assert_eq!(block.run_request().engine, ExecEngine::BlockBudget);
+    }
+
+    #[test]
+    fn retired_block_engine_is_rejected() {
+        let err = parse_run(r#"{"kernel":"sobel","engine":"block"}"#).unwrap_err();
+        assert_eq!(err.field, "engine", "{err}");
+        assert!(err.detail.contains("unknown engine 'block'"), "{err}");
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //!
 //! Counters are plain relaxed atomics — `/metrics` is a monitoring
 //! endpoint, not a ledger, and torn cross-counter reads are acceptable.
-//! Latency lands in a log2-microsecond histogram, from which p50/p99 are
+//! Latency lands in a log2-microsecond [`Histogram`] (the same type the
+//! trace summaries and fleet reports use), from which p50/p99 are
 //! estimated as bucket upper bounds (an overestimate of at most 2×,
 //! which is the honest resolution of a log2 histogram).
 //!
@@ -12,73 +13,9 @@
 //! mutex so `/metrics` can report simulator-level totals (backups,
 //! restores, energy ledger) alongside HTTP-level ones.
 
-use nvp_trace::TraceSummary;
+use nvp_trace::{Histogram, TraceSummary};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// Number of log2 latency buckets: bucket `i` holds durations in
-/// `[2^i, 2^(i+1))` microseconds; the last bucket is open-ended.
-const LAT_BUCKETS: usize = 32;
-
-/// A log2-bucketed latency histogram over microseconds.
-#[derive(Debug)]
-pub struct LatencyHistogram {
-    buckets: [AtomicU64; LAT_BUCKETS],
-    count: AtomicU64,
-    sum_us: AtomicU64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum_us: AtomicU64::new(0),
-        }
-    }
-}
-
-impl LatencyHistogram {
-    /// Records one observation.
-    pub fn record_us(&self, us: u64) {
-        let idx = (64 - us.max(1).leading_zeros() as usize - 1).min(LAT_BUCKETS - 1);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_us.fetch_add(us, Ordering::Relaxed);
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// The upper bound of the bucket containing quantile `q` (0..=1), in
-    /// microseconds. `None` when empty.
-    pub fn quantile_us(&self, q: f64) -> Option<u64> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = 0;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            seen += bucket.load(Ordering::Relaxed);
-            if seen >= rank {
-                return Some(1u64 << (i + 1).min(63));
-            }
-        }
-        Some(u64::MAX)
-    }
-
-    /// Mean latency in microseconds (0 when empty).
-    pub fn mean_us(&self) -> f64 {
-        let count = self.count();
-        if count == 0 {
-            return 0.0;
-        }
-        self.sum_us.load(Ordering::Relaxed) as f64 / count as f64
-    }
-}
 
 /// All counters the service exports on `/metrics`.
 #[derive(Debug, Default)]
@@ -111,8 +48,6 @@ pub struct Metrics {
     pub simulations: AtomicU64,
     /// Executed simulations that ran on the step engine.
     pub runs_step: AtomicU64,
-    /// Executed simulations that ran on the block-budget engine.
-    pub runs_block: AtomicU64,
     /// Executed simulations that ran on the compiled engine.
     pub runs_compiled: AtomicU64,
     /// Fleet jobs newly accepted by `POST /v1/fleet`.
@@ -129,8 +64,8 @@ pub struct Metrics {
     /// Gauge: chunks being simulated right now. A job folds its chunks
     /// sequentially, so this equals the number of actively running jobs.
     pub fleet_chunks_in_flight: AtomicU64,
-    /// End-to-end latency of `/v1/run` requests.
-    pub run_latency: LatencyHistogram,
+    /// End-to-end latency of `/v1/run` requests, in microseconds.
+    pub run_latency: Mutex<Histogram>,
     /// Folded trace summaries of every simulation served.
     pub sim_totals: Mutex<TraceSummary>,
 }
@@ -146,6 +81,14 @@ pub fn read(counter: &AtomicU64) -> u64 {
 }
 
 impl Metrics {
+    /// Records one `/v1/run` end-to-end latency.
+    pub fn record_run_latency_us(&self, us: u64) {
+        self.run_latency
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .record(us);
+    }
+
     /// Merges one simulation's trace summary into the process totals.
     pub fn absorb_summary(&self, summary: &TraceSummary) {
         self.sim_totals
@@ -181,7 +124,6 @@ impl Metrics {
             ("nvp_coalesced_total", &self.coalesced),
             ("nvp_simulations_total", &self.simulations),
             ("nvp_runs_engine_step_total", &self.runs_step),
-            ("nvp_runs_engine_block_total", &self.runs_block),
             ("nvp_runs_engine_compiled_total", &self.runs_compiled),
         ] {
             line(name, read(counter).to_string());
@@ -216,22 +158,17 @@ impl Metrics {
         );
         line("nvp_queue_depth", queue_depth.to_string());
         line("nvp_cache_entries", cache_len.to_string());
-        line(
-            "nvp_run_latency_count",
-            self.run_latency.count().to_string(),
-        );
-        line(
-            "nvp_run_latency_mean_us",
-            format!("{:.1}", self.run_latency.mean_us()),
-        );
-        line(
-            "nvp_run_latency_p50_us",
-            self.run_latency.quantile_us(0.50).unwrap_or(0).to_string(),
-        );
-        line(
-            "nvp_run_latency_p99_us",
-            self.run_latency.quantile_us(0.99).unwrap_or(0).to_string(),
-        );
+        {
+            let latency = self.run_latency.lock().unwrap_or_else(|p| p.into_inner());
+            line("nvp_run_latency_count", latency.count().to_string());
+            line("nvp_run_latency_mean_us", format!("{:.1}", latency.mean()));
+            for (name, q) in [
+                ("nvp_run_latency_p50_us", 0.50),
+                ("nvp_run_latency_p99_us", 0.99),
+            ] {
+                line(name, latency.quantile(q).unwrap_or(0).to_string());
+            }
+        }
         {
             let totals = self.sim_totals.lock().unwrap_or_else(|p| p.into_inner());
             line("nvp_sim_events_total", totals.total().to_string());
@@ -263,24 +200,29 @@ mod tests {
 
     #[test]
     fn quantiles_track_bucket_upper_bounds() {
-        let hist = LatencyHistogram::default();
+        let m = Metrics::default();
         for _ in 0..99 {
-            hist.record_us(100); // bucket [64,128)
+            m.record_run_latency_us(100); // bucket [64,128)
         }
-        hist.record_us(1_000_000); // one outlier
-        assert_eq!(hist.quantile_us(0.50), Some(128));
-        assert_eq!(hist.count(), 100);
+        m.record_run_latency_us(1_000_000); // one outlier
+        let text = m.render(0, 0);
+        assert!(text.contains("nvp_run_latency_count 100\n"), "{text}");
+        assert!(text.contains("nvp_run_latency_p50_us 127\n"), "{text}");
         // p99 still lands in the common bucket; p100 would catch the outlier.
-        assert_eq!(hist.quantile_us(0.99), Some(128));
-        assert!(hist.quantile_us(1.0).unwrap() > 1_000_000);
+        assert!(text.contains("nvp_run_latency_p99_us 127\n"), "{text}");
+        let hist = m.run_latency.lock().unwrap();
+        assert!(hist.quantile(1.0).unwrap() >= 1_000_000);
     }
 
     #[test]
     fn zero_latency_is_recorded_not_panicked() {
-        let hist = LatencyHistogram::default();
-        hist.record_us(0);
-        assert_eq!(hist.count(), 1);
-        assert_eq!(hist.quantile_us(0.5), Some(2));
+        let m = Metrics::default();
+        m.record_run_latency_us(0);
+        let text = m.render(0, 0);
+        assert!(text.contains("nvp_run_latency_count 1\n"), "{text}");
+        assert!(text.contains("nvp_run_latency_mean_us 0.0\n"), "{text}");
+        // Bin 0 holds exactly zero, so its upper bound is zero.
+        assert!(text.contains("nvp_run_latency_p50_us 0\n"), "{text}");
     }
 
     #[test]
@@ -305,7 +247,6 @@ mod tests {
         bump(&m.runs_step);
         let text = m.render(0, 0);
         assert!(text.contains("nvp_runs_engine_step_total 1\n"));
-        assert!(text.contains("nvp_runs_engine_block_total 0\n"));
         assert!(text.contains("nvp_runs_engine_compiled_total 2\n"));
     }
 }

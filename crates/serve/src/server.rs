@@ -313,8 +313,7 @@ fn handle_run(inner: &Arc<Inner>, body: &[u8]) -> Response {
     };
     inner
         .metrics
-        .run_latency
-        .record_us(started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
+        .record_run_latency_us(started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
     response
 }
 
@@ -402,7 +401,6 @@ fn render_run_body(inner: &Arc<Inner>, key: &SimKey) -> Vec<u8> {
     bump(&inner.metrics.simulations);
     bump(match key.engine {
         nvp_sim::ExecEngine::Step => &inner.metrics.runs_step,
-        nvp_sim::ExecEngine::BlockBudget => &inner.metrics.runs_block,
         nvp_sim::ExecEngine::Compiled => &inner.metrics.runs_compiled,
     });
     let request = key.run_request();
@@ -431,7 +429,7 @@ pub(crate) fn render_report(key: &SimKey, report: &RunReport, trace: Option<&str
     let mut fields = vec![
         ("key", Json::str(key.canonical())),
         ("kernel", Json::str(key.kernel.name())),
-        ("engine", Json::str(crate::key::engine_tag(key.engine))),
+        ("engine", Json::str(key.engine.name())),
         (
             "report",
             Json::obj(vec![

@@ -196,31 +196,49 @@ pub enum ExecEngine {
     /// Check the reserve before every instruction (the reference engine).
     #[default]
     Step,
-    /// Certificate-driven block execution: at a basic-block boundary,
-    /// compare the capacitor against the *static worst-case cost of the
-    /// remaining block suffix* (the per-block leg of the WCEC analysis,
-    /// priced with the same per-class energies the simulator charges). If
-    /// the whole suffix is affordable, the per-instruction reserve checks
-    /// and energy-formula evaluations inside the block are skipped — each
-    /// would provably pass, since nothing recharges the capacitor or
-    /// resizes the reserve mid-tick. Energy is still drained and accounted
-    /// per instruction, in the same order, so runs are bit-identical to
-    /// [`ExecEngine::Step`]; only the redundant checks go away. Falls back
-    /// to per-instruction checks when the suffix is not affordable, and is
-    /// bypassed entirely in incidental mode (merge probes need
-    /// per-instruction control anyway).
-    BlockBudget,
-    /// [`ExecEngine::BlockBudget`] arming plus pre-decoded execution:
-    /// certificate-proven instructions dispatch through the kernel's
-    /// [`CompiledProgram`] superinstruction table (fused decode, hoisted
-    /// bounds checks, direct-threaded fn-pointer dispatch — see
-    /// `nvp_isa::compiled`) instead of the fetch/decode interpreter.
-    /// Unarmed stretches — any pc where a power interrupt can still land —
-    /// and pcs the table does not cover fall back to [`Vm::step`], as does
-    /// incidental mode entirely. Energy is drained per instruction in the
-    /// same order as both other engines, and the compiled ops replicate
-    /// stepping bit-for-bit, so reports and traces stay byte-identical.
+    /// Certificate-armed block execution over pre-decoded instructions.
+    /// At a basic-block boundary the run loop compares the capacitor
+    /// against the *static worst-case cost of the remaining block suffix*
+    /// (the per-block leg of the WCEC analysis, priced with the same
+    /// per-class energies the simulator charges). If the whole suffix is
+    /// affordable the block is *armed*: its per-instruction reserve checks
+    /// provably pass (nothing recharges the capacitor or resizes the
+    /// reserve mid-tick), so they are skipped, and armed instructions
+    /// dispatch through the kernel's [`CompiledProgram`] superinstruction
+    /// table (fused decode, hoisted bounds checks, direct-threaded
+    /// fn-pointer dispatch — see `nvp_isa::compiled`) instead of the
+    /// fetch/decode interpreter. Unarmed stretches — any pc where a power
+    /// interrupt can still land — and pcs the table does not cover fall
+    /// back to [`Vm::step`] with per-instruction checks, as does
+    /// incidental mode entirely (merge probes need per-instruction
+    /// control). Energy is drained per instruction in the same order as
+    /// [`ExecEngine::Step`], and the compiled ops replicate stepping
+    /// bit-for-bit, so reports and traces stay byte-identical.
     Compiled,
+}
+
+impl ExecEngine {
+    /// Every engine, reference first.
+    pub const ALL: [ExecEngine; 2] = [ExecEngine::Step, ExecEngine::Compiled];
+
+    /// Canonical lowercase name, the one spelling used by `repro
+    /// --engine`, service cache keys and bodies, fleet specs and
+    /// `/metrics` labels.
+    pub fn name(self) -> &'static str {
+        match self {
+            ExecEngine::Step => "step",
+            ExecEngine::Compiled => "compiled",
+        }
+    }
+
+    /// Parses an engine name (case-insensitive). The error is a
+    /// human-readable reason naming the accepted spellings.
+    pub fn parse(name: &str) -> Result<ExecEngine, String> {
+        Self::ALL
+            .into_iter()
+            .find(|e| e.name().eq_ignore_ascii_case(name))
+            .ok_or_else(|| format!("unknown engine '{name}' (want step|compiled)"))
+    }
 }
 
 /// How much architectural state a backup persists.
@@ -363,7 +381,7 @@ pub struct SystemSim {
     backup_cost_by_bits: [Energy; 9],
     /// Per-pc basic-block suffix: instruction counts by class and suffix
     /// length, from this pc through the end of its block. This is the
-    /// static certificate [`ExecEngine::BlockBudget`] prices blocks with.
+    /// static certificate [`ExecEngine::Compiled`] arms blocks with.
     block_suffix: Vec<([u32; 6], u32)>,
     /// Per-class instruction energies at the last-seen approximation
     /// configuration (invalidated whenever the configuration changes).
@@ -1052,19 +1070,14 @@ impl SystemSim {
         self.report.on_ticks += 1;
         let bits = self.live_data_bits().min(8) as usize;
         self.report.bit_utilization[bits] += 1;
-        // Both certificate engines are bypassed in incidental mode (merge
-        // probes need per-instruction control anyway).
-        let engine = if self.is_incidental() {
-            ExecEngine::Step
-        } else {
-            self.cfg.exec_engine
-        };
-        let block_mode = engine != ExecEngine::Step;
-        let comp = if engine == ExecEngine::Compiled {
+        // The compiled engine is bypassed in incidental mode (merge probes
+        // need per-instruction control anyway).
+        let comp = if self.cfg.exec_engine == ExecEngine::Compiled && !self.is_incidental() {
             self.compiled.clone()
         } else {
             None
         };
+        let block_mode = comp.is_some();
         // Instructions whose reserve check is pre-proven by a block-suffix
         // certificate. The proof only spans code where nothing recharges
         // the capacitor or resizes the reserve, so it never outlives the
@@ -1080,7 +1093,7 @@ impl SystemSim {
             // superinstruction table: no fetch, no decode, no reserve
             // check (the certificate pre-proved it). Everything else —
             // unarmed stretches where an interrupt can land, pcs past a
-            // compile limit, the other engines — goes through the step
+            // compile limit, the step engine — goes through the step
             // interpreter path below.
             let chain = armed > 0 && comp.as_deref().is_some_and(|c| c.covers(self.vm.pc()));
             let (e, klass) = if chain {
@@ -1141,8 +1154,8 @@ impl SystemSim {
                 (e, klass)
             };
             // Drain per instruction even under a block certificate: the
-            // sequential f64 subtractions are what keep BlockBudget and
-            // Compiled runs bit-identical to Step runs.
+            // sequential f64 subtractions are what keep Compiled runs
+            // bit-identical to Step runs.
             let drained = self.cap.try_drain(e);
             debug_assert!(drained, "reserve check guarantees energy");
             self.report.energy_compute += e;

@@ -5,9 +5,9 @@
 //! self-reconciling energy ledger. The compiled engine pre-decodes the
 //! kernel into superinstructions and fuses dispatch, but it is only
 //! allowed to be *faster*, never different; this suite is what makes that
-//! a tested contract instead of a comment. It mirrors `block_budget.rs`
-//! and additionally crosses the three backup scopes, since the compiled
-//! segments change where the run loop observes pc when power dies.
+//! a tested contract instead of a comment. It also crosses the three
+//! backup scopes, since the compiled segments change where the run loop
+//! observes pc when power dies.
 
 use nvp_isa::ApproxConfig;
 use nvp_kernels::KernelId;
@@ -195,4 +195,18 @@ fn compiled_actually_runs_and_commits() {
     assert!(rep.instructions_retired > 0);
     assert!(rep.frames_committed > 0);
     assert!(trace.contains("run_end"));
+}
+
+#[test]
+fn static_budget_matches_simulator_platform() {
+    // Drift guard promised by `nvp_analysis::EnergyBudget`'s docs: the
+    // platform the WCEC lints certify against must be the platform the
+    // simulator actually runs. If someone retunes `SystemConfig::default`
+    // this fails until the analysis-side budget is retuned with it.
+    let budget = nvp_analysis::EnergyBudget::default_platform();
+    let sim = SystemConfig::default();
+    assert_eq!(budget.capacity_nj, sim.capacitor_capacity.as_nj());
+    assert_eq!(budget.backup_policy, sim.backup_policy);
+    assert_eq!(budget.reserve_safety, sim.reserve_safety);
+    assert_eq!(budget.model, sim.energy);
 }
