@@ -1,4 +1,5 @@
-//! nvp-exec — the execution layer: a scoped work-stealing job pool.
+//! nvp-exec — the execution layer: a scoped work-stealing job pool, the
+//! bounded service queue, and the one bounded single-flight [`Cache`].
 //!
 //! The paper's evaluation is a large cross-product of kernels × power
 //! profiles × schemes × policies; every cell is an independent simulation.
@@ -37,8 +38,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cache;
 mod pool;
 mod service;
 
+pub use cache::{fnv1a64, Cache, CacheStats, Flight, FlightError, LeaderToken, Lookup};
 pub use pool::{available_parallelism, JobSet, Pool};
 pub use service::{QueueFull, ServicePool};

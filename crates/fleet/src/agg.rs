@@ -14,8 +14,9 @@
 
 use crate::cell::CellOutcome;
 use crate::reservoir::{TopK, WeightedReservoir};
-use crate::sample::CellKey;
+use crate::sample::cohort;
 use crate::spec::{ScenarioSpec, MAX_CELLS};
+use crate::CellKey;
 use nvp_trace::{Histogram, MergeError, TraceSummary};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -116,7 +117,7 @@ impl FleetAggregate {
             let n = *count;
             let cohort = self
                 .cohorts
-                .entry(key.cohort())
+                .entry(cohort(key))
                 .or_insert_with(CohortAgg::new);
             cohort.devices += n;
             cohort.forward_progress.record_n(out.forward_progress, n);

@@ -3,25 +3,18 @@
 //!
 //! Devices sharing a cell are *identical* (the simulator is a pure
 //! function of the cell key), so a fleet is a multinomial over cells and
-//! each cell is simulated exactly once per process — overlapping fleets,
-//! resumed fleets and concurrent service jobs all share the same
-//! content-addressed outcomes. The cache is double-checked: the expensive
-//! simulation runs *outside* the lock (unlike the cheap `nvp_repro`
-//! memos), so pool workers evaluating different cells never serialize;
-//! on a racing insert the first value wins and the loser's work is
-//! dropped, keeping every handed-out `Arc` shared.
+//! overlapping fleets, resumed fleets and concurrent service jobs share
+//! outcomes through one bounded single-flight [`Cache`]. A cell evicted
+//! by other fleets is recomputed deterministically, to the same outcome.
 
-use crate::sample::CellKey;
+use crate::spec::MAX_CELLS;
+use crate::CellKey;
 use incidental::QualityReport;
-use nvp_power::Energy;
-use nvp_repro::catalog;
+use nvp_exec::{Cache, CacheStats};
+use nvp_repro::catalog::{self, RunRequest};
 use nvp_repro::dims;
-use nvp_sim::{ExecEngine, SystemConfig, SystemSim};
 use nvp_trace::{CounterSink, TraceSummary};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, LazyLock};
 
 /// Everything the aggregator needs from one simulated cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,84 +38,47 @@ pub struct CellOutcome {
     pub summary: TraceSummary,
 }
 
-/// Cells simulated by this process (cache misses).
-static COMPUTED: AtomicU64 = AtomicU64::new(0);
-/// Cell evaluations answered from the cache (work shared between fleets,
-/// chunks and service jobs).
-static SHARED: AtomicU64 = AtomicU64::new(0);
+/// Cells the process-wide cache holds: twice [`MAX_CELLS`], so one spec
+/// never evicts its own cells even under shard skew.
+const CELL_CACHE_CAPACITY: usize = 2 * MAX_CELLS as usize;
 
-/// How many distinct cells this process has simulated.
+static CELLS: LazyLock<Arc<Cache<CellKey, Arc<CellOutcome>>>> =
+    LazyLock::new(|| Cache::new(CELL_CACHE_CAPACITY));
+
+/// How many cells this process has simulated (cache misses).
 pub fn cells_computed() -> u64 {
-    COMPUTED.load(Ordering::Relaxed)
+    CELLS.stats().misses
 }
 
-/// How many cell evaluations were answered from the shared cache.
+/// How many cell evaluations were answered without simulating: cache
+/// hits plus joins onto another worker's in-flight simulation (work
+/// shared between fleets, chunks and service jobs).
 pub fn cells_shared() -> u64 {
-    SHARED.load(Ordering::Relaxed)
+    let stats = CELLS.stats();
+    stats.hits + stats.coalesced
 }
 
-type Cache = OnceLock<Mutex<HashMap<String, Arc<CellOutcome>>>>;
-
-fn cache() -> &'static Mutex<HashMap<String, Arc<CellOutcome>>> {
-    static CACHE: Cache = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Locks the cell cache, recovering from poisoning (entries are
-/// insert-only `Arc`s, so the map is always structurally sound — same
-/// argument as `nvp_repro::catalog`).
-fn lock() -> std::sync::MutexGuard<'static, HashMap<String, Arc<CellOutcome>>> {
-    cache()
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
+/// Counters and occupancy of the cell cache.
+pub fn cell_cache_stats() -> CacheStats {
+    CELLS.stats()
 }
 
 /// Evaluates one cell, sharing any previously-computed outcome.
 pub fn evaluate_cell(key: &CellKey) -> Arc<CellOutcome> {
-    let canon = key.canonical();
-    if let Some(hit) = lock().get(&canon).cloned() {
-        SHARED.fetch_add(1, Ordering::Relaxed);
-        return hit;
-    }
-    // Miss: simulate outside the lock so concurrent workers on *different*
-    // cells proceed in parallel. Two workers racing the *same* cell both
-    // simulate (identical, deterministic results); the first insert wins.
-    let outcome = Arc::new(simulate(key));
-    match lock().entry(canon) {
-        Entry::Occupied(e) => {
-            SHARED.fetch_add(1, Ordering::Relaxed);
-            e.get().clone()
-        }
-        Entry::Vacant(v) => {
-            COMPUTED.fetch_add(1, Ordering::Relaxed);
-            v.insert(outcome).clone()
-        }
-    }
+    CELLS.get_or_insert_with(key, || Arc::new(simulate(key)))
 }
 
-/// Runs the cell's simulation: inputs and compiled tables come from the
-/// shared `nvp_repro::catalog` memos, the power trace from the seeded
-/// profile family.
+/// Runs the cell's simulation through the catalog (outputs recorded for
+/// quality scoring) and scores its committed frames.
 fn simulate(key: &CellKey) -> CellOutcome {
-    let (w, h) = dims(key.kernel, key.img);
-    let spec = catalog::cached_spec(key.kernel, w, h);
-    let frames = catalog::frames_for(key.kernel, key.img, key.frames);
-    let trace =
-        catalog::synth_profile_member(key.profile, key.trace_ms as f64 / 1000.0, key.member);
-    let cfg = SystemConfig {
-        capacitor_capacity: Energy::from_nj(key.cap_nj as f64),
-        backup_scope: key.scope,
+    let request = RunRequest {
         record_outputs: true,
-        seed: key.seed,
-        exec_engine: key.engine,
-        ..Default::default()
+        ..key.run_request()
     };
-    let mut sim = SystemSim::new(spec, frames.clone(), key.mode.exec_mode(), cfg);
-    if key.engine == ExecEngine::Compiled {
-        sim.set_compiled(catalog::compiled_for(key.kernel, w, h));
-    }
     let mut sink = CounterSink::new();
-    let report = sim.run_traced(&trace, &mut sink);
+    let report = catalog::simulate_traced(&request, &mut sink);
+    let (w, h) = dims(key.kernel, key.img);
+    let frames = catalog::frames_for(key.kernel, key.img, key.frames);
     let quality = QualityReport::score(key.kernel, w, h, &frames, &report);
     let mse = quality.mean_mse();
     CellOutcome {

@@ -10,10 +10,11 @@
 
 use crate::agg::FleetAggregate;
 use crate::cell::evaluate_cell;
-use crate::sample::{cell_for_device, CellKey};
+use crate::sample::cell_for_device;
+use crate::CellKey;
 use nvp_exec::Pool;
 use nvp_trace::MergeError;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Progress of a running fleet, reported after every folded chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,12 +78,16 @@ pub fn run_chunks(
         let ci = agg.next_chunk;
         let lo = ci * agg.spec.chunk;
         let hi = (lo + agg.spec.chunk).min(agg.spec.devices);
-        // The chunk as a multiset of cells, in canonical order.
-        let mut chunk_cells: BTreeMap<String, (CellKey, u64)> = BTreeMap::new();
+        // The chunk as a multiset of cells, in canonical order (counted by
+        // key first, so each distinct cell is spelled once per chunk).
+        let mut counts: HashMap<CellKey, u64> = HashMap::new();
         for d in lo..hi {
-            let key = cell_for_device(&agg.spec, d);
-            chunk_cells.entry(key.canonical()).or_insert((key, 0)).1 += 1;
+            *counts.entry(cell_for_device(&agg.spec, d)).or_default() += 1;
         }
+        let chunk_cells: BTreeMap<String, (CellKey, u64)> = counts
+            .into_iter()
+            .map(|(key, n)| (key.canonical(), (key, n)))
+            .collect();
         // Evaluate distinct cells on the pool; the process-wide cache
         // makes repeats (across chunks and across fleets) nearly free.
         let keys: Vec<(String, CellKey)> = chunk_cells

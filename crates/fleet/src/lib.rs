@@ -10,10 +10,11 @@
 //! The memory story is the whole design: devices are *streamed* in bounded
 //! chunks, never materialized. Each device hashes (splitmix64) to one
 //! **cell** of the bounded axis cross-product (≤ [`spec::MAX_CELLS`]); a
-//! chunk is a multiset of cells, each distinct cell is simulated once
-//! process-wide (shared with every other fleet via the content-addressed
-//! cell cache), and the outcome is folded into mergeable aggregates with
-//! weight = device count: log2 [`nvp_trace::Histogram`]s per cohort, a
+//! cell is the shared [`nvp_repro::key::RunKey`], re-exported here as
+//! [`CellKey`]. A chunk is a multiset of cells, each distinct cell is
+//! simulated once and shared with every other fleet via the bounded,
+//! content-addressed cell cache, and the outcome is folded into mergeable
+//! aggregates with weight = device count: log2 [`nvp_trace::Histogram`]s per cohort, a
 //! weighted [`nvp_trace::TraceSummary`] fold, and top-k / weighted
 //! reservoir exemplars for per-device outliers. Peak resident aggregation
 //! state depends on the number of distinct cells, not on N.
@@ -36,9 +37,10 @@ pub mod snapshot;
 pub mod spec;
 
 pub use agg::FleetAggregate;
-pub use cell::{cells_computed, cells_shared, evaluate_cell, CellOutcome};
+pub use cell::{cell_cache_stats, cells_computed, cells_shared, evaluate_cell, CellOutcome};
 pub use engine::{run_chunks, Progress, RunOptions, RunStatus};
+pub use nvp_repro::key::{scope_tag, RunKey as CellKey, RunMode as FleetMode};
 pub use reservoir::{TopK, WeightedReservoir};
-pub use sample::{cell_for_device, splitmix64, CellKey};
+pub use sample::{cell_for_device, cohort, splitmix64};
 pub use snapshot::{decode_snapshot, encode_snapshot, SnapshotError};
-pub use spec::{scope_tag, FleetMode, ScenarioSpec, SpecError, Weighted, MAX_CELLS};
+pub use spec::{ScenarioSpec, SpecError, Weighted, MAX_CELLS};

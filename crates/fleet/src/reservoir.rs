@@ -88,7 +88,7 @@ impl<T> WeightedReservoir<T> {
     /// odds. Offering the same `(key, weight)` twice yields the same
     /// priority — the reservoir must be fed *total* weights, once per item.
     fn priority(&self, key: &str, weight: u64) -> f64 {
-        let h = splitmix64(self.seed ^ crate::spec::fnv1a64(key.as_bytes()));
+        let h = splitmix64(self.seed ^ nvp_exec::fnv1a64(key.as_bytes()));
         // Map to (0,1): never exactly 0 (ln would be -inf for weightless
         // items) and never 1.
         let u = (h >> 11) as f64 / (1u64 << 53) as f64;

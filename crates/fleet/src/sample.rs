@@ -8,10 +8,8 @@
 //! (the tiny modulo bias is irrelevant for population simulation and
 //! buys exact cross-platform determinism).
 
-use crate::spec::{scope_tag, FleetMode, ScenarioSpec, Weighted};
-use nvp_kernels::KernelId;
-use nvp_power::synth::WatchProfile;
-use nvp_sim::{BackupScope, ExecEngine};
+use crate::spec::{ScenarioSpec, Weighted};
+use crate::CellKey;
 
 /// The splitmix64 finalizer: a single pass of the mix function, used both
 /// to expand devices into axis draws and to derive reservoir priorities.
@@ -22,64 +20,10 @@ pub fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One fully-specified device configuration — the unit of simulation and
-/// of cache sharing. Every field that can change the outcome is in here.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CellKey {
-    /// Testbench.
-    pub kernel: KernelId,
-    /// Image edge length in pixels.
-    pub img: usize,
-    /// Cycled input frames.
-    pub frames: usize,
-    /// Power-trace length in whole milliseconds.
-    pub trace_ms: u64,
-    /// Power-profile family.
-    pub profile: WatchProfile,
-    /// Family member (0 = the canonical paper trace).
-    pub member: u32,
-    /// Capacitor capacity in nanojoules.
-    pub cap_nj: u64,
-    /// Backup scope.
-    pub scope: BackupScope,
-    /// NVP variant.
-    pub mode: FleetMode,
-    /// Execution engine.
-    pub engine: ExecEngine,
-    /// Retention-decay seed.
-    pub seed: u64,
-}
-
-impl CellKey {
-    /// Canonical content address, mirroring `nvp-serve`'s key spellings.
-    /// Equal cells — and only equal cells — render equal strings; the
-    /// string is also the fold-order sort key, so it must be stable.
-    pub fn canonical(&self) -> String {
-        format!(
-            "cell/kernel={}&img={}&frames={}&ms={}&profile=p{}&member={}&cap_nj={}&scope={}&mode={}&engine={}&seed={}",
-            self.kernel.name(),
-            self.img,
-            self.frames,
-            self.trace_ms,
-            self.profile.index(),
-            self.member,
-            self.cap_nj,
-            scope_tag(self.scope),
-            self.mode.canonical(),
-            self.engine.name(),
-            self.seed,
-        )
-    }
-
-    /// Cohort this cell aggregates under (the percentile curves are
-    /// reported per kernel × mode).
-    pub fn cohort(&self) -> String {
-        format!(
-            "kernel={}&mode={}",
-            self.kernel.name(),
-            self.mode.canonical()
-        )
-    }
+/// Cohort a cell aggregates under (the percentile curves are reported per
+/// kernel × mode).
+pub fn cohort(key: &CellKey) -> String {
+    format!("kernel={}&mode={}", key.kernel.name(), key.mode)
 }
 
 /// Axis indices salt the per-device draw streams.
@@ -205,6 +149,6 @@ mod tests {
         assert!(canon.starts_with("cell/kernel="), "{canon}");
         assert!(canon.contains("&cap_nj="), "{canon}");
         assert_eq!(canon, cell_for_device(&spec(), 0).canonical());
-        assert!(cell.cohort().starts_with("kernel="));
+        assert!(cohort(&cell).starts_with("kernel="));
     }
 }

@@ -28,9 +28,13 @@
 //! two specs differing only in whitespace, ordering, weight spelling or
 //! `seconds` vs `ms` share one job id and therefore one cached fleet.
 
+use nvp_exec::fnv1a64;
 use nvp_kernels::KernelId;
 use nvp_power::synth::WatchProfile;
-use nvp_sim::{BackupScope, ExecEngine, ExecMode, Governor, IncidentalSetup};
+use nvp_repro::key::{
+    limits, parse_kernel, parse_profile, parse_scope, scope_tag, seconds_to_ms, RunKey, RunMode,
+};
+use nvp_sim::{BackupScope, ExecEngine};
 use std::fmt;
 
 /// Most distinct cells one scenario may expand to. The axis cross-product
@@ -87,107 +91,6 @@ impl fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-/// NVP variant, spelled exactly like `nvp-serve`'s mode tags so cell keys
-/// and service cache keys agree: `precise`, `simd4`, `fixed:N`,
-/// `dynamic:LO-HI`, `incidental:LO-HI`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum FleetMode {
-    /// Conventional precise NVP.
-    Precise,
-    /// Full-precision 4-lane SIMD baseline.
-    Simd4,
-    /// Fixed approximate datapath at the given bitwidth.
-    Fixed(u8),
-    /// Dynamic-bitwidth governor over `[minbits, maxbits]`.
-    Dynamic(u8, u8),
-    /// Incidental NVP over `[minbits, maxbits]`.
-    Incidental(u8, u8),
-}
-
-impl FleetMode {
-    /// Canonical tag (also the cohort-key spelling).
-    pub fn canonical(&self) -> String {
-        match self {
-            FleetMode::Precise => "precise".to_string(),
-            FleetMode::Simd4 => "simd4".to_string(),
-            FleetMode::Fixed(bits) => format!("fixed:{bits}"),
-            FleetMode::Dynamic(lo, hi) => format!("dynamic:{lo}-{hi}"),
-            FleetMode::Incidental(lo, hi) => format!("incidental:{lo}-{hi}"),
-        }
-    }
-
-    /// The simulator mode this tag denotes.
-    pub fn exec_mode(&self) -> ExecMode {
-        match *self {
-            FleetMode::Precise => ExecMode::Precise,
-            FleetMode::Simd4 => ExecMode::Simd4,
-            FleetMode::Fixed(bits) => ExecMode::Fixed(nvp_isa::ApproxConfig::fixed(bits)),
-            FleetMode::Dynamic(lo, hi) => ExecMode::Dynamic(Governor::new(lo, hi)),
-            FleetMode::Incidental(lo, hi) => ExecMode::Incidental(IncidentalSetup::new(lo, hi)),
-        }
-    }
-
-    fn parse(token: &str, line: usize) -> Result<FleetMode, SpecError> {
-        let bad = |detail: String| SpecError::new(line, detail);
-        let bits = |s: &str, what: &str| -> Result<u8, SpecError> {
-            s.parse::<u8>()
-                .ok()
-                .filter(|b| (1..=8).contains(b))
-                .ok_or_else(|| bad(format!("{what} '{s}' must be an integer in 1..=8")))
-        };
-        let range = |s: &str, what: &str| -> Result<(u8, u8), SpecError> {
-            let (lo, hi) = s
-                .split_once('-')
-                .ok_or_else(|| bad(format!("{what} wants LO-HI bits, got '{s}'")))?;
-            let (lo, hi) = (bits(lo, what)?, bits(hi, what)?);
-            if lo > hi {
-                return Err(bad(format!("{what} minbits {lo} exceeds maxbits {hi}")));
-            }
-            Ok((lo, hi))
-        };
-        match token.split_once(':') {
-            None => match token {
-                "precise" => Ok(FleetMode::Precise),
-                "simd4" => Ok(FleetMode::Simd4),
-                other => Err(bad(format!(
-                    "unknown mode '{other}' (want precise|simd4|fixed:N|dynamic:LO-HI|incidental:LO-HI)"
-                ))),
-            },
-            Some(("fixed", b)) => Ok(FleetMode::Fixed(bits(b, "fixed bits")?)),
-            Some(("dynamic", r)) => {
-                let (lo, hi) = range(r, "dynamic mode")?;
-                Ok(FleetMode::Dynamic(lo, hi))
-            }
-            Some(("incidental", r)) => {
-                let (lo, hi) = range(r, "incidental mode")?;
-                Ok(FleetMode::Incidental(lo, hi))
-            }
-            Some((other, _)) => Err(bad(format!("unknown mode family '{other}'"))),
-        }
-    }
-}
-
-/// Canonical tag of a backup scope: `full`, `live`, `live-dirty`.
-pub fn scope_tag(scope: BackupScope) -> &'static str {
-    match scope {
-        BackupScope::FullState => "full",
-        BackupScope::LiveOnly => "live",
-        BackupScope::LiveDirty => "live-dirty",
-    }
-}
-
-/// Bounds shared with `nvp-serve`'s request limits, so any cell a fleet
-/// expands to is also an admissible single-run service request.
-mod limits {
-    pub const IMG: (u64, u64) = (8, 48);
-    pub const FRAMES: (u64, u64) = (1, 8);
-    pub const TRACE_MS: (u64, u64) = (100, 30_000);
-    pub const CHUNK: (u64, u64) = (64, 1_000_000);
-    pub const CAP_NJ: (u64, u64) = (500, 1_000_000);
-    pub const MEMBERS: (u64, u64) = (1, 4096);
-    pub const WEIGHT: (u64, u64) = (1, 1_000_000);
-}
-
 /// A parsed, validated fleet scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
@@ -216,7 +119,7 @@ pub struct ScenarioSpec {
     /// Backup-scope distribution.
     pub scopes: Vec<Weighted<BackupScope>>,
     /// NVP-variant distribution (the governor-policy axis).
-    pub modes: Vec<Weighted<FleetMode>>,
+    pub modes: Vec<Weighted<RunMode>>,
     /// Execution-engine distribution.
     pub engines: Vec<Weighted<ExecEngine>>,
 }
@@ -225,19 +128,20 @@ impl ScenarioSpec {
     /// Parses and validates a spec document (see the module docs for the
     /// grammar).
     pub fn parse(text: &str) -> Result<ScenarioSpec, SpecError> {
+        let d = RunKey::default();
         let mut devices = None;
         let mut chunk = 4096u64;
-        let mut seed = 0x5EEDu64;
-        let mut img = 12u64;
-        let mut frames = 2u64;
-        let mut trace_ms = 1500u64;
+        let mut seed = d.seed;
+        let mut img = d.img as u64;
+        let mut frames = d.frames as u64;
+        let mut trace_ms = d.trace_ms;
         let mut members = 1u64;
-        let mut kernels = vec![Weighted::new(KernelId::Sobel, 1)];
-        let mut profiles = vec![Weighted::new(WatchProfile::P1, 1)];
-        let mut caps_nj = vec![Weighted::new(3500u64, 1)];
-        let mut scopes = vec![Weighted::new(BackupScope::FullState, 1)];
-        let mut modes = vec![Weighted::new(FleetMode::Precise, 1)];
-        let mut engines = vec![Weighted::new(ExecEngine::Compiled, 1)];
+        let mut kernels = vec![Weighted::new(d.kernel, 1)];
+        let mut profiles = vec![Weighted::new(d.profile, 1)];
+        let mut caps_nj = vec![Weighted::new(d.cap_nj, 1)];
+        let mut scopes = vec![Weighted::new(d.scope, 1)];
+        let mut modes = vec![Weighted::new(d.mode, 1)];
+        let mut engines = vec![Weighted::new(d.engine, 1)];
 
         let mut saw_header = false;
         for (idx, raw) in text.lines().enumerate() {
@@ -273,44 +177,33 @@ impl ScenarioSpec {
                 "frames" => frames = parse_int(value, ln, "frames")?,
                 "ms" => trace_ms = parse_int(value, ln, "ms")?,
                 "seconds" => {
-                    let secs = value
+                    trace_ms = value
                         .parse::<f64>()
                         .ok()
-                        .filter(|s| s.is_finite() && *s > 0.0)
+                        .and_then(seconds_to_ms)
                         .ok_or_else(|| {
                             SpecError::new(
                                 ln,
                                 format!("seconds '{value}' must be a positive number"),
                             )
                         })?;
-                    trace_ms = (secs * 1000.0).round() as u64;
                 }
                 "members" => members = parse_int(value, ln, "members")?,
                 "kernels" => kernels = parse_axis(value, ln, parse_kernel)?,
                 "profiles" => profiles = parse_axis(value, ln, parse_profile)?,
-                "caps_nj" => caps_nj = parse_axis(value, ln, |t, l| parse_int(t, l, "caps_nj"))?,
+                "caps_nj" => caps_nj = parse_axis(value, ln, |t| int(t, "caps_nj"))?,
                 "caps_uj" => {
-                    caps_nj = parse_axis(value, ln, |t, l| {
-                        let uj = t
-                            .parse::<f64>()
+                    caps_nj = parse_axis(value, ln, |t| {
+                        t.parse::<f64>()
                             .ok()
                             .filter(|c| c.is_finite() && *c > 0.0)
-                            .ok_or_else(|| {
-                                SpecError::new(
-                                    l,
-                                    format!("caps_uj '{t}' must be a positive number"),
-                                )
-                            })?;
-                        Ok((uj * 1000.0).round() as u64)
+                            .map(|uj| (uj * 1000.0).round() as u64)
+                            .ok_or_else(|| format!("caps_uj '{t}' must be a positive number"))
                     })?
                 }
                 "scopes" => scopes = parse_axis(value, ln, parse_scope)?,
-                "modes" => modes = parse_axis(value, ln, FleetMode::parse)?,
-                "engines" => {
-                    engines = parse_axis(value, ln, |t, l| {
-                        ExecEngine::parse(t).map_err(|e| SpecError::new(l, e))
-                    })?
-                }
+                "modes" => modes = parse_axis(value, ln, RunMode::parse)?,
+                "engines" => engines = parse_axis(value, ln, ExecEngine::parse)?,
                 other => return Err(SpecError::new(ln, format!("unknown key '{other}'"))),
             }
         }
@@ -352,24 +245,6 @@ impl ScenarioSpec {
         bound("frames", self.frames as u64, limits::FRAMES)?;
         bound("ms", self.trace_ms, limits::TRACE_MS)?;
         bound("members", self.members as u64, limits::MEMBERS)?;
-        for (axis, weights) in [
-            (
-                "kernels",
-                self.kernels.iter().map(|w| w.weight).collect::<Vec<_>>(),
-            ),
-            ("profiles", self.profiles.iter().map(|w| w.weight).collect()),
-            ("caps_nj", self.caps_nj.iter().map(|w| w.weight).collect()),
-            ("scopes", self.scopes.iter().map(|w| w.weight).collect()),
-            ("modes", self.modes.iter().map(|w| w.weight).collect()),
-            ("engines", self.engines.iter().map(|w| w.weight).collect()),
-        ] {
-            if weights.is_empty() {
-                return Err(SpecError::new(0, format!("{axis} must be non-empty")));
-            }
-            for w in weights {
-                bound(&format!("{axis} weight"), w, limits::WEIGHT)?;
-            }
-        }
         for cap in &self.caps_nj {
             bound("caps_nj", cap.item, limits::CAP_NJ)?;
         }
@@ -442,7 +317,7 @@ impl ScenarioSpec {
             axis(&self.profiles, |p| format!("p{}", p.index())),
             axis(&self.caps_nj, |c| c.to_string()),
             axis(&self.scopes, |s| scope_tag(*s).to_string()),
-            axis(&self.modes, |m| m.canonical()),
+            axis(&self.modes, RunMode::to_string),
             axis(&self.engines, |e| e.name().to_string()),
         )
     }
@@ -456,31 +331,24 @@ impl ScenarioSpec {
     }
 }
 
-/// FNV-1a over bytes, 64-bit.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01B3);
-    }
-    h
+fn int(token: &str, what: &str) -> Result<u64, String> {
+    token
+        .parse::<u64>()
+        .map_err(|_| format!("{what} '{token}' must be a non-negative integer"))
 }
 
 fn parse_int(token: &str, line: usize, what: &str) -> Result<u64, SpecError> {
-    token.parse::<u64>().map_err(|_| {
-        SpecError::new(
-            line,
-            format!("{what} '{token}' must be a non-negative integer"),
-        )
-    })
+    int(token, what).map_err(|e| SpecError::new(line, e))
 }
 
 /// Splits a comma-separated weighted axis list, parsing each token with
-/// `item` and its optional `*weight` suffix.
+/// `item` and its optional `*weight` suffix (bounded by
+/// [`limits::WEIGHT`]). An axis is never empty: an empty token fails
+/// `item`.
 fn parse_axis<T>(
     value: &str,
     line: usize,
-    item: impl Fn(&str, usize) -> Result<T, SpecError>,
+    item: impl Fn(&str) -> Result<T, String>,
 ) -> Result<Vec<Weighted<T>>, SpecError> {
     value
         .split(',')
@@ -488,45 +356,16 @@ fn parse_axis<T>(
             let entry = entry.trim();
             let (token, weight) = match entry.rsplit_once('*') {
                 None => (entry, 1),
-                Some((t, w)) => (t.trim(), parse_int(w.trim(), line, "weight")?),
+                Some((t, w)) => (t.trim(), int(w.trim(), "weight")?),
             };
-            Ok(Weighted::new(item(token, line)?, weight))
+            let (lo, hi) = limits::WEIGHT;
+            if !(lo..=hi).contains(&weight) {
+                return Err(format!("weight {weight} outside {lo}..={hi}"));
+            }
+            Ok(Weighted::new(item(token)?, weight))
         })
-        .collect()
-}
-
-fn parse_kernel(token: &str, line: usize) -> Result<KernelId, SpecError> {
-    KernelId::ALL
-        .iter()
-        .copied()
-        .find(|id| id.name().eq_ignore_ascii_case(token))
-        .ok_or_else(|| {
-            let names: Vec<&str> = KernelId::ALL.iter().map(|id| id.name()).collect();
-            SpecError::new(
-                line,
-                format!("unknown kernel '{token}' (one of: {})", names.join(", ")),
-            )
-        })
-}
-
-fn parse_profile(token: &str, line: usize) -> Result<WatchProfile, SpecError> {
-    WatchProfile::ALL
-        .iter()
-        .copied()
-        .find(|p| format!("p{}", p.index()).eq_ignore_ascii_case(token))
-        .ok_or_else(|| SpecError::new(line, format!("unknown profile '{token}' (p1..p5)")))
-}
-
-fn parse_scope(token: &str, line: usize) -> Result<BackupScope, SpecError> {
-    match token.to_ascii_lowercase().as_str() {
-        "full" => Ok(BackupScope::FullState),
-        "live" => Ok(BackupScope::LiveOnly),
-        "live-dirty" => Ok(BackupScope::LiveDirty),
-        other => Err(SpecError::new(
-            line,
-            format!("unknown scope '{other}' (want full|live|live-dirty)"),
-        )),
-    }
+        .collect::<Result<_, String>>()
+        .map_err(|e| SpecError::new(line, e))
 }
 
 #[cfg(test)]
@@ -642,21 +481,6 @@ mod tests {
         ] {
             let err = ScenarioSpec::parse(text).unwrap_err();
             assert!(err.to_string().contains(needle), "{text:?}: {err}");
-        }
-    }
-
-    #[test]
-    fn mode_tags_match_serve_spellings() {
-        for (tag, mode) in [
-            ("precise", FleetMode::Precise),
-            ("simd4", FleetMode::Simd4),
-            ("fixed:4", FleetMode::Fixed(4)),
-            ("dynamic:2-8", FleetMode::Dynamic(2, 8)),
-            ("incidental:4-8", FleetMode::Incidental(4, 8)),
-        ] {
-            assert_eq!(FleetMode::parse(tag, 1).unwrap(), mode);
-            assert_eq!(mode.canonical(), tag);
-            let _ = mode.exec_mode(); // must not panic
         }
     }
 }

@@ -1,132 +1,123 @@
 //! Shared simulation inputs and request-shaped runner entry points.
 //!
-//! Every consumer of the simulator — the `repro` experiment functions and
-//! the `nvp-serve` service — needs the same three expensive artifacts per
-//! run: a built [`KernelSpec`], a cycled input-frame set, and a synthesized
-//! power trace. This module owns one process-wide memo table for each, so
-//! a sweep, a served request, and a test all hit the *same* cache instead
-//! of rebuilding (or worse, holding three divergent copies).
-//!
-//! The memo locks recover from poisoning rather than panicking: the cached
-//! values are write-once (insert-then-share `Arc`s / `Arc`-backed specs),
-//! so a panic elsewhere while holding the lock cannot leave a half-built
-//! entry behind — the map is always structurally sound. A service must not
-//! refuse every future request because one worker died mid-insert.
+//! Every consumer of the simulator — the `repro` experiments, `nvp-serve`
+//! and `nvp-fleet` — needs a built [`KernelSpec`], a cycled input-frame
+//! set, a compiled superinstruction table and a synthesized power trace
+//! per run. This module owns one process-wide bounded [`Cache`] for each,
+//! sized to hold the largest benchmark working set with room to spare
+//! (DESIGN.md §9 lists capacities and worst-case bytes); an evicted
+//! artifact is rebuilt deterministically on its next use.
 //!
 //! [`simulate`] / [`simulate_traced`] are the request-shaped entry points:
 //! a plain-data [`RunRequest`] in, a [`RunReport`] out, fully deterministic
 //! — two identical requests produce byte-identical reports and traces,
-//! which is what makes result caching in `nvp-serve` sound.
+//! which is what makes result caching in `nvp-serve` and `nvp-fleet`
+//! sound.
 
 use crate::dims;
+use nvp_exec::{Cache, CacheStats};
 use nvp_isa::CompiledProgram;
 use nvp_kernels::{KernelId, KernelSpec};
 use nvp_power::synth::WatchProfile;
-use nvp_power::PowerProfile;
-use nvp_sim::{compile_kernel, ExecEngine, ExecMode, RunReport, SystemConfig, SystemSim};
+use nvp_power::{Energy, PowerProfile};
+use nvp_sim::{
+    compile_kernel, BackupScope, ExecEngine, ExecMode, RunReport, SystemConfig, SystemSim,
+};
 use nvp_trace::Tracer;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-
-/// A lazily-initialized keyed memo table shared across threads.
-type Memo<K, V> = OnceLock<Mutex<HashMap<K, V>>>;
+use std::sync::{Arc, LazyLock};
 
 /// A shared, immutable input-frame set.
 pub type Frames = Arc<Vec<Vec<i32>>>;
 
-/// Locks a memo table, recovering from poisoning (see the module docs for
-/// why recovery is sound here).
-fn lock_memo<K, V>(memo: &Memo<K, V>) -> MutexGuard<'_, HashMap<K, V>> {
-    memo.get_or_init(|| Mutex::new(HashMap::new()))
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
+/// Kernel specs and compiled tables: one per kernel × dimensions.
+const SPEC_CAPACITY: usize = 64;
+/// Frame sets: one per kernel × img × frame count.
+const FRAMES_CAPACITY: usize = 128;
+/// Power traces: one per profile × length × family member, up to
+/// ~2.4 MB each at the 30 s request limit.
+const TRACE_CAPACITY: usize = 32;
+
+type SpecKey = (KernelId, usize, usize);
+/// Profile, trace length (`f64` bits, seconds) and family member.
+type TraceKey = (WatchProfile, u64, u32);
+
+static SPECS: LazyLock<Arc<Cache<SpecKey, KernelSpec>>> =
+    LazyLock::new(|| Cache::new(SPEC_CAPACITY));
+static FRAMES: LazyLock<Arc<Cache<SpecKey, Frames>>> =
+    LazyLock::new(|| Cache::new(FRAMES_CAPACITY));
+static COMPILED: LazyLock<Arc<Cache<SpecKey, Arc<CompiledProgram>>>> =
+    LazyLock::new(|| Cache::new(SPEC_CAPACITY));
+static TRACES: LazyLock<Arc<Cache<TraceKey, Arc<PowerProfile>>>> =
+    LazyLock::new(|| Cache::new(TRACE_CAPACITY));
 
 /// Cache of built kernel specs; the contained `Program` is an `Arc`, so
 /// handing out clones shares one instruction stream across all runs.
 pub fn cached_spec(id: KernelId, w: usize, h: usize) -> KernelSpec {
-    static CACHE: Memo<(KernelId, usize, usize), KernelSpec> = OnceLock::new();
-    lock_memo(&CACHE)
-        .entry((id, w, h))
-        .or_insert_with(|| id.spec(w, h))
-        .clone()
+    SPECS.get_or_insert_with(&(id, w, h), || id.spec(w, h))
 }
 
 /// Builds (or fetches) the cycled input-frame set for a kernel at an image
 /// scale, shared immutably across every simulation that uses it.
 pub fn frames_for(id: KernelId, img: usize, frames: usize) -> Frames {
-    static CACHE: Memo<(KernelId, usize, usize), Frames> = OnceLock::new();
-    lock_memo(&CACHE)
-        .entry((id, img, frames))
-        .or_insert_with(|| {
-            let (w, h) = dims(id, img);
-            Arc::new(
-                (0..frames)
-                    .map(|i| id.make_input(w, h, 0xBEEF + i as u64))
-                    .collect(),
-            )
-        })
-        .clone()
+    FRAMES.get_or_insert_with(&(id, img, frames), || {
+        let (w, h) = dims(id, img);
+        Arc::new(
+            (0..frames)
+                .map(|i| id.make_input(w, h, 0xBEEF + i as u64))
+                .collect(),
+        )
+    })
 }
-
-/// Number of superinstruction-table compilations performed process-wide.
-/// Every [`compiled_for`] miss bumps it; hits do not. `nvp-serve` exports
-/// it as `nvp_compile_total`, making cache effectiveness observable.
-static COMPILE_COUNT: AtomicU64 = AtomicU64::new(0);
 
 /// How many kernel programs have been compiled to superinstruction tables
 /// since process start (cache misses only — a well-warmed service stays
-/// flat at one per distinct kernel × dimensions).
+/// flat at one per distinct kernel × dimensions). `nvp-serve` exports it
+/// as `nvp_compile_total`.
 pub fn compile_count() -> u64 {
-    COMPILE_COUNT.load(Ordering::Relaxed)
+    COMPILED.stats().misses
 }
 
 /// Compiles (or fetches) the superinstruction table for a kernel at given
 /// frame dimensions, shared behind an `Arc` by every simulation of that
 /// kernel — a sweep of a thousand runs pays for one compilation.
 pub fn compiled_for(id: KernelId, w: usize, h: usize) -> Arc<CompiledProgram> {
-    static CACHE: Memo<(KernelId, usize, usize), Arc<CompiledProgram>> = OnceLock::new();
-    lock_memo(&CACHE)
-        .entry((id, w, h))
-        .or_insert_with(|| {
-            COMPILE_COUNT.fetch_add(1, Ordering::Relaxed);
-            let spec = cached_spec(id, w, h);
-            Arc::new(compile_kernel(&spec.program, spec.mem_words))
-        })
-        .clone()
+    COMPILED.get_or_insert_with(&(id, w, h), || {
+        let spec = cached_spec(id, w, h);
+        Arc::new(compile_kernel(&spec.program, spec.mem_words))
+    })
 }
 
-/// Synthesizes (or fetches) a watch profile's power trace.
+/// Synthesizes (or fetches) a watch profile's canonical power trace.
 pub fn synth_profile(profile: WatchProfile, seconds: f64) -> Arc<PowerProfile> {
-    static CACHE: Memo<(WatchProfile, u64), Arc<PowerProfile>> = OnceLock::new();
-    lock_memo(&CACHE)
-        .entry((profile, seconds.to_bits()))
-        .or_insert_with(|| Arc::new(profile.synthesize_seconds(seconds)))
-        .clone()
+    synth_profile_member(profile, seconds, 0)
 }
 
 /// Synthesizes (or fetches) family member `member` of a watch profile's
 /// power trace — same harvester calibration, independent RNG stream per
-/// member (see [`WatchProfile::family_seed`]). Member 0 delegates to
-/// [`synth_profile`] so the canonical trace is cached once, not twice.
+/// member (see [`WatchProfile::family_seed`]). Member 0 is the canonical
+/// trace [`synth_profile`] returns, cached once.
 pub fn synth_profile_member(profile: WatchProfile, seconds: f64, member: u32) -> Arc<PowerProfile> {
-    if member == 0 {
-        return synth_profile(profile, seconds);
-    }
-    static CACHE: Memo<(WatchProfile, u64, u32), Arc<PowerProfile>> = OnceLock::new();
-    lock_memo(&CACHE)
-        .entry((profile, seconds.to_bits(), member))
-        .or_insert_with(|| Arc::new(profile.synthesize_seconds_member(seconds, member)))
-        .clone()
+    TRACES.get_or_insert_with(&(profile, seconds.to_bits(), member), || {
+        Arc::new(profile.synthesize_seconds_member(seconds, member))
+    })
 }
 
-/// One fully-specified simulation: kernel × scale × profile × mode.
+/// Counters and occupancy of the power-trace cache (the largest of the
+/// catalog caches; `nvp-serve` exports it on `/metrics`).
+pub fn trace_cache_stats() -> CacheStats {
+    TRACES.stats()
+}
+
+/// One fully-specified simulation: kernel × scale × profile × mode, plus
+/// the device inputs a fleet cell varies.
 ///
-/// This is the plain-data request shape shared by `repro`'s experiment
-/// sweeps and `nvp-serve`'s `POST /v1/run` endpoint. Everything that can
-/// change the simulation's output is in here; two equal requests are
-/// guaranteed byte-identical results.
+/// This is the plain-data request shape behind `nvp-serve`'s `POST
+/// /v1/run`, `nvp-fleet`'s cells and their shared [`RunKey`]
+/// (`crate::key::RunKey::run_request`). Everything that can change the
+/// simulation's output is in here; two equal requests are guaranteed
+/// byte-identical results.
+///
+/// [`RunKey`]: crate::key::RunKey
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunRequest {
     /// Which testbench to run.
@@ -140,6 +131,12 @@ pub struct RunRequest {
     pub trace_seconds: f64,
     /// Harvested-power profile to replay.
     pub profile: WatchProfile,
+    /// Power-profile family member (0 = the canonical trace).
+    pub member: u32,
+    /// Capacitor capacity in nanojoules.
+    pub cap_nj: u64,
+    /// How much architectural state a backup persists.
+    pub scope: BackupScope,
     /// NVP variant to simulate.
     pub mode: ExecMode,
     /// Capacitor-check scheduling engine (results are identical across
@@ -147,26 +144,31 @@ pub struct RunRequest {
     pub engine: ExecEngine,
     /// RNG seed for retention decay.
     pub seed: u64,
+    /// Whether the report keeps committed output frames (needed for
+    /// quality scoring).
+    pub record_outputs: bool,
 }
 
 impl RunRequest {
     /// Builds the system configuration this request implies.
     fn config(&self) -> SystemConfig {
         SystemConfig {
-            record_outputs: false,
+            capacitor_capacity: Energy::from_nj(self.cap_nj as f64),
+            backup_scope: self.scope,
+            record_outputs: self.record_outputs,
             seed: self.seed,
             exec_engine: self.engine,
             ..Default::default()
         }
     }
 
-    /// Assembles the simulator (spec, frames and config all drawn from the
-    /// shared caches).
+    /// Assembles the simulator (spec, frames, compiled table and trace
+    /// all drawn from the shared caches).
     fn build_sim(&self) -> (SystemSim, Arc<PowerProfile>) {
         let (w, h) = dims(self.kernel, self.img);
         let spec = cached_spec(self.kernel, w, h);
         let frames = frames_for(self.kernel, self.img, self.frames);
-        let trace = synth_profile(self.profile, self.trace_seconds);
+        let trace = synth_profile_member(self.profile, self.trace_seconds, self.member);
         let mut sim = SystemSim::new(spec, frames, self.mode, self.config());
         if self.engine == ExecEngine::Compiled {
             sim.set_compiled(compiled_for(self.kernel, w, h));
@@ -202,9 +204,13 @@ mod tests {
             frames: 1,
             trace_seconds: 0.3,
             profile: WatchProfile::P1,
+            member: 0,
+            cap_nj: 3500,
+            scope: BackupScope::FullState,
             mode: ExecMode::Precise,
             engine: ExecEngine::default(),
             seed: 0x5EED,
+            record_outputs: false,
         }
     }
 
@@ -237,47 +243,6 @@ mod tests {
         let m3b = synth_profile_member(WatchProfile::P4, 0.2, 3);
         assert!(Arc::ptr_eq(&m3a, &m3b));
         assert_ne!(*m3a, *canonical, "members must be distinct traces");
-    }
-
-    #[test]
-    fn lock_memo_recovers_from_poisoning() {
-        // Regression test for the recovery path in `lock_memo`: a worker
-        // dying while holding a memo lock must not wedge the cache for
-        // every later caller (the module docs promise exactly this).
-        static MEMO: Memo<u32, u32> = OnceLock::new();
-        lock_memo(&MEMO).insert(1, 10);
-        let err = std::thread::spawn(|| {
-            let _guard = lock_memo(&MEMO);
-            panic!("die while holding the memo lock");
-        })
-        .join();
-        assert!(err.is_err(), "worker must have panicked");
-        assert!(
-            MEMO.get().expect("initialized").lock().is_err(),
-            "lock must actually be poisoned for this test to mean anything"
-        );
-        // Recovery: subsequent callers still read and write the map.
-        assert_eq!(lock_memo(&MEMO).get(&1), Some(&10));
-        lock_memo(&MEMO).insert(2, 20);
-        assert_eq!(lock_memo(&MEMO).get(&2), Some(&20));
-    }
-
-    #[test]
-    fn public_memos_survive_a_poisoned_sibling() {
-        // Poisoning one memo table is local damage: every public cache
-        // accessor keeps working, because each recovers independently.
-        static DOOMED: Memo<u8, u8> = OnceLock::new();
-        let _ = std::thread::spawn(|| {
-            let _guard = lock_memo(&DOOMED);
-            panic!("poison");
-        })
-        .join();
-        let spec = cached_spec(KernelId::Sobel, 8, 8);
-        assert!(spec.mem_words > 0);
-        assert_eq!(frames_for(KernelId::Sobel, 8, 1).len(), 1);
-        assert!(!synth_profile(WatchProfile::P1, 0.2).is_empty());
-        assert!(!synth_profile_member(WatchProfile::P1, 0.2, 2).is_empty());
-        let _ = compiled_for(KernelId::Sobel, 8, 8);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 
 pub mod catalog;
 pub mod experiments;
+pub mod key;
 pub mod sweep;
 pub mod table;
 

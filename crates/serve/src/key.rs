@@ -1,28 +1,26 @@
 //! Request canonicalization: from JSON bodies to content-addressed
 //! [`SimKey`]s.
 //!
-//! A `SimKey` is the *identity* of a simulation: every field that can
-//! change the result is in it, nothing else is. Two requests that differ
-//! only in whitespace, field order, or spelling (`"Sobel"` vs `"sobel"`,
-//! `1.5` vs `1.50`) canonicalize to the same key and therefore the same
-//! cache slot. Conversely the optional trace echo *is* part of the key —
-//! it changes the response body, and the cache stores rendered bodies.
+//! A `SimKey` is the shared [`RunKey`] — the *identity* of a simulation,
+//! with the grammar of `nvp_repro::key` — plus the optional trace echo,
+//! which changes the response body and therefore the cache slot. Two
+//! requests that differ only in whitespace, field order, or spelling
+//! (`"Sobel"` vs `"sobel"`, `1.5` vs `1.50`) canonicalize to the same key.
 //!
-//! Canonicalization rules (documented in DESIGN.md §10):
-//! * kernel names are matched case-insensitively against the paper names,
-//! * the trace length is quantized to whole milliseconds,
-//! * every field has a server-side default, so the canonical form is
-//!   always fully explicit,
-//! * bounds are enforced at parse time (a served simulator must not be
-//!   askable for an hour-long trace).
+//! This module only maps JSON onto that grammar (documented in DESIGN.md
+//! §10): scalar fields are checked against [`limits`], tokens go through
+//! the shared parsers, and a structured `mode` value is translated to its
+//! tag text and parsed by [`RunMode::parse`]. A `/v1/run` key keeps the
+//! cell-only fields at their defaults (member 0, 3500 nJ, full scope).
 
 use crate::json::Json;
-use nvp_isa::ApproxConfig;
 use nvp_kernels::KernelId;
 use nvp_power::synth::WatchProfile;
 use nvp_repro::catalog::RunRequest;
-use nvp_sim::{ExecEngine, ExecMode, Governor, IncidentalSetup};
+use nvp_repro::key::{self, limits, RunKey, RunMode};
+use nvp_sim::ExecEngine;
 use std::fmt;
+use std::ops::Deref;
 
 /// A request the service refuses, with the offending field.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,259 +48,122 @@ impl fmt::Display for BadRequest {
 
 impl std::error::Error for BadRequest {}
 
-/// Which NVP variant to simulate, in canonical (validated) form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ModeSpec {
-    /// Conventional precise NVP.
-    Precise,
-    /// Full-precision 4-lane SIMD baseline.
-    Simd4,
-    /// Fixed approximate datapath at `bits`.
-    Fixed(u8),
-    /// Dynamic-bitwidth governor over `[minbits, maxbits]`.
-    Dynamic(u8, u8),
-    /// Incidental NVP over `[minbits, maxbits]`.
-    Incidental(u8, u8),
-}
-
-impl ModeSpec {
-    /// Canonical wire spelling, also used inside the cache key.
-    fn canonical(&self) -> String {
-        match self {
-            ModeSpec::Precise => "precise".to_string(),
-            ModeSpec::Simd4 => "simd4".to_string(),
-            ModeSpec::Fixed(bits) => format!("fixed:{bits}"),
-            ModeSpec::Dynamic(lo, hi) => format!("dynamic:{lo}-{hi}"),
-            ModeSpec::Incidental(lo, hi) => format!("incidental:{lo}-{hi}"),
-        }
-    }
-
-    /// The simulator mode this spec denotes.
-    pub fn exec_mode(&self) -> ExecMode {
-        match *self {
-            ModeSpec::Precise => ExecMode::Precise,
-            ModeSpec::Simd4 => ExecMode::Simd4,
-            ModeSpec::Fixed(bits) => ExecMode::Fixed(ApproxConfig::fixed(bits)),
-            ModeSpec::Dynamic(lo, hi) => ExecMode::Dynamic(Governor::new(lo, hi)),
-            ModeSpec::Incidental(lo, hi) => ExecMode::Incidental(IncidentalSetup::new(lo, hi)),
-        }
-    }
-
-    /// Parses the request's `mode` value: `"precise"`, `"simd4"`,
-    /// `{"fixed": bits}`, `{"dynamic": {"minbits": m, "maxbits": M}}` or
-    /// `{"incidental": {"minbits": m, "maxbits": M}}`.
-    fn parse(value: &Json) -> Result<ModeSpec, BadRequest> {
-        let bad = |detail: String| BadRequest::new("mode", detail);
-        if let Some(name) = value.as_str() {
-            return match name.to_ascii_lowercase().as_str() {
-                "precise" => Ok(ModeSpec::Precise),
-                "simd4" => Ok(ModeSpec::Simd4),
-                other => Err(bad(format!(
-                    "unknown mode '{other}' (want precise|simd4|{{\"fixed\":N}}|{{\"dynamic\":…}}|{{\"incidental\":…}})"
-                ))),
-            };
-        }
-        let bits_of = |v: &Json, what: &str| {
-            v.as_u64()
-                .filter(|b| (1..=8).contains(b))
-                .map(|b| b as u8)
-                .ok_or_else(|| bad(format!("{what} must be an integer in 1..=8")))
-        };
-        let range_of = |v: &Json, what: &str| -> Result<(u8, u8), BadRequest> {
-            let lo = bits_of(
-                v.get("minbits")
-                    .ok_or_else(|| bad(format!("{what} needs a minbits field")))?,
-                "minbits",
-            )?;
-            let hi = bits_of(
-                v.get("maxbits")
-                    .ok_or_else(|| bad(format!("{what} needs a maxbits field")))?,
-                "maxbits",
-            )?;
-            if lo > hi {
-                return Err(bad(format!("minbits {lo} exceeds maxbits {hi}")));
-            }
-            Ok((lo, hi))
-        };
-        if let Some(v) = value.get("fixed") {
-            return Ok(ModeSpec::Fixed(bits_of(v, "fixed bits")?));
-        }
-        if let Some(v) = value.get("dynamic") {
-            let (lo, hi) = range_of(v, "dynamic mode")?;
-            return Ok(ModeSpec::Dynamic(lo, hi));
-        }
-        if let Some(v) = value.get("incidental") {
-            let (lo, hi) = range_of(v, "incidental mode")?;
-            return Ok(ModeSpec::Incidental(lo, hi));
-        }
-        Err(bad("mode must be a string or a one-key object".to_string()))
-    }
-}
-
-/// Bounds on what one request may ask the simulator to do.
-mod limits {
-    /// Image edge length in pixels.
-    pub const IMG: (usize, usize) = (8, 48);
-    /// Number of cycled input frames.
-    pub const FRAMES: (usize, usize) = (1, 8);
-    /// Power-trace length, milliseconds.
-    pub const TRACE_MS: (u64, u64) = (100, 30_000);
-}
-
-/// The canonical identity of one simulation request.
+/// The canonical identity of one `/v1/run` request.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SimKey {
-    /// Testbench.
-    pub kernel: KernelId,
-    /// Image edge length in pixels.
-    pub img: usize,
-    /// Cycled input frames.
-    pub frames: usize,
-    /// Power-trace length in whole milliseconds (quantized from the
-    /// request's fractional seconds).
-    pub trace_ms: u64,
-    /// Harvested-power profile.
-    pub profile: WatchProfile,
-    /// NVP variant.
-    pub mode: ModeSpec,
-    /// Capacitor-check scheduling engine. Results are engine-invariant,
-    /// but the field is kept in the key so responses can be attributed and
-    /// the engines benchmarked against each other through the service.
-    pub engine: ExecEngine,
-    /// Retention-decay RNG seed.
-    pub seed: u64,
+    /// The simulation.
+    pub run: RunKey,
     /// Whether the response streams the run's JSONL trace back (changes
     /// the body, hence part of the key).
     pub trace: bool,
 }
 
+impl Deref for SimKey {
+    type Target = RunKey;
+
+    fn deref(&self) -> &RunKey {
+        &self.run
+    }
+}
+
 impl SimKey {
     /// Parses and canonicalizes a `POST /v1/run` body.
     pub fn from_json(body: &Json) -> Result<SimKey, BadRequest> {
-        if !matches!(body, Json::Obj(_)) {
-            return Err(BadRequest::new(
-                "body",
-                "request body must be a JSON object",
-            ));
-        }
+        require_object(body)?;
         let kernel = match body.get("kernel") {
             None => return Err(BadRequest::new("kernel", "missing required field")),
             Some(v) => parse_kernel(v)?,
         };
-        let img = parse_bounded(body, "img", limits::IMG, 12)?;
-        let frames = parse_bounded(body, "frames", limits::FRAMES, 2)?;
-        let trace_ms = parse_trace_ms(body)?;
-        let profile = parse_profile(body)?;
-        let mode = match body.get("mode") {
-            None => ModeSpec::Precise,
-            Some(v) => ModeSpec::parse(v)?,
+        let mut run = RunKey {
+            kernel,
+            ..shared_fields(body)?
         };
-        let engine = parse_engine(body)?;
-        let seed = match body.get("seed") {
-            None => 0x5EED,
-            Some(v) => v
-                .as_u64()
-                .ok_or_else(|| BadRequest::new("seed", "must be a non-negative integer"))?,
-        };
+        if let Some(v) = body.get("profile") {
+            run.profile = parse_profile(v)?;
+        }
+        if let Some(v) = body.get("mode") {
+            run.mode = parse_mode(v)?;
+        }
         let trace = match body.get("trace") {
             None => false,
             Some(v) => v
                 .as_bool()
                 .ok_or_else(|| BadRequest::new("trace", "must be a boolean"))?,
         };
-        Ok(SimKey {
-            kernel,
-            img,
-            frames,
-            trace_ms,
-            profile,
-            mode,
-            engine,
-            seed,
-            trace,
-        })
+        Ok(SimKey { run, trace })
     }
 
-    /// The canonical content address. Equal keys — and only equal keys —
-    /// render equal strings.
+    /// The canonical content address: the run spelling plus the trace
+    /// flag. Equal keys — and only equal keys — render equal strings.
     pub fn canonical(&self) -> String {
-        format!(
-            "run/kernel={}&img={}&frames={}&ms={}&profile=p{}&mode={}&engine={}&seed={}&trace={}",
-            self.kernel.name(),
-            self.img,
-            self.frames,
-            self.trace_ms,
-            self.profile.index(),
-            self.mode.canonical(),
-            self.engine.name(),
-            self.seed,
-            u8::from(self.trace),
-        )
+        let mut out = self.run.run_spelling();
+        out.push_str(if self.trace { "&trace=1" } else { "&trace=0" });
+        out
     }
 
     /// The catalog request this key denotes.
     pub fn run_request(&self) -> RunRequest {
-        RunRequest {
-            kernel: self.kernel,
-            img: self.img,
-            frames: self.frames,
-            trace_seconds: self.trace_ms as f64 / 1000.0,
-            profile: self.profile,
-            mode: self.mode.exec_mode(),
-            engine: self.engine,
-            seed: self.seed,
-        }
+        self.run.run_request()
     }
 }
 
-/// Parses the optional `engine` field ([`ExecEngine::parse`]). The served
-/// default is the compiled engine — results are engine-invariant and it
-/// is the cheapest way to answer a cold request.
-fn parse_engine(body: &Json) -> Result<ExecEngine, BadRequest> {
-    let Some(value) = body.get("engine") else {
-        return Ok(ExecEngine::Compiled);
-    };
-    let name = value
-        .as_str()
-        .ok_or_else(|| BadRequest::new("engine", "must be a string"))?;
-    ExecEngine::parse(name).map_err(|e| BadRequest::new("engine", e))
+fn require_object(body: &Json) -> Result<(), BadRequest> {
+    match body {
+        Json::Obj(_) => Ok(()),
+        _ => Err(BadRequest::new(
+            "body",
+            "request body must be a JSON object",
+        )),
+    }
 }
 
-fn parse_kernel(value: &Json) -> Result<KernelId, BadRequest> {
-    let name = value
-        .as_str()
-        .ok_or_else(|| BadRequest::new("kernel", "must be a string"))?;
-    KernelId::ALL
-        .iter()
-        .copied()
-        .find(|id| id.name().eq_ignore_ascii_case(name))
-        .ok_or_else(|| {
-            let names: Vec<&str> = KernelId::ALL.iter().map(|id| id.name()).collect();
-            BadRequest::new(
-                "kernel",
-                format!("unknown kernel '{name}' (one of: {})", names.join(", ")),
-            )
-        })
-}
-
-fn parse_profile(body: &Json) -> Result<WatchProfile, BadRequest> {
-    let Some(value) = body.get("profile") else {
-        return Ok(WatchProfile::P1);
+/// The scalar fields `/v1/run` and `/v1/sweep` share (`img`, `frames`,
+/// `seconds`, `engine`, `seed`), over the [`RunKey`] defaults.
+fn shared_fields(body: &Json) -> Result<RunKey, BadRequest> {
+    let d = RunKey::default();
+    let trace_ms = match body.get("seconds") {
+        None => d.trace_ms,
+        Some(v) => {
+            let ms = v
+                .as_f64()
+                .and_then(key::seconds_to_ms)
+                .ok_or_else(|| BadRequest::new("seconds", "must be a positive number"))?;
+            let (lo, hi) = limits::TRACE_MS;
+            if !(lo..=hi).contains(&ms) {
+                return Err(BadRequest::new(
+                    "seconds",
+                    format!("must quantize to {lo}..={hi} ms (got {ms} ms)"),
+                ));
+            }
+            ms
+        }
     };
-    let name = value
-        .as_str()
-        .ok_or_else(|| BadRequest::new("profile", "must be a string"))?;
-    WatchProfile::ALL
-        .iter()
-        .copied()
-        .find(|p| format!("p{}", p.index()).eq_ignore_ascii_case(name))
-        .ok_or_else(|| BadRequest::new("profile", format!("unknown profile '{name}' (p1..p5)")))
+    // The served default engine is compiled: results are engine-invariant
+    // and it is the cheapest way to answer a cold request.
+    let engine = match body.get("engine") {
+        None => d.engine,
+        Some(v) => token(v, "engine", ExecEngine::parse)?,
+    };
+    let seed = match body.get("seed") {
+        None => d.seed,
+        Some(v) => v
+            .as_u64()
+            .ok_or_else(|| BadRequest::new("seed", "must be a non-negative integer"))?,
+    };
+    Ok(RunKey {
+        img: parse_bounded(body, "img", limits::IMG, d.img)?,
+        frames: parse_bounded(body, "frames", limits::FRAMES, d.frames)?,
+        trace_ms,
+        engine,
+        seed,
+        ..d
+    })
 }
 
 fn parse_bounded(
     body: &Json,
     field: &'static str,
-    (lo, hi): (usize, usize),
+    (lo, hi): (u64, u64),
     default: usize,
 ) -> Result<usize, BadRequest> {
     let Some(value) = body.get(field) else {
@@ -310,28 +171,60 @@ fn parse_bounded(
     };
     value
         .as_u64()
-        .map(|v| v as usize)
         .filter(|v| (lo..=hi).contains(v))
+        .map(|v| v as usize)
         .ok_or_else(|| BadRequest::new(field, format!("must be an integer in {lo}..={hi}")))
 }
 
-fn parse_trace_ms(body: &Json) -> Result<u64, BadRequest> {
-    let Some(value) = body.get("seconds") else {
-        return Ok(1500);
+/// Parses a string field with one of the shared token parsers.
+fn token<T>(
+    value: &Json,
+    field: &'static str,
+    parse: fn(&str) -> Result<T, String>,
+) -> Result<T, BadRequest> {
+    let text = value
+        .as_str()
+        .ok_or_else(|| BadRequest::new(field, "must be a string"))?;
+    parse(text).map_err(|e| BadRequest::new(field, e))
+}
+
+fn parse_kernel(value: &Json) -> Result<KernelId, BadRequest> {
+    token(value, "kernel", key::parse_kernel)
+}
+
+fn parse_profile(value: &Json) -> Result<WatchProfile, BadRequest> {
+    token(value, "profile", key::parse_profile)
+}
+
+/// Parses the request's `mode` value — a tag string such as `"precise"`,
+/// `{"fixed": bits}`, `{"dynamic": {"minbits": m, "maxbits": M}}` or
+/// `{"incidental": {"minbits": m, "maxbits": M}}` — by translating it to
+/// tag text for [`RunMode::parse`].
+fn parse_mode(value: &Json) -> Result<RunMode, BadRequest> {
+    let bad = |detail: String| BadRequest::new("mode", detail);
+    let bits = |v: &Json, what: &str| {
+        v.as_u64()
+            .ok_or_else(|| bad(format!("{what} must be an integer in 1..=8")))
     };
-    let secs = value
-        .as_f64()
-        .filter(|s| s.is_finite() && *s > 0.0)
-        .ok_or_else(|| BadRequest::new("seconds", "must be a positive number"))?;
-    let ms = (secs * 1000.0).round() as u64;
-    let (lo, hi) = limits::TRACE_MS;
-    if !(lo..=hi).contains(&ms) {
-        return Err(BadRequest::new(
-            "seconds",
-            format!("must quantize to {lo}..={hi} ms (got {ms} ms)"),
-        ));
-    }
-    Ok(ms)
+    let tag = if let Some(tag) = value.as_str() {
+        tag.to_string()
+    } else if let Some(v) = value.get("fixed") {
+        format!("fixed:{}", bits(v, "fixed bits")?)
+    } else if let Some((family, range)) = ["dynamic", "incidental"]
+        .into_iter()
+        .find_map(|family| value.get(family).map(|range| (family, range)))
+    {
+        let end = |name: &str| {
+            range
+                .get(name)
+                .ok_or_else(|| bad(format!("{family} mode needs a {name} field")))
+                .and_then(|v| bits(v, name))
+        };
+        format!("{family}:{}-{}", end("minbits")?, end("maxbits")?)
+    } else {
+        return Err(bad("mode must be a string or a one-key object".to_string()));
+    };
+    RunMode::parse(&tag).map_err(bad)
 }
 
 /// A parsed `POST /v1/sweep` body: the cross-product of kernels ×
@@ -352,55 +245,34 @@ impl SweepSpec {
     /// `kernels`, `profiles` and `modes` are arrays (defaulting to
     /// `["sobel"]`, `["p1"]` and `["precise"]`).
     pub fn from_json(body: &Json) -> Result<SweepSpec, BadRequest> {
-        if !matches!(body, Json::Obj(_)) {
-            return Err(BadRequest::new(
-                "body",
-                "request body must be a JSON object",
-            ));
+        require_object(body)?;
+        fn axis<T>(
+            body: &Json,
+            field: &'static str,
+            default: T,
+            item: impl Fn(&Json) -> Result<T, BadRequest>,
+        ) -> Result<Vec<T>, BadRequest> {
+            match body.get(field) {
+                None => Ok(vec![default]),
+                Some(v) => v
+                    .as_array()
+                    .ok_or_else(|| BadRequest::new(field, "must be an array"))?
+                    .iter()
+                    .map(item)
+                    .collect(),
+            }
         }
-        let kernels: Vec<KernelId> = match body.get("kernels") {
-            None => vec![KernelId::Sobel],
-            Some(v) => v
-                .as_array()
-                .ok_or_else(|| BadRequest::new("kernels", "must be an array"))?
-                .iter()
-                .map(parse_kernel)
-                .collect::<Result<_, _>>()?,
-        };
-        let profiles: Vec<WatchProfile> = match body.get("profiles") {
-            None => vec![WatchProfile::P1],
-            Some(v) => v
-                .as_array()
-                .ok_or_else(|| BadRequest::new("profiles", "must be an array"))?
-                .iter()
-                .map(|p| parse_profile(&Json::obj(vec![("profile", p.clone())])))
-                .collect::<Result<_, _>>()?,
-        };
-        let modes: Vec<ModeSpec> = match body.get("modes") {
-            None => vec![ModeSpec::Precise],
-            Some(v) => v
-                .as_array()
-                .ok_or_else(|| BadRequest::new("modes", "must be an array"))?
-                .iter()
-                .map(ModeSpec::parse)
-                .collect::<Result<_, _>>()?,
-        };
+        let d = RunKey::default();
+        let kernels = axis(body, "kernels", d.kernel, parse_kernel)?;
+        let profiles = axis(body, "profiles", d.profile, parse_profile)?;
+        let modes = axis(body, "modes", d.mode, parse_mode)?;
         if kernels.is_empty() || profiles.is_empty() || modes.is_empty() {
             return Err(BadRequest::new(
                 "body",
                 "kernels/profiles/modes must be non-empty",
             ));
         }
-        let img = parse_bounded(body, "img", limits::IMG, 12)?;
-        let frames = parse_bounded(body, "frames", limits::FRAMES, 2)?;
-        let trace_ms = parse_trace_ms(body)?;
-        let engine = parse_engine(body)?;
-        let seed = match body.get("seed") {
-            None => 0x5EED,
-            Some(v) => v
-                .as_u64()
-                .ok_or_else(|| BadRequest::new("seed", "must be a non-negative integer"))?,
-        };
+        let shared = shared_fields(body)?;
         let total = kernels.len() * profiles.len() * modes.len();
         if total > MAX_SWEEP_CELLS {
             return Err(BadRequest::new(
@@ -413,14 +285,12 @@ impl SweepSpec {
             for &profile in &profiles {
                 for &mode in &modes {
                     cells.push(SimKey {
-                        kernel,
-                        img,
-                        frames,
-                        trace_ms,
-                        profile,
-                        mode,
-                        engine,
-                        seed,
+                        run: RunKey {
+                            kernel,
+                            profile,
+                            mode,
+                            ..shared
+                        },
                         trace: false,
                     });
                 }
@@ -518,9 +388,9 @@ mod tests {
                 "incidental:4-8",
             ),
         ] {
-            let spec = ModeSpec::parse(&Json::parse(text).unwrap()).unwrap();
-            assert_eq!(spec.canonical(), tag);
-            let _ = spec.exec_mode(); // must not panic
+            let mode = parse_mode(&Json::parse(text).unwrap()).unwrap();
+            assert_eq!(mode.canonical(), tag);
+            let _ = mode.exec_mode(); // must not panic
         }
     }
 
@@ -535,8 +405,8 @@ mod tests {
         .unwrap();
         assert_eq!(spec.cells.len(), 8);
         assert_eq!(spec.cells[0].kernel, KernelId::Sobel);
-        assert_eq!(spec.cells[0].mode, ModeSpec::Precise);
-        assert_eq!(spec.cells[1].mode, ModeSpec::Fixed(4));
+        assert_eq!(spec.cells[0].mode, RunMode::Precise);
+        assert_eq!(spec.cells[1].mode, RunMode::Fixed(4));
         assert_eq!(spec.cells[7].kernel, KernelId::Median);
         assert_eq!(spec.cells[7].profile, WatchProfile::P3);
     }

@@ -10,8 +10,10 @@
 //!
 //! * [`json`] — a recursive-descent JSON parser/renderer whose number
 //!   formatting matches the trace codec bit-for-bit;
-//! * [`key`] — request canonicalization into [`key::SimKey`]s;
-//! * [`cache`] — a sharded, LRU-bounded, single-flight body cache;
+//! * [`key`] — request canonicalization into [`key::SimKey`]s over the
+//!   shared `nvp_repro::key` grammar;
+//! * [`ResultCache`] — the sharded, LRU-bounded, single-flight
+//!   [`nvp_exec::Cache`] of rendered bodies;
 //! * `fleet` — asynchronous fleet jobs (`POST /v1/fleet`, polled via
 //!   `GET /v1/fleet/{id}`), content-addressed by canonical spec;
 //! * [`http`] — a minimal HTTP/1.1 subset with read deadlines;
@@ -28,7 +30,6 @@
 #![deny(unsafe_code)]
 
 pub mod bench;
-pub mod cache;
 pub(crate) mod fleet;
 pub mod http;
 pub mod json;
@@ -37,6 +38,18 @@ pub mod metrics;
 pub mod server;
 pub mod signal;
 
-pub use cache::{Flight, FlightError, LeaderToken, Lookup, ResultCache};
-pub use key::{BadRequest, ModeSpec, SimKey, SweepSpec};
+pub use key::{BadRequest, SimKey, SweepSpec};
+pub use nvp_exec::FlightError;
 pub use server::{Server, ServerConfig};
+
+use std::sync::Arc;
+
+/// The body cache: canonical [`SimKey`] spelling → rendered response
+/// bytes. A hit re-serves the exact bytes the first computation produced,
+/// which is what makes the byte-identity guarantee in DESIGN.md §10
+/// checkable from outside.
+pub type ResultCache = nvp_exec::Cache<String, Arc<Vec<u8>>>;
+/// Outcome of a [`ResultCache`] lookup.
+pub type Lookup = nvp_exec::Lookup<String, Arc<Vec<u8>>>;
+/// Leadership of one [`ResultCache`] fill.
+pub type LeaderToken = nvp_exec::LeaderToken<String, Arc<Vec<u8>>>;

@@ -3,6 +3,9 @@
 //!
 //! Counters are plain relaxed atomics — `/metrics` is a monitoring
 //! endpoint, not a ledger, and torn cross-counter reads are acceptable.
+//! Cache counters are not kept here: each cache (the body cache, the
+//! fleet cell cache, the catalog's trace cache) counts its own hits,
+//! misses, joins and evictions, and `render` reads those.
 //! Latency lands in a log2-microsecond [`Histogram`] (the same type the
 //! trace summaries and fleet reports use), from which p50/p99 are
 //! estimated as bucket upper bounds (an overestimate of at most 2×,
@@ -13,6 +16,7 @@
 //! mutex so `/metrics` can report simulator-level totals (backups,
 //! restores, energy ledger) alongside HTTP-level ones.
 
+use nvp_exec::CacheStats;
 use nvp_trace::{Histogram, TraceSummary};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -38,12 +42,6 @@ pub struct Metrics {
     pub failures: AtomicU64,
     /// 503s: connection cap or shutting down.
     pub unavailable: AtomicU64,
-    /// Result-cache hits (body served from cache).
-    pub cache_hits: AtomicU64,
-    /// Result-cache misses (a simulation was scheduled).
-    pub cache_misses: AtomicU64,
-    /// Requests that coalesced onto another request's in-flight simulation.
-    pub coalesced: AtomicU64,
     /// Simulations actually executed by the pool.
     pub simulations: AtomicU64,
     /// Executed simulations that ran on the step engine.
@@ -100,8 +98,8 @@ impl Metrics {
     /// Renders the plain-text exposition body served on `/metrics`.
     /// One `name value` pair per line, Prometheus-style but without
     /// type annotations (the service is dependency-free, not scrapeable
-    /// by contract).
-    pub fn render(&self, queue_depth: usize, cache_len: usize) -> String {
+    /// by contract). `bodies` are the server's result-cache counters.
+    pub fn render(&self, queue_depth: usize, bodies: &CacheStats) -> String {
         let mut out = String::with_capacity(1024);
         let mut line = |name: &str, value: String| {
             out.push_str(name);
@@ -109,55 +107,60 @@ impl Metrics {
             out.push_str(&value);
             out.push('\n');
         };
-        for (name, counter) in [
-            ("nvp_requests_total", &self.requests),
-            ("nvp_responses_ok_total", &self.ok),
-            ("nvp_responses_bad_request_total", &self.bad_request),
-            ("nvp_responses_not_found_total", &self.not_found),
-            ("nvp_responses_too_large_total", &self.too_large),
-            ("nvp_responses_rejected_total", &self.rejected),
-            ("nvp_responses_timeout_total", &self.timeouts),
-            ("nvp_responses_failure_total", &self.failures),
-            ("nvp_responses_unavailable_total", &self.unavailable),
-            ("nvp_cache_hits_total", &self.cache_hits),
-            ("nvp_cache_misses_total", &self.cache_misses),
-            ("nvp_coalesced_total", &self.coalesced),
-            ("nvp_simulations_total", &self.simulations),
-            ("nvp_runs_engine_step_total", &self.runs_step),
-            ("nvp_runs_engine_compiled_total", &self.runs_compiled),
+        for (name, value) in [
+            ("nvp_requests_total", read(&self.requests)),
+            ("nvp_responses_ok_total", read(&self.ok)),
+            ("nvp_responses_bad_request_total", read(&self.bad_request)),
+            ("nvp_responses_not_found_total", read(&self.not_found)),
+            ("nvp_responses_too_large_total", read(&self.too_large)),
+            ("nvp_responses_rejected_total", read(&self.rejected)),
+            ("nvp_responses_timeout_total", read(&self.timeouts)),
+            ("nvp_responses_failure_total", read(&self.failures)),
+            ("nvp_responses_unavailable_total", read(&self.unavailable)),
+            // Result cache: hits served stored bytes, misses scheduled a
+            // simulation, coalesced requests joined one in flight.
+            ("nvp_cache_hits_total", bodies.hits),
+            ("nvp_cache_misses_total", bodies.misses),
+            ("nvp_coalesced_total", bodies.coalesced),
+            ("nvp_simulations_total", read(&self.simulations)),
+            ("nvp_runs_engine_step_total", read(&self.runs_step)),
+            ("nvp_runs_engine_compiled_total", read(&self.runs_compiled)),
+            // Superinstruction-table compilations: the catalog cache keeps
+            // this flat at one per kernel × dimensions, and comparing it
+            // against the compiled-run count shows cache health.
+            ("nvp_compile_total", nvp_repro::catalog::compile_count()),
+            // Fleet jobs, and how much per-cell simulation the cell cache
+            // let overlapping fleets share instead of recompute.
+            ("nvp_fleet_jobs_total", read(&self.fleet_jobs)),
+            ("nvp_fleet_jobs_deduped_total", read(&self.fleet_deduped)),
+            ("nvp_fleet_jobs_done_total", read(&self.fleet_done)),
+            ("nvp_fleet_jobs_failed_total", read(&self.fleet_failed)),
+            ("nvp_fleet_chunks_done_total", read(&self.fleet_chunks_done)),
+            (
+                "nvp_fleet_chunks_in_flight",
+                read(&self.fleet_chunks_in_flight),
+            ),
+            (
+                "nvp_fleet_cells_computed_total",
+                nvp_fleet::cells_computed(),
+            ),
+            ("nvp_fleet_cells_shared_total", nvp_fleet::cells_shared()),
         ] {
-            line(name, read(counter).to_string());
+            line(name, value.to_string());
         }
-        // Superinstruction-table compilations (the `compile` phase): the
-        // catalog memo makes this flat at one per kernel × dimensions, and
-        // comparing it against the compiled-run count shows cache health.
-        line(
-            "nvp_compile_total",
-            nvp_repro::catalog::compile_count().to_string(),
-        );
-        // Fleet jobs: how many populations the service has run, and how
-        // much per-cell simulation the process-wide cell cache let
-        // overlapping fleets share instead of recompute.
-        for (name, counter) in [
-            ("nvp_fleet_jobs_total", &self.fleet_jobs),
-            ("nvp_fleet_jobs_deduped_total", &self.fleet_deduped),
-            ("nvp_fleet_jobs_done_total", &self.fleet_done),
-            ("nvp_fleet_jobs_failed_total", &self.fleet_failed),
-            ("nvp_fleet_chunks_done_total", &self.fleet_chunks_done),
-            ("nvp_fleet_chunks_in_flight", &self.fleet_chunks_in_flight),
+        // Occupancy of the three bounded caches: rendered bodies, fleet
+        // cell outcomes and synthesized power traces.
+        for (prefix, stats) in [
+            ("nvp_cache", *bodies),
+            ("nvp_fleet_cell_cache", nvp_fleet::cell_cache_stats()),
+            ("nvp_trace_cache", nvp_repro::catalog::trace_cache_stats()),
         ] {
-            line(name, read(counter).to_string());
+            line(&format!("{prefix}_entries"), stats.entries.to_string());
+            line(&format!("{prefix}_capacity"), stats.capacity.to_string());
+            let evictions = stats.evictions.to_string();
+            line(&format!("{prefix}_evictions_total"), evictions);
         }
-        line(
-            "nvp_fleet_cells_computed_total",
-            nvp_fleet::cells_computed().to_string(),
-        );
-        line(
-            "nvp_fleet_cells_shared_total",
-            nvp_fleet::cells_shared().to_string(),
-        );
         line("nvp_queue_depth", queue_depth.to_string());
-        line("nvp_cache_entries", cache_len.to_string());
         {
             let latency = self.run_latency.lock().unwrap_or_else(|p| p.into_inner());
             line("nvp_run_latency_count", latency.count().to_string());
@@ -205,7 +208,7 @@ mod tests {
             m.record_run_latency_us(100); // bucket [64,128)
         }
         m.record_run_latency_us(1_000_000); // one outlier
-        let text = m.render(0, 0);
+        let text = m.render(0, &CacheStats::default());
         assert!(text.contains("nvp_run_latency_count 100\n"), "{text}");
         assert!(text.contains("nvp_run_latency_p50_us 127\n"), "{text}");
         // p99 still lands in the common bucket; p100 would catch the outlier.
@@ -218,7 +221,7 @@ mod tests {
     fn zero_latency_is_recorded_not_panicked() {
         let m = Metrics::default();
         m.record_run_latency_us(0);
-        let text = m.render(0, 0);
+        let text = m.render(0, &CacheStats::default());
         assert!(text.contains("nvp_run_latency_count 1\n"), "{text}");
         assert!(text.contains("nvp_run_latency_mean_us 0.0\n"), "{text}");
         // Bin 0 holds exactly zero, so its upper bound is zero.
@@ -229,14 +232,42 @@ mod tests {
     fn render_contains_every_counter() {
         let m = Metrics::default();
         bump(&m.requests);
-        bump(&m.cache_hits);
-        let text = m.render(3, 7);
-        assert!(text.contains("nvp_requests_total 1\n"));
-        assert!(text.contains("nvp_cache_hits_total 1\n"));
-        assert!(text.contains("nvp_queue_depth 3\n"));
-        assert!(text.contains("nvp_cache_entries 7\n"));
-        assert!(text.contains("nvp_sim_events_total 0\n"));
-        assert!(text.contains("nvp_compile_total "));
+        let bodies = CacheStats {
+            hits: 1,
+            misses: 2,
+            coalesced: 3,
+            evictions: 4,
+            entries: 7,
+            capacity: 1024,
+        };
+        let text = m.render(3, &bodies);
+        for expected in [
+            "nvp_requests_total 1\n",
+            "nvp_cache_hits_total 1\n",
+            "nvp_cache_misses_total 2\n",
+            "nvp_coalesced_total 3\n",
+            "nvp_cache_evictions_total 4\n",
+            "nvp_cache_entries 7\n",
+            "nvp_cache_capacity 1024\n",
+            "nvp_queue_depth 3\n",
+            "nvp_sim_events_total 0\n",
+        ] {
+            assert!(text.contains(expected), "missing {expected:?} in\n{text}");
+        }
+        // Process-wide caches and counters: present, values owned elsewhere.
+        for name in [
+            "nvp_compile_total ",
+            "nvp_fleet_cells_computed_total ",
+            "nvp_fleet_cells_shared_total ",
+            "nvp_fleet_cell_cache_entries ",
+            "nvp_fleet_cell_cache_capacity ",
+            "nvp_fleet_cell_cache_evictions_total ",
+            "nvp_trace_cache_entries ",
+            "nvp_trace_cache_capacity ",
+            "nvp_trace_cache_evictions_total ",
+        ] {
+            assert!(text.contains(name), "missing {name:?} in\n{text}");
+        }
     }
 
     #[test]
@@ -245,7 +276,7 @@ mod tests {
         bump(&m.runs_compiled);
         bump(&m.runs_compiled);
         bump(&m.runs_step);
-        let text = m.render(0, 0);
+        let text = m.render(0, &CacheStats::default());
         assert!(text.contains("nvp_runs_engine_step_total 1\n"));
         assert!(text.contains("nvp_runs_engine_compiled_total 2\n"));
     }

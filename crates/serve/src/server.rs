@@ -16,12 +16,12 @@
 //! responses for one key are byte-identical — the property PR 4's
 //! determinism work makes checkable.
 
-use crate::cache::{FlightError, Lookup, ResultCache};
 use crate::http::{read_request, RecvError, Request, Response};
 use crate::json::Json;
 use crate::key::{BadRequest, SimKey, SweepSpec};
 use crate::metrics::{bump, Metrics};
 use crate::signal;
+use crate::{FlightError, LeaderToken, Lookup, ResultCache};
 use nvp_exec::ServicePool;
 use nvp_kernels::KernelId;
 use nvp_sim::RunReport;
@@ -258,7 +258,7 @@ fn route(inner: &Arc<Inner>, request: &Request) -> Response {
                 .as_ref()
                 .map(|p| p.queue_depth())
                 .unwrap_or(0);
-            let body = inner.metrics.render(depth, inner.cache.len());
+            let body = inner.metrics.render(depth, &inner.cache.stats());
             Response::new(200).text(body)
         }
         ("GET", "/v1/kernels") => kernels_response(),
@@ -328,21 +328,14 @@ fn parse_run_key(body: &[u8]) -> Result<SimKey, BadRequest> {
 /// in-flight computation, or become the leader and go through admission.
 fn resolve(inner: &Arc<Inner>, key: &SimKey) -> Result<(Arc<Vec<u8>>, &'static str), Response> {
     match inner.cache.lookup(&key.canonical()) {
-        Lookup::Hit(bytes) => {
-            bump(&inner.metrics.cache_hits);
-            Ok((bytes, "hit"))
-        }
-        Lookup::Join(flight) => {
-            bump(&inner.metrics.coalesced);
-            flight
-                .wait()
-                .map(|bytes| (bytes, "coalesced"))
-                .map_err(flight_error_response)
-        }
+        Lookup::Hit(bytes) => Ok((bytes, "hit")),
+        Lookup::Join(flight) => flight
+            .wait()
+            .map(|bytes| (bytes, "coalesced"))
+            .map_err(flight_error_response),
         Lookup::Miss(token) => {
-            bump(&inner.metrics.cache_misses);
             let flight = token.flight();
-            admit(inner, key.clone(), token)?;
+            admit(inner, vec![(key.clone(), token)])?;
             flight
                 .wait()
                 .map(|bytes| (bytes, "miss"))
@@ -360,38 +353,33 @@ fn flight_error_response(err: FlightError) -> Response {
     }
 }
 
-/// Submits the leader's computation to the bounded pool. A full queue
-/// drops the job unexecuted; the token's drop then publishes
-/// `Rejected`, so every joiner of this flight observes the same 429.
-fn admit(
-    inner: &Arc<Inner>,
-    key: SimKey,
-    mut token: crate::cache::LeaderToken,
-) -> Result<(), Response> {
-    token.fail_with(FlightError::Rejected);
+/// Submits the leaders' computations to the bounded pool as ONE job, so
+/// a sweep occupies a single admission slot. A full queue drops the job
+/// unexecuted; the tokens' drop then publishes `Rejected`, so every
+/// joiner of those flights observes the same 429.
+fn admit(inner: &Arc<Inner>, mut pending: Vec<(SimKey, LeaderToken)>) -> Result<(), Response> {
+    for (_, token) in &mut pending {
+        token.fail_with(FlightError::Rejected);
+    }
     let job_inner = Arc::clone(inner);
-    let submitted = {
-        let pool = inner.pool.lock().unwrap_or_else(|p| p.into_inner());
-        let Some(pool) = pool.as_ref() else {
-            return Err(Response::new(503)
-                .header("Retry-After", "1")
-                .json(error_body("server", "shutting down")));
-        };
-        pool.try_submit(move || {
+    let pool = inner.pool.lock().unwrap_or_else(|p| p.into_inner());
+    let Some(pool) = pool.as_ref() else {
+        return Err(Response::new(503)
+            .header("Retry-After", "1")
+            .json(error_body("server", "shutting down")));
+    };
+    pool.try_submit(move || {
+        for (key, mut token) in pending {
             // Once running, an unfinished token means a panic, not a
             // rejection — joiners should see 500, not 429.
             token.fail_with(FlightError::Failed);
             let body = render_run_body(&job_inner, &key);
             token.complete(Arc::new(body));
-        })
-    };
-    submitted.map_err(|_full| {
-        // The closure (and with it the token) was dropped by the failed
-        // submit; joiners have already been released with `Rejected`.
-        Response::new(429)
-            .header("Retry-After", "1")
-            .json(error_body("queue", "simulation queue is full"))
+        }
     })
+    // A failed submit dropped the closure and with it every token, so
+    // joiners have already been released with `Rejected`.
+    .map_err(|_full| flight_error_response(FlightError::Rejected))
 }
 
 /// Executes the simulation for `key` and renders the response body.
@@ -486,47 +474,20 @@ fn handle_sweep(inner: &Arc<Inner>, body: &[u8]) -> Response {
     // Resolve every cell through the shared run cache: hits are free,
     // duplicates coalesce, and the misses travel as ONE pool job so a
     // sweep occupies a single admission slot.
-    let mut waits: Vec<crate::cache::Lookup> = Vec::with_capacity(spec.cells.len());
-    let mut pending: Vec<(SimKey, crate::cache::LeaderToken)> = Vec::new();
+    let mut waits: Vec<Lookup> = Vec::with_capacity(spec.cells.len());
+    let mut pending: Vec<(SimKey, LeaderToken)> = Vec::new();
     for cell in &spec.cells {
         match inner.cache.lookup(&cell.canonical()) {
-            Lookup::Hit(bytes) => {
-                bump(&inner.metrics.cache_hits);
-                waits.push(Lookup::Hit(bytes));
-            }
-            Lookup::Join(flight) => {
-                bump(&inner.metrics.coalesced);
-                waits.push(Lookup::Join(flight));
-            }
-            Lookup::Miss(mut token) => {
-                bump(&inner.metrics.cache_misses);
-                token.fail_with(FlightError::Rejected);
+            Lookup::Miss(token) => {
                 waits.push(Lookup::Join(token.flight()));
                 pending.push((cell.clone(), token));
             }
+            resolved => waits.push(resolved),
         }
     }
     if !pending.is_empty() {
-        let job_inner = Arc::clone(inner);
-        let submitted = {
-            let pool = inner.pool.lock().unwrap_or_else(|p| p.into_inner());
-            let Some(pool) = pool.as_ref() else {
-                return Response::new(503)
-                    .header("Retry-After", "1")
-                    .json(error_body("server", "shutting down"));
-            };
-            pool.try_submit(move || {
-                for (key, mut token) in pending {
-                    token.fail_with(FlightError::Failed);
-                    let body = render_run_body(&job_inner, &key);
-                    token.complete(Arc::new(body));
-                }
-            })
-        };
-        if submitted.is_err() {
-            return Response::new(429)
-                .header("Retry-After", "1")
-                .json(error_body("queue", "simulation queue is full"));
+        if let Err(response) = admit(inner, pending) {
+            return response;
         }
     }
     // Splice the raw cell bodies — each already a rendered JSON object —

@@ -304,3 +304,42 @@ fn traced_run_embeds_the_event_stream_and_keys_separately() {
 
     shutdown_local_server(addr, handle);
 }
+
+/// Reads one `name value` line of a `/metrics` body.
+fn metric(text: &str, name: &str) -> u64 {
+    text.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("missing {name} in {text}"))
+}
+
+#[test]
+fn distinct_trace_lengths_stay_within_the_trace_cache_bound() {
+    // Every distinct `seconds` value is a distinct power trace. Before
+    // the catalog caches were bounded, each one stayed resident for the
+    // life of the process; now the trace cache evicts past its capacity.
+    let (addr, handle) = small_server();
+    let scrape = || {
+        let ex = http_request(addr, "GET", "/metrics", "").unwrap();
+        String::from_utf8(ex.body).unwrap()
+    };
+    let capacity = metric(&scrape(), "nvp_trace_cache_capacity");
+    assert!(capacity >= 32, "trace cache holds {capacity} entries");
+    for ms in 100..100 + capacity + 8 {
+        let body = format!(
+            r#"{{"kernel":"sobel","img":8,"frames":1,"seconds":{}}}"#,
+            ms as f64 / 1000.0
+        );
+        assert_eq!(post_run(addr, &body).status, 200, "{body}");
+    }
+    let text = scrape();
+    assert!(
+        metric(&text, "nvp_trace_cache_entries") <= capacity,
+        "{text}"
+    );
+    assert!(
+        metric(&text, "nvp_trace_cache_evictions_total") > 0,
+        "{text}"
+    );
+    shutdown_local_server(addr, handle);
+}

@@ -242,7 +242,7 @@ impl ExecEngine {
 }
 
 /// How much architectural state a backup persists.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum BackupScope {
     /// Persist the full state image regardless of what is live.
     #[default]
