@@ -4,7 +4,6 @@
 //! nvp-fleet run --spec FILE [--jobs N] [--out FILE] [--snapshot FILE] [--stop-after-chunks K]
 //! nvp-fleet resume --snapshot FILE [--jobs N] [--out FILE] [--snapshot-out FILE]
 //! nvp-fleet report --snapshot FILE
-//! nvp-fleet bench [--devices N[,N...]] [--jobs N]
 //! ```
 //!
 //! `run` executes a scenario spec to completion and prints the aggregate
@@ -12,29 +11,26 @@
 //! writing the resumable state to `--snapshot`). `resume` continues from a
 //! snapshot and is guaranteed to produce the byte-identical report the
 //! uninterrupted run would have. `report` re-renders a finished
-//! snapshot without simulating anything. `bench` measures devices/sec on
-//! a fixed reference scenario for BENCH_fleet.json.
+//! snapshot without simulating anything.
 
 use nvp_fleet::{
     decode_snapshot, encode_snapshot, run_chunks, FleetAggregate, Progress, RunOptions, RunStatus,
     ScenarioSpec,
 };
 use std::process::ExitCode;
-use std::time::Instant;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
-        eprintln!("usage: nvp-fleet <run|resume|report|bench> [options]");
+        eprintln!("usage: nvp-fleet <run|resume|report> [options]");
         return ExitCode::FAILURE;
     };
     let result = match command.as_str() {
         "run" => cmd_run(&args[1..]),
         "resume" => cmd_resume(&args[1..]),
         "report" => cmd_report(&args[1..]),
-        "bench" => cmd_bench(&args[1..]),
         other => Err(format!(
-            "unknown command '{other}' (want run|resume|report|bench)"
+            "unknown command '{other}' (want run|resume|report)"
         )),
     };
     match result {
@@ -189,65 +185,4 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         ));
     }
     write_or_print(flag(args, "--out")?, &agg.render_report(), "report")
-}
-
-/// The fixed reference scenario `bench` scales over device counts: a
-/// 16-cell population exercising two kernels, two modes, two profile
-/// family members and both backup-scope extremes.
-fn bench_spec(devices: u64) -> ScenarioSpec {
-    ScenarioSpec::parse(&format!(
-        "fleet-spec-v1\n\
-         devices = {devices}\n\
-         chunk = 4096\n\
-         ms = 200\n\
-         img = 8\n\
-         frames = 1\n\
-         members = 2\n\
-         kernels = sobel, median\n\
-         scopes = full, live-dirty\n\
-         modes = precise, fixed:4\n",
-    ))
-    .expect("bench spec is statically valid")
-}
-
-fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let devices: Vec<u64> = match flag(args, "--devices")? {
-        None => vec![10_000, 100_000],
-        Some(v) => v
-            .split(',')
-            .map(|d| {
-                d.trim()
-                    .parse::<u64>()
-                    .map_err(|_| format!("--devices entry '{d}' must be an integer"))
-            })
-            .collect::<Result<_, _>>()?,
-    };
-    let jobs = parse_jobs(args)?;
-    let mut results = Vec::new();
-    for &n in &devices {
-        let mut agg = FleetAggregate::new(bench_spec(n));
-        let start = Instant::now();
-        run_chunks(
-            &mut agg,
-            RunOptions {
-                jobs,
-                stop_after_chunks: None,
-            },
-            |_| {},
-        )
-        .map_err(|e| e.to_string())?;
-        let secs = start.elapsed().as_secs_f64();
-        results.push(format!(
-            "{{\"devices\": {n}, \"seconds\": {secs:.3}, \"devices_per_sec\": {:.0}, \"distinct_cells\": {}}}",
-            n as f64 / secs.max(1e-9),
-            agg.cells.len()
-        ));
-        eprintln!("{n} devices in {secs:.3}s");
-    }
-    println!(
-        "{{\"bench\": \"fleet-v1\", \"host_cpus\": {}, \"jobs\": {jobs}, \"results\": [{}]}}",
-        nvp_exec::available_parallelism(),
-        results.join(", ")
-    );
-    Ok(())
 }

@@ -133,10 +133,10 @@ pub fn ckpt(scale: Scale) -> Vec<Table> {
     vec![cert, st]
 }
 
-/// Backup-energy probe for `repro --perf-out`: one bursty-power median
-/// run per scope, reporting the full-scope backup spend and the nJ each
-/// scoped run saved, plus whether every scoped run reconciles (spend +
-/// saved == its backups × the constant full cost per backup).
+/// Backup-energy probe on bursty power: one median run per scope,
+/// reporting the full-scope backup spend and the nJ each scoped run
+/// saved, plus whether every scoped run reconciles (spend + saved == its
+/// backups × the constant full cost per backup).
 pub fn backup_scope_savings(scale: Scale) -> (f64, f64, f64, f64, bool) {
     let pattern: Vec<f64> = (0..100_000)
         .map(|i| if i % 150 < 12 { 800.0 } else { 0.0 })

@@ -8,15 +8,13 @@
 //! engine) leaves every simulated outcome untouched across the five watch
 //! profiles.
 
-use super::{cached_spec, run_system, run_system_on};
+use super::{cached_spec, run_system};
 use crate::sweep::sweep;
 use crate::table::fnum;
 use crate::{dims, Scale, Table};
 use nvp_analysis::{wcec_report, Cfg, CostModel, EnergyBudget, TripBound, Wcec};
-use nvp_isa::ApproxConfig;
 use nvp_kernels::KernelId;
 use nvp_power::synth::WatchProfile;
-use nvp_power::{Power, PowerProfile, Ticks};
 use nvp_sim::{ExecEngine, ExecMode};
 
 fn fmt_wcec(w: Wcec) -> String {
@@ -118,80 +116,6 @@ pub fn wcec(scale: Scale) -> Vec<Table> {
     }
     bt.note("expectation: every row identical=true — block scheduling must be observationally equivalent");
     vec![t, bt]
-}
-
-/// Wall-clock probe for the compiled engine's hot-loop win: runs the same
-/// sobel simulation under both engines and returns `(step_seconds,
-/// compiled_seconds, reports_identical)`, each the best of three runs.
-/// Feeds the `compiled` section of `repro --perf-out` reports.
-///
-/// Wall power keeps every tick in the VM hot loop, and the 4-bit fixed
-/// datapath keeps the per-instruction energy formula off libm's
-/// `powf(1.0, _)` fast path — the configuration where per-instruction
-/// checks genuinely cost (watch profiles spend most ticks charging and
-/// would bury the difference in harvesting noise).
-pub fn compiled_timing(scale: Scale) -> (f64, f64, bool) {
-    let (step_s, step_r) = engine_time(scale, ExecEngine::Step);
-    let (comp_s, comp_r) = engine_time(scale, ExecEngine::Compiled);
-    (step_s, comp_s, step_r == comp_r)
-}
-
-/// Best-of-three wall time for one engine on the sweep's hot loop
-/// (Sobel, fixed 4-bit, constant 500 µW power).
-fn engine_time(scale: Scale, engine: ExecEngine) -> (f64, nvp_sim::RunReport) {
-    let profile = PowerProfile::constant(Power::from_uw(500.0), Ticks(20_000));
-    let mut best = f64::INFINITY;
-    let mut last = None;
-    for _ in 0..3 {
-        let t0 = std::time::Instant::now();
-        let r = run_system_on(
-            KernelId::Sobel,
-            scale,
-            &profile,
-            ExecMode::Fixed(ApproxConfig::fixed(4)),
-            |c| c.exec_engine = engine,
-        );
-        best = best.min(t0.elapsed().as_secs_f64());
-        last = Some(r);
-    }
-    (best, last.expect("three runs happened"))
-}
-
-/// Frame-level engine comparison on the `vm_step` bench workload: one
-/// precise frame per iteration at 16×16, interpreter vs compiled table.
-/// Batches of the two engines interleave so drifting host load hits both
-/// equally, and each engine keeps its *minimum* batch time — the honest
-/// estimator under one-sided noise. Returns one row per kernel:
-/// `(kernel, step_frame_seconds, compiled_frame_seconds, outputs_equal)`.
-pub fn compiled_frame_timing() -> Vec<(KernelId, f64, f64, bool)> {
-    use nvp_sim::{run_fixed, run_fixed_compiled};
-    [KernelId::Median, KernelId::Sobel]
-        .iter()
-        .map(|&id| {
-            let (w, h) = dims(id, 16);
-            let spec = cached_spec(id, w, h);
-            let input = id.make_input(w, h, 1);
-            let compiled = crate::catalog::compiled_for(id, w, h);
-            let cfg = ApproxConfig::default();
-            let equal = run_fixed(&spec, &input, cfg, 1)
-                == run_fixed_compiled(&spec, &input, cfg, 1, &compiled);
-            let iters = 10;
-            let (mut step, mut comp) = (f64::INFINITY, f64::INFINITY);
-            for _ in 0..20 {
-                let t = std::time::Instant::now();
-                for _ in 0..iters {
-                    std::hint::black_box(run_fixed(&spec, &input, cfg, 1));
-                }
-                step = step.min(t.elapsed().as_secs_f64() / iters as f64);
-                let t = std::time::Instant::now();
-                for _ in 0..iters {
-                    std::hint::black_box(run_fixed_compiled(&spec, &input, cfg, 1, &compiled));
-                }
-                comp = comp.min(t.elapsed().as_secs_f64() / iters as f64);
-            }
-            (id, step, comp, equal)
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@ use nvp_kernels::KernelId;
 use nvp_sim::ExecEngine;
 
 /// Experiment scale and run configuration: full (paper-like) or quick
-/// (CI/bench), plus the sweep width and the engine every experiment run
+/// (CI/tests), plus the sweep width and the engine every experiment run
 /// starts from.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scale {

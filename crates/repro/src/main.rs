@@ -3,7 +3,6 @@
 //!
 //! ```text
 //! repro <experiment>... [--quick] [--jobs N] [--engine E] [--csv DIR] [--ablate] [--trace FILE]
-//! repro all [--quick] [--csv DIR] [--perf-out FILE]
 //! repro list
 //! ```
 
@@ -13,7 +12,6 @@ use nvp_sim::ExecEngine;
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
 
 const EXPERIMENTS: &[(&str, &str)] = &[
     ("fig2", "watch power profiles"),
@@ -73,7 +71,6 @@ fn main() -> ExitCode {
     let mut csv_dir: Option<PathBuf> = None;
     let mut out_dir = PathBuf::from("figures");
     let mut trace_path: Option<PathBuf> = None;
-    let mut perf_out: Option<PathBuf> = None;
     let mut ablate = false;
     let mut engine = ExecEngine::Step;
     let mut it = args.into_iter();
@@ -92,13 +89,6 @@ fn main() -> ExitCode {
                 Some(n) if n >= 1 => jobs = n,
                 _ => {
                     eprintln!("--jobs requires a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--perf-out" => match it.next() {
-                Some(p) => perf_out = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--perf-out requires a file path");
                     return ExitCode::FAILURE;
                 }
             },
@@ -143,21 +133,6 @@ fn main() -> ExitCode {
     let scale = if quick { Scale::quick() } else { Scale::full() }
         .with_jobs(jobs)
         .with_engine(engine);
-    if let Some(p) = &perf_out {
-        // Perf mode: time each experiment serial vs parallel, check the
-        // outputs match, and write a JSON report instead of the tables.
-        if trace_path.is_some() {
-            eprintln!("--perf-out cannot be combined with --trace");
-            return ExitCode::FAILURE;
-        }
-        return match perf_report(&names, scale, ablate, p) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("failed to write perf report {}: {e}", p.display());
-                ExitCode::FAILURE
-            }
-        };
-    }
     let mut trace_file = match &trace_path {
         None => None,
         Some(p) => match std::fs::File::create(p) {
@@ -221,125 +196,6 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Run every named experiment twice — serial (`--jobs 1`) and at the
-/// requested parallelism — verify the rendered tables are identical, and
-/// write a hand-rolled JSON wall-clock report.
-fn perf_report(
-    names: &[String],
-    scale: Scale,
-    ablate: bool,
-    path: &PathBuf,
-) -> std::io::Result<ExitCode> {
-    let jobs = scale.effective_jobs();
-    let serial = scale.with_jobs(1);
-    // Expand `all` so the report gets one timing entry per experiment
-    // (`images` is excluded: it writes files rather than tables).
-    let names: Vec<String> = if names == ["all"] {
-        EXPERIMENTS
-            .iter()
-            .map(|(n, _)| n.to_string())
-            .filter(|n| n != "images")
-            .collect()
-    } else {
-        names.to_vec()
-    };
-    let mut entries = String::new();
-    let (mut total_serial, mut total_parallel) = (0.0f64, 0.0f64);
-    let mut all_identical = true;
-    for name in &names {
-        let t0 = Instant::now();
-        let Some(base) = run_experiment(name, serial, ablate) else {
-            eprintln!("unknown experiment '{name}' — try `repro list`");
-            return Ok(ExitCode::FAILURE);
-        };
-        let serial_s = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let par = run_experiment(name, scale, ablate).unwrap();
-        let parallel_s = t1.elapsed().as_secs_f64();
-        let rendered = |ts: &[Table]| ts.iter().map(|t| t.to_string()).collect::<String>();
-        let identical = rendered(&base) == rendered(&par);
-        all_identical &= identical;
-        total_serial += serial_s;
-        total_parallel += parallel_s;
-        eprintln!(
-            "{name:<14} serial {serial_s:>7.3}s  x{jobs} {parallel_s:>7.3}s  \
-             speedup {:>5.2}x  identical={identical}",
-            serial_s / parallel_s.max(1e-9)
-        );
-        if !entries.is_empty() {
-            entries.push(',');
-        }
-        entries.push_str(&format!(
-            "\n    {{\"experiment\": \"{name}\", \"serial_s\": {serial_s:.6}, \
-             \"parallel_s\": {parallel_s:.6}, \"speedup\": {:.4}, \"identical\": {identical}}}",
-            serial_s / parallel_s.max(1e-9)
-        ));
-    }
-    // Time the compiled engine against the per-instruction reference:
-    // once on a system-level hot loop, once per frame at the vm_step bench
-    // shape.
-    let (cstep_s, comp_s, comp_identical) = experiments::wcecx::compiled_timing(scale);
-    let comp_speedup = cstep_s / comp_s.max(1e-9);
-    all_identical &= comp_identical;
-    eprintln!(
-        "compiled       step {cstep_s:>7.3}s  compiled {comp_s:>7.3}s  \
-         speedup {comp_speedup:>5.2}x  identical={comp_identical}"
-    );
-    let mut frame_entries = String::new();
-    for (id, fstep_s, fcomp_s, equal) in experiments::wcecx::compiled_frame_timing() {
-        all_identical &= equal;
-        let speedup = fstep_s / fcomp_s.max(1e-9);
-        eprintln!(
-            "compiled frame {:<8} step {:>8.1}us  compiled {:>8.1}us  \
-             speedup {speedup:>5.2}x  identical={equal}",
-            format!("{id:?}"),
-            fstep_s * 1e6,
-            fcomp_s * 1e6,
-        );
-        if !frame_entries.is_empty() {
-            frame_entries.push_str(", ");
-        }
-        frame_entries.push_str(&format!(
-            "{{\"kernel\": \"{}\", \"step_s\": {fstep_s:.9}, \"compiled_s\": {fcomp_s:.9}, \
-             \"speedup\": {speedup:.4}, \"identical\": {equal}}}",
-            id.name(),
-        ));
-    }
-    // Backup-energy saved per scope on bursty power (median, single lane).
-    let (bs_full, bs_live, bs_dirty, bs_plan, bs_reconciled) =
-        experiments::ckptx::backup_scope_savings(scale);
-    all_identical &= bs_reconciled;
-    eprintln!(
-        "backup_scope   full {bs_full:>9.1} nJ  saved live {bs_live:.1}  \
-         dirty {bs_dirty:.1}  plan {bs_plan:.1}  reconciled={bs_reconciled}"
-    );
-    let json = format!(
-        "{{\n  \"jobs\": {jobs},\n  \"host_cpus\": {},\n  \"scale\": {{\"trace_seconds\": {}, \
-         \"img\": {}, \"frames\": {}}},\n  \"experiments\": [{entries}\n  ],\n  \
-         \"compiled\": {{\"step_s\": {cstep_s:.6}, \"compiled_s\": {comp_s:.6}, \
-         \"speedup\": {comp_speedup:.4}, \"identical\": {comp_identical}, \
-         \"frames\": [{frame_entries}]}},\n  \
-         \"backup_scope\": {{\"full_nj\": {bs_full:.3}, \"saved_live_nj\": {bs_live:.3}, \
-         \"saved_dirty_nj\": {bs_dirty:.3}, \"saved_plan_nj\": {bs_plan:.3}, \
-         \"reconciled\": {bs_reconciled}}},\n  \
-         \"total_serial_s\": {total_serial:.6},\n  \"total_parallel_s\": {total_parallel:.6},\n  \
-         \"total_speedup\": {:.4},\n  \"all_identical\": {all_identical}\n}}\n",
-        nvp_exec::available_parallelism(),
-        scale.trace_seconds,
-        scale.img,
-        scale.frames,
-        total_serial / total_parallel.max(1e-9)
-    );
-    std::fs::write(path, json)?;
-    eprintln!("perf report written to {}", path.display());
-    Ok(if all_identical {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("ERROR: parallel output differs from serial output");
-        ExitCode::FAILURE
-    })
-}
-
 fn run_experiment(name: &str, scale: Scale, ablate: bool) -> Option<Vec<Table>> {
     use experiments as e;
     Some(match name {
@@ -381,7 +237,6 @@ fn usage() {
     eprintln!(
         "usage: repro <experiment>... [--quick] [--jobs N] [--engine E] [--csv DIR] [--out DIR] [--ablate] [--trace FILE]"
     );
-    eprintln!("       repro all [--quick] [--csv DIR] [--perf-out FILE]");
     eprintln!("       repro list");
     eprintln!();
     eprintln!(
@@ -391,7 +246,6 @@ fn usage() {
         "  --engine E    simulation engine: step (reference) or compiled \
          (results are identical; only speed differs)"
     );
-    eprintln!("  --perf-out F  time each experiment serial vs parallel, write a JSON report");
     eprintln!();
     eprintln!("run `repro list` for the experiment catalogue");
 }

@@ -107,18 +107,25 @@ pub fn read_request(
     }
     let path = target.split('?').next().unwrap_or(target).to_string();
 
-    let mut content_length: usize = 0;
+    // RFC 9112 §6.3: duplicate Content-Length headers must agree, or the
+    // body's framing is ambiguous.
+    let mut content_length: Option<usize> = None;
     for header in lines {
         let Some((name, value)) = header.split_once(':') else {
             continue;
         };
         if name.trim().eq_ignore_ascii_case("content-length") {
-            content_length = value
+            let length = value
                 .trim()
                 .parse()
                 .map_err(|_| RecvError::Malformed("unparseable Content-Length"))?;
+            if content_length.is_some_and(|seen| seen != length) {
+                return Err(RecvError::Malformed("conflicting Content-Length"));
+            }
+            content_length = Some(length);
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > max_body {
         return Err(RecvError::TooLarge);
     }
@@ -297,6 +304,21 @@ mod tests {
     fn rejects_non_http() {
         let err = roundtrip(b"SSH-2.0-OpenSSH\r\n\r\n").unwrap_err();
         assert!(matches!(err, RecvError::Malformed(_)), "{err:?}");
+    }
+
+    #[test]
+    fn rejects_conflicting_content_lengths() {
+        let err =
+            roundtrip(b"POST / HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 400\r\n\r\nabcd")
+                .unwrap_err();
+        assert!(
+            matches!(err, RecvError::Malformed("conflicting Content-Length")),
+            "{err:?}"
+        );
+        let req =
+            roundtrip(b"POST / HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 4\r\n\r\nabcd")
+                .unwrap();
+        assert_eq!(req.body, b"abcd");
     }
 
     #[test]

@@ -21,15 +21,15 @@
 //! * [`metrics`] — counters, latency quantiles, and folded trace
 //!   summaries for `/metrics`;
 //! * [`signal`] — SIGTERM/SIGINT → drain, without a signals crate;
-//! * [`bench`] — the closed-loop load generator behind
-//!   `nvp-serve bench` and `BENCH_serve.json`.
+//! * [`client`] — a one-request HTTP client and an in-process server
+//!   harness for driving the service over real sockets in tests.
 //!
 //! See DESIGN.md §10 for the protocol and the byte-identity contract.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod bench;
+pub mod client;
 pub(crate) mod fleet;
 pub mod http;
 pub mod json;

@@ -1,7 +1,7 @@
 //! End-to-end fleet jobs: POST, poll, and the CLI byte-identity contract.
 
 use nvp_fleet::{run_chunks, FleetAggregate, RunOptions, ScenarioSpec};
-use nvp_serve::bench::{http_request, shutdown_local_server, spawn_local_server, Exchange};
+use nvp_serve::client::{http_request, shutdown_local_server, spawn_local_server, Exchange};
 use nvp_serve::server::ServerConfig;
 use std::net::SocketAddr;
 use std::thread;

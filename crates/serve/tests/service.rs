@@ -5,7 +5,7 @@
 //! it down through `POST /shutdown` — the same code path SIGTERM trips,
 //! so the drain logic is exercised without sending signals.
 
-use nvp_serve::bench::{http_request, shutdown_local_server, spawn_local_server, Exchange};
+use nvp_serve::client::{http_request, shutdown_local_server, spawn_local_server, Exchange};
 use nvp_serve::server::ServerConfig;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};

@@ -48,8 +48,7 @@ pub fn run_fixed(spec: &KernelSpec, input: &[i32], cfg: ApproxConfig, noise_seed
 /// [`run_fixed`] through a pre-compiled superinstruction table instead of
 /// the step interpreter: identical inputs produce byte-identical output
 /// frames (same truncation, same noise stream), only dispatch differs.
-/// This is the uninterrupted-frame fast path the `vm_compiled` benches
-/// measure against `vm_step`.
+/// This is the uninterrupted-frame fast path.
 ///
 /// # Panics
 ///
@@ -133,17 +132,19 @@ mod tests {
 
     #[test]
     fn compiled_output_matches_stepped_everywhere() {
-        // Every kernel, a precise and an approximate configuration: the
-        // compiled table must reproduce the interpreter byte-for-byte.
+        // Every kernel at its smallest shape and at 16×16, a precise and
+        // an approximate configuration: the compiled table must reproduce
+        // the interpreter byte-for-byte.
         for id in KernelId::ALL {
-            let (w, h) = id.min_dims();
-            let spec = id.spec(w, h);
-            let input = id.make_input(w, h, 4);
-            let compiled = crate::system::compile_kernel(&spec.program, spec.mem_words);
-            for cfg in [ApproxConfig::default(), ApproxConfig::fixed(3)] {
-                let stepped = run_fixed(&spec, &input, cfg, 7);
-                let fast = run_fixed_compiled(&spec, &input, cfg, 7, &compiled);
-                assert_eq!(stepped, fast, "{id} diverged under {cfg:?}");
+            for (w, h) in [id.min_dims(), (16, 16)] {
+                let spec = id.spec(w, h);
+                let input = id.make_input(w, h, 4);
+                let compiled = crate::system::compile_kernel(&spec.program, spec.mem_words);
+                for cfg in [ApproxConfig::default(), ApproxConfig::fixed(3)] {
+                    let stepped = run_fixed(&spec, &input, cfg, 7);
+                    let fast = run_fixed_compiled(&spec, &input, cfg, 7, &compiled);
+                    assert_eq!(stepped, fast, "{id} {w}x{h} diverged under {cfg:?}");
+                }
             }
         }
     }

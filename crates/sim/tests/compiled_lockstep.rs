@@ -1,6 +1,6 @@
 //! Differential gate for [`ExecEngine::Compiled`]: across every
-//! synthesized watch profile plus hand-built bursty and adversarial
-//! patterns, a Compiled run must be indistinguishable from the reference
+//! synthesized watch profile plus hand-built constant, bursty and
+//! adversarial patterns, a Compiled run must be indistinguishable from the reference
 //! Step run — byte-identical JSONL traces, equal `RunReport`s, and a
 //! self-reconciling energy ledger. The compiled engine pre-decodes the
 //! kernel into superinstructions and fuses dispatch, but it is only
@@ -12,7 +12,7 @@
 use nvp_isa::ApproxConfig;
 use nvp_kernels::KernelId;
 use nvp_power::synth::WatchProfile;
-use nvp_power::{PowerProfile, Ticks};
+use nvp_power::{Power, PowerProfile, Ticks};
 use nvp_sim::system::{
     BackupScope, ExecEngine, ExecMode, IncidentalSetup, SystemConfig, SystemSim,
 };
@@ -154,6 +154,16 @@ fn compiled_is_lockstep_across_modes() {
         ExecMode::Incidental(IncidentalSetup::new(2, 8).with_staleness(Ticks(50))),
         &p,
         "incidental",
+    );
+    // Steady 500 µW never browns out once charged, and the 4-bit fixed
+    // datapath keeps the per-instruction energy formula off libm's
+    // `powf(1.0, _)` fast path: the uninterrupted steady state that no
+    // harvested profile reaches.
+    assert_lockstep(
+        KernelId::Sobel,
+        ExecMode::Fixed(ApproxConfig::fixed(4)),
+        &PowerProfile::constant(Power::from_uw(500.0), Ticks(20_000)),
+        "fixed4-constant",
     );
 }
 
