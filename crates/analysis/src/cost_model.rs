@@ -76,8 +76,10 @@ impl CostModel {
 
 /// Platform energy envelope the WCEC certificate is judged against.
 ///
-/// Mirrors `nvp-sim`'s `SystemConfig::default()` platform; a drift guard in
-/// the simulator's test suite keeps the two in sync.
+/// `nvp-sim` takes its energy model and reserve safety factor from
+/// [`EnergyBudget::default_platform`]. Capacity and backup policy mirror
+/// `SystemConfig::default()`; a drift guard in the simulator's test suite
+/// keeps those two in sync.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EnergyBudget {
     /// Storage capacitor capacity, in nJ.

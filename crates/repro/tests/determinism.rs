@@ -83,3 +83,30 @@ fn engine_choice_changes_neither_tables_nor_traces() {
     assert_eq!(step.0, compiled.0, "tables differ across engines");
     assert!(step.1 == compiled.1, "traces differ across engines");
 }
+
+/// FNV-1a digest of `ablate_buffer`'s quick-scale trace, recorded before
+/// the loop-variable rejoin path was deleted. At quick scale this is the
+/// only experiment whose trace reaches incidental parking, merging and
+/// FIFO abandonment, so it pins those paths' bytes across refactors.
+const ABLATE_BUFFER_TRACE_FNV: u64 = 0xa725_606d_0ea6_3c92;
+
+#[test]
+fn incidental_parking_trace_bytes_are_pinned() {
+    let (_, trace) =
+        experiments::traced(|| experiments::ablate_buffer(Scale::quick().with_jobs(1)));
+    for needle in [
+        "frame_parked",
+        "merge",
+        "frame_abandoned",
+        "\"rolled_forward\":true",
+    ] {
+        assert!(trace.contains(needle), "trace never reaches {needle}");
+    }
+    let digest = nvp_exec::fnv1a64(trace.as_bytes());
+    assert_eq!(
+        digest,
+        ABLATE_BUFFER_TRACE_FNV,
+        "ablate-buffer trace bytes changed ({} bytes, digest {digest:#018x})",
+        trace.len()
+    );
+}

@@ -1,12 +1,14 @@
 //! The non-volatile resume-point controller (Section 4).
 //!
 //! A small FIFO of parked, partially-computed frames. Each entry records
-//! the PC at which the frame's execution stopped, the frame's data-register
-//! values, the loop-variable values the controller must see again before an
-//! incidental SIMD merge is legal, and which memory version plane holds the
-//! frame's data. The paper implements this as a 2 B × 4 circular buffer of
-//! non-volatile flip-flops plus the multi-version register file; capacity
-//! here is 3 parked frames (the fourth slot is the live computation).
+//! the frame's data-register values and which memory version plane holds
+//! the frame's data. Every parked frame is recomputed from its resume
+//! marker (pc 0, Section 4's recompute path), so the controller's PC
+//! comparators reduce to one marker check: at pc 0 the oldest parked
+//! frames merge into free SIMD lanes in FIFO order. The paper implements
+//! this as a 2 B × 4 circular buffer of non-volatile flip-flops plus the
+//! multi-version register file; capacity here is 3 parked frames (the
+//! fourth slot is the live computation).
 
 use nvp_trace::Event;
 use serde::{Deserialize, Serialize};
@@ -15,24 +17,15 @@ use std::collections::VecDeque;
 /// Number of parking slots (memory versions 1–3).
 pub const PARK_SLOTS: usize = 3;
 
-/// A parked, incomplete frame.
+/// A parked, incomplete frame, waiting at the resume marker.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PendingFrame {
     /// Which input frame this is.
     pub input_index: u64,
-    /// PC at which execution was interrupted.
-    pub pc: usize,
     /// The frame's data-register values (its register-file version plane).
     pub regs: [i32; 16],
-    /// Lane-0 loop-variable values at interruption; a merge requires the
-    /// live lane to present identical values at the same PC.
-    pub loop_vars: [i32; 16],
     /// Memory version plane (1–3) holding the frame's data.
     pub version: usize,
-    /// If set, the frame was parked for *recomputation from its resume
-    /// marker* (Section 4's recompute path): it matches unconditionally at
-    /// its recorded marker PC instead of requiring loop-variable equality.
-    pub recompute: bool,
 }
 
 impl PendingFrame {
@@ -42,7 +35,9 @@ impl PendingFrame {
             tick,
             input_index: self.input_index,
             version: self.version as u8,
-            recompute: self.recompute,
+            // Every frame is parked for recomputation; the wire field stays
+            // so JSONL traces keep their shape.
+            recompute: true,
         }
     }
 
@@ -60,21 +55,19 @@ impl PendingFrame {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ResumeController {
     pending: VecDeque<PendingFrame>,
-    loop_var_mask: u16,
     capacity: usize,
 }
 
 impl Default for ResumeController {
     fn default() -> Self {
-        ResumeController::new(0)
+        ResumeController::new()
     }
 }
 
 impl ResumeController {
-    /// Creates an empty controller with the compiler-generated
-    /// loop-variable mask and the full 3-slot parking capacity.
-    pub fn new(loop_var_mask: u16) -> Self {
-        Self::with_capacity(loop_var_mask, PARK_SLOTS)
+    /// Creates an empty controller with the full 3-slot parking capacity.
+    pub fn new() -> Self {
+        Self::with_capacity(PARK_SLOTS)
     }
 
     /// Creates a controller with a reduced parking capacity (the
@@ -83,14 +76,13 @@ impl ResumeController {
     /// # Panics
     ///
     /// Panics unless `1 <= capacity <= 3`.
-    pub fn with_capacity(loop_var_mask: u16, capacity: usize) -> Self {
+    pub fn with_capacity(capacity: usize) -> Self {
         assert!(
             (1..=PARK_SLOTS).contains(&capacity),
             "capacity must be 1..=3"
         );
         ResumeController {
             pending: VecDeque::new(),
-            loop_var_mask,
             capacity,
         }
     }
@@ -139,36 +131,12 @@ impl ResumeController {
         self.pending.pop_front()
     }
 
-    /// Whether any parked frame is waiting at `pc` (cheap pre-check run
-    /// every instruction, like the hardware PC comparators).
-    pub fn has_pc(&self, pc: usize) -> bool {
-        self.pending.iter().any(|p| p.pc == pc)
-    }
-
-    /// Removes and returns up to `max` parked frames whose PC matches and
-    /// whose masked loop variables equal the live lane's registers (the
-    /// bit-vector + compiler-mask check of Section 4).
-    pub fn take_matches(
-        &mut self,
-        pc: usize,
-        live_regs: &[i32; 16],
-        max: usize,
-    ) -> Vec<PendingFrame> {
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < self.pending.len() && out.len() < max {
-            let p = &self.pending[i];
-            if p.pc == pc && (p.recompute || self.loop_vars_match(&p.loop_vars, live_regs)) {
-                out.push(self.pending.remove(i).expect("index in range"));
-            } else {
-                i += 1;
-            }
-        }
-        out
-    }
-
-    fn loop_vars_match(&self, parked: &[i32; 16], live: &[i32; 16]) -> bool {
-        (0..16).all(|i| self.loop_var_mask & (1 << i) == 0 || parked[i] == live[i])
+    /// Removes and returns up to `max` parked frames, oldest first. Every
+    /// parked frame waits at the resume marker, so all of them match when
+    /// the live lane reaches it; FIFO order picks which merge.
+    pub fn take_matches(&mut self, max: usize) -> Vec<PendingFrame> {
+        let n = max.min(self.pending.len());
+        self.pending.drain(..n).collect()
     }
 
     /// Rewrites the version plane of the parked frame currently at
@@ -193,103 +161,63 @@ impl ResumeController {
 mod tests {
     use super::*;
 
-    fn entry(idx: u64, pc: usize, version: usize, x: i32) -> PendingFrame {
-        let mut loop_vars = [0i32; 16];
-        loop_vars[0] = x;
+    fn entry(idx: u64, version: usize) -> PendingFrame {
         PendingFrame {
             input_index: idx,
-            pc,
             regs: [7; 16],
-            loop_vars,
             version,
-            recompute: false,
         }
     }
 
     #[test]
-    fn recompute_entries_match_without_loop_vars() {
-        let mut c = ResumeController::new(0b1);
-        let mut e = entry(0, 0, 1, 42);
-        e.recompute = true;
-        c.park(e);
-        let live = [0i32; 16]; // r0 = 0 != 42, but recompute ignores it
-        assert_eq!(c.take_matches(0, &live, 4).len(), 1);
-    }
-
-    #[test]
     fn fifo_evicts_oldest_when_full() {
-        let mut c = ResumeController::new(1);
-        assert!(c.park(entry(0, 5, 1, 0)).is_none());
-        assert!(c.park(entry(1, 5, 2, 0)).is_none());
-        assert!(c.park(entry(2, 5, 3, 0)).is_none());
-        let ev = c.park(entry(3, 5, 1, 0)).expect("must evict");
+        let mut c = ResumeController::new();
+        assert!(c.park(entry(0, 1)).is_none());
+        assert!(c.park(entry(1, 2)).is_none());
+        assert!(c.park(entry(2, 3)).is_none());
+        let ev = c.park(entry(3, 1)).expect("must evict");
         assert_eq!(ev.input_index, 0);
         assert_eq!(c.len(), 3);
     }
 
     #[test]
     fn free_version_tracks_parked() {
-        let mut c = ResumeController::new(0);
+        let mut c = ResumeController::new();
         assert_eq!(c.free_version(), Some(1));
-        c.park(entry(0, 1, 1, 0));
+        c.park(entry(0, 1));
         assert_eq!(c.free_version(), Some(2));
-        c.park(entry(1, 1, 3, 0));
+        c.park(entry(1, 3));
         assert_eq!(c.free_version(), Some(2));
-        c.park(entry(2, 1, 2, 0));
+        c.park(entry(2, 2));
         assert_eq!(c.free_version(), None);
     }
 
     #[test]
-    fn match_requires_pc_and_masked_loop_vars() {
-        let mut c = ResumeController::new(0b1); // only r0 matters
-        c.park(entry(0, 10, 1, 42));
-        let mut live = [0i32; 16];
-        live[0] = 41;
-        assert!(c.take_matches(10, &live, 4).is_empty());
-        live[0] = 42;
-        assert!(c.take_matches(11, &live, 4).is_empty());
-        let m = c.take_matches(10, &live, 4);
-        assert_eq!(m.len(), 1);
+    fn take_matches_respects_max() {
+        let mut c = ResumeController::new();
+        c.park(entry(0, 1));
+        c.park(entry(1, 2));
+        c.park(entry(2, 3));
+        let m = c.take_matches(2);
+        assert_eq!(m.len(), 2);
+        assert_eq!(m[0].input_index, 0); // oldest first
+        assert_eq!(m[1].input_index, 1);
+        assert_eq!(c.len(), 1);
+        assert_eq!(c.take_matches(4).len(), 1);
         assert!(c.is_empty());
     }
 
     #[test]
-    fn unmasked_registers_ignored() {
-        let mut c = ResumeController::new(0b10); // only r1
-        let mut e = entry(0, 3, 1, 99);
-        e.loop_vars[1] = 5;
-        c.park(e);
-        let mut live = [0i32; 16];
-        live[0] = -1; // differs but unmasked
-        live[1] = 5;
-        assert_eq!(c.take_matches(3, &live, 4).len(), 1);
-    }
-
-    #[test]
-    fn take_matches_respects_max() {
-        let mut c = ResumeController::new(0);
-        c.park(entry(0, 7, 1, 0));
-        c.park(entry(1, 7, 2, 0));
-        c.park(entry(2, 7, 3, 0));
-        let live = [0i32; 16];
-        let m = c.take_matches(7, &live, 2);
-        assert_eq!(m.len(), 2);
-        assert_eq!(m[0].input_index, 0); // oldest first
-        assert_eq!(c.len(), 1);
-    }
-
-    #[test]
     fn reassign_version_moves_plane_pointer() {
-        let mut c = ResumeController::new(0);
-        c.park(entry(0, 1, 2, 0));
+        let mut c = ResumeController::new();
+        c.park(entry(0, 2));
         c.reassign_version(2, 3);
         assert_eq!(c.pending().next().unwrap().version, 3);
     }
 
     #[test]
     fn event_constructors_carry_frame_identity() {
-        let mut e = entry(9, 4, 2, 0);
-        e.recompute = true;
+        let e = entry(9, 2);
         assert_eq!(
             e.park_event(100),
             Event::FrameParked {
@@ -306,14 +234,5 @@ mod tests {
                 input_index: 9,
             }
         );
-    }
-
-    #[test]
-    fn has_pc_precheck() {
-        let mut c = ResumeController::new(0);
-        assert!(!c.has_pc(9));
-        c.park(entry(0, 9, 1, 0));
-        assert!(c.has_pc(9));
-        assert!(!c.has_pc(8));
     }
 }

@@ -12,7 +12,7 @@
 use crate::energy::{EnergyModel, FlushCursor};
 use crate::governor::{BitsTracker, Governor, StaticBitsFloor};
 use crate::resume::{PendingFrame, ResumeController, PARK_SLOTS};
-use nvp_analysis::BackupLiveness;
+use nvp_analysis::{BackupLiveness, EnergyBudget};
 use nvp_isa::approx::FULL_BITS;
 use nvp_isa::{ApproxConfig, ChainEvent, CompiledProgram, StepEvent, Vm, NUM_REGS};
 use nvp_kernels::KernelSpec;
@@ -28,6 +28,16 @@ use std::sync::Arc;
 /// Cycles available per 0.1 ms tick at the 1 MHz core clock.
 pub const CYCLES_PER_TICK: u64 = 100;
 
+/// Hysteresis: the start threshold requires enough energy beyond the
+/// reserve to run the configured datapath for this many ticks. Cheap
+/// (narrow/roll-back) configurations therefore restart sooner *and* bridge
+/// longer gaps per charge, which is what makes backups *drop* as bitwidth
+/// shrinks (Figure 16).
+const RUN_QUANTUM_TICKS: u64 = 400;
+
+/// Extra cost factor for incidental backups (plane parking writes).
+const INCIDENTAL_BACKUP_FACTOR: f64 = 1.5;
+
 /// Incidental-mode parameters (the `incidental` pragma's bit range).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct IncidentalSetup {
@@ -35,34 +45,26 @@ pub struct IncidentalSetup {
     pub minbits: u8,
     /// Maximum bitwidth for incidental lanes.
     pub maxbits: u8,
-    /// If true, the live lane also runs at dynamic bitwidth instead of
-    /// full precision (the paper keeps the current iteration precise by
-    /// default, Section 8.6).
-    pub dynamic_current: bool,
-    /// If true (the paper's recompute path), frames parked at a stale
-    /// roll-forward rejoin at the frame's resume marker and are recomputed
-    /// at incidental precision — merging immediately instead of waiting
-    /// for a loop-variable match mid-frame.
-    pub recompute_parked: bool,
     /// Maximum wall-clock age of the live frame's data. When a restore
     /// finds the frame older than this, its relevance has lapsed
     /// ("importance of data drops over time", Section 3.1) and recovery
     /// rolls *forward* to the newest buffered frame, parking the old work
-    /// for incidental recomputation. Restores within the deadline resume
-    /// in place like a conventional NVP.
+    /// for incidental recomputation from the frame's resume marker.
+    /// Restores within the deadline resume in place like a conventional
+    /// NVP.
     pub staleness: Ticks,
 }
 
 impl IncidentalSetup {
-    /// The paper's default: precise current lane, old lanes `minbits`–8
-    /// bits, roll-forward after outages longer than 0.15 s (the deep-outage
-    /// scale of Figure 3's tail).
+    /// The paper's default: old lanes `minbits`–`maxbits` bits,
+    /// roll-forward after outages longer than 0.15 s (the deep-outage
+    /// scale of Figure 3's tail). The live lane always runs at full
+    /// precision (the paper keeps the current iteration precise, Section
+    /// 8.6).
     pub fn new(minbits: u8, maxbits: u8) -> Self {
         IncidentalSetup {
             minbits,
             maxbits,
-            dynamic_current: false,
-            recompute_parked: true,
             staleness: Ticks(20_000),
         }
     }
@@ -210,10 +212,12 @@ pub enum ExecEngine {
     /// fetch/decode interpreter. Unarmed stretches — any pc where a power
     /// interrupt can still land — and pcs the table does not cover fall
     /// back to [`Vm::step`] with per-instruction checks, as does
-    /// incidental mode entirely (merge probes need per-instruction
-    /// control). Energy is drained per instruction in the same order as
-    /// [`ExecEngine::Step`], and the compiled ops replicate stepping
-    /// bit-for-bit, so reports and traces stay byte-identical.
+    /// incidental mode entirely. That bypass is deferred, not required:
+    /// incidental merges are probed only at the resume marker (pc 0), so
+    /// blocks that do not contain pc 0 could be armed with one probe at
+    /// the block head. Energy is drained per instruction in the same
+    /// order as [`ExecEngine::Step`], and the compiled ops replicate
+    /// stepping bit-for-bit, so reports and traces stay byte-identical.
     Compiled,
 }
 
@@ -279,31 +283,20 @@ pub struct CheckpointPlan {
     pub masks: Vec<u16>,
 }
 
-/// System configuration (capacitor, thresholds, energy model, policy).
+/// System configuration (capacitor, policy, ablation knobs).
+///
+/// The energy model and the backup reserve's safety factor are not
+/// configurable: the simulator takes both from
+/// [`nvp_analysis::EnergyBudget::default_platform`], the platform the
+/// static WCEC lints certify against.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SystemConfig {
     /// On-chip capacitor capacity.
     pub capacitor_capacity: Energy,
-    /// Capacitor leakage per tick.
-    pub capacitor_leak: Energy,
-    /// AC-DC front end.
-    pub rectifier: Rectifier,
-    /// Energy model.
-    pub energy: EnergyModel,
     /// Retention policy for backups / marked data.
     pub backup_policy: RetentionPolicy,
     /// How much state each backup persists.
     pub backup_scope: BackupScope,
-    /// Hysteresis: the start threshold requires enough energy beyond the
-    /// reserve to run the configured datapath for this many ticks. Cheap
-    /// (narrow/roll-back) configurations therefore restart sooner *and*
-    /// bridge longer gaps per charge, which is what makes backups *drop*
-    /// as bitwidth shrinks (Figure 16).
-    pub run_quantum_ticks: u64,
-    /// Safety factor applied to the backup reserve.
-    pub reserve_safety: f64,
-    /// Extra cost factor for incidental backups (plane parking writes).
-    pub incidental_backup_factor: f64,
     /// Stop after committing this many live-lane frames (None = run the
     /// whole trace).
     pub frames_limit: Option<u64>,
@@ -332,14 +325,8 @@ impl Default for SystemConfig {
     fn default() -> Self {
         SystemConfig {
             capacitor_capacity: Energy::from_uj(3.5),
-            capacitor_leak: Energy::from_pj(20.0),
-            rectifier: Rectifier::default(),
-            energy: EnergyModel::default(),
             backup_policy: RetentionPolicy::FullRetention,
             backup_scope: BackupScope::default(),
-            run_quantum_ticks: 400,
-            reserve_safety: 1.1,
-            incidental_backup_factor: 1.5,
             frames_limit: None,
             record_outputs: true,
             max_simd_lanes: 4,
@@ -368,6 +355,10 @@ pub struct SystemSim {
     frames: Arc<Vec<Vec<i32>>>,
     mode: ExecMode,
     cfg: SystemConfig,
+    /// The platform energy model (from [`EnergyBudget::default_platform`]).
+    energy: EnergyModel,
+    /// Safety factor applied to the backup reserve (same source).
+    reserve_safety: f64,
     vm: Vm,
     cap: Capacitor,
     phase: Phase,
@@ -423,17 +414,22 @@ impl SystemSim {
         let mut vm = Vm::new(spec.program.clone(), spec.mem_words);
         *vm.mem_mut() = spec.build_memory();
         vm.seed_noise(cfg.seed ^ 0xA1);
-        let cap = Capacitor::new(cfg.capacitor_capacity, cfg.capacitor_leak);
+        // 20 pJ of capacitor leakage per tick.
+        let cap = Capacitor::new(cfg.capacitor_capacity, Energy::from_pj(20.0));
+        let EnergyBudget {
+            model: energy,
+            reserve_safety,
+            ..
+        } = EnergyBudget::default_platform();
         let mut backup_cost_by_bits = [Energy::ZERO; 9];
         for (bits, slot) in backup_cost_by_bits.iter_mut().enumerate().skip(1) {
-            *slot = cfg.energy.backup_energy(cfg.backup_policy, bits as u8);
+            *slot = energy.backup_energy(cfg.backup_policy, bits as u8);
         }
         assert!(
             (1..=4).contains(&cfg.max_simd_lanes),
             "max_simd_lanes must be 1..=4"
         );
-        let controller =
-            ResumeController::with_capacity(spec.program.loop_var_mask(), cfg.park_slots as usize);
+        let controller = ResumeController::with_capacity(cfg.park_slots as usize);
         let rng = SmallRng::seed_from_u64(cfg.seed);
         let backup_liveness = BackupLiveness::compute(&spec.program);
         // LiveDirty masks: honor an explicit plan; otherwise synthesize a
@@ -485,6 +481,8 @@ impl SystemSim {
             frames,
             mode,
             cfg,
+            energy,
+            reserve_safety,
             vm,
             cap,
             phase: Phase::Off,
@@ -573,21 +571,21 @@ impl SystemSim {
         let bits = self.live_data_bits().clamp(1, FULL_BITS) as usize;
         let base = self.backup_cost_by_bits[bits];
         if self.is_incidental() {
-            base * self.cfg.incidental_backup_factor
+            base * INCIDENTAL_BACKUP_FACTOR
         } else {
             base
         }
     }
 
     fn reserve(&self) -> Energy {
-        self.backup_cost() * self.cfg.reserve_safety
+        self.backup_cost() * self.reserve_safety
     }
 
     fn start_threshold(&self) -> Energy {
         let tcfg = self.threshold_cfg();
-        let quantum = self.cfg.energy.representative_instr(&tcfg)
-            * (self.cfg.run_quantum_ticks * CYCLES_PER_TICK) as f64;
-        let raw = self.reserve() + self.cfg.energy.restore_energy() + quantum;
+        let quantum =
+            self.energy.representative_instr(&tcfg) * (RUN_QUANTUM_TICKS * CYCLES_PER_TICK) as f64;
+        let raw = self.reserve() + self.energy.restore_energy() + quantum;
         // A threshold above the capacitor would deadlock the system; clamp
         // to what the hardware can actually bank (expensive configurations
         // like 4-SIMD end up pinned near the top — the paper's "highest
@@ -673,17 +671,9 @@ impl SystemSim {
                 let bits = want.max(self.static_floor).min(FULL_BITS);
                 let mut c = self.vm.approx();
                 c.ac_en = true;
-                for l in 1..4 {
-                    c.alu_bits[l] = bits;
-                    c.mem_bits[l] = bits;
-                }
-                if s.dynamic_current {
-                    c.alu_bits[0] = bits;
-                    c.mem_bits[0] = bits;
-                } else {
-                    c.alu_bits[0] = FULL_BITS;
-                    c.mem_bits[0] = FULL_BITS;
-                }
+                // The live lane stays precise; old-frame lanes are governed.
+                c.alu_bits = [FULL_BITS, bits, bits, bits];
+                c.mem_bits = [FULL_BITS, bits, bits, bits];
                 self.vm.set_approx(c);
                 Some((bits, bits != want))
             }
@@ -729,11 +719,10 @@ impl SystemSim {
                 // (`scoped <= full`).
                 let bits = self.live_data_bits().clamp(1, FULL_BITS);
                 let mut scoped =
-                    self.cfg
-                        .energy
+                    self.energy
                         .backup_energy_scoped(self.cfg.backup_policy, bits, frac);
                 if self.is_incidental() {
-                    scoped = scoped * self.cfg.incidental_backup_factor;
+                    scoped = scoped * INCIDENTAL_BACKUP_FACTOR;
                 }
                 (scoped, full - scoped, frac)
             }
@@ -757,25 +746,15 @@ impl SystemSim {
     }
 
     /// Parks every active lane (roll-forward decision at restore time).
+    /// Parked frames are recomputed from the resume marker (pc 0).
     fn park_all(&mut self, tick: u64, tracer: &mut dyn Tracer) {
         let lanes = self.vm.approx().lanes as usize;
-        let recompute = matches!(
-            self.mode,
-            ExecMode::Incidental(s) if s.recompute_parked
-        );
-        // Recompute-parked frames rejoin at the frame's resume marker
-        // (instruction 0); matched frames rejoin where they stopped.
-        let pc = if recompute { 0 } else { self.vm.pc() };
-        let loop_vars = self.vm.regfile().version_values(0);
         // Active lanes 1..k already own their version planes.
         for l in 1..lanes {
             let entry = PendingFrame {
                 input_index: self.active_inputs[l],
-                pc,
                 regs: self.vm.regfile().version_values(l),
-                loop_vars,
                 version: l,
-                recompute,
             };
             emit(tracer, || entry.park_event(tick));
             if let Some(evicted) = self.controller.park(entry) {
@@ -801,11 +780,8 @@ impl SystemSim {
         self.vm.mem_mut().copy_region_version(a, b, 0, version);
         let entry = PendingFrame {
             input_index: self.active_inputs[0],
-            pc,
             regs: self.vm.regfile().version_values(0),
-            loop_vars,
             version,
-            recompute,
         };
         emit(tracer, || entry.park_event(tick));
         if let Some(evicted) = self.controller.park(entry) {
@@ -860,7 +836,7 @@ impl SystemSim {
     }
 
     fn do_restore(&mut self, tick: u64, cursor: &mut FlushCursor, tracer: &mut dyn Tracer) {
-        let cost = self.cfg.energy.restore_energy();
+        let cost = self.energy.restore_energy();
         self.cap.drain_up_to(cost);
         self.report.energy_restore += cost;
         self.report.restores += 1;
@@ -943,22 +919,15 @@ impl SystemSim {
         }
     }
 
-    /// Attempts incidental SIMD merges at the current PC.
+    /// Attempts incidental SIMD merges: parked frames wait at the resume
+    /// marker, so they can join only while the live lane is at pc 0.
     fn try_merge(&mut self, tick: u64, tracer: &mut dyn Tracer) {
         let lanes = self.vm.approx().lanes as usize;
         let max_lanes = (self.cfg.max_simd_lanes as usize).min(1 + PARK_SLOTS);
-        if lanes >= max_lanes || self.controller.is_empty() {
+        if lanes >= max_lanes || self.controller.is_empty() || self.vm.pc() != 0 {
             return;
         }
-        let pc = self.vm.pc();
-        if !self.controller.has_pc(pc) {
-            return;
-        }
-        let live = self.vm.regfile().version_values(0);
-        let matches = self.controller.take_matches(pc, &live, max_lanes - lanes);
-        if matches.is_empty() {
-            return;
-        }
+        let matches = self.controller.take_matches(max_lanes - lanes);
         let mut lanes = lanes;
         let (a, b) = self.approx_span();
         for entry in matches {
@@ -976,7 +945,7 @@ impl SystemSim {
                 tick,
                 lane: target as u8,
                 input_index: entry.input_index,
-                pc: pc as u64,
+                pc: 0,
             });
             lanes += 1;
             self.report.merges += 1;
@@ -1060,7 +1029,7 @@ impl SystemSim {
         }
         let mut table = [Energy::ZERO; 6];
         for class in nvp_isa::InstrClass::ALL {
-            table[class.index()] = self.cfg.energy.instr_energy(class, cfg);
+            table[class.index()] = self.energy.instr_energy(class, cfg);
         }
         self.class_cache = Some((*cfg, table));
         table
@@ -1070,8 +1039,8 @@ impl SystemSim {
         self.report.on_ticks += 1;
         let bits = self.live_data_bits().min(8) as usize;
         self.report.bit_utilization[bits] += 1;
-        // The compiled engine is bypassed in incidental mode (merge probes
-        // need per-instruction control anyway).
+        // The compiled engine is bypassed in incidental mode (compiling it,
+        // with one merge probe at pc 0, is deferred).
         let comp = if self.cfg.exec_engine == ExecEngine::Compiled && !self.is_incidental() {
             self.compiled.clone()
         } else {
@@ -1144,7 +1113,7 @@ impl SystemSim {
                     }
                     e
                 } else {
-                    let e = self.cfg.energy.instr_energy(klass, &cfg);
+                    let e = self.energy.instr_energy(klass, &cfg);
                     if self.cap.level() < self.reserve() + e {
                         self.do_backup(tick, cursor, tracer);
                         return;
@@ -1225,11 +1194,12 @@ impl SystemSim {
         let mut cursor = FlushCursor::new();
         let mut monitor = VoltageMonitor::new();
         let mut bits_tracker = BitsTracker::new();
+        let rectifier = Rectifier::default();
         for (t, power) in profile.iter() {
             if self.phase == Phase::Done {
                 break;
             }
-            let income = self.cfg.rectifier.convert_tick(power);
+            let income = rectifier.convert_tick(power);
             let banked = self.cap.charge(income);
             self.report.energy_income += banked;
             self.cap.leak_tick();

@@ -72,8 +72,10 @@ pub fn render_run(run: &TimelineRun<'_>, width: usize) -> String {
     } else {
         run.label
     };
-    let first = run.events.first().map(|e| e.tick()).unwrap_or(0);
-    let last = run.events.last().map(|e| e.tick()).unwrap_or(first);
+    // The tick range spans the run's extremes, not its first and last
+    // events: traces are untrusted and their ticks need not be monotone.
+    let first = run.events.iter().map(Event::tick).min().unwrap_or(0);
+    let last = run.events.iter().map(Event::tick).max().unwrap_or(first);
     let span = (last - first).max(1);
     out.push_str(&format!(
         "{label}  ticks {first}..{last}  ({} events)\n",
@@ -88,8 +90,9 @@ pub fn render_run(run: &TimelineRun<'_>, width: usize) -> String {
     // (power up) transitions and shade each cell by the dominant phase.
     // on_time[i] accumulates powered ticks inside cell i.
     let cell_ticks = span as f64 / width as f64;
-    let cell_of =
-        |tick: u64| -> usize { (((tick - first) as f64 / cell_ticks) as usize).min(width - 1) };
+    let cell_of = |tick: u64| -> usize {
+        ((tick.saturating_sub(first) as f64 / cell_ticks) as usize).min(width - 1)
+    };
     let mut on_time = vec![0.0f64; width];
     let mut marks: Vec<Option<(u8, char)>> = vec![None; width];
     let mut powered = true; // runs begin powered (cold start happens at tick 0)
@@ -254,6 +257,24 @@ mod tests {
         let r = row.find('R').unwrap();
         assert!(r > b);
         assert!(row[b + 1..r].chars().all(|c| c == '.'), "{row}");
+    }
+
+    #[test]
+    fn backwards_ticks_render_without_panicking() {
+        // Traces are untrusted input: a run whose ticks go backwards must
+        // render over its true tick range, not underflow.
+        let evs = [
+            Event::RunStart {
+                tick: 100,
+                label: "r".into(),
+            },
+            backup(5),
+        ];
+        let text = render(&evs, 20);
+        assert!(text.contains("ticks 5..100"), "{text}");
+        let row = text.lines().nth(1).unwrap();
+        assert_eq!(row.len(), "  |".len() + 20 + 1, "{row}");
+        assert!(row.contains('B'), "{row}");
     }
 
     #[test]
