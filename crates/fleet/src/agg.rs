@@ -5,18 +5,18 @@
 //! and one small stat record per distinct cell (≤ [`MAX_CELLS`]) from
 //! which outliers and reservoir exemplars are drawn at render time.
 //!
-//! Determinism contract: folds happen in canonical-cell order within each
-//! chunk and chunks are folded in sequence, so the accumulated state —
+//! Determinism contract: folds happen in canonical-cell order (the cell
+//! ordinal order of [`CellTable`]) within each chunk and chunks are
+//! folded in sequence, so the accumulated state —
 //! including every f64 — is a pure function of (spec, chunks folded).
 //! The rendered report contains only deterministic quantities; anything
 //! racy (cache hit/miss luck, wall-clock, worker count) is deliberately
 //! excluded and surfaced via progress callbacks and `/metrics` instead.
 
 use crate::cell::CellOutcome;
+use crate::ordinal::CellTable;
 use crate::reservoir::{TopK, WeightedReservoir};
-use crate::sample::cohort;
 use crate::spec::{ScenarioSpec, MAX_CELLS};
-use crate::CellKey;
 use nvp_trace::{Histogram, MergeError, TraceSummary};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -68,6 +68,16 @@ impl CohortAgg {
     }
 }
 
+/// A [`FleetAggregate`]'s per-cell and per-cohort entries during one
+/// `run_chunks` call, held in vectors indexed by cell ordinal and cohort
+/// index so a fold touches no string.
+pub(crate) struct DenseState {
+    cells: Vec<Option<CellStat>>,
+    cohorts: Vec<Option<CohortAgg>>,
+    /// Occupied `cells` slots.
+    occupied: usize,
+}
+
 /// The complete resumable aggregation state of one fleet run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetAggregate {
@@ -105,20 +115,64 @@ impl FleetAggregate {
         (self.next_chunk * self.spec.chunk).min(self.spec.devices)
     }
 
-    /// Folds one chunk's multiset of cells (canonical order) with their
-    /// outcomes. Advances `next_chunk`.
-    pub fn fold_chunk(
+    /// Moves the entries of `table`'s cells and cohorts out of the maps
+    /// into a [`DenseState`] for the duration of one run; [`repack`]
+    /// returns them. Entries the table does not name stay in the maps.
+    ///
+    /// [`repack`]: Self::repack
+    pub(crate) fn unpack(&mut self, table: &CellTable) -> DenseState {
+        let cells: Vec<Option<CellStat>> = (0..table.len())
+            .map(|o| self.cells.remove(table.canonical(o)))
+            .collect();
+        let cohorts = table
+            .cohorts()
+            .iter()
+            .map(|name| self.cohorts.remove(name))
+            .collect();
+        DenseState {
+            occupied: cells.iter().flatten().count(),
+            cells,
+            cohorts,
+        }
+    }
+
+    /// Returns the entries [`unpack`](Self::unpack) moved out, under their
+    /// canonical names.
+    pub(crate) fn repack(&mut self, table: &CellTable, dense: DenseState) {
+        for (o, stat) in dense.cells.into_iter().enumerate() {
+            if let Some(stat) = stat {
+                self.cells.insert(table.canonical(o).to_string(), stat);
+            }
+        }
+        for (name, agg) in table.cohorts().iter().zip(dense.cohorts) {
+            if let Some(agg) = agg {
+                self.cohorts.insert(name.clone(), agg);
+            }
+        }
+    }
+
+    /// Distinct cells folded so far, while `dense` holds `unpack`ed
+    /// entries.
+    pub(crate) fn distinct_cells(&self, dense: &DenseState) -> u64 {
+        (self.cells.len() + dense.occupied) as u64
+    }
+
+    /// Folds one chunk — `counts[o]` devices of the cell with ordinal `o`,
+    /// whose outcome is `outcomes[o]` — in ordinal (= canonical) order.
+    /// Advances `next_chunk`.
+    pub(crate) fn fold_chunk(
         &mut self,
-        chunk_cells: &BTreeMap<String, (CellKey, u64)>,
-        outcomes: &BTreeMap<String, Arc<CellOutcome>>,
+        dense: &mut DenseState,
+        table: &CellTable,
+        counts: &[u64],
+        outcomes: &[Option<Arc<CellOutcome>>],
     ) -> Result<(), MergeError> {
-        for (canon, (key, count)) in chunk_cells {
-            let out = &outcomes[canon];
-            let n = *count;
-            let cohort = self
-                .cohorts
-                .entry(cohort(key))
-                .or_insert_with(CohortAgg::new);
+        for (o, &n) in counts.iter().enumerate() {
+            if n == 0 {
+                continue;
+            }
+            let out = outcomes[o].as_deref().expect("counted cells are resolved");
+            let cohort = dense.cohorts[table.cohort_of(o)].get_or_insert_with(CohortAgg::new);
             cohort.devices += n;
             cohort.forward_progress.record_n(out.forward_progress, n);
             cohort
@@ -126,17 +180,20 @@ impl FleetAggregate {
                 .record_n(out.backup_nj.max(0.0).round() as u64, n);
             cohort.mse_milli.record_n(out.mse_milli, n);
             cohort.summary.merge_weighted(&out.summary, n)?;
-            let stat = self.cells.entry(canon.clone()).or_insert_with(|| CellStat {
-                devices: 0,
-                forward_progress: out.forward_progress,
-                backup_nj: out.backup_nj,
-                mse_milli: out.mse_milli,
-                frames_committed: out.frames_committed,
+            let stat = dense.cells[o].get_or_insert_with(|| {
+                dense.occupied += 1;
+                CellStat {
+                    devices: 0,
+                    forward_progress: out.forward_progress,
+                    backup_nj: out.backup_nj,
+                    mse_milli: out.mse_milli,
+                    frames_committed: out.frames_committed,
+                }
             });
             stat.devices += n;
             self.cell_evaluations += 1;
-            debug_assert!(self.cells.len() as u64 <= MAX_CELLS);
         }
+        debug_assert!(self.distinct_cells(dense) <= MAX_CELLS);
         self.next_chunk += 1;
         Ok(())
     }
@@ -301,9 +358,7 @@ fn fmt_f64(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::evaluate_cell;
-    use crate::sample::cell_for_device;
-    use crate::spec::ScenarioSpec;
+    use crate::{run_chunks, RunOptions};
 
     fn tiny_spec() -> ScenarioSpec {
         ScenarioSpec::parse(
@@ -319,34 +374,17 @@ mod tests {
         .unwrap()
     }
 
-    type ChunkMaps = (
-        BTreeMap<String, (CellKey, u64)>,
-        BTreeMap<String, Arc<CellOutcome>>,
-    );
-
-    fn chunk_maps(spec: &ScenarioSpec, chunk: u64) -> ChunkMaps {
-        let lo = chunk * spec.chunk;
-        let hi = (lo + spec.chunk).min(spec.devices);
-        let mut cells: BTreeMap<String, (CellKey, u64)> = BTreeMap::new();
-        for d in lo..hi {
-            let key = cell_for_device(spec, d);
-            cells.entry(key.canonical()).or_insert((key, 0)).1 += 1;
-        }
-        let outcomes = cells
-            .iter()
-            .map(|(c, (k, _))| (c.clone(), evaluate_cell(k)))
-            .collect();
-        (cells, outcomes)
+    /// Folds every chunk of `spec` serially.
+    fn folded(spec: &ScenarioSpec) -> FleetAggregate {
+        let mut agg = FleetAggregate::new(spec.clone());
+        run_chunks(&mut agg, RunOptions::default(), |_| {}).unwrap();
+        agg
     }
 
     #[test]
     fn fold_accounts_every_device_once() {
         let spec = tiny_spec();
-        let mut agg = FleetAggregate::new(spec.clone());
-        for ci in 0..spec.chunks() {
-            let (cells, outcomes) = chunk_maps(&spec, ci);
-            agg.fold_chunk(&cells, &outcomes).unwrap();
-        }
+        let agg = folded(&spec);
         assert!(agg.is_complete());
         assert_eq!(agg.devices_done(), spec.devices);
         assert_eq!(
@@ -363,13 +401,7 @@ mod tests {
     #[test]
     fn report_is_deterministic_json() {
         let spec = tiny_spec();
-        let mut a = FleetAggregate::new(spec.clone());
-        let mut b = FleetAggregate::new(spec.clone());
-        for ci in 0..spec.chunks() {
-            let (cells, outcomes) = chunk_maps(&spec, ci);
-            a.fold_chunk(&cells, &outcomes).unwrap();
-            b.fold_chunk(&cells, &outcomes).unwrap();
-        }
+        let (a, b) = (folded(&spec), folded(&spec));
         let (ra, rb) = (a.render_report(), b.render_report());
         assert_eq!(ra, rb);
         assert!(ra.contains("\"complete\": true"));

@@ -1,20 +1,21 @@
 //! The chunked streaming run loop.
 //!
-//! Devices are visited in index order, `spec.chunk` at a time. Each chunk
-//! is reduced to its distinct-cell multiset, the uncached cells are
-//! evaluated on the `nvp-exec` work-stealing pool (parallelism affects
-//! wall-clock only — the fold order is the canonical cell order, fixed by
+//! Devices are visited in index order, `spec.chunk` at a time. Each call
+//! first enumerates the spec's cells as dense ordinals ([`CellTable`]);
+//! each chunk is then counted into a per-ordinal device tally, the cells
+//! this call has not resolved yet are evaluated on the `nvp-exec`
+//! work-stealing pool (parallelism affects wall-clock only — the fold
+//! order is the ordinal order, which is canonical cell order, fixed by
 //! the spec), and the chunk is folded into the aggregate. The loop can
 //! pause after any chunk boundary, which is exactly the granularity the
 //! snapshot format persists.
 
-use crate::agg::FleetAggregate;
-use crate::cell::evaluate_cell;
-use crate::sample::cell_for_device;
-use crate::CellKey;
+use crate::agg::{DenseState, FleetAggregate};
+use crate::cell::{evaluate_cell, CellOutcome};
+use crate::ordinal::CellTable;
 use nvp_exec::Pool;
 use nvp_trace::MergeError;
-use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// Progress of a running fleet, reported after every folded chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,10 +65,28 @@ pub enum RunStatus {
 pub fn run_chunks(
     agg: &mut FleetAggregate,
     opts: RunOptions,
+    progress: impl FnMut(Progress),
+) -> Result<RunStatus, MergeError> {
+    let table = CellTable::new(&agg.spec);
+    let mut dense = agg.unpack(&table);
+    let status = fold_chunks(agg, &mut dense, &table, opts, progress);
+    agg.repack(&table, dense);
+    status
+}
+
+fn fold_chunks(
+    agg: &mut FleetAggregate,
+    dense: &mut DenseState,
+    table: &CellTable,
+    opts: RunOptions,
     mut progress: impl FnMut(Progress),
 ) -> Result<RunStatus, MergeError> {
     let pool = Pool::new(opts.jobs);
     let chunks = agg.spec.chunks();
+    // Each cell's outcome, looked up once per call: the process-wide cell
+    // cache shares it across calls, fleets and service jobs.
+    let mut outcomes: Vec<Option<Arc<CellOutcome>>> = vec![None; table.len()];
+    let mut counts = vec![0u64; table.len()];
     let mut folded_this_call = 0u64;
     while agg.next_chunk < chunks {
         if let Some(limit) = opts.stop_after_chunks {
@@ -75,36 +94,25 @@ pub fn run_chunks(
                 return Ok(RunStatus::Paused);
             }
         }
-        let ci = agg.next_chunk;
-        let lo = ci * agg.spec.chunk;
+        let lo = agg.next_chunk * agg.spec.chunk;
         let hi = (lo + agg.spec.chunk).min(agg.spec.devices);
-        // The chunk as a multiset of cells, in canonical order (counted by
-        // key first, so each distinct cell is spelled once per chunk).
-        let mut counts: HashMap<CellKey, u64> = HashMap::new();
+        counts.fill(0);
         for d in lo..hi {
-            *counts.entry(cell_for_device(&agg.spec, d)).or_default() += 1;
+            counts[table.ordinal_for_device(d)] += 1;
         }
-        let chunk_cells: BTreeMap<String, (CellKey, u64)> = counts
-            .into_iter()
-            .map(|(key, n)| (key.canonical(), (key, n)))
+        let fresh: Vec<usize> = (0..table.len())
+            .filter(|&o| counts[o] > 0 && outcomes[o].is_none())
             .collect();
-        // Evaluate distinct cells on the pool; the process-wide cache
-        // makes repeats (across chunks and across fleets) nearly free.
-        let keys: Vec<(String, CellKey)> = chunk_cells
-            .iter()
-            .map(|(c, (k, _))| (c.clone(), *k))
-            .collect();
-        let outcomes = pool
-            .map(keys, |(canon, key)| (canon, evaluate_cell(&key)))
-            .into_iter()
-            .collect::<BTreeMap<_, _>>();
-        agg.fold_chunk(&chunk_cells, &outcomes)?;
+        for (o, outcome) in pool.map(fresh, |o| (o, evaluate_cell(table.key(o)))) {
+            outcomes[o] = Some(outcome);
+        }
+        agg.fold_chunk(dense, table, &counts, &outcomes)?;
         folded_this_call += 1;
         progress(Progress {
             chunks_done: agg.next_chunk,
             chunks,
             devices_done: agg.devices_done(),
-            distinct_cells: agg.cells.len() as u64,
+            distinct_cells: agg.distinct_cells(dense),
         });
     }
     Ok(RunStatus::Complete)

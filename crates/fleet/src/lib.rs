@@ -31,6 +31,7 @@
 pub mod agg;
 pub mod cell;
 pub mod engine;
+mod ordinal;
 pub mod reservoir;
 pub mod sample;
 pub mod snapshot;

@@ -26,7 +26,9 @@ pub fn cohort(key: &CellKey) -> String {
     format!("kernel={}&mode={}", key.kernel.name(), key.mode)
 }
 
-/// Axis indices salt the per-device draw streams.
+/// Axis indices salt the per-device draw streams. Declaration order is
+/// also the digit order of a cell's mixed-radix entry index (kernel most
+/// significant).
 #[derive(Clone, Copy)]
 enum Axis {
     Kernel,
@@ -38,43 +40,146 @@ enum Axis {
     Engine,
 }
 
-/// One axis draw for one device: an independent 64-bit stream value.
-fn draw(spec_seed: u64, device: u64, axis: Axis) -> u64 {
-    splitmix64(
-        spec_seed
-            ^ splitmix64(device.wrapping_add(0x5851_F42D_4C95_7F2D))
-            ^ (axis as u64).wrapping_mul(0xD1B5_4A32_D192_ED03),
-    )
+/// Number of sampled axes.
+const AXES: usize = 7;
+
+/// Every axis, in digit order.
+const ALL_AXES: [Axis; AXES] = [
+    Axis::Kernel,
+    Axis::Profile,
+    Axis::Member,
+    Axis::Cap,
+    Axis::Scope,
+    Axis::Mode,
+    Axis::Engine,
+];
+
+/// The device-dependent half of every axis draw.
+fn device_stream(device: u64) -> u64 {
+    splitmix64(device.wrapping_add(0x5851_F42D_4C95_7F2D))
 }
 
-/// Weighted choice over an axis distribution.
-fn pick<T: Copy>(entries: &[Weighted<T>], r: u64) -> T {
+/// One axis draw for one device: an independent 64-bit stream value.
+fn draw(spec_seed: u64, stream: u64, axis: Axis) -> u64 {
+    splitmix64(spec_seed ^ stream ^ (axis as u64).wrapping_mul(0xD1B5_4A32_D192_ED03))
+}
+
+/// Weighted choice over an axis distribution: the chosen entry's index.
+fn pick<T>(entries: &[Weighted<T>], r: u64) -> usize {
     let total: u64 = entries.iter().map(|w| w.weight).sum();
     let mut rem = r % total;
-    for w in entries {
+    for (i, w) in entries.iter().enumerate() {
         if rem < w.weight {
-            return w.item;
+            return i;
         }
         rem -= w.weight;
     }
-    entries.last().expect("axes are validated non-empty").item
+    unreachable!("r % total lands inside the weights")
+}
+
+/// The cell whose axis entries are `entries` (indices in [`Axis`] order).
+pub(crate) fn cell_at(spec: &ScenarioSpec, entries: [usize; AXES]) -> CellKey {
+    let [kernel, profile, member, cap, scope, mode, engine] = entries;
+    CellKey {
+        kernel: spec.kernels[kernel].item,
+        img: spec.img,
+        frames: spec.frames,
+        trace_ms: spec.trace_ms,
+        profile: spec.profiles[profile].item,
+        member: member as u32,
+        cap_nj: spec.caps_nj[cap].item,
+        scope: spec.scopes[scope].item,
+        mode: spec.modes[mode].item,
+        engine: spec.engines[engine].item,
+        seed: spec.seed,
+    }
 }
 
 /// Expands population member `device` (0-based) of `spec` into its cell.
 pub fn cell_for_device(spec: &ScenarioSpec, device: u64) -> CellKey {
-    let s = spec.seed;
-    CellKey {
-        kernel: pick(&spec.kernels, draw(s, device, Axis::Kernel)),
-        img: spec.img,
-        frames: spec.frames,
-        trace_ms: spec.trace_ms,
-        profile: pick(&spec.profiles, draw(s, device, Axis::Profile)),
-        member: (draw(s, device, Axis::Member) % spec.members as u64) as u32,
-        cap_nj: pick(&spec.caps_nj, draw(s, device, Axis::Cap)),
-        scope: pick(&spec.scopes, draw(s, device, Axis::Scope)),
-        mode: pick(&spec.modes, draw(s, device, Axis::Mode)),
-        engine: pick(&spec.engines, draw(s, device, Axis::Engine)),
-        seed: spec.seed,
+    let stream = device_stream(device);
+    let r = |axis| draw(spec.seed, stream, axis);
+    cell_at(
+        spec,
+        [
+            pick(&spec.kernels, r(Axis::Kernel)),
+            pick(&spec.profiles, r(Axis::Profile)),
+            (r(Axis::Member) % spec.members as u64) as usize,
+            pick(&spec.caps_nj, r(Axis::Cap)),
+            pick(&spec.scopes, r(Axis::Scope)),
+            pick(&spec.modes, r(Axis::Mode)),
+            pick(&spec.engines, r(Axis::Engine)),
+        ],
+    )
+}
+
+/// The draws of [`cell_for_device`] with every axis's weights summed
+/// once: samples a device straight to its cell's mixed-radix entry index
+/// (digits in [`Axis`] order, kernel most significant).
+pub(crate) struct EntrySampler {
+    seed: u64,
+    /// Per-axis running weight sums (`bounds[a][i]` = weights `0..=i`),
+    /// in [`Axis`] order. Members weigh 1 each, which makes `pick` over
+    /// them `r % members`.
+    bounds: [Vec<u64>; AXES],
+}
+
+impl EntrySampler {
+    pub(crate) fn new(spec: &ScenarioSpec) -> Self {
+        fn running(weights: impl Iterator<Item = u64>) -> Vec<u64> {
+            weights
+                .scan(0u64, |sum, w| {
+                    *sum += w;
+                    Some(*sum)
+                })
+                .collect()
+        }
+        fn weights<T>(entries: &[Weighted<T>]) -> impl Iterator<Item = u64> + '_ {
+            entries.iter().map(|w| w.weight)
+        }
+        EntrySampler {
+            seed: spec.seed,
+            bounds: [
+                running(weights(&spec.kernels)),
+                running(weights(&spec.profiles)),
+                running((0..spec.members).map(|_| 1)),
+                running(weights(&spec.caps_nj)),
+                running(weights(&spec.scopes)),
+                running(weights(&spec.modes)),
+                running(weights(&spec.engines)),
+            ],
+        }
+    }
+
+    /// Entry count of every axis, in [`Axis`] order. Their product is
+    /// [`ScenarioSpec::distinct_cells`].
+    pub(crate) fn radices(&self) -> [usize; AXES] {
+        self.bounds.each_ref().map(Vec::len)
+    }
+
+    /// Splits a mixed-radix entry index back into its per-axis entries.
+    pub(crate) fn entries_of(&self, mut index: usize) -> [usize; AXES] {
+        let mut entries = [0; AXES];
+        for (entry, radix) in entries.iter_mut().zip(self.radices()).rev() {
+            *entry = index % radix;
+            index /= radix;
+        }
+        entries
+    }
+
+    /// Mixed-radix entry index of `device`'s cell.
+    pub(crate) fn entry_index(&self, device: u64) -> usize {
+        let stream = device_stream(device);
+        ALL_AXES
+            .iter()
+            .zip(&self.bounds)
+            .fold(0, |index, (&axis, bounds)| {
+                let total = bounds[bounds.len() - 1];
+                let rem = draw(self.seed, stream, axis) % total;
+                // `pick`'s choice: the first entry whose running sum
+                // exceeds the remainder.
+                index * bounds.len() + bounds.partition_point(|&b| b <= rem)
+            })
     }
 }
 

@@ -364,8 +364,7 @@ pub fn decode_snapshot(text: &str) -> Result<FleetAggregate, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::evaluate_cell;
-    use crate::sample::cell_for_device;
+    use crate::{run_chunks, RunOptions};
 
     fn folded_aggregate() -> FleetAggregate {
         let spec = ScenarioSpec::parse(
@@ -378,17 +377,12 @@ mod tests {
              kernels = sobel, median\n",
         )
         .unwrap();
-        let mut agg = FleetAggregate::new(spec.clone());
-        let mut chunk_cells = BTreeMap::new();
-        for d in 0..100u64 {
-            let key = cell_for_device(&spec, d);
-            chunk_cells.entry(key.canonical()).or_insert((key, 0)).1 += 1;
-        }
-        let outcomes = chunk_cells
-            .iter()
-            .map(|(c, (k, _))| (c.clone(), evaluate_cell(k)))
-            .collect();
-        agg.fold_chunk(&chunk_cells, &outcomes).unwrap();
+        let mut agg = FleetAggregate::new(spec);
+        let stop = RunOptions {
+            jobs: 1,
+            stop_after_chunks: Some(1),
+        };
+        run_chunks(&mut agg, stop, |_| {}).unwrap();
         agg
     }
 

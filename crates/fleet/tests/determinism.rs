@@ -115,3 +115,40 @@ fn aggregation_state_is_bounded_by_cells_not_devices() {
         "every device must still be accounted"
     );
 }
+
+/// A small mixed-scope population whose canonical cell order is not
+/// numeric order (`member=10` spells before `member=2`) and whose kernel
+/// axis repeats an entry.
+const PINNED_SPEC: &str = "fleet-spec-v1\n\
+    devices = 900\n\
+    chunk = 128\n\
+    seed = 11\n\
+    ms = 150\n\
+    img = 8\n\
+    frames = 1\n\
+    members = 12\n\
+    kernels = sobel, median*2, sobel*3\n\
+    scopes = full, live-dirty\n\
+    modes = precise, fixed:4\n";
+
+#[test]
+fn report_and_snapshot_bytes_are_pinned() {
+    // FNV-1a digests of the bytes this engine has always produced for
+    // PINNED_SPEC; any change to sampling, fold order or either format
+    // moves them.
+    let digest = |text: String| nvp_exec::fnv1a64(text.as_bytes());
+    let parsed = ScenarioSpec::parse(PINNED_SPEC).unwrap();
+    let mut paused = FleetAggregate::new(parsed.clone());
+    let stop = RunOptions {
+        jobs: 1,
+        stop_after_chunks: Some(2),
+    };
+    assert_eq!(run_chunks(&mut paused, stop, |_| {}), Ok(RunStatus::Paused));
+    assert_eq!(digest(encode_snapshot(&paused)), 0xd847_f129_4c78_00e0);
+
+    let mut done = FleetAggregate::new(parsed);
+    run_chunks(&mut done, RunOptions::default(), |_| {}).unwrap();
+    assert_eq!(done.cells.len(), 96);
+    assert_eq!(digest(done.render_report()), 0x7f8d_4e33_950e_e4a6);
+    assert_eq!(digest(encode_snapshot(&done)), 0x17e5_f02c_faec_f59b);
+}

@@ -2,8 +2,9 @@
 //!
 //! Every consumer of the simulator — the `repro` experiments, `nvp-serve`
 //! and `nvp-fleet` — needs a built [`KernelSpec`], a cycled input-frame
-//! set, a compiled superinstruction table and a synthesized power trace
-//! per run. This module owns one process-wide bounded [`Cache`] for each,
+//! set, a compiled superinstruction table, a synthesized power trace and,
+//! for `BackupScope::LiveDirty`, a synthesized checkpoint plan per run.
+//! This module owns one process-wide bounded [`Cache`] for each,
 //! sized to hold the largest benchmark working set with room to spare
 //! (DESIGN.md §9 lists capacities and worst-case bytes); an evicted
 //! artifact is rebuilt deterministically on its next use.
@@ -21,7 +22,8 @@ use nvp_kernels::{KernelId, KernelSpec};
 use nvp_power::synth::WatchProfile;
 use nvp_power::{Energy, PowerProfile};
 use nvp_sim::{
-    compile_kernel, BackupScope, ExecEngine, ExecMode, RunReport, SystemConfig, SystemSim,
+    compile_kernel, BackupScope, CheckpointPlan, ExecEngine, ExecMode, RunReport, SystemConfig,
+    SystemSim,
 };
 use nvp_trace::Tracer;
 use std::sync::{Arc, LazyLock};
@@ -29,7 +31,8 @@ use std::sync::{Arc, LazyLock};
 /// A shared, immutable input-frame set.
 pub type Frames = Arc<Vec<Vec<i32>>>;
 
-/// Kernel specs and compiled tables: one per kernel × dimensions.
+/// Kernel specs, compiled tables and checkpoint plans: one per kernel ×
+/// dimensions.
 const SPEC_CAPACITY: usize = 64;
 /// Frame sets: one per kernel × img × frame count.
 const FRAMES_CAPACITY: usize = 128;
@@ -46,6 +49,8 @@ static SPECS: LazyLock<Arc<Cache<SpecKey, KernelSpec>>> =
 static FRAMES: LazyLock<Arc<Cache<SpecKey, Frames>>> =
     LazyLock::new(|| Cache::new(FRAMES_CAPACITY));
 static COMPILED: LazyLock<Arc<Cache<SpecKey, Arc<CompiledProgram>>>> =
+    LazyLock::new(|| Cache::new(SPEC_CAPACITY));
+static PLANS: LazyLock<Arc<Cache<SpecKey, Arc<CheckpointPlan>>>> =
     LazyLock::new(|| Cache::new(SPEC_CAPACITY));
 static TRACES: LazyLock<Arc<Cache<TraceKey, Arc<PowerProfile>>>> =
     LazyLock::new(|| Cache::new(TRACE_CAPACITY));
@@ -84,6 +89,30 @@ pub fn compiled_for(id: KernelId, w: usize, h: usize) -> Arc<CompiledProgram> {
     COMPILED.get_or_insert_with(&(id, w, h), || {
         let spec = cached_spec(id, w, h);
         Arc::new(compile_kernel(&spec.program, spec.mem_words))
+    })
+}
+
+/// How many checkpoint plans have been synthesized since process start
+/// (cache misses only — flat at one per distinct kernel × dimensions
+/// that ran under `BackupScope::LiveDirty`). `nvp-serve` exports it as
+/// `nvp_plan_synth_total`.
+pub fn plan_count() -> u64 {
+    PLANS.stats().misses
+}
+
+/// Counters and occupancy of the checkpoint-plan cache.
+pub fn plan_cache_stats() -> CacheStats {
+    PLANS.stats()
+}
+
+/// Synthesizes (or fetches) the checkpoint plan `BackupScope::LiveDirty`
+/// runs a kernel under at given frame dimensions
+/// ([`CheckpointPlan::synthesized`]). The synthesis costs more than most
+/// simulations it serves, so every run of that kernel × dimensions
+/// shares one.
+pub fn plan_for(id: KernelId, w: usize, h: usize) -> Arc<CheckpointPlan> {
+    PLANS.get_or_insert_with(&(id, w, h), || {
+        Arc::new(CheckpointPlan::synthesized(&cached_spec(id, w, h)))
     })
 }
 
@@ -150,26 +179,31 @@ pub struct RunRequest {
 }
 
 impl RunRequest {
-    /// Builds the system configuration this request implies.
-    fn config(&self) -> SystemConfig {
+    /// Builds the system configuration this request implies at frame
+    /// dimensions `w` × `h` (a `LiveDirty` run takes its plan from the
+    /// shared cache rather than synthesizing one).
+    fn config(&self, w: usize, h: usize) -> SystemConfig {
+        let checkpoint_plan = (self.scope == BackupScope::LiveDirty)
+            .then(|| CheckpointPlan::clone(&plan_for(self.kernel, w, h)));
         SystemConfig {
             capacitor_capacity: Energy::from_nj(self.cap_nj as f64),
             backup_scope: self.scope,
             record_outputs: self.record_outputs,
             seed: self.seed,
             exec_engine: self.engine,
+            checkpoint_plan,
             ..Default::default()
         }
     }
 
-    /// Assembles the simulator (spec, frames, compiled table and trace
-    /// all drawn from the shared caches).
+    /// Assembles the simulator (spec, frames, compiled table, checkpoint
+    /// plan and trace all drawn from the shared caches).
     fn build_sim(&self) -> (SystemSim, Arc<PowerProfile>) {
         let (w, h) = dims(self.kernel, self.img);
         let spec = cached_spec(self.kernel, w, h);
         let frames = frames_for(self.kernel, self.img, self.frames);
         let trace = synth_profile_member(self.profile, self.trace_seconds, self.member);
-        let mut sim = SystemSim::new(spec, frames, self.mode, self.config());
+        let mut sim = SystemSim::new(spec, frames, self.mode, self.config(w, h));
         if self.engine == ExecEngine::Compiled {
             sim.set_compiled(compiled_for(self.kernel, w, h));
         }

@@ -10,37 +10,19 @@
 use super::{cached_spec, run_system, run_system_on};
 use crate::sweep::sweep;
 use crate::table::fnum;
-use crate::{dims, Scale, Table};
+use crate::{catalog, dims, Scale, Table};
 use nvp_analysis::{synthesize, Cfg, CkptOptions};
 use nvp_kernels::KernelId;
 use nvp_power::synth::WatchProfile;
 use nvp_power::PowerProfile;
 use nvp_sim::{BackupScope, CheckpointPlan, ExecMode, SystemConfig};
 
-/// Synthesizes the checkpoint plan for `id` at `scale` dims — the same
-/// computation `BackupScope::LiveDirty` runs internally, made explicit so
-/// a run can be pinned to a reviewed certificate.
+/// The checkpoint plan for `id` at `scale` dims — the placement
+/// `BackupScope::LiveDirty` synthesizes internally, made explicit so a
+/// run can be pinned to a reviewed certificate.
 fn plan_for(id: KernelId, scale: Scale) -> CheckpointPlan {
     let (w, h) = dims(id, scale.img.max(16));
-    let spec = cached_spec(id, w, h);
-    let acfg = Cfg::build(&spec.program);
-    let (bits_lo, bits_hi) = id.declared_bits();
-    let opts = CkptOptions {
-        bits_lo,
-        bits_hi,
-        mem_words: spec.mem_words,
-        ..Default::default()
-    };
-    let synth = synthesize(&spec.program, &acfg, &opts);
-    CheckpointPlan {
-        checkpoints: synth
-            .synthesized
-            .checkpoints
-            .iter()
-            .map(|&(pc, _)| pc)
-            .collect(),
-        masks: synth.synthesized.masks,
-    }
+    CheckpointPlan::clone(&catalog::plan_for(id, w, h))
 }
 
 /// Placement certificates and the scope comparison across watch profiles.

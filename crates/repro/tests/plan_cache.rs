@@ -1,0 +1,104 @@
+//! The catalog's checkpoint-plan cache must be invisible in results: a
+//! `LiveDirty` run through the catalog (shared plan) reports and traces
+//! byte-for-byte what a simulator that synthesizes its own plan does, and
+//! repeating a request synthesizes nothing new.
+//!
+//! One test in its own binary, so no concurrent test can move the
+//! process-wide synthesis counter between the two rounds.
+
+use nvp_kernels::KernelId;
+use nvp_power::Energy;
+use nvp_repro::catalog::{self, RunRequest};
+use nvp_repro::dims;
+use nvp_repro::key::RunMode;
+use nvp_sim::{BackupScope, ExecEngine, SystemConfig, SystemSim};
+use nvp_trace::{CounterSink, JsonlBufSink, TeeSink};
+
+fn request(kernel: KernelId, mode: RunMode) -> RunRequest {
+    RunRequest {
+        kernel,
+        img: 12,
+        frames: 2,
+        trace_seconds: 0.3,
+        profile: nvp_power::synth::WatchProfile::P1,
+        member: 0,
+        cap_nj: 3500,
+        scope: BackupScope::LiveDirty,
+        mode: mode.exec_mode(),
+        engine: ExecEngine::Compiled,
+        seed: 0x5EED,
+        record_outputs: true,
+    }
+}
+
+/// Runs `req` through the catalog, returning its report, JSONL trace and
+/// trace summary.
+fn via_catalog(req: &RunRequest) -> (nvp_sim::RunReport, String, nvp_trace::TraceSummary) {
+    let (mut jsonl, mut counter) = (JsonlBufSink::new(), CounterSink::new());
+    let report = catalog::simulate_traced(
+        req,
+        &mut TeeSink {
+            a: &mut jsonl,
+            b: &mut counter,
+        },
+    );
+    (report, jsonl.into_string(), counter.summary)
+}
+
+/// Runs `req` on a directly built simulator with no supplied plan, so
+/// it synthesizes its own at construction.
+fn self_synthesized(req: &RunRequest) -> (nvp_sim::RunReport, String, nvp_trace::TraceSummary) {
+    let (w, h) = dims(req.kernel, req.img);
+    let frames = catalog::frames_for(req.kernel, req.img, req.frames);
+    let trace = catalog::synth_profile_member(req.profile, req.trace_seconds, req.member);
+    let cfg = SystemConfig {
+        capacitor_capacity: Energy::from_nj(req.cap_nj as f64),
+        backup_scope: req.scope,
+        record_outputs: req.record_outputs,
+        seed: req.seed,
+        exec_engine: req.engine,
+        checkpoint_plan: None,
+        ..Default::default()
+    };
+    let sim = SystemSim::new(req.kernel.spec(w, h), frames, req.mode, cfg);
+    let (mut jsonl, mut counter) = (JsonlBufSink::new(), CounterSink::new());
+    let report = sim.run_traced(
+        &trace,
+        &mut TeeSink {
+            a: &mut jsonl,
+            b: &mut counter,
+        },
+    );
+    (report, jsonl.into_string(), counter.summary)
+}
+
+#[test]
+fn cached_live_dirty_plans_match_self_synthesized_runs() {
+    let cases: Vec<RunRequest> = KernelId::QUALITY_TRIO
+        .iter()
+        .flat_map(|&k| [RunMode::Precise, RunMode::Incidental(2, 8)].map(|m| request(k, m)))
+        .collect();
+    for req in &cases {
+        let (report, jsonl, summary) = via_catalog(req);
+        let (want_report, want_jsonl, want_summary) = self_synthesized(req);
+        let what = format!("{} {:?}", req.kernel.name(), req.mode);
+        assert!(report.backups > 0, "{what}: the trace must force backups");
+        assert_eq!(report, want_report, "{what}: report differs");
+        assert_eq!(jsonl, want_jsonl, "{what}: trace bytes differ");
+        assert_eq!(summary, want_summary, "{what}: trace summary differs");
+    }
+    // One synthesis per kernel × dimensions; a second round is all hits.
+    let synthesized = catalog::plan_count();
+    assert_eq!(synthesized, KernelId::QUALITY_TRIO.len() as u64);
+    for req in &cases {
+        via_catalog(req);
+    }
+    assert_eq!(
+        catalog::plan_count(),
+        synthesized,
+        "repeats must not synthesize"
+    );
+    let stats = catalog::plan_cache_stats();
+    assert_eq!(stats.entries, KernelId::QUALITY_TRIO.len());
+    assert_eq!(stats.hits, 2 * cases.len() as u64 - synthesized);
+}

@@ -25,7 +25,7 @@ use crate::key::BadRequest;
 use crate::metrics::{bump, Metrics};
 use crate::server::{error_body, Inner};
 use nvp_fleet::{run_chunks, FleetAggregate, RunOptions, ScenarioSpec};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -34,6 +34,12 @@ use std::sync::{Arc, Mutex};
 /// small: fleet jobs are throughput work sharing a host with the
 /// latency-sensitive `/v1/run` path.
 const MAX_FLEET_WORKERS: usize = 16;
+
+/// Finished (done or failed) jobs the registry keeps addressable. Past
+/// this, registering a job evicts the oldest finished ones; running jobs
+/// are never evicted (each holds an admission slot, so the service's
+/// queue bounds how many there are).
+const MAX_FINISHED_JOBS: usize = 256;
 
 /// One registered fleet job. Progress fields are plain gauges written by
 /// the worker and read by pollers; the terminal state (report bytes or
@@ -49,27 +55,101 @@ pub(crate) struct FleetJob {
     state: Mutex<JobState>,
 }
 
+impl FleetJob {
+    fn new(spec: &ScenarioSpec) -> Self {
+        FleetJob {
+            id: spec.job_id(),
+            devices: spec.devices,
+            chunks: spec.chunks(),
+            chunks_done: AtomicU64::new(0),
+            devices_done: AtomicU64::new(0),
+            distinct_cells: AtomicU64::new(0),
+            state: Mutex::new(JobState::Running),
+        }
+    }
+
+    fn is_finished(&self) -> bool {
+        !matches!(
+            *self.state.lock().unwrap_or_else(|p| p.into_inner()),
+            JobState::Running
+        )
+    }
+}
+
 enum JobState {
     Running,
     Done(Arc<Vec<u8>>),
     Failed(String),
 }
 
-/// The job registry: content-addressed, insert-only for the lifetime of
-/// the process (fleet reports are small; a fleet that was worth running
-/// is worth keeping addressable).
-#[derive(Default)]
+/// The job registry, content-addressed. Every running job stays
+/// addressable; of the finished ones, the newest [`MAX_FINISHED_JOBS`]
+/// do (a report is small, but a long-lived server must not grow without
+/// bound).
 pub(crate) struct FleetJobs {
-    jobs: Mutex<BTreeMap<String, Arc<FleetJob>>>,
+    registry: Mutex<Registry>,
+    max_finished: usize,
+}
+
+#[derive(Default)]
+struct Registry {
+    by_id: BTreeMap<String, Arc<FleetJob>>,
+    /// Every registered job, oldest first.
+    order: VecDeque<Arc<FleetJob>>,
+}
+
+impl Default for FleetJobs {
+    fn default() -> Self {
+        FleetJobs::with_max_finished(MAX_FINISHED_JOBS)
+    }
 }
 
 impl FleetJobs {
+    fn with_max_finished(max_finished: usize) -> Self {
+        FleetJobs {
+            registry: Mutex::default(),
+            max_finished,
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Registry> {
+        self.registry.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     fn get(&self, id: &str) -> Option<Arc<FleetJob>> {
-        self.jobs
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(id)
-            .cloned()
+        self.lock().by_id.get(id).cloned()
+    }
+
+    /// Registers `job`, or returns the job already registered under its
+    /// id. On success, evicts the oldest finished jobs beyond the cap and
+    /// returns how many it evicted.
+    fn register(&self, job: &Arc<FleetJob>) -> Result<u64, Arc<FleetJob>> {
+        let mut guard = self.lock();
+        let Registry { by_id, order } = &mut *guard;
+        if let Some(existing) = by_id.get(&job.id) {
+            return Err(Arc::clone(existing));
+        }
+        by_id.insert(job.id.clone(), Arc::clone(job));
+        order.push_back(Arc::clone(job));
+        let finished = order.iter().filter(|j| j.is_finished()).count();
+        let mut excess = finished.saturating_sub(self.max_finished);
+        let evicted = excess as u64;
+        order.retain(|j| {
+            if excess > 0 && j.is_finished() {
+                excess -= 1;
+                by_id.remove(&j.id);
+                false
+            } else {
+                true
+            }
+        });
+        Ok(evicted)
+    }
+
+    fn remove(&self, id: &str) {
+        let mut guard = self.lock();
+        guard.by_id.remove(id);
+        guard.order.retain(|j| j.id != id);
     }
 }
 
@@ -188,19 +268,16 @@ pub(crate) fn handle_post(inner: &Arc<Inner>, body: &[u8]) -> Response {
         Ok(parsed) => parsed,
         Err(err) => return Response::new(400).json(error_body(err.field, &err.detail)),
     };
-    let id = spec.job_id();
-    let job = Arc::new(FleetJob {
-        id: id.clone(),
-        devices: spec.devices,
-        chunks: spec.chunks(),
-        chunks_done: AtomicU64::new(0),
-        devices_done: AtomicU64::new(0),
-        distinct_cells: AtomicU64::new(0),
-        state: Mutex::new(JobState::Running),
-    });
-    {
-        let mut registry = inner.fleet.jobs.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(existing) = registry.get(&id) {
+    let job = Arc::new(FleetJob::new(&spec));
+    let id = job.id.clone();
+    match inner.fleet.register(&job) {
+        Ok(evicted) => {
+            inner
+                .metrics
+                .fleet_evicted
+                .fetch_add(evicted, Ordering::Relaxed);
+        }
+        Err(existing) => {
             // Content-address dedup: same canonical spec, same job. The
             // poster joins whatever state the job has already reached.
             bump(&inner.metrics.fleet_deduped);
@@ -208,14 +285,13 @@ pub(crate) fn handle_post(inner: &Arc<Inner>, body: &[u8]) -> Response {
             let tag = state_tag(&state);
             return Response::new(200)
                 .header("X-Fleet-State", tag)
-                .json(job_descriptor(existing, tag));
+                .json(job_descriptor(&existing, tag));
         }
-        registry.insert(id.clone(), Arc::clone(&job));
     }
     let submitted = {
         let pool = inner.pool.lock().unwrap_or_else(|p| p.into_inner());
         let Some(pool) = pool.as_ref() else {
-            remove_job(inner, &id);
+            inner.fleet.remove(&id);
             return Response::new(503)
                 .header("Retry-After", "1")
                 .json(error_body("server", "shutting down"));
@@ -225,7 +301,7 @@ pub(crate) fn handle_post(inner: &Arc<Inner>, body: &[u8]) -> Response {
         pool.try_submit(move || run_job(worker_job, worker_metrics, spec, workers))
     };
     if submitted.is_err() {
-        remove_job(inner, &id);
+        inner.fleet.remove(&id);
         return Response::new(429)
             .header("Retry-After", "1")
             .json(error_body("queue", "simulation queue is full"));
@@ -234,15 +310,6 @@ pub(crate) fn handle_post(inner: &Arc<Inner>, body: &[u8]) -> Response {
     Response::new(200)
         .header("X-Fleet-State", "running")
         .json(job_descriptor(&job, "running"))
-}
-
-fn remove_job(inner: &Arc<Inner>, id: &str) {
-    inner
-        .fleet
-        .jobs
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .remove(id);
 }
 
 /// Executes one fleet job on a pool worker. The guard keeps the in-flight
@@ -396,5 +463,52 @@ mod tests {
         let err = parse_fleet_request(br#"{"devices":0}"#).unwrap_err();
         assert_eq!(err.field, "spec");
         assert!(err.detail.contains("devices"), "{}", err.detail);
+    }
+
+    fn job(devices: u64, done: bool) -> Arc<FleetJob> {
+        let spec = ScenarioSpec::parse(&format!("fleet-spec-v1\ndevices = {devices}\n")).unwrap();
+        let job = FleetJob::new(&spec);
+        if done {
+            *job.state.lock().unwrap() = JobState::Done(Arc::new(Vec::new()));
+        }
+        Arc::new(job)
+    }
+
+    #[test]
+    fn registry_evicts_oldest_finished_jobs_and_never_running_ones() {
+        const CAP: usize = 3;
+        const K: u64 = 2;
+        let jobs = FleetJobs::with_max_finished(CAP);
+        // Running jobs interleaved with CAP + K finished ones.
+        let running = [job(1, false), job(2, false), job(3, false)];
+        let finished: Vec<Arc<FleetJob>> =
+            (0..CAP as u64 + K).map(|i| job(100 + i, true)).collect();
+        let register = |j| {
+            jobs.register(j)
+                .unwrap_or_else(|_| panic!("ids are distinct"))
+        };
+        let mut evicted = 0;
+        for (i, f) in finished.iter().enumerate() {
+            if let Some(r) = running.get(i) {
+                evicted += register(r);
+            }
+            evicted += register(f);
+        }
+        assert_eq!(
+            evicted, K,
+            "exactly one eviction per finished job past the cap"
+        );
+        for r in &running {
+            assert!(jobs.get(&r.id).is_some(), "running jobs are never evicted");
+        }
+        for (i, f) in finished.iter().enumerate() {
+            let kept = jobs.get(&f.id).is_some();
+            assert_eq!(kept, i as u64 >= K, "the oldest finished jobs go first");
+        }
+        // A duplicate id joins the registered job instead of registering.
+        assert!(Arc::ptr_eq(
+            &jobs.register(&job(1, false)).unwrap_err(),
+            &running[0]
+        ));
     }
 }

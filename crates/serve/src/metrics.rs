@@ -4,7 +4,7 @@
 //! Counters are plain relaxed atomics — `/metrics` is a monitoring
 //! endpoint, not a ledger, and torn cross-counter reads are acceptable.
 //! Cache counters are not kept here: each cache (the body cache, the
-//! fleet cell cache, the catalog's trace cache) counts its own hits,
+//! fleet cell cache, the catalog's trace and plan caches) counts its own hits,
 //! misses, joins and evictions, and `render` reads those.
 //! Latency lands in a log2-microsecond [`Histogram`] (the same type the
 //! trace summaries and fleet reports use), from which p50/p99 are
@@ -57,6 +57,8 @@ pub struct Metrics {
     pub fleet_done: AtomicU64,
     /// Fleet jobs that failed (fold error or worker panic).
     pub fleet_failed: AtomicU64,
+    /// Finished fleet jobs dropped from the registry to keep it bounded.
+    pub fleet_evicted: AtomicU64,
     /// Chunks folded across all fleet jobs.
     pub fleet_chunks_done: AtomicU64,
     /// Gauge: chunks being simulated right now. A job folds its chunks
@@ -129,12 +131,16 @@ impl Metrics {
             // this flat at one per kernel × dimensions, and comparing it
             // against the compiled-run count shows cache health.
             ("nvp_compile_total", nvp_repro::catalog::compile_count()),
+            // Checkpoint-plan syntheses for live-dirty runs: flat at one
+            // per kernel × dimensions while the plan cache holds them.
+            ("nvp_plan_synth_total", nvp_repro::catalog::plan_count()),
             // Fleet jobs, and how much per-cell simulation the cell cache
             // let overlapping fleets share instead of recompute.
             ("nvp_fleet_jobs_total", read(&self.fleet_jobs)),
             ("nvp_fleet_jobs_deduped_total", read(&self.fleet_deduped)),
             ("nvp_fleet_jobs_done_total", read(&self.fleet_done)),
             ("nvp_fleet_jobs_failed_total", read(&self.fleet_failed)),
+            ("nvp_fleet_jobs_evicted_total", read(&self.fleet_evicted)),
             ("nvp_fleet_chunks_done_total", read(&self.fleet_chunks_done)),
             (
                 "nvp_fleet_chunks_in_flight",
@@ -148,12 +154,14 @@ impl Metrics {
         ] {
             line(name, value.to_string());
         }
-        // Occupancy of the three bounded caches: rendered bodies, fleet
-        // cell outcomes and synthesized power traces.
+        // Occupancy of the four exported bounded caches: rendered bodies,
+        // fleet cell outcomes, synthesized power traces and checkpoint
+        // plans.
         for (prefix, stats) in [
             ("nvp_cache", *bodies),
             ("nvp_fleet_cell_cache", nvp_fleet::cell_cache_stats()),
             ("nvp_trace_cache", nvp_repro::catalog::trace_cache_stats()),
+            ("nvp_plan_cache", nvp_repro::catalog::plan_cache_stats()),
         ] {
             line(&format!("{prefix}_entries"), stats.entries.to_string());
             line(&format!("{prefix}_capacity"), stats.capacity.to_string());
@@ -265,6 +273,11 @@ mod tests {
             "nvp_trace_cache_entries ",
             "nvp_trace_cache_capacity ",
             "nvp_trace_cache_evictions_total ",
+            "nvp_plan_synth_total ",
+            "nvp_plan_cache_entries ",
+            "nvp_plan_cache_capacity ",
+            "nvp_plan_cache_evictions_total ",
+            "nvp_fleet_jobs_evicted_total ",
         ] {
             assert!(text.contains(name), "missing {name:?} in\n{text}");
         }

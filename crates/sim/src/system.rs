@@ -283,6 +283,29 @@ pub struct CheckpointPlan {
     pub masks: Vec<u16>,
 }
 
+impl CheckpointPlan {
+    /// The placement `nvp_analysis::synthesize` finds for `spec` over its
+    /// kernel's declared bitwidth range and memory size — exactly what
+    /// `BackupScope::LiveDirty` uses when no plan is supplied. A pure
+    /// function of the program, so callers may memoize it per kernel ×
+    /// dimensions.
+    pub fn synthesized(spec: &KernelSpec) -> CheckpointPlan {
+        let (bits_lo, bits_hi) = spec.id.declared_bits();
+        let opts = nvp_analysis::CkptOptions {
+            bits_lo,
+            bits_hi,
+            mem_words: spec.mem_words,
+            ..Default::default()
+        };
+        let acfg = nvp_analysis::Cfg::build(&spec.program);
+        let placement = nvp_analysis::synthesize(&spec.program, &acfg, &opts).synthesized;
+        CheckpointPlan {
+            checkpoints: placement.checkpoints.iter().map(|&(pc, _)| pc).collect(),
+            masks: placement.masks,
+        }
+    }
+}
+
 /// System configuration (capacitor, policy, ablation knobs).
 ///
 /// The energy model and the backup reserve's safety factor are not
@@ -439,21 +462,7 @@ impl SystemSim {
         // makes LiveDirty strictly cheaper than LiveOnly.
         let dirty_masks = match (&cfg.checkpoint_plan, cfg.backup_scope) {
             (Some(plan), _) => Some(plan.masks.clone()),
-            (None, BackupScope::LiveDirty) => {
-                let acfg = nvp_analysis::Cfg::build(&spec.program);
-                let (bits_lo, bits_hi) = spec.id.declared_bits();
-                let opts = nvp_analysis::CkptOptions {
-                    bits_lo,
-                    bits_hi,
-                    mem_words: spec.mem_words,
-                    ..Default::default()
-                };
-                Some(
-                    nvp_analysis::synthesize(&spec.program, &acfg, &opts)
-                        .synthesized
-                        .masks,
-                )
-            }
+            (None, BackupScope::LiveDirty) => Some(CheckpointPlan::synthesized(&spec).masks),
             _ => None,
         };
         let mut block_suffix = vec![([0u32; 6], 0u32); spec.program.len()];
@@ -1427,30 +1436,6 @@ mod tests {
         );
     }
 
-    /// The synthesized checkpoint plan for `id`, as `LiveDirty` would
-    /// compute it internally.
-    fn synthesized_plan(id: KernelId, w: usize, h: usize) -> CheckpointPlan {
-        let spec = id.spec(w, h);
-        let acfg = nvp_analysis::Cfg::build(&spec.program);
-        let (bits_lo, bits_hi) = id.declared_bits();
-        let opts = nvp_analysis::CkptOptions {
-            bits_lo,
-            bits_hi,
-            mem_words: spec.mem_words,
-            ..Default::default()
-        };
-        let synth = nvp_analysis::synthesize(&spec.program, &acfg, &opts);
-        CheckpointPlan {
-            checkpoints: synth
-                .synthesized
-                .checkpoints
-                .iter()
-                .map(|&(pc, _)| pc)
-                .collect(),
-            masks: synth.synthesized.masks,
-        }
-    }
-
     #[test]
     fn live_dirty_backup_scope_beats_live_only_on_bursty() {
         // Bursty power, full retention, Precise mode: LiveDirty must
@@ -1476,7 +1461,10 @@ mod tests {
         let full = run(BackupScope::FullState, None);
         let live = run(BackupScope::LiveOnly, None);
         let dirty = run(BackupScope::LiveDirty, None);
-        let planned = run(BackupScope::LiveDirty, Some(synthesized_plan(id, 16, 16)));
+        let planned = run(
+            BackupScope::LiveDirty,
+            Some(CheckpointPlan::synthesized(&id.spec(16, 16))),
+        );
         assert!(full.backups > 0, "need emergencies to compare scopes");
         let golden = id.golden(&small_frames(id, 16, 16, 1)[0], 16, 16);
         for (name, rep) in [
@@ -1514,7 +1502,7 @@ mod tests {
         // lane and Precise bits the full cost per backup is a constant, so
         // the implied per-backup full cost must match the reference run's.
         let id = KernelId::Tiff2Bw;
-        let plan = synthesized_plan(id, 8, 8);
+        let plan = CheckpointPlan::synthesized(&id.spec(8, 8));
         for profile in nvp_power::synth::WatchProfile::ALL {
             let trace = profile.synthesize_seconds(2.0);
             let run = |scope: BackupScope, plan: Option<CheckpointPlan>| {
