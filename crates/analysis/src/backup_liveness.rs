@@ -57,11 +57,6 @@ impl BackupLiveness {
     pub fn live_fraction(&self, pc: usize) -> f64 {
         f64::from(self.live_at(pc).count_ones()) / NUM_REGS as f64
     }
-
-    /// The largest live set across all pcs (the worst-case backup).
-    pub fn max_live(&self) -> u16 {
-        self.live_in.iter().fold(0, |acc, &m| acc | m)
-    }
 }
 
 /// The backup-liveness pass.

@@ -38,7 +38,7 @@ use crate::cfg::Cfg;
 use crate::dataflow::Solution;
 use crate::error_bound::{solve_error_bounds, ApproxState};
 use crate::wcec::{declared_checkpoints, RegionKind};
-use nvp_isa::{Instr, Program, NUM_REGS};
+use nvp_isa::{Instr, Program};
 use std::collections::BTreeSet;
 
 /// Largest address-range width an indirect store may contribute before
@@ -56,14 +56,6 @@ pub enum MemDirty {
 }
 
 impl MemDirty {
-    /// Number of possibly-dirty words, given the total memory size.
-    pub fn word_count(&self, mem_words: usize) -> usize {
-        match self {
-            MemDirty::Words(w) => w.len(),
-            MemDirty::Whole => mem_words,
-        }
-    }
-
     /// Does the bound admit a write to `addr`?
     pub fn contains(&self, addr: u32) -> bool {
         match self {
@@ -107,11 +99,6 @@ impl DirtyReport {
     /// full mask — the caller must treat that as "back up everything".
     pub fn mask_at(&self, pc: usize) -> u16 {
         self.masks.get(pc).copied().unwrap_or(u16::MAX)
-    }
-
-    /// Fraction of the register file the mask at `pc` keeps.
-    pub fn mask_fraction(&self, pc: usize) -> f64 {
-        f64::from(self.mask_at(pc).count_ones()) / NUM_REGS as f64
     }
 
     /// The per-pc mask table (index = pc), for export to the simulator.

@@ -113,11 +113,6 @@ impl Interval {
         (self.hi - self.lo) as u64
     }
 
-    /// The single value, if the range is a point.
-    pub fn as_exact(&self) -> Option<i32> {
-        (self.lo == self.hi).then_some(self.lo as i32)
-    }
-
     /// Largest absolute value in the range (as `u64`, so `i32::MIN` is
     /// representable).
     pub fn max_abs(&self) -> u64 {

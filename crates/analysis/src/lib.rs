@@ -6,11 +6,11 @@
 //! since been deleted). This crate replaces it with a proper pass
 //! infrastructure over [`nvp_isa::Program`]:
 //!
-//! * [`cfg`] — basic-block discovery and a per-pc control-flow graph;
+//! * [`cfg`](mod@cfg) — basic-block discovery and a per-pc control-flow graph;
 //! * [`dataflow`] — a generic worklist fixpoint engine (forward and
 //!   backward, whole-program and region-restricted);
-//! * [`liveness`] — backward register liveness;
-//! * [`reaching`] — forward reaching definitions;
+//! * [`liveness`](mod@liveness) — backward register liveness;
+//! * [`reaching`](mod@reaching) — forward reaching definitions;
 //! * [`taint`] — a flow-sensitive approximation-taint lattice over
 //!   registers *and* memory, generalizing AC-isolation checking
 //!   (`NVP-E001`..`E003`);

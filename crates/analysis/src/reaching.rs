@@ -38,11 +38,6 @@ impl RegDefs {
         s
     }
 
-    /// Definition sites that may reach this point for register `r`.
-    pub fn defs_of(&self, r: u8) -> &BTreeSet<usize> {
-        &self.defs[r as usize]
-    }
-
     /// The single definition site of `r` if exactly one reaches, else
     /// `None` (merged definitions).
     pub fn unique_def(&self, r: u8) -> Option<usize> {
@@ -138,7 +133,7 @@ mod tests {
         let p = b.build().unwrap();
         let r = reaching(&p, &Cfg::build(&p));
         // At the loop head both the initial ldi and the addi reach.
-        let defs = r.before(1).unwrap().defs_of(0).clone();
+        let defs = r.before(1).unwrap().defs[0].clone();
         assert_eq!(defs, BTreeSet::from([0, 1]));
         assert_eq!(r.before(1).unwrap().unique_def(0), None);
         // Inside the body after the addi, the definition is unique again.

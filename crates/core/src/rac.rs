@@ -103,31 +103,14 @@ pub fn recompute_and_combine(
         };
 
         for i in 0..out_len {
-            let (v, p) = (frame.output[i], frame.precision[i]);
-            match mode {
-                MergeMode::HigherBits => {
-                    if p > merged_prec[i] {
-                        merged[i] = v;
-                        merged_prec[i] = p;
-                    }
-                }
-                MergeMode::Max => {
-                    merged[i] = merged[i].max(v);
-                    merged_prec[i] = merged_prec[i].max(p);
-                }
-                MergeMode::Min => {
-                    merged[i] = if merged_prec[i] == 0 {
-                        v
-                    } else {
-                        merged[i].min(v)
-                    };
-                    merged_prec[i] = merged_prec[i].max(p);
-                }
-                MergeMode::Sum => {
-                    merged[i] = merged[i].saturating_add(v);
-                    merged_prec[i] = merged_prec[i].max(p);
-                }
-            }
+            let src = (frame.output[i], frame.precision[i]);
+            // An empty accumulator (precision 0) takes the first pass's
+            // value under `Min`; folding it in would pin the minimum at 0.
+            (merged[i], merged_prec[i]) = if mode == MergeMode::Min && merged_prec[i] == 0 {
+                src
+            } else {
+                mode.merge((merged[i], merged_prec[i]), src)
+            };
         }
         let (m, p) = score(kernel, &golden, &merged);
         mse_after.push(m);

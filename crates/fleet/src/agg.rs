@@ -6,7 +6,7 @@
 //! which outliers and reservoir exemplars are drawn at render time.
 //!
 //! Determinism contract: folds happen in canonical-cell order (the cell
-//! ordinal order of [`CellTable`]) within each chunk and chunks are
+//! ordinal order of `CellTable`) within each chunk and chunks are
 //! folded in sequence, so the accumulated state —
 //! including every f64 — is a pure function of (spec, chunks folded).
 //! The rendered report contains only deterministic quantities; anything

@@ -1,7 +1,7 @@
 //! The chunked streaming run loop.
 //!
 //! Devices are visited in index order, `spec.chunk` at a time. Each call
-//! first enumerates the spec's cells as dense ordinals ([`CellTable`]);
+//! first enumerates the spec's cells as dense ordinals (`CellTable`);
 //! each chunk is then counted into a per-ordinal device tally, the cells
 //! this call has not resolved yet are evaluated on the `nvp-exec`
 //! work-stealing pool (parallelism affects wall-clock only — the fold

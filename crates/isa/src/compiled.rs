@@ -2,7 +2,7 @@
 //!
 //! [`Vm::step`] pays a fetch, a 30-way opcode match, and per-lane closure
 //! dispatch for every instruction. This module compiles a [`Program`] once
-//! into a per-pc table of [`Op`] records — operands resolved at compile
+//! into a per-pc table of `Op` records — operands resolved at compile
 //! time, cycle/class metadata baked in, memory bounds checks hoisted where
 //! an interval analysis has proven the access in range — and executes the
 //! table by direct-threaded dispatch through plain `fn` pointers. No
@@ -19,9 +19,10 @@
 //!   the same `write_alu`/`do_store` helpers), used whenever SIMD lanes or
 //!   approximation are active.
 //!
-//! The dispatcher picks per run segment based on the live [`ApproxConfig`],
-//! so compiled execution is bit-identical to stepping in **every**
-//! configuration — same register/memory values, same precision tags, same
+//! The dispatcher picks per run segment based on the live
+//! [`ApproxConfig`](crate::ApproxConfig), so compiled execution is
+//! bit-identical to stepping in **every** configuration — same
+//! register/memory values, same precision tags, same
 //! RNG consumption, same retired/cycle counters. The system simulator's
 //! lockstep differential suite (`nvp-sim/tests/compiled_lockstep.rs`)
 //! enforces that contract across power profiles, governors, and backup

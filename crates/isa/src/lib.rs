@@ -53,4 +53,4 @@ pub use energy::{ClassEnergies, EnergyModel};
 pub use instr::{Instr, InstrClass, Reg, NUM_REGS};
 pub use program::{Label, Program, ProgramBuilder, ProgramError};
 pub use regfile::RegFile;
-pub use vm::{ArchSnapshot, StepEvent, Vm, VmError};
+pub use vm::{StepEvent, Vm, VmError};

@@ -2,11 +2,7 @@
 //!
 //! Each of the 16 registers is "extended from 8 bits to 32 bits (4
 //! versions)": version 0 is the live lane, versions 1–3 hold the register
-//! values of older, incidentally-computed frames. The file also provides the
-//! comparison circuits that "indicate an identical match between the current
-//! register value and the values of prior versions" — the bit-vector the
-//! controller combines with the compiler mask when deciding whether an
-//! incidental SIMD merge is legal.
+//! values of older, incidentally-computed frames.
 
 use crate::instr::{Reg, NUM_REGS};
 use nvp_nvm::NUM_VERSIONS;
@@ -71,14 +67,6 @@ impl RegFile {
         }
     }
 
-    /// Copies version `src` of every register into version `dst` (used when
-    /// promoting a lane or seeding a new SIMD lane from the live state).
-    pub fn copy_version(&mut self, src: usize, dst: usize) {
-        for r in 0..NUM_REGS {
-            self.regs[r][dst] = self.regs[r][src];
-        }
-    }
-
     /// Swaps two version planes across all registers.
     pub fn swap_versions(&mut self, a: usize, b: usize) {
         for r in 0..NUM_REGS {
@@ -102,32 +90,9 @@ impl RegFile {
         }
     }
 
-    /// The hardware comparison circuit: a bitmask over registers whose
-    /// version-`a` value equals their version-`b` value.
-    pub fn match_vector(&self, a: usize, b: usize) -> u16 {
-        let mut m = 0u16;
-        for (i, r) in self.regs.iter().enumerate() {
-            if r[a] == r[b] {
-                m |= 1 << i;
-            }
-        }
-        m
-    }
-
-    /// Serializes one version plane to bytes (low byte of each register —
-    /// the architectural 8-bit state of the 8051-class core) for backup.
-    pub fn version_bytes(&self, v: usize) -> Vec<u8> {
-        self.regs.iter().map(|r| (r[v] & 0xFF) as u8).collect()
-    }
-
     /// Raw snapshot of all registers and versions.
     pub fn snapshot(&self) -> [[i32; NUM_VERSIONS]; NUM_REGS] {
         self.regs
-    }
-
-    /// Restores from a snapshot.
-    pub fn restore(&mut self, snap: [[i32; NUM_VERSIONS]; NUM_REGS]) {
-        self.regs = snap;
     }
 }
 
@@ -157,44 +122,17 @@ mod tests {
     }
 
     #[test]
-    fn match_vector_flags_equal_registers() {
-        let mut rf = RegFile::new();
-        // All registers zero: everything matches.
-        assert_eq!(rf.match_vector(0, 1), u16::MAX);
-        rf.write(Reg(5), 0, 42);
-        let m = rf.match_vector(0, 1);
-        assert_eq!(m & (1 << 5), 0);
-        assert_eq!(m | (1 << 5), u16::MAX);
-    }
-
-    #[test]
-    fn copy_version_moves_all_registers() {
-        let mut rf = RegFile::new();
-        for i in 0..16 {
-            rf.write(Reg(i), 0, i as i32 * 3);
-        }
-        rf.copy_version(0, 3);
-        for i in 0..16 {
-            assert_eq!(rf.read(Reg(i), 3), i as i32 * 3);
-        }
-    }
-
-    #[test]
     fn snapshot_roundtrip() {
         let mut rf = RegFile::new();
         rf.write(Reg(7), 1, 1234);
         let snap = rf.snapshot();
-        rf.write(Reg(7), 1, 0);
-        rf.restore(snap);
-        assert_eq!(rf.read(Reg(7), 1), 1234);
-    }
-
-    #[test]
-    fn version_bytes_low_byte() {
-        let mut rf = RegFile::new();
-        rf.write(Reg(0), 0, 0x1FF);
-        let b = rf.version_bytes(0);
-        assert_eq!(b.len(), 16);
-        assert_eq!(b[0], 0xFF);
+        assert_eq!(snap[7][1], 1234);
+        let mut back = RegFile::new();
+        for (r, versions) in snap.iter().enumerate() {
+            for (v, &value) in versions.iter().enumerate() {
+                back.write(Reg(r as u8), v, value);
+            }
+        }
+        assert_eq!(back, rf);
     }
 }

@@ -2,16 +2,18 @@
 //!
 //! One [`Vm::step`] call retires one instruction (on every active SIMD
 //! lane), so the system-level simulator can cut power at any instruction
-//! boundary, snapshot architectural state, and resume later — exactly the
-//! granularity at which the paper's hardware-managed NVP checkpoints.
+//! boundary and resume later — exactly the granularity at which the paper's
+//! hardware-managed NVP checkpoints. Architectural state stays in place
+//! across an outage (it lives in nonvolatile flip-flops); the simulator
+//! only prices the backup.
 //!
 //! # Lane semantics
 //!
 //! Incidental SIMD applies *one* instruction stream to up to four data
 //! versions. Control flow and effective addresses are computed from lane 0
-//! (legal because a SIMD merge is only performed after the controller has
-//! verified the PC and the compiler-masked loop variables match; from then
-//! on index arithmetic evolves identically in every lane). Data values are
+//! (legal because a SIMD merge is only performed while every lane is at the
+//! resume marker, pc 0; from then on index arithmetic evolves identically
+//! in every lane). Data values are
 //! per-lane: register version `l` and memory version `l`.
 //!
 //! # Approximation
@@ -29,8 +31,7 @@ use crate::approx::{alu_approximate, mem_truncate, ApproxConfig, FULL_BITS};
 use crate::instr::{Instr, InstrClass, Reg};
 use crate::program::Program;
 use crate::regfile::RegFile;
-use nvp_nvm::{VersionedMemory, NUM_VERSIONS};
-use serde::{Deserialize, Serialize};
+use nvp_nvm::VersionedMemory;
 use std::fmt;
 use std::sync::Arc;
 
@@ -100,18 +101,6 @@ impl fmt::Display for VmError {
 }
 
 impl std::error::Error for VmError {}
-
-/// Architectural state captured at backup time (data memory is itself
-/// non-volatile and persists without being part of the snapshot).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ArchSnapshot {
-    /// Program counter.
-    pub pc: usize,
-    /// Register file contents (all versions).
-    pub regs: [[i32; NUM_VERSIONS]; 16],
-    /// Whether the core had halted.
-    pub halted: bool,
-}
 
 /// The NVP core.
 ///
@@ -242,22 +231,6 @@ impl Vm {
     /// Cycles elapsed since construction.
     pub fn cycles_elapsed(&self) -> u64 {
         self.cycles_elapsed
-    }
-
-    /// Captures the architectural snapshot for backup.
-    pub fn snapshot(&self) -> ArchSnapshot {
-        ArchSnapshot {
-            pc: self.pc,
-            regs: self.regs.snapshot(),
-            halted: self.halted,
-        }
-    }
-
-    /// Restores architectural state from a snapshot.
-    pub fn restore(&mut self, snap: &ArchSnapshot) {
-        self.pc = snap.pc;
-        self.regs.restore(snap.regs);
-        self.halted = snap.halted;
     }
 
     #[inline]
@@ -573,25 +546,6 @@ mod tests {
         let mut vm = Vm::new(b.build().unwrap(), 16);
         vm.step().unwrap();
         assert!(matches!(vm.step(), Err(VmError::MemFault { addr: -5, .. })));
-    }
-
-    #[test]
-    fn snapshot_restore_roundtrip() {
-        let mut vm = Vm::new(simple_sum_program(), 16);
-        vm.mem_mut().write(0, 0, 1, 8);
-        vm.mem_mut().write(1, 0, 2, 8);
-        vm.step().unwrap();
-        vm.step().unwrap();
-        let snap = vm.snapshot();
-        // run to completion
-        vm.run_to_halt(10).unwrap();
-        assert_eq!(vm.mem().read(10, 0), 3);
-        // rewind and rerun
-        vm.restore(&snap);
-        assert_eq!(vm.pc(), 2);
-        assert!(!vm.halted());
-        vm.run_to_halt(10).unwrap();
-        assert_eq!(vm.mem().read(10, 0), 3);
     }
 
     #[test]

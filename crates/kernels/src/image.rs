@@ -227,15 +227,6 @@ impl Image {
         })
     }
 
-    /// The standard frame sequence used by the multi-frame experiments:
-    /// textures whose seed advances per frame (consecutive frames are
-    /// related but distinct, like a slowly changing scene).
-    pub fn frame_sequence(width: usize, height: usize, frames: usize, seed: u64) -> Vec<Image> {
-        (0..frames)
-            .map(|f| Image::texture(width, height, seed.wrapping_add(f as u64)))
-            .collect()
-    }
-
     /// A shifted copy of this image (used as the motion-estimation
     /// reference frame), shifting by `(dx, dy)` with edge clamping.
     pub fn shifted(&self, dx: i32, dy: i32) -> Image {
@@ -345,8 +336,8 @@ mod tests {
 
     #[test]
     fn frame_sequence_distinct_frames() {
-        let seq = Image::frame_sequence(16, 16, 3, 9);
-        assert_eq!(seq.len(), 3);
+        // Multi-frame inputs are textures whose seed advances per frame.
+        let seq: Vec<Image> = (9..12).map(|s| Image::texture(16, 16, s)).collect();
         assert_ne!(seq[0], seq[1]);
         assert_ne!(seq[1], seq[2]);
     }

@@ -1,57 +1,29 @@
-//! Approximate backup storage with per-bit retention (Section 3.2).
+//! Approximate persistence of `incidental` data with per-bit retention
+//! (Section 3.2).
 //!
-//! When a power emergency hits, processor state (register file, pipeline
-//! flip-flops, and data marked `incidental`) is written into NVM under a
-//! [`RetentionPolicy`]. Bits written with short retention may decay if the
-//! outage outlasts them; on restore, each expired bit is counted as a
-//! *retention failure* (Figure 22) and its stored value is re-sampled
-//! uniformly (a decayed MTJ settles in an arbitrary state).
+//! The data memory *is* the NVM, so `incidental`-marked data is not copied
+//! at backup time: it was written under a [`RetentionPolicy`], and bits
+//! written with short retention may decay while power is out. On restore,
+//! each expired bit is counted as a *retention failure* (Figure 22) and its
+//! stored value is re-sampled uniformly (a decayed MTJ settles in an
+//! arbitrary state).
 
 use crate::retention::{RetentionPolicy, WORD_BITS};
-use crate::sttram::SttRamModel;
-use nvp_power::{Energy, Ticks};
-use nvp_trace::{emit, Event, NoopTracer, Tracer};
+use crate::versioned::VersionedMemory;
+use nvp_power::Ticks;
+use nvp_trace::{emit, Event, Tracer};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use rand::Rng;
 
-/// Decays a region of versioned NVM after an outage: every bit of the 8-bit
-/// data domain whose policy retention is shorter than `outage` counts as a
-/// retention failure and is re-sampled uniformly. Returns failures by bit
-/// position (0 = LSB).
-///
-/// This models the in-place unreliable persistence of `incidental`-marked
-/// data (the paper's Figure 22 failure counts): the data memory *is* the
-/// NVM, so it is not copied at backup time — instead its short-retention
-/// bits silently decay while power is out.
-pub fn decay_region(
-    mem: &mut crate::versioned::VersionedMemory,
-    start: usize,
-    end: usize,
-    versions: &[usize],
-    policy: RetentionPolicy,
-    outage: Ticks,
-    rng: &mut SmallRng,
-) -> [u64; 8] {
-    decay_region_traced(
-        mem,
-        start,
-        end,
-        versions,
-        policy,
-        outage,
-        rng,
-        0,
-        &mut NoopTracer,
-    )
-}
-
-/// [`decay_region`], additionally emitting one `retention_decay` event per
-/// bit position that failed (with `tick` as the restore tick the decay was
-/// observed at).
+/// Decays versions `versions` of words `start..end` after an outage: every
+/// bit of the 8-bit data domain whose policy retention is shorter than
+/// `outage` counts as a retention failure and is re-sampled uniformly.
+/// Returns failures by bit position (0 = LSB) and emits one
+/// `retention_decay` event per bit position that failed (with `tick` as the
+/// restore tick the decay was observed at). Precision tags are unchanged.
 #[allow(clippy::too_many_arguments)]
 pub fn decay_region_traced(
-    mem: &mut crate::versioned::VersionedMemory,
+    mem: &mut VersionedMemory,
     start: usize,
     end: usize,
     versions: &[usize],
@@ -60,28 +32,6 @@ pub fn decay_region_traced(
     rng: &mut SmallRng,
     tick: u64,
     tracer: &mut dyn Tracer,
-) -> [u64; 8] {
-    let failures = decay_region_inner(mem, start, end, versions, policy, outage, rng);
-    for (b, &n) in failures.iter().enumerate() {
-        if n > 0 {
-            emit(tracer, || Event::RetentionDecay {
-                tick,
-                bit: b as u8,
-                failures: n,
-            });
-        }
-    }
-    failures
-}
-
-fn decay_region_inner(
-    mem: &mut crate::versioned::VersionedMemory,
-    start: usize,
-    end: usize,
-    versions: &[usize],
-    policy: RetentionPolicy,
-    outage: Ticks,
-    rng: &mut SmallRng,
 ) -> [u64; 8] {
     let mut failures = [0u64; 8];
     let mut expired_mask = 0i32;
@@ -110,354 +60,116 @@ fn decay_region_inner(
             }
         }
     }
+    for (b, &n) in failures.iter().enumerate() {
+        if n > 0 {
+            emit(tracer, || Event::RetentionDecay {
+                tick,
+                bit: b as u8,
+                failures: n,
+            });
+        }
+    }
     failures
-}
-
-/// Result of restoring a backup after an outage.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RestoreOutcome {
-    /// The restored bytes (some bits possibly decayed).
-    pub data: Vec<u8>,
-    /// Retention failures observed during this restore, indexed by bit
-    /// (index 0 = LSB … 7 = MSB). A failure is an *expired* bit; roughly
-    /// half of the expirations actually flip the stored value.
-    pub failures_by_bit: [u64; 8],
-    /// Number of bits whose value actually changed.
-    pub flipped_bits: u64,
-}
-
-impl RestoreOutcome {
-    /// Total retention failures across all bit positions.
-    pub fn total_failures(&self) -> u64 {
-        self.failures_by_bit.iter().sum()
-    }
-}
-
-/// Non-volatile backup region with retention-shaped approximate writes.
-///
-/// ```
-/// use nvp_nvm::backup::ApproximateBackupStore;
-/// use nvp_nvm::retention::RetentionPolicy;
-/// use nvp_power::Ticks;
-///
-/// let mut store = ApproximateBackupStore::new(RetentionPolicy::Linear, 7);
-/// store.backup(&[0xAB, 0xCD]);
-/// // A 2-tick outage: every bit's retention under Linear covers >= 1 tick,
-/// // only bit 1 (LSB, T=1) can expire.
-/// let out = store.restore(Ticks(2));
-/// assert_eq!(out.data.len(), 2);
-/// assert_eq!(out.failures_by_bit[1..], [0; 7][..]);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ApproximateBackupStore {
-    policy: RetentionPolicy,
-    snapshot: Option<Vec<u8>>,
-    /// Per-byte liveness of the current snapshot (`None` = all live).
-    live_mask: Option<Vec<bool>>,
-    /// Bytes actually written by the most recent backup.
-    backed_up_bytes: usize,
-    rng: SmallRng,
-    cumulative_failures: [u64; 8],
-    backups_performed: u64,
-    restores_performed: u64,
-}
-
-impl ApproximateBackupStore {
-    /// Creates an empty store using the given retention policy.
-    pub fn new(policy: RetentionPolicy, seed: u64) -> Self {
-        ApproximateBackupStore {
-            policy,
-            snapshot: None,
-            live_mask: None,
-            backed_up_bytes: 0,
-            rng: SmallRng::seed_from_u64(seed),
-            cumulative_failures: [0; 8],
-            backups_performed: 0,
-            restores_performed: 0,
-        }
-    }
-
-    /// The retention policy in force.
-    pub fn policy(&self) -> RetentionPolicy {
-        self.policy
-    }
-
-    /// Changes the retention policy for *future* backups.
-    pub fn set_policy(&mut self, policy: RetentionPolicy) {
-        self.policy = policy;
-    }
-
-    /// Whether a snapshot is currently held.
-    pub fn has_snapshot(&self) -> bool {
-        self.snapshot.is_some()
-    }
-
-    /// Persists `data` as the current snapshot, replacing any prior one.
-    pub fn backup(&mut self, data: &[u8]) {
-        self.snapshot = Some(data.to_vec());
-        self.live_mask = None;
-        self.backed_up_bytes = data.len();
-        self.backups_performed += 1;
-    }
-
-    /// Persists only the bytes of `data` marked live, replacing any prior
-    /// snapshot. Dead bytes are not written to NVM: they restore as zero,
-    /// cost no backup energy ([`backed_up_bytes`](Self::backed_up_bytes)
-    /// shrinks accordingly), and cannot suffer retention failures. Sound
-    /// whenever static backup-liveness proves the dead bytes are rewritten
-    /// before any read on every resume path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `live.len() != data.len()`.
-    pub fn backup_masked(&mut self, data: &[u8], live: &[bool]) {
-        assert_eq!(live.len(), data.len(), "liveness mask length mismatch");
-        let stored: Vec<u8> = data
-            .iter()
-            .zip(live)
-            .map(|(&b, &l)| if l { b } else { 0 })
-            .collect();
-        self.snapshot = Some(stored);
-        self.backed_up_bytes = live.iter().filter(|&&l| l).count();
-        self.live_mask = Some(live.to_vec());
-        self.backups_performed += 1;
-    }
-
-    /// Bytes actually written by the most recent backup (the live-backup
-    /// footprint; equals the snapshot length for unmasked backups).
-    pub fn backed_up_bytes(&self) -> usize {
-        self.backed_up_bytes
-    }
-
-    /// Energy required to back up `len` bytes under the current policy.
-    pub fn backup_energy(&self, model: &SttRamModel, len: usize) -> Energy {
-        self.policy.word_write_energy(model) * len as f64
-    }
-
-    /// Energy required to restore `len` bytes (policy-independent reads).
-    pub fn restore_energy(&self, model: &SttRamModel, len: usize) -> Energy {
-        model.word_read_energy() * len as f64
-    }
-
-    /// Restores the snapshot after an outage of the given duration,
-    /// decaying expired bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no snapshot was ever backed up.
-    pub fn restore(&mut self, outage: Ticks) -> RestoreOutcome {
-        let snapshot = self
-            .snapshot
-            .as_ref()
-            .expect("restore without a prior backup")
-            .clone();
-        self.restores_performed += 1;
-
-        let mut failures_by_bit = [0u64; 8];
-        let mut flipped = 0u64;
-        let mut data = snapshot;
-        // Which bit positions expired for this outage (same for every byte).
-        let mut expired_mask = 0u8;
-        for b in 1..=WORD_BITS {
-            if self.policy.retention_ticks(b) < outage {
-                expired_mask |= 1 << (b - 1);
-            }
-        }
-        if expired_mask != 0 {
-            for (i, byte) in data.iter_mut().enumerate() {
-                // Dead bytes were never written: nothing stored, nothing
-                // to decay.
-                if let Some(mask) = &self.live_mask {
-                    if !mask[i] {
-                        continue;
-                    }
-                }
-                for b in 0..8 {
-                    if expired_mask & (1 << b) != 0 {
-                        failures_by_bit[b as usize] += 1;
-                        // Decayed cell: settles uniformly at 0 or 1.
-                        let new_bit = u8::from(self.rng.gen::<bool>());
-                        let old_bit = (*byte >> b) & 1;
-                        if new_bit != old_bit {
-                            *byte ^= 1 << b;
-                            flipped += 1;
-                        }
-                    }
-                }
-            }
-        }
-        for (acc, f) in self.cumulative_failures.iter_mut().zip(failures_by_bit) {
-            *acc += f;
-        }
-        RestoreOutcome {
-            data,
-            failures_by_bit,
-            flipped_bits: flipped,
-        }
-    }
-
-    /// Retention failures accumulated across all restores, by bit position
-    /// (Figure 22's failure counts).
-    pub fn cumulative_failures(&self) -> [u64; 8] {
-        self.cumulative_failures
-    }
-
-    /// Number of backups performed so far.
-    pub fn backups_performed(&self) -> u64 {
-        self.backups_performed
-    }
-
-    /// Number of restores performed so far.
-    pub fn restores_performed(&self) -> u64 {
-        self.restores_performed
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nvp_trace::NoopTracer;
+    use rand::SeedableRng;
+
+    /// Fills version 0 of a `words`-word memory with `value` at precision
+    /// 8, decays it all, and returns the memory and failures by bit.
+    fn decay(
+        value: i32,
+        words: usize,
+        policy: RetentionPolicy,
+        outage: Ticks,
+        seed: u64,
+    ) -> (VersionedMemory, [u64; 8]) {
+        let mut mem = VersionedMemory::new(words);
+        for a in 0..words {
+            mem.write(a, 0, value, 8);
+        }
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let fails = decay_region_traced(
+            &mut mem,
+            0,
+            words,
+            &[0],
+            policy,
+            outage,
+            &mut rng,
+            0,
+            &mut NoopTracer,
+        );
+        (mem, fails)
+    }
+
+    fn version0(mem: &VersionedMemory) -> Vec<i32> {
+        (0..mem.len()).map(|a| mem.read(a, 0)).collect()
+    }
 
     #[test]
     fn full_retention_never_decays() {
-        let mut s = ApproximateBackupStore::new(RetentionPolicy::FullRetention, 1);
-        s.backup(&[0xFF, 0x00, 0x5A]);
-        let out = s.restore(Ticks::from_seconds(100.0));
-        assert_eq!(out.data, vec![0xFF, 0x00, 0x5A]);
-        assert_eq!(out.total_failures(), 0);
-        assert_eq!(out.flipped_bits, 0);
+        let (mem, fails) = decay(
+            0x5A,
+            3,
+            RetentionPolicy::FullRetention,
+            Ticks::from_seconds(100.0),
+            1,
+        );
+        assert_eq!(version0(&mem), vec![0x5A; 3]);
+        assert_eq!(fails, [0; 8]);
     }
 
     #[test]
     fn short_outage_no_failures_under_linear() {
-        let mut s = ApproximateBackupStore::new(RetentionPolicy::Linear, 2);
-        s.backup(&[0xA5]);
         // Linear LSB retention = 1 tick; an outage of exactly 1 tick is
         // covered (retention >= outage).
-        let out = s.restore(Ticks(1));
-        assert_eq!(out.total_failures(), 0);
-        assert_eq!(out.data, vec![0xA5]);
+        let (mem, fails) = decay(0xA5, 1, RetentionPolicy::Linear, Ticks(1), 2);
+        assert_eq!(fails, [0; 8]);
+        assert_eq!(version0(&mem), vec![0xA5]);
     }
 
     #[test]
     fn long_outage_decays_low_bits_only() {
-        let mut s = ApproximateBackupStore::new(RetentionPolicy::Linear, 3);
-        s.backup(&[0b1111_1111; 64]);
         // 1000-tick outage: linear retention covers bits with
         // 427B-426 >= 1000, i.e. B >= 3.34 → bits 4..8 safe, bits 1..3 decay.
-        let out = s.restore(Ticks(1000));
-        assert_eq!(out.failures_by_bit[0], 64);
-        assert_eq!(out.failures_by_bit[1], 64);
-        assert_eq!(out.failures_by_bit[2], 64);
-        assert_eq!(out.failures_by_bit[3..], [0; 5][..]);
-        // MSB nibble of every byte intact.
-        for b in &out.data {
-            assert_eq!(b & 0xF8, 0xF8);
+        let (mem, fails) = decay(0xFF, 64, RetentionPolicy::Linear, Ticks(1000), 3);
+        assert_eq!(fails, [64, 64, 64, 0, 0, 0, 0, 0]);
+        // MSB nibble of every word intact.
+        let words = version0(&mem);
+        for w in &words {
+            assert_eq!(w & 0xF8, 0xF8);
         }
         // About half the expired bits flip.
-        assert!(out.flipped_bits > 40 && out.flipped_bits < 160);
-    }
-
-    #[test]
-    fn cumulative_failures_accumulate() {
-        let mut s = ApproximateBackupStore::new(RetentionPolicy::Log, 4);
-        s.backup(&[0u8; 10]);
-        let f1 = s.restore(Ticks(2000)).total_failures();
-        s.backup(&[0u8; 10]);
-        let f2 = s.restore(Ticks(2000)).total_failures();
-        assert_eq!(s.cumulative_failures().iter().sum::<u64>(), f1 + f2);
-        assert_eq!(s.backups_performed(), 2);
-        assert_eq!(s.restores_performed(), 2);
+        let flipped: u32 = words.iter().map(|w| (w ^ 0xFF).count_ones()).sum();
+        assert!(flipped > 40 && flipped < 160, "{flipped} flips");
     }
 
     #[test]
     fn log_policy_fails_more_than_parabola() {
         // Mid-length outage: log's mid bits expire, parabola's survive.
-        let outage = Ticks(1500);
-        let mut fails = Vec::new();
-        for p in [RetentionPolicy::Log, RetentionPolicy::Parabola] {
-            let mut s = ApproximateBackupStore::new(p, 5);
-            s.backup(&[0x3C; 32]);
-            fails.push(s.restore(outage).total_failures());
-        }
-        assert!(
-            fails[0] > fails[1],
-            "log {} !> parabola {}",
-            fails[0],
-            fails[1]
+        let total = |p| decay(0x3C, 32, p, Ticks(1500), 5).1.iter().sum::<u64>();
+        let (log, parabola) = (
+            total(RetentionPolicy::Log),
+            total(RetentionPolicy::Parabola),
         );
-    }
-
-    #[test]
-    fn backup_energy_scales_with_length() {
-        let s = ApproximateBackupStore::new(RetentionPolicy::Linear, 6);
-        let m = SttRamModel::default();
-        let e10 = s.backup_energy(&m, 10);
-        let e20 = s.backup_energy(&m, 20);
-        assert!((e20.as_nj() - 2.0 * e10.as_nj()).abs() < 1e-9);
-        assert!(s.restore_energy(&m, 10) < e10);
+        assert!(log > parabola, "log {log} !> parabola {parabola}");
     }
 
     #[test]
     fn restore_is_seeded_deterministic() {
-        let run = |seed| {
-            let mut s = ApproximateBackupStore::new(RetentionPolicy::Linear, seed);
-            s.backup(&[0x77; 16]);
-            s.restore(Ticks(2500)).data
-        };
+        let run = |seed| version0(&decay(0x77, 16, RetentionPolicy::Linear, Ticks(2500), seed).0);
         assert_eq!(run(9), run(9));
         assert_ne!(run(9), run(10));
     }
 
     #[test]
-    #[should_panic(expected = "without a prior backup")]
-    fn restore_without_backup_panics() {
-        ApproximateBackupStore::new(RetentionPolicy::Linear, 0).restore(Ticks(1));
-    }
-
-    #[test]
-    fn masked_backup_shrinks_footprint_and_keeps_live_bytes() {
-        let mut s = ApproximateBackupStore::new(RetentionPolicy::FullRetention, 1);
-        let data = [0x11, 0x22, 0x33, 0x44];
-        let live = [true, false, true, false];
-        s.backup_masked(&data, &live);
-        assert_eq!(s.backed_up_bytes(), 2);
-        let m = SttRamModel::default();
-        // Charging only for the live footprint halves the backup energy.
-        let masked = s.backup_energy(&m, s.backed_up_bytes());
-        let full = s.backup_energy(&m, data.len());
-        assert!((masked.as_nj() - full.as_nj() / 2.0).abs() < 1e-12);
-        let out = s.restore(Ticks(1));
-        assert_eq!(out.data, vec![0x11, 0, 0x33, 0]);
-        assert_eq!(out.total_failures(), 0);
-        // A plain backup resets the mask.
-        s.backup(&data);
-        assert_eq!(s.backed_up_bytes(), 4);
-        assert_eq!(s.restore(Ticks(1)).data, data.to_vec());
-    }
-
-    #[test]
-    fn dead_bytes_cannot_fail_retention() {
-        // Long outage under Linear decays bits of live bytes only.
-        let run = |live: bool| {
-            let mut s = ApproximateBackupStore::new(RetentionPolicy::Linear, 7);
-            s.backup_masked(&[0xFF; 32], &[live; 32]);
-            s.restore(Ticks(1000)).total_failures()
-        };
-        assert!(run(true) > 0);
-        assert_eq!(run(false), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "mask length mismatch")]
-    fn masked_backup_length_mismatch_panics() {
-        ApproximateBackupStore::new(RetentionPolicy::Linear, 0).backup_masked(&[1, 2], &[true]);
-    }
-
-    #[test]
     fn decay_region_traced_emits_per_failed_bit() {
-        use crate::versioned::VersionedMemory;
-        use nvp_trace::{Event, VecSink};
-        let run = |tracer: &mut dyn nvp_trace::Tracer| {
+        use nvp_trace::VecSink;
+        let run = |tracer: &mut dyn Tracer| {
             let mut mem = VersionedMemory::new(16);
             for a in 0..16 {
                 mem.write(a, 0, 0xFF, 8);
@@ -477,9 +189,9 @@ mod tests {
         };
         let mut sink = VecSink::new();
         let fails = run(&mut sink);
-        // A 1000-tick outage under Linear expires bits 0..2 (see
-        // `long_outage_decays_low_bits_only`): one event per failed bit,
-        // carrying the restore tick and the region's failure count.
+        // A 1000-tick outage under Linear expires bits 0..2 (427·B − 426 <
+        // 1000 for B ≤ 3): one event per failed bit, carrying the restore
+        // tick and the region's failure count.
         let failed_bits: Vec<u8> = (0..8u8).filter(|&b| fails[b as usize] > 0).collect();
         assert_eq!(failed_bits, vec![0, 1, 2]);
         assert_eq!(sink.events.len(), 3);
@@ -498,7 +210,7 @@ mod tests {
             }
         }
         // Same RNG consumption with and without a listening tracer.
-        let silent = run(&mut nvp_trace::NoopTracer);
+        let silent = run(&mut NoopTracer);
         assert_eq!(silent, fails);
     }
 }

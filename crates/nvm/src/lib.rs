@@ -9,14 +9,12 @@
 //! * [`retention`] — the three retention-time shaping policies of Figure 5 /
 //!   Equations (1)–(3): linear, log and parabola, plus full-retention
 //!   baselines,
-//! * [`backup`] — an approximate backup store that persists processor state
-//!   with per-bit retention and randomizes expired bits on restore
-//!   (counting the retention failures of Figure 22),
+//! * [`backup`] — in-place decay of `incidental` data after an outage:
+//!   bits whose retention the outage outlasted are re-sampled and counted
+//!   as the retention failures of Figure 22,
 //! * [`versioned`] — the 4-version data memory with 3-bit precision metadata
-//!   and intra-bundle merge operations used by incidental SIMD and
-//!   recompute-and-combine (Section 4),
-//! * [`nvff`] — non-volatile flip-flop bank cost model for pipeline and
-//!   register-file checkpointing.
+//!   used by incidental SIMD, and the [`MergeMode`] table of
+//!   recompute-and-combine (Section 4).
 //!
 //! # Example
 //!
@@ -37,15 +35,10 @@
 #![warn(missing_docs)]
 
 pub mod backup;
-pub mod nvff;
 pub mod retention;
 pub mod sttram;
-pub mod technology;
 pub mod versioned;
 
-pub use backup::{ApproximateBackupStore, RestoreOutcome};
-pub use nvff::NvffBank;
 pub use retention::RetentionPolicy;
 pub use sttram::SttRamModel;
-pub use technology::NvmTechnology;
 pub use versioned::{MergeMode, VersionedMemory, VersionedWord, NUM_VERSIONS};

@@ -4,9 +4,9 @@
 //! To support 4-way incidental SIMD, every data word is extended to four
 //! versions (one per SIMD lane / frame generation), and each version carries
 //! a 3-bit *precision* tag recording how many significant bits it was
-//! computed with. The memory implements the intra-bundle merge operations
-//! used by recompute-and-combine: `sum`, `max`, `min` and `higherbits`
-//! (take the version computed at higher precision).
+//! computed with. [`MergeMode`] defines the merge operations used by
+//! recompute-and-combine: `sum`, `max`, `min` and `higherbits` (take the
+//! version computed at higher precision).
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -80,6 +80,25 @@ impl MergeMode {
         MergeMode::Min,
         MergeMode::HigherBits,
     ];
+
+    /// Merges a source `(value, precision)` pair into a destination pair
+    /// and returns the merged pair: the one definition of Table 1's
+    /// `assemble` modes.
+    pub fn merge(self, dst: (i32, u8), src: (i32, u8)) -> (i32, u8) {
+        let ((dv, dp), (sv, sp)) = (dst, src);
+        match self {
+            MergeMode::Sum => (dv.saturating_add(sv), dp.max(sp)),
+            MergeMode::Max => (dv.max(sv), dp.max(sp)),
+            MergeMode::Min => (dv.min(sv), dp.max(sp)),
+            MergeMode::HigherBits => {
+                if sp > dp {
+                    src
+                } else {
+                    dst
+                }
+            }
+        }
+    }
 }
 
 impl fmt::Display for MergeMode {
@@ -97,13 +116,14 @@ impl fmt::Display for MergeMode {
 /// The versioned NVM data memory.
 ///
 /// ```
-/// use nvp_nvm::versioned::{VersionedMemory, MergeMode};
+/// use nvp_nvm::versioned::VersionedMemory;
 ///
 /// let mut mem = VersionedMemory::new(16);
 /// mem.write(0, 3, 100, 8); // version 3, full precision
 /// mem.write(0, 0, 90, 2);  // version 0, 2-bit approximate
-/// mem.merge_word(0, 3, 0, MergeMode::HigherBits);
-/// assert_eq!(mem.read(0, 0), 100); // higher-precision result wins
+/// mem.swap_region_versions(0, 1, 0, 3);
+/// assert_eq!((mem.read(0, 0), mem.precision(0, 0)), (100, 8));
+/// assert_eq!((mem.read(0, 3), mem.precision(0, 3)), (90, 2));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct VersionedMemory {
@@ -156,27 +176,6 @@ impl VersionedMemory {
         &self.words[addr]
     }
 
-    /// Copies an entire version plane out as `(value, precision)` pairs.
-    pub fn dump_version(&self, version: usize) -> Vec<(i32, u8)> {
-        self.words
-            .iter()
-            .map(|w| (w.value(version), w.precision(version)))
-            .collect()
-    }
-
-    /// Bulk-loads values into a version at full precision, starting at
-    /// address 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is longer than the memory.
-    pub fn load_version(&mut self, version: usize, data: &[i32]) {
-        assert!(data.len() <= self.words.len(), "data exceeds memory size");
-        for (addr, &v) in data.iter().enumerate() {
-            self.words[addr].set(version, v, MAX_PRECISION);
-        }
-    }
-
     /// Copies `[start, end)` from version `src` to version `dst` (values
     /// and precision tags). Used when the incidental controller parks or
     /// activates a frame's data plane.
@@ -206,48 +205,6 @@ impl VersionedMemory {
             w.precision.swap(a, b);
         }
     }
-
-    /// Merges `src` version into `dst` version for one word, per `mode`.
-    ///
-    /// The controller's state machine iterates "one pair of memory values at
-    /// a time" (Section 4); [`VersionedMemory::merge_region`] models the full
-    /// region sweep and returns the word count for energy/time accounting.
-    pub fn merge_word(&mut self, addr: usize, src: usize, dst: usize, mode: MergeMode) {
-        let w = &mut self.words[addr];
-        let (sv, sp) = (w.values[src], w.precision[src]);
-        let (dv, dp) = (w.values[dst], w.precision[dst]);
-        let (nv, np) = match mode {
-            MergeMode::Sum => (dv.saturating_add(sv), dp.max(sp)),
-            MergeMode::Max => (dv.max(sv), dp.max(sp)),
-            MergeMode::Min => (dv.min(sv), dp.max(sp)),
-            MergeMode::HigherBits => {
-                if sp > dp {
-                    (sv, sp)
-                } else {
-                    (dv, dp)
-                }
-            }
-        };
-        w.values[dst] = nv;
-        w.precision[dst] = np;
-    }
-
-    /// Merges `src` into `dst` across `[start, end)`; returns the number of
-    /// word-pairs processed (one controller step each).
-    pub fn merge_region(
-        &mut self,
-        start: usize,
-        end: usize,
-        src: usize,
-        dst: usize,
-        mode: MergeMode,
-    ) -> usize {
-        assert!(start <= end && end <= self.words.len(), "bad merge region");
-        for addr in start..end {
-            self.merge_word(addr, src, dst, mode);
-        }
-        end - start
-    }
 }
 
 #[cfg(test)]
@@ -268,62 +225,22 @@ mod tests {
 
     #[test]
     fn merge_higherbits_prefers_precision() {
-        let mut m = VersionedMemory::new(1);
-        m.write(0, 0, 11, 3);
-        m.write(0, 1, 99, 7);
-        m.merge_word(0, 1, 0, MergeMode::HigherBits);
-        assert_eq!(m.read(0, 0), 99);
-        assert_eq!(m.precision(0, 0), 7);
+        assert_eq!(MergeMode::HigherBits.merge((11, 3), (99, 7)), (99, 7));
         // Ties keep the destination.
-        let mut m = VersionedMemory::new(1);
-        m.write(0, 0, 11, 5);
-        m.write(0, 1, 99, 5);
-        m.merge_word(0, 1, 0, MergeMode::HigherBits);
-        assert_eq!(m.read(0, 0), 11);
+        assert_eq!(MergeMode::HigherBits.merge((11, 5), (99, 5)), (11, 5));
     }
 
     #[test]
     fn merge_value_modes() {
-        let mut m = VersionedMemory::new(1);
-        m.write(0, 0, 10, 2);
-        m.write(0, 1, -3, 8);
-        m.merge_word(0, 1, 0, MergeMode::Max);
-        assert_eq!(m.read(0, 0), 10);
-        assert_eq!(m.precision(0, 0), 8);
-        m.write(0, 0, 10, 2);
-        m.merge_word(0, 1, 0, MergeMode::Min);
-        assert_eq!(m.read(0, 0), -3);
-        m.write(0, 0, 10, 2);
-        m.merge_word(0, 1, 0, MergeMode::Sum);
-        assert_eq!(m.read(0, 0), 7);
+        let (dst, src) = ((10, 2), (-3, 8));
+        assert_eq!(MergeMode::Max.merge(dst, src), (10, 8));
+        assert_eq!(MergeMode::Min.merge(dst, src), (-3, 8));
+        assert_eq!(MergeMode::Sum.merge(dst, src), (7, 8));
     }
 
     #[test]
     fn merge_sum_saturates() {
-        let mut m = VersionedMemory::new(1);
-        m.write(0, 0, i32::MAX, 8);
-        m.write(0, 1, 1, 8);
-        m.merge_word(0, 1, 0, MergeMode::Sum);
-        assert_eq!(m.read(0, 0), i32::MAX);
-    }
-
-    #[test]
-    fn merge_region_counts_pairs() {
-        let mut m = VersionedMemory::new(10);
-        for a in 0..10 {
-            m.write(a, 1, a as i32, 8);
-        }
-        let n = m.merge_region(2, 7, 1, 0, MergeMode::HigherBits);
-        assert_eq!(n, 5);
-        assert_eq!(m.read(3, 0), 3);
-        assert_eq!(m.read(0, 0), 0); // outside region untouched
-    }
-
-    #[test]
-    fn load_and_dump_version() {
-        let mut m = VersionedMemory::new(3);
-        m.load_version(2, &[5, 6]);
-        assert_eq!(m.dump_version(2), vec![(5, 8), (6, 8), (0, 0)]);
+        assert_eq!(MergeMode::Sum.merge((i32::MAX, 8), (1, 8)), (i32::MAX, 8));
     }
 
     #[test]
@@ -334,9 +251,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "bad merge region")]
+    #[should_panic(expected = "bad copy region")]
     fn bad_region_panics() {
         let mut m = VersionedMemory::new(2);
-        m.merge_region(0, 5, 0, 1, MergeMode::Sum);
+        m.copy_region_version(0, 5, 0, 1);
     }
 }

@@ -93,13 +93,6 @@ impl Capacitor {
         }
     }
 
-    /// The paper's NVP operating point: an on-chip capacitor holding roughly
-    /// 2 ms of full-power operation (≈ 500 nJ at 209 µW core power), enough
-    /// for several backups, with negligible leakage (10 pJ/tick).
-    pub fn on_chip_default() -> Self {
-        Capacitor::new(Energy::from_nj(500.0), Energy::from_pj(10.0))
-    }
-
     /// Maximum energy the capacitor can hold.
     pub fn capacity(&self) -> Energy {
         self.capacity

@@ -12,8 +12,7 @@
 //! * [`outage`] — power-emergency extraction and duration statistics
 //!   (Figure 3),
 //! * [`frontend`] — AC-DC rectifier and capacitor models, including the
-//!   large energy-storage device used by the wait-compute baseline,
-//! * [`harvester`] — descriptors for the ambient sources of Figure 1.
+//!   large energy-storage device used by the wait-compute baseline.
 //!
 //! # Units
 //!
@@ -40,7 +39,6 @@
 #![warn(missing_docs)]
 
 pub mod frontend;
-pub mod harvester;
 pub mod io;
 pub mod outage;
 pub mod profile;

@@ -1,7 +1,7 @@
 //! Income-power time series ([`PowerProfile`]), the simulator's primary
 //! input (paper Figure 2).
 
-use crate::units::{Energy, Power, Ticks, TICK_SECONDS};
+use crate::units::{Power, Ticks};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -104,18 +104,6 @@ impl PowerProfile {
         Power::from_uw(self.samples_uw.iter().fold(0.0, |a: f64, &b| a.max(b)))
     }
 
-    /// Total harvested energy over the whole trace.
-    pub fn total_energy(&self) -> Energy {
-        Energy::from_nj(self.samples_uw.iter().sum::<f64>() * TICK_SECONDS * 1e3)
-    }
-
-    /// Energy available in the half-open tick range `[start, end)`.
-    pub fn energy_between(&self, start: Ticks, end: Ticks) -> Energy {
-        let s = (start.0 as usize).min(self.samples_uw.len());
-        let e = (end.0 as usize).min(self.samples_uw.len());
-        Energy::from_nj(self.samples_uw[s..e].iter().sum::<f64>() * TICK_SECONDS * 1e3)
-    }
-
     /// Returns a sub-profile covering the half-open tick range `[start, end)`
     /// (clamped to the trace).
     pub fn segment(&self, start: Ticks, end: Ticks) -> PowerProfile {
@@ -192,23 +180,6 @@ mod tests {
         let p = PowerProfile::from_uw([7.0]);
         assert_eq!(p.at(Ticks(0)), Power::from_uw(7.0));
         assert_eq!(p.at(Ticks(100)), Power::ZERO);
-    }
-
-    #[test]
-    fn total_energy_matches_mean_times_duration() {
-        let p = PowerProfile::constant(Power::from_uw(40.0), Ticks(1000));
-        let expect = Power::from_uw(40.0) * Ticks(1000);
-        assert!((p.total_energy().as_nj() - expect.as_nj()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn energy_between_partial_range() {
-        let p = PowerProfile::from_uw([10.0, 20.0, 30.0, 40.0]);
-        let e = p.energy_between(Ticks(1), Ticks(3));
-        // (20+30) µW-ticks = 5 nJ
-        assert!((e.as_nj() - 5.0).abs() < 1e-9);
-        // Clamped range.
-        assert_eq!(p.energy_between(Ticks(3), Ticks(100)).as_nj(), 4.0);
     }
 
     #[test]

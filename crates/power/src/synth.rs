@@ -335,24 +335,6 @@ impl TraceSynthesizer {
     }
 }
 
-/// Convenience: synthesize all five watch profiles at 10 s each, as used by
-/// most of the paper's figures.
-pub fn standard_profiles() -> Vec<(WatchProfile, PowerProfile)> {
-    WatchProfile::ALL
-        .iter()
-        .map(|&w| (w, w.synthesize_seconds(10.0)))
-        .collect()
-}
-
-/// Convenience: the first three watch profiles (Figures 17–25 use only
-/// profiles 1–3).
-pub fn first_three_profiles() -> Vec<(WatchProfile, PowerProfile)> {
-    WatchProfile::ALL[..3]
-        .iter()
-        .map(|&w| (w, w.synthesize_seconds(10.0)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -505,9 +487,10 @@ mod tests {
 
     #[test]
     fn standard_profiles_cover_all_five() {
-        let all = standard_profiles();
-        assert_eq!(all.len(), 5);
-        assert!(all.iter().all(|(_, p)| p.len() == 100_000));
-        assert_eq!(first_three_profiles().len(), 3);
+        // Most figures run every watch profile for 10 s.
+        assert_eq!(WatchProfile::ALL.len(), 5);
+        assert!(WatchProfile::ALL
+            .iter()
+            .all(|w| w.synthesize_seconds(10.0).len() == 100_000));
     }
 }

@@ -2,6 +2,7 @@
 //! rendered tables and byte-identical JSONL traces, regardless of worker
 //! count, scheduling, or what other threads are running.
 
+use nvp_nvm::MergeMode;
 use nvp_repro::{experiments, Scale, Table};
 
 fn render(tables: &[Table]) -> String {
@@ -108,5 +109,55 @@ fn incidental_parking_trace_bytes_are_pinned() {
         ABLATE_BUFFER_TRACE_FNV,
         "ablate-buffer trace bytes changed ({} bytes, digest {digest:#018x})",
         trace.len()
+    );
+}
+
+/// FNV-1a digests of `recompute_and_combine`'s merged output and per-pass
+/// PSNR bits (median, P1 for 2 s, minbits 2, 5 passes), per image side and
+/// `MergeMode`, recorded before the merge table moved into `MergeMode`. At
+/// 8×8 every pass commits precise output, so only `Sum` differs; at 16×16
+/// passes are approximate and all four modes give distinct merges.
+const RAC_MERGE_FNV: [(usize, MergeMode, u64); 8] = [
+    (8, MergeMode::HigherBits, 0xeb4e_8ac3_5b40_9ef3),
+    (8, MergeMode::Max, 0xeb4e_8ac3_5b40_9ef3),
+    (8, MergeMode::Min, 0xeb4e_8ac3_5b40_9ef3),
+    (8, MergeMode::Sum, 0x3499_7800_ac3b_93b2),
+    (16, MergeMode::HigherBits, 0x6dca_12e3_5707_359a),
+    (16, MergeMode::Max, 0x7808_60d9_f3c8_54a3),
+    (16, MergeMode::Min, 0x32ef_e722_ab26_14be),
+    (16, MergeMode::Sum, 0xe53a_cc6c_c93d_dcec),
+];
+
+/// FNV-1a digest of `fig27(Scale::quick())`'s rendered table.
+const FIG27_QUICK_FNV: u64 = 0x7839_400c_3461_853c;
+
+#[test]
+fn recompute_and_combine_outputs_are_pinned() {
+    use nvp_kernels::KernelId;
+    use nvp_power::synth::WatchProfile;
+    let id = KernelId::Median;
+    let profile = WatchProfile::P1.synthesize_seconds(2.0);
+    for (side, mode, want) in RAC_MERGE_FNV {
+        let input = id.make_input(side, side, 0x27);
+        let out = incidental::recompute_and_combine(id, side, side, &input, 2, 5, mode, &profile);
+        let mut bytes: Vec<u8> = out.merged.iter().flat_map(|v| v.to_le_bytes()).collect();
+        for p in &out.psnr_after_pass {
+            bytes.extend_from_slice(&p.to_bits().to_le_bytes());
+        }
+        let digest = nvp_exec::fnv1a64(&bytes);
+        assert_eq!(
+            digest, want,
+            "{side}x{side} {mode:?}: rac output changed ({digest:#018x})"
+        );
+    }
+}
+
+#[test]
+fn fig27_table_is_pinned() {
+    let rendered = render(&experiments::fig27(Scale::quick()));
+    let digest = nvp_exec::fnv1a64(rendered.as_bytes());
+    assert_eq!(
+        digest, FIG27_QUICK_FNV,
+        "fig27 table changed ({digest:#018x})"
     );
 }

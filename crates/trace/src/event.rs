@@ -585,7 +585,7 @@ impl Event {
                 cost_nj: fields.num_field("cost_nj")?,
                 saved_nj: fields.num_field("saved_nj")?,
                 live_fraction: fields.num_field("live_fraction")?,
-                bits: fields.u64_field("bits")? as u8,
+                bits: fields.u8_field("bits")?,
             },
             EventKind::OutageStart => Event::OutageStart { tick: t },
             EventKind::OutageEnd => Event::OutageEnd {
@@ -601,14 +601,14 @@ impl Event {
             },
             EventKind::FrameCommitted => Event::FrameCommitted {
                 tick: t,
-                lane: fields.u64_field("lane")? as u8,
+                lane: fields.u8_field("lane")?,
                 input_index: fields.u64_field("input_index")?,
                 incidental: fields.bool_field("incidental")?,
             },
             EventKind::FrameParked => Event::FrameParked {
                 tick: t,
                 input_index: fields.u64_field("input_index")?,
-                version: fields.u64_field("version")? as u8,
+                version: fields.u8_field("version")?,
                 recompute: fields.bool_field("recompute")?,
             },
             EventKind::FrameAbandoned => Event::FrameAbandoned {
@@ -617,14 +617,14 @@ impl Event {
             },
             EventKind::Merge => Event::Merge {
                 tick: t,
-                lane: fields.u64_field("lane")? as u8,
+                lane: fields.u8_field("lane")?,
                 input_index: fields.u64_field("input_index")?,
                 pc: fields.u64_field("pc")?,
             },
             EventKind::GovernorSwitch => Event::GovernorSwitch {
                 tick: t,
-                from_bits: fields.u64_field("from_bits")? as u8,
-                to_bits: fields.u64_field("to_bits")? as u8,
+                from_bits: fields.u8_field("from_bits")?,
+                to_bits: fields.u8_field("to_bits")?,
                 // Traces written before the static-floor work have no
                 // reason field; those switches were all policy-driven.
                 reason: match fields.str_field("reason") {
@@ -634,7 +634,7 @@ impl Event {
             },
             EventKind::RetentionDecay => Event::RetentionDecay {
                 tick: t,
-                bit: fields.u64_field("bit")? as u8,
+                bit: fields.u8_field("bit")?,
                 failures: fields.u64_field("failures")?,
             },
             EventKind::WaitStall => Event::WaitStall {
@@ -799,6 +799,12 @@ impl Fields {
             )));
         }
         Ok(n as u64)
+    }
+
+    fn u8_field(&self, key: &str) -> Result<u8, ParseError> {
+        let n = self.u64_field(key)?;
+        u8::try_from(n)
+            .map_err(|_| ParseError::new(format!("field '{key}' is out of range for u8: {n}")))
     }
 
     fn bool_field(&self, key: &str) -> Result<bool, ParseError> {
@@ -1093,5 +1099,29 @@ mod tests {
             label: "médiane/π≈3.14\t–\n“quotes”".to_string(),
         };
         assert_eq!(Event::from_json(&ev.to_json()).unwrap(), ev);
+    }
+
+    #[test]
+    fn narrow_fields_reject_out_of_range_values() {
+        // Untrusted traces must not wrap a u8 field modulo 256.
+        let decay = "{\"ev\":\"retention_decay\",\"t\":1,\"bit\":264,\"failures\":1}";
+        assert!(Event::from_json(decay).is_err(), "bit 264 must not parse");
+        let backup = Event::Backup {
+            tick: 3,
+            cost_nj: 1.5,
+            saved_nj: 0.0,
+            live_fraction: 1.0,
+            bits: 4,
+        }
+        .to_json();
+        assert!(Event::from_json(&backup).is_ok());
+        let wide = backup.replace("\"bits\":4", "\"bits\":260");
+        assert_ne!(wide, backup);
+        assert!(Event::from_json(&wide).is_err(), "bits 260 must not parse");
+        let edge = "{\"ev\":\"retention_decay\",\"t\":1,\"bit\":255,\"failures\":1}";
+        assert!(matches!(
+            Event::from_json(edge),
+            Ok(Event::RetentionDecay { bit: 255, .. })
+        ));
     }
 }

@@ -5,8 +5,8 @@
 //! of [`Event`]s — threshold crossings, power emergencies, backups,
 //! outages, restores, frame commits/parks/merges, governor switches,
 //! retention decay — into any [`Tracer`] sink: an unbounded [`VecSink`],
-//! a bounded [`RingSink`], a metrics-only [`CounterSink`], or a streaming
-//! [`JsonlSink`] whose output the `nvp-trace` binary can `summarize`,
+//! a metrics-only [`CounterSink`], or an in-memory [`JsonlBufSink`] whose
+//! text, written to a file, the `nvp-trace` binary can `summarize`,
 //! `timeline`, and `diff`.
 //!
 //! Design constraints, in priority order:
@@ -35,9 +35,7 @@ mod timeline;
 
 pub use diff::{diff, TraceDiff};
 pub use event::{Event, EventKind, ParseError, SwitchReason};
-pub use sink::{
-    emit, CounterSink, JsonlBufSink, JsonlSink, NoopTracer, RingSink, TeeSink, Tracer, VecSink,
-};
+pub use sink::{emit, CounterSink, JsonlBufSink, NoopTracer, TeeSink, Tracer, VecSink};
 pub use summary::{
     EnergyLedger, Histogram, LedgerMismatch, MergeError, ReadError, RunEndTotals, RunSummary,
     TraceSummary,

@@ -7,10 +7,6 @@
 
 use crate::event::Event;
 use crate::summary::TraceSummary;
-use std::collections::VecDeque;
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
-use std::path::Path;
 
 /// A destination for trace events.
 pub trait Tracer {
@@ -70,57 +66,6 @@ impl Tracer for VecSink {
     }
 }
 
-/// Bounded in-memory ring buffer: keeps the newest `capacity` events and
-/// counts how many older ones were dropped. Suited to always-on tracing
-/// where only the tail (the moments before a failure) matters.
-#[derive(Debug, Clone)]
-pub struct RingSink {
-    buf: VecDeque<Event>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl RingSink {
-    /// Creates a ring holding at most `capacity` events (min 1).
-    pub fn new(capacity: usize) -> Self {
-        RingSink {
-            buf: VecDeque::with_capacity(capacity.max(1)),
-            capacity: capacity.max(1),
-            dropped: 0,
-        }
-    }
-
-    /// Events dropped because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Events currently held, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &Event> {
-        self.buf.iter()
-    }
-
-    /// Number of events currently held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the ring is empty.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-}
-
-impl Tracer for RingSink {
-    fn record(&mut self, ev: &Event) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(ev.clone());
-    }
-}
-
 /// Metrics-only sink: folds every event into a [`TraceSummary`] without
 /// retaining the events themselves. Constant memory regardless of run
 /// length.
@@ -143,77 +88,9 @@ impl Tracer for CounterSink {
     }
 }
 
-/// Streams events to a JSONL file, one event per line.
-#[derive(Debug)]
-pub struct JsonlSink {
-    out: BufWriter<File>,
-    written: u64,
-    error: Option<std::io::Error>,
-}
-
-impl JsonlSink {
-    /// Creates (truncates) `path` and streams events into it.
-    pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        Ok(Self::from_file(File::create(path)?))
-    }
-
-    /// Opens `path` in append mode — used when several runs share one
-    /// trace file, each delimited by its own `run_start` event.
-    pub fn append(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        Ok(Self::from_file(
-            OpenOptions::new().create(true).append(true).open(path)?,
-        ))
-    }
-
-    fn from_file(file: File) -> Self {
-        JsonlSink {
-            out: BufWriter::new(file),
-            written: 0,
-            error: None,
-        }
-    }
-
-    /// Events successfully written so far.
-    pub fn written(&self) -> u64 {
-        self.written
-    }
-
-    /// Flushes buffered lines and surfaces any deferred write error.
-    pub fn finish(mut self) -> std::io::Result<u64> {
-        self.out.flush()?;
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        Ok(self.written)
-    }
-}
-
-impl Tracer for JsonlSink {
-    fn record(&mut self, ev: &Event) {
-        if self.error.is_some() {
-            return; // fail-stop: first I/O error wins, later events dropped
-        }
-        let line = ev.to_json();
-        if let Err(e) = self
-            .out
-            .write_all(line.as_bytes())
-            .and_then(|()| self.out.write_all(b"\n"))
-        {
-            self.error = Some(e);
-        } else {
-            self.written += 1;
-        }
-    }
-}
-
-impl Drop for JsonlSink {
-    fn drop(&mut self) {
-        let _ = self.out.flush();
-    }
-}
-
-/// Renders events to JSONL in memory, byte-for-byte what [`JsonlSink`]
-/// would write to a file.
+/// Renders events to JSONL in memory, one `\n`-terminated line per event;
+/// `repro --trace` writes the captured text to the trace file verbatim, and
+/// the `nvp-trace` binary reads it back.
 ///
 /// This is the building block for deterministic parallel tracing: each
 /// sweep job records into its own `JsonlBufSink`, and the sweep engine
@@ -309,18 +186,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_sink_drops_oldest() {
-        let mut sink = RingSink::new(3);
-        for t in 0..10 {
-            sink.record(&ev(t));
-        }
-        assert_eq!(sink.dropped(), 7);
-        assert_eq!(sink.len(), 3);
-        let ticks: Vec<u64> = sink.events().map(|e| e.tick()).collect();
-        assert_eq!(ticks, vec![7, 8, 9]);
-    }
-
-    #[test]
     fn counter_sink_counts_without_storing() {
         let mut sink = CounterSink::new();
         for t in 0..4 {
@@ -338,7 +203,7 @@ mod tests {
     #[test]
     fn jsonl_sink_roundtrips_through_a_file() {
         let path = std::env::temp_dir().join("nvp_trace_sink_test.jsonl");
-        let mut sink = JsonlSink::create(&path).unwrap();
+        let mut sink = JsonlBufSink::new();
         let events = vec![
             Event::RunStart {
                 tick: 0,
@@ -353,34 +218,12 @@ mod tests {
         for e in &events {
             sink.record(e);
         }
-        assert_eq!(sink.finish().unwrap(), 3);
+        assert_eq!(sink.written(), 3);
+        assert_eq!(sink.as_str().lines().count(), 3);
+        std::fs::write(&path, sink.into_string()).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let back: Vec<Event> = text.lines().map(|l| Event::from_json(l).unwrap()).collect();
         assert_eq!(back, events);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn buf_sink_matches_file_sink_bytes() {
-        let path = std::env::temp_dir().join("nvp_trace_bufsink_test.jsonl");
-        let events = vec![
-            Event::RunStart {
-                tick: 0,
-                label: "t".into(),
-            },
-            ev(3),
-        ];
-        let mut file_sink = JsonlSink::create(&path).unwrap();
-        let mut buf_sink = JsonlBufSink::new();
-        for e in &events {
-            file_sink.record(e);
-            buf_sink.record(e);
-        }
-        file_sink.finish().unwrap();
-        let from_file = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(buf_sink.written(), 2);
-        assert_eq!(buf_sink.as_str(), from_file);
-        assert_eq!(buf_sink.into_string(), from_file);
         std::fs::remove_file(&path).ok();
     }
 
