@@ -462,8 +462,9 @@ fn placement_json(e: &PlacementEval) -> Json {
 }
 
 impl Synthesis {
-    /// The machine-checkable placement certificate, rendered through
-    /// the shared serializer (round-trips via [`Json::parse`]).
+    /// The machine-checkable placement certificate, built with the lint
+    /// serializer [`Json`]; its rendering reads back through the
+    /// workspace's one JSON parser, `nvp_trace::json::Json::parse`.
     pub fn to_json(&self) -> Json {
         let mut obj = Json::obj();
         obj.set("schema", Json::str("nvp-ckpt-cert-v1"))
@@ -583,6 +584,7 @@ mod tests {
     use super::*;
     use crate::{analyze_with, AnalysisConfig};
     use nvp_isa::{ProgramBuilder, Reg};
+    use nvp_trace::json::Json as Shared;
 
     fn loopy_program() -> Program {
         // Prologue, then a hot bounded loop writing out[i], then commit.
@@ -636,14 +638,14 @@ mod tests {
         );
         let json = s.to_json();
         let text = json.render();
-        let back = Json::parse(&text).expect("certificate parses");
-        assert_eq!(back, json);
+        let back = Shared::parse(&text).expect("certificate parses");
+        assert_eq!(Json::from_shared(&back), json);
         assert_eq!(
-            back.get("schema").and_then(Json::as_str),
+            back.get("schema").and_then(Shared::as_str),
             Some("nvp-ckpt-cert-v1")
         );
         let declared = back.get("declared").expect("declared placement");
-        assert!(declared.get("regions").and_then(Json::as_arr).is_some());
+        assert!(declared.get("regions").and_then(Shared::as_array).is_some());
     }
 
     #[test]

@@ -207,13 +207,14 @@ impl fmt::Display for LintCode {
     }
 }
 
-/// A JSON value: the one serializer every `nvp-lint` report mode renders
-/// its `--json` export through.
+/// A JSON value builder: the one serializer every `nvp-lint` report mode
+/// renders its `--json` export through.
 ///
-/// Object keys keep insertion order so reports are byte-stable across
-/// runs, and [`Json::parse`] round-trips anything [`Json::render`]
-/// produces — which is what lets CI (and tests) re-read a placement
-/// certificate and check it structurally rather than by regex.
+/// It only builds and pretty-prints; object keys keep insertion order so
+/// reports are byte-stable across runs. Reading is the workspace's one
+/// JSON parser, `nvp_trace::json::Json::parse`, which the tests use to
+/// re-read what [`Json::render`] produces and check certificates
+/// structurally rather than by regex.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null` (e.g. an unbounded WCEC ceiling).
@@ -258,38 +259,6 @@ impl Json {
             other => panic!("Json::set on non-object {other:?}"),
         }
         self
-    }
-
-    /// Looks up a key in an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The array elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The numeric value, if this is a number.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
     }
 
     /// Renders with two-space indentation and a trailing newline.
@@ -352,19 +321,6 @@ impl Json {
             }
         }
     }
-
-    /// Parses a JSON document (full grammar minus `\u` escapes beyond
-    /// what [`Json::render`] emits). Errors carry a byte offset.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(value)
-    }
 }
 
 fn write_json_str(out: &mut String, s: &str) {
@@ -381,137 +337,6 @@ fn write_json_str(out: &mut String, s: &str) {
         }
     }
     out.push('"');
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
-        Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}"));
-                }
-                *pos += 1;
-                fields.push((key, parse_value(bytes, pos)?));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
-        Some(_) => {
-            let start = *pos;
-            if bytes.get(*pos) == Some(&b'-') {
-                *pos += 1;
-            }
-            while *pos < bytes.len()
-                && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-            {
-                *pos += 1;
-            }
-            let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-            text.parse::<f64>()
-                .map(Json::Num)
-                .map_err(|_| format!("bad number {text:?} at byte {start}"))
-        }
-    }
-}
-
-fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("expected {lit} at byte {pos}"))
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos}"));
-    }
-    *pos += 1;
-    let mut out = Vec::new();
-    while let Some(&b) = bytes.get(*pos) {
-        *pos += 1;
-        match b {
-            b'"' => return String::from_utf8(out).map_err(|e| e.to_string()),
-            b'\\' => {
-                let esc = bytes.get(*pos).ok_or("unterminated escape")?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push(b'"'),
-                    b'\\' => out.push(b'\\'),
-                    b'/' => out.push(b'/'),
-                    b'n' => out.push(b'\n'),
-                    b't' => out.push(b'\t'),
-                    b'r' => out.push(b'\r'),
-                    b'u' => {
-                        let hex = bytes
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape at byte {pos}"))?;
-                        *pos += 4;
-                        let c = char::from_u32(code).ok_or("bad \\u code point")?;
-                        let mut buf = [0u8; 4];
-                        out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
-                    }
-                    other => return Err(format!("bad escape \\{}", *other as char)),
-                }
-            }
-            b => out.push(b),
-        }
-    }
-    Err("unterminated string".into())
 }
 
 /// One finding from one pass.
@@ -584,9 +409,33 @@ impl fmt::Display for Diagnostic {
 }
 
 #[cfg(test)]
+impl Json {
+    /// Rebuilds a tree read back by the shared parser
+    /// (`nvp_trace::json`) as a builder tree, so round-trip tests can
+    /// compare with `==`.
+    pub(crate) fn from_shared(v: &nvp_trace::json::Json) -> Json {
+        use nvp_trace::json::Json as Shared;
+        match v {
+            Shared::Null => Json::Null,
+            Shared::Bool(b) => Json::Bool(*b),
+            Shared::Num(n) => Json::Num(*n),
+            Shared::Str(s) => Json::Str(s.clone()),
+            Shared::Arr(items) => Json::Arr(items.iter().map(Json::from_shared).collect()),
+            Shared::Obj(fields) => Json::Obj(
+                fields
+                    .iter()
+                    .map(|(k, v)| (k.clone(), Json::from_shared(v)))
+                    .collect(),
+            ),
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use nvp_isa::{ProgramBuilder, Reg};
+    use nvp_trace::json::Json as Shared;
 
     #[test]
     fn codes_are_stable_and_severities_fixed() {
@@ -669,7 +518,7 @@ mod tests {
             .set("empty_obj", Json::obj())
             .set("note", Json::str("quote \" slash \\ tab\tnewline\n"));
         let text = obj.render();
-        let back = Json::parse(&text).expect("parse rendered JSON");
+        let back = Json::from_shared(&Shared::parse(&text).expect("parse rendered JSON"));
         assert_eq!(back, obj);
         // Re-render must be byte-identical (key order preserved).
         assert_eq!(back.render(), text);
@@ -688,17 +537,18 @@ mod tests {
         let mut obj = Json::obj();
         obj.set("a", Json::Num(3.0))
             .set("b", Json::Arr(vec![Json::str("x")]));
-        assert_eq!(obj.get("a").and_then(Json::as_num), Some(3.0));
-        let arr = obj.get("b").and_then(Json::as_arr).unwrap();
+        let back = Shared::parse(&obj.render()).expect("parse rendered JSON");
+        assert_eq!(back.get("a").and_then(Shared::as_f64), Some(3.0));
+        let arr = back.get("b").and_then(Shared::as_array).unwrap();
         assert_eq!(arr[0].as_str(), Some("x"));
-        assert!(obj.get("missing").is_none());
+        assert!(back.get("missing").is_none());
     }
 
     #[test]
     fn json_parse_rejects_garbage() {
-        assert!(Json::parse("{").is_err());
-        assert!(Json::parse("[1,]").is_err());
-        assert!(Json::parse("42 tail").is_err());
-        assert!(Json::parse("\"unterminated").is_err());
+        assert!(Shared::parse("{").is_err());
+        assert!(Shared::parse("[1,]").is_err());
+        assert!(Shared::parse("42 tail").is_err());
+        assert!(Shared::parse("\"unterminated").is_err());
     }
 }

@@ -55,6 +55,22 @@ fn report_is_byte_identical_across_jobs_1_and_4() {
 }
 
 #[test]
+fn report_is_valid_json_with_the_documented_sections() {
+    use nvp_trace::json::Json;
+    let text = run_with(1).render_report();
+    let doc = Json::parse(&text).expect("fleet report is JSON");
+    assert_eq!(doc.get("fleet").and_then(Json::as_str), Some("v1"));
+    assert_eq!(
+        doc.get("job").and_then(Json::as_str),
+        Some(spec().job_id().as_str())
+    );
+    assert_eq!(doc.get("devices").and_then(Json::as_u64), Some(2000));
+    assert!(matches!(doc.get("cohorts"), Some(Json::Obj(c)) if !c.is_empty()));
+    assert!(matches!(doc.get("outliers"), Some(Json::Obj(_))));
+    assert!(doc.get("exemplars").and_then(Json::as_array).is_some());
+}
+
+#[test]
 fn resume_from_a_mid_run_snapshot_is_byte_identical() {
     let straight = run_with(1).render_report();
 

@@ -8,8 +8,8 @@
 //!
 //! The service is built entirely on `std`:
 //!
-//! * [`json`] — a recursive-descent JSON parser/renderer whose number
-//!   formatting matches the trace codec bit-for-bit;
+//! * [`json`] — the shared [`nvp_trace::json`] codec, re-exported: the
+//!   same parser and renderer the JSONL traces go through;
 //! * [`key`] — request canonicalization into [`key::SimKey`]s over the
 //!   shared `nvp_repro::key` grammar;
 //! * [`ResultCache`] — the sharded, LRU-bounded, single-flight

@@ -25,7 +25,7 @@ use crate::{FlightError, LeaderToken, Lookup, ResultCache};
 use nvp_exec::ServicePool;
 use nvp_kernels::KernelId;
 use nvp_sim::RunReport;
-use nvp_trace::{CounterSink, JsonlBufSink, TeeSink};
+use nvp_trace::{CounterSink, Event, TeeSink, VecSink};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -393,26 +393,26 @@ fn render_run_body(inner: &Arc<Inner>, key: &SimKey) -> Vec<u8> {
     });
     let request = key.run_request();
     let mut counters = CounterSink::new();
-    let (report, trace_jsonl) = if key.trace {
-        let mut jsonl = JsonlBufSink::new();
+    let (report, trace) = if key.trace {
+        let mut events = VecSink::new();
         let mut tee = TeeSink {
-            a: &mut jsonl,
+            a: &mut events,
             b: &mut counters,
         };
         let report = nvp_repro::catalog::simulate_traced(&request, &mut tee);
-        (report, Some(jsonl.into_string()))
+        (report, Some(events.events))
     } else {
         let report = nvp_repro::catalog::simulate_traced(&request, &mut counters);
         (report, None)
     };
     inner.metrics.absorb_summary(&counters.summary);
-    render_report(key, &report, trace_jsonl.as_deref()).into_bytes()
+    render_report(key, &report, trace.as_deref()).into_bytes()
 }
 
 /// Renders one run's response document. Pure function of its inputs —
 /// given PR 4's byte-deterministic reports, equal keys render equal
 /// bodies on every machine.
-pub(crate) fn render_report(key: &SimKey, report: &RunReport, trace: Option<&str>) -> String {
+pub(crate) fn render_report(key: &SimKey, report: &RunReport, trace: Option<&[Event]>) -> String {
     let num = |v: u64| Json::Num(v as f64);
     let mut fields = vec![
         ("key", Json::str(key.canonical())),
@@ -455,13 +455,9 @@ pub(crate) fn render_report(key: &SimKey, report: &RunReport, trace: Option<&str
             ]),
         ),
     ];
-    if let Some(jsonl) = trace {
-        let events: Vec<Json> = jsonl
-            .lines()
-            .map(|line| Json::parse(line).expect("trace lines are valid JSON"))
-            .collect();
+    if let Some(events) = trace {
         fields.push(("trace_events", Json::Num(events.len() as f64)));
-        fields.push(("trace", Json::Arr(events)));
+        fields.push(("trace", Json::Arr(events.iter().map(Event::json).collect())));
     }
     Json::obj(fields).render()
 }

@@ -2,12 +2,14 @@
 //!
 //! One [`Event`] is one timestamped occurrence in the NVP lifecycle. The
 //! schema is deliberately flat — every variant carries its tick plus a
-//! handful of scalar fields — so events serialize to single-line JSON
-//! objects and a trace file is plain JSONL. Energies are raw nanojoules and
+//! handful of scalar fields — so events serialize, through the shared
+//! [`crate::json`] codec, to single-line JSON objects and a trace file is
+//! plain JSONL. Energies are raw nanojoules and
 //! times raw ticks (no `nvp-power` newtypes) to keep this crate
 //! dependency-free: every runtime crate, including `nvp-power` itself, can
 //! depend on it without a cycle.
 
+use crate::json::Json;
 use std::fmt;
 
 /// Why the bitwidth governor switched.
@@ -382,149 +384,125 @@ impl Event {
         }
     }
 
-    /// Serializes the event to one line of JSON (no trailing newline).
-    ///
-    /// Numbers use Rust's shortest round-trip float formatting, so a
-    /// parse/serialize cycle is lossless.
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new(self.kind());
+    /// The event as a JSON object: `"ev"` (the kind's wire name), `"t"`
+    /// (the tick), then the variant's fields in declaration order.
+    pub fn json(&self) -> Json {
+        let int = |v: u64| Json::Num(v as f64);
+        let small = |v: u8| Json::Num(f64::from(v));
+        let mut fields = vec![
+            ("ev", Json::str(self.kind().name())),
+            ("t", int(self.tick())),
+        ];
         match self {
-            Event::RunStart { tick, label } => {
-                w.num("t", *tick as f64);
-                w.str("label", label);
-            }
+            Event::RunStart { label, .. } => fields.push(("label", Json::str(label.as_str()))),
             Event::ThresholdCross {
-                tick,
                 level_nj,
                 threshold_nj,
                 up,
-            } => {
-                w.num("t", *tick as f64);
-                w.num("level_nj", *level_nj);
-                w.num("threshold_nj", *threshold_nj);
-                w.bool("up", *up);
-            }
+                ..
+            } => fields.extend([
+                ("level_nj", Json::Num(*level_nj)),
+                ("threshold_nj", Json::Num(*threshold_nj)),
+                ("up", Json::Bool(*up)),
+            ]),
             Event::PowerEmergency {
-                tick,
                 level_nj,
                 reserve_nj,
-            } => {
-                w.num("t", *tick as f64);
-                w.num("level_nj", *level_nj);
-                w.num("reserve_nj", *reserve_nj);
-            }
-            Event::BackupScopeFallback { tick, pc } => {
-                w.num("t", *tick as f64);
-                w.num("pc", *pc as f64);
-            }
+                ..
+            } => fields.extend([
+                ("level_nj", Json::Num(*level_nj)),
+                ("reserve_nj", Json::Num(*reserve_nj)),
+            ]),
+            Event::BackupScopeFallback { pc, .. } => fields.push(("pc", int(*pc))),
             Event::Backup {
-                tick,
                 cost_nj,
                 saved_nj,
                 live_fraction,
                 bits,
-            } => {
-                w.num("t", *tick as f64);
-                w.num("cost_nj", *cost_nj);
-                w.num("saved_nj", *saved_nj);
-                w.num("live_fraction", *live_fraction);
-                w.num("bits", f64::from(*bits));
-            }
-            Event::OutageStart { tick } => w.num("t", *tick as f64),
-            Event::OutageEnd { tick, duration } => {
-                w.num("t", *tick as f64);
-                w.num("duration", *duration as f64);
-            }
+                ..
+            } => fields.extend([
+                ("cost_nj", Json::Num(*cost_nj)),
+                ("saved_nj", Json::Num(*saved_nj)),
+                ("live_fraction", Json::Num(*live_fraction)),
+                ("bits", small(*bits)),
+            ]),
+            Event::OutageStart { .. } => {}
+            Event::OutageEnd { duration, .. } => fields.push(("duration", int(*duration))),
             Event::Restore {
-                tick,
                 cost_nj,
                 outage_ticks,
                 rolled_forward,
                 cold,
-            } => {
-                w.num("t", *tick as f64);
-                w.num("cost_nj", *cost_nj);
-                w.num("outage_ticks", *outage_ticks as f64);
-                w.bool("rolled_forward", *rolled_forward);
-                w.bool("cold", *cold);
-            }
+                ..
+            } => fields.extend([
+                ("cost_nj", Json::Num(*cost_nj)),
+                ("outage_ticks", int(*outage_ticks)),
+                ("rolled_forward", Json::Bool(*rolled_forward)),
+                ("cold", Json::Bool(*cold)),
+            ]),
             Event::FrameCommitted {
-                tick,
                 lane,
                 input_index,
                 incidental,
-            } => {
-                w.num("t", *tick as f64);
-                w.num("lane", f64::from(*lane));
-                w.num("input_index", *input_index as f64);
-                w.bool("incidental", *incidental);
-            }
+                ..
+            } => fields.extend([
+                ("lane", small(*lane)),
+                ("input_index", int(*input_index)),
+                ("incidental", Json::Bool(*incidental)),
+            ]),
             Event::FrameParked {
-                tick,
                 input_index,
                 version,
                 recompute,
-            } => {
-                w.num("t", *tick as f64);
-                w.num("input_index", *input_index as f64);
-                w.num("version", f64::from(*version));
-                w.bool("recompute", *recompute);
-            }
-            Event::FrameAbandoned { tick, input_index } => {
-                w.num("t", *tick as f64);
-                w.num("input_index", *input_index as f64);
+                ..
+            } => fields.extend([
+                ("input_index", int(*input_index)),
+                ("version", small(*version)),
+                ("recompute", Json::Bool(*recompute)),
+            ]),
+            Event::FrameAbandoned { input_index, .. } => {
+                fields.push(("input_index", int(*input_index)))
             }
             Event::Merge {
-                tick,
                 lane,
                 input_index,
                 pc,
-            } => {
-                w.num("t", *tick as f64);
-                w.num("lane", f64::from(*lane));
-                w.num("input_index", *input_index as f64);
-                w.num("pc", *pc as f64);
-            }
+                ..
+            } => fields.extend([
+                ("lane", small(*lane)),
+                ("input_index", int(*input_index)),
+                ("pc", int(*pc)),
+            ]),
             Event::GovernorSwitch {
-                tick,
                 from_bits,
                 to_bits,
                 reason,
-            } => {
-                w.num("t", *tick as f64);
-                w.num("from_bits", f64::from(*from_bits));
-                w.num("to_bits", f64::from(*to_bits));
-                w.str("reason", reason.as_str());
-            }
-            Event::RetentionDecay {
-                tick,
-                bit,
-                failures,
-            } => {
-                w.num("t", *tick as f64);
-                w.num("bit", f64::from(*bit));
-                w.num("failures", *failures as f64);
+                ..
+            } => fields.extend([
+                ("from_bits", small(*from_bits)),
+                ("to_bits", small(*to_bits)),
+                ("reason", Json::str(reason.as_str())),
+            ]),
+            Event::RetentionDecay { bit, failures, .. } => {
+                fields.extend([("bit", small(*bit)), ("failures", int(*failures))])
             }
             Event::WaitStall {
-                tick,
                 level_nj,
                 needed_nj,
-            } => {
-                w.num("t", *tick as f64);
-                w.num("level_nj", *level_nj);
-                w.num("needed_nj", *needed_nj);
-            }
+                ..
+            } => fields.extend([
+                ("level_nj", Json::Num(*level_nj)),
+                ("needed_nj", Json::Num(*needed_nj)),
+            ]),
             Event::EnergyFlush {
-                tick,
                 income_nj,
                 compute_nj,
-            } => {
-                w.num("t", *tick as f64);
-                w.num("income_nj", *income_nj);
-                w.num("compute_nj", *compute_nj);
-            }
+                ..
+            } => fields.extend([
+                ("income_nj", Json::Num(*income_nj)),
+                ("compute_nj", Json::Num(*compute_nj)),
+            ]),
             Event::RunEnd {
-                tick,
                 income_nj,
                 compute_nj,
                 backup_nj,
@@ -534,27 +512,39 @@ impl Event {
                 restores,
                 frames,
                 forward_progress,
-            } => {
-                w.num("t", *tick as f64);
-                w.num("income_nj", *income_nj);
-                w.num("compute_nj", *compute_nj);
-                w.num("backup_nj", *backup_nj);
-                w.num("restore_nj", *restore_nj);
-                w.num("saved_nj", *saved_nj);
-                w.num("backups", *backups as f64);
-                w.num("restores", *restores as f64);
-                w.num("frames", *frames as f64);
-                w.num("forward_progress", *forward_progress as f64);
-            }
+                ..
+            } => fields.extend([
+                ("income_nj", Json::Num(*income_nj)),
+                ("compute_nj", Json::Num(*compute_nj)),
+                ("backup_nj", Json::Num(*backup_nj)),
+                ("restore_nj", Json::Num(*restore_nj)),
+                ("saved_nj", Json::Num(*saved_nj)),
+                ("backups", int(*backups)),
+                ("restores", int(*restores)),
+                ("frames", int(*frames)),
+                ("forward_progress", int(*forward_progress)),
+            ]),
         }
-        w.finish()
+        Json::obj(fields)
+    }
+
+    /// Serializes the event to one line of JSON (no trailing newline).
+    ///
+    /// Numbers use Rust's shortest round-trip float formatting, so a
+    /// parse/serialize cycle is lossless.
+    pub fn to_json(&self) -> String {
+        self.json().render()
     }
 
     /// Parses one JSONL line back into an event.
     pub fn from_json(line: &str) -> Result<Event, ParseError> {
-        let fields = parse_object(line)?;
-        let ev = fields.str_field("ev")?;
-        let t = fields.u64_field("t")?;
+        let obj = Json::parse(line).map_err(|e| ParseError::new(e.to_string()))?;
+        let num = |key: &str| num_field(&obj, key);
+        let uint = |key: &str| u64_field(&obj, key);
+        let small = |key: &str| u8_field(&obj, key);
+        let flag = |key: &str| bool_field(&obj, key);
+        let ev = str_field(&obj, "ev")?;
+        let t = uint("t")?;
         let kind = EventKind::ALL
             .iter()
             .copied()
@@ -563,101 +553,101 @@ impl Event {
         Ok(match kind {
             EventKind::RunStart => Event::RunStart {
                 tick: t,
-                label: fields.str_field("label")?.to_string(),
+                label: str_field(&obj, "label")?.to_string(),
             },
             EventKind::ThresholdCross => Event::ThresholdCross {
                 tick: t,
-                level_nj: fields.num_field("level_nj")?,
-                threshold_nj: fields.num_field("threshold_nj")?,
-                up: fields.bool_field("up")?,
+                level_nj: num("level_nj")?,
+                threshold_nj: num("threshold_nj")?,
+                up: flag("up")?,
             },
             EventKind::PowerEmergency => Event::PowerEmergency {
                 tick: t,
-                level_nj: fields.num_field("level_nj")?,
-                reserve_nj: fields.num_field("reserve_nj")?,
+                level_nj: num("level_nj")?,
+                reserve_nj: num("reserve_nj")?,
             },
             EventKind::BackupScopeFallback => Event::BackupScopeFallback {
                 tick: t,
-                pc: fields.u64_field("pc")?,
+                pc: uint("pc")?,
             },
             EventKind::Backup => Event::Backup {
                 tick: t,
-                cost_nj: fields.num_field("cost_nj")?,
-                saved_nj: fields.num_field("saved_nj")?,
-                live_fraction: fields.num_field("live_fraction")?,
-                bits: fields.u8_field("bits")?,
+                cost_nj: num("cost_nj")?,
+                saved_nj: num("saved_nj")?,
+                live_fraction: num("live_fraction")?,
+                bits: small("bits")?,
             },
             EventKind::OutageStart => Event::OutageStart { tick: t },
             EventKind::OutageEnd => Event::OutageEnd {
                 tick: t,
-                duration: fields.u64_field("duration")?,
+                duration: uint("duration")?,
             },
             EventKind::Restore => Event::Restore {
                 tick: t,
-                cost_nj: fields.num_field("cost_nj")?,
-                outage_ticks: fields.u64_field("outage_ticks")?,
-                rolled_forward: fields.bool_field("rolled_forward")?,
-                cold: fields.bool_field("cold")?,
+                cost_nj: num("cost_nj")?,
+                outage_ticks: uint("outage_ticks")?,
+                rolled_forward: flag("rolled_forward")?,
+                cold: flag("cold")?,
             },
             EventKind::FrameCommitted => Event::FrameCommitted {
                 tick: t,
-                lane: fields.u8_field("lane")?,
-                input_index: fields.u64_field("input_index")?,
-                incidental: fields.bool_field("incidental")?,
+                lane: small("lane")?,
+                input_index: uint("input_index")?,
+                incidental: flag("incidental")?,
             },
             EventKind::FrameParked => Event::FrameParked {
                 tick: t,
-                input_index: fields.u64_field("input_index")?,
-                version: fields.u8_field("version")?,
-                recompute: fields.bool_field("recompute")?,
+                input_index: uint("input_index")?,
+                version: small("version")?,
+                recompute: flag("recompute")?,
             },
             EventKind::FrameAbandoned => Event::FrameAbandoned {
                 tick: t,
-                input_index: fields.u64_field("input_index")?,
+                input_index: uint("input_index")?,
             },
             EventKind::Merge => Event::Merge {
                 tick: t,
-                lane: fields.u8_field("lane")?,
-                input_index: fields.u64_field("input_index")?,
-                pc: fields.u64_field("pc")?,
+                lane: small("lane")?,
+                input_index: uint("input_index")?,
+                pc: uint("pc")?,
             },
             EventKind::GovernorSwitch => Event::GovernorSwitch {
                 tick: t,
-                from_bits: fields.u8_field("from_bits")?,
-                to_bits: fields.u8_field("to_bits")?,
+                from_bits: small("from_bits")?,
+                to_bits: small("to_bits")?,
                 // Traces written before the static-floor work have no
                 // reason field; those switches were all policy-driven.
-                reason: match fields.str_field("reason") {
+                reason: match str_field(&obj, "reason") {
                     Ok(s) => SwitchReason::parse(s)?,
                     Err(_) => SwitchReason::Power,
                 },
             },
             EventKind::RetentionDecay => Event::RetentionDecay {
                 tick: t,
-                bit: fields.u8_field("bit")?,
-                failures: fields.u64_field("failures")?,
+                bit: small("bit")?,
+                failures: uint("failures")?,
             },
             EventKind::WaitStall => Event::WaitStall {
                 tick: t,
-                level_nj: fields.num_field("level_nj")?,
-                needed_nj: fields.num_field("needed_nj")?,
+                level_nj: num("level_nj")?,
+                needed_nj: num("needed_nj")?,
             },
             EventKind::EnergyFlush => Event::EnergyFlush {
                 tick: t,
-                income_nj: fields.num_field("income_nj")?,
-                compute_nj: fields.num_field("compute_nj")?,
+                income_nj: num("income_nj")?,
+                compute_nj: num("compute_nj")?,
             },
             EventKind::RunEnd => Event::RunEnd {
                 tick: t,
-                income_nj: fields.num_field("income_nj")?,
-                compute_nj: fields.num_field("compute_nj")?,
-                backup_nj: fields.num_field("backup_nj")?,
-                restore_nj: fields.num_field("restore_nj")?,
-                saved_nj: fields.num_field("saved_nj")?,
-                backups: fields.u64_field("backups")?,
-                restores: fields.u64_field("restores")?,
-                frames: fields.u64_field("frames")?,
-                forward_progress: fields.u64_field("forward_progress")?,
+                income_nj: num("income_nj")?,
+                compute_nj: num("compute_nj")?,
+                backup_nj: num("backup_nj")?,
+                restore_nj: num("restore_nj")?,
+                saved_nj: num("saved_nj")?,
+                backups: uint("backups")?,
+                restores: uint("restores")?,
+                frames: uint("frames")?,
+                forward_progress: uint("forward_progress")?,
             },
         })
     }
@@ -683,238 +673,43 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-// ---------------------------------------------------------------------------
-// Minimal flat-JSON writer/reader. Trace lines are single-level objects with
-// string, finite-number and boolean values only; this is not a general JSON
-// implementation.
+// Typed field getters over a parsed trace line.
 
-struct JsonWriter {
-    buf: String,
+fn field<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, ParseError> {
+    obj.get(key)
+        .ok_or_else(|| ParseError::new(format!("missing field '{key}'")))
 }
 
-impl JsonWriter {
-    fn new(kind: EventKind) -> Self {
-        let mut w = JsonWriter { buf: String::new() };
-        w.buf.push('{');
-        w.str("ev", kind.name());
-        w
-    }
-
-    fn sep(&mut self) {
-        if self.buf.len() > 1 {
-            self.buf.push(',');
-        }
-    }
-
-    fn key(&mut self, k: &str) {
-        self.sep();
-        self.buf.push('"');
-        self.buf.push_str(k);
-        self.buf.push_str("\":");
-    }
-
-    fn str(&mut self, k: &str, v: &str) {
-        self.key(k);
-        self.buf.push('"');
-        for c in v.chars() {
-            match c {
-                '"' => self.buf.push_str("\\\""),
-                '\\' => self.buf.push_str("\\\\"),
-                '\n' => self.buf.push_str("\\n"),
-                '\r' => self.buf.push_str("\\r"),
-                '\t' => self.buf.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    self.buf.push_str(&format!("\\u{:04x}", c as u32));
-                }
-                c => self.buf.push(c),
-            }
-        }
-        self.buf.push('"');
-    }
-
-    fn num(&mut self, k: &str, v: f64) {
-        debug_assert!(v.is_finite(), "trace numbers must be finite");
-        self.key(k);
-        // Integral values print without a fractional part; everything else
-        // uses shortest-round-trip formatting.
-        if v.fract() == 0.0 && v.abs() < 9.0e15 {
-            self.buf.push_str(&format!("{}", v as i64));
-        } else {
-            self.buf.push_str(&format!("{v}"));
-        }
-    }
-
-    fn bool(&mut self, k: &str, v: bool) {
-        self.key(k);
-        self.buf.push_str(if v { "true" } else { "false" });
-    }
-
-    fn finish(mut self) -> String {
-        self.buf.push('}');
-        self.buf
-    }
+fn typed<'a, T>(
+    obj: &'a Json,
+    key: &str,
+    what: &str,
+    read: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<T, ParseError> {
+    let value = field(obj, key)?;
+    read(value).ok_or_else(|| ParseError::new(format!("field '{key}' is not {what}: {value:?}")))
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum Val {
-    Num(f64),
-    Str(String),
-    Bool(bool),
+fn str_field<'a>(obj: &'a Json, key: &str) -> Result<&'a str, ParseError> {
+    typed(obj, key, "a string", Json::as_str)
 }
 
-struct Fields(Vec<(String, Val)>);
-
-impl Fields {
-    fn get(&self, key: &str) -> Result<&Val, ParseError> {
-        self.0
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| ParseError::new(format!("missing field '{key}'")))
-    }
-
-    fn str_field(&self, key: &str) -> Result<&str, ParseError> {
-        match self.get(key)? {
-            Val::Str(s) => Ok(s),
-            other => Err(ParseError::new(format!(
-                "field '{key}' is not a string: {other:?}"
-            ))),
-        }
-    }
-
-    fn num_field(&self, key: &str) -> Result<f64, ParseError> {
-        match self.get(key)? {
-            Val::Num(n) => Ok(*n),
-            other => Err(ParseError::new(format!(
-                "field '{key}' is not a number: {other:?}"
-            ))),
-        }
-    }
-
-    fn u64_field(&self, key: &str) -> Result<u64, ParseError> {
-        let n = self.num_field(key)?;
-        if n < 0.0 || n.fract() != 0.0 || n > 9.0e15 {
-            return Err(ParseError::new(format!(
-                "field '{key}' is not an unsigned integer: {n}"
-            )));
-        }
-        Ok(n as u64)
-    }
-
-    fn u8_field(&self, key: &str) -> Result<u8, ParseError> {
-        let n = self.u64_field(key)?;
-        u8::try_from(n)
-            .map_err(|_| ParseError::new(format!("field '{key}' is out of range for u8: {n}")))
-    }
-
-    fn bool_field(&self, key: &str) -> Result<bool, ParseError> {
-        match self.get(key)? {
-            Val::Bool(b) => Ok(*b),
-            other => Err(ParseError::new(format!(
-                "field '{key}' is not a boolean: {other:?}"
-            ))),
-        }
-    }
+fn num_field(obj: &Json, key: &str) -> Result<f64, ParseError> {
+    typed(obj, key, "a number", Json::as_f64)
 }
 
-fn parse_object(line: &str) -> Result<Fields, ParseError> {
-    let mut chars = line.trim().char_indices().peekable();
-    let s = line.trim();
-    let mut fields = Vec::new();
-    match chars.next() {
-        Some((_, '{')) => {}
-        _ => return Err(ParseError::new("expected '{'")),
-    }
-    loop {
-        match chars.peek() {
-            Some((_, '}')) => {
-                chars.next();
-                break;
-            }
-            Some((_, ',')) if !fields.is_empty() => {
-                chars.next();
-            }
-            Some(_) if fields.is_empty() => {}
-            _ => return Err(ParseError::new("expected ',' or '}'")),
-        }
-        let key = parse_string(s, &mut chars)?;
-        match chars.next() {
-            Some((_, ':')) => {}
-            _ => return Err(ParseError::new("expected ':'")),
-        }
-        let val = match chars.peek() {
-            Some((_, '"')) => Val::Str(parse_string(s, &mut chars)?),
-            Some((_, 't' | 'f')) => {
-                let word: String = std::iter::from_fn(|| {
-                    chars
-                        .next_if(|(_, c)| c.is_ascii_alphabetic())
-                        .map(|(_, c)| c)
-                })
-                .collect();
-                match word.as_str() {
-                    "true" => Val::Bool(true),
-                    "false" => Val::Bool(false),
-                    other => return Err(ParseError::new(format!("bad literal '{other}'"))),
-                }
-            }
-            Some(_) => {
-                let tok: String = std::iter::from_fn(|| {
-                    chars
-                        .next_if(|(_, c)| matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
-                        .map(|(_, c)| c)
-                })
-                .collect();
-                let n: f64 = tok
-                    .parse()
-                    .map_err(|_| ParseError::new(format!("bad number '{tok}'")))?;
-                Val::Num(n)
-            }
-            None => return Err(ParseError::new("unexpected end of line")),
-        };
-        fields.push((key, val));
-    }
-    Ok(Fields(fields))
+fn u64_field(obj: &Json, key: &str) -> Result<u64, ParseError> {
+    typed(obj, key, "an unsigned integer", Json::as_u64)
 }
 
-fn parse_string(
-    s: &str,
-    chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>,
-) -> Result<String, ParseError> {
-    match chars.next() {
-        Some((_, '"')) => {}
-        _ => return Err(ParseError::new("expected '\"'")),
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next() {
-            Some((_, '"')) => return Ok(out),
-            Some((_, '\\')) => match chars.next() {
-                Some((_, '"')) => out.push('"'),
-                Some((_, '\\')) => out.push('\\'),
-                Some((_, '/')) => out.push('/'),
-                Some((_, 'n')) => out.push('\n'),
-                Some((_, 'r')) => out.push('\r'),
-                Some((_, 't')) => out.push('\t'),
-                Some((i, 'u')) => {
-                    let hex = s
-                        .get(i + 1..i + 5)
-                        .ok_or_else(|| ParseError::new("truncated \\u escape"))?;
-                    let code = u32::from_str_radix(hex, 16)
-                        .map_err(|_| ParseError::new(format!("bad \\u escape '{hex}'")))?;
-                    out.push(
-                        char::from_u32(code)
-                            .ok_or_else(|| ParseError::new("invalid \\u code point"))?,
-                    );
-                    for _ in 0..4 {
-                        chars.next();
-                    }
-                }
-                other => return Err(ParseError::new(format!("bad escape {other:?}"))),
-            },
-            Some((_, c)) => out.push(c),
-            None => return Err(ParseError::new("unterminated string")),
-        }
-    }
+fn u8_field(obj: &Json, key: &str) -> Result<u8, ParseError> {
+    let n = u64_field(obj, key)?;
+    u8::try_from(n)
+        .map_err(|_| ParseError::new(format!("field '{key}' is out of range for u8: {n}")))
+}
+
+fn bool_field(obj: &Json, key: &str) -> Result<bool, ParseError> {
+    typed(obj, key, "a boolean", Json::as_bool)
 }
 
 #[cfg(test)]
@@ -1073,6 +868,19 @@ mod tests {
         assert!(Event::from_json("{\"ev\":\"nope\",\"t\":0}").is_err());
         assert!(Event::from_json("{\"ev\":\"backup\",\"t\":0}").is_err()); // missing fields
         assert!(Event::from_json("not json at all").is_err());
+        // Trailing bytes after the object.
+        assert!(Event::from_json("{\"ev\":\"outage_start\",\"t\":5}garbage").is_err());
+        // An energy that overflows f64 is not a finite number.
+        let huge = "{\"ev\":\"wait_stall\",\"t\":1,\"level_nj\":1e999,\"needed_nj\":2}";
+        assert!(Event::from_json(huge).is_err());
+    }
+
+    #[test]
+    fn whitespace_separated_line_parses() {
+        assert_eq!(
+            Event::from_json(" { \"ev\": \"outage_start\", \"t\": 5 } "),
+            Ok(Event::OutageStart { tick: 5 })
+        );
     }
 
     #[test]

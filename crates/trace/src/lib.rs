@@ -9,6 +9,10 @@
 //! text, written to a file, the `nvp-trace` binary can `summarize`,
 //! `timeline`, and `diff`.
 //!
+//! [`json`] is the workspace's one JSON codec: trace lines are rendered
+//! and read through it, and so are `nvp-serve`'s request and response
+//! bodies.
+//!
 //! Design constraints, in priority order:
 //!
 //! 1. **Near-zero cost when off.** [`NoopTracer`] reports itself disabled
@@ -29,6 +33,7 @@
 
 mod diff;
 mod event;
+pub mod json;
 mod sink;
 mod summary;
 mod timeline;
