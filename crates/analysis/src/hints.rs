@@ -1,6 +1,6 @@
-//! Compile hints for the superinstruction engine.
+//! Compile hints for the compiled engine's op table.
 //!
-//! `nvp_isa::compiled` pre-decodes programs into direct-threaded op tables
+//! `nvp_isa::compiled` pre-decodes programs into per-pc op tables
 //! and wants to hoist per-access memory fault checks out of op bodies.
 //! Absolute accesses it can prove alone; register-indirect accesses need a
 //! value analysis — which this crate already has. [`compile_hints`] reuses

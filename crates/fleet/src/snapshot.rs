@@ -191,6 +191,14 @@ fn decode_hist(value: &str, line: usize) -> Result<Histogram, SnapshotError> {
     if !saw_bins {
         return Err(SnapshotError::new(line, "histogram missing bins"));
     }
+    // Every fold adds to a bin and to the count together; a histogram
+    // that breaks this would overflow `quantile` when the report renders.
+    if bins.iter().try_fold(0u64, |s, &b| s.checked_add(b)) != Some(count) {
+        return Err(SnapshotError::new(
+            line,
+            format!("histogram bins do not sum to count {count}"),
+        ));
+    }
     Ok(Histogram::from_parts(unit, bins, count, sum, (min, max)))
 }
 

@@ -219,7 +219,8 @@ impl ScenarioSpec {
             img: img as usize,
             frames: frames as usize,
             trace_ms,
-            members: members as u32,
+            // Saturate rather than truncate, so `validate` refuses it.
+            members: u32::try_from(members).unwrap_or(u32::MAX),
             kernels,
             profiles,
             caps_nj,
@@ -259,15 +260,20 @@ impl ScenarioSpec {
     }
 
     /// Upper bound on distinct cells this spec can expand to (the full
-    /// axis cross-product; the population may visit fewer).
+    /// axis cross-product, saturating at `u64::MAX`; the population may
+    /// visit fewer).
     pub fn distinct_cells(&self) -> u64 {
-        self.kernels.len() as u64
-            * self.profiles.len() as u64
-            * self.members as u64
-            * self.caps_nj.len() as u64
-            * self.scopes.len() as u64
-            * self.modes.len() as u64
-            * self.engines.len() as u64
+        [
+            self.kernels.len(),
+            self.profiles.len(),
+            self.members as usize,
+            self.caps_nj.len(),
+            self.scopes.len(),
+            self.modes.len(),
+            self.engines.len(),
+        ]
+        .into_iter()
+        .fold(1u64, |cells, n| cells.saturating_mul(n as u64))
     }
 
     /// Number of streamed chunks.

@@ -44,21 +44,6 @@ impl RegFile {
         self.regs[r.index()][v] = value;
     }
 
-    /// Lane-0 read with the register index masked to the file size. Used
-    /// by the compiled engine's hot loop, whose operands were validated
-    /// `< NUM_REGS` once at decode time — the mask lets the optimiser
-    /// drop the per-access bounds check without changing behaviour.
-    #[inline]
-    pub(crate) fn read0(&self, r: Reg) -> i32 {
-        self.regs[(r.0 as usize) % NUM_REGS][0]
-    }
-
-    /// Lane-0 write counterpart of [`RegFile::read0`].
-    #[inline]
-    pub(crate) fn write0(&mut self, r: Reg, value: i32) {
-        self.regs[(r.0 as usize) % NUM_REGS][0] = value;
-    }
-
     /// Writes the same value to versions `0..lanes`.
     #[inline]
     pub fn write_broadcast(&mut self, r: Reg, lanes: usize, value: i32) {
@@ -89,11 +74,6 @@ impl RegFile {
             r[v] = values[i];
         }
     }
-
-    /// Raw snapshot of all registers and versions.
-    pub fn snapshot(&self) -> [[i32; NUM_VERSIONS]; NUM_REGS] {
-        self.regs
-    }
 }
 
 #[cfg(test)]
@@ -119,20 +99,5 @@ mod tests {
         assert_eq!(rf.read(Reg(0), 1), 9);
         assert_eq!(rf.read(Reg(0), 2), 0);
         assert_eq!(rf.read(Reg(0), 3), -1);
-    }
-
-    #[test]
-    fn snapshot_roundtrip() {
-        let mut rf = RegFile::new();
-        rf.write(Reg(7), 1, 1234);
-        let snap = rf.snapshot();
-        assert_eq!(snap[7][1], 1234);
-        let mut back = RegFile::new();
-        for (r, versions) in snap.iter().enumerate() {
-            for (v, &value) in versions.iter().enumerate() {
-                back.write(Reg(r as u8), v, value);
-            }
-        }
-        assert_eq!(back, rf);
     }
 }

@@ -279,14 +279,6 @@ impl Vm {
         }
     }
 
-    /// Disjoint mutable borrows of the register file and data memory, for
-    /// the compiled engine's switch-dispatch loop (which keeps the pc and
-    /// retirement counters in locals and needs both state halves at once).
-    #[inline]
-    pub(crate) fn split_mut(&mut self) -> (&mut RegFile, &mut VersionedMemory) {
-        (&mut self.regs, &mut self.mem)
-    }
-
     #[inline]
     pub(crate) fn check_addr(&self, pc: usize, addr: i64) -> Result<usize, VmError> {
         if addr < 0 || addr as usize >= self.mem.len() {

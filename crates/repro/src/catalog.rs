@@ -2,7 +2,7 @@
 //!
 //! Every consumer of the simulator — the `repro` experiments, `nvp-serve`
 //! and `nvp-fleet` — needs a built [`KernelSpec`], a cycled input-frame
-//! set, a compiled superinstruction table, a synthesized power trace and,
+//! set, a compiled op table, a synthesized power trace and,
 //! for `BackupScope::LiveDirty`, a synthesized checkpoint plan per run.
 //! This module owns one process-wide bounded [`Cache`] for each,
 //! sized to hold the largest benchmark working set with room to spare
@@ -74,7 +74,7 @@ pub fn frames_for(id: KernelId, img: usize, frames: usize) -> Frames {
     })
 }
 
-/// How many kernel programs have been compiled to superinstruction tables
+/// How many kernel programs have been compiled to op tables
 /// since process start (cache misses only — a well-warmed service stays
 /// flat at one per distinct kernel × dimensions). `nvp-serve` exports it
 /// as `nvp_compile_total`.
@@ -82,7 +82,7 @@ pub fn compile_count() -> u64 {
     COMPILED.stats().misses
 }
 
-/// Compiles (or fetches) the superinstruction table for a kernel at given
+/// Compiles (or fetches) the compiled op table for a kernel at given
 /// frame dimensions, shared behind an `Arc` by every simulation of that
 /// kernel — a sweep of a thousand runs pays for one compilation.
 pub fn compiled_for(id: KernelId, w: usize, h: usize) -> Arc<CompiledProgram> {

@@ -34,7 +34,7 @@ pub mod waitcompute;
 
 pub use energy::EnergyModel;
 pub use governor::{Governor, StaticBitsFloor};
-pub use quickrun::{instructions_per_frame, run_fixed, run_fixed_compiled};
+pub use quickrun::{instructions_per_frame, run_fixed};
 pub use system::{
     compile_kernel, BackupScope, CheckpointPlan, CommittedFrame, ExecEngine, ExecMode,
     IncidentalSetup, RunReport, SystemConfig, SystemSim,

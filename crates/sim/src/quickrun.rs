@@ -4,7 +4,7 @@
 //! correct bit approaches" with no power interruptions; this helper runs a
 //! kernel once under an [`ApproxConfig`] and returns the output frame.
 
-use nvp_isa::{mem_truncate, ApproxConfig, CompiledProgram, Vm};
+use nvp_isa::{mem_truncate, ApproxConfig, Vm};
 use nvp_kernels::KernelSpec;
 
 /// Instruction budget for one uninterrupted frame; kernel programs finish
@@ -42,35 +42,6 @@ pub fn run_fixed(spec: &KernelSpec, input: &[i32], cfg: ApproxConfig, noise_seed
         vm.set_approx(cfg);
         vm.seed_noise(noise_seed);
     });
-    spec.read_output(vm.mem(), 0)
-}
-
-/// [`run_fixed`] through a pre-compiled superinstruction table instead of
-/// the step interpreter: identical inputs produce byte-identical output
-/// frames (same truncation, same noise stream), only dispatch differs.
-/// This is the uninterrupted-frame fast path.
-///
-/// # Panics
-///
-/// Panics if `compiled` was built for a different program or memory size
-/// than `spec`, if the input length mismatches, or if the program faults.
-pub fn run_fixed_compiled(
-    spec: &KernelSpec,
-    input: &[i32],
-    cfg: ApproxConfig,
-    noise_seed: u64,
-    compiled: &CompiledProgram,
-) -> Vec<i32> {
-    let mem_bits = cfg.effective_mem_bits(0);
-    let stored: Vec<i32> = input.iter().map(|&v| mem_truncate(v, mem_bits)).collect();
-    let mut vm = Vm::new(spec.program.clone(), spec.mem_words);
-    *vm.mem_mut() = spec.build_memory();
-    spec.load_input(vm.mem_mut(), 0, &stored);
-    vm.set_approx(cfg);
-    vm.seed_noise(noise_seed);
-    compiled
-        .run_to_halt(&mut vm, HALT_BUDGET)
-        .expect("kernel program must halt");
     spec.read_output(vm.mem(), 0)
 }
 
@@ -128,25 +99,6 @@ mod tests {
         let ps = psnr_of(KernelId::Sobel);
         let pm = psnr_of(KernelId::Median);
         assert!(pm > ps, "median {pm:.1} dB should beat sobel {ps:.1} dB");
-    }
-
-    #[test]
-    fn compiled_output_matches_stepped_everywhere() {
-        // Every kernel at its smallest shape and at 16×16, a precise and
-        // an approximate configuration: the compiled table must reproduce
-        // the interpreter byte-for-byte.
-        for id in KernelId::ALL {
-            for (w, h) in [id.min_dims(), (16, 16)] {
-                let spec = id.spec(w, h);
-                let input = id.make_input(w, h, 4);
-                let compiled = crate::system::compile_kernel(&spec.program, spec.mem_words);
-                for cfg in [ApproxConfig::default(), ApproxConfig::fixed(3)] {
-                    let stepped = run_fixed(&spec, &input, cfg, 7);
-                    let fast = run_fixed_compiled(&spec, &input, cfg, 7, &compiled);
-                    assert_eq!(stepped, fast, "{id} {w}x{h} diverged under {cfg:?}");
-                }
-            }
-        }
     }
 
     #[test]

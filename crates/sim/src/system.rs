@@ -206,12 +206,13 @@ pub enum ExecEngine {
     /// affordable the block is *armed*: its per-instruction reserve checks
     /// provably pass (nothing recharges the capacitor or resizes the
     /// reserve mid-tick), so they are skipped, and armed instructions
-    /// dispatch through the kernel's [`CompiledProgram`] superinstruction
-    /// table (fused decode, hoisted bounds checks, direct-threaded
-    /// fn-pointer dispatch — see `nvp_isa::compiled`) instead of the
-    /// fetch/decode interpreter. Unarmed stretches — any pc where a power
-    /// interrupt can still land — and pcs the table does not cover fall
-    /// back to [`Vm::step`] with per-instruction checks, as does
+    /// retire one at a time through [`CompiledProgram::step_vm`] over the
+    /// kernel's pre-decoded per-pc table (operands resolved at compile
+    /// time, hoisted bounds checks, `fast`/`gen` fn-pointer bodies — see
+    /// `nvp_isa::compiled`) instead of the fetch/decode interpreter.
+    /// Unarmed stretches — any pc where a power interrupt can still
+    /// land — and pcs the table does not cover fall back to
+    /// [`Vm::step`] with per-instruction checks, as does
     /// incidental mode entirely. That bypass is deferred, not required:
     /// incidental merges are probed only at the resume marker (pc 0), so
     /// blocks that do not contain pc 0 could be armed with one probe at
@@ -400,9 +401,10 @@ pub struct SystemSim {
     /// Per-class instruction energies at the last-seen approximation
     /// configuration (invalidated whenever the configuration changes).
     class_cache: Option<(ApproxConfig, [Energy; 6])>,
-    /// Pre-decoded superinstruction table for [`ExecEngine::Compiled`].
-    /// Injected via [`SystemSim::set_compiled`] (the repro catalog shares
-    /// one per kernel) or compiled lazily at run start.
+    /// Pre-decoded per-pc op table that [`ExecEngine::Compiled`] steps
+    /// armed instructions through. Injected via [`SystemSim::set_compiled`]
+    /// (the repro catalog shares one per kernel) or compiled lazily at run
+    /// start.
     compiled: Option<Arc<CompiledProgram>>,
     /// Per-pc live register sets (drives `BackupScope::LiveOnly`).
     backup_liveness: BackupLiveness,
@@ -513,7 +515,7 @@ impl SystemSim {
         }
     }
 
-    /// Injects a pre-compiled superinstruction table for
+    /// Injects a pre-compiled per-pc op table for
     /// [`ExecEngine::Compiled`], so fleets of runs over one kernel share a
     /// single compilation (the repro catalog memoises these per kernel).
     /// Without injection the simulator compiles lazily at run start.
@@ -1068,7 +1070,7 @@ impl SystemSim {
             }
             let cfg = self.vm.approx();
             // Armed instructions at covered pcs dispatch through the
-            // superinstruction table: no fetch, no decode, no reserve
+            // compiled op table: no fetch, no decode, no reserve
             // check (the certificate pre-proved it). Everything else —
             // unarmed stretches where an interrupt can land, pcs past a
             // compile limit, the step engine — goes through the step
@@ -1272,8 +1274,9 @@ impl SystemSim {
     }
 }
 
-/// Pre-decodes `program` into a superinstruction table for
-/// [`ExecEngine::Compiled`], feeding the interval analysis' in-range
+/// Pre-decodes `program` into the per-pc op table
+/// [`ExecEngine::Compiled`] steps armed blocks through
+/// ([`CompiledProgram::step_vm`]), feeding the interval analysis' in-range
 /// proofs into the bounds-check hoisting (see `nvp_analysis::hints`).
 ///
 /// Compilation is pure and deterministic; share the result behind an

@@ -3,8 +3,8 @@
 //! adversarial patterns, a Compiled run must be indistinguishable from the reference
 //! Step run — byte-identical JSONL traces, equal `RunReport`s, and a
 //! self-reconciling energy ledger. The compiled engine pre-decodes the
-//! kernel into superinstructions and fuses dispatch, but it is only
-//! allowed to be *faster*, never different; this suite is what makes that
+//! kernel into a per-pc op table and skips the reserve checks of armed
+//! blocks, but it is only allowed to be *faster*, never different; this suite is what makes that
 //! a tested contract instead of a comment. It also crosses the three
 //! backup scopes, since the compiled segments change where the run loop
 //! observes pc when power dies.

@@ -3,8 +3,8 @@
 //! frame commit, and a tail, over a vocabulary of loads, absolute and
 //! indirect stores, ALU ops, and branches — must produce byte-identical
 //! JSONL traces and equal [`RunReport`]s under the compiled engine and
-//! the reference step interpreter, whatever superinstructions the fuser
-//! happens to form. A second property truncates the compiled table at a
+//! the reference step interpreter, wherever the block certificates arm
+//! and whichever accesses the interval hints hoist. A second property truncates the compiled table at a
 //! random pc ([`CompileHints::limit`]) to force the uncovered-pc fallback
 //! into the step interpreter mid-run. Program shape mirrors the
 //! `dirty_soundness` harness in `nvp-analysis`.
@@ -67,8 +67,8 @@ fn build(raw: &[u32], trip: u32) -> Program {
         op(&mut b, word, &PRECISE);
     }
     // Bounded loop: mem[200 + c] = accumulator, for c in 0..trip. The
-    // brlt back-edge lands mid-program, so fused records must not
-    // straddle the loop head (branches enter block middles).
+    // brlt back-edge lands mid-program, so every iteration re-arms at
+    // the loop head from that block's own suffix certificate.
     let c = PRECISE[0];
     let n = PRECISE[1];
     let idx = PRECISE[2];
