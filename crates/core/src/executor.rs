@@ -121,6 +121,12 @@ impl ExecutorBuilder {
 }
 
 /// A configured incidental-computing run.
+///
+/// Only `incidental (…)` and `incidental_recover_from` are lowered onto
+/// the simulator. The `recompute` and `assemble` pragmas are parsed
+/// ([`PragmaSet::recompute_minbits`], [`PragmaSet::assemble_mode`]) but
+/// not lowered: a run makes one pass, and recompute-and-combine lives in
+/// [`recompute_and_combine`](crate::recompute_and_combine).
 #[derive(Debug, Clone)]
 pub struct IncidentalExecutor {
     kernel: KernelId,
@@ -199,10 +205,20 @@ mod tests {
     use nvp_power::synth::WatchProfile;
     use nvp_power::{Power, Ticks};
 
+    /// Figure 8's (a1) annotation: `(src, 2, 8, linear)` with per-frame
+    /// roll-forward.
+    fn figure8_a1() -> PragmaSet {
+        PragmaSet::parse([
+            "#pragma ac incidental (src, 2, 8, linear);",
+            "#pragma ac incidental_recover_from (frame);",
+        ])
+        .unwrap()
+    }
+
     #[test]
     fn pragmas_select_incidental_mode() {
         let exec = IncidentalExecutor::builder(KernelId::Median, 8, 8)
-            .pragmas(PragmaSet::figure8_a1())
+            .pragmas(figure8_a1())
             .build();
         assert!(matches!(exec.mode(), ExecMode::Incidental(s) if s.minbits == 2));
     }
@@ -242,7 +258,7 @@ mod tests {
             .run(&profile);
         let inc = IncidentalExecutor::builder(KernelId::Median, 12, 12)
             .frames(3)
-            .pragmas(PragmaSet::figure8_a1())
+            .pragmas(figure8_a1())
             .build()
             .run(&profile);
         assert!(

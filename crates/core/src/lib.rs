@@ -60,10 +60,7 @@ pub use executor::{ExecutorBuilder, IncidentalExecutor, IncidentalReport};
 pub use pragma::{Pragma, PragmaError, PragmaSet};
 pub use rac::{recompute_and_combine, RacOutcome};
 pub use report::{FrameQuality, ProgressSummary, QualityReport};
-pub use tuning::{
-    classify_power, policy_for, recommend_backup, recommend_policy, table2, tune_for_qos,
-    PowerClass, QosPolicy, QosTarget,
-};
+pub use tuning::{policy_for, table2, tune_for_qos, QosPolicy, QosTarget};
 
 /// Convenient re-exports for applications.
 pub mod prelude {

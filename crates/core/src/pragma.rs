@@ -305,25 +305,6 @@ impl PragmaSet {
         });
         explicit.or_else(|| self.recompute_minbits().map(|_| MergeMode::HigherBits))
     }
-
-    /// The paper's Figure 8 example annotations: `(src, 2, 8, linear)` with
-    /// per-frame roll-forward.
-    pub fn figure8_a1() -> PragmaSet {
-        PragmaSet::parse([
-            "#pragma ac incidental (src, 2, 8, linear);",
-            "#pragma ac incidental_recover_from (frame);",
-        ])
-        .expect("figure 8 pragmas are valid")
-    }
-
-    /// The conservative Figure 8 variant `(src, 6, 8, linear)`.
-    pub fn figure8_a2() -> PragmaSet {
-        PragmaSet::parse([
-            "#pragma ac incidental (src, 6, 8, linear);",
-            "#pragma ac incidental_recover_from (frame);",
-        ])
-        .expect("figure 8 pragmas are valid")
-    }
 }
 
 #[cfg(test)]
@@ -429,10 +410,15 @@ mod tests {
 
     #[test]
     fn figure8_sets() {
-        let a1 = PragmaSet::figure8_a1();
+        // The paper's Figure 8 annotations: (a1) and the conservative (a2).
+        let a1 = PragmaSet::parse([
+            "#pragma ac incidental (src, 2, 8, linear);",
+            "#pragma ac incidental_recover_from (frame);",
+        ])
+        .unwrap();
         assert_eq!(a1.incidental(), Some((2, 8, RetentionPolicy::Linear)));
         assert!(a1.rolls_forward());
-        let a2 = PragmaSet::figure8_a2();
+        let a2 = PragmaSet::parse(["#pragma ac incidental (src, 6, 8, linear);"]).unwrap();
         assert_eq!(a2.incidental(), Some((6, 8, RetentionPolicy::Linear)));
     }
 

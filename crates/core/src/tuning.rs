@@ -174,48 +174,6 @@ pub fn tune_for_qos(
     }
 }
 
-/// Income-power class used by the lookup-table policy mapper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum PowerClass {
-    /// Strong income (≳30 µW mean): the paper's profiles 1 and 4.
-    High,
-    /// Weak income: profiles 2, 3 and 5.
-    Low,
-}
-
-/// Classifies a power trace by its mean income against the given split
-/// point in µW (30 µW separates the paper's profile groups).
-pub fn classify_power(profile: &PowerProfile, split_uw: f64) -> PowerClass {
-    if profile.mean().as_uw() >= split_uw {
-        PowerClass::High
-    } else {
-        PowerClass::Low
-    }
-}
-
-/// The Section 8.6 lookup table: "employ linear incidental backup when
-/// average power is expected to be higher (e.g. scenarios akin to profiles
-/// 1, 4) and parabola when average power is low (e.g. profiles 2, 3, 5)".
-///
-/// "Preference for the logarithmic policy over linear/parabola is strongly
-/// kernel-specific" — callers with kernel knowledge should consult
-/// [`policy_for`] first; this mapper is the fallback for unknown power
-/// characteristics.
-pub fn recommend_backup(profile: &PowerProfile) -> RetentionPolicy {
-    match classify_power(profile, 30.0) {
-        PowerClass::High => RetentionPolicy::Linear,
-        PowerClass::Low => RetentionPolicy::Parabola,
-    }
-}
-
-/// Combines the kernel-specific Table 2 minbits with the power-class
-/// backup recommendation into an operating point for an unknown trace.
-pub fn recommend_policy(kernel: KernelId, profile: &PowerProfile) -> QosPolicy {
-    let mut p = policy_for(kernel);
-    p.backup = recommend_backup(profile);
-    p
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,41 +212,6 @@ mod tests {
         let s = policy_for(KernelId::Sobel).to_string();
         assert!(s.contains("sobel"));
         assert!(s.contains("minbits"));
-    }
-
-    #[test]
-    fn lookup_table_matches_paper_profile_groups() {
-        use nvp_power::synth::WatchProfile;
-        // Paper: linear for profiles 1/4 (high income), parabola for
-        // 2/3/5 (low income).
-        for (w, expect) in [
-            (WatchProfile::P1, RetentionPolicy::Linear),
-            (WatchProfile::P4, RetentionPolicy::Linear),
-            (WatchProfile::P2, RetentionPolicy::Parabola),
-            (WatchProfile::P3, RetentionPolicy::Parabola),
-            (WatchProfile::P5, RetentionPolicy::Parabola),
-        ] {
-            let p = w.synthesize_seconds(5.0);
-            assert_eq!(recommend_backup(&p), expect, "{w}");
-        }
-    }
-
-    #[test]
-    fn recommended_policy_merges_kernel_and_power() {
-        use nvp_power::synth::WatchProfile;
-        let p5 = WatchProfile::P5.synthesize_seconds(3.0);
-        let rec = recommend_policy(KernelId::Median, &p5);
-        assert_eq!(rec.minbits, policy_for(KernelId::Median).minbits);
-        assert_eq!(rec.backup, RetentionPolicy::Parabola);
-    }
-
-    #[test]
-    fn classify_power_split() {
-        use nvp_power::{Power, Ticks};
-        let hi = PowerProfile::constant(Power::from_uw(50.0), Ticks(10));
-        let lo = PowerProfile::constant(Power::from_uw(10.0), Ticks(10));
-        assert_eq!(classify_power(&hi, 30.0), PowerClass::High);
-        assert_eq!(classify_power(&lo, 30.0), PowerClass::Low);
     }
 
     #[test]

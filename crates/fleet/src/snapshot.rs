@@ -8,7 +8,7 @@
 //! final report across `resume` would be a lie.
 
 use crate::agg::{CellStat, CohortAgg, FleetAggregate};
-use crate::spec::ScenarioSpec;
+use crate::spec::{ScenarioSpec, MAX_CELLS};
 use nvp_trace::{EnergyLedger, EventKind, Histogram, TraceSummary};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -202,7 +202,77 @@ fn decode_hist(value: &str, line: usize) -> Result<Histogram, SnapshotError> {
     Ok(Histogram::from_parts(unit, bins, count, sum, (min, max)))
 }
 
-/// Restores an aggregate from its snapshot document.
+/// Largest restored value of a counter that is not device-weighted:
+/// trace event counts, the inter-backup and outage histogram counts,
+/// retention failures and `cell_evaluations`.
+///
+/// Resuming folds the rest of the fleet on top of the restored state, so
+/// every restored counter needs room for a full fleet's folds:
+/// - A device-weighted count (cohort and cell devices, and the count of
+///   each per-device histogram, which bounds its bins) grows by one per
+///   folded device. Capped at `spec.devices` ≤ `MAX_DEVICES` = 10^7, it
+///   ends below 2 × 10^7.
+/// - A trace counter grows per folded device by one simulated run's
+///   count. A run lasts at most 30 s = 3 × 10^5 ticks (< 2^19) of 100
+///   cycles and emits a few events per cycle at most (< 2^28 per kind).
+///   Each outage, at most one per tick, fails at most 8 bits × 8 memory
+///   versions × 16,128 words (< 2^20). So one run adds less than 2^39,
+///   and at most `MAX_DEVICES` < 2^24 devices add less than 2^63: a
+///   counter restored at ≤ 2^63 ends below 2^64.
+/// - `cell_evaluations` grows by at most `MAX_CELLS` = 2^12 per chunk,
+///   over at most `MAX_DEVICES` chunks: less than 2^36 in all.
+const COUNTER_CEILING: u64 = 1 << 63;
+
+/// Refuses a decoded aggregate whose counters a resume could overflow
+/// (see [`COUNTER_CEILING`]).
+fn check_headroom(agg: &FleetAggregate) -> Result<(), SnapshotError> {
+    let refuse = |detail: String| Err(SnapshotError::new(0, detail));
+    let devices = agg.spec.devices;
+    if agg.next_chunk > agg.spec.chunks() {
+        return refuse(format!(
+            "next_chunk {} is past the spec's {} chunks",
+            agg.next_chunk,
+            agg.spec.chunks()
+        ));
+    }
+    if agg.cell_evaluations > COUNTER_CEILING || agg.cells.len() as u64 > MAX_CELLS {
+        return refuse("cell counters exceed their bounds".into());
+    }
+    for (name, c) in &agg.cohorts {
+        let weighted = [
+            ("devices", c.devices),
+            ("hist_fp", c.forward_progress.count()),
+            ("hist_backup", c.backup_nj.count()),
+            ("hist_mse", c.mse_milli.count()),
+        ];
+        if let Some((what, n)) = weighted.into_iter().find(|&(_, n)| n > devices) {
+            return refuse(format!(
+                "cohort {name}: {what} counts {n}, over the spec's {devices} devices"
+            ));
+        }
+        let s = &c.summary;
+        let mut counters = s.kind_counts().iter().copied().chain([
+            s.inter_backup.count(),
+            s.outage_duration.count(),
+            s.retention_failures,
+        ]);
+        if counters.any(|n| n > COUNTER_CEILING) {
+            return refuse(format!("cohort {name}: a trace counter exceeds 2^63"));
+        }
+    }
+    for (canon, s) in &agg.cells {
+        if s.devices > devices {
+            return refuse(format!(
+                "cell {canon}: {} devices, over the spec's {devices}",
+                s.devices
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Restores an aggregate from its snapshot document, refusing one whose
+/// counters a resume could overflow.
 pub fn decode_snapshot(text: &str) -> Result<FleetAggregate, SnapshotError> {
     let mut lines = Lines {
         iter: text.lines().enumerate(),
@@ -359,14 +429,16 @@ pub fn decode_snapshot(text: &str) -> Result<FleetAggregate, SnapshotError> {
     }
 
     let spec = spec.ok_or_else(|| SnapshotError::new(0, "missing spec block"))?;
-    Ok(FleetAggregate {
+    let agg = FleetAggregate {
         spec,
         next_chunk: next_chunk.ok_or_else(|| SnapshotError::new(0, "missing next_chunk"))?,
         cell_evaluations: cell_evaluations
             .ok_or_else(|| SnapshotError::new(0, "missing cell_evaluations"))?,
         cohorts,
         cells,
-    })
+    };
+    check_headroom(&agg)?;
+    Ok(agg)
 }
 
 #[cfg(test)]

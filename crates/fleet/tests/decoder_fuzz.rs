@@ -187,6 +187,53 @@ fn histogram_bins_must_sum_to_count() {
     check_snapshot(&doc);
 }
 
+/// Replaces `seed`'s first line starting with `key` by `key` + `value`.
+fn with_line(seed: &str, key: &str, value: &str) -> String {
+    let start = seed.find(key).unwrap();
+    let end = start + seed[start..].find('\n').unwrap();
+    format!("{}{key}{value}{}", &seed[..start], &seed[end..])
+}
+
+/// Regression: restored counters must leave room for the folds a resume
+/// still makes. A cohort's `hist_fp` count and one bin raised to
+/// `u64::MAX - 10`, still summing to the count, used to decode; the
+/// next fold's `bins[bin] += n` then overflowed (a panic in debug
+/// builds, a silent wrap in release builds). Device-weighted counts are
+/// now capped at the spec's device count, and every other counter below
+/// 2^63.
+#[test]
+fn resumed_snapshot_cannot_overflow_the_next_fold() {
+    let seed = snapshot_seed();
+    let start = seed.find("hist_fp = ").unwrap();
+    let line = &seed[start..start + seed[start..].find('\n').unwrap()];
+    let (head, bins) = line["hist_fp = ".len()..].split_once(";bins=").unwrap();
+    let mut bins: Vec<u64> = bins.split(',').map(|b| b.parse().unwrap()).collect();
+    let count: u64 = bins.iter().sum();
+    let huge = u64::MAX - 10;
+    let occupied = bins.iter().position(|&b| b > 0).unwrap();
+    bins[occupied] += huge - count;
+    let head = head.replace(&format!(";count={count};"), &format!(";count={huge};"));
+    let bins: Vec<String> = bins.iter().map(u64::to_string).collect();
+    let doc = with_line(
+        seed,
+        "hist_fp = ",
+        &format!("{head};bins={}", bins.join(",")),
+    );
+    let err = decode_snapshot(&doc).unwrap_err();
+    assert!(err.to_string().contains("devices"), "{err}");
+
+    // A trace counter that is not device-weighted gets the 2^63 ceiling.
+    let counts = seed[seed.find("counts = ").unwrap()..]
+        .lines()
+        .next()
+        .unwrap();
+    let rest = counts["counts = ".len()..].split_once(',').unwrap().1;
+    for (first, ok) in [(1u64 << 63, true), ((1 << 63) + 1, false)] {
+        let doc = with_line(seed, "counts = ", &format!("{first},{rest}"));
+        assert_eq!(decode_snapshot(&doc).is_ok(), ok, "first count {first}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3000))]
 

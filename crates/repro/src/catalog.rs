@@ -3,22 +3,25 @@
 //! Every consumer of the simulator — the `repro` experiments, `nvp-serve`
 //! and `nvp-fleet` — needs a built [`KernelSpec`], a cycled input-frame
 //! set, a compiled op table, a synthesized power trace and,
-//! for `BackupScope::LiveDirty`, a synthesized checkpoint plan per run.
-//! This module owns one process-wide bounded [`Cache`] for each,
-//! sized to hold the largest benchmark working set with room to spare
-//! (DESIGN.md §9 lists capacities and worst-case bytes); an evicted
-//! artifact is rebuilt deterministically on its next use.
+//! for `BackupScope::LiveDirty`, a synthesized checkpoint plan per
+//! kernel × dimensions. This module owns one process-wide bounded
+//! [`Cache`] for each, sized to hold the largest benchmark working set
+//! with room to spare (DESIGN.md §9 lists capacities and worst-case
+//! bytes); an evicted artifact is rebuilt deterministically on its next
+//! use.
 //!
-//! [`simulate`] / [`simulate_traced`] are the request-shaped entry points:
-//! a plain-data [`RunRequest`] in, a [`RunReport`] out, fully deterministic
-//! — two identical requests produce byte-identical reports and traces,
-//! which is what makes result caching in `nvp-serve` and `nvp-fleet`
-//! sound.
+//! [`simulate`] / [`simulate_traced`] are the request-shaped entry points
+//! and the only way a catalog run becomes a `SystemSim`: a plain-data
+//! [`RunRequest`] in, a [`RunReport`] out, fully deterministic — two
+//! identical requests produce byte-identical reports and traces, which
+//! is what makes result caching in `nvp-serve` and `nvp-fleet` sound.
 
 use crate::dims;
+use crate::key::RunKey;
 use nvp_exec::{Cache, CacheStats};
 use nvp_isa::CompiledProgram;
 use nvp_kernels::{KernelId, KernelSpec};
+use nvp_nvm::RetentionPolicy;
 use nvp_power::synth::WatchProfile;
 use nvp_power::{Energy, PowerProfile};
 use nvp_sim::{
@@ -109,7 +112,8 @@ pub fn plan_cache_stats() -> CacheStats {
 /// runs a kernel under at given frame dimensions
 /// ([`CheckpointPlan::synthesized`]). The synthesis costs more than most
 /// simulations it serves, so every run of that kernel × dimensions
-/// shares one.
+/// shares one. This is the only caller of the synthesizer outside tests:
+/// a [`RunRequest`] without an explicit plan takes this one.
 pub fn plan_for(id: KernelId, w: usize, h: usize) -> Arc<CheckpointPlan> {
     PLANS.get_or_insert_with(&(id, w, h), || {
         Arc::new(CheckpointPlan::synthesized(&cached_spec(id, w, h)))
@@ -138,15 +142,15 @@ pub fn trace_cache_stats() -> CacheStats {
 }
 
 /// One fully-specified simulation: kernel × scale × profile × mode, plus
-/// the device inputs a fleet cell varies.
+/// the device inputs a fleet cell varies and the ablation knobs the
+/// `repro` experiments set.
 ///
-/// This is the plain-data request shape behind `nvp-serve`'s `POST
-/// /v1/run`, `nvp-fleet`'s cells and their shared [`RunKey`]
-/// (`crate::key::RunKey::run_request`). Everything that can change the
-/// simulation's output is in here; two equal requests are guaranteed
-/// byte-identical results.
-///
-/// [`RunKey`]: crate::key::RunKey
+/// This is the plain-data request shape behind every `repro`
+/// experiment run, `nvp-serve`'s `POST /v1/run`, `nvp-fleet`'s cells and
+/// their shared [`RunKey`] ([`RunKey::run_request`]). Everything that can
+/// change the simulation's output is in here; two equal requests are
+/// guaranteed byte-identical results. The [`Default`] request is
+/// [`RunKey::default`]'s.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunRequest {
     /// Which testbench to run.
@@ -176,19 +180,41 @@ pub struct RunRequest {
     /// Whether the report keeps committed output frames (needed for
     /// quality scoring).
     pub record_outputs: bool,
+    /// Retention policy for backups.
+    pub backup_policy: RetentionPolicy,
+    /// Maximum incidental SIMD width (1..=4).
+    pub max_simd_lanes: u8,
+    /// Resume-buffer parking slots (1..=3).
+    pub park_slots: u8,
+    /// The placement a `LiveDirty` run scopes its backups by; `None`
+    /// takes the cached [`plan_for`] at the run's dimensions. Other
+    /// scopes ignore it.
+    pub checkpoint_plan: Option<Arc<CheckpointPlan>>,
+}
+
+impl Default for RunRequest {
+    fn default() -> Self {
+        RunKey::default().run_request()
+    }
 }
 
 impl RunRequest {
     /// Builds the system configuration this request implies at frame
-    /// dimensions `w` × `h` (a `LiveDirty` run takes its plan from the
-    /// shared cache rather than synthesizing one).
+    /// dimensions `w` × `h`. A `LiveDirty` run shares its plan (`Arc`)
+    /// rather than copying it.
     fn config(&self, w: usize, h: usize) -> SystemConfig {
-        let checkpoint_plan = (self.scope == BackupScope::LiveDirty)
-            .then(|| CheckpointPlan::clone(&plan_for(self.kernel, w, h)));
+        let checkpoint_plan = (self.scope == BackupScope::LiveDirty).then(|| {
+            self.checkpoint_plan
+                .clone()
+                .unwrap_or_else(|| plan_for(self.kernel, w, h))
+        });
         SystemConfig {
             capacitor_capacity: Energy::from_nj(self.cap_nj as f64),
+            backup_policy: self.backup_policy,
             backup_scope: self.scope,
             record_outputs: self.record_outputs,
+            max_simd_lanes: self.max_simd_lanes,
+            park_slots: self.park_slots,
             seed: self.seed,
             exec_engine: self.engine,
             checkpoint_plan,
@@ -196,9 +222,9 @@ impl RunRequest {
         }
     }
 
-    /// Assembles the simulator (spec, frames, compiled table, checkpoint
-    /// plan and trace all drawn from the shared caches).
-    fn build_sim(&self) -> (SystemSim, Arc<PowerProfile>) {
+    /// The one run assembler: builds the simulator from the shared caches
+    /// (spec, frames, compiled table, checkpoint plan and power trace).
+    fn assemble(&self) -> (SystemSim, Arc<PowerProfile>) {
         let (w, h) = dims(self.kernel, self.img);
         let spec = cached_spec(self.kernel, w, h);
         let frames = frames_for(self.kernel, self.img, self.frames);
@@ -213,7 +239,7 @@ impl RunRequest {
 
 /// Runs one request to completion.
 pub fn simulate(req: &RunRequest) -> RunReport {
-    let (sim, trace) = req.build_sim();
+    let (sim, trace) = req.assemble();
     sim.run(&trace)
 }
 
@@ -223,7 +249,7 @@ pub fn simulate(req: &RunRequest) -> RunReport {
 /// the same configuration; `nvp-serve` uses this both to stream a JSONL
 /// trace back in responses and to feed its `/metrics` counters.
 pub fn simulate_traced(req: &RunRequest, tracer: &mut dyn Tracer) -> RunReport {
-    let (sim, trace) = req.build_sim();
+    let (sim, trace) = req.assemble();
     sim.run_traced(&trace, tracer)
 }
 
@@ -233,18 +259,11 @@ mod tests {
 
     fn req() -> RunRequest {
         RunRequest {
-            kernel: KernelId::Sobel,
             img: 8,
             frames: 1,
             trace_seconds: 0.3,
-            profile: WatchProfile::P1,
-            member: 0,
-            cap_nj: 3500,
-            scope: BackupScope::FullState,
-            mode: ExecMode::Precise,
             engine: ExecEngine::default(),
-            seed: 0x5EED,
-            record_outputs: false,
+            ..RunRequest::default()
         }
     }
 
@@ -297,6 +316,27 @@ mod tests {
         let engine = ExecEngine::Compiled;
         let compiled = simulate(&RunRequest { engine, ..req() });
         assert_eq!(step, compiled, "Compiled diverged from Step");
+    }
+
+    #[test]
+    fn live_dirty_runs_honor_an_explicit_plan() {
+        let dirty = RunRequest {
+            scope: BackupScope::LiveDirty,
+            ..req()
+        };
+        let cached = simulate(&dirty);
+        assert!(cached.backups > 0, "the trace must force backups");
+        assert!(cached.energy_backup_saved > Energy::ZERO);
+        // A plan that covers no pc scopes nothing: every backup is full.
+        let empty = CheckpointPlan {
+            checkpoints: Vec::new(),
+            masks: Vec::new(),
+        };
+        let unscoped = simulate(&RunRequest {
+            checkpoint_plan: Some(Arc::new(empty)),
+            ..dirty
+        });
+        assert_eq!(unscoped.energy_backup_saved, Energy::ZERO);
     }
 
     #[test]

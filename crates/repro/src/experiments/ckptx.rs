@@ -3,26 +3,29 @@
 //! Not a paper figure: the MICRO'17 platform always backs up the full
 //! architectural state. This experiment prints the placement certificates
 //! `nvp-lint --checkpoint` synthesizes for every kernel, then compares the
-//! four backup scopes (full state, live-only, live∩dirty, and live∩dirty
-//! under the explicitly synthesized placement) across the five watch
-//! profiles — committed outputs must not move, only the backup energy.
+//! backup scopes (full state, live-only, live∩dirty under the plan for
+//! the run's own dims, and live∩dirty pinned to the certificate dims'
+//! plan) across the five watch profiles — committed outputs must not
+//! move, only the backup energy.
 
-use super::{cached_spec, run_system, run_system_on};
+use super::{base, cached_spec, run};
+use crate::catalog::{self, RunRequest};
 use crate::sweep::sweep;
 use crate::table::fnum;
-use crate::{catalog, dims, Scale, Table};
+use crate::{dims, Scale, Table};
 use nvp_analysis::{synthesize, Cfg, CkptOptions};
 use nvp_kernels::KernelId;
 use nvp_power::synth::WatchProfile;
-use nvp_power::PowerProfile;
-use nvp_sim::{BackupScope, CheckpointPlan, ExecMode, SystemConfig};
+use nvp_sim::{BackupScope, CheckpointPlan, ExecMode};
+use std::sync::Arc;
 
-/// The checkpoint plan for `id` at `scale` dims — the placement
-/// `BackupScope::LiveDirty` synthesizes internally, made explicit so a
-/// run can be pinned to a reviewed certificate.
-fn plan_for(id: KernelId, scale: Scale) -> CheckpointPlan {
+/// The checkpoint plan the "saved plan" column pins every profile's run
+/// to: the catalog's cached plan for `id` at `scale`'s image size raised
+/// to at least 16 (the dims the placement certificates are printed at),
+/// rather than the run's own dims a plain `LiveDirty` request takes.
+fn plan_for(id: KernelId, scale: Scale) -> Arc<CheckpointPlan> {
     let (w, h) = dims(id, scale.img.max(16));
-    CheckpointPlan::clone(&catalog::plan_for(id, w, h))
+    catalog::plan_for(id, w, h)
 }
 
 /// Placement certificates and the scope comparison across watch profiles.
@@ -88,16 +91,17 @@ pub fn ckpt(scale: Scale) -> Vec<Table> {
     let id = KernelId::Median;
     let plan = plan_for(id, scale);
     for cells in sweep(scale, WatchProfile::ALL.to_vec(), |p| {
-        let run = |scope: BackupScope, plan: Option<CheckpointPlan>| {
-            run_system(id, scale, p, ExecMode::Precise, |c| {
-                c.backup_scope = scope;
-                c.checkpoint_plan = plan;
+        let scoped = |scope: BackupScope, checkpoint_plan: Option<Arc<CheckpointPlan>>| {
+            run(&RunRequest {
+                scope,
+                checkpoint_plan,
+                ..base(id, scale, p, ExecMode::Precise)
             })
         };
-        let full = run(BackupScope::FullState, None);
-        let live = run(BackupScope::LiveOnly, None);
-        let dirty = run(BackupScope::LiveDirty, None);
-        let planned = run(BackupScope::LiveDirty, Some(plan.clone()));
+        let full = scoped(BackupScope::FullState, None);
+        let live = scoped(BackupScope::LiveOnly, None);
+        let dirty = scoped(BackupScope::LiveDirty, None);
+        let planned = scoped(BackupScope::LiveDirty, Some(plan.clone()));
         vec![
             format!("{p:?}"),
             fnum(full.energy_backup.as_nj()),
@@ -113,51 +117,6 @@ pub fn ckpt(scale: Scale) -> Vec<Table> {
     st.note("saved = backup energy avoided vs what the same backups cost at full scope");
     st.note("cheaper backups leave more residual energy, so forward progress may shift; committed outputs never do (see sim tests)");
     vec![cert, st]
-}
-
-/// Backup-energy probe on bursty power: one median run per scope,
-/// reporting the full-scope backup spend and the nJ each scoped run
-/// saved, plus whether every scoped run reconciles (spend + saved == its
-/// backups × the constant full cost per backup).
-pub fn backup_scope_savings(scale: Scale) -> (f64, f64, f64, f64, bool) {
-    let pattern: Vec<f64> = (0..100_000)
-        .map(|i| if i % 150 < 12 { 800.0 } else { 0.0 })
-        .collect();
-    let profile = PowerProfile::from_uw(pattern);
-    let id = KernelId::Median;
-    let plan = plan_for(id, scale);
-    let run = |scope: BackupScope, plan: Option<CheckpointPlan>| {
-        run_system_on(
-            id,
-            scale,
-            &profile,
-            ExecMode::Precise,
-            |c: &mut SystemConfig| {
-                c.backup_scope = scope;
-                c.checkpoint_plan = plan;
-                c.max_simd_lanes = 1;
-            },
-        )
-    };
-    let full = run(BackupScope::FullState, None);
-    let live = run(BackupScope::LiveOnly, None);
-    let dirty = run(BackupScope::LiveDirty, None);
-    let planned = run(BackupScope::LiveDirty, Some(plan));
-    let per_backup = full.energy_backup.as_nj() / (full.backups.max(1)) as f64;
-    let reconciled = [&live, &dirty, &planned].iter().all(|r| {
-        r.backups == 0
-            || ((r.energy_backup.as_nj() + r.energy_backup_saved.as_nj()) / r.backups as f64
-                - per_backup)
-                .abs()
-                < 1e-9
-    });
-    (
-        full.energy_backup.as_nj(),
-        live.energy_backup_saved.as_nj(),
-        dirty.energy_backup_saved.as_nj(),
-        planned.energy_backup_saved.as_nj(),
-        reconciled,
-    )
 }
 
 #[cfg(test)]
@@ -193,18 +152,5 @@ mod tests {
                 row[0]
             );
         }
-    }
-
-    #[test]
-    fn bursty_probe_reconciles_and_orders_scopes() {
-        let (full, live, dirty, planned, reconciled) = backup_scope_savings(Scale::quick());
-        assert!(reconciled, "scoped ledgers must reconcile");
-        assert!(full > 0.0);
-        assert!(live > 0.0, "live-only saved nothing on bursty power");
-        assert!(
-            dirty > live,
-            "live∩dirty ({dirty} nJ) must beat live-only ({live} nJ) on bursty power"
-        );
-        assert!(planned > 0.0);
     }
 }

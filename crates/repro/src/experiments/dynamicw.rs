@@ -1,6 +1,7 @@
 //! Figures 17–21: dynamic-bitwidth approximation.
 
-use super::{make_frames, run_system};
+use super::{base, make_frames, run};
+use crate::catalog::RunRequest;
 use crate::sweep::sweep;
 use crate::table::fnum;
 use crate::{dims, Scale, Table};
@@ -12,24 +13,20 @@ use nvp_sim::{ExecMode, Governor, RunReport};
 
 const KERNEL: KernelId = KernelId::Median;
 
+/// Runs the kernel under `mode`, keeping outputs for quality scoring.
+fn scored_run(scale: Scale, w: WatchProfile, mode: ExecMode) -> RunReport {
+    run(&RunRequest {
+        record_outputs: true,
+        ..base(KERNEL, scale, w, mode)
+    })
+}
+
 fn dynamic_run(scale: Scale, w: WatchProfile, minbits: u8) -> RunReport {
-    run_system(
-        KERNEL,
-        scale,
-        w,
-        ExecMode::Dynamic(Governor::new(minbits, 8)),
-        |c| c.record_outputs = true,
-    )
+    scored_run(scale, w, ExecMode::Dynamic(Governor::new(minbits, 8)))
 }
 
 fn fixed_run(scale: Scale, w: WatchProfile, bits: u8) -> RunReport {
-    run_system(
-        KERNEL,
-        scale,
-        w,
-        ExecMode::Fixed(ApproxConfig::fixed(bits)),
-        |c| c.record_outputs = true,
-    )
+    scored_run(scale, w, ExecMode::Fixed(ApproxConfig::fixed(bits)))
 }
 
 fn score(scale: Scale, rep: &RunReport) -> QualityReport {

@@ -32,12 +32,12 @@ pub use wcecx::wcec;
 
 pub use crate::sweep::traced;
 
+use crate::catalog::{self, RunRequest};
 use crate::sweep::{capture_active, capture_append};
-use crate::{dims, Scale, Table};
+use crate::{Scale, Table};
 use nvp_kernels::KernelId;
 use nvp_power::synth::WatchProfile;
-use nvp_power::PowerProfile;
-use nvp_sim::{ExecEngine, ExecMode, RunReport, SystemConfig, SystemSim};
+use nvp_sim::{ExecMode, RunReport};
 use nvp_trace::{Event, JsonlBufSink, Tracer};
 
 pub(crate) use crate::catalog::{cached_spec, synth_profile, Frames};
@@ -53,76 +53,45 @@ fn mode_tag(mode: &ExecMode) -> &'static str {
     }
 }
 
-/// Runs `sim`, appending a labelled trace to the calling thread's
-/// [`traced`] capture when one is active.
-fn run_maybe_traced(sim: SystemSim, trace: &PowerProfile, label: String) -> RunReport {
-    if !capture_active() {
-        return sim.run(trace);
-    }
-    let mut sink = JsonlBufSink::new();
-    sink.record(&Event::RunStart { tick: 0, label });
-    let report = sim.run_traced(trace, &mut sink);
-    capture_append(&sink.into_string());
-    report
-}
-
 /// Builds (or fetches) the cycled input-frame set for a kernel at scale
-/// (thin [`Scale`]-shaped wrapper over [`crate::catalog::frames_for`]).
+/// (thin [`Scale`]-shaped wrapper over [`catalog::frames_for`]).
 pub(crate) fn make_frames(id: KernelId, scale: Scale) -> Frames {
-    crate::catalog::frames_for(id, scale.img, scale.frames)
+    catalog::frames_for(id, scale.img, scale.frames)
 }
 
-/// Runs one kernel/mode/policy combination over a watch profile.
-pub(crate) fn run_system(
+/// The request an experiment run starts from: `id` at `scale` under
+/// `mode` over `profile`'s canonical trace, outputs not recorded, and
+/// [`RunRequest::default`] for everything else.
+pub(crate) fn base(
     id: KernelId,
     scale: Scale,
     profile: WatchProfile,
     mode: ExecMode,
-    tweak: impl FnOnce(&mut SystemConfig),
-) -> RunReport {
-    let (w, h) = dims(id, scale.img);
-    let spec = cached_spec(id, w, h);
-    let frames = make_frames(id, scale);
-    let mut cfg = SystemConfig {
-        record_outputs: false,
-        exec_engine: scale.engine,
-        ..Default::default()
-    };
-    tweak(&mut cfg);
-    let trace = synth_profile(profile, scale.trace_seconds);
-    let label = format!("{id:?}/{profile:?}/{}", mode_tag(&mode));
-    let engine = cfg.exec_engine;
-    let mut sim = SystemSim::new(spec, frames, mode, cfg);
-    if engine == ExecEngine::Compiled {
-        sim.set_compiled(crate::catalog::compiled_for(id, w, h));
+) -> RunRequest {
+    RunRequest {
+        kernel: id,
+        img: scale.img,
+        frames: scale.frames,
+        trace_seconds: scale.trace_seconds,
+        profile,
+        mode,
+        engine: scale.engine,
+        ..RunRequest::default()
     }
-    run_maybe_traced(sim, &trace, label)
 }
 
-/// Like [`run_system`] but over an explicit trace.
-pub(crate) fn run_system_on(
-    id: KernelId,
-    scale: Scale,
-    trace: &PowerProfile,
-    mode: ExecMode,
-    tweak: impl FnOnce(&mut SystemConfig),
-) -> RunReport {
-    let (w, h) = dims(id, scale.img);
-    let spec = cached_spec(id, w, h);
-    let frames = make_frames(id, scale);
-    let mut cfg = SystemConfig {
-        record_outputs: false,
-        exec_engine: scale.engine,
-        ..Default::default()
-    };
-    tweak(&mut cfg);
-    let label = format!("{id:?}/custom/{}", mode_tag(&mode));
-    let engine = cfg.exec_engine;
-    let mut sim = SystemSim::new(spec, frames, mode, cfg);
-    if engine == ExecEngine::Compiled {
-        sim.set_compiled(crate::catalog::compiled_for(id, w, h));
+/// Runs `req` through the catalog, appending a labelled trace to the
+/// calling thread's [`traced`] capture when one is active.
+pub(crate) fn run(req: &RunRequest) -> RunReport {
+    if !capture_active() {
+        return catalog::simulate(req);
     }
-    run_maybe_traced(sim, trace, label)
+    let mut sink = JsonlBufSink::new();
+    let label = format!("{:?}/{:?}/{}", req.kernel, req.profile, mode_tag(&req.mode));
+    sink.record(&Event::RunStart { tick: 0, label });
+    let report = catalog::simulate_traced(req, &mut sink);
+    capture_append(&sink.into_string());
+    report
 }
 
 /// Every experiment in paper order; used by `repro all`.

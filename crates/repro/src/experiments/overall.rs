@@ -1,15 +1,31 @@
 //! Figure 9, Figure 28, Table 2 and the Section 2.2 / 3.2 / 7 results,
 //! plus the design-choice ablations.
 
-use super::{cached_spec, make_frames, run_system, synth_profile};
+use super::{base, cached_spec, make_frames, run, synth_profile};
+use crate::catalog::RunRequest;
 use crate::sweep::sweep;
 use crate::table::fnum;
 use crate::{dims, Scale, Table};
-use incidental::{policy_for, table2 as tuned_policies, QosTarget, QualityReport};
+use incidental::{policy_for, table2 as tuned_policies, QosPolicy, QosTarget, QualityReport};
 use nvp_kernels::{jpeg, quality, KernelId};
 use nvp_nvm::RetentionPolicy;
 use nvp_power::synth::WatchProfile;
 use nvp_sim::{instructions_per_frame, ExecMode, IncidentalSetup, RunReport, WaitComputeSim};
+
+/// `id` on the incidental NVP under its Table 2 `policy`: the policy's
+/// minbits and retention shaping.
+fn tuned(id: KernelId, scale: Scale, wp: WatchProfile, policy: &QosPolicy) -> RunRequest {
+    let mode = ExecMode::Incidental(IncidentalSetup::new(policy.minbits, 8));
+    RunRequest {
+        backup_policy: policy.backup,
+        ..base(id, scale, wp, mode)
+    }
+}
+
+/// `id` on the precise NVP.
+fn precise(id: KernelId, scale: Scale, wp: WatchProfile) -> RunReport {
+    run(&base(id, scale, wp, ExecMode::Precise))
+}
 
 /// Figure 9: system-on time and forward progress for the four NVP variants
 /// on power profile 2 (median kernel, Figure 8's pragma settings).
@@ -40,8 +56,9 @@ pub fn fig9(scale: Scale) -> Vec<Table> {
         ("4-SIMD NVP", ExecMode::Simd4),
     ];
     for row in sweep(scale, cases, |(name, mode)| {
-        let rep = run_system(KernelId::Median, scale, WatchProfile::P2, mode, |c| {
-            c.backup_policy = RetentionPolicy::Linear;
+        let rep = run(&RunRequest {
+            backup_policy: RetentionPolicy::Linear,
+            ..base(KernelId::Median, scale, WatchProfile::P2, mode)
         });
         [
             name.to_string(),
@@ -77,7 +94,7 @@ pub fn waitcompute(scale: Scale) -> Vec<Table> {
     );
     let mut ratios = Vec::new();
     for (wp, nvp, wc) in sweep(scale, WatchProfile::ALL.to_vec(), |wp| {
-        let nvp = run_system(id, scale, wp, ExecMode::Precise, |_| {}).forward_progress;
+        let nvp = precise(id, scale, wp).forward_progress;
         let trace = synth_profile(wp, scale.trace_seconds);
         let wc = WaitComputeSim::new(frame_instr)
             .run(&trace)
@@ -109,7 +126,7 @@ pub fn backup_cost(scale: Scale) -> Vec<Table> {
         &["profile", "backups / min", "backup energy share %"],
     );
     for row in sweep(scale, WatchProfile::ALL[..3].to_vec(), |wp| {
-        let rep = run_system(KernelId::Median, scale, wp, ExecMode::Precise, |_| {});
+        let rep = precise(KernelId::Median, scale, wp);
         let minutes = (rep.total_ticks as f64 * 1e-4) / 60.0;
         [
             wp.to_string(),
@@ -148,17 +165,10 @@ pub fn frametime(scale: Scale) -> Vec<Table> {
             .map(fnum)
             .unwrap_or_else(|| "∞ (no frame)".into());
 
-        let nvp = run_system(id, scale, WatchProfile::P1, ExecMode::Precise, |_| {});
+        let nvp = precise(id, scale, WatchProfile::P1);
         let nvp_spf = spf(scale, nvp.frames_committed);
 
-        let policy = policy_for(id);
-        let inc = run_system(
-            id,
-            scale,
-            WatchProfile::P1,
-            ExecMode::Incidental(IncidentalSetup::new(policy.minbits, 8)),
-            |c| c.backup_policy = policy.backup,
-        );
+        let inc = run(&tuned(id, scale, WatchProfile::P1, &policy_for(id)));
         let inc_spf = spf(scale, inc.frames_committed + inc.incidental_frames);
         [id.to_string(), wc_spf, nvp_spf, inc_spf]
     }) {
@@ -205,16 +215,9 @@ pub fn fig28(scale: Scale, ablate: bool) -> Vec<Table> {
         let mut cells = vec![id.to_string()];
         let mut ratios = Vec::new();
         for wp in WatchProfile::ALL {
-            let base = run_system(id, scale, wp, ExecMode::Precise, |_| {}).forward_progress;
-            let inc = run_system(
-                id,
-                scale,
-                wp,
-                ExecMode::Incidental(IncidentalSetup::new(policy.minbits, 8)),
-                |c| c.backup_policy = policy.backup,
-            )
-            .forward_progress;
-            let r = inc as f64 / base.max(1) as f64;
+            let nvp = precise(id, scale, wp).forward_progress;
+            let inc = run(&tuned(id, scale, wp, &policy)).forward_progress;
+            let r = inc as f64 / nvp.max(1) as f64;
             ratios.push(r);
             cells.push(format!("{}x", fnum(r)));
         }
@@ -222,26 +225,18 @@ pub fn fig28(scale: Scale, ablate: bool) -> Vec<Table> {
         cells.push(format!("{}x", fnum(mean)));
         if ablate {
             let wp = WatchProfile::P1;
-            let base = run_system(id, scale, wp, ExecMode::Precise, |_| {}).forward_progress;
+            let nvp = precise(id, scale, wp).forward_progress;
+            let both = tuned(id, scale, wp, &policy);
             // Backup approximation only: precise execution, shaped backups.
-            let backup_only = run_system(id, scale, wp, ExecMode::Precise, |c| {
-                c.backup_policy = policy.backup;
+            let backup_only = run(&RunRequest {
+                mode: ExecMode::Precise,
+                ..both.clone()
             })
             .forward_progress;
             // SIMD roll-forward only: full-retention backups.
-            let simd_only = run_system(
-                id,
-                scale,
-                wp,
-                ExecMode::Incidental(IncidentalSetup::new(policy.minbits, 8)),
-                |_| {},
-            )
-            .forward_progress;
-            cells.push(format!(
-                "{}x",
-                fnum(backup_only as f64 / base.max(1) as f64)
-            ));
-            cells.push(format!("{}x", fnum(simd_only as f64 / base.max(1) as f64)));
+            let simd_only = run(&base(id, scale, wp, both.mode)).forward_progress;
+            cells.push(format!("{}x", fnum(backup_only as f64 / nvp.max(1) as f64)));
+            cells.push(format!("{}x", fnum(simd_only as f64 / nvp.max(1) as f64)));
         }
         (cells, mean)
     }) {
@@ -278,16 +273,10 @@ pub fn table2(scale: Scale) -> Vec<Table> {
         let id = policy.kernel;
         let (w, h) = dims(id, scale.img);
         let frames = make_frames(id, scale);
-        let rep = run_system(
-            id,
-            scale,
-            WatchProfile::P1,
-            ExecMode::Incidental(IncidentalSetup::new(policy.minbits, 8)),
-            |c| {
-                c.backup_policy = policy.backup;
-                c.record_outputs = true;
-            },
-        );
+        let rep = run(&RunRequest {
+            record_outputs: true,
+            ..tuned(id, scale, WatchProfile::P1, &policy)
+        });
         let (achieved, met) = match policy.target {
             QosTarget::PsnrDb(target) => {
                 let q = QualityReport::score(id, w, h, &frames, &rep);
@@ -371,16 +360,12 @@ pub fn ablate_simd(scale: Scale) -> Vec<Table> {
         ],
     );
     for row in sweep(scale, vec![1u8, 2, 4], |lanes| {
-        let rep = run_system(
-            KernelId::Median,
-            scale,
-            WatchProfile::P1,
-            ExecMode::Incidental(IncidentalSetup::new(2, 8)),
-            |c| {
-                c.max_simd_lanes = lanes;
-                c.backup_policy = RetentionPolicy::Linear;
-            },
-        );
+        let mode = ExecMode::Incidental(IncidentalSetup::new(2, 8));
+        let rep = run(&RunRequest {
+            max_simd_lanes: lanes,
+            backup_policy: RetentionPolicy::Linear,
+            ..base(KernelId::Median, scale, WatchProfile::P1, mode)
+        });
         [
             lanes.to_string(),
             rep.forward_progress.to_string(),
@@ -410,16 +395,16 @@ pub fn ablate_buffer(scale: Scale) -> Vec<Table> {
         // A weak profile with an aggressive data deadline forces frequent
         // roll-forwards, so the parking FIFO actually fills.
         let setup = IncidentalSetup::new(2, 8).with_staleness(nvp_power::Ticks(300));
-        let rep = run_system(
-            KernelId::Median,
-            scale,
-            WatchProfile::P5,
-            ExecMode::Incidental(setup),
-            |c| {
-                c.park_slots = slots;
-                c.backup_policy = RetentionPolicy::Linear;
-            },
-        );
+        let rep = run(&RunRequest {
+            park_slots: slots,
+            backup_policy: RetentionPolicy::Linear,
+            ..base(
+                KernelId::Median,
+                scale,
+                WatchProfile::P5,
+                ExecMode::Incidental(setup),
+            )
+        });
         [
             slots.to_string(),
             rep.forward_progress.to_string(),

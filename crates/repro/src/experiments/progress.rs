@@ -1,6 +1,6 @@
 //! Figures 15 and 16: forward progress and backup counts vs bitwidth.
 
-use super::run_system;
+use super::{base, run};
 use crate::sweep::sweep;
 use crate::table::fnum;
 use crate::{Scale, Table};
@@ -18,13 +18,8 @@ fn bit_sweep(scale: Scale) -> Vec<Vec<(u64, u64)>> {
         .flat_map(|&w| (1..=8u8).rev().map(move |bits| (w, bits)))
         .collect();
     let flat = sweep(scale, cells, |(w, bits)| {
-        let rep = run_system(
-            KernelId::Median,
-            scale,
-            w,
-            ExecMode::Fixed(ApproxConfig::fixed(bits)),
-            |_| {},
-        );
+        let mode = ExecMode::Fixed(ApproxConfig::fixed(bits));
+        let rep = run(&base(KernelId::Median, scale, w, mode));
         (rep.forward_progress, rep.backups)
     });
     flat.chunks(8).map(|c| c.to_vec()).collect()

@@ -1,6 +1,7 @@
 //! Figures 22–25: backup/recovery approximation via retention shaping.
 
-use super::{make_frames, run_system};
+use super::{base, make_frames, run};
+use crate::catalog::RunRequest;
 use crate::sweep::sweep;
 use crate::table::fnum;
 use crate::{dims, Scale, Table};
@@ -13,9 +14,10 @@ use nvp_sim::{ExecMode, RunReport};
 const KERNEL: KernelId = KernelId::Median;
 
 fn run_with_policy(scale: Scale, w: WatchProfile, policy: RetentionPolicy) -> RunReport {
-    run_system(KERNEL, scale, w, ExecMode::Precise, |c| {
-        c.backup_policy = policy;
-        c.record_outputs = true;
+    run(&RunRequest {
+        backup_policy: policy,
+        record_outputs: true,
+        ..base(KERNEL, scale, w, ExecMode::Precise)
     })
 }
 

@@ -8,7 +8,8 @@
 //! engine) leaves every simulated outcome untouched across the five watch
 //! profiles.
 
-use super::{cached_spec, run_system};
+use super::{base, cached_spec, run};
+use crate::catalog::RunRequest;
 use crate::sweep::sweep;
 use crate::table::fnum;
 use crate::{dims, Scale, Table};
@@ -98,12 +99,14 @@ pub fn wcec(scale: Scale) -> Vec<Table> {
         &["profile", "fp step", "fp block", "backups", "identical"],
     );
     for cells in sweep(scale, WatchProfile::ALL.to_vec(), |p| {
-        let step = run_system(KernelId::Sobel, scale, p, ExecMode::Precise, |c| {
-            c.exec_engine = ExecEngine::Step;
-        });
-        let compiled = run_system(KernelId::Sobel, scale, p, ExecMode::Precise, |c| {
-            c.exec_engine = ExecEngine::Compiled;
-        });
+        let on = |engine| {
+            run(&RunRequest {
+                engine,
+                ..base(KernelId::Sobel, scale, p, ExecMode::Precise)
+            })
+        };
+        let step = on(ExecEngine::Step);
+        let compiled = on(ExecEngine::Compiled);
         vec![
             format!("{p:?}"),
             step.forward_progress.to_string(),

@@ -14,7 +14,7 @@ use crate::catalog::RunRequest;
 use nvp_isa::ApproxConfig;
 use nvp_kernels::KernelId;
 use nvp_power::synth::WatchProfile;
-use nvp_sim::{BackupScope, ExecEngine, ExecMode, Governor, IncidentalSetup};
+use nvp_sim::{BackupScope, ExecEngine, ExecMode, Governor, IncidentalSetup, SystemConfig};
 use std::fmt::{self, Write as _};
 
 /// Bounds on what one request may ask the simulator to do (inclusive).
@@ -269,8 +269,11 @@ impl RunKey {
         out
     }
 
-    /// The catalog request this key denotes (outputs not recorded).
+    /// The catalog request this key denotes: outputs not recorded, and
+    /// the simulator knobs a key does not carry at
+    /// [`SystemConfig::default`]'s values.
     pub fn run_request(&self) -> RunRequest {
+        let sim = SystemConfig::default();
         RunRequest {
             kernel: self.kernel,
             img: self.img,
@@ -284,6 +287,10 @@ impl RunKey {
             engine: self.engine,
             seed: self.seed,
             record_outputs: false,
+            backup_policy: sim.backup_policy,
+            max_simd_lanes: sim.max_simd_lanes,
+            park_slots: sim.park_slots,
+            checkpoint_plan: sim.checkpoint_plan,
         }
     }
 }

@@ -112,6 +112,36 @@ fn incidental_parking_trace_bytes_are_pinned() {
     );
 }
 
+/// FNV-1a digest of the quick-scale `--jobs 1` traces of `ckpt`, `wcec`,
+/// `ablate_simd` and `table2`, concatenated in that order, recorded
+/// before the experiments were assembled as `catalog::RunRequest`s.
+/// Together they reach every request knob beyond kernel, scale, profile
+/// and mode: explicit and cached checkpoint plans, the engine override,
+/// the SIMD width cap, retention shaping and recorded outputs.
+const REQUEST_KNOB_TRACE_FNV: u64 = 0x53c9_0846_9c84_0064;
+
+#[test]
+fn request_knob_trace_bytes_are_pinned() {
+    let scale = Scale::quick().with_jobs(1);
+    let runs: [Experiment; 4] = [
+        experiments::ckpt,
+        experiments::wcec,
+        experiments::ablate_simd,
+        experiments::table2,
+    ];
+    let trace: String = runs
+        .iter()
+        .map(|f| experiments::traced(|| f(scale)).1)
+        .collect();
+    let digest = nvp_exec::fnv1a64(trace.as_bytes());
+    assert_eq!(
+        digest,
+        REQUEST_KNOB_TRACE_FNV,
+        "request-knob trace bytes changed ({} bytes, digest {digest:#018x})",
+        trace.len()
+    );
+}
+
 /// FNV-1a digests of `recompute_and_combine`'s merged output and per-pass
 /// PSNR bits (median, P1 for 2 s, minbits 2, 5 passes), per image side and
 /// `MergeMode`, recorded before the merge table moved into `MergeMode`. At

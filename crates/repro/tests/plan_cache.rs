@@ -1,7 +1,8 @@
 //! The catalog's checkpoint-plan cache must be invisible in results: a
 //! `LiveDirty` run through the catalog (shared plan) reports and traces
-//! byte-for-byte what a simulator that synthesizes its own plan does, and
-//! repeating a request synthesizes nothing new.
+//! byte-for-byte what a directly built simulator handed a freshly
+//! synthesized plan does, and repeating a request synthesizes nothing
+//! new.
 //!
 //! One test in its own binary, so no concurrent test can move the
 //! process-wide synthesis counter between the two rounds.
@@ -11,8 +12,9 @@ use nvp_power::Energy;
 use nvp_repro::catalog::{self, RunRequest};
 use nvp_repro::dims;
 use nvp_repro::key::RunMode;
-use nvp_sim::{BackupScope, ExecEngine, SystemConfig, SystemSim};
+use nvp_sim::{BackupScope, CheckpointPlan, ExecEngine, SystemConfig, SystemSim};
 use nvp_trace::{CounterSink, JsonlBufSink, TeeSink};
+use std::sync::Arc;
 
 fn request(kernel: KernelId, mode: RunMode) -> RunRequest {
     RunRequest {
@@ -20,14 +22,11 @@ fn request(kernel: KernelId, mode: RunMode) -> RunRequest {
         img: 12,
         frames: 2,
         trace_seconds: 0.3,
-        profile: nvp_power::synth::WatchProfile::P1,
-        member: 0,
-        cap_nj: 3500,
         scope: BackupScope::LiveDirty,
         mode: mode.exec_mode(),
         engine: ExecEngine::Compiled,
-        seed: 0x5EED,
         record_outputs: true,
+        ..RunRequest::default()
     }
 }
 
@@ -45,10 +44,12 @@ fn via_catalog(req: &RunRequest) -> (nvp_sim::RunReport, String, nvp_trace::Trac
     (report, jsonl.into_string(), counter.summary)
 }
 
-/// Runs `req` on a directly built simulator with no supplied plan, so
-/// it synthesizes its own at construction.
+/// Runs `req` on a directly built simulator handed its own freshly
+/// synthesized plan, bypassing every catalog cache but the frames and
+/// trace.
 fn self_synthesized(req: &RunRequest) -> (nvp_sim::RunReport, String, nvp_trace::TraceSummary) {
     let (w, h) = dims(req.kernel, req.img);
+    let spec = req.kernel.spec(w, h);
     let frames = catalog::frames_for(req.kernel, req.img, req.frames);
     let trace = catalog::synth_profile_member(req.profile, req.trace_seconds, req.member);
     let cfg = SystemConfig {
@@ -57,10 +58,10 @@ fn self_synthesized(req: &RunRequest) -> (nvp_sim::RunReport, String, nvp_trace:
         record_outputs: req.record_outputs,
         seed: req.seed,
         exec_engine: req.engine,
-        checkpoint_plan: None,
+        checkpoint_plan: Some(Arc::new(CheckpointPlan::synthesized(&spec))),
         ..Default::default()
     };
-    let sim = SystemSim::new(req.kernel.spec(w, h), frames, req.mode, cfg);
+    let sim = SystemSim::new(spec, frames, req.mode, cfg);
     let (mut jsonl, mut counter) = (JsonlBufSink::new(), CounterSink::new());
     let report = sim.run_traced(
         &trace,

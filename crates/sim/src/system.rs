@@ -262,11 +262,11 @@ pub enum BackupScope {
     /// the last checkpoint crossing (`live ∩ dirty`,
     /// [`nvp_analysis::dirty`]): clean state already persists from the
     /// previous crossing, so rewriting it buys nothing. Masks come from
-    /// [`SystemConfig::checkpoint_plan`] when one is supplied; otherwise
-    /// the simulator synthesizes a placement
-    /// ([`nvp_analysis::ckpt_place`]) at construction. A pc outside the
-    /// mask table degrades that backup to full state and traces a
-    /// `backup_scope_fallback` warning.
+    /// [`SystemConfig::checkpoint_plan`] (the repro catalog supplies one
+    /// [`CheckpointPlan::synthesized`] plan per kernel × dimensions). A pc
+    /// outside the mask table, or a run with no plan at all, degrades
+    /// that backup to full state and traces a `backup_scope_fallback`
+    /// warning.
     LiveDirty,
 }
 
@@ -286,10 +286,12 @@ pub struct CheckpointPlan {
 
 impl CheckpointPlan {
     /// The placement `nvp_analysis::synthesize` finds for `spec` over its
-    /// kernel's declared bitwidth range and memory size — exactly what
-    /// `BackupScope::LiveDirty` uses when no plan is supplied. A pure
-    /// function of the program, so callers may memoize it per kernel ×
-    /// dimensions.
+    /// kernel's declared bitwidth range and memory size. A pure function
+    /// of the program, so callers may memoize it per kernel × dimensions.
+    /// The shipped kernels declare one whole-program region (a single
+    /// resume marker at pc 0), under which every live register is also
+    /// dirty; the synthesized placement is what makes `LiveDirty`
+    /// cheaper than `LiveOnly`.
     pub fn synthesized(spec: &KernelSpec) -> CheckpointPlan {
         let (bits_lo, bits_hi) = spec.id.declared_bits();
         let opts = nvp_analysis::CkptOptions {
@@ -339,10 +341,13 @@ pub struct SystemConfig {
     /// Capacitor-check scheduling (results are identical either way).
     #[serde(default)]
     pub exec_engine: ExecEngine,
-    /// Explicit checkpoint placement overriding the masks
-    /// `BackupScope::LiveDirty` synthesizes (None = synthesize).
+    /// The checkpoint placement whose masks scope `BackupScope::LiveDirty`
+    /// backups, shared rather than copied. `None` leaves every pc
+    /// uncovered: each `LiveDirty` backup then persists the full state
+    /// and traces a `backup_scope_fallback` warning. Other scopes ignore
+    /// the plan.
     #[serde(default)]
-    pub checkpoint_plan: Option<CheckpointPlan>,
+    pub checkpoint_plan: Option<Arc<CheckpointPlan>>,
 }
 
 impl Default for SystemConfig {
@@ -408,10 +413,6 @@ pub struct SystemSim {
     compiled: Option<Arc<CompiledProgram>>,
     /// Per-pc live register sets (drives `BackupScope::LiveOnly`).
     backup_liveness: BackupLiveness,
-    /// Per-pc `live ∩ dirty` masks (drives `BackupScope::LiveDirty`): the
-    /// supplied [`CheckpointPlan`]'s table, else a placement synthesized
-    /// at construction when the scope needs one.
-    dirty_masks: Option<Vec<u16>>,
     /// Resolved static safe-bits floor (1 = no clamp).
     static_floor: u8,
     rng: SmallRng,
@@ -457,16 +458,6 @@ impl SystemSim {
         let controller = ResumeController::with_capacity(cfg.park_slots as usize);
         let rng = SmallRng::seed_from_u64(cfg.seed);
         let backup_liveness = BackupLiveness::compute(&spec.program);
-        // LiveDirty masks: honor an explicit plan; otherwise synthesize a
-        // placement. The declared placement of the shipped kernels is one
-        // whole-program region (a single resume marker at pc 0), under
-        // which every live register is also dirty — synthesizing is what
-        // makes LiveDirty strictly cheaper than LiveOnly.
-        let dirty_masks = match (&cfg.checkpoint_plan, cfg.backup_scope) {
-            (Some(plan), _) => Some(plan.masks.clone()),
-            (None, BackupScope::LiveDirty) => Some(CheckpointPlan::synthesized(&spec).masks),
-            _ => None,
-        };
         let mut block_suffix = vec![([0u32; 6], 0u32); spec.program.len()];
         for blk in nvp_analysis::Cfg::build(&spec.program).blocks() {
             let mut counts = [0u32; 6];
@@ -508,7 +499,6 @@ impl SystemSim {
             class_cache: None,
             compiled: None,
             backup_liveness,
-            dirty_masks,
             static_floor,
             rng,
             report: RunReport::default(),
@@ -710,9 +700,10 @@ impl SystemSim {
                 (pc < self.spec.program.len()).then(|| self.backup_liveness.live_fraction(pc))
             }
             BackupScope::LiveDirty => self
-                .dirty_masks
+                .cfg
+                .checkpoint_plan
                 .as_ref()
-                .and_then(|m| m.get(pc))
+                .and_then(|plan| plan.masks.get(pc))
                 .map(|&mask| f64::from(mask.count_ones()) / NUM_REGS as f64),
         };
         if frac.is_none() && self.cfg.backup_scope != BackupScope::FullState {
@@ -1446,7 +1437,7 @@ mod tests {
         // backup energy than LiveOnly — the dirty intersection can only
         // shrink the mask.
         let id = KernelId::Median;
-        let run = |scope: BackupScope, plan: Option<CheckpointPlan>| {
+        let run = |scope: BackupScope, plan: Option<Arc<CheckpointPlan>>| {
             let spec = id.spec(16, 16);
             let frames = small_frames(id, 16, 16, 1);
             let pattern: Vec<f64> = (0..100_000)
@@ -1463,19 +1454,13 @@ mod tests {
         };
         let full = run(BackupScope::FullState, None);
         let live = run(BackupScope::LiveOnly, None);
-        let dirty = run(BackupScope::LiveDirty, None);
-        let planned = run(
+        let dirty = run(
             BackupScope::LiveDirty,
-            Some(CheckpointPlan::synthesized(&id.spec(16, 16))),
+            Some(Arc::new(CheckpointPlan::synthesized(&id.spec(16, 16)))),
         );
         assert!(full.backups > 0, "need emergencies to compare scopes");
         let golden = id.golden(&small_frames(id, 16, 16, 1)[0], 16, 16);
-        for (name, rep) in [
-            ("full", &full),
-            ("live", &live),
-            ("dirty", &dirty),
-            ("planned", &planned),
-        ] {
+        for (name, rep) in [("full", &full), ("live", &live), ("dirty", &dirty)] {
             assert_eq!(
                 rep.outputs_for(0)[0].output,
                 golden,
@@ -1489,15 +1474,11 @@ mod tests {
             dirty.energy_backup_saved.as_nj(),
             live.energy_backup_saved.as_nj()
         );
-        // The explicit synthesized plan is exactly what LiveDirty
-        // synthesizes on its own.
-        assert_eq!(planned.energy_backup, dirty.energy_backup);
-        assert_eq!(planned.energy_backup_saved, dirty.energy_backup_saved);
     }
 
     #[test]
     fn scoped_backup_scopes_are_output_identical_across_profiles() {
-        // All four scopes, five watch profiles. Cheaper backups leave more
+        // All three scopes, five watch profiles. Cheaper backups leave more
         // residual energy, so the emergency *schedule* legitimately shifts;
         // what must not change is the committed output values (Precise mode
         // is deterministic) and the ledger: spend + saved must equal what
@@ -1505,10 +1486,10 @@ mod tests {
         // lane and Precise bits the full cost per backup is a constant, so
         // the implied per-backup full cost must match the reference run's.
         let id = KernelId::Tiff2Bw;
-        let plan = CheckpointPlan::synthesized(&id.spec(8, 8));
+        let plan = Arc::new(CheckpointPlan::synthesized(&id.spec(8, 8)));
         for profile in nvp_power::synth::WatchProfile::ALL {
             let trace = profile.synthesize_seconds(2.0);
-            let run = |scope: BackupScope, plan: Option<CheckpointPlan>| {
+            let run = |scope: BackupScope, plan: Option<Arc<CheckpointPlan>>| {
                 let cfg = SystemConfig {
                     backup_scope: scope,
                     checkpoint_plan: plan,
@@ -1525,12 +1506,11 @@ mod tests {
             };
             let full = run(BackupScope::FullState, None);
             let live = run(BackupScope::LiveOnly, None);
-            let dirty = run(BackupScope::LiveDirty, None);
-            let planned = run(BackupScope::LiveDirty, Some(plan.clone()));
+            let dirty = run(BackupScope::LiveDirty, Some(plan.clone()));
             assert!(full.backups > 0, "{profile:?}: need emergencies");
             let frames = small_frames(id, 8, 8, 2);
             let full_per_backup = full.energy_backup.as_nj() / full.backups as f64;
-            for (name, rep) in [("live", &live), ("dirty", &dirty), ("planned", &planned)] {
+            for (name, rep) in [("live", &live), ("dirty", &dirty)] {
                 assert!(
                     rep.frames_committed > 0,
                     "{name}@{profile:?}: scoped run made no progress"
@@ -1562,10 +1542,11 @@ mod tests {
 
     #[test]
     fn missing_masks_fall_back_to_full_state_with_traced_warning() {
-        // An (erroneous) empty mask table must not change results: every
-        // scoped backup degrades to full state, and the trace says so.
+        // An (erroneous) empty mask table, or no plan at all, must not
+        // change results: every scoped backup degrades to full state, and
+        // the trace says so.
         let id = KernelId::Median;
-        let run = |plan: Option<CheckpointPlan>, scope: BackupScope| {
+        let run = |plan: Option<Arc<CheckpointPlan>>, scope: BackupScope| {
             let spec = id.spec(16, 16);
             let frames = small_frames(id, 16, 16, 1);
             let pattern: Vec<f64> = (0..100_000)
@@ -1587,24 +1568,32 @@ mod tests {
             masks: Vec::new(),
         };
         let (full, full_events) = run(None, BackupScope::FullState);
-        let (degraded, degraded_events) = run(Some(empty_plan), BackupScope::LiveDirty);
         assert!(full.backups > 0);
-        assert_eq!(degraded.backups, full.backups);
-        assert_eq!(
-            degraded.outputs_for(0)[0].output,
-            full.outputs_for(0)[0].output
-        );
-        // Degraded backups cost exactly what full-state ones do.
-        assert_eq!(degraded.energy_backup, full.energy_backup);
-        assert_eq!(degraded.energy_backup_saved, Energy::ZERO);
-        let fallbacks = degraded_events
-            .iter()
-            .filter(|e| matches!(e, Event::BackupScopeFallback { .. }))
-            .count();
-        assert_eq!(
-            fallbacks as u64, degraded.backups,
-            "every scoped backup must trace its degradation"
-        );
+        for plan in [Some(Arc::new(empty_plan)), None] {
+            let what = if plan.is_some() {
+                "empty plan"
+            } else {
+                "no plan"
+            };
+            let (degraded, degraded_events) = run(plan, BackupScope::LiveDirty);
+            assert_eq!(degraded.backups, full.backups, "{what}");
+            assert_eq!(
+                degraded.outputs_for(0)[0].output,
+                full.outputs_for(0)[0].output,
+                "{what}"
+            );
+            // Degraded backups cost exactly what full-state ones do.
+            assert_eq!(degraded.energy_backup, full.energy_backup, "{what}");
+            assert_eq!(degraded.energy_backup_saved, Energy::ZERO, "{what}");
+            let fallbacks = degraded_events
+                .iter()
+                .filter(|e| matches!(e, Event::BackupScopeFallback { .. }))
+                .count();
+            assert_eq!(
+                fallbacks as u64, degraded.backups,
+                "{what}: every scoped backup must trace its degradation"
+            );
+        }
         assert!(
             !full_events
                 .iter()

@@ -14,7 +14,7 @@ use nvp_kernels::KernelId;
 use nvp_power::synth::WatchProfile;
 use nvp_power::{Power, PowerProfile, Ticks};
 use nvp_sim::system::{
-    BackupScope, ExecEngine, ExecMode, IncidentalSetup, SystemConfig, SystemSim,
+    BackupScope, CheckpointPlan, ExecEngine, ExecMode, IncidentalSetup, SystemConfig, SystemSim,
 };
 use nvp_sim::{Governor, RunReport};
 use nvp_trace::{CounterSink, JsonlBufSink, TeeSink};
@@ -39,6 +39,8 @@ fn run(
         exec_engine: engine,
         backup_scope: scope,
         frames_limit: Some(4),
+        checkpoint_plan: (scope == BackupScope::LiveDirty)
+            .then(|| Arc::new(CheckpointPlan::synthesized(&spec))),
         ..Default::default()
     };
     let sim = SystemSim::new(spec, frames(id, w, h, 4), mode, cfg);
