@@ -44,6 +44,8 @@ use nvp_isa::{Instr, Program, NUM_REGS};
 const UNBOUNDED_TRIP_WEIGHT: f64 = 256.0;
 /// Cap on any single loop's contribution to a pc's execution weight.
 const TRIP_WEIGHT_CAP: f64 = 10_000.0;
+/// Maximum synthetic checkpoints the greedy search may add.
+const MAX_ADDED: usize = 6;
 
 /// Tunables of the placement search.
 #[derive(Debug, Clone)]
@@ -56,11 +58,6 @@ pub struct CkptOptions {
     pub bits_hi: u8,
     /// Total data-memory words (bounds degraded store ranges).
     pub mem_words: usize,
-    /// Maximum synthetic checkpoints the greedy search may add.
-    pub max_added: usize,
-    /// `NVP-I003` fires when the synthesized placement saves at least
-    /// this percentage of expected backup energy vs. the declared one.
-    pub min_savings_pct: f64,
 }
 
 impl Default for CkptOptions {
@@ -70,8 +67,6 @@ impl Default for CkptOptions {
             bits_lo: 1,
             bits_hi: 8,
             mem_words: 1024,
-            max_added: 6,
-            min_savings_pct: 10.0,
         }
     }
 }
@@ -355,7 +350,7 @@ pub fn synthesize(program: &Program, cfg: &Cfg, opts: &CkptOptions) -> Synthesis
 
     let cands = candidates(program, cfg, &declared_set);
     let mut current = declared.clone();
-    for _ in 0..opts.max_added {
+    for _ in 0..MAX_ADDED {
         let cur_key = key(&current);
         let mut best: Option<PlacementEval> = None;
         for &c in &cands {
@@ -510,8 +505,6 @@ impl CkptPass {
             bits_lo: lo,
             bits_hi: hi,
             mem_words: cx.config.mem_words.unwrap_or(1024),
-            min_savings_pct: self.min_savings_pct,
-            ..CkptOptions::default()
         }
     }
 

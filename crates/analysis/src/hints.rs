@@ -60,10 +60,7 @@ pub fn compile_hints(program: &Program, cfg: &Cfg, mem_words: usize) -> CompileH
             matches!((lo, hi), (Some(lo), Some(hi)) if lo >= 0 && hi < mw)
         })
         .collect();
-    CompileHints {
-        in_range,
-        limit: None,
-    }
+    CompileHints { in_range }
 }
 
 #[cfg(test)]
@@ -149,6 +146,5 @@ mod tests {
         let p = b.build().unwrap();
         let h = hints_for(&p, 4);
         assert_eq!(h.in_range.len(), p.len());
-        assert!(h.limit.is_none());
     }
 }

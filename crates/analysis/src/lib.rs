@@ -97,9 +97,7 @@ pub use interval::Interval;
 pub use liveness::{liveness, Liveness};
 pub use loop_bound::{find_loops, loop_report, LoopReport, NaturalLoop, TripBound};
 pub use reaching::{reaching, Reaching, ENTRY_DEF};
-pub use safe_bits::{
-    bitwidth_report, static_floor, BitwidthPass, BitwidthReport, DeclaredBits, NEVER_SAFE,
-};
+pub use safe_bits::{bitwidth_report, BitwidthPass, BitwidthReport, DeclaredBits, NEVER_SAFE};
 pub use taint::TaintPass;
 pub use war::{region_hazards, WarPass};
 pub use wcec::{

@@ -15,9 +15,10 @@
 //!   machine itself may have wrapped producing (`NVP-E005`; wraparound
 //!   is unsafe at *every* bitwidth, including 8).
 //!
-//! Floors are reported per pc, per basic block, and per program; the
-//! program floor feeds the sim's `StaticBitsFloor` governor clamp, and
-//! `nvp-lint --bitwidth` prints the per-block table. Safety is monotone
+//! Floors are reported per pc, per basic block, and per program, and
+//! `nvp-lint --bitwidth` prints the per-block table. They are reported,
+//! not enforced: the simulator's governor picks widths from power alone,
+//! inside the kernel's declared `[minbits, maxbits]`. Safety is monotone
 //! in `bits` (error bounds shrink as precision grows), so the floor for
 //! the whole family `bits ≥ floor` is established by one analysis per
 //! candidate setting.
@@ -264,18 +265,6 @@ pub fn bitwidth_report(
     }
 }
 
-/// The statically proven governor floor for `program`: the smallest
-/// setting safe at every instruction, clamped into the governor's `1..=8`
-/// operating range ([`NEVER_SAFE`] clamps to 8 — the sim still cannot
-/// run "more exactly than exact"; the wraparound itself is reported by
-/// the lint, not the governor).
-pub fn static_floor(program: &Program, sanitized: u16, mem_words: Option<usize>) -> u8 {
-    let cfg = Cfg::build(program);
-    bitwidth_report(program, &cfg, sanitized, mem_words)
-        .program_floor
-        .min(8)
-}
-
 /// The `nvp-lint` pass surfacing the bitwidth analysis as diagnostics.
 ///
 /// Inert unless the analysis configuration carries a
@@ -448,7 +437,6 @@ mod tests {
         // Output error shrinks monotonically toward exactness.
         assert!(report.output_err[0] >= report.output_err[6]);
         assert_eq!(report.output_err[7], 0);
-        assert_eq!(static_floor(&p, 0, Some(256)), 1);
     }
 
     #[test]

@@ -97,6 +97,13 @@ impl CellTable {
         &self.canon[ordinal]
     }
 
+    /// The ordinal of the cell spelled `canonical`, if the spec has one.
+    pub(crate) fn ordinal_of(&self, canonical: &str) -> Option<usize> {
+        self.canon
+            .binary_search_by(|c| c.as_str().cmp(canonical))
+            .ok()
+    }
+
     /// Cohort index of the cell with ordinal `ordinal`.
     pub(crate) fn cohort_of(&self, ordinal: usize) -> usize {
         self.cohort_of[ordinal] as usize

@@ -8,6 +8,7 @@
 //! final report across `resume` would be a lie.
 
 use crate::agg::{CellStat, CohortAgg, FleetAggregate};
+use crate::ordinal::CellTable;
 use crate::spec::{ScenarioSpec, MAX_CELLS};
 use nvp_trace::{EnergyLedger, EventKind, Histogram, TraceSummary};
 use std::collections::BTreeMap;
@@ -291,6 +292,9 @@ pub fn decode_snapshot(text: &str) -> Result<FleetAggregate, SnapshotError> {
     let mut spec: Option<ScenarioSpec> = None;
     let mut cohorts: BTreeMap<String, CohortAgg> = BTreeMap::new();
     let mut cells: BTreeMap<String, CellStat> = BTreeMap::new();
+    // Each cohort and cell block's header line, checked against the spec
+    // once it is known.
+    let mut names: Vec<(usize, &str, &str)> = Vec::new();
 
     while let Some((ln, raw)) = lines.next() {
         let line = raw.trim();
@@ -382,6 +386,7 @@ pub fn decode_snapshot(text: &str) -> Result<FleetAggregate, SnapshotError> {
             }
             c.summary = TraceSummary::from_parts(counts, ledger, inter, outage, retention);
             cohorts.insert(name.to_string(), c);
+            names.push((ln, "cohort", name));
         } else if let Some(canon) = line
             .strip_prefix("cell ")
             .and_then(|r| r.strip_suffix(" {"))
@@ -416,6 +421,7 @@ pub fn decode_snapshot(text: &str) -> Result<FleetAggregate, SnapshotError> {
                 }
             }
             cells.insert(canon.to_string(), s);
+            names.push((ln, "cell", canon));
         } else {
             let (k, v) = parse_kv(line, ln)?;
             match k {
@@ -429,6 +435,24 @@ pub fn decode_snapshot(text: &str) -> Result<FleetAggregate, SnapshotError> {
     }
 
     let spec = spec.ok_or_else(|| SnapshotError::new(0, "missing spec block"))?;
+    // A block the spec does not name would count toward the cell bound
+    // and render in the report although no device maps to it.
+    let table = CellTable::new(&spec);
+    for (ln, kind, name) in names {
+        let known = match kind {
+            "cell" => table.ordinal_of(name).is_some(),
+            _ => table
+                .cohorts()
+                .binary_search_by(|c| c.as_str().cmp(name))
+                .is_ok(),
+        };
+        if !known {
+            return Err(SnapshotError::new(
+                ln,
+                format!("{kind} '{name}' is not in the spec"),
+            ));
+        }
+    }
     let agg = FleetAggregate {
         spec,
         next_chunk: next_chunk.ok_or_else(|| SnapshotError::new(0, "missing next_chunk"))?,
@@ -508,6 +532,24 @@ mod tests {
             };
             let err = decode_snapshot(&bad).unwrap_err();
             assert!(err.to_string().contains(needle), "{mangle}: {err}");
+        }
+    }
+
+    #[test]
+    fn cells_outside_the_spec_are_refused() {
+        let good = encode_snapshot(&folded_aggregate());
+        for kind in ["cell ", "cohort "] {
+            let (index, header) = good
+                .lines()
+                .enumerate()
+                .find(|(_, l)| l.starts_with(kind) && l.contains("sobel"))
+                .unwrap();
+            // fft is not among the spec's kernels.
+            let renamed = header.replacen("sobel", "fft", 1);
+            let bad = good.replacen(header, &renamed, 1);
+            let err = decode_snapshot(&bad).unwrap_err();
+            assert_eq!(err.line, index + 1, "{kind}: {err}");
+            assert!(err.to_string().contains("not in the spec"), "{kind}: {err}");
         }
     }
 

@@ -53,10 +53,6 @@ pub struct CompileHints {
     /// at `pc` can compute is proven inside `[0, mem_words)`, so its
     /// per-access fault check can be hoisted out of the op body.
     pub in_range: Vec<bool>,
-    /// Compile only pcs below `limit` (`None` = the whole program). Pcs at
-    /// or past the limit are not covered by the table and fall back to the
-    /// step interpreter; used to exercise the fallback path under test.
-    pub limit: Option<usize>,
 }
 
 impl CompileHints {
@@ -64,7 +60,6 @@ impl CompileHints {
     pub fn none(program_len: usize) -> Self {
         CompileHints {
             in_range: vec![false; program_len],
-            limit: None,
         }
     }
 }
@@ -79,7 +74,7 @@ pub enum ChainEvent {
     Executed,
     /// A frame-commit marker retired.
     FrameDone,
-    /// The op was `halt` (or the pc ran off the end).
+    /// The op was `halt`.
     Halted,
 }
 
@@ -338,14 +333,13 @@ fn c_frame(_vm: &mut Vm, op: &Op) -> Result<Ctl, VmError> {
     })
 }
 
-/// A program pre-decoded into one `Op` record per covered pc.
+/// A program pre-decoded into one `Op` record per pc.
 ///
 /// Compile once per kernel (the repro catalog memoises by kernel identity)
 /// and share behind an `Arc`: the table is immutable and `Sync`.
 pub struct CompiledProgram {
     ops: Vec<Op>,
     mem_words: usize,
-    program_len: usize,
 }
 
 impl CompiledProgram {
@@ -355,9 +349,8 @@ impl CompiledProgram {
     /// [`CompileHints`]); pass [`CompileHints::none`] to keep every
     /// per-access check.
     pub fn compile(program: &Program, mem_words: usize, hints: &CompileHints) -> Self {
-        let len = program.len();
-        let covered = hints.limit.unwrap_or(len).min(len);
-        let ops = program.instrs()[..covered]
+        let ops = program
+            .instrs()
             .iter()
             .enumerate()
             .map(|(pc, &instr)| {
@@ -365,11 +358,7 @@ impl CompiledProgram {
                 Self::decode(pc, instr, mem_words, proven)
             })
             .collect();
-        CompiledProgram {
-            ops,
-            mem_words,
-            program_len: len,
-        }
+        CompiledProgram { ops, mem_words }
     }
 
     fn decode(pc: usize, instr: Instr, mem_words: usize, proven: bool) -> Op {
@@ -491,26 +480,14 @@ impl CompiledProgram {
         op
     }
 
-    /// Whether `pc` has a compiled op (false past a [`CompileHints::limit`]
-    /// or off the end of the program).
-    #[inline]
-    pub fn covers(&self, pc: usize) -> bool {
-        pc < self.ops.len()
-    }
-
-    /// Number of leading pcs covered by the table.
-    pub fn covered(&self) -> usize {
-        self.ops.len()
-    }
-
     /// Length of the source program (instruction count).
     pub fn len(&self) -> usize {
-        self.program_len
+        self.ops.len()
     }
 
     /// Whether the source program was empty.
     pub fn is_empty(&self) -> bool {
-        self.program_len == 0
+        self.ops.is_empty()
     }
 
     /// Data-memory size (words) the bounds hoisting was compiled against.
@@ -522,7 +499,7 @@ impl CompiledProgram {
     ///
     /// # Panics
     ///
-    /// Panics if `pc` is not covered.
+    /// Panics if `pc` is past the end of the program.
     #[inline]
     pub fn class_of(&self, pc: usize) -> InstrClass {
         self.ops[pc].class
@@ -539,7 +516,7 @@ impl CompiledProgram {
     /// table — identical state mutation, counters, and pc update to
     /// [`Vm::step`], minus fetch and decode.
     ///
-    /// The caller must ensure `!vm.halted()` and `self.covers(vm.pc())`;
+    /// The caller must ensure `!vm.halted()` and `vm.pc() < self.len()`;
     /// this is the per-instruction entry the system simulator uses inside
     /// armed block chains.
     ///
@@ -551,7 +528,6 @@ impl CompiledProgram {
     #[inline]
     pub fn step_vm(&self, vm: &mut Vm) -> Result<ChainEvent, VmError> {
         debug_assert!(!vm.halted());
-        debug_assert!(self.covers(vm.pc));
         let op = &self.ops[vm.pc];
         let f = if Self::fast_mode(vm) { op.fast } else { op.gen };
         let ctl = f(vm, op)?;
@@ -571,8 +547,7 @@ impl CompiledProgram {
 impl std::fmt::Debug for CompiledProgram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompiledProgram")
-            .field("covered", &self.ops.len())
-            .field("program_len", &self.program_len)
+            .field("len", &self.ops.len())
             .field("mem_words", &self.mem_words)
             .finish()
     }
@@ -599,16 +574,10 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// Runs `vm` to halt one instruction at a time: through `step_vm`
-    /// where the table covers the pc, through [`Vm::step`] elsewhere —
-    /// the same split the system simulator makes inside armed blocks.
+    /// Runs `vm` to halt one instruction at a time through `step_vm`.
     fn run(compiled: &CompiledProgram, vm: &mut Vm) -> Result<(), VmError> {
         while !vm.halted() {
-            if compiled.covers(vm.pc()) {
-                compiled.step_vm(vm)?;
-            } else {
-                vm.step()?;
-            }
+            compiled.step_vm(vm)?;
         }
         Ok(())
     }
@@ -698,26 +667,6 @@ mod tests {
         assert!(vm.halted());
         assert_eq!(vm.pc(), 1);
         assert_eq!(vm.instructions_retired(), 1);
-    }
-
-    #[test]
-    fn uncovered_pc_falls_back_to_interpreter() {
-        let program = Arc::new(sum_loop());
-        let hints = CompileHints {
-            in_range: vec![false; program.len()],
-            limit: Some(4), // loop body tail and store run interpreted
-        };
-        let compiled = CompiledProgram::compile(&program, 8, &hints);
-        assert!(compiled.covers(3));
-        assert!(!compiled.covers(4));
-        let mut a = Vm::new(program.clone(), 8);
-        let mut b = Vm::new(program, 8);
-        a.run_to_halt(1000).unwrap();
-        run(&compiled, &mut b).unwrap();
-        assert_eq!(a.mem().read(3, 0), 15);
-        assert_eq!(b.mem().read(3, 0), 15);
-        assert_eq!(a.instructions_retired(), b.instructions_retired());
-        assert_eq!(a.cycles_elapsed(), b.cycles_elapsed());
     }
 
     #[test]

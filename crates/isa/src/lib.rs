@@ -39,7 +39,6 @@
 
 pub mod approx;
 pub mod compiled;
-pub mod encoding;
 pub mod energy;
 pub mod instr;
 pub mod program;
@@ -48,7 +47,6 @@ pub mod vm;
 
 pub use approx::{alu_approximate, alu_error_bound, mem_error_bound, mem_truncate, ApproxConfig};
 pub use compiled::{ChainEvent, CompileHints, CompiledProgram};
-pub use encoding::{decode_program, encode_program, DecodeError};
 pub use energy::{ClassEnergies, EnergyModel};
 pub use instr::{Instr, InstrClass, Reg, NUM_REGS};
 pub use program::{Label, Program, ProgramBuilder, ProgramError};

@@ -90,8 +90,8 @@ pub fn fig14(scale: Scale) -> Vec<Table> {
 /// Statically-proven safe bitwidths: the `nvp-lint --bitwidth` result as
 /// a table — per-kernel governor floor and worst-case output-region error
 /// bound at every governor setting. The measured MSE curves of Figures
-/// 11–14 sit *under* these bounds; the floor is what the simulator's
-/// `StaticBitsFloor::Auto` clamp enforces.
+/// 11–14 sit *under* these bounds. The floor is reported, not enforced:
+/// the simulator's governor picks widths from power alone.
 pub fn safebits(scale: Scale) -> Vec<Table> {
     let fmt_err = |e: u64| {
         if e == u64::MAX {

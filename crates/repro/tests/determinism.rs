@@ -142,6 +142,34 @@ fn request_knob_trace_bytes_are_pinned() {
     );
 }
 
+/// FNV-1a digest of the quick-scale `--jobs 1` traces of `fig18` and
+/// `fig19`, concatenated in that order, recorded before the static bits
+/// floor was deleted. Both sweep Dynamic-mode governors over the power
+/// profiles, so this pins the bytes of every `governor_switch` the
+/// bitwidth control unit emits.
+const DYNAMIC_GOVERNOR_TRACE_FNV: u64 = 0x670a_1d5e_5ef5_4f01;
+
+#[test]
+fn dynamic_governor_trace_bytes_are_pinned() {
+    let scale = Scale::quick().with_jobs(1);
+    let runs: [Experiment; 2] = [experiments::fig18, experiments::fig19];
+    let trace: String = runs
+        .iter()
+        .map(|f| experiments::traced(|| f(scale)).1)
+        .collect();
+    assert!(
+        trace.contains("\"ev\":\"governor_switch\""),
+        "trace never reaches a governor switch"
+    );
+    let digest = nvp_exec::fnv1a64(trace.as_bytes());
+    assert_eq!(
+        digest,
+        DYNAMIC_GOVERNOR_TRACE_FNV,
+        "dynamic-governor trace bytes changed ({} bytes, digest {digest:#018x})",
+        trace.len()
+    );
+}
+
 /// FNV-1a digests of `recompute_and_combine`'s merged output and per-pass
 /// PSNR bits (median, P1 for 2 s, minbits 2, 5 passes), per image side and
 /// `MergeMode`, recorded before the merge table moved into `MergeMode`. At

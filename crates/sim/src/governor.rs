@@ -8,6 +8,11 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Capacitor fill level considered "rich" (maps to `maxbits`).
+const RICH_FILL: f64 = 0.8;
+/// Income power in µW considered "rich" on its own.
+const RICH_INCOME_UW: f64 = 400.0;
+
 /// Dynamic bitwidth governor.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Governor {
@@ -15,15 +20,10 @@ pub struct Governor {
     pub minbits: u8,
     /// Maximum bitwidth (the pragma's `maxbits`).
     pub maxbits: u8,
-    /// Capacitor fill level considered "rich" (maps to `maxbits`).
-    pub rich_fill: f64,
-    /// Income power in µW considered "rich" on its own.
-    pub rich_income_uw: f64,
 }
 
 impl Governor {
-    /// Creates a governor for a `[minbits, maxbits]` range with default
-    /// richness calibration.
+    /// Creates a governor for a `[minbits, maxbits]` range.
     ///
     /// # Panics
     ///
@@ -33,12 +33,7 @@ impl Governor {
             (1..=8).contains(&minbits) && minbits <= maxbits && maxbits <= 8,
             "need 1 <= minbits <= maxbits <= 8"
         );
-        Governor {
-            minbits,
-            maxbits,
-            rich_fill: 0.8,
-            rich_income_uw: 400.0,
-        }
+        Governor { minbits, maxbits }
     }
 
     /// Picks the bitwidth for the current conditions.
@@ -49,8 +44,8 @@ impl Governor {
     /// catches up (the paper's per-element width variation within a frame,
     /// Figure 9 bottom-right).
     pub fn bits_for(&self, fill: f64, income_uw: f64) -> u8 {
-        let fill_score = (fill / self.rich_fill).clamp(0.0, 1.0);
-        let income_score = (income_uw / self.rich_income_uw).clamp(0.0, 1.0);
+        let fill_score = (fill / RICH_FILL).clamp(0.0, 1.0);
+        let income_score = (income_uw / RICH_INCOME_UW).clamp(0.0, 1.0);
         // Convex mapping: widths above the floor are a luxury reserved for
         // genuinely rich conditions (Figure 18's bimodal utilization —
         // most on-time sits at the floor or at full precision).
@@ -61,33 +56,11 @@ impl Governor {
     }
 }
 
-/// Lower clamp on the governed bitwidth, backed by static analysis.
-///
-/// The paper's governor trusts the kernel's declared `minbits`; an
-/// adversarial (or simply miscalibrated) declaration lets sustained poor
-/// power pin the datapath at a width where output quality collapses. The
-/// floor feeds the bound proven by `nvp-lint --bitwidth`
-/// ([`nvp_analysis::static_floor`]) back into the runtime: the governor
-/// may never pick fewer bits than the analysis proved safe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum StaticBitsFloor {
-    /// No clamp (the seed's behavior).
-    #[default]
-    Off,
-    /// Derive the floor from the kernel's program at simulator
-    /// construction via [`nvp_analysis::static_floor`].
-    Auto,
-    /// Clamp to an explicit floor (clamped into `1..=8`).
-    Fixed(u8),
-}
-
 /// Change detector over the governor's chosen bitwidth.
 ///
 /// The governor re-evaluates every tick but mostly picks the same width;
 /// tracing every decision would dominate the trace. The tracker remembers
-/// the last width and reports only actual switches as `(from, to,
-/// floored)` triples, where `floored` records whether the static floor
-/// clamped the policy's choice this tick.
+/// the last width and reports only actual switches as `(from, to)` pairs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BitsTracker {
     last: Option<u8>,
@@ -99,14 +72,13 @@ impl BitsTracker {
         Self::default()
     }
 
-    /// Feeds this tick's chosen width and whether the static floor
-    /// clamped it. Returns `Some((from, to, floored))` when the width
-    /// changed from a previously observed one; the first observation
-    /// establishes the baseline and reports nothing.
-    pub fn observe(&mut self, bits: u8, floored: bool) -> Option<(u8, u8, bool)> {
+    /// Feeds this tick's chosen width. Returns `Some((from, to))` when
+    /// the width changed from a previously observed one; the first
+    /// observation establishes the baseline and reports nothing.
+    pub fn observe(&mut self, bits: u8) -> Option<(u8, u8)> {
         let prev = self.last.replace(bits);
         match prev {
-            Some(from) if from != bits => Some((from, bits, floored)),
+            Some(from) if from != bits => Some((from, bits)),
             _ => None,
         }
     }
@@ -162,21 +134,10 @@ mod tests {
     #[test]
     fn bits_tracker_reports_changes_only() {
         let mut t = BitsTracker::new();
-        assert_eq!(t.observe(8, false), None); // baseline, not a switch
-        assert_eq!(t.observe(8, false), None);
-        assert_eq!(t.observe(2, false), Some((8, 2, false)));
-        assert_eq!(t.observe(2, false), None);
-        assert_eq!(t.observe(8, false), Some((2, 8, false)));
-    }
-
-    #[test]
-    fn bits_tracker_carries_the_floored_flag_of_the_switch() {
-        let mut t = BitsTracker::new();
-        assert_eq!(t.observe(2, false), None);
-        // The governor wanted fewer bits but the static floor held it at 4.
-        assert_eq!(t.observe(4, true), Some((2, 4, true)));
-        // Steady clamped ticks are not switches.
-        assert_eq!(t.observe(4, true), None);
-        assert_eq!(t.observe(8, false), Some((4, 8, false)));
+        assert_eq!(t.observe(8), None); // baseline, not a switch
+        assert_eq!(t.observe(8), None);
+        assert_eq!(t.observe(2), Some((8, 2)));
+        assert_eq!(t.observe(2), None);
+        assert_eq!(t.observe(8), Some((2, 8)));
     }
 }

@@ -33,7 +33,7 @@ pub mod system;
 pub mod waitcompute;
 
 pub use energy::EnergyModel;
-pub use governor::{Governor, StaticBitsFloor};
+pub use governor::Governor;
 pub use quickrun::{instructions_per_frame, run_fixed};
 pub use system::{
     compile_kernel, BackupScope, CheckpointPlan, CommittedFrame, ExecEngine, ExecMode,

@@ -10,7 +10,7 @@
 //! newest buffered frame (incidental NVP, Section 3.1).
 
 use crate::energy::{EnergyModel, FlushCursor};
-use crate::governor::{BitsTracker, Governor, StaticBitsFloor};
+use crate::governor::{BitsTracker, Governor};
 use crate::resume::{PendingFrame, ResumeController, PARK_SLOTS};
 use nvp_analysis::{BackupLiveness, EnergyBudget};
 use nvp_isa::approx::FULL_BITS;
@@ -19,7 +19,7 @@ use nvp_kernels::KernelSpec;
 use nvp_nvm::backup::decay_region_traced;
 use nvp_nvm::RetentionPolicy;
 use nvp_power::{Capacitor, Energy, PowerProfile, Rectifier, Ticks, VoltageMonitor};
-use nvp_trace::{emit, Event, NoopTracer, SwitchReason, Tracer};
+use nvp_trace::{emit, Event, NoopTracer, Tracer};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -335,9 +335,6 @@ pub struct SystemConfig {
     pub park_slots: u8,
     /// RNG seed for retention decay.
     pub seed: u64,
-    /// Lower clamp on governed bitwidths from the static safe-bits
-    /// analysis (`nvp-lint --bitwidth`); `Off` reproduces the seed.
-    pub static_bits_floor: StaticBitsFloor,
     /// Capacitor-check scheduling (results are identical either way).
     #[serde(default)]
     pub exec_engine: ExecEngine,
@@ -361,7 +358,6 @@ impl Default for SystemConfig {
             max_simd_lanes: 4,
             park_slots: 3,
             seed: 0x5EED,
-            static_bits_floor: StaticBitsFloor::default(),
             exec_engine: ExecEngine::default(),
             checkpoint_plan: None,
         }
@@ -413,8 +409,6 @@ pub struct SystemSim {
     compiled: Option<Arc<CompiledProgram>>,
     /// Per-pc live register sets (drives `BackupScope::LiveOnly`).
     backup_liveness: BackupLiveness,
-    /// Resolved static safe-bits floor (1 = no clamp).
-    static_floor: u8,
     rng: SmallRng,
     report: RunReport,
 }
@@ -469,15 +463,6 @@ impl SystemSim {
                 block_suffix[pc] = (counts, n);
             }
         }
-        let static_floor = match cfg.static_bits_floor {
-            StaticBitsFloor::Off => 1,
-            StaticBitsFloor::Fixed(b) => b.clamp(1, FULL_BITS),
-            StaticBitsFloor::Auto => nvp_analysis::static_floor(
-                &spec.program,
-                spec.id.sanitized_regs(),
-                Some(spec.mem_words),
-            ),
-        };
         SystemSim {
             spec,
             frames,
@@ -499,7 +484,6 @@ impl SystemSim {
             class_cache: None,
             compiled: None,
             backup_liveness,
-            static_floor,
             rng,
             report: RunReport::default(),
         }
@@ -528,31 +512,24 @@ impl SystemSim {
         self.compiled = Some(compiled);
     }
 
-    /// The resolved static safe-bits floor this run clamps against
-    /// (1 when the floor is `Off` or nothing was proven above 1 bit).
-    pub fn resolved_static_floor(&self) -> u8 {
-        self.static_floor
-    }
-
     fn is_incidental(&self) -> bool {
         matches!(self.mode, ExecMode::Incidental(_))
     }
 
     /// Approximation configuration to assume when sizing the start
-    /// threshold (Figure 9's per-mode thresholds). Governed modes can
-    /// never run below the static floor, so the threshold is sized for
-    /// the clamped minimum width.
+    /// threshold (Figure 9's per-mode thresholds). Governed modes size
+    /// it for their minimum width.
     fn threshold_cfg(&self) -> ApproxConfig {
         match self.mode {
             ExecMode::Precise => ApproxConfig::default(),
             ExecMode::Fixed(c) => c,
-            ExecMode::Dynamic(g) => ApproxConfig::fixed(g.minbits.max(self.static_floor).min(8)),
+            ExecMode::Dynamic(g) => ApproxConfig::fixed(g.minbits.min(8)),
             ExecMode::Simd4 => ApproxConfig {
                 lanes: 4,
                 ..Default::default()
             },
             ExecMode::Incidental(s) => {
-                let floor = s.minbits.max(self.static_floor).min(8);
+                let floor = s.minbits.min(8);
                 ApproxConfig {
                     ac_en: true,
                     lanes: 2,
@@ -650,33 +627,30 @@ impl SystemSim {
     }
 
     /// Per-tick bitwidth control (the approximation control unit). Returns
-    /// `(bits, floored)` for modes with a governor (`None` for fixed-width
-    /// modes) so the run loop can trace switches; `floored` reports that
-    /// the static safe-bits floor clamped the policy's choice this tick.
-    fn update_governor(&mut self, income_uw: f64) -> Option<(u8, bool)> {
+    /// the chosen width for modes with a governor (`None` for fixed-width
+    /// modes) so the run loop can trace switches.
+    fn update_governor(&mut self, income_uw: f64) -> Option<u8> {
         let fill = self.cap.fill();
         match self.mode {
             ExecMode::Dynamic(g) => {
-                let want = g.bits_for(fill, income_uw);
-                let bits = want.max(self.static_floor).min(FULL_BITS);
+                let bits = g.bits_for(fill, income_uw).min(FULL_BITS);
                 let mut c = self.vm.approx();
                 c.ac_en = bits < FULL_BITS;
                 c.alu_bits[0] = bits;
                 c.mem_bits[0] = bits;
                 self.vm.set_approx(c);
-                Some((bits, bits != want))
+                Some(bits)
             }
             ExecMode::Incidental(s) => {
                 let g = Governor::new(s.minbits, s.maxbits);
-                let want = g.bits_for(fill, income_uw);
-                let bits = want.max(self.static_floor).min(FULL_BITS);
+                let bits = g.bits_for(fill, income_uw).min(FULL_BITS);
                 let mut c = self.vm.approx();
                 c.ac_en = true;
                 // The live lane stays precise; old-frame lanes are governed.
                 c.alu_bits = [FULL_BITS, bits, bits, bits];
                 c.mem_bits = [FULL_BITS, bits, bits, bits];
                 self.vm.set_approx(c);
-                Some((bits, bits != want))
+                Some(bits)
             }
             _ => None,
         }
@@ -1060,13 +1034,12 @@ impl SystemSim {
                 self.try_merge(tick, tracer);
             }
             let cfg = self.vm.approx();
-            // Armed instructions at covered pcs dispatch through the
-            // compiled op table: no fetch, no decode, no reserve
-            // check (the certificate pre-proved it). Everything else —
-            // unarmed stretches where an interrupt can land, pcs past a
-            // compile limit, the step engine — goes through the step
-            // interpreter path below.
-            let chain = armed > 0 && comp.as_deref().is_some_and(|c| c.covers(self.vm.pc()));
+            // Armed instructions dispatch through the compiled op table:
+            // no fetch, no decode, no reserve check (the certificate
+            // pre-proved it). Everything else — unarmed stretches where an
+            // interrupt can land, the step engine — goes through the step
+            // interpreter path below. Only block mode ever arms.
+            let chain = armed > 0;
             let (e, klass) = if chain {
                 let klass = comp
                     .as_deref()
@@ -1091,27 +1064,19 @@ impl SystemSim {
                 let e = if block_mode {
                     let table = self.class_energies(&cfg);
                     let e = table[klass.index()];
-                    if armed > 0 {
-                        armed -= 1;
-                        debug_assert!(
-                            self.cap.level() >= self.reserve() + e,
-                            "block certificate must imply the per-instruction check"
-                        );
-                    } else {
-                        let (counts, n) = self.block_suffix[self.vm.pc()];
-                        let affordable = n >= 2 && {
-                            let mut suffix = Energy::ZERO;
-                            for (class, &count) in counts.iter().enumerate() {
-                                suffix += table[class] * count as f64;
-                            }
-                            self.cap.level() >= self.reserve() + suffix
-                        };
-                        if affordable {
-                            armed = n - 1;
-                        } else if self.cap.level() < self.reserve() + e {
-                            self.do_backup(tick, cursor, tracer);
-                            return;
+                    let (counts, n) = self.block_suffix[self.vm.pc()];
+                    let affordable = n >= 2 && {
+                        let mut suffix = Energy::ZERO;
+                        for (class, &count) in counts.iter().enumerate() {
+                            suffix += table[class] * count as f64;
                         }
+                        self.cap.level() >= self.reserve() + suffix
+                    };
+                    if affordable {
+                        armed = n - 1;
+                    } else if self.cap.level() < self.reserve() + e {
+                        self.do_backup(tick, cursor, tracer);
+                        return;
                     }
                     e
                 } else {
@@ -1206,17 +1171,12 @@ impl SystemSim {
             self.report.energy_income += banked;
             self.cap.leak_tick();
             self.report.total_ticks += 1;
-            if let Some((bits, floored)) = self.update_governor(power.as_uw()) {
-                if let Some((from_bits, to_bits, floored)) = bits_tracker.observe(bits, floored) {
+            if let Some(bits) = self.update_governor(power.as_uw()) {
+                if let Some((from_bits, to_bits)) = bits_tracker.observe(bits) {
                     emit(tracer, || Event::GovernorSwitch {
                         tick: t.0,
                         from_bits,
                         to_bits,
-                        reason: if floored {
-                            SwitchReason::StaticFloor
-                        } else {
-                            SwitchReason::Power
-                        },
                     });
                 }
             }

@@ -35,11 +35,7 @@ fn prepared(spec: &KernelSpec, input: &[i32], cfg: ApproxConfig) -> Vm {
 /// Runs `vm` to halt through `compiled`, one instruction per dispatch.
 fn run_compiled(compiled: &CompiledProgram, vm: &mut Vm) {
     while !vm.halted() {
-        if compiled.covers(vm.pc()) {
-            compiled.step_vm(vm).expect("kernel program must not fault");
-        } else {
-            vm.step().expect("kernel program must not fault");
-        }
+        compiled.step_vm(vm).expect("kernel program must not fault");
     }
 }
 
@@ -50,7 +46,6 @@ fn every_kernel_runs_to_halt_identically_through_step_vm() {
             let spec = id.spec(w, h);
             let input = id.make_input(w, h, 4);
             let compiled = compile_kernel(&spec.program, spec.mem_words);
-            assert_eq!(compiled.covered(), spec.program.len(), "{id} {w}x{h}");
             for cfg in [ApproxConfig::default(), ApproxConfig::fixed(3)] {
                 let at = format!("{id} {w}x{h} under {cfg:?}");
                 let mut reference = prepared(&spec, &input, cfg);

@@ -4,12 +4,10 @@
 //! indirect stores, ALU ops, and branches — must produce byte-identical
 //! JSONL traces and equal [`RunReport`]s under the compiled engine and
 //! the reference step interpreter, wherever the block certificates arm
-//! and whichever accesses the interval hints hoist. A second property truncates the compiled table at a
-//! random pc ([`CompileHints::limit`]) to force the uncovered-pc fallback
-//! into the step interpreter mid-run. Program shape mirrors the
-//! `dirty_soundness` harness in `nvp-analysis`.
+//! and whichever accesses the interval hints hoist. Program shape mirrors
+//! the `dirty_soundness` harness in `nvp-analysis`.
 
-use nvp_isa::{ApproxConfig, CompileHints, CompiledProgram, Program, ProgramBuilder, Reg};
+use nvp_isa::{ApproxConfig, Program, ProgramBuilder, Reg};
 use nvp_kernels::{KernelId, KernelSpec};
 use nvp_power::PowerProfile;
 use nvp_sim::system::{ExecEngine, ExecMode, SystemConfig, SystemSim};
@@ -125,25 +123,20 @@ fn bursty() -> PowerProfile {
     PowerProfile::from_uw(pattern)
 }
 
-/// Runs the spec'd program under one engine, optionally with an injected
-/// (possibly truncated) compiled table.
+/// Runs the spec'd program under one engine.
 fn run(
     spec: &KernelSpec,
     frames: &Arc<Vec<Vec<i32>>>,
     mode: ExecMode,
     profile: &PowerProfile,
     engine: ExecEngine,
-    table: Option<Arc<CompiledProgram>>,
 ) -> (RunReport, String) {
     let cfg = SystemConfig {
         exec_engine: engine,
         frames_limit: Some(3),
         ..Default::default()
     };
-    let mut sim = SystemSim::new(spec.clone(), frames.clone(), mode, cfg);
-    if let Some(t) = table {
-        sim.set_compiled(t);
-    }
+    let sim = SystemSim::new(spec.clone(), frames.clone(), mode, cfg);
     let mut jsonl = JsonlBufSink::new();
     let report = sim.run_traced(profile, &mut jsonl);
     (report, jsonl.into_string())
@@ -154,10 +147,9 @@ fn assert_engines_agree(
     frames: &Arc<Vec<Vec<i32>>>,
     mode: ExecMode,
     profile: &PowerProfile,
-    table: Option<Arc<CompiledProgram>>,
 ) -> Result<(), String> {
-    let (step_rep, step_trace) = run(spec, frames, mode, profile, ExecEngine::Step, None);
-    let (comp_rep, comp_trace) = run(spec, frames, mode, profile, ExecEngine::Compiled, table);
+    let (step_rep, step_trace) = run(spec, frames, mode, profile, ExecEngine::Step);
+    let (comp_rep, comp_trace) = run(spec, frames, mode, profile, ExecEngine::Compiled);
     if step_trace != comp_trace {
         let at = step_trace
             .lines()
@@ -185,8 +177,8 @@ fn assert_engines_agree(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Random programs, full compiled coverage, precise and fixed-width
-    /// modes, bursty power: compiled equals stepped byte-for-byte.
+    /// Random programs, precise and fixed-width modes, bursty power:
+    /// compiled equals stepped byte-for-byte.
     #[test]
     fn compiled_matches_step_on_random_programs(
         raw in vec(any::<u32>(), 1..24),
@@ -201,36 +193,7 @@ proptest! {
         } else {
             ExecMode::Precise
         };
-        let r = assert_engines_agree(&spec, &frames, mode, &bursty(), None);
+        let r = assert_engines_agree(&spec, &frames, mode, &bursty());
         prop_assert!(r.is_ok(), "{}", r.unwrap_err());
-    }
-
-    /// Truncating the table at a random pc forces the engine onto the
-    /// uncovered-pc fallback (step interpreter) for the rest of the
-    /// program — the differential contract must survive the seam.
-    #[test]
-    fn compiled_matches_step_with_truncated_coverage(
-        raw in vec(any::<u32>(), 1..24),
-        trip in 1u32..16,
-        seed in any::<u64>(),
-        cut in any::<u16>(),
-    ) {
-        let p = build(&raw, trip);
-        let len = p.len();
-        // Bias toward genuinely partial tables but keep 0 (nothing
-        // covered) and len (everything) reachable.
-        let limit = cut as usize % (len + 1);
-        let hints = CompileHints { in_range: vec![false; len], limit: Some(limit) };
-        let table = Arc::new(CompiledProgram::compile(&p, MEM_WORDS, &hints));
-        prop_assert_eq!(table.covered(), limit, "limit not honoured");
-        let (spec, frames) = spec_and_frames(p, seed);
-        let r = assert_engines_agree(
-            &spec,
-            &frames,
-            ExecMode::Precise,
-            &bursty(),
-            Some(table),
-        );
-        prop_assert!(r.is_ok(), "limit {}: {}", limit, r.unwrap_err());
     }
 }

@@ -12,35 +12,6 @@
 use crate::json::Json;
 use std::fmt;
 
-/// Why the bitwidth governor switched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SwitchReason {
-    /// The power/quality policy picked a new width.
-    #[default]
-    Power,
-    /// The statically-proven safe-bits floor clamped the policy's choice
-    /// (`nvp-lint --bitwidth` / `StaticBitsFloor`).
-    StaticFloor,
-}
-
-impl SwitchReason {
-    /// Stable serialization name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SwitchReason::Power => "power",
-            SwitchReason::StaticFloor => "static_floor",
-        }
-    }
-
-    fn parse(s: &str) -> Result<SwitchReason, ParseError> {
-        match s {
-            "power" => Ok(SwitchReason::Power),
-            "static_floor" => Ok(SwitchReason::StaticFloor),
-            other => Err(ParseError::new(format!("unknown switch reason '{other}'"))),
-        }
-    }
-}
-
 /// A structured trace event.
 ///
 /// All energy fields are in nanojoules; all time fields in 0.1 ms
@@ -174,10 +145,9 @@ pub enum Event {
         tick: u64,
         /// Previous bitwidth.
         from_bits: u8,
-        /// New bitwidth.
+        /// New bitwidth. The governor picks widths from power alone, so
+        /// the rendered line always carries `"reason":"power"`.
         to_bits: u8,
-        /// What drove the switch (absent in pre-floor traces → `Power`).
-        reason: SwitchReason,
     },
     /// Retention failures observed while restoring after an outage.
     RetentionDecay {
@@ -474,14 +444,11 @@ impl Event {
                 ("pc", int(*pc)),
             ]),
             Event::GovernorSwitch {
-                from_bits,
-                to_bits,
-                reason,
-                ..
+                from_bits, to_bits, ..
             } => fields.extend([
                 ("from_bits", small(*from_bits)),
                 ("to_bits", small(*to_bits)),
-                ("reason", Json::str(reason.as_str())),
+                ("reason", Json::str("power")),
             ]),
             Event::RetentionDecay { bit, failures, .. } => {
                 fields.extend([("bit", small(*bit)), ("failures", int(*failures))])
@@ -611,17 +578,23 @@ impl Event {
                 input_index: uint("input_index")?,
                 pc: uint("pc")?,
             },
-            EventKind::GovernorSwitch => Event::GovernorSwitch {
-                tick: t,
-                from_bits: small("from_bits")?,
-                to_bits: small("to_bits")?,
-                // Traces written before the static-floor work have no
-                // reason field; those switches were all policy-driven.
-                reason: match str_field(&obj, "reason") {
-                    Ok(s) => SwitchReason::parse(s)?,
-                    Err(_) => SwitchReason::Power,
-                },
-            },
+            EventKind::GovernorSwitch => {
+                // Older traces have no reason field; every switch is
+                // power-driven, so any other reason is refused.
+                if let Some(reason) = obj.get("reason") {
+                    if reason.as_str() != Some("power") {
+                        return Err(ParseError::new(format!(
+                            "unknown switch reason {}",
+                            reason.render()
+                        )));
+                    }
+                }
+                Event::GovernorSwitch {
+                    tick: t,
+                    from_bits: small("from_bits")?,
+                    to_bits: small("to_bits")?,
+                }
+            }
             EventKind::RetentionDecay => Event::RetentionDecay {
                 tick: t,
                 bit: small("bit")?,
@@ -779,7 +752,6 @@ mod tests {
                 tick: 55,
                 from_bits: 8,
                 to_bits: 2,
-                reason: SwitchReason::StaticFloor,
             },
             Event::RetentionDecay {
                 tick: 90,
@@ -885,19 +857,21 @@ mod tests {
 
     #[test]
     fn governor_switch_without_reason_defaults_to_power() {
-        // Traces written before the static-floor work lack the field.
+        let switch = Event::GovernorSwitch {
+            tick: 55,
+            from_bits: 8,
+            to_bits: 2,
+        };
+        let line = "{\"ev\":\"governor_switch\",\"t\":55,\"from_bits\":8,\"to_bits\":2,\"reason\":\"power\"}";
+        assert_eq!(switch.to_json(), line);
+        assert_eq!(Event::from_json(line).unwrap(), switch);
+        // Older traces lack the field.
         let old = "{\"ev\":\"governor_switch\",\"t\":55,\"from_bits\":8,\"to_bits\":2}";
-        assert_eq!(
-            Event::from_json(old).unwrap(),
-            Event::GovernorSwitch {
-                tick: 55,
-                from_bits: 8,
-                to_bits: 2,
-                reason: SwitchReason::Power,
-            }
-        );
-        let bad = "{\"ev\":\"governor_switch\",\"t\":55,\"from_bits\":8,\"to_bits\":2,\"reason\":\"vibes\"}";
-        assert!(Event::from_json(bad).is_err());
+        assert_eq!(Event::from_json(old).unwrap(), switch);
+        for reason in ["\"static_floor\"", "\"vibes\"", "1", "null"] {
+            let bad = line.replace("\"power\"", reason);
+            assert!(Event::from_json(&bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ mod summary;
 mod timeline;
 
 pub use diff::{diff, TraceDiff};
-pub use event::{Event, EventKind, ParseError, SwitchReason};
+pub use event::{Event, EventKind, ParseError};
 pub use sink::{emit, CounterSink, JsonlBufSink, NoopTracer, TeeSink, Tracer, VecSink};
 pub use summary::{
     EnergyLedger, Histogram, LedgerMismatch, MergeError, ReadError, RunEndTotals, RunSummary,

@@ -10,7 +10,7 @@
 //! `parse(render(v)) == v` with every number compared bit for bit.
 
 use nvp_trace::json::Json;
-use nvp_trace::{Event, EventKind, SwitchReason};
+use nvp_trace::{Event, EventKind};
 use proptest::prelude::*;
 use proptest::{Rng, SeedableRng, TestRng};
 
@@ -78,7 +78,6 @@ fn sample_events() -> Vec<Event> {
             tick: 55,
             from_bits: 8,
             to_bits: 2,
-            reason: SwitchReason::StaticFloor,
         },
         Event::RetentionDecay {
             tick: 90,
