@@ -15,17 +15,19 @@
 //! re-executability (`NVP-E007`) gating the exit code.
 //!
 //! `--json PATH` works in every mode and writes that mode's report as a
-//! JSON artifact through the shared serializer in
-//! [`nvp_analysis::diag::Json`]: the diagnostic list (default mode), the
+//! pretty-printed JSON artifact built with the workspace's one JSON tree,
+//! `nvp_trace::json::Json`: the diagnostic list (default mode), the
 //! bitwidth report (`--bitwidth`), the WCEC certificate set (`--energy`),
 //! or the placement certificates (`--checkpoint`).
 
 use nvp_analysis::diag::render_legend;
 use nvp_analysis::{
     analyze_program, analyze_with, bitwidth_report, AnalysisConfig, Cfg, CkptPass, DeclaredBits,
-    Diagnostic, Json, LintCode, Pass, PassContext, Severity, TripBound, Wcec, WcecPass, NEVER_SAFE,
+    Diagnostic, EnergyBudget, LintCode, Pass, PassContext, Severity, TripBound, Wcec, WcecPass,
+    NEVER_SAFE,
 };
 use nvp_kernels::KernelId;
+use nvp_trace::json::Json;
 use std::process::ExitCode;
 
 fn kernel_config(id: KernelId, mem_words: usize) -> AnalysisConfig {
@@ -90,23 +92,27 @@ fn main() -> ExitCode {
 
 /// One diagnostic as a JSON object (shared by every mode's artifact).
 fn diag_json(d: &Diagnostic) -> Json {
-    let mut o = Json::obj();
-    o.set("code", Json::str(d.code.as_str()))
-        .set("severity", Json::str(d.severity().to_string()))
-        .set(
-            "pc",
-            match d.pc {
-                Some(pc) => Json::Num(pc as f64),
-                None => Json::Null,
-            },
-        )
-        .set("message", Json::str(d.message.clone()));
-    o
+    Json::obj(vec![
+        ("code", Json::str(d.code.as_str())),
+        ("severity", Json::str(d.severity().to_string())),
+        ("pc", d.pc.map_or(Json::Null, |pc| Json::Num(pc as f64))),
+        ("message", Json::str(d.message.clone())),
+    ])
+}
+
+/// The platform envelope, as the `--energy` and `--checkpoint`
+/// artifacts record it.
+fn budget_json(b: &EnergyBudget) -> Json {
+    Json::obj(vec![
+        ("capacity_nj", Json::num(b.capacity_nj)),
+        ("reserve_safety", Json::num(b.reserve_safety)),
+        ("backup_policy", Json::str(format!("{:?}", b.backup_policy))),
+    ])
 }
 
 /// Writes `json` to `path`; returns false (after printing) on failure.
 fn write_json_artifact(path: &str, json: &Json) -> bool {
-    let mut text = json.render();
+    let mut text = json.render_pretty();
     text.push('\n');
     match std::fs::write(path, text) {
         Ok(()) => {
@@ -152,24 +158,25 @@ fn run_default(verbose: bool, json_path: Option<&str>) -> ExitCode {
             }
         }
 
-        let mut k = Json::obj();
-        k.set("kernel", Json::str(id.name()))
-            .set("width", Json::Num(w as f64))
-            .set("height", Json::Num(h as f64))
-            .set("instrs", Json::Num(spec.program.len() as f64))
-            .set("violations", Json::Num(violations as f64))
-            .set(
+        kernels_json.push(Json::obj(vec![
+            ("kernel", Json::str(id.name())),
+            ("width", Json::Num(w as f64)),
+            ("height", Json::Num(h as f64)),
+            ("instrs", Json::Num(spec.program.len() as f64)),
+            ("violations", Json::Num(violations as f64)),
+            (
                 "diagnostics",
                 Json::Arr(report.diagnostics.iter().map(diag_json).collect()),
-            );
-        kernels_json.push(k);
+            ),
+        ]));
     }
 
     if let Some(path) = json_path {
-        let mut root = Json::obj();
-        root.set("schema", Json::str("nvp-lint-report-v1"))
-            .set("generated_by", Json::str("nvp-lint"))
-            .set("kernels", Json::Arr(kernels_json));
+        let root = Json::obj(vec![
+            ("schema", Json::str("nvp-lint-report-v1")),
+            ("generated_by", Json::str("nvp-lint")),
+            ("kernels", Json::Arr(kernels_json)),
+        ]);
         if !write_json_artifact(path, &root) {
             return ExitCode::from(2);
         }
@@ -207,6 +214,23 @@ fn fmt_bits(b: u8) -> String {
         "unsafe".to_string()
     } else {
         b.to_string()
+    }
+}
+
+/// A kernel's declared governor range as `[minbits, maxbits]`.
+fn declared_json(minbits: u8, maxbits: u8) -> Json {
+    Json::Arr(vec![
+        Json::Num(f64::from(minbits)),
+        Json::Num(f64::from(maxbits)),
+    ])
+}
+
+/// A safe-bits floor, `null` when no width is safe.
+fn floor_json(bits: u8) -> Json {
+    if bits >= NEVER_SAFE {
+        Json::Null
+    } else {
+        Json::Num(f64::from(bits))
     }
 }
 
@@ -268,73 +292,46 @@ fn run_bitwidth_report(verbose: bool, json_path: Option<&str>) -> ExitCode {
             }
         }
 
-        let mut k = Json::obj();
-        k.set("kernel", Json::str(id.name()))
-            .set("width", Json::Num(w as f64))
-            .set("height", Json::Num(h as f64))
-            .set(
-                "declared",
-                Json::Arr(vec![
-                    Json::Num(f64::from(minbits)),
-                    Json::Num(f64::from(maxbits)),
-                ]),
-            )
-            .set(
-                "program_floor",
-                if report.program_floor >= NEVER_SAFE {
+        let blocks = report
+            .block_floors
+            .iter()
+            .map(|b| {
+                Json::obj(vec![
+                    ("start", Json::Num(b.start as f64)),
+                    ("end", Json::Num(b.end as f64)),
+                    ("floor", floor_json(b.floor)),
+                ])
+            })
+            .collect();
+        let output_err = report
+            .output_err
+            .iter()
+            .map(|&e| {
+                if e == u64::MAX {
                     Json::Null
                 } else {
-                    Json::Num(f64::from(report.program_floor))
-                },
-            )
-            .set(
-                "blocks",
-                Json::Arr(
-                    report
-                        .block_floors
-                        .iter()
-                        .map(|b| {
-                            let mut o = Json::obj();
-                            o.set("start", Json::Num(b.start as f64))
-                                .set("end", Json::Num(b.end as f64))
-                                .set(
-                                    "floor",
-                                    if b.floor >= NEVER_SAFE {
-                                        Json::Null
-                                    } else {
-                                        Json::Num(f64::from(b.floor))
-                                    },
-                                );
-                            o
-                        })
-                        .collect(),
-                ),
-            )
-            .set(
-                "output_err",
-                Json::Arr(
-                    report
-                        .output_err
-                        .iter()
-                        .map(|&e| {
-                            if e == u64::MAX {
-                                Json::Null
-                            } else {
-                                Json::Num(e as f64)
-                            }
-                        })
-                        .collect(),
-                ),
-            )
-            .set("errors", Json::Num(kernel_errors as f64));
-        kernels_json.push(k);
+                    Json::Num(e as f64)
+                }
+            })
+            .collect();
+        kernels_json.push(Json::obj(vec![
+            ("kernel", Json::str(id.name())),
+            ("width", Json::Num(w as f64)),
+            ("height", Json::Num(h as f64)),
+            ("declared", declared_json(minbits, maxbits)),
+            ("program_floor", floor_json(report.program_floor)),
+            ("blocks", Json::Arr(blocks)),
+            ("output_err", Json::Arr(output_err)),
+            ("errors", Json::Num(kernel_errors as f64)),
+        ]));
     }
 
     if let Some(path) = json_path {
-        let mut root = Json::obj();
-        root.set("schema", Json::str("nvp-bitwidth-report-v1"))
-            .set("generated_by", Json::str("nvp-lint --bitwidth"))
-            .set("kernels", Json::Arr(kernels_json));
+        let root = Json::obj(vec![
+            ("schema", Json::str("nvp-bitwidth-report-v1")),
+            ("generated_by", Json::str("nvp-lint --bitwidth")),
+            ("kernels", Json::Arr(kernels_json)),
+        ]);
         if !write_json_artifact(path, &root) {
             return ExitCode::from(2);
         }
@@ -368,10 +365,7 @@ fn fmt_wcec(w: Wcec) -> String {
 }
 
 fn json_wcec(w: Wcec) -> Json {
-    match w.nj() {
-        Some(nj) => Json::num(nj),
-        None => Json::Null,
-    }
+    w.nj().map_or(Json::Null, Json::num)
 }
 
 /// The `--energy` report: per-kernel, per-region WCEC certificates across
@@ -453,102 +447,68 @@ fn run_energy_report(verbose: bool, json_path: Option<&str>) -> ExitCode {
         }
 
         // JSON artifact entry.
-        let mut k = Json::obj();
-        k.set("kernel", Json::str(id.name()))
-            .set("width", Json::Num(w as f64))
-            .set("height", Json::Num(h as f64))
-            .set(
-                "declared",
-                Json::Arr(vec![
-                    Json::Num(f64::from(minbits)),
-                    Json::Num(f64::from(maxbits)),
-                ]),
-            )
-            .set(
-                "errors",
-                Json::Num(report.count_at_least(Severity::Error) as f64),
-            )
-            .set(
-                "warnings",
-                Json::Num(
-                    (report.count_at_least(Severity::Warning)
-                        - report.count_at_least(Severity::Error)) as f64,
-                ),
-            )
-            .set(
-                "certificates",
-                Json::Arr(
-                    certs
-                        .iter()
-                        .map(|cert| {
-                            let mut c = Json::obj();
-                            c.set("bits", Json::Num(f64::from(cert.bits)))
-                                .set("usable_nj", Json::num(pass.budget.usable_nj(cert.bits)))
-                                .set("program_nj", json_wcec(cert.program))
-                                .set(
-                                    "regions",
-                                    Json::Arr(
-                                        cert.regions
-                                            .iter()
-                                            .map(|r| {
-                                                let mut o = Json::obj();
-                                                o.set("start_pc", Json::Num(r.start_pc as f64))
-                                                    .set("kind", Json::str(r.kind.to_string()))
-                                                    .set("pcs", Json::Num(r.pcs.len() as f64))
-                                                    .set("wcec_nj", json_wcec(r.wcec))
-                                                    .set("min_nj", Json::num(r.min_nj));
-                                                o
-                                            })
-                                            .collect(),
-                                    ),
-                                )
-                                .set(
-                                    "loops",
-                                    Json::Arr(
-                                        cert.loops
-                                            .loops
-                                            .iter()
-                                            .map(|l| {
-                                                let mut o = Json::obj();
-                                                o.set("head_pc", Json::Num(l.head_pc(&cfg) as f64))
-                                                    .set(
-                                                        "bound",
-                                                        match l.bound {
-                                                            TripBound::Bounded(n) => {
-                                                                Json::Num(n as f64)
-                                                            }
-                                                            TripBound::Unbounded => Json::Null,
-                                                        },
-                                                    )
-                                                    .set("min_bound", Json::Num(l.min_bound as f64))
-                                                    .set("stride", Json::Num(l.stride as f64));
-                                                o
-                                            })
-                                            .collect(),
-                                    ),
-                                );
-                            c
-                        })
-                        .collect(),
-                ),
-            );
-        kernels_json.push(k);
+        let certificates = certs
+            .iter()
+            .map(|cert| {
+                let regions = cert
+                    .regions
+                    .iter()
+                    .map(|r| {
+                        Json::obj(vec![
+                            ("start_pc", Json::Num(r.start_pc as f64)),
+                            ("kind", Json::str(r.kind.to_string())),
+                            ("pcs", Json::Num(r.pcs.len() as f64)),
+                            ("wcec_nj", json_wcec(r.wcec)),
+                            ("min_nj", Json::num(r.min_nj)),
+                        ])
+                    })
+                    .collect();
+                let loops = cert
+                    .loops
+                    .loops
+                    .iter()
+                    .map(|l| {
+                        let bound = match l.bound {
+                            TripBound::Bounded(n) => Json::Num(n as f64),
+                            TripBound::Unbounded => Json::Null,
+                        };
+                        Json::obj(vec![
+                            ("head_pc", Json::Num(l.head_pc(&cfg) as f64)),
+                            ("bound", bound),
+                            ("min_bound", Json::Num(l.min_bound as f64)),
+                            ("stride", Json::Num(l.stride as f64)),
+                        ])
+                    })
+                    .collect();
+                Json::obj(vec![
+                    ("bits", Json::Num(f64::from(cert.bits))),
+                    ("usable_nj", Json::num(pass.budget.usable_nj(cert.bits))),
+                    ("program_nj", json_wcec(cert.program)),
+                    ("regions", Json::Arr(regions)),
+                    ("loops", Json::Arr(loops)),
+                ])
+            })
+            .collect();
+        let kernel_errors = report.count_at_least(Severity::Error);
+        let warnings = report.count_at_least(Severity::Warning) - kernel_errors;
+        kernels_json.push(Json::obj(vec![
+            ("kernel", Json::str(id.name())),
+            ("width", Json::Num(w as f64)),
+            ("height", Json::Num(h as f64)),
+            ("declared", declared_json(minbits, maxbits)),
+            ("errors", Json::Num(kernel_errors as f64)),
+            ("warnings", Json::Num(warnings as f64)),
+            ("certificates", Json::Arr(certificates)),
+        ]));
     }
 
     if let Some(path) = json_path {
-        let mut root = Json::obj();
-        root.set("schema", Json::str("nvp-wcec-cert-v1"))
-            .set("generated_by", Json::str("nvp-lint --energy"));
-        let mut budget = Json::obj();
-        budget
-            .set("capacity_nj", Json::num(pass.budget.capacity_nj))
-            .set("reserve_safety", Json::num(pass.budget.reserve_safety))
-            .set(
-                "backup_policy",
-                Json::str(format!("{:?}", pass.budget.backup_policy)),
-            );
-        root.set("budget", budget)
-            .set("kernels", Json::Arr(kernels_json));
+        let root = Json::obj(vec![
+            ("schema", Json::str("nvp-wcec-cert-v1")),
+            ("generated_by", Json::str("nvp-lint --energy")),
+            ("budget", budget_json(&pass.budget)),
+            ("kernels", Json::Arr(kernels_json)),
+        ]);
         if !write_json_artifact(path, &root) {
             return ExitCode::from(2);
         }
@@ -652,36 +612,29 @@ fn run_checkpoint_report(verbose: bool, json_path: Option<&str>) -> ExitCode {
             }
         }
 
-        let mut k = Json::obj();
-        k.set("kernel", Json::str(id.name()))
-            .set("width", Json::Num(w as f64))
-            .set("height", Json::Num(h as f64))
-            .set(
+        kernels_json.push(Json::obj(vec![
+            ("kernel", Json::str(id.name())),
+            ("width", Json::Num(w as f64)),
+            ("height", Json::Num(h as f64)),
+            (
                 "errors",
                 Json::Num(report.count_at_least(Severity::Error) as f64),
-            )
-            .set(
+            ),
+            (
                 "diagnostics",
                 Json::Arr(report.diagnostics.iter().map(diag_json).collect()),
-            )
-            .set("certificate", synth.to_json());
-        kernels_json.push(k);
+            ),
+            ("certificate", synth.to_json()),
+        ]));
     }
 
     if let Some(path) = json_path {
-        let mut root = Json::obj();
-        root.set("schema", Json::str("nvp-ckpt-report-v1"))
-            .set("generated_by", Json::str("nvp-lint --checkpoint"));
-        let mut budget = Json::obj();
-        budget
-            .set("capacity_nj", Json::num(pass.budget.capacity_nj))
-            .set("reserve_safety", Json::num(pass.budget.reserve_safety))
-            .set(
-                "backup_policy",
-                Json::str(format!("{:?}", pass.budget.backup_policy)),
-            );
-        root.set("budget", budget)
-            .set("kernels", Json::Arr(kernels_json));
+        let root = Json::obj(vec![
+            ("schema", Json::str("nvp-ckpt-report-v1")),
+            ("generated_by", Json::str("nvp-lint --checkpoint")),
+            ("budget", budget_json(&pass.budget)),
+            ("kernels", Json::Arr(kernels_json)),
+        ]);
         if !write_json_artifact(path, &root) {
             return ExitCode::from(2);
         }

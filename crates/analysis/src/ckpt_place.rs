@@ -24,13 +24,13 @@
 //! both by static execution weight is a deliberate modeling choice the
 //! certificate records (DESIGN.md §12).
 //!
-//! The result is a machine-checkable [`Synthesis`] certificate rendered
-//! through the shared [`Json`] serializer, and the per-pc masks the
+//! The result is a machine-checkable [`Synthesis`] certificate built as
+//! the workspace's one JSON tree ([`Json`], from `nvp_trace::json`), and the per-pc masks the
 //! simulator consumes as `BackupScope::LiveDirty` / `CheckpointPlan`.
 
 use crate::cfg::Cfg;
 use crate::cost_model::{CostModel, EnergyBudget};
-use crate::diag::{Diagnostic, Json, LintCode};
+use crate::diag::{Diagnostic, LintCode};
 use crate::dirty::{DirtyAnalyzer, MemDirty};
 use crate::loop_bound::{loop_report, LoopReport, TripBound};
 use crate::safe_bits::DeclaredBits;
@@ -38,6 +38,7 @@ use crate::war::region_hazards;
 use crate::wcec::{declared_checkpoints, solve, solve_min, RegionKind};
 use crate::{Pass, PassContext};
 use nvp_isa::{Instr, Program, NUM_REGS};
+use nvp_trace::json::Json;
 
 /// Static execution weight assumed for a loop whose trip count could
 /// not be bounded.
@@ -390,85 +391,71 @@ pub fn synthesize(program: &Program, cfg: &Cfg, opts: &CkptOptions) -> Synthesis
 }
 
 fn placement_json(e: &PlacementEval) -> Json {
-    let mut obj = Json::obj();
-    obj.set(
-        "checkpoints",
-        Json::Arr(
-            e.checkpoints
-                .iter()
-                .map(|&(pc, kind)| {
-                    let mut c = Json::obj();
-                    c.set("pc", Json::Num(pc as f64))
-                        .set("kind", Json::str(kind.to_string()));
-                    c
-                })
-                .collect(),
+    let checkpoints = e
+        .checkpoints
+        .iter()
+        .map(|&(pc, kind)| {
+            Json::obj(vec![
+                ("pc", Json::Num(pc as f64)),
+                ("kind", Json::str(kind.to_string())),
+            ])
+        })
+        .collect();
+    let regions = e
+        .regions
+        .iter()
+        .map(|r| {
+            Json::obj(vec![
+                ("start_pc", Json::Num(r.start_pc as f64)),
+                ("kind", Json::str(r.kind.to_string())),
+                ("len", Json::Num(r.len as f64)),
+                ("dirty_regs", Json::str(format!("{:#06x}", r.dirty_regs))),
+                (
+                    "mem_dirty_words",
+                    r.mem_dirty_words
+                        .map_or(Json::Null, |n| Json::Num(n as f64)),
+                ),
+                (
+                    "hazard_pcs",
+                    Json::Arr(r.hazard_pcs.iter().map(|&p| Json::Num(p as f64)).collect()),
+                ),
+                ("wcec_hi_nj", r.wcec_hi_nj.map_or(Json::Null, Json::num)),
+                ("min_nj", Json::num(r.min_nj)),
+            ])
+        })
+        .collect();
+    Json::obj(vec![
+        ("checkpoints", Json::Arr(checkpoints)),
+        ("expected_backup_nj", Json::num(e.expected_backup_nj)),
+        ("crossing_nj", Json::num(e.crossing_nj)),
+        ("cost_nj", Json::num(e.cost_nj())),
+        ("reexecutable", Json::Bool(e.reexecutable())),
+        (
+            "infeasible_bits",
+            Json::Arr(
+                e.infeasible_bits
+                    .iter()
+                    .map(|&b| Json::Num(f64::from(b)))
+                    .collect(),
+            ),
         ),
-    )
-    .set("expected_backup_nj", Json::num(e.expected_backup_nj))
-    .set("crossing_nj", Json::num(e.crossing_nj))
-    .set("cost_nj", Json::num(e.cost_nj()))
-    .set("reexecutable", Json::Bool(e.reexecutable()))
-    .set(
-        "infeasible_bits",
-        Json::Arr(
-            e.infeasible_bits
-                .iter()
-                .map(|&b| Json::Num(f64::from(b)))
-                .collect(),
-        ),
-    )
-    .set(
-        "regions",
-        Json::Arr(
-            e.regions
-                .iter()
-                .map(|r| {
-                    let mut o = Json::obj();
-                    o.set("start_pc", Json::Num(r.start_pc as f64))
-                        .set("kind", Json::str(r.kind.to_string()))
-                        .set("len", Json::Num(r.len as f64))
-                        .set("dirty_regs", Json::str(format!("{:#06x}", r.dirty_regs)))
-                        .set(
-                            "mem_dirty_words",
-                            match r.mem_dirty_words {
-                                Some(n) => Json::Num(n as f64),
-                                None => Json::Null,
-                            },
-                        )
-                        .set(
-                            "hazard_pcs",
-                            Json::Arr(r.hazard_pcs.iter().map(|&p| Json::Num(p as f64)).collect()),
-                        )
-                        .set(
-                            "wcec_hi_nj",
-                            match r.wcec_hi_nj {
-                                Some(nj) => Json::num(nj),
-                                None => Json::Null,
-                            },
-                        )
-                        .set("min_nj", Json::num(r.min_nj));
-                    o
-                })
-                .collect(),
-        ),
-    );
-    obj
+        ("regions", Json::Arr(regions)),
+    ])
 }
 
 impl Synthesis {
-    /// The machine-checkable placement certificate, built with the lint
-    /// serializer [`Json`]; its rendering reads back through the
-    /// workspace's one JSON parser, `nvp_trace::json::Json::parse`.
+    /// The machine-checkable placement certificate, built as the shared
+    /// `nvp_trace::json` tree (`nvp-lint` renders it with
+    /// [`Json::render_pretty`]).
     pub fn to_json(&self) -> Json {
-        let mut obj = Json::obj();
-        obj.set("schema", Json::str("nvp-ckpt-cert-v1"))
-            .set("bits_lo", Json::Num(f64::from(self.bits_lo)))
-            .set("bits_hi", Json::Num(f64::from(self.bits_hi)))
-            .set("declared", placement_json(&self.declared))
-            .set("synthesized", placement_json(&self.synthesized))
-            .set("savings_pct", Json::num(self.savings_pct));
-        obj
+        Json::obj(vec![
+            ("schema", Json::str("nvp-ckpt-cert-v1")),
+            ("bits_lo", Json::Num(f64::from(self.bits_lo))),
+            ("bits_hi", Json::Num(f64::from(self.bits_hi))),
+            ("declared", placement_json(&self.declared)),
+            ("synthesized", placement_json(&self.synthesized)),
+            ("savings_pct", Json::num(self.savings_pct)),
+        ])
     }
 }
 
@@ -577,7 +564,6 @@ mod tests {
     use super::*;
     use crate::{analyze_with, AnalysisConfig};
     use nvp_isa::{ProgramBuilder, Reg};
-    use nvp_trace::json::Json as Shared;
 
     fn loopy_program() -> Program {
         // Prologue, then a hot bounded loop writing out[i], then commit.
@@ -630,15 +616,15 @@ mod tests {
             },
         );
         let json = s.to_json();
-        let text = json.render();
-        let back = Shared::parse(&text).expect("certificate parses");
-        assert_eq!(Json::from_shared(&back), json);
+        let text = json.render_pretty();
+        let back = Json::parse(&text).expect("certificate parses");
+        assert_eq!(back, json);
         assert_eq!(
-            back.get("schema").and_then(Shared::as_str),
+            back.get("schema").and_then(Json::as_str),
             Some("nvp-ckpt-cert-v1")
         );
         let declared = back.get("declared").expect("declared placement");
-        assert!(declared.get("regions").and_then(Shared::as_array).is_some());
+        assert!(declared.get("regions").and_then(Json::as_array).is_some());
     }
 
     #[test]

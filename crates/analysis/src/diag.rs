@@ -207,138 +207,6 @@ impl fmt::Display for LintCode {
     }
 }
 
-/// A JSON value builder: the one serializer every `nvp-lint` report mode
-/// renders its `--json` export through.
-///
-/// It only builds and pretty-prints; object keys keep insertion order so
-/// reports are byte-stable across runs. Reading is the workspace's one
-/// JSON parser, `nvp_trace::json::Json::parse`, which the tests use to
-/// re-read what [`Json::render`] produces and check certificates
-/// structurally rather than by regex.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null` (e.g. an unbounded WCEC ceiling).
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A number. Integral values render without a decimal point.
-    Num(f64),
-    /// A string (escaped on render).
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object with insertion-ordered keys.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// An empty object, ready for [`Json::set`].
-    pub fn obj() -> Json {
-        Json::Obj(Vec::new())
-    }
-
-    /// A string value.
-    pub fn str(s: impl Into<String>) -> Json {
-        Json::Str(s.into())
-    }
-
-    /// A finite number, or `null` when `n` is NaN/infinite (unbounded).
-    pub fn num(n: f64) -> Json {
-        if n.is_finite() {
-            Json::Num(n)
-        } else {
-            Json::Null
-        }
-    }
-
-    /// Appends `key: value` to an object (panics on non-objects — a
-    /// builder bug, not a data error).
-    pub fn set(&mut self, key: impl Into<String>, value: Json) -> &mut Json {
-        match self {
-            Json::Obj(fields) => fields.push((key.into(), value)),
-            other => panic!("Json::set on non-object {other:?}"),
-        }
-        self
-    }
-
-    /// Renders with two-space indentation and a trailing newline.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 9e15 {
-                    out.push_str(&format!("{}", *n as i64));
-                } else {
-                    out.push_str(&format!("{n}"));
-                }
-            }
-            Json::Str(s) => write_json_str(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(indent + 1));
-                    item.write(out, indent + 1);
-                }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(indent + 1));
-                    write_json_str(out, k);
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
-                }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-                out.push('}');
-            }
-        }
-    }
-}
-
-fn write_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// One finding from one pass.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Diagnostic {
@@ -409,33 +277,10 @@ impl fmt::Display for Diagnostic {
 }
 
 #[cfg(test)]
-impl Json {
-    /// Rebuilds a tree read back by the shared parser
-    /// (`nvp_trace::json`) as a builder tree, so round-trip tests can
-    /// compare with `==`.
-    pub(crate) fn from_shared(v: &nvp_trace::json::Json) -> Json {
-        use nvp_trace::json::Json as Shared;
-        match v {
-            Shared::Null => Json::Null,
-            Shared::Bool(b) => Json::Bool(*b),
-            Shared::Num(n) => Json::Num(*n),
-            Shared::Str(s) => Json::Str(s.clone()),
-            Shared::Arr(items) => Json::Arr(items.iter().map(Json::from_shared).collect()),
-            Shared::Obj(fields) => Json::Obj(
-                fields
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::from_shared(v)))
-                    .collect(),
-            ),
-        }
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use nvp_isa::{ProgramBuilder, Reg};
-    use nvp_trace::json::Json as Shared;
+    use nvp_trace::json::Json;
 
     #[test]
     fn codes_are_stable_and_severities_fixed() {
@@ -502,53 +347,67 @@ mod tests {
         assert!(!d.to_string().contains("pc"));
     }
 
+    /// Lint artifacts are the shared tree rendered pretty; the layout
+    /// (two-space indent, `": "`, `[]`/`{}` for empties, trailing
+    /// newline) is the `--json` format CI and downstream tools read.
     #[test]
     fn json_round_trips_structures() {
-        let mut obj = Json::obj();
-        obj.set("name", Json::str("fft"))
-            .set("bits", Json::Num(8.0))
-            .set("wcec_nj", Json::num(f64::INFINITY))
-            .set("feasible", Json::Bool(true))
-            .set("frac", Json::Num(0.8125))
-            .set(
+        let obj = Json::obj(vec![
+            ("name", Json::str("fft")),
+            ("bits", Json::Num(8.0)),
+            ("wcec_nj", Json::num(f64::INFINITY)),
+            ("feasible", Json::Bool(true)),
+            ("frac", Json::Num(0.8125)),
+            (
                 "pcs",
                 Json::Arr(vec![Json::Num(0.0), Json::Num(17.0), Json::Num(42.0)]),
-            )
-            .set("empty_arr", Json::Arr(vec![]))
-            .set("empty_obj", Json::obj())
-            .set("note", Json::str("quote \" slash \\ tab\tnewline\n"));
-        let text = obj.render();
-        let back = Json::from_shared(&Shared::parse(&text).expect("parse rendered JSON"));
+            ),
+            ("empty_arr", Json::Arr(vec![])),
+            ("empty_obj", Json::obj(vec![])),
+            ("note", Json::str("quote \" slash \\ tab\tnewline\n")),
+        ]);
+        let text = obj.render_pretty();
+        let back = Json::parse(&text).expect("parse rendered JSON");
         assert_eq!(back, obj);
         // Re-render must be byte-identical (key order preserved).
-        assert_eq!(back.render(), text);
+        assert_eq!(back.render_pretty(), text);
+        let small = Json::obj(vec![
+            ("pcs", Json::Arr(vec![Json::Num(0.0), Json::Num(17.0)])),
+            ("empty_arr", Json::Arr(vec![])),
+            ("empty_obj", Json::obj(vec![])),
+        ]);
+        assert_eq!(
+            small.render_pretty(),
+            "{\n  \"pcs\": [\n    0,\n    17\n  ],\n  \"empty_arr\": [],\n  \"empty_obj\": {}\n}\n"
+        );
     }
 
     #[test]
     fn json_integral_numbers_render_without_decimal() {
-        let text = Json::Num(42.0).render();
+        let text = Json::Num(42.0).render_pretty();
         assert_eq!(text, "42\n");
         assert_eq!(Json::num(f64::NAN), Json::Null);
-        assert!(Json::Num(0.5).render().starts_with("0.5"));
+        assert!(Json::Num(0.5).render_pretty().starts_with("0.5"));
     }
 
     #[test]
     fn json_accessors_navigate_objects() {
-        let mut obj = Json::obj();
-        obj.set("a", Json::Num(3.0))
-            .set("b", Json::Arr(vec![Json::str("x")]));
-        let back = Shared::parse(&obj.render()).expect("parse rendered JSON");
-        assert_eq!(back.get("a").and_then(Shared::as_f64), Some(3.0));
-        let arr = back.get("b").and_then(Shared::as_array).unwrap();
+        let obj = Json::obj(vec![
+            ("a", Json::Num(3.0)),
+            ("b", Json::Arr(vec![Json::str("x")])),
+        ]);
+        let back = Json::parse(&obj.render_pretty()).expect("parse rendered JSON");
+        assert_eq!(back.get("a").and_then(Json::as_f64), Some(3.0));
+        let arr = back.get("b").and_then(Json::as_array).unwrap();
         assert_eq!(arr[0].as_str(), Some("x"));
         assert!(back.get("missing").is_none());
     }
 
     #[test]
     fn json_parse_rejects_garbage() {
-        assert!(Shared::parse("{").is_err());
-        assert!(Shared::parse("[1,]").is_err());
-        assert!(Shared::parse("42 tail").is_err());
-        assert!(Shared::parse("\"unterminated").is_err());
+        assert!(Json::parse("{").is_err());
+        assert!(Json::parse("[1,]").is_err());
+        assert!(Json::parse("42 tail").is_err());
+        assert!(Json::parse("\"unterminated").is_err());
     }
 }

@@ -8,9 +8,11 @@
 //! union, and MUST-set intersection. This module holds those pieces once
 //! so a new pass cannot drift from the established naming discipline.
 
-use crate::reaching::ENTRY_DEF;
 use nvp_isa::{Reg, NUM_REGS};
 use std::collections::BTreeSet;
+
+/// Pseudo definition site for values already in a register at entry.
+pub const ENTRY_DEF: usize = usize::MAX;
 
 /// A definition site for symbolic address naming.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

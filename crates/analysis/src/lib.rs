@@ -10,7 +10,6 @@
 //! * [`dataflow`] — a generic worklist fixpoint engine (forward and
 //!   backward, whole-program and region-restricted);
 //! * [`liveness`](mod@liveness) — backward register liveness;
-//! * [`reaching`](mod@reaching) — forward reaching definitions;
 //! * [`taint`] — a flow-sensitive approximation-taint lattice over
 //!   registers *and* memory, generalizing AC-isolation checking
 //!   (`NVP-E001`..`E003`);
@@ -25,7 +24,7 @@
 //!   the VM's approximation semantics;
 //! * [`safe_bits`] — statically proven safe bitwidth floors per
 //!   instruction/block/program (`NVP-E004`, `NVP-E005`, `NVP-W003`),
-//!   feeding `nvp-lint --bitwidth` and the sim's governor clamp;
+//!   feeding `nvp-lint --bitwidth`;
 //! * [`loop_bound`] — natural-loop discovery with trip-count bounds
 //!   derived from the interval invariants;
 //! * [`cost_model`] / [`wcec`] — static per-instruction energy pricing
@@ -78,7 +77,6 @@ pub mod interval;
 pub mod lattice;
 pub mod liveness;
 pub mod loop_bound;
-pub mod reaching;
 pub mod safe_bits;
 pub mod taint;
 pub mod war;
@@ -89,14 +87,13 @@ pub use backup_liveness::{BackupLiveness, BackupLivenessPass};
 pub use cfg::Cfg;
 pub use ckpt_place::{synthesize, CkptOptions, CkptPass, PlacementEval, RegionCert, Synthesis};
 pub use cost_model::{CostModel, EnergyBudget};
-pub use diag::{Diagnostic, Json, LintCode, Severity};
+pub use diag::{Diagnostic, LintCode, Severity};
 pub use dirty::{dirty_report, dirty_report_at, DirtyAnalyzer, DirtyReport, MemDirty, RegionDirty};
 pub use error_bound::{dev_bound, solve_error_bounds, AbsVal, ApproxState, ErrorBoundAnalysis};
 pub use hints::compile_hints;
 pub use interval::Interval;
 pub use liveness::{liveness, Liveness};
 pub use loop_bound::{find_loops, loop_report, LoopReport, NaturalLoop, TripBound};
-pub use reaching::{reaching, Reaching, ENTRY_DEF};
 pub use safe_bits::{bitwidth_report, BitwidthPass, BitwidthReport, DeclaredBits, NEVER_SAFE};
 pub use taint::TaintPass;
 pub use war::{region_hazards, WarPass};

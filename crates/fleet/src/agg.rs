@@ -17,7 +17,7 @@ use crate::cell::CellOutcome;
 use crate::ordinal::CellTable;
 use crate::reservoir::{TopK, WeightedReservoir};
 use crate::spec::{ScenarioSpec, MAX_CELLS};
-use nvp_trace::{Histogram, MergeError, TraceSummary};
+use nvp_trace::{Histogram, TraceSummary};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -166,7 +166,7 @@ impl FleetAggregate {
         table: &CellTable,
         counts: &[u64],
         outcomes: &[Option<Arc<CellOutcome>>],
-    ) -> Result<(), MergeError> {
+    ) {
         for (o, &n) in counts.iter().enumerate() {
             if n == 0 {
                 continue;
@@ -179,7 +179,7 @@ impl FleetAggregate {
                 .backup_nj
                 .record_n(out.backup_nj.max(0.0).round() as u64, n);
             cohort.mse_milli.record_n(out.mse_milli, n);
-            cohort.summary.merge_weighted(&out.summary, n)?;
+            cohort.summary.merge_weighted(&out.summary, n);
             let stat = dense.cells[o].get_or_insert_with(|| {
                 dense.occupied += 1;
                 CellStat {
@@ -195,7 +195,6 @@ impl FleetAggregate {
         }
         debug_assert!(self.distinct_cells(dense) <= MAX_CELLS);
         self.next_chunk += 1;
-        Ok(())
     }
 
     /// Renders the canonical aggregate report: deterministic JSON, sorted
@@ -377,7 +376,7 @@ mod tests {
     /// Folds every chunk of `spec` serially.
     fn folded(spec: &ScenarioSpec) -> FleetAggregate {
         let mut agg = FleetAggregate::new(spec.clone());
-        run_chunks(&mut agg, RunOptions::default(), |_| {}).unwrap();
+        let Ok(_) = run_chunks(&mut agg, RunOptions::default(), |_| {});
         agg
     }
 

@@ -100,7 +100,7 @@ fn finish(
         jobs,
         stop_after_chunks,
     };
-    let status = run_chunks(&mut agg, opts, progress_printer(false)).map_err(|e| e.to_string())?;
+    let Ok(status) = run_chunks(&mut agg, opts, progress_printer(false));
     match status {
         RunStatus::Complete => {
             if let Some(path) = snapshot {

@@ -48,11 +48,12 @@ fn hex_f64(v: f64) -> String {
     format!("{:016x}", v.to_bits())
 }
 
+/// Encodes a histogram. `unit=1` is a fixed field of the
+/// `nvp-fleet-snap-v1` format; [`decode_hist`] refuses any other unit.
 fn encode_hist(h: &Histogram) -> String {
     let (min, max) = h.extremes_raw();
     format!(
-        "unit={};count={};sum={};min={};max={};bins={}",
-        h.unit(),
+        "unit=1;count={};sum={};min={};max={};bins={}",
         h.count(),
         h.sum(),
         min,
@@ -151,7 +152,6 @@ fn parse_kv(raw: &str, line: usize) -> Result<(&str, &str), SnapshotError> {
 }
 
 fn decode_hist(value: &str, line: usize) -> Result<Histogram, SnapshotError> {
-    let mut unit = 1u64;
     let mut count = 0u64;
     let mut sum = 0u64;
     let mut min = u64::MAX;
@@ -163,7 +163,13 @@ fn decode_hist(value: &str, line: usize) -> Result<Histogram, SnapshotError> {
             .split_once('=')
             .ok_or_else(|| SnapshotError::new(line, format!("bad histogram field '{field}'")))?;
         match k {
-            "unit" => unit = parse_u64(v, line, "unit")?,
+            "unit" if v != "1" => {
+                return Err(SnapshotError::new(
+                    line,
+                    format!("histogram unit '{v}' is not 1"),
+                ))
+            }
+            "unit" => {}
             "count" => count = parse_u64(v, line, "count")?,
             "sum" => sum = parse_u64(v, line, "sum")?,
             "min" => min = parse_u64(v, line, "min")?,
@@ -200,7 +206,7 @@ fn decode_hist(value: &str, line: usize) -> Result<Histogram, SnapshotError> {
             format!("histogram bins do not sum to count {count}"),
         ));
     }
-    Ok(Histogram::from_parts(unit, bins, count, sum, (min, max)))
+    Ok(Histogram::from_parts(bins, count, sum, (min, max)))
 }
 
 /// Largest restored value of a counter that is not device-weighted:
@@ -486,7 +492,7 @@ mod tests {
             jobs: 1,
             stop_after_chunks: Some(1),
         };
-        run_chunks(&mut agg, stop, |_| {}).unwrap();
+        let Ok(_) = run_chunks(&mut agg, stop, |_| {});
         agg
     }
 

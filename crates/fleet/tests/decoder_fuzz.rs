@@ -68,7 +68,7 @@ fn snapshot_seed() -> &'static str {
             jobs: 1,
             stop_after_chunks: Some(1),
         };
-        run_chunks(&mut agg, once, |_| {}).unwrap();
+        let Ok(_) = run_chunks(&mut agg, once, |_| {});
         encode_snapshot(&agg)
     })
 }
@@ -231,6 +231,25 @@ fn resumed_snapshot_cannot_overflow_the_next_fold() {
     for (first, ok) in [(1u64 << 63, true), ((1 << 63) + 1, false)] {
         let doc = with_line(seed, "counts = ", &format!("{first},{rest}"));
         assert_eq!(decode_snapshot(&doc).is_ok(), ok, "first count {first}");
+    }
+}
+
+/// Regression: histograms have one bucket unit, 1, and a snapshot that
+/// claims another is refused with the line it is on. A `hist_inter` at
+/// `unit=2` used to decode and then fail mid-resume; a `hist_fp` at
+/// `unit=2` resumed to completion with rescaled quantiles.
+#[test]
+fn snapshot_histogram_units_other_than_one_are_refused() {
+    let seed = snapshot_seed();
+    for key in ["hist_fp = ", "hist_inter = "] {
+        let start = seed.find(key).unwrap();
+        let line = seed[..start].lines().count() + 1;
+        let value = &seed[start + key.len()..start + seed[start..].find('\n').unwrap()];
+        assert!(value.starts_with("unit=1;"), "{value}");
+        let doc = with_line(seed, key, &value.replacen("unit=1;", "unit=2;", 1));
+        let err = decode_snapshot(&doc).unwrap_err().to_string();
+        assert!(err.contains(&format!("line {line}: ")), "{key}{err}");
+        assert!(err.contains("histogram unit '2' is not 1"), "{key}{err}");
     }
 }
 

@@ -29,15 +29,14 @@ fn spec() -> ScenarioSpec {
 
 fn run_with(jobs: usize) -> FleetAggregate {
     let mut agg = FleetAggregate::new(spec());
-    let status = run_chunks(
+    let Ok(status) = run_chunks(
         &mut agg,
         RunOptions {
             jobs,
             stop_after_chunks: None,
         },
         |_| {},
-    )
-    .unwrap();
+    );
     assert_eq!(status, RunStatus::Complete);
     agg
 }
@@ -77,15 +76,14 @@ fn resume_from_a_mid_run_snapshot_is_byte_identical() {
     // Interrupt after 2 of 4 chunks, snapshot, restore from the *text*
     // (as a new process would), and finish with a different worker count.
     let mut first_half = FleetAggregate::new(spec());
-    let status = run_chunks(
+    let Ok(status) = run_chunks(
         &mut first_half,
         RunOptions {
             jobs: 1,
             stop_after_chunks: Some(2),
         },
         |_| {},
-    )
-    .unwrap();
+    );
     assert_eq!(status, RunStatus::Paused);
     assert_eq!(first_half.next_chunk, 2);
 
@@ -93,15 +91,14 @@ fn resume_from_a_mid_run_snapshot_is_byte_identical() {
     let mut resumed = decode_snapshot(&snapshot_text).unwrap();
     assert_eq!(resumed, first_half, "snapshot must restore bit-exactly");
 
-    let status = run_chunks(
+    let Ok(status) = run_chunks(
         &mut resumed,
         RunOptions {
             jobs: 4,
             stop_after_chunks: None,
         },
         |_| {},
-    )
-    .unwrap();
+    );
     assert_eq!(status, RunStatus::Complete);
     assert_eq!(
         resumed.render_report(),
@@ -118,7 +115,7 @@ fn aggregation_state_is_bounded_by_cells_not_devices() {
     let mut big_spec = spec();
     big_spec.devices = 20_000;
     let mut big = FleetAggregate::new(big_spec);
-    run_chunks(&mut big, RunOptions::default(), |_| {}).unwrap();
+    let Ok(_) = run_chunks(&mut big, RunOptions::default(), |_| {});
     assert_eq!(
         small.cells.len(),
         big.cells.len(),
@@ -163,7 +160,7 @@ fn report_and_snapshot_bytes_are_pinned() {
     assert_eq!(digest(encode_snapshot(&paused)), 0xd847_f129_4c78_00e0);
 
     let mut done = FleetAggregate::new(parsed);
-    run_chunks(&mut done, RunOptions::default(), |_| {}).unwrap();
+    let Ok(_) = run_chunks(&mut done, RunOptions::default(), |_| {});
     assert_eq!(done.cells.len(), 96);
     assert_eq!(digest(done.render_report()), 0x7f8d_4e33_950e_e4a6);
     assert_eq!(digest(encode_snapshot(&done)), 0x17e5_f02c_faec_f59b);

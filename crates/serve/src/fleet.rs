@@ -339,7 +339,7 @@ fn run_job(job: Arc<FleetJob>, metrics: Arc<Metrics>, spec: ScenarioSpec, worker
         metrics: Arc::clone(&metrics),
     };
     let mut agg = FleetAggregate::new(spec);
-    let result = run_chunks(
+    let Ok(_) = run_chunks(
         &mut agg,
         RunOptions {
             jobs: workers,
@@ -354,16 +354,8 @@ fn run_job(job: Arc<FleetJob>, metrics: Arc<Metrics>, spec: ScenarioSpec, worker
         },
     );
     let mut state = guard.job.state.lock().unwrap_or_else(|p| p.into_inner());
-    match result {
-        Ok(_) => {
-            *state = JobState::Done(Arc::new(agg.render_report().into_bytes()));
-            bump(&guard.metrics.fleet_done);
-        }
-        Err(e) => {
-            *state = JobState::Failed(e.to_string());
-            bump(&guard.metrics.fleet_failed);
-        }
-    }
+    *state = JobState::Done(Arc::new(agg.render_report().into_bytes()));
+    bump(&guard.metrics.fleet_done);
 }
 
 /// `GET /v1/fleet/{id}`.

@@ -12,12 +12,14 @@
 //! which is the honest resolution of a log2 histogram).
 //!
 //! Every simulation the service executes runs under a per-run
-//! `CounterSink`; the resulting [`TraceSummary`] is merged here under a
-//! mutex so `/metrics` can report simulator-level totals (backups,
-//! restores, energy ledger) alongside HTTP-level ones.
+//! `CounterSink`; the resulting [`TraceSummary`] is folded here under a
+//! mutex with `merge_weighted(…, 1)` so `/metrics` can report
+//! simulator-level totals (events, runs, energy ledger) alongside
+//! HTTP-level ones. The fold keeps no per-run rows, so it stays the same
+//! size however many runs the process serves.
 
 use nvp_exec::CacheStats;
-use nvp_trace::{Histogram, TraceSummary};
+use nvp_trace::{EventKind, Histogram, TraceSummary};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -55,7 +57,7 @@ pub struct Metrics {
     pub fleet_deduped: AtomicU64,
     /// Fleet jobs that ran to completion.
     pub fleet_done: AtomicU64,
-    /// Fleet jobs that failed (fold error or worker panic).
+    /// Fleet jobs whose worker panicked.
     pub fleet_failed: AtomicU64,
     /// Finished fleet jobs dropped from the registry to keep it bounded.
     pub fleet_evicted: AtomicU64,
@@ -66,7 +68,8 @@ pub struct Metrics {
     pub fleet_chunks_in_flight: AtomicU64,
     /// End-to-end latency of `/v1/run` requests, in microseconds.
     pub run_latency: Mutex<Histogram>,
-    /// Folded trace summaries of every simulation served.
+    /// Fold of every served simulation's trace summary (constant-size:
+    /// no per-run rows).
     pub sim_totals: Mutex<TraceSummary>,
 }
 
@@ -89,12 +92,12 @@ impl Metrics {
             .record(us);
     }
 
-    /// Merges one simulation's trace summary into the process totals.
+    /// Folds one simulation's trace summary into the process totals.
     pub fn absorb_summary(&self, summary: &TraceSummary) {
         self.sim_totals
             .lock()
             .unwrap_or_else(|p| p.into_inner())
-            .merge(summary);
+            .merge_weighted(summary, 1);
     }
 
     /// Renders the plain-text exposition body served on `/metrics`.
@@ -183,7 +186,9 @@ impl Metrics {
         {
             let totals = self.sim_totals.lock().unwrap_or_else(|p| p.into_inner());
             line("nvp_sim_events_total", totals.total().to_string());
-            line("nvp_sim_runs_total", totals.runs.len().to_string());
+            // Every served run emits exactly one `run_end`.
+            let runs = totals.count(EventKind::RunEnd);
+            line("nvp_sim_runs_total", runs.to_string());
             line(
                 "nvp_sim_retention_failures_total",
                 totals.retention_failures.to_string(),
@@ -292,5 +297,71 @@ mod tests {
         let text = m.render(0, &CacheStats::default());
         assert!(text.contains("nvp_runs_engine_step_total 1\n"));
         assert!(text.contains("nvp_runs_engine_compiled_total 2\n"));
+    }
+
+    #[test]
+    fn sim_totals_lines_are_pinned() {
+        use nvp_kernels::KernelId;
+        use nvp_repro::catalog::{simulate_traced, RunRequest};
+        use nvp_sim::BackupScope;
+        use nvp_trace::CounterSink;
+        let m = Metrics::default();
+        for (kernel, scope) in [
+            (KernelId::Sobel, BackupScope::FullState),
+            (KernelId::Median, BackupScope::FullState),
+            (KernelId::Sobel, BackupScope::LiveOnly),
+        ] {
+            let req = RunRequest {
+                kernel,
+                scope,
+                img: 8,
+                frames: 1,
+                trace_seconds: 0.3,
+                ..RunRequest::default()
+            };
+            let mut sink = CounterSink::new();
+            simulate_traced(&req, &mut sink);
+            m.absorb_summary(&sink.summary);
+        }
+        let text = m.render(0, &CacheStats::default());
+        let sim: Vec<&str> = text.lines().filter(|l| l.starts_with("nvp_sim_")).collect();
+        assert_eq!(
+            sim,
+            [
+                "nvp_sim_events_total 145",
+                "nvp_sim_runs_total 3",
+                "nvp_sim_retention_failures_total 0",
+                "nvp_sim_energy_income_nj 30848.807",
+                "nvp_sim_energy_compute_nj 19716.400",
+                "nvp_sim_energy_backup_nj 9748.214",
+            ],
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn absorbed_runs_are_not_retained() {
+        use nvp_trace::{CounterSink, Event, Tracer};
+        let m = Metrics::default();
+        for tick in 0..1_000 {
+            let mut sink = CounterSink::new();
+            sink.record(&Event::RunEnd {
+                tick,
+                income_nj: 2.0,
+                compute_nj: 1.0,
+                backup_nj: 0.5,
+                restore_nj: 0.25,
+                saved_nj: 0.0,
+                backups: 1,
+                restores: 1,
+                frames: 1,
+                forward_progress: 1,
+            });
+            m.absorb_summary(&sink.summary);
+        }
+        assert!(m.sim_totals.lock().unwrap().runs.is_empty());
+        let text = m.render(0, &CacheStats::default());
+        assert!(text.contains("nvp_sim_runs_total 1000\n"), "{text}");
+        assert!(text.contains("nvp_sim_events_total 1000\n"), "{text}");
     }
 }

@@ -10,20 +10,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
-/// True once a shutdown has been requested by signal or endpoint.
+/// True once SIGTERM or SIGINT has arrived. `POST /shutdown` sets the
+/// server's own draining flag instead.
 pub fn shutdown_requested() -> bool {
     SHUTDOWN.load(Ordering::SeqCst)
-}
-
-/// Requests shutdown from inside the process (`POST /shutdown`, tests).
-pub fn request_shutdown() {
-    SHUTDOWN.store(true, Ordering::SeqCst);
-}
-
-/// Clears the flag so a subsequent in-process server can run (tests
-/// start several servers in one process).
-pub fn reset() {
-    SHUTDOWN.store(false, Ordering::SeqCst);
 }
 
 #[cfg(unix)]
@@ -59,19 +49,4 @@ mod unix {
 pub fn install() {
     #[cfg(unix)]
     unix::install();
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn request_and_reset_roundtrip() {
-        reset();
-        assert!(!shutdown_requested());
-        request_shutdown();
-        assert!(shutdown_requested());
-        reset();
-        assert!(!shutdown_requested());
-    }
 }

@@ -62,7 +62,7 @@ fn fleet_job_report_matches_the_cli_byte_for_byte() {
 
     // What the CLI would print for this spec.
     let mut agg = FleetAggregate::new(spec);
-    run_chunks(&mut agg, RunOptions::default(), |_| {}).unwrap();
+    let Ok(_) = run_chunks(&mut agg, RunOptions::default(), |_| {});
     assert_eq!(
         done.body,
         agg.render_report().into_bytes(),

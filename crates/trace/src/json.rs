@@ -1,16 +1,17 @@
 //! The one JSON codec of the workspace: a small hand-rolled tree with a
-//! parser, a compact renderer and typed accessors.
+//! parser, a compact and a pretty renderer, and typed accessors.
 //!
 //! Every wire format goes through it: JSONL trace lines
 //! ([`Event::json`](crate::Event::json) /
 //! [`Event::from_json`](crate::Event::from_json)), `nvp-serve` request
-//! and response bodies, and the tests that re-read `nvp-lint`'s `--json`
-//! artifacts. Numbers are finite `f64` with shortest-round-trip rendering
-//! and an integer fast path, strings use the standard escapes, and
-//! nothing outside the JSON the stack actually speaks (no surrogate-pair
-//! pedantry beyond `\u` code points). Parsing is linear in the input,
-//! nesting is capped at 16 levels and malformed input is an error, never
-//! a panic.
+//! and response bodies, and `nvp-lint`'s `--json` artifacts (rendered
+//! with [`Json::render_pretty`] and re-read by its tests). Numbers are
+//! finite `f64` with shortest-round-trip rendering and an integer fast
+//! path ([`Json::num`] turns a non-finite one into `null`), strings use
+//! the standard escapes, and nothing outside the JSON the stack actually
+//! speaks (no surrogate-pair pedantry beyond `\u` code points). Parsing
+//! is linear in the input, nesting is capped at 16 levels and malformed
+//! input is an error, never a panic.
 
 use std::fmt;
 
@@ -71,37 +72,37 @@ impl Json {
     /// Renders the value as compact JSON.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out);
+        self.write(&mut out, None);
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Renders the value with two-space indentation, `": "` after keys,
+    /// `[]`/`{}` for empty containers and a trailing newline (the
+    /// `nvp-lint --json` artifact layout).
+    pub fn render_pretty(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, Some(0));
+        out.push('\n');
+        out
+    }
+
+    /// Writes compactly when `indent` is `None`, else pretty-printed at
+    /// that nesting depth.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => write_num(*n, out),
             Json::Str(s) => write_str(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
+            Json::Arr(items) => write_seq(out, indent, ('[', ']'), items, |out, item, inner| {
+                item.write(out, inner)
+            }),
             Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
+                write_seq(out, indent, ('{', '}'), fields, |out, (k, v), inner| {
                     write_str(k, out);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
+                    out.push_str(if inner.is_some() { ": " } else { ":" });
+                    v.write(out, inner);
+                })
             }
         }
     }
@@ -167,6 +168,50 @@ impl Json {
     /// Convenience constructor for a string value.
     pub fn str(s: impl Into<String>) -> Json {
         Json::Str(s.into())
+    }
+
+    /// A finite number, or `null` when `n` is NaN or infinite (an
+    /// unbounded WCEC, say).
+    pub fn num(n: f64) -> Json {
+        if n.is_finite() {
+            Json::Num(n)
+        } else {
+            Json::Null
+        }
+    }
+}
+
+/// Writes a delimited, comma-separated sequence; pretty mode puts each
+/// item on its own line one level deeper and closes on the parent's
+/// indentation.
+fn write_seq<T>(
+    out: &mut String,
+    indent: Option<usize>,
+    (open, close): (char, char),
+    items: &[T],
+    mut item: impl FnMut(&mut String, &T, Option<usize>),
+) {
+    out.push(open);
+    let inner = indent.map(|d| d + 1);
+    for (i, it) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        if let Some(d) = inner {
+            push_newline(out, d);
+        }
+        item(out, it, inner);
+    }
+    if let (Some(d), false) = (indent, items.is_empty()) {
+        push_newline(out, d);
+    }
+    out.push(close);
+}
+
+fn push_newline(out: &mut String, depth: usize) {
+    out.push('\n');
+    for _ in 0..depth {
+        out.push_str("  ");
     }
 }
 

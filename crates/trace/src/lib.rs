@@ -42,7 +42,6 @@ pub use diff::{diff, TraceDiff};
 pub use event::{Event, EventKind, ParseError};
 pub use sink::{emit, CounterSink, JsonlBufSink, NoopTracer, TeeSink, Tracer, VecSink};
 pub use summary::{
-    EnergyLedger, Histogram, LedgerMismatch, MergeError, ReadError, RunEndTotals, RunSummary,
-    TraceSummary,
+    EnergyLedger, Histogram, LedgerMismatch, ReadError, RunEndTotals, RunSummary, TraceSummary,
 };
 pub use timeline::{render as render_timeline, split_runs, TimelineRun};

@@ -104,41 +104,13 @@ impl fmt::Display for LedgerMismatch {
     }
 }
 
-/// Two same-shaped aggregates cannot be folded together.
+/// Power-of-two-binned histogram of unsigned samples.
 ///
-/// Returned by the `checked_merge` family when the receiver and the donor
-/// were built with different bucket geometry — folding them bin-by-bin
-/// would silently mix incompatible value ranges into one curve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MergeError {
-    /// Bucket unit of the histogram being merged into.
-    pub ours: u64,
-    /// Bucket unit of the histogram being merged from.
-    pub theirs: u64,
-}
-
-impl fmt::Display for MergeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "histogram bucket units differ: {} vs {} (refusing to misfold)",
-            self.ours, self.theirs
-        )
-    }
-}
-
-impl std::error::Error for MergeError {}
-
-/// Power-of-two-binned histogram of tick counts.
-///
-/// Bin `i` holds samples whose unit-scaled value `v = value / unit` lies in
-/// `[2^(i-1), 2^i)`, with bin 0 holding `v == 0`. The default unit is 1
-/// (values are binned directly); population aggregators use coarser units
-/// to bin nanojoule- or milli-MSE-scaled metrics. Good enough resolution
-/// for quantities spanning many orders of magnitude, in 32 fixed bins.
+/// Bin `i` holds samples whose value lies in `[2^(i-1), 2^i)`, with bin 0
+/// holding `0`. Good enough resolution for quantities spanning many orders
+/// of magnitude (ticks, nanojoules, milli-MSE), in 32 fixed bins.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
-    unit: u64,
     bins: [u64; Self::BINS],
     count: u64,
     sum: u64,
@@ -150,28 +122,15 @@ impl Histogram {
     /// Number of fixed bins.
     pub const BINS: usize = 32;
 
-    /// Creates an empty histogram with unit bucket width.
+    /// Creates an empty histogram.
     pub fn new() -> Self {
-        Self::with_unit(1)
-    }
-
-    /// Creates an empty histogram whose bucket boundaries are scaled by
-    /// `unit` (clamped to at least 1): bin `i` holds values in
-    /// `[unit·2^(i-1), unit·2^i)`.
-    pub fn with_unit(unit: u64) -> Self {
         Histogram {
-            unit: unit.max(1),
             bins: [0; Self::BINS],
             count: 0,
             sum: 0,
             min: u64::MAX,
             max: 0,
         }
-    }
-
-    /// The bucket unit this histogram was built with.
-    pub fn unit(&self) -> u64 {
-        self.unit
     }
 
     /// Records one sample.
@@ -186,11 +145,10 @@ impl Histogram {
         if n == 0 {
             return;
         }
-        let scaled = value / self.unit;
-        let bin = if scaled == 0 {
+        let bin = if value == 0 {
             0
         } else {
-            ((64 - scaled.leading_zeros()) as usize).min(Self::BINS - 1)
+            ((64 - value.leading_zeros()) as usize).min(Self::BINS - 1)
         };
         self.bins[bin] += n;
         self.count += n;
@@ -223,43 +181,14 @@ impl Histogram {
         (self.count > 0).then_some(self.max)
     }
 
-    /// Folds another histogram into this one (bin-wise sum; min/max/mean
-    /// combine as if every sample had been recorded here).
-    ///
-    /// Assumes both histograms share one bucket unit; when that is not
-    /// statically guaranteed, use [`checked_merge`](Self::checked_merge),
-    /// which surfaces the mismatch instead of misfolding.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (mine, theirs) in self.bins.iter_mut().zip(other.bins.iter()) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        if other.count > 0 {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-    }
-
-    /// [`merge`](Self::merge) that refuses bucket-unit mismatches: two
-    /// histograms binned at different units describe different value
-    /// grids, and a bin-wise sum of them is meaningless. Nothing is folded
-    /// on error.
-    pub fn checked_merge(&mut self, other: &Histogram) -> Result<(), MergeError> {
-        self.mergeable(other)?;
-        self.merge(other);
-        Ok(())
-    }
-
     /// Folds `other` in `n` times over — as if every one of its samples
-    /// had been recorded here `n` times. Used for population-weighted
-    /// aggregation where one simulated outcome stands for `n` devices.
-    /// Refuses bucket-unit mismatches; `n == 0` verifies compatibility
-    /// but folds nothing.
-    pub fn merge_weighted(&mut self, other: &Histogram, n: u64) -> Result<(), MergeError> {
-        self.mergeable(other)?;
+    /// had been recorded here `n` times (bin-wise sum; min/max/mean
+    /// combine accordingly). `n == 1` is a plain merge; population
+    /// aggregation uses larger `n` where one simulated outcome stands for
+    /// `n` devices. `n == 0` folds nothing.
+    pub fn merge_weighted(&mut self, other: &Histogram, n: u64) {
         if n == 0 {
-            return Ok(());
+            return;
         }
         for (mine, theirs) in self.bins.iter_mut().zip(other.bins.iter()) {
             *mine += theirs.saturating_mul(n);
@@ -270,17 +199,6 @@ impl Histogram {
             self.min = self.min.min(other.min);
             self.max = self.max.max(other.max);
         }
-        Ok(())
-    }
-
-    fn mergeable(&self, other: &Histogram) -> Result<(), MergeError> {
-        if self.unit != other.unit {
-            return Err(MergeError {
-                ours: self.unit,
-                theirs: other.unit,
-            });
-        }
-        Ok(())
     }
 
     /// Inclusive upper bound of the bucket containing quantile `q`
@@ -296,13 +214,7 @@ impl Histogram {
         for (i, &n) in self.bins.iter().enumerate() {
             seen += n;
             if seen >= rank {
-                return Some(if i == 0 {
-                    self.unit - 1
-                } else {
-                    self.unit
-                        .saturating_mul(1u64 << i.min(63))
-                        .saturating_sub(1)
-                });
+                return Some(if i == 0 { 0 } else { (1u64 << i) - 1 });
             }
         }
         Some(self.max)
@@ -325,18 +237,16 @@ impl Histogram {
     }
 
     /// Reassembles a histogram from persisted parts (the exact values the
-    /// raw accessors returned — no validation beyond clamping the unit).
-    /// This is the decode half of snapshot/resume support; a round trip
-    /// through the raw accessors is identity.
+    /// raw accessors returned — no validation). This is the decode half of
+    /// snapshot/resume support; a round trip through the raw accessors is
+    /// identity.
     pub fn from_parts(
-        unit: u64,
         bins: [u64; Self::BINS],
         count: u64,
         sum: u64,
         (min, max): (u64, u64),
     ) -> Self {
         Histogram {
-            unit: unit.max(1),
             bins,
             count,
             sum,
@@ -510,54 +420,21 @@ impl TraceSummary {
         }
     }
 
-    /// Folds another summary into this one, as if its events had been
-    /// observed here after ours.
-    ///
-    /// This is the aggregation step for services: each served run records
-    /// into its own `CounterSink`, and the per-run summaries are merged
-    /// into one process-wide view (the `nvp-serve` `/metrics` endpoint).
-    /// The inter-backup histogram never bridges the seam between the two
-    /// summaries — the interval from our last backup to the other's first
-    /// belongs to neither run.
-    pub fn merge(&mut self, other: &TraceSummary) {
-        for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *mine += theirs;
-        }
-        let o = &other.ledger;
-        self.ledger.income_nj += o.income_nj;
-        self.ledger.compute_nj += o.compute_nj;
-        self.ledger.backup_nj += o.backup_nj;
-        self.ledger.restore_nj += o.restore_nj;
-        self.ledger.saved_nj += o.saved_nj;
-        self.inter_backup.merge(&other.inter_backup);
-        self.outage_duration.merge(&other.outage_duration);
-        self.runs.extend(other.runs.iter().cloned());
-        self.retention_failures += other.retention_failures;
-        self.last_backup_tick = other.last_backup_tick;
-    }
-
-    /// [`merge`](Self::merge) that refuses histogram bucket-unit
-    /// mismatches instead of silently misfolding them. Nothing is folded
-    /// on error (both histograms are verified before either is touched).
-    pub fn checked_merge(&mut self, other: &TraceSummary) -> Result<(), MergeError> {
-        self.inter_backup.mergeable(&other.inter_backup)?;
-        self.outage_duration.mergeable(&other.outage_duration)?;
-        self.merge(other);
-        Ok(())
-    }
-
     /// Folds `other` in `n` times over, as if its event stream had been
     /// observed here `n` times: counts, ledger, histograms and retention
     /// failures all scale by `n`. The per-run breakdown is **not**
-    /// carried (a weighted fold has no meaningful per-run identity), and
-    /// the inter-backup seam never bridges the two summaries. Used for
-    /// population aggregation where one simulated device outcome stands
-    /// for `n` identical devices. Refuses bucket-unit mismatches.
-    pub fn merge_weighted(&mut self, other: &TraceSummary, n: u64) -> Result<(), MergeError> {
-        self.inter_backup.mergeable(&other.inter_backup)?;
-        self.outage_duration.mergeable(&other.outage_duration)?;
+    /// carried, so a long-lived fold target stays constant-size, and the
+    /// inter-backup seam never bridges the two summaries (the interval
+    /// from our last backup to the other's first belongs to neither).
+    ///
+    /// `n == 1` is the service fold: each `nvp-serve` run records into its
+    /// own `CounterSink` and is absorbed into the process-wide `/metrics`
+    /// view. Larger `n` is population aggregation, where one simulated
+    /// device outcome stands for `n` identical devices. `n == 0` folds
+    /// nothing.
+    pub fn merge_weighted(&mut self, other: &TraceSummary, n: u64) {
         if n == 0 {
-            return Ok(());
+            return;
         }
         let w = n as f64;
         for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
@@ -569,11 +446,10 @@ impl TraceSummary {
         self.ledger.backup_nj += o.backup_nj * w;
         self.ledger.restore_nj += o.restore_nj * w;
         self.ledger.saved_nj += o.saved_nj * w;
-        self.inter_backup.merge_weighted(&other.inter_backup, n)?;
+        self.inter_backup.merge_weighted(&other.inter_backup, n);
         self.outage_duration
-            .merge_weighted(&other.outage_duration, n)?;
+            .merge_weighted(&other.outage_duration, n);
         self.retention_failures += other.retention_failures.saturating_mul(n);
-        Ok(())
     }
 
     /// Per-kind event counts indexed by [`EventKind::index`], for
@@ -829,12 +705,13 @@ mod tests {
             part_b.observe(ev);
             whole.observe(ev);
         }
-        merged.merge(&part_b);
+        merged.merge_weighted(&part_b, 1);
         assert_eq!(merged.total(), whole.total());
         assert_eq!(merged.ledger, whole.ledger);
         assert_eq!(merged.outage_duration, whole.outage_duration);
         assert_eq!(merged.retention_failures, whole.retention_failures);
-        assert_eq!(merged.runs, whole.runs);
+        // The donor's per-run rows are not carried over.
+        assert_eq!(merged.runs, whole.runs[..1]);
         assert_eq!(merged.count(EventKind::Backup), 4);
         // One intra-run interval per run; neither path counts a cross-run
         // seam (RunStart resets the interval clock).
@@ -849,21 +726,21 @@ mod tests {
         a.record(4);
         b.record(1);
         b.record(1000);
-        a.merge(&b);
+        a.merge_weighted(&b, 1);
         assert_eq!(a.count(), 3);
         assert_eq!(a.min(), Some(1));
         assert_eq!(a.max(), Some(1000));
         assert!((a.mean() - 335.0).abs() < 1e-9);
         let empty = Histogram::new();
         let before = a.clone();
-        a.merge(&empty);
+        a.merge_weighted(&empty, 1);
         assert_eq!(a, before, "merging an empty histogram is a no-op");
     }
 
     #[test]
     fn record_n_equals_repeated_record() {
-        let mut weighted = Histogram::with_unit(10);
-        let mut repeated = Histogram::with_unit(10);
+        let mut weighted = Histogram::new();
+        let mut repeated = Histogram::new();
         for v in [0, 9, 10, 25, 4000] {
             weighted.record_n(v, 3);
             for _ in 0..3 {
@@ -877,54 +754,30 @@ mod tests {
     }
 
     #[test]
-    fn checked_merge_rejects_unit_mismatch() {
-        let mut fine = Histogram::with_unit(1);
-        let mut coarse = Histogram::with_unit(100);
-        fine.record(3);
-        coarse.record(300);
-        let err = fine.checked_merge(&coarse).unwrap_err();
-        assert_eq!(
-            err,
-            MergeError {
-                ours: 1,
-                theirs: 100
-            }
-        );
-        assert!(err.to_string().contains("bucket units differ"));
-        // Nothing was folded on the failure path.
-        assert_eq!(fine.count(), 1);
-        let mut same = Histogram::with_unit(100);
-        same.record(5000);
-        coarse.checked_merge(&same).unwrap();
-        assert_eq!(coarse.count(), 2);
-    }
-
-    #[test]
     fn histogram_merge_weighted_scales_counts() {
-        let mut base = Histogram::with_unit(2);
+        let mut base = Histogram::new();
         base.record(6);
-        let mut other = Histogram::with_unit(2);
+        let mut other = Histogram::new();
         other.record(1);
         other.record(40);
-        base.merge_weighted(&other, 5).unwrap();
+        base.merge_weighted(&other, 5);
         assert_eq!(base.count(), 11);
         assert_eq!(base.min(), Some(1));
         assert_eq!(base.max(), Some(40));
         assert_eq!(base.sum(), 6 + 5 * 41);
-        // n = 1 is exactly a checked merge.
+        // n = 1 is exactly recording the donor's samples here.
         let mut a = Histogram::new();
         a.record(9);
         let mut b = a.clone();
         let mut add = Histogram::new();
         add.record(17);
-        a.checked_merge(&add).unwrap();
-        b.merge_weighted(&add, 1).unwrap();
+        a.record(17);
+        b.merge_weighted(&add, 1);
         assert_eq!(a, b);
-        // n = 0 still validates compatibility but folds nothing.
+        // n = 0 folds nothing.
         let before = a.clone();
-        a.merge_weighted(&add, 0).unwrap();
+        a.merge_weighted(&add, 0);
         assert_eq!(a, before);
-        assert!(a.merge_weighted(&Histogram::with_unit(7), 0).is_err());
     }
 
     #[test]
@@ -940,49 +793,25 @@ mod tests {
         assert_eq!(h.quantile(0.5), Some(3));
         assert_eq!(h.quantile(0.75), Some(3));
         assert_eq!(h.quantile(1.0), Some(127));
-        // Unit scaling widens every bucket by the unit.
-        let mut u = Histogram::with_unit(1000);
-        u.record(500);
-        u.record(2500);
-        assert_eq!(u.quantile(0.5), Some(999));
-        assert_eq!(u.quantile(1.0), Some(3999));
+        let mut z = Histogram::new();
+        z.record(0);
+        assert_eq!(z.quantile(1.0), Some(0));
     }
 
     #[test]
     fn histogram_from_parts_round_trips() {
-        let mut h = Histogram::with_unit(4);
+        let mut h = Histogram::new();
         for v in [0, 3, 9, 250, 7777] {
             h.record_n(v, v + 1);
         }
         let mut bins = [0u64; Histogram::BINS];
         bins.copy_from_slice(h.bins());
-        let rebuilt = Histogram::from_parts(h.unit(), bins, h.count(), h.sum(), h.extremes_raw());
+        let rebuilt = Histogram::from_parts(bins, h.count(), h.sum(), h.extremes_raw());
         assert_eq!(rebuilt, h);
         assert_eq!(
-            Histogram::from_parts(1, [0; Histogram::BINS], 0, 0, (u64::MAX, 0)).min(),
+            Histogram::from_parts([0; Histogram::BINS], 0, 0, (u64::MAX, 0)).min(),
             None
         );
-    }
-
-    #[test]
-    fn summary_checked_merge_guards_both_histograms() {
-        let mut a = TraceSummary::new();
-        a.observe(&backup(10, 1.0));
-        let mut b = TraceSummary::new();
-        b.observe(&backup(20, 2.0));
-        a.checked_merge(&b).unwrap();
-        assert_eq!(a.count(EventKind::Backup), 2);
-        // A summary rebuilt with mismatched units must be refused whole.
-        let odd = TraceSummary::from_parts(
-            [0; EventKind::COUNT],
-            EnergyLedger::default(),
-            Histogram::new(),
-            Histogram::with_unit(50),
-            0,
-        );
-        let before = a.clone();
-        assert!(a.checked_merge(&odd).is_err());
-        assert_eq!(a, before, "failed merge must fold nothing");
     }
 
     #[test]
@@ -1005,10 +834,10 @@ mod tests {
         });
         let mut plain = TraceSummary::new();
         for _ in 0..3 {
-            plain.merge(&src);
+            plain.merge_weighted(&src, 1);
         }
         let mut weighted = TraceSummary::new();
-        weighted.merge_weighted(&src, 3).unwrap();
+        weighted.merge_weighted(&src, 3);
         assert_eq!(weighted.kind_counts(), plain.kind_counts());
         assert_eq!(weighted.ledger, plain.ledger);
         assert_eq!(weighted.inter_backup, plain.inter_backup);
@@ -1017,7 +846,7 @@ mod tests {
         assert!(weighted.runs.is_empty(), "weighted folds carry no runs");
         // Zero weight folds nothing.
         let before = weighted.clone();
-        weighted.merge_weighted(&src, 0).unwrap();
+        weighted.merge_weighted(&src, 0);
         assert_eq!(weighted, before);
     }
 
