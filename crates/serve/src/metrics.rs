@@ -26,6 +26,9 @@ use std::sync::Mutex;
 /// All counters the service exports on `/metrics`.
 #[derive(Debug, Default)]
 pub struct Metrics {
+    /// Connections the accept loop took, including those it refused
+    /// with 503 at the connection cap.
+    pub connections: AtomicU64,
     /// Total HTTP requests accepted for parsing.
     pub requests: AtomicU64,
     /// Responses by coarse class.
@@ -103,8 +106,15 @@ impl Metrics {
     /// Renders the plain-text exposition body served on `/metrics`.
     /// One `name value` pair per line, Prometheus-style but without
     /// type annotations (the service is dependency-free, not scrapeable
-    /// by contract). `bodies` are the server's result-cache counters.
-    pub fn render(&self, queue_depth: usize, bodies: &CacheStats) -> String {
+    /// by contract). `connections_active` is the server's gauge of
+    /// accepted, unfinished connections; `bodies` are its result-cache
+    /// counters.
+    pub fn render(
+        &self,
+        queue_depth: usize,
+        connections_active: usize,
+        bodies: &CacheStats,
+    ) -> String {
         let mut out = String::with_capacity(1024);
         let mut line = |name: &str, value: String| {
             out.push_str(name);
@@ -113,6 +123,8 @@ impl Metrics {
             out.push('\n');
         };
         for (name, value) in [
+            ("nvp_connections_accepted_total", read(&self.connections)),
+            ("nvp_connections_active", connections_active as u64),
             ("nvp_requests_total", read(&self.requests)),
             ("nvp_responses_ok_total", read(&self.ok)),
             ("nvp_responses_bad_request_total", read(&self.bad_request)),
@@ -221,7 +233,7 @@ mod tests {
             m.record_run_latency_us(100); // bucket [64,128)
         }
         m.record_run_latency_us(1_000_000); // one outlier
-        let text = m.render(0, &CacheStats::default());
+        let text = m.render(0, 0, &CacheStats::default());
         assert!(text.contains("nvp_run_latency_count 100\n"), "{text}");
         assert!(text.contains("nvp_run_latency_p50_us 127\n"), "{text}");
         // p99 still lands in the common bucket; p100 would catch the outlier.
@@ -234,7 +246,7 @@ mod tests {
     fn zero_latency_is_recorded_not_panicked() {
         let m = Metrics::default();
         m.record_run_latency_us(0);
-        let text = m.render(0, &CacheStats::default());
+        let text = m.render(0, 0, &CacheStats::default());
         assert!(text.contains("nvp_run_latency_count 1\n"), "{text}");
         assert!(text.contains("nvp_run_latency_mean_us 0.0\n"), "{text}");
         // Bin 0 holds exactly zero, so its upper bound is zero.
@@ -244,6 +256,7 @@ mod tests {
     #[test]
     fn render_contains_every_counter() {
         let m = Metrics::default();
+        bump(&m.connections);
         bump(&m.requests);
         let bodies = CacheStats {
             hits: 1,
@@ -253,8 +266,10 @@ mod tests {
             entries: 7,
             capacity: 1024,
         };
-        let text = m.render(3, &bodies);
+        let text = m.render(3, 2, &bodies);
         for expected in [
+            "nvp_connections_accepted_total 1\n",
+            "nvp_connections_active 2\n",
             "nvp_requests_total 1\n",
             "nvp_cache_hits_total 1\n",
             "nvp_cache_misses_total 2\n",
@@ -294,7 +309,7 @@ mod tests {
         bump(&m.runs_compiled);
         bump(&m.runs_compiled);
         bump(&m.runs_step);
-        let text = m.render(0, &CacheStats::default());
+        let text = m.render(0, 0, &CacheStats::default());
         assert!(text.contains("nvp_runs_engine_step_total 1\n"));
         assert!(text.contains("nvp_runs_engine_compiled_total 2\n"));
     }
@@ -323,7 +338,7 @@ mod tests {
             simulate_traced(&req, &mut sink);
             m.absorb_summary(&sink.summary);
         }
-        let text = m.render(0, &CacheStats::default());
+        let text = m.render(0, 0, &CacheStats::default());
         let sim: Vec<&str> = text.lines().filter(|l| l.starts_with("nvp_sim_")).collect();
         assert_eq!(
             sim,
@@ -360,7 +375,7 @@ mod tests {
             m.absorb_summary(&sink.summary);
         }
         assert!(m.sim_totals.lock().unwrap().runs.is_empty());
-        let text = m.render(0, &CacheStats::default());
+        let text = m.render(0, 0, &CacheStats::default());
         assert!(text.contains("nvp_sim_runs_total 1000\n"), "{text}");
         assert!(text.contains("nvp_sim_events_total 1000\n"), "{text}");
     }

@@ -32,6 +32,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// How often the signal watcher looks at the SIGTERM/SIGINT flag.
+const SIGNAL_POLL: Duration = Duration::from_millis(25);
+
 /// Tunables for one server instance.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -75,8 +78,23 @@ pub(crate) struct Inner {
     /// `shutdown(self)` consumes the pool, so it lives behind an Option.
     pub(crate) pool: Mutex<Option<ServicePool>>,
     pub(crate) fleet: crate::fleet::FleetJobs,
+    /// The listener's own address, which `begin_drain` connects to.
+    addr: SocketAddr,
     draining: AtomicBool,
     active: AtomicUsize,
+}
+
+impl Inner {
+    /// Flips the drain flag, then wakes the accept loop, which blocks in
+    /// `accept`, by connecting to the server's own address. The loop
+    /// sees the flag as soon as `accept` returns and stops.
+    fn begin_drain(&self) {
+        self.draining.store(true, Ordering::SeqCst);
+        // A refused or timed-out connect is harmless: either the
+        // listener is already gone, or its backlog is full and `accept`
+        // is about to return anyway.
+        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(100));
+    }
 }
 
 /// A bound-but-not-yet-running service.
@@ -96,6 +114,7 @@ impl Server {
             metrics: Arc::new(Metrics::default()),
             pool: Mutex::new(Some(ServicePool::new(config.workers, config.queue))),
             fleet: crate::fleet::FleetJobs::default(),
+            addr,
             draining: AtomicBool::new(false),
             active: AtomicUsize::new(0),
             config,
@@ -121,16 +140,32 @@ impl Server {
     /// listener stops accepting, queued jobs run to completion, in-flight
     /// responses are written, and only then does this return.
     pub fn run(self) {
-        self.listener
-            .set_nonblocking(true)
-            .expect("nonblocking listener");
+        // SIGTERM/SIGINT only set a flag, and `accept` restarts after the
+        // handler, so a watcher thread turns the flag into a drain.
+        let watcher = {
+            let inner = Arc::clone(&self.inner);
+            std::thread::spawn(move || {
+                while !inner.draining.load(Ordering::SeqCst) {
+                    if signal::shutdown_requested() {
+                        inner.begin_drain();
+                        break;
+                    }
+                    std::thread::park_timeout(SIGNAL_POLL);
+                }
+            })
+        };
+        // The listener blocks in `accept`, so a fresh connection is taken
+        // the moment it arrives and an idle server does not wake at all.
+        // Drain reaches the loop through `begin_drain`'s wake-up connect.
         loop {
+            let accepted = self.listener.accept();
             if self.inner.draining.load(Ordering::SeqCst) || signal::shutdown_requested() {
                 break;
             }
-            match self.listener.accept() {
+            match accepted {
                 Ok((stream, _)) => {
                     let inner = Arc::clone(&self.inner);
+                    bump(&inner.metrics.connections);
                     // The cap counts accepted-and-unfinished connections;
                     // over it we answer 503 inline rather than spawn.
                     if inner.active.load(Ordering::SeqCst) >= inner.config.max_connections {
@@ -148,15 +183,15 @@ impl Server {
                         inner.active.fetch_sub(1, Ordering::SeqCst);
                     });
                 }
-                // The poll interval bounds both shutdown-flag latency and
-                // the accept delay a fresh connection can see; 500µs keeps
-                // cache-hit latency dominated by real work, not polling.
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_micros(500));
-                }
-                Err(_) => std::thread::sleep(Duration::from_micros(500)),
+                // A persistent error (EMFILE, say) must not spin the loop.
+                Err(_) => std::thread::sleep(Duration::from_millis(1)),
             }
         }
+        // The watcher exits once the drain flag is set; the loop may have
+        // stopped on the signal flag before the watcher set it.
+        self.inner.draining.store(true, Ordering::SeqCst);
+        watcher.thread().unpark();
+        let _ = watcher.join();
         // Drain: stop accepting (listener drops at end of scope), let
         // every queued simulation finish so no flight is left dangling,
         // then wait for handler threads to write their responses.
@@ -241,9 +276,9 @@ fn handle_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
         _ => {}
     }
     response.send(&mut stream);
-    // /shutdown flips the drain flag only after its 200 is on the wire.
+    // /shutdown starts the drain only after its 200 is on the wire.
     if request.method == "POST" && request.path == "/shutdown" {
-        inner.draining.store(true, Ordering::SeqCst);
+        inner.begin_drain();
     }
 }
 
@@ -258,7 +293,8 @@ fn route(inner: &Arc<Inner>, request: &Request) -> Response {
                 .as_ref()
                 .map(|p| p.queue_depth())
                 .unwrap_or(0);
-            let body = inner.metrics.render(depth, &inner.cache.stats());
+            let active = inner.active.load(Ordering::SeqCst);
+            let body = inner.metrics.render(depth, active, &inner.cache.stats());
             Response::new(200).text(body)
         }
         ("GET", "/v1/kernels") => kernels_response(),

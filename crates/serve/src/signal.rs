@@ -1,10 +1,12 @@
 //! SIGTERM handling without a signals crate.
 //!
 //! The only async-signal-safe thing the handler does is store into an
-//! `AtomicBool`; the accept loop polls that flag between accepts. On
-//! non-Unix targets installation is a no-op and shutdown is reachable
-//! only through `POST /shutdown` — which is also how the tests exercise
-//! the drain path, so the signal wiring itself stays a thin adapter.
+//! `AtomicBool`. The handler does not interrupt the accept loop's
+//! blocking `accept` (it restarts), so `Server::run` starts a watcher
+//! thread that checks the flag every few tens of milliseconds and, once
+//! it is set, starts the same drain `POST /shutdown` does. On non-Unix
+//! targets installation is a no-op and shutdown is reachable only
+//! through `POST /shutdown`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

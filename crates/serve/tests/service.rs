@@ -1,16 +1,17 @@
 //! End-to-end tests of the running service over real sockets.
 //!
 //! Each test boots a server on an ephemeral port (`port: 0`), drives it
-//! with the same minimal HTTP client the load generator uses, and shuts
-//! it down through `POST /shutdown` — the same code path SIGTERM trips,
-//! so the drain logic is exercised without sending signals.
+//! with the minimal HTTP client in `nvp_serve::client`, and shuts it
+//! down through `POST /shutdown`. One test runs the `nvp-serve` binary
+//! and stops it with SIGTERM, which reaches the same drain path.
 
 use nvp_serve::client::{http_request, shutdown_local_server, spawn_local_server, Exchange};
-use nvp_serve::server::ServerConfig;
-use std::io::Write;
+use nvp_serve::server::{Server, ServerConfig};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::mpsc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn small_server() -> (SocketAddr, thread::JoinHandle<()>) {
     spawn_local_server(ServerConfig {
@@ -47,6 +48,11 @@ fn health_kernels_and_metrics_respond() {
     let text = String::from_utf8(metrics.body).unwrap();
     assert!(text.contains("nvp_requests_total"), "{text}");
     assert!(text.contains("nvp_cache_entries"), "{text}");
+    // Three connections so far, this scrape's own among them. The scrape
+    // is open while it renders; the two before it may not have left yet.
+    assert_eq!(metric(&text, "nvp_connections_accepted_total"), 3, "{text}");
+    let active = metric(&text, "nvp_connections_active");
+    assert!((1..=3).contains(&active), "{text}");
 
     shutdown_local_server(addr, handle);
 }
@@ -171,7 +177,6 @@ fn slow_client_is_cut_off_by_read_deadline() {
         .unwrap();
     stream.flush().unwrap();
     let mut raw = Vec::new();
-    use std::io::Read;
     stream.read_to_end(&mut raw).unwrap();
     let text = String::from_utf8_lossy(&raw);
     assert!(text.starts_with("HTTP/1.1 408"), "{text}");
@@ -342,4 +347,143 @@ fn distinct_trace_lengths_stay_within_the_trace_cache_bound() {
         "{text}"
     );
     shutdown_local_server(addr, handle);
+}
+
+#[test]
+fn shutdown_wakes_an_idle_blocked_accept() {
+    let server = Server::bind(ServerConfig::default()).expect("bind ephemeral port");
+    let addr = server.addr();
+    let (done_tx, done) = mpsc::channel();
+    thread::spawn(move || {
+        server.run();
+        let _ = done_tx.send(());
+    });
+    // Long enough idle that the accept loop is parked in `accept`.
+    thread::sleep(Duration::from_millis(250));
+
+    let ack = http_request(addr, "POST", "/shutdown", "").unwrap();
+    assert_eq!(ack.status, 200);
+    done.recv_timeout(Duration::from_millis(100))
+        .expect("run() returns within 100 ms of POST /shutdown");
+    assert!(http_request(addr, "GET", "/healthz", "").is_err());
+}
+
+#[cfg(unix)]
+#[test]
+fn sigterm_drains_the_binary_and_exits_zero() {
+    use std::io::BufRead;
+    use std::process::{Command, Stdio};
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_nvp-serve"))
+        .args(["serve", "--port", "0"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn nvp-serve");
+    let mut line = String::new();
+    std::io::BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut line)
+        .unwrap();
+    let addr: SocketAddr = line
+        .trim()
+        .strip_prefix("listening on ")
+        .and_then(|a| a.parse().ok())
+        .unwrap_or_else(|| panic!("unexpected first line {line:?}"));
+    assert_eq!(
+        http_request(addr, "GET", "/healthz", "").unwrap().status,
+        200
+    );
+
+    let kill = Command::new("kill")
+        .args(["-TERM", &child.id().to_string()])
+        .status()
+        .expect("run kill");
+    assert!(kill.success());
+    let deadline = Instant::now() + Duration::from_secs(1);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("nvp-serve still running 1 s after SIGTERM");
+        }
+        thread::sleep(Duration::from_millis(10));
+    };
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut stderr)
+        .unwrap();
+    assert!(status.success(), "exit {status}, stderr {stderr:?}");
+    assert!(stderr.contains("drained, exiting"), "{stderr:?}");
+}
+
+/// Sends `request` on a fresh connection and returns whatever arrives
+/// before EOF or a reset. The cap's 503 is written without reading the
+/// request, so the server's close may reset the connection after it.
+fn send_raw(addr: SocketAddr, request: &str) -> String {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let _ = stream.write_all(request.as_bytes());
+    let mut raw = Vec::new();
+    let mut buf = [0u8; 4096];
+    while let Ok(n @ 1..) = stream.read(&mut buf) {
+        raw.extend_from_slice(&buf[..n]);
+    }
+    String::from_utf8_lossy(&raw).into_owned()
+}
+
+/// Sends `request` until the connection cap lets it through, and
+/// returns the answer with the number of 503s it met on the way: a
+/// handler leaves the cap just after its client sees EOF.
+fn send_past_cap(addr: SocketAddr, request: &str) -> (String, u64) {
+    let mut refused = 0;
+    loop {
+        let text = send_raw(addr, request);
+        if !text.starts_with("HTTP/1.1 503") {
+            return (text, refused);
+        }
+        refused += 1;
+        thread::sleep(Duration::from_millis(10));
+    }
+}
+
+#[test]
+fn connection_cap_answers_503_with_retry_after() {
+    let (addr, handle) = spawn_local_server(ServerConfig {
+        max_connections: 1,
+        read_deadline: Duration::from_millis(300),
+        ..ServerConfig::default()
+    });
+
+    // An accepted connection that never sends holds the only slot.
+    let mut idle = TcpStream::connect(addr).unwrap();
+    let refused = send_raw(addr, "GET /healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
+    assert!(refused.starts_with("HTTP/1.1 503"), "{refused}");
+    assert!(refused.contains("\r\nRetry-After: 1\r\n"), "{refused}");
+    assert!(refused.contains("connection limit reached"), "{refused}");
+
+    // The read deadline closes the idle connection with a 408.
+    let mut raw = Vec::new();
+    idle.read_to_end(&mut raw).unwrap();
+    assert!(
+        raw.starts_with(b"HTTP/1.1 408"),
+        "{:?}",
+        String::from_utf8_lossy(&raw)
+    );
+
+    let (text, also_refused) =
+        send_past_cap(addr, "GET /metrics HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
+    assert!(text.starts_with("HTTP/1.1 200"), "{text}");
+    assert_eq!(
+        metric(&text, "nvp_responses_unavailable_total"),
+        1 + also_refused,
+        "{text}"
+    );
+    let (ack, _) = send_past_cap(addr, "POST /shutdown HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
+    assert!(ack.starts_with("HTTP/1.1 200"), "{ack}");
+    handle.join().unwrap();
 }
