@@ -15,6 +15,9 @@
 //! [`RunRequest`] in, a [`RunReport`] out, fully deterministic — two
 //! identical requests produce byte-identical reports and traces, which
 //! is what makes result caching in `nvp-serve` and `nvp-fleet` sound.
+//! Both always simulate. The sixth cache is the `repro` run memo behind
+//! `experiments::run`: [`RunRequest`] to shared report, for requests that
+//! record no outputs ([`run_memo_stats`]).
 
 use crate::dims;
 use crate::key::RunKey;
@@ -29,6 +32,7 @@ use nvp_sim::{
     SystemSim,
 };
 use nvp_trace::Tracer;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, LazyLock};
 
 /// A shared, immutable input-frame set.
@@ -42,6 +46,8 @@ const FRAMES_CAPACITY: usize = 128;
 /// Power traces: one per profile × length × family member, up to
 /// ~2.4 MB each at the 30 s request limit.
 const TRACE_CAPACITY: usize = 32;
+/// Memoized `repro` run reports: one per distinct output-free request.
+const RUN_CAPACITY: usize = 512;
 
 type SpecKey = (KernelId, usize, usize);
 /// Profile, trace length (`f64` bits, seconds) and family member.
@@ -57,6 +63,8 @@ static PLANS: LazyLock<Arc<Cache<SpecKey, Arc<CheckpointPlan>>>> =
     LazyLock::new(|| Cache::new(SPEC_CAPACITY));
 static TRACES: LazyLock<Arc<Cache<TraceKey, Arc<PowerProfile>>>> =
     LazyLock::new(|| Cache::new(TRACE_CAPACITY));
+static RUNS: LazyLock<Arc<Cache<RunRequest, Arc<RunReport>>>> =
+    LazyLock::new(|| Cache::new(RUN_CAPACITY));
 
 /// Cache of built kernel specs; the contained `Program` is an `Arc`, so
 /// handing out clones shares one instruction stream across all runs.
@@ -150,8 +158,9 @@ pub fn trace_cache_stats() -> CacheStats {
 /// their shared [`RunKey`] ([`RunKey::run_request`]). Everything that can
 /// change the simulation's output is in here; two equal requests are
 /// guaranteed byte-identical results. The [`Default`] request is
-/// [`RunKey::default`]'s.
-#[derive(Debug, Clone, PartialEq)]
+/// [`RunKey::default`]'s. Equality and hashing compare `trace_seconds`
+/// by its bits and an explicit `checkpoint_plan` by content.
+#[derive(Debug, Clone)]
 pub struct RunRequest {
     /// Which testbench to run.
     pub kernel: KernelId,
@@ -198,7 +207,49 @@ impl Default for RunRequest {
     }
 }
 
+impl PartialEq for RunRequest {
+    fn eq(&self, other: &Self) -> bool {
+        self.fields() == other.fields()
+    }
+}
+
+impl Eq for RunRequest {}
+
+impl Hash for RunRequest {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.fields().hash(state);
+    }
+}
+
 impl RunRequest {
+    /// Every field, `trace_seconds` as its bits: what equality and
+    /// hashing compare. The exhaustive destructuring makes a new field a
+    /// compile error here until it joins the key.
+    fn fields(&self) -> impl Hash + Eq + '_ {
+        let &RunRequest {
+            kernel,
+            img,
+            frames,
+            trace_seconds: seconds,
+            profile,
+            member,
+            cap_nj,
+            scope,
+            mode,
+            engine,
+            seed,
+            record_outputs,
+            backup_policy,
+            max_simd_lanes,
+            park_slots,
+            ref checkpoint_plan,
+        } = self;
+        let inputs = (kernel, img, frames, profile, member, seconds.to_bits());
+        let machine = (cap_nj, scope, mode, engine, seed);
+        let knobs = (backup_policy, max_simd_lanes, park_slots);
+        (inputs, machine, knobs, record_outputs, checkpoint_plan)
+    }
+
     /// Builds the system configuration this request implies at frame
     /// dimensions `w` × `h`. A `LiveDirty` run shares its plan (`Arc`)
     /// rather than copying it.
@@ -241,6 +292,24 @@ impl RunRequest {
 pub fn simulate(req: &RunRequest) -> RunReport {
     let (sim, trace) = req.assemble();
     sim.run(&trace)
+}
+
+/// Runs one request through the run memo, simulating only on a miss;
+/// concurrent callers of one request share a single simulation. A
+/// request that records outputs always simulates and is never stored:
+/// its frames would make the memo megabytes deep, and no two scoring
+/// experiments ask for the same run. `experiments::run` is the only
+/// caller, and it bypasses the memo inside a trace capture.
+pub(crate) fn simulate_memoized(req: &RunRequest) -> Arc<RunReport> {
+    if req.record_outputs {
+        return Arc::new(simulate(req));
+    }
+    RUNS.get_or_insert_with(req, || Arc::new(simulate(req)))
+}
+
+/// Counters and occupancy of the run memo.
+pub fn run_memo_stats() -> CacheStats {
+    RUNS.stats()
 }
 
 /// Runs one request with its event stream routed to `tracer`.

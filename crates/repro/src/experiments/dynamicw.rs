@@ -10,23 +10,26 @@ use nvp_isa::ApproxConfig;
 use nvp_kernels::KernelId;
 use nvp_power::synth::WatchProfile;
 use nvp_sim::{ExecMode, Governor, RunReport};
+use std::sync::Arc;
 
 const KERNEL: KernelId = KernelId::Median;
 
-/// Runs the kernel under `mode`, keeping outputs for quality scoring.
-fn scored_run(scale: Scale, w: WatchProfile, mode: ExecMode) -> RunReport {
+/// Runs the kernel under `mode`, keeping its outputs only when the
+/// figure scores them (`scored`).
+fn kernel_run(scale: Scale, w: WatchProfile, mode: ExecMode, scored: bool) -> Arc<RunReport> {
     run(&RunRequest {
-        record_outputs: true,
+        record_outputs: scored,
         ..base(KERNEL, scale, w, mode)
     })
 }
 
-fn dynamic_run(scale: Scale, w: WatchProfile, minbits: u8) -> RunReport {
-    scored_run(scale, w, ExecMode::Dynamic(Governor::new(minbits, 8)))
+fn dynamic_run(scale: Scale, w: WatchProfile, minbits: u8, scored: bool) -> Arc<RunReport> {
+    let mode = ExecMode::Dynamic(Governor::new(minbits, 8));
+    kernel_run(scale, w, mode, scored)
 }
 
-fn fixed_run(scale: Scale, w: WatchProfile, bits: u8) -> RunReport {
-    scored_run(scale, w, ExecMode::Fixed(ApproxConfig::fixed(bits)))
+fn fixed_run(scale: Scale, w: WatchProfile, bits: u8, scored: bool) -> Arc<RunReport> {
+    kernel_run(scale, w, ExecMode::Fixed(ApproxConfig::fixed(bits)), scored)
 }
 
 fn score(scale: Scale, rep: &RunReport) -> QualityReport {
@@ -44,7 +47,7 @@ pub fn fig18(scale: Scale) -> Vec<Table> {
         ],
     );
     for cells in sweep(scale, WatchProfile::ALL[..3].to_vec(), |w| {
-        let rep = dynamic_run(scale, w, 1);
+        let rep = dynamic_run(scale, w, 1, false);
         let total = rep.total_ticks.max(1) as f64;
         let mut cells = vec![w.to_string()];
         for i in 0..9 {
@@ -73,8 +76,8 @@ pub fn fig19(scale: Scale) -> Vec<Table> {
         ],
     );
     for row in sweep(scale, WatchProfile::ALL[..3].to_vec(), |w| {
-        let dynq = score(scale, &dynamic_run(scale, w, 1));
-        let fixq = score(scale, &fixed_run(scale, w, 2));
+        let dynq = score(scale, &dynamic_run(scale, w, 1, true));
+        let fixq = score(scale, &fixed_run(scale, w, 2, true));
         [
             w.to_string(),
             fnum(dynq.mean_mse()),
@@ -99,8 +102,8 @@ pub fn fig20(scale: Scale) -> Vec<Table> {
     );
     let mut ratios = Vec::new();
     for (w, d, f) in sweep(scale, WatchProfile::ALL[..3].to_vec(), |w| {
-        let d = dynamic_run(scale, w, 1).forward_progress;
-        let f = fixed_run(scale, w, 2).forward_progress;
+        let d = dynamic_run(scale, w, 1, false).forward_progress;
+        let f = fixed_run(scale, w, 2, false).forward_progress;
         (w, d, f)
     }) {
         let r = d as f64 / f.max(1) as f64;
@@ -134,8 +137,8 @@ pub fn fig21(scale: Scale) -> Vec<Table> {
     );
     let mut ratios = Vec::new();
     for (row, r) in sweep(scale, WatchProfile::ALL[..3].to_vec(), |w| {
-        let d = dynamic_run(scale, w, 4);
-        let f = fixed_run(scale, w, 7);
+        let d = dynamic_run(scale, w, 4, true);
+        let f = fixed_run(scale, w, 7, true);
         let dq = score(scale, &d);
         let fq = score(scale, &f);
         let r = d.forward_progress as f64 / f.forward_progress.max(1) as f64;

@@ -39,6 +39,7 @@ use nvp_kernels::KernelId;
 use nvp_power::synth::WatchProfile;
 use nvp_sim::{ExecMode, RunReport};
 use nvp_trace::{Event, JsonlBufSink, Tracer};
+use std::sync::Arc;
 
 pub(crate) use crate::catalog::{cached_spec, synth_profile, Frames};
 
@@ -80,18 +81,20 @@ pub(crate) fn base(
     }
 }
 
-/// Runs `req` through the catalog, appending a labelled trace to the
-/// calling thread's [`traced`] capture when one is active.
-pub(crate) fn run(req: &RunRequest) -> RunReport {
+/// Runs `req` through the catalog's run memo, so a request another
+/// experiment already ran is not simulated again. Inside a [`traced`]
+/// capture it always simulates, appending a labelled trace to the
+/// capture: a memo hit would have no events to give.
+pub(crate) fn run(req: &RunRequest) -> Arc<RunReport> {
     if !capture_active() {
-        return catalog::simulate(req);
+        return catalog::simulate_memoized(req);
     }
     let mut sink = JsonlBufSink::new();
     let label = format!("{:?}/{:?}/{}", req.kernel, req.profile, mode_tag(&req.mode));
     sink.record(&Event::RunStart { tick: 0, label });
     let report = catalog::simulate_traced(req, &mut sink);
     capture_append(&sink.into_string());
-    report
+    Arc::new(report)
 }
 
 /// Every experiment in paper order; used by `repro all`.

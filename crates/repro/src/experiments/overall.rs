@@ -11,6 +11,7 @@ use nvp_kernels::{jpeg, quality, KernelId};
 use nvp_nvm::RetentionPolicy;
 use nvp_power::synth::WatchProfile;
 use nvp_sim::{instructions_per_frame, ExecMode, IncidentalSetup, RunReport, WaitComputeSim};
+use std::sync::Arc;
 
 /// `id` on the incidental NVP under its Table 2 `policy`: the policy's
 /// minbits and retention shaping.
@@ -23,7 +24,7 @@ fn tuned(id: KernelId, scale: Scale, wp: WatchProfile, policy: &QosPolicy) -> Ru
 }
 
 /// `id` on the precise NVP.
-fn precise(id: KernelId, scale: Scale, wp: WatchProfile) -> RunReport {
+fn precise(id: KernelId, scale: Scale, wp: WatchProfile) -> Arc<RunReport> {
     run(&base(id, scale, wp, ExecMode::Precise))
 }
 

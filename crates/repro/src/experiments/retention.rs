@@ -10,13 +10,21 @@ use nvp_kernels::KernelId;
 use nvp_nvm::RetentionPolicy;
 use nvp_power::synth::WatchProfile;
 use nvp_sim::{ExecMode, RunReport};
+use std::sync::Arc;
 
 const KERNEL: KernelId = KernelId::Median;
 
-fn run_with_policy(scale: Scale, w: WatchProfile, policy: RetentionPolicy) -> RunReport {
+/// Runs the kernel under backup `policy`, keeping its outputs only when
+/// the figure scores them (`scored`).
+fn run_with_policy(
+    scale: Scale,
+    w: WatchProfile,
+    policy: RetentionPolicy,
+    scored: bool,
+) -> Arc<RunReport> {
     run(&RunRequest {
         backup_policy: policy,
-        record_outputs: true,
+        record_outputs: scored,
         ..base(KERNEL, scale, w, ExecMode::Precise)
     })
 }
@@ -31,7 +39,7 @@ pub fn fig22(scale: Scale) -> Vec<Table> {
         .flat_map(|&p| WatchProfile::ALL[..3].iter().map(move |&w| (p, w)))
         .collect();
     let flat = sweep(scale, cells, |(policy, w)| {
-        run_with_policy(scale, w, policy)
+        run_with_policy(scale, w, policy, false)
     });
     for (policy, reps) in RetentionPolicy::SHAPED.iter().zip(flat.chunks(3)) {
         let policy = *policy;
@@ -77,7 +85,7 @@ pub fn fig24(scale: Scale) -> Vec<Table> {
         .flat_map(|&p| WatchProfile::ALL[..3].iter().map(move |&w| (p, w)))
         .collect();
     let flat = sweep(scale, combos, |(policy, w)| {
-        let rep = run_with_policy(scale, w, policy);
+        let rep = run_with_policy(scale, w, policy, true);
         let q = QualityReport::score(KERNEL, wd, hd, &frames, &rep);
         (fnum(q.mean_mse()), fnum(q.mean_psnr()))
     });
@@ -100,14 +108,14 @@ pub fn fig25(scale: Scale) -> Vec<Table> {
         &["policy", "profile 1", "profile 2", "profile 3", "mean"],
     );
     let baseline: Vec<u64> = sweep(scale, WatchProfile::ALL[..3].to_vec(), |w| {
-        run_with_policy(scale, w, RetentionPolicy::one_day()).forward_progress
+        run_with_policy(scale, w, RetentionPolicy::one_day(), false).forward_progress
     });
     let combos: Vec<(RetentionPolicy, WatchProfile)> = RetentionPolicy::SHAPED
         .iter()
         .flat_map(|&p| WatchProfile::ALL[..3].iter().map(move |&w| (p, w)))
         .collect();
     let flat = sweep(scale, combos, |(policy, w)| {
-        run_with_policy(scale, w, policy).forward_progress
+        run_with_policy(scale, w, policy, false).forward_progress
     });
     for (policy, fps) in RetentionPolicy::SHAPED.iter().zip(flat.chunks(3)) {
         let mut cells = vec![policy.to_string()];

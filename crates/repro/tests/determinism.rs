@@ -25,7 +25,10 @@ fn parallel_tables_match_serial() {
         ("table2", experiments::table2),
     ];
     for (name, f) in cases {
-        let a = render(&f(serial));
+        // The serial reference runs inside a trace capture, which always
+        // simulates: computed untraced, it could be served from the run
+        // memo entries of a parallel run and compare that run to itself.
+        let a = render(&experiments::traced(|| f(serial)).0);
         let b = render(&f(par));
         assert_eq!(a, b, "{name}: --jobs 4 output differs from serial");
     }

@@ -1,0 +1,71 @@
+//! `record_outputs` changes only the outputs: a run that records its
+//! committed frames reports exactly what the same run without recording
+//! does, once every frame's `output` and `precision` are cleared. This is
+//! what lets a figure that never reads frames run without recording and
+//! share its run with any other figure that does the same.
+
+use nvp_isa::ApproxConfig;
+use nvp_kernels::KernelId;
+use nvp_power::synth::WatchProfile;
+use nvp_repro::catalog::{self, RunRequest};
+use nvp_sim::{BackupScope, ExecMode, Governor, IncidentalSetup};
+use proptest::prelude::*;
+
+const SCOPES: [BackupScope; 3] = [
+    BackupScope::FullState,
+    BackupScope::LiveOnly,
+    BackupScope::LiveDirty,
+];
+
+fn modes(bits: u8) -> [ExecMode; 4] {
+    [
+        ExecMode::Precise,
+        ExecMode::Fixed(ApproxConfig::fixed(bits)),
+        ExecMode::Dynamic(Governor::new(bits, 8)),
+        ExecMode::Incidental(IncidentalSetup::new(bits, 8)),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn recording_outputs_changes_nothing_else(
+        kernel in 0usize..KernelId::QUALITY_TRIO.len(),
+        profile in 0usize..WatchProfile::ALL.len(),
+        img in 8usize..=12,
+        bits in 1u8..=8,
+        seed in any::<u64>(),
+    ) {
+        let (mut frames_with_output, mut backups) = (0, 0);
+        for scope in SCOPES {
+            for mode in modes(bits) {
+                let req = RunRequest {
+                    kernel: KernelId::QUALITY_TRIO[kernel],
+                    img,
+                    frames: 2,
+                    trace_seconds: 0.4,
+                    profile: WatchProfile::ALL[profile],
+                    scope,
+                    mode,
+                    seed,
+                    ..RunRequest::default()
+                };
+                let plain = catalog::simulate(&req);
+                let mut recorded = catalog::simulate(&RunRequest {
+                    record_outputs: true,
+                    ..req.clone()
+                });
+                for frame in &mut recorded.committed {
+                    frames_with_output += usize::from(!frame.output.is_empty());
+                    frame.output.clear();
+                    frame.precision.clear();
+                }
+                backups += plain.backups;
+                prop_assert_eq!(recorded, plain, "{:?}", req);
+            }
+        }
+        prop_assert!(frames_with_output > 0, "no run recorded an output");
+        prop_assert!(backups > 0, "no run backed up");
+    }
+}

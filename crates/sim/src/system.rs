@@ -39,7 +39,7 @@ const RUN_QUANTUM_TICKS: u64 = 400;
 const INCIDENTAL_BACKUP_FACTOR: f64 = 1.5;
 
 /// Incidental-mode parameters (the `incidental` pragma's bit range).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct IncidentalSetup {
     /// Minimum bitwidth for incidental (old-frame) lanes.
     pub minbits: u8,
@@ -77,7 +77,7 @@ impl IncidentalSetup {
 }
 
 /// Execution mode: which NVP variant is being simulated.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ExecMode {
     /// Conventional precise 8-bit NVP (roll-back recovery).
     Precise,
@@ -276,7 +276,7 @@ pub enum BackupScope {
 /// The plan only scopes backup *costs* — the program's resume markers
 /// and recovery semantics are untouched, so a planned run must commit
 /// outputs identical to a full-state run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct CheckpointPlan {
     /// Checkpoint pcs, sorted (informational; recorded in certificates).
     pub checkpoints: Vec<usize>,
