@@ -99,6 +99,12 @@ pub(crate) fn run(req: &RunRequest) -> Arc<RunReport> {
 
 /// Every experiment in paper order; used by `repro all`.
 pub fn all(scale: Scale) -> Vec<Table> {
+    all_with_ablation(scale, false)
+}
+
+/// [`all`], ending with Figure 28's ablation columns when `ablate` (`repro
+/// all --ablate`).
+pub fn all_with_ablation(scale: Scale, ablate: bool) -> Vec<Table> {
     let mut out = Vec::new();
     out.extend(fig2(scale));
     out.extend(fig3(scale));
@@ -124,6 +130,6 @@ pub fn all(scale: Scale) -> Vec<Table> {
     out.extend(fig27(scale));
     out.extend(table2(scale));
     out.extend(frametime(scale));
-    out.extend(fig28(scale, false));
+    out.extend(fig28(scale, ablate));
     out
 }

@@ -199,7 +199,7 @@ fn main() -> ExitCode {
 fn run_experiment(name: &str, scale: Scale, ablate: bool) -> Option<Vec<Table>> {
     use experiments as e;
     Some(match name {
-        "all" => e::all(scale),
+        "all" => e::all_with_ablation(scale, ablate),
         "fig2" => e::fig2(scale),
         "fig3" => e::fig3(scale),
         "fig4" => e::fig4(),

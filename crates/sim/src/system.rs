@@ -195,7 +195,10 @@ impl RunReport {
 /// stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum ExecEngine {
-    /// Check the reserve before every instruction (the reference engine).
+    /// Check the reserve before every instruction and retire it through
+    /// [`Vm::step`] (the reference engine). Instructions are priced from
+    /// the per-class energy table both engines share, which is recomputed
+    /// only when the approximation configuration changes.
     #[default]
     Step,
     /// Certificate-armed block execution over pre-decoded instructions.
@@ -380,10 +383,9 @@ pub struct SystemSim {
     frames: Arc<Vec<Vec<i32>>>,
     mode: ExecMode,
     cfg: SystemConfig,
-    /// The platform energy model (from [`EnergyBudget::default_platform`]).
+    /// The platform energy model (from [`EnergyBudget::default_platform`],
+    /// which also supplies the backup reserve's safety factor).
     energy: EnergyModel,
-    /// Safety factor applied to the backup reserve (same source).
-    reserve_safety: f64,
     vm: Vm,
     cap: Capacitor,
     phase: Phase,
@@ -394,13 +396,20 @@ pub struct SystemSim {
     outage_start: u64,
     /// Tick at which the live frame's data was loaded (staleness clock).
     live_loaded_at: u64,
+    /// Full-scope backup cost, backup reserve and start threshold by the
+    /// live lane's bitwidth (index 1..=8). Each depends only on the mode,
+    /// the configuration and that bitwidth, so all three are priced once
+    /// at construction.
     backup_cost_by_bits: [Energy; 9],
+    reserve_by_bits: [Energy; 9],
+    start_threshold_by_bits: [Energy; 9],
     /// Per-pc basic-block suffix: instruction counts by class and suffix
     /// length, from this pc through the end of its block. This is the
     /// static certificate [`ExecEngine::Compiled`] arms blocks with.
     block_suffix: Vec<([u32; 6], u32)>,
     /// Per-class instruction energies at the last-seen approximation
-    /// configuration (invalidated whenever the configuration changes).
+    /// configuration, the one source both engines price instructions
+    /// from (recomputed whenever the configuration changes).
     class_cache: Option<(ApproxConfig, [Energy; 6])>,
     /// Pre-decoded per-pc op table that [`ExecEngine::Compiled`] steps
     /// armed instructions through. Injected via [`SystemSim::set_compiled`]
@@ -441,9 +450,27 @@ impl SystemSim {
             reserve_safety,
             ..
         } = EnergyBudget::default_platform();
+        let backup_factor = match mode {
+            ExecMode::Incidental(_) => INCIDENTAL_BACKUP_FACTOR,
+            _ => 1.0,
+        };
+        let quantum = energy.representative_instr(&Self::threshold_cfg(mode))
+            * (RUN_QUANTUM_TICKS * CYCLES_PER_TICK) as f64;
         let mut backup_cost_by_bits = [Energy::ZERO; 9];
-        for (bits, slot) in backup_cost_by_bits.iter_mut().enumerate().skip(1) {
-            *slot = energy.backup_energy(cfg.backup_policy, bits as u8);
+        let mut reserve_by_bits = [Energy::ZERO; 9];
+        let mut start_threshold_by_bits = [Energy::ZERO; 9];
+        for bits in 1..=FULL_BITS as usize {
+            let backup = energy.backup_energy(cfg.backup_policy, bits as u8) * backup_factor;
+            let reserve = backup * reserve_safety;
+            // A threshold above the capacitor would deadlock the system;
+            // clamp to what the hardware can actually bank (expensive
+            // configurations like 4-SIMD end up pinned near the top — the
+            // paper's "highest threshold" baseline).
+            let start =
+                (reserve + energy.restore_energy() + quantum).min(cfg.capacitor_capacity * 0.95);
+            backup_cost_by_bits[bits] = backup;
+            reserve_by_bits[bits] = reserve;
+            start_threshold_by_bits[bits] = start;
         }
         assert!(
             (1..=4).contains(&cfg.max_simd_lanes),
@@ -469,7 +496,6 @@ impl SystemSim {
             mode,
             cfg,
             energy,
-            reserve_safety,
             vm,
             cap,
             phase: Phase::Off,
@@ -480,6 +506,8 @@ impl SystemSim {
             outage_start: 0,
             live_loaded_at: 0,
             backup_cost_by_bits,
+            reserve_by_bits,
+            start_threshold_by_bits,
             block_suffix,
             class_cache: None,
             compiled: None,
@@ -519,8 +547,8 @@ impl SystemSim {
     /// Approximation configuration to assume when sizing the start
     /// threshold (Figure 9's per-mode thresholds). Governed modes size
     /// it for their minimum width.
-    fn threshold_cfg(&self) -> ApproxConfig {
-        match self.mode {
+    fn threshold_cfg(mode: ExecMode) -> ApproxConfig {
+        match mode {
             ExecMode::Precise => ApproxConfig::default(),
             ExecMode::Fixed(c) => c,
             ExecMode::Dynamic(g) => ApproxConfig::fixed(g.minbits.min(8)),
@@ -545,30 +573,20 @@ impl SystemSim {
         cfg.effective_alu_bits(0)
     }
 
+    fn live_bits_index(&self) -> usize {
+        self.live_data_bits().clamp(1, FULL_BITS) as usize
+    }
+
     fn backup_cost(&self) -> Energy {
-        let bits = self.live_data_bits().clamp(1, FULL_BITS) as usize;
-        let base = self.backup_cost_by_bits[bits];
-        if self.is_incidental() {
-            base * INCIDENTAL_BACKUP_FACTOR
-        } else {
-            base
-        }
+        self.backup_cost_by_bits[self.live_bits_index()]
     }
 
     fn reserve(&self) -> Energy {
-        self.backup_cost() * self.reserve_safety
+        self.reserve_by_bits[self.live_bits_index()]
     }
 
     fn start_threshold(&self) -> Energy {
-        let tcfg = self.threshold_cfg();
-        let quantum =
-            self.energy.representative_instr(&tcfg) * (RUN_QUANTUM_TICKS * CYCLES_PER_TICK) as f64;
-        let raw = self.reserve() + self.energy.restore_energy() + quantum;
-        // A threshold above the capacitor would deadlock the system; clamp
-        // to what the hardware can actually bank (expensive configurations
-        // like 4-SIMD end up pinned near the top — the paper's "highest
-        // threshold" baseline).
-        raw.min(self.cfg.capacitor_capacity * 0.95)
+        self.start_threshold_by_bits[self.live_bits_index()]
     }
 
     fn approx_span(&self) -> (usize, usize) {
@@ -626,34 +644,24 @@ impl SystemSim {
         self.vm.set_pc(0);
     }
 
-    /// Per-tick bitwidth control (the approximation control unit). Returns
-    /// the chosen width for modes with a governor (`None` for fixed-width
-    /// modes) so the run loop can trace switches.
-    fn update_governor(&mut self, income_uw: f64) -> Option<u8> {
-        let fill = self.cap.fill();
-        match self.mode {
-            ExecMode::Dynamic(g) => {
-                let bits = g.bits_for(fill, income_uw).min(FULL_BITS);
-                let mut c = self.vm.approx();
-                c.ac_en = bits < FULL_BITS;
-                c.alu_bits[0] = bits;
-                c.mem_bits[0] = bits;
-                self.vm.set_approx(c);
-                Some(bits)
-            }
-            ExecMode::Incidental(s) => {
-                let g = Governor::new(s.minbits, s.maxbits);
-                let bits = g.bits_for(fill, income_uw).min(FULL_BITS);
-                let mut c = self.vm.approx();
-                c.ac_en = true;
-                // The live lane stays precise; old-frame lanes are governed.
-                c.alu_bits = [FULL_BITS, bits, bits, bits];
-                c.mem_bits = [FULL_BITS, bits, bits, bits];
-                self.vm.set_approx(c);
-                Some(bits)
-            }
-            _ => None,
+    /// Per-tick bitwidth control (the approximation control unit): applies
+    /// `governor`'s width for this tick to the governed lanes and returns it
+    /// so the run loop can trace switches.
+    fn update_governor(&mut self, governor: &Governor, income_uw: f64) -> u8 {
+        let bits = governor.bits_for(self.cap.fill(), income_uw).min(FULL_BITS);
+        let mut c = self.vm.approx();
+        if self.is_incidental() {
+            c.ac_en = true;
+            // The live lane stays precise; old-frame lanes are governed.
+            c.alu_bits = [FULL_BITS, bits, bits, bits];
+            c.mem_bits = [FULL_BITS, bits, bits, bits];
+        } else {
+            c.ac_en = bits < FULL_BITS;
+            c.alu_bits[0] = bits;
+            c.mem_bits[0] = bits;
         }
+        self.vm.set_approx(c);
+        bits
     }
 
     fn do_backup(&mut self, tick: u64, cursor: &mut FlushCursor, tracer: &mut dyn Tracer) {
@@ -1011,6 +1019,26 @@ impl SystemSim {
         table
     }
 
+    /// The block certificate at the current pc: the number of
+    /// instructions after this one whose reserve checks the capacitor
+    /// provably passes (the whole rest of the block is affordable), or 0
+    /// when the block cannot be armed.
+    fn affordable_suffix(&self, table: &[Energy; 6]) -> u32 {
+        let (counts, n) = self.block_suffix[self.vm.pc()];
+        if n < 2 {
+            return 0;
+        }
+        let mut suffix = Energy::ZERO;
+        for (class, &count) in counts.iter().enumerate() {
+            suffix += table[class] * count as f64;
+        }
+        if self.cap.level() >= self.reserve() + suffix {
+            n - 1
+        } else {
+            0
+        }
+    }
+
     fn run_tick(&mut self, tick: u64, cursor: &mut FlushCursor, tracer: &mut dyn Tracer) {
         self.report.on_ticks += 1;
         let bits = self.live_data_bits().min(8) as usize;
@@ -1034,25 +1062,20 @@ impl SystemSim {
                 self.try_merge(tick, tracer);
             }
             let cfg = self.vm.approx();
+            // Both engines price from the per-configuration class table;
+            // the configuration changes at most a few times per tick.
+            let table = self.class_energies(&cfg);
             // Armed instructions dispatch through the compiled op table:
             // no fetch, no decode, no reserve check (the certificate
             // pre-proved it). Everything else — unarmed stretches where an
             // interrupt can land, the step engine — goes through the step
             // interpreter path below. Only block mode ever arms.
             let chain = armed > 0;
-            let (e, klass) = if chain {
-                let klass = comp
-                    .as_deref()
-                    .expect("chain implies table")
-                    .class_of(self.vm.pc());
-                let table = self.class_energies(&cfg);
-                let e = table[klass.index()];
+            let klass = if chain {
                 armed -= 1;
-                debug_assert!(
-                    self.cap.level() >= self.reserve() + e,
-                    "block certificate must imply the per-instruction check"
-                );
-                (e, klass)
+                comp.as_deref()
+                    .expect("chain implies table")
+                    .class_of(self.vm.pc())
             } else {
                 let Some(instr) = self.vm.peek() else {
                     // Defensive: treat running off the end as frame completion.
@@ -1060,35 +1083,27 @@ impl SystemSim {
                     armed = 0;
                     continue;
                 };
-                let klass = instr.class();
-                let e = if block_mode {
-                    let table = self.class_energies(&cfg);
-                    let e = table[klass.index()];
-                    let (counts, n) = self.block_suffix[self.vm.pc()];
-                    let affordable = n >= 2 && {
-                        let mut suffix = Energy::ZERO;
-                        for (class, &count) in counts.iter().enumerate() {
-                            suffix += table[class] * count as f64;
-                        }
-                        self.cap.level() >= self.reserve() + suffix
-                    };
-                    if affordable {
-                        armed = n - 1;
-                    } else if self.cap.level() < self.reserve() + e {
-                        self.do_backup(tick, cursor, tracer);
-                        return;
-                    }
-                    e
-                } else {
-                    let e = self.energy.instr_energy(klass, &cfg);
-                    if self.cap.level() < self.reserve() + e {
-                        self.do_backup(tick, cursor, tracer);
-                        return;
-                    }
-                    e
-                };
-                (e, klass)
+                instr.class()
             };
+            let e = table[klass.index()];
+            if chain {
+                debug_assert!(
+                    self.cap.level() >= self.reserve() + e,
+                    "block certificate must imply the per-instruction check"
+                );
+            } else {
+                let arm = if block_mode {
+                    self.affordable_suffix(&table)
+                } else {
+                    0
+                };
+                if arm > 0 {
+                    armed = arm;
+                } else if self.cap.level() < self.reserve() + e {
+                    self.do_backup(tick, cursor, tracer);
+                    return;
+                }
+            }
             // Drain per instruction even under a block certificate: the
             // sequential f64 subtractions are what keep Compiled runs
             // bit-identical to Step runs.
@@ -1162,6 +1177,11 @@ impl SystemSim {
         let mut monitor = VoltageMonitor::new();
         let mut bits_tracker = BitsTracker::new();
         let rectifier = Rectifier::default();
+        let governor = match self.mode {
+            ExecMode::Dynamic(g) => Some(g),
+            ExecMode::Incidental(s) => Some(Governor::new(s.minbits, s.maxbits)),
+            _ => None,
+        };
         for (t, power) in profile.iter() {
             if self.phase == Phase::Done {
                 break;
@@ -1171,7 +1191,8 @@ impl SystemSim {
             self.report.energy_income += banked;
             self.cap.leak_tick();
             self.report.total_ticks += 1;
-            if let Some(bits) = self.update_governor(power.as_uw()) {
+            if let Some(g) = &governor {
+                let bits = self.update_governor(g, power.as_uw());
                 if let Some((from_bits, to_bits)) = bits_tracker.observe(bits) {
                     emit(tracer, || Event::GovernorSwitch {
                         tick: t.0,
@@ -1641,6 +1662,138 @@ mod tests {
         let rep = sim.run(&steady(800.0, 10.0));
         assert_eq!(rep.frames_committed, 3);
         assert!(rep.total_ticks < 100_000);
+    }
+
+    /// Every mode the simulator runs: each exercises a distinct
+    /// threshold configuration and (incidental) the backup factor.
+    fn every_mode() -> Vec<ExecMode> {
+        let mut modes = vec![ExecMode::Precise, ExecMode::Simd4];
+        for bits in 1..=FULL_BITS {
+            modes.push(ExecMode::Fixed(ApproxConfig::fixed(bits)));
+            modes.push(ExecMode::Dynamic(Governor::new(bits, FULL_BITS)));
+            modes.push(ExecMode::Incidental(IncidentalSetup::new(bits, FULL_BITS)));
+        }
+        modes
+    }
+
+    #[test]
+    fn per_bitwidth_pricing_matches_the_direct_formula() {
+        // The tables replace a per-check computation; pin them against
+        // that computation, in its original operation order, bit for bit.
+        let id = KernelId::Sobel;
+        let EnergyBudget {
+            model,
+            reserve_safety,
+            ..
+        } = EnergyBudget::default_platform();
+        let policies = [
+            RetentionPolicy::FullRetention,
+            RetentionPolicy::Linear,
+            RetentionPolicy::Log,
+            RetentionPolicy::Parabola,
+        ];
+        let (mut clamped, mut unclamped) = (0, 0);
+        for mode in every_mode() {
+            for policy in policies {
+                // At the default 3.5 µJ the run quantum alone exceeds the
+                // capacitor, so every threshold clamps; 50 µJ leaves it
+                // unclamped.
+                for cap_uj in [3.5, 50.0] {
+                    let cfg = SystemConfig {
+                        capacitor_capacity: Energy::from_uj(cap_uj),
+                        backup_policy: policy,
+                        ..Default::default()
+                    };
+                    let capacity = cfg.capacitor_capacity;
+                    let mut sim =
+                        SystemSim::new(id.spec(8, 8), small_frames(id, 8, 8, 1), mode, cfg);
+                    for bits in 1..=FULL_BITS {
+                        let mut backup = model.backup_energy(policy, bits);
+                        if matches!(mode, ExecMode::Incidental(_)) {
+                            backup = backup * INCIDENTAL_BACKUP_FACTOR;
+                        }
+                        let reserve = backup * reserve_safety;
+                        let quantum = model.representative_instr(&SystemSim::threshold_cfg(mode))
+                            * (RUN_QUANTUM_TICKS * CYCLES_PER_TICK) as f64;
+                        let raw = reserve + model.restore_energy() + quantum;
+                        let start = raw.min(capacity * 0.95);
+                        if raw > start {
+                            clamped += 1;
+                        } else {
+                            unclamped += 1;
+                        }
+                        let b = bits as usize;
+                        let what = format!("{mode:?} {policy:?} {cap_uj} µJ at {bits} bits");
+                        for (name, memo, direct) in [
+                            ("backup", sim.backup_cost_by_bits[b], backup),
+                            ("reserve", sim.reserve_by_bits[b], reserve),
+                            ("start", sim.start_threshold_by_bits[b], start),
+                        ] {
+                            assert_eq!(
+                                memo.as_nj().to_bits(),
+                                direct.as_nj().to_bits(),
+                                "{name}: {what}"
+                            );
+                        }
+                        // The accessors index by the live lane's width.
+                        sim.vm.set_approx(ApproxConfig::fixed(bits));
+                        assert_eq!(sim.reserve().as_nj().to_bits(), reserve.as_nj().to_bits());
+                        assert_eq!(
+                            sim.start_threshold().as_nj().to_bits(),
+                            start.as_nj().to_bits()
+                        );
+                        assert_eq!(
+                            sim.backup_cost().as_nj().to_bits(),
+                            backup.as_nj().to_bits()
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            clamped > 0 && unclamped > 0,
+            "both threshold branches must be pinned: {clamped} clamped, {unclamped} not"
+        );
+    }
+
+    #[test]
+    fn class_table_matches_instr_energy_at_every_reachable_config() {
+        // Governors set lane 0 (dynamic) or lanes 1–3 (incidental) to one
+        // width, lane changes set 1–4 lanes, and a program may clear
+        // AC_EN: this grid covers every configuration a run can price.
+        let id = KernelId::Sobel;
+        let model = EnergyBudget::default_platform().model;
+        let mut sim = SystemSim::new(
+            id.spec(8, 8),
+            small_frames(id, 8, 8, 1),
+            ExecMode::Precise,
+            SystemConfig::default(),
+        );
+        for ac_en in [false, true] {
+            for lanes in 1..=4u8 {
+                for live in 1..=FULL_BITS {
+                    for old in 1..=FULL_BITS {
+                        let cfg = ApproxConfig {
+                            ac_en,
+                            lanes,
+                            alu_bits: [live, old, old, old],
+                            mem_bits: [live, old, old, old],
+                        };
+                        // Twice: a recomputed table, then the memoized one.
+                        for _ in 0..2 {
+                            let table = sim.class_energies(&cfg);
+                            for class in nvp_isa::InstrClass::ALL {
+                                assert_eq!(
+                                    table[class.index()].as_nj().to_bits(),
+                                    model.instr_energy(class, &cfg).as_nj().to_bits(),
+                                    "{class:?} at {cfg:?}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

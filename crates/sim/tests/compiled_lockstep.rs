@@ -158,8 +158,8 @@ fn compiled_is_lockstep_across_modes() {
         "incidental",
     );
     // Steady 500 µW never browns out once charged, and the 4-bit fixed
-    // datapath keeps the per-instruction energy formula off libm's
-    // `powf(1.0, _)` fast path: the uninterrupted steady state that no
+    // datapath prices every instruction below full width (off libm's
+    // `powf(1.0, _)` fast path): the uninterrupted steady state that no
     // harvested profile reaches.
     assert_lockstep(
         KernelId::Sobel,
