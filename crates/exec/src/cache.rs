@@ -9,6 +9,8 @@
 //!   identical requests cost one fill. A token dropped unfinished (a
 //!   rejected job, a panic) releases its joiners with a [`FlightError`]
 //!   and frees the key for a new fill.
+//! * A caller may [`Cache::offer`] a value it computed on the side; an
+//!   offer fills only an absent key and counts as no lookup.
 //! * A full shard evicts its least-recently-used entry.
 //! * The cache counts its own hits, misses, joins and evictions.
 //!
@@ -310,10 +312,25 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
         }
     }
 
+    /// Stores `value` under `key` unless the key is stored or being
+    /// filled, counting neither a hit nor a miss: for a value a caller
+    /// computed as the by-product of another fill.
+    pub fn offer(&self, key: K, value: V) {
+        let tick = self.tick();
+        let mut shard = self.shard(&key);
+        if !shard.entries.contains_key(&key) && !shard.inflight.contains_key(&key) {
+            self.store(&mut shard, key, value, tick);
+        }
+    }
+
     fn insert(&self, key: K, value: V) {
         let tick = self.tick();
         let mut shard = self.shard(&key);
         shard.inflight.remove(&key);
+        self.store(&mut shard, key, value, tick);
+    }
+
+    fn store(&self, shard: &mut Shard<K, V>, key: K, value: V, tick: u64) {
         if shard.entries.len() >= self.per_shard && !shard.entries.contains_key(&key) {
             if let Some(victim) = shard
                 .entries
@@ -351,6 +368,28 @@ mod tests {
             panic!("expected hit");
         };
         assert_eq!(&**hit, b"payload");
+    }
+
+    #[test]
+    fn offer_stores_only_an_absent_key_and_counts_no_lookup() {
+        let cache = Bodies::new(16);
+        cache.offer("k".into(), body("offered"));
+        cache.offer("k".into(), body("again"));
+        let Lookup::Miss(token) = cache.lookup("filling") else {
+            panic!("expected miss");
+        };
+        cache.offer("filling".into(), body("offered"));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 1, 1));
+        token.complete(body("filled"));
+        let Lookup::Hit(hit) = cache.lookup("k") else {
+            panic!("expected hit");
+        };
+        assert_eq!(&**hit, b"offered");
+        let Lookup::Hit(hit) = cache.lookup("filling") else {
+            panic!("expected hit");
+        };
+        assert_eq!(&**hit, b"filled");
     }
 
     #[test]

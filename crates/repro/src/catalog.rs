@@ -17,7 +17,7 @@
 //! is what makes result caching in `nvp-serve` and `nvp-fleet` sound.
 //! Both always simulate. The sixth cache is the `repro` run memo behind
 //! `experiments::run`: [`RunRequest`] to shared report, for requests that
-//! record no outputs ([`run_memo_stats`]).
+//! record no outputs, seeded also by the runs that do ([`run_memo_stats`]).
 
 use crate::dims;
 use crate::key::RunKey;
@@ -296,15 +296,28 @@ pub fn simulate(req: &RunRequest) -> RunReport {
 
 /// Runs one request through the run memo, simulating only on a miss;
 /// concurrent callers of one request share a single simulation. A
-/// request that records outputs always simulates and is never stored:
-/// its frames would make the memo megabytes deep, and no two scoring
-/// experiments ask for the same run. `experiments::run` is the only
-/// caller, and it bypasses the memo inside a trace capture.
+/// request that records outputs always simulates and is never stored as
+/// such: its frames would make the memo megabytes deep. Its report, with
+/// every frame's output and precision cleared, is exactly the report of
+/// the same request without recording, so it is offered to the memo under
+/// that request; a seed counts as neither hit nor miss. `experiments::run`
+/// is the only caller, and it bypasses the memo inside a trace capture.
 pub(crate) fn simulate_memoized(req: &RunRequest) -> Arc<RunReport> {
-    if req.record_outputs {
-        return Arc::new(simulate(req));
+    if !req.record_outputs {
+        return RUNS.get_or_insert_with(req, || Arc::new(simulate(req)));
     }
-    RUNS.get_or_insert_with(req, || Arc::new(simulate(req)))
+    let report = simulate(req);
+    let mut seed = report.clone();
+    for frame in &mut seed.committed {
+        frame.output = Vec::new();
+        frame.precision = Vec::new();
+    }
+    let plain = RunRequest {
+        record_outputs: false,
+        ..req.clone()
+    };
+    RUNS.offer(plain, Arc::new(seed));
+    Arc::new(report)
 }
 
 /// Counters and occupancy of the run memo.

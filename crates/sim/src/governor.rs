@@ -56,34 +56,6 @@ impl Governor {
     }
 }
 
-/// Change detector over the governor's chosen bitwidth.
-///
-/// The governor re-evaluates every tick but mostly picks the same width;
-/// tracing every decision would dominate the trace. The tracker remembers
-/// the last width and reports only actual switches as `(from, to)` pairs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BitsTracker {
-    last: Option<u8>,
-}
-
-impl BitsTracker {
-    /// Creates a tracker with no observed width yet.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Feeds this tick's chosen width. Returns `Some((from, to))` when
-    /// the width changed from a previously observed one; the first
-    /// observation establishes the baseline and reports nothing.
-    pub fn observe(&mut self, bits: u8) -> Option<(u8, u8)> {
-        let prev = self.last.replace(bits);
-        match prev {
-            Some(from) if from != bits => Some((from, bits)),
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,15 +101,5 @@ mod tests {
     #[should_panic(expected = "minbits")]
     fn inverted_range_panics() {
         Governor::new(6, 3);
-    }
-
-    #[test]
-    fn bits_tracker_reports_changes_only() {
-        let mut t = BitsTracker::new();
-        assert_eq!(t.observe(8), None); // baseline, not a switch
-        assert_eq!(t.observe(8), None);
-        assert_eq!(t.observe(2), Some((8, 2)));
-        assert_eq!(t.observe(2), None);
-        assert_eq!(t.observe(8), Some((2, 8)));
     }
 }

@@ -10,7 +10,7 @@
 //! newest buffered frame (incidental NVP, Section 3.1).
 
 use crate::energy::{EnergyModel, FlushCursor};
-use crate::governor::{BitsTracker, Governor};
+use crate::governor::Governor;
 use crate::resume::{PendingFrame, ResumeController, PARK_SLOTS};
 use nvp_analysis::{BackupLiveness, EnergyBudget};
 use nvp_isa::approx::FULL_BITS;
@@ -29,10 +29,13 @@ use std::sync::Arc;
 pub const CYCLES_PER_TICK: u64 = 100;
 
 /// Hysteresis: the start threshold requires enough energy beyond the
-/// reserve to run the configured datapath for this many ticks. Cheap
-/// (narrow/roll-back) configurations therefore restart sooner *and* bridge
-/// longer gaps per charge, which is what makes backups *drop* as bitwidth
-/// shrinks (Figure 16).
+/// reserve to run the mode's threshold datapath for this many ticks,
+/// clamped to 95 % of the capacitor. At the default 3.5 µJ capacitor the
+/// quantum alone passes that clamp for every mode and width, so every run
+/// restarts at the same 3,325 nJ; width moves the threshold only on larger
+/// capacitors. Narrow configurations still bridge longer gaps per charge,
+/// since each instruction costs less, which is what makes backups *drop*
+/// as bitwidth shrinks (Figure 16).
 const RUN_QUANTUM_TICKS: u64 = 400;
 
 /// Extra cost factor for incidental backups (plane parking writes).
@@ -644,11 +647,10 @@ impl SystemSim {
         self.vm.set_pc(0);
     }
 
-    /// Per-tick bitwidth control (the approximation control unit): applies
-    /// `governor`'s width for this tick to the governed lanes and returns it
-    /// so the run loop can trace switches.
-    fn update_governor(&mut self, governor: &Governor, income_uw: f64) -> u8 {
-        let bits = governor.bits_for(self.cap.fill(), income_uw).min(FULL_BITS);
+    /// Bitwidth control (the approximation control unit): applies a
+    /// governed width to the governed lanes. Nothing else writes those
+    /// lanes' bits, so the run loop calls this only when the width moves.
+    fn apply_governed_bits(&mut self, bits: u8) {
         let mut c = self.vm.approx();
         if self.is_incidental() {
             c.ac_en = true;
@@ -661,7 +663,6 @@ impl SystemSim {
             c.mem_bits[0] = bits;
         }
         self.vm.set_approx(c);
-        bits
     }
 
     fn do_backup(&mut self, tick: u64, cursor: &mut FlushCursor, tracer: &mut dyn Tracer) {
@@ -1002,9 +1003,9 @@ impl SystemSim {
         self.vm.set_pc(0);
     }
 
-    /// Per-class energies at `cfg`, memoized across instructions (the
-    /// energy formula walks every lane with a fractional power; blocks
-    /// retire thousands of instructions between configuration changes).
+    /// Per-class energies at `cfg`, memoized across epochs (the energy
+    /// formula walks every lane with a fractional power; the configuration
+    /// mostly survives from one tick to the next).
     fn class_energies(&mut self, cfg: &ApproxConfig) -> [Energy; 6] {
         if let Some((cached, table)) = &self.class_cache {
             if cached == cfg {
@@ -1023,7 +1024,7 @@ impl SystemSim {
     /// instructions after this one whose reserve checks the capacitor
     /// provably passes (the whole rest of the block is affordable), or 0
     /// when the block cannot be armed.
-    fn affordable_suffix(&self, table: &[Energy; 6]) -> u32 {
+    fn affordable_suffix(&self, table: &[Energy; 6], reserve: Energy) -> u32 {
         let (counts, n) = self.block_suffix[self.vm.pc()];
         if n < 2 {
             return 0;
@@ -1032,20 +1033,30 @@ impl SystemSim {
         for (class, &count) in counts.iter().enumerate() {
             suffix += table[class] * count as f64;
         }
-        if self.cap.level() >= self.reserve() + suffix {
+        if self.cap.level() >= reserve + suffix {
             n - 1
         } else {
             0
         }
     }
 
+    /// The live configuration with its class-price table and reserve: what
+    /// the run loop reads once per configuration epoch, not per
+    /// instruction.
+    fn epoch(&mut self) -> (ApproxConfig, [Energy; 6], Energy) {
+        let cfg = self.vm.approx();
+        let table = self.class_energies(&cfg);
+        (cfg, table, self.reserve())
+    }
+
     fn run_tick(&mut self, tick: u64, cursor: &mut FlushCursor, tracer: &mut dyn Tracer) {
         self.report.on_ticks += 1;
         let bits = self.live_data_bits().min(8) as usize;
         self.report.bit_utilization[bits] += 1;
+        let incidental = self.is_incidental();
         // The compiled engine is bypassed in incidental mode (compiling it,
         // with one merge probe at pc 0, is deferred).
-        let comp = if self.cfg.exec_engine == ExecEngine::Compiled && !self.is_incidental() {
+        let comp = if self.cfg.exec_engine == ExecEngine::Compiled && !incidental {
             self.compiled.clone()
         } else {
             None
@@ -1057,14 +1068,17 @@ impl SystemSim {
         // tick and is dropped at every control hand-off (frame commit).
         let mut armed: u32 = 0;
         let mut cycles = 0u64;
+        let (mut cfg, mut table, mut reserve) = self.epoch();
         while cycles < CYCLES_PER_TICK {
-            if self.is_incidental() {
+            // Inside a tick the configuration changes only in incidental
+            // mode and only at pc 0: parked frames merge there
+            // (`try_merge`'s own guard), and a frame commit rewinds there
+            // after refilling the lanes.
+            if incidental && self.vm.pc() == 0 {
                 self.try_merge(tick, tracer);
+                (cfg, table, reserve) = self.epoch();
             }
-            let cfg = self.vm.approx();
-            // Both engines price from the per-configuration class table;
-            // the configuration changes at most a few times per tick.
-            let table = self.class_energies(&cfg);
+            debug_assert_eq!(cfg, self.vm.approx(), "stale configuration epoch");
             // Armed instructions dispatch through the compiled op table:
             // no fetch, no decode, no reserve check (the certificate
             // pre-proved it). Everything else — unarmed stretches where an
@@ -1088,18 +1102,18 @@ impl SystemSim {
             let e = table[klass.index()];
             if chain {
                 debug_assert!(
-                    self.cap.level() >= self.reserve() + e,
+                    self.cap.level() >= reserve + e,
                     "block certificate must imply the per-instruction check"
                 );
             } else {
                 let arm = if block_mode {
-                    self.affordable_suffix(&table)
+                    self.affordable_suffix(&table, reserve)
                 } else {
                     0
                 };
                 if arm > 0 {
                     armed = arm;
-                } else if self.cap.level() < self.reserve() + e {
+                } else if self.cap.level() < reserve + e {
                     self.do_backup(tick, cursor, tracer);
                     return;
                 }
@@ -1175,7 +1189,9 @@ impl SystemSim {
         }
         let mut cursor = FlushCursor::new();
         let mut monitor = VoltageMonitor::new();
-        let mut bits_tracker = BitsTracker::new();
+        // The width last applied to the governed lanes; `None` until the
+        // first governed tick.
+        let mut applied: Option<u8> = None;
         let rectifier = Rectifier::default();
         let governor = match self.mode {
             ExecMode::Dynamic(g) => Some(g),
@@ -1192,13 +1208,17 @@ impl SystemSim {
             self.cap.leak_tick();
             self.report.total_ticks += 1;
             if let Some(g) = &governor {
-                let bits = self.update_governor(g, power.as_uw());
-                if let Some((from_bits, to_bits)) = bits_tracker.observe(bits) {
-                    emit(tracer, || Event::GovernorSwitch {
-                        tick: t.0,
-                        from_bits,
-                        to_bits,
-                    });
+                let bits = g.bits_for(self.cap.fill(), power.as_uw()).min(FULL_BITS);
+                let prev = applied.replace(bits);
+                if prev != Some(bits) {
+                    self.apply_governed_bits(bits);
+                    if let Some(from_bits) = prev {
+                        emit(tracer, || Event::GovernorSwitch {
+                            tick: t.0,
+                            from_bits,
+                            to_bits: bits,
+                        });
+                    }
                 }
             }
             match self.phase {

@@ -1,0 +1,115 @@
+//! Pins of the run loop itself. Both engines share `SystemSim`'s
+//! per-tick loop, so the Step-vs-Compiled lockstep suites cannot see a
+//! loop change that moves both the same way — for instance a price
+//! table, reserve or lane count read once per configuration epoch and
+//! not re-read after the configuration changed. These tests pin an FNV
+//! digest of the whole `RunReport` (its `Debug` form, recorded outputs
+//! included) for every execution mode under both engines, on a bursty
+//! trace whose long gaps force incidental roll-forward, parking and
+//! merges.
+//!
+//! The 20 µJ capacitor lowers the start threshold below the governor's
+//! first width change, so a governed run starts on the width the first
+//! tick applied; at the default 3.5 µJ the threshold sits at 95 % fill,
+//! where every governed run starts at full width.
+//!
+//! A digest change means the simulator's results changed; if that is
+//! intended, rerun the suite and copy the printed digests.
+
+use nvp_isa::ApproxConfig;
+use nvp_kernels::KernelId;
+use nvp_power::{Energy, PowerProfile, Ticks};
+use nvp_sim::system::{ExecEngine, ExecMode, IncidentalSetup, SystemConfig, SystemSim};
+use nvp_sim::Governor;
+use std::iter::repeat_n;
+
+/// FNV-1a, 64-bit.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Bursts at four income levels (poor to rich), with every third gap
+/// longer than the incidental staleness deadline below.
+fn bursty() -> PowerProfile {
+    let mut uw = Vec::new();
+    for burst in 0..12 {
+        uw.extend(repeat_n([90.0, 160.0, 60.0, 420.0][burst % 4], 700));
+        uw.extend(repeat_n(0.0, if burst % 3 == 2 { 4_000 } else { 300 }));
+    }
+    PowerProfile::from_uw(uw)
+}
+
+fn modes() -> [(&'static str, ExecMode); 5] {
+    [
+        ("precise", ExecMode::Precise),
+        ("fixed3", ExecMode::Fixed(ApproxConfig::fixed(3))),
+        ("dynamic2-8", ExecMode::Dynamic(Governor::new(2, 8))),
+        ("simd4", ExecMode::Simd4),
+        (
+            "incidental2-8",
+            ExecMode::Incidental(IncidentalSetup::new(2, 8).with_staleness(Ticks(2_000))),
+        ),
+    ]
+}
+
+fn digest(mode: ExecMode, capacitor_uj: f64, engine: ExecEngine) -> u64 {
+    let id = KernelId::Sobel;
+    let (w, h) = id.min_dims();
+    let frames: Vec<Vec<i32>> = (0..4).map(|i| id.make_input(w, h, 70 + i)).collect();
+    let cfg = SystemConfig {
+        capacitor_capacity: Energy::from_uj(capacitor_uj),
+        record_outputs: true,
+        max_simd_lanes: 4,
+        exec_engine: engine,
+        ..Default::default()
+    };
+    let report = SystemSim::new(id.spec(w, h), frames, mode, cfg).run(&bursty());
+    fnv1a64(format!("{report:?}").as_bytes())
+}
+
+/// Checks every mode at one capacitor size against `pins`, under both
+/// engines, and reports all mismatches at once.
+fn check(capacitor_uj: f64, pins: [u64; 5]) {
+    let mut wrong = Vec::new();
+    for ((label, mode), pin) in modes().into_iter().zip(pins) {
+        for engine in [ExecEngine::Step, ExecEngine::Compiled] {
+            let got = digest(mode, capacitor_uj, engine);
+            if got != pin {
+                wrong.push(format!(
+                    "{label} {engine:?}: {got:#018x} (pinned {pin:#018x})"
+                ));
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "run reports moved:\n{}", wrong.join("\n"));
+}
+
+#[test]
+fn default_capacitor_reports_are_pinned() {
+    check(
+        3.5,
+        [
+            0x3304_23ad_5902_a0be,
+            0xb3fd_fd3f_4ec0_37bf,
+            0x2889_fd5d_6d8d_a933,
+            0x190f_92a8_cf8a_d2c9,
+            0x20b1_d111_b8f9_3472,
+        ],
+    );
+}
+
+#[test]
+fn large_capacitor_reports_are_pinned() {
+    check(
+        20.0,
+        [
+            0x7188_c7e2_f3a9_34cb,
+            0x51a4_2729_e101_7bab,
+            0xa3ac_5e38_97e5_4760,
+            0x5620_f278_01e5_de1a,
+            0x3f22_adc8_6576_4c4d,
+        ],
+    );
+}
