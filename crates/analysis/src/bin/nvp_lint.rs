@@ -22,9 +22,9 @@
 
 use nvp_analysis::diag::render_legend;
 use nvp_analysis::{
-    analyze_program, analyze_with, bitwidth_report, AnalysisConfig, Cfg, CkptPass, DeclaredBits,
-    Diagnostic, EnergyBudget, LintCode, Pass, PassContext, Severity, TripBound, Wcec, WcecPass,
-    NEVER_SAFE,
+    analyze_program, analyze_with, bitwidth_report, usable_nj, AnalysisConfig, Cfg, CkptPass,
+    DeclaredBits, Diagnostic, LintCode, Pass, PassContext, Severity, TripBound, Wcec, WcecPass,
+    BACKUP_POLICY, CAPACITOR_NJ, NEVER_SAFE, RESERVE_SAFETY,
 };
 use nvp_kernels::KernelId;
 use nvp_trace::json::Json;
@@ -102,11 +102,11 @@ fn diag_json(d: &Diagnostic) -> Json {
 
 /// The platform envelope, as the `--energy` and `--checkpoint`
 /// artifacts record it.
-fn budget_json(b: &EnergyBudget) -> Json {
+fn budget_json() -> Json {
     Json::obj(vec![
-        ("capacity_nj", Json::num(b.capacity_nj)),
-        ("reserve_safety", Json::num(b.reserve_safety)),
-        ("backup_policy", Json::str(format!("{:?}", b.backup_policy))),
+        ("capacity_nj", Json::num(CAPACITOR_NJ)),
+        ("reserve_safety", Json::num(RESERVE_SAFETY)),
+        ("backup_policy", Json::str(format!("{BACKUP_POLICY:?}"))),
     ])
 }
 
@@ -371,7 +371,7 @@ fn json_wcec(w: Wcec) -> Json {
 /// The `--energy` report: per-kernel, per-region WCEC certificates across
 /// the declared governor range, plus the forward-progress lints.
 fn run_energy_report(verbose: bool, json_path: Option<&str>) -> ExitCode {
-    let pass = WcecPass::default();
+    let pass = WcecPass;
     let mut errors = 0usize;
     let mut kernels_json = Vec::new();
 
@@ -427,7 +427,7 @@ fn run_energy_report(verbose: bool, json_path: Option<&str>) -> ExitCode {
             floor.loops.loops.len(),
             bounded,
             floor.bits,
-            pass.budget.usable_nj(floor.bits),
+            usable_nj(floor.bits),
             floor.bits,
         );
 
@@ -435,7 +435,7 @@ fn run_energy_report(verbose: bool, json_path: Option<&str>) -> ExitCode {
         let report = analyze_with(
             &spec.program,
             &config,
-            &[Box::new(WcecPass::default()) as Box<dyn Pass>],
+            &[Box::new(WcecPass) as Box<dyn Pass>],
         );
         errors += report.count_at_least(Severity::Error);
         for d in &report.diagnostics {
@@ -482,7 +482,7 @@ fn run_energy_report(verbose: bool, json_path: Option<&str>) -> ExitCode {
                     .collect();
                 Json::obj(vec![
                     ("bits", Json::Num(f64::from(cert.bits))),
-                    ("usable_nj", Json::num(pass.budget.usable_nj(cert.bits))),
+                    ("usable_nj", Json::num(usable_nj(cert.bits))),
                     ("program_nj", json_wcec(cert.program)),
                     ("regions", Json::Arr(regions)),
                     ("loops", Json::Arr(loops)),
@@ -506,7 +506,7 @@ fn run_energy_report(verbose: bool, json_path: Option<&str>) -> ExitCode {
         let root = Json::obj(vec![
             ("schema", Json::str("nvp-wcec-cert-v1")),
             ("generated_by", Json::str("nvp-lint --energy")),
-            ("budget", budget_json(&pass.budget)),
+            ("budget", budget_json()),
             ("kernels", Json::Arr(kernels_json)),
         ]);
         if !write_json_artifact(path, &root) {
@@ -537,7 +537,7 @@ fn run_energy_report(verbose: bool, json_path: Option<&str>) -> ExitCode {
 /// The `--checkpoint` report: per-kernel dirty-set analysis and
 /// checkpoint placement synthesis, with machine-checkable certificates.
 fn run_checkpoint_report(verbose: bool, json_path: Option<&str>) -> ExitCode {
-    let pass = CkptPass::default();
+    let pass = CkptPass;
     let mut errors = 0usize;
     let mut kernels_json = Vec::new();
 
@@ -601,7 +601,7 @@ fn run_checkpoint_report(verbose: bool, json_path: Option<&str>) -> ExitCode {
         let report = analyze_with(
             &spec.program,
             &config,
-            &[Box::new(CkptPass::default()) as Box<dyn Pass>],
+            &[Box::new(CkptPass) as Box<dyn Pass>],
         );
         errors += report.count_at_least(Severity::Error);
         for d in &report.diagnostics {
@@ -632,7 +632,7 @@ fn run_checkpoint_report(verbose: bool, json_path: Option<&str>) -> ExitCode {
         let root = Json::obj(vec![
             ("schema", Json::str("nvp-ckpt-report-v1")),
             ("generated_by", Json::str("nvp-lint --checkpoint")),
-            ("budget", budget_json(&pass.budget)),
+            ("budget", budget_json()),
             ("kernels", Json::Arr(kernels_json)),
         ]);
         if !write_json_artifact(path, &root) {

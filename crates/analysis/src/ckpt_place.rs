@@ -10,9 +10,9 @@
 //! 1. is provably re-executable — the WAR pass finds no non-idempotent
 //!    write inside it ([`crate::war::region_hazards`]), and
 //! 2. fits the capacitor — its WCEC ceiling is bounded and at most
-//!    [`EnergyBudget::usable_nj`] at every governor bitwidth in the
-//!    declared range (note a checkpoint inside a loop body cuts the back
-//!    edge and can bound a previously-unbounded region).
+//!    [`usable_nj`] at every governor bitwidth in the declared range
+//!    (note a checkpoint inside a loop body cuts the back edge and can
+//!    bound a previously-unbounded region).
 //!
 //! Among feasible placements the search greedily minimizes an expected
 //! backup cost: the loop-trip-weighted average over pcs of the scoped
@@ -29,7 +29,7 @@
 //! simulator consumes as `BackupScope::LiveDirty` / `CheckpointPlan`.
 
 use crate::cfg::Cfg;
-use crate::cost_model::{CostModel, EnergyBudget};
+use crate::cost_model::{usable_nj, CostModel, BACKUP_POLICY};
 use crate::diag::{Diagnostic, LintCode};
 use crate::dirty::{DirtyAnalyzer, MemDirty};
 use crate::loop_bound::{loop_report, LoopReport, TripBound};
@@ -37,6 +37,7 @@ use crate::safe_bits::DeclaredBits;
 use crate::war::region_hazards;
 use crate::wcec::{declared_checkpoints, solve, solve_min, RegionKind};
 use crate::{Pass, PassContext};
+use nvp_isa::energy::backup_energy_scoped;
 use nvp_isa::{Instr, Program, NUM_REGS};
 use nvp_trace::json::Json;
 
@@ -47,12 +48,12 @@ const UNBOUNDED_TRIP_WEIGHT: f64 = 256.0;
 const TRIP_WEIGHT_CAP: f64 = 10_000.0;
 /// Maximum synthetic checkpoints the greedy search may add.
 const MAX_ADDED: usize = 6;
+/// `NVP-I003` savings threshold, in percent.
+const MIN_SAVINGS_PCT: f64 = 10.0;
 
 /// Tunables of the placement search.
 #[derive(Debug, Clone)]
 pub struct CkptOptions {
-    /// Platform envelope (capacitor, backup policy, energy model).
-    pub budget: EnergyBudget,
     /// Lowest governor bitwidth the placement must be feasible at.
     pub bits_lo: u8,
     /// Highest governor bitwidth (costs are scored at this width).
@@ -64,7 +65,6 @@ pub struct CkptOptions {
 impl Default for CkptOptions {
     fn default() -> Self {
         CkptOptions {
-            budget: EnergyBudget::default_platform(),
             bits_lo: 1,
             bits_hi: 8,
             mem_words: 1024,
@@ -193,7 +193,7 @@ fn evaluate(
     let mut regions = Vec::with_capacity(dirty.regions.len());
     let mut infeasible_bits = Vec::new();
     for &(bits, ref loops, ref cost) in loops_per_bits {
-        let usable = opts.budget.usable_nj(bits);
+        let usable = usable_nj(bits);
         let mut feasible_here = true;
         for rd in &dirty.regions {
             let mut active = vec![false; len];
@@ -253,16 +253,13 @@ fn evaluate(
 
     // Scalar cost at the scoring width.
     let cost_hi = &loops_per_bits.last().expect("at least one bits setting").2;
-    let policy = opts.budget.backup_policy;
     let scoped = |mask: u16| {
-        opts.budget
-            .model
-            .backup_energy_scoped(
-                policy,
-                cost_hi.bits,
-                f64::from(mask.count_ones()) / NUM_REGS as f64,
-            )
-            .as_nj()
+        backup_energy_scoped(
+            BACKUP_POLICY,
+            cost_hi.bits,
+            f64::from(mask.count_ones()) / NUM_REGS as f64,
+        )
+        .as_nj()
     };
     let weight_total: f64 = weights.iter().sum::<f64>().max(1.0);
     let expected_backup_nj = (0..len)
@@ -316,7 +313,7 @@ pub fn synthesize(program: &Program, cfg: &Cfg, opts: &CkptOptions) -> Synthesis
             (
                 bits,
                 loop_report(program, cfg, bits),
-                CostModel::new(&opts.budget.model, bits),
+                CostModel::for_bits(bits),
             )
         })
         .collect();
@@ -464,22 +461,8 @@ impl Synthesis {
 /// Not part of [`crate::default_passes`]: like the WCEC pass it is
 /// opt-in, since placement search is considerably more expensive than
 /// the safety lints.
-#[derive(Debug)]
-pub struct CkptPass {
-    /// Platform envelope feasibility is judged against.
-    pub budget: EnergyBudget,
-    /// `NVP-I003` savings threshold, in percent.
-    pub min_savings_pct: f64,
-}
-
-impl Default for CkptPass {
-    fn default() -> Self {
-        CkptPass {
-            budget: EnergyBudget::default_platform(),
-            min_savings_pct: 10.0,
-        }
-    }
-}
+#[derive(Debug, Default)]
+pub struct CkptPass;
 
 impl CkptPass {
     fn options(&self, cx: &PassContext<'_>) -> CkptOptions {
@@ -488,7 +471,6 @@ impl CkptPass {
             None => (1, 8),
         };
         CkptOptions {
-            budget: self.budget.clone(),
             bits_lo: lo,
             bits_hi: hi,
             mem_words: cx.config.mem_words.unwrap_or(1024),
@@ -541,7 +523,7 @@ impl Pass for CkptPass {
                 ),
             ));
         }
-        if synth.savings_pct >= self.min_savings_pct {
+        if synth.savings_pct >= MIN_SAVINGS_PCT {
             out.push(Diagnostic::program_level(
                 LintCode::PlacementSavings,
                 format!(
@@ -589,7 +571,6 @@ mod tests {
             mem_words: 256,
             bits_lo: 4,
             bits_hi: 8,
-            ..CkptOptions::default()
         };
         let s = synthesize(&p, &cfg, &opts);
         assert!(s.declared.reexecutable(), "declared regions hazard-free");
@@ -641,7 +622,7 @@ mod tests {
         let report = analyze_with(
             &p,
             &AnalysisConfig::default(),
-            &[Box::new(CkptPass::default()) as Box<dyn Pass>],
+            &[Box::new(CkptPass) as Box<dyn Pass>],
         );
         assert!(report
             .diagnostics
@@ -655,7 +636,7 @@ mod tests {
         let report = analyze_with(
             &p,
             &AnalysisConfig::default(),
-            &[Box::new(CkptPass::default()) as Box<dyn Pass>],
+            &[Box::new(CkptPass) as Box<dyn Pass>],
         );
         assert!(!report.has_errors(), "{:#?}", report.diagnostics);
     }

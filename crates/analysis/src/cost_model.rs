@@ -4,15 +4,16 @@
 //! simulator already owns:
 //!
 //! * **per-instruction energy** — [`CostModel`] tabulates
-//!   [`EnergyModel::instr_energy`] per [`InstrClass`] at a fixed governor
-//!   bitwidth, so the static bound prices every instruction with *exactly*
-//!   the arithmetic `nvp-sim` charges at runtime (the model lives in
-//!   `nvp-isa` for precisely this reason);
-//! * **how much of the capacitor a region may spend** — [`EnergyBudget`]
-//!   mirrors the simulator's platform defaults (capacitor size, backup
-//!   policy, reserve safety factor) and derives the *usable* energy per
-//!   charge cycle: what is left for compute after the reserved backup and
-//!   the restore that bracket it.
+//!   [`nvp_isa::energy::instr_energy`] per [`InstrClass`] at a fixed
+//!   governor bitwidth, so the static bound prices every instruction with
+//!   *exactly* the arithmetic `nvp-sim` charges at runtime (the model lives
+//!   in `nvp-isa` for precisely this reason);
+//! * **how much of the capacitor a region may spend** — [`usable_nj`]
+//!   derives the *usable* energy per charge cycle of the platform
+//!   ([`CAPACITOR_NJ`], [`BACKUP_POLICY`], [`RESERVE_SAFETY`]): what is left
+//!   for compute after the reserved backup and the restore that bracket
+//!   it. The simulator's defaults read the same constants, so the static
+//!   budget and the simulated platform cannot drift apart.
 //!
 //! The usable figure is deliberately the **supremum** over reachable
 //! capacitor states: it assumes the capacitor recharges to *full* capacity
@@ -22,9 +23,19 @@
 //! complete — that is the provable-livelock condition behind lint
 //! `NVP-E006` (see [`crate::wcec_lint`]).
 
-use nvp_isa::{ApproxConfig, EnergyModel, Instr, InstrClass};
+use nvp_isa::energy::{backup_energy, instr_energy, restore_energy};
+use nvp_isa::{ApproxConfig, Instr, InstrClass};
 use nvp_nvm::RetentionPolicy;
-use serde::{Deserialize, Serialize};
+
+/// Storage capacitor capacity of the platform, in nJ (3.5 µJ): the
+/// default `SystemConfig` capacitor and the WCEC budget.
+pub const CAPACITOR_NJ: f64 = 3_500.0;
+
+/// Retention policy the platform writes backups under.
+pub const BACKUP_POLICY: RetentionPolicy = RetentionPolicy::FullRetention;
+
+/// Safety multiplier on the reserved backup energy.
+pub const RESERVE_SAFETY: f64 = 1.1;
 
 /// Per-class static instruction energies (nJ) at one governor bitwidth.
 ///
@@ -34,7 +45,7 @@ use serde::{Deserialize, Serialize};
 /// the certificate bounds the program as declared, and the simulator's
 /// compiled engine independently refuses to arm blocks under incidental
 /// execution (see `nvp-sim`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Governor bitwidth this table was built for (1..=8).
     pub bits: u8,
@@ -43,24 +54,19 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// Tabulates `model` at `bits` (single lane, ALU and memory both at
-    /// `bits`, matching `ApproxConfig::fixed`).
+    /// Tabulates the platform model at `bits` (single lane, ALU and
+    /// memory both at `bits`, matching `ApproxConfig::fixed`).
     ///
     /// # Panics
     ///
     /// Panics if `bits` is outside `1..=8`.
-    pub fn new(model: &EnergyModel, bits: u8) -> CostModel {
+    pub fn for_bits(bits: u8) -> CostModel {
         let cfg = ApproxConfig::fixed(bits);
         let mut class_nj = [0.0; 6];
         for class in InstrClass::ALL {
-            class_nj[class.index()] = model.instr_energy(class, &cfg).as_nj();
+            class_nj[class.index()] = instr_energy(class, &cfg).as_nj();
         }
         CostModel { bits, class_nj }
-    }
-
-    /// Tabulates the default platform model at `bits`.
-    pub fn for_bits(bits: u8) -> CostModel {
-        CostModel::new(&EnergyModel::default(), bits)
     }
 
     /// Static energy of one instruction, in nJ.
@@ -74,60 +80,22 @@ impl CostModel {
     }
 }
 
-/// Platform energy envelope the WCEC certificate is judged against.
+/// Usable compute energy per charge cycle at governor bitwidth `bits`, in
+/// nJ: full capacity minus the reserved worst-case backup and the restore
+/// that (re)entered the region.
 ///
-/// `nvp-sim` takes its energy model and reserve safety factor from
-/// [`EnergyBudget::default_platform`]. Capacity and backup policy mirror
-/// `SystemConfig::default()`; a drift guard in the simulator's test suite
-/// keeps those two in sync.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EnergyBudget {
-    /// Storage capacitor capacity, in nJ.
-    pub capacity_nj: f64,
-    /// Retention policy backups are written under.
-    pub backup_policy: RetentionPolicy,
-    /// Safety multiplier on the reserved backup energy.
-    pub reserve_safety: f64,
-    /// The calibrated energy model.
-    pub model: EnergyModel,
-}
-
-impl Default for EnergyBudget {
-    fn default() -> Self {
-        EnergyBudget::default_platform()
-    }
-}
-
-impl EnergyBudget {
-    /// The default platform: a 3.5 µJ capacitor, full-retention backups,
-    /// a 1.1× backup reserve, and the calibrated [`EnergyModel`].
-    pub fn default_platform() -> EnergyBudget {
-        EnergyBudget {
-            capacity_nj: 3_500.0,
-            backup_policy: RetentionPolicy::FullRetention,
-            reserve_safety: 1.1,
-            model: EnergyModel::default(),
-        }
-    }
-
-    /// Usable compute energy per charge cycle at governor bitwidth `bits`,
-    /// in nJ: full capacity minus the reserved worst-case backup and the
-    /// restore that (re)entered the region.
-    ///
-    /// This is the supremum over reachable capacitor states — the most
-    /// generous budget any single charge cycle can offer. A bounded region
-    /// WCEC above this figure therefore proves the region can never
-    /// complete within one cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` is outside `1..=8`.
-    pub fn usable_nj(&self, bits: u8) -> f64 {
-        let reserve =
-            self.model.backup_energy(self.backup_policy, bits).as_nj() * self.reserve_safety;
-        let restore = self.model.restore_energy().as_nj();
-        self.capacity_nj - reserve - restore
-    }
+/// This is the supremum over reachable capacitor states — the most
+/// generous budget any single charge cycle can offer. A bounded region
+/// WCEC above this figure therefore proves the region can never complete
+/// within one cycle.
+///
+/// # Panics
+///
+/// Panics if `bits` is outside `1..=8`.
+pub fn usable_nj(bits: u8) -> f64 {
+    let reserve = backup_energy(BACKUP_POLICY, bits).as_nj() * RESERVE_SAFETY;
+    let restore = restore_energy().as_nj();
+    CAPACITOR_NJ - reserve - restore
 }
 
 #[cfg(test)]
@@ -136,12 +104,11 @@ mod tests {
 
     #[test]
     fn class_table_matches_direct_model_calls() {
-        let model = EnergyModel::default();
         for bits in 1..=8u8 {
-            let cm = CostModel::new(&model, bits);
+            let cm = CostModel::for_bits(bits);
             let cfg = ApproxConfig::fixed(bits);
             for class in InstrClass::ALL {
-                let direct = model.instr_energy(class, &cfg).as_nj();
+                let direct = instr_energy(class, &cfg).as_nj();
                 // Bit-identical, not merely close: the simulator must be
                 // able to drain exactly these figures.
                 assert_eq!(cm.class_cost_nj(class), direct, "{class:?} at {bits}b");
@@ -163,16 +130,86 @@ mod tests {
 
     #[test]
     fn usable_energy_grows_as_bits_shrink() {
-        let b = EnergyBudget::default_platform();
         let mut prev = 0.0;
         for bits in (1..=8u8).rev() {
-            let u = b.usable_nj(bits);
+            let u = usable_nj(bits);
             assert!(u >= prev, "usable at {bits}b regressed: {u} < {prev}");
             prev = u;
         }
         // Sanity: the default platform leaves real compute headroom.
-        assert!(b.usable_nj(8) > 1_000.0, "usable(8) = {}", b.usable_nj(8));
-        assert!(b.usable_nj(8) < b.capacity_nj);
+        assert!(usable_nj(8) > 1_000.0, "usable(8) = {}", usable_nj(8));
+        assert!(usable_nj(8) < CAPACITOR_NJ);
+    }
+
+    /// FNV-1a digest of the platform's priced values, recorded before the
+    /// calibration structs became constants.
+    const PLATFORM_FNV: u64 = 0xef1c_3201_158e_3e44;
+
+    /// Pins every figure the platform constants feed, bit for bit: a
+    /// nudged constant or a regrouped product changes the digest, which
+    /// tests that recompute a formula from the same constants cannot see.
+    #[test]
+    fn platform_values_are_pinned() {
+        use nvp_isa::energy::backup_energy_scoped;
+        use nvp_nvm::sttram::{anchors, bit_write_energy};
+        let mut bits_seen: Vec<u64> = Vec::new();
+        let incidental = ApproxConfig {
+            ac_en: true,
+            alu_bits: [8, 6, 3, 1],
+            mem_bits: [7, 5, 2, 1],
+            lanes: 4,
+        };
+        let cfgs = (1..=8u8).map(ApproxConfig::fixed).chain([incidental]);
+        for cfg in cfgs {
+            for class in InstrClass::ALL {
+                bits_seen.push(instr_energy(class, &cfg).as_nj().to_bits());
+            }
+        }
+        let policies = [
+            RetentionPolicy::FullRetention,
+            RetentionPolicy::Linear,
+            RetentionPolicy::Log,
+            RetentionPolicy::Parabola,
+            RetentionPolicy::one_day(),
+        ];
+        for policy in policies {
+            for bits in 1..=8u8 {
+                bits_seen.push(backup_energy(policy, bits).as_nj().to_bits());
+                for frac in [0.25, 0.5] {
+                    let e = backup_energy_scoped(policy, bits, frac);
+                    bits_seen.push(e.as_nj().to_bits());
+                }
+            }
+        }
+        bits_seen.push(restore_energy().as_nj().to_bits());
+        for bits in 1..=8u8 {
+            let cm = CostModel::for_bits(bits);
+            bits_seen.extend(cm.class_nj.iter().map(|nj| nj.to_bits()));
+            bits_seen.push(usable_nj(bits).to_bits());
+        }
+        for retention in [
+            anchors::ten_ms(),
+            anchors::one_second(),
+            anchors::one_minute(),
+            anchors::one_day(),
+            anchors::ten_years(),
+        ] {
+            bits_seen.push(bit_write_energy(retention).as_nj().to_bits());
+        }
+        for policy in RetentionPolicy::SHAPED {
+            bits_seen.push(policy.saving_vs_full().to_bits());
+        }
+        let digest = bits_seen.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, v| {
+            v.to_le_bytes().iter().fold(h, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        });
+        assert_eq!(
+            digest,
+            PLATFORM_FNV,
+            "platform values changed ({} values, digest {digest:#018x})",
+            bits_seen.len()
+        );
     }
 
     #[test]

@@ -7,11 +7,10 @@
 //! the instruction.
 
 use nvp_isa::Program;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How serious a finding is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     /// Informational: analysis facts (e.g. backup live-set sizes).
     Info,
@@ -32,7 +31,7 @@ impl fmt::Display for Severity {
 }
 
 /// Stable lint codes, one per distinct finding class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LintCode {
     /// `NVP-E001`: a branch condition reads an approximate register.
     BranchOnApprox,
@@ -208,7 +207,7 @@ impl fmt::Display for LintCode {
 }
 
 /// One finding from one pass.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     /// The stable lint code.
     pub code: LintCode,

@@ -86,7 +86,7 @@ pub mod wcec_lint;
 pub use backup_liveness::{BackupLiveness, BackupLivenessPass};
 pub use cfg::Cfg;
 pub use ckpt_place::{synthesize, CkptOptions, CkptPass, PlacementEval, RegionCert, Synthesis};
-pub use cost_model::{CostModel, EnergyBudget};
+pub use cost_model::{usable_nj, CostModel, BACKUP_POLICY, CAPACITOR_NJ, RESERVE_SAFETY};
 pub use diag::{Diagnostic, LintCode, Severity};
 pub use dirty::{dirty_report, dirty_report_at, DirtyAnalyzer, DirtyReport, MemDirty, RegionDirty};
 pub use error_bound::{dev_bound, solve_error_bounds, AbsVal, ApproxState, ErrorBoundAnalysis};

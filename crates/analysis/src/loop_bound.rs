@@ -24,11 +24,10 @@ use crate::cfg::Cfg;
 use crate::dataflow::Solution;
 use crate::error_bound::{solve_error_bounds, ApproxState};
 use nvp_isa::{Instr, Program, Reg};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Upper bound on a loop's per-entry trip count (head visits).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TripBound {
     /// The loop head is visited at most this many times per loop entry.
     Bounded(u64),

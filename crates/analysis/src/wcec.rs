@@ -44,11 +44,10 @@ use crate::cfg::Cfg;
 use crate::cost_model::CostModel;
 use crate::loop_bound::{loop_report, LoopReport, TripBound};
 use nvp_isa::{Instr, Program};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A worst-case energy bound, in nJ.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Wcec {
     /// Any execution costs at most this many nJ.
     Bounded(f64),
@@ -92,7 +91,7 @@ impl fmt::Display for Wcec {
 }
 
 /// Why a pc is a checkpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RegionKind {
     /// The program entry (pc 0): where a cold start begins.
     Entry,
@@ -118,7 +117,7 @@ impl fmt::Display for RegionKind {
 }
 
 /// One checkpoint-to-checkpoint region and its energy bound.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Region {
     /// The checkpoint pc the region starts at.
     pub start_pc: usize,

@@ -24,24 +24,17 @@
 //! runs it explicitly (energy certification is a deliberate opt-in, like
 //! the bitwidth mode).
 
-use crate::cost_model::{CostModel, EnergyBudget};
+use crate::cost_model::{usable_nj, CostModel};
 use crate::diag::{Diagnostic, LintCode};
 use crate::wcec::{wcec_report, Wcec, WcecReport};
 use crate::{Pass, PassContext};
 
-/// The WCEC certification pass. See the module docs for the lints.
-#[derive(Debug, Clone, Default)]
-pub struct WcecPass {
-    /// The platform envelope certificates are judged against.
-    pub budget: EnergyBudget,
-}
+/// The WCEC certification pass, judged against the platform's
+/// [`usable_nj`]. See the module docs for the lints.
+#[derive(Debug, Default)]
+pub struct WcecPass;
 
 impl WcecPass {
-    /// A pass judging against `budget`.
-    pub fn new(budget: EnergyBudget) -> WcecPass {
-        WcecPass { budget }
-    }
-
     /// The governor settings to evaluate for `cx`: the kernel's declared
     /// range, or the full 1..=8 when nothing is declared.
     fn bit_range(cx: &PassContext<'_>) -> (u8, u8) {
@@ -55,13 +48,7 @@ impl WcecPass {
     pub fn certificates(&self, cx: &PassContext<'_>) -> Vec<WcecReport> {
         let (lo, hi) = Self::bit_range(cx);
         (lo..=hi)
-            .map(|bits| {
-                wcec_report(
-                    cx.program,
-                    cx.cfg,
-                    &CostModel::new(&self.budget.model, bits),
-                )
-            })
+            .map(|bits| wcec_report(cx.program, cx.cfg, &CostModel::for_bits(bits)))
             .collect()
     }
 }
@@ -122,7 +109,7 @@ impl Pass for WcecPass {
             let mut min_excess: Option<f64> = None; // smallest overshoot seen
             let mut livelock = true;
             for r in &reports {
-                let usable = self.budget.usable_nj(r.bits);
+                let usable = usable_nj(r.bits);
                 let need = r.regions[ri].min_nj;
                 if need > usable {
                     let excess = need - usable;
@@ -158,7 +145,7 @@ impl Pass for WcecPass {
 
         // I002: headroom at the declared floor.
         if let Some(worst) = floor.worst_region() {
-            let usable = self.budget.usable_nj(floor.bits);
+            let usable = usable_nj(floor.bits);
             let msg = match worst.wcec {
                 Wcec::Bounded(nj) => format!(
                     "WCEC headroom at {} bits: worst region {} (pc {}) needs ≤{:.1} nJ of \
@@ -193,7 +180,7 @@ mod tests {
         let report = analyze_with(
             p,
             &AnalysisConfig::default(),
-            &[Box::new(WcecPass::default()) as Box<dyn Pass>],
+            &[Box::new(WcecPass) as Box<dyn Pass>],
         );
         report.diagnostics
     }
@@ -310,7 +297,7 @@ mod tests {
             cfg: &cfg,
             config: &config,
         };
-        let certs = WcecPass::default().certificates(&cx);
+        let certs = WcecPass.certificates(&cx);
         assert_eq!(
             certs.iter().map(|c| c.bits).collect::<Vec<_>>(),
             vec![3, 4, 5, 6]

@@ -13,10 +13,9 @@ use crate::report::{ProgressSummary, QualityReport};
 use nvp_kernels::{KernelId, KernelSpec};
 use nvp_power::PowerProfile;
 use nvp_sim::{ExecMode, IncidentalSetup, RunReport, SystemConfig, SystemSim};
-use serde::{Deserialize, Serialize};
 
 /// Results of one executor run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IncidentalReport {
     /// Raw simulator report (committed frames included).
     pub run: RunReport,

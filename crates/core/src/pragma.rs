@@ -14,11 +14,10 @@
 //! source fragments (Figure 8) can be carried over verbatim.
 
 use nvp_nvm::{MergeMode, RetentionPolicy};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One parsed annotation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Pragma {
     /// `incidental (var, minbits, maxbits, policy)`: `var` may be computed
     /// at dynamic precision within `[minbits, maxbits]` and stored under
@@ -203,7 +202,7 @@ impl fmt::Display for Pragma {
 }
 
 /// A validated collection of pragmas for one kernel.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PragmaSet {
     pragmas: Vec<Pragma>,
 }

@@ -14,10 +14,9 @@ use nvp_kernels::KernelId;
 use nvp_nvm::MergeMode;
 use nvp_power::PowerProfile;
 use nvp_sim::{ExecMode, Governor, SystemConfig, SystemSim};
-use serde::{Deserialize, Serialize};
 
 /// Result of an N-pass recompute-and-combine run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RacOutcome {
     /// PSNR (dB) of the merged output after each pass (index 0 = one pass).
     pub psnr_after_pass: Vec<f64>,

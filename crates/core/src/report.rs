@@ -8,10 +8,9 @@ use nvp_kernels::quality;
 use nvp_kernels::spec::QualityDomain;
 use nvp_kernels::KernelId;
 use nvp_sim::RunReport;
-use serde::{Deserialize, Serialize};
 
 /// Quality of one committed output frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrameQuality {
     /// Which input frame.
     pub input_index: u64,
@@ -24,7 +23,7 @@ pub struct FrameQuality {
 }
 
 /// Compact progress summary extracted from a [`RunReport`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ProgressSummary {
     /// Lane-weighted instructions committed.
     pub forward_progress: u64,
@@ -64,7 +63,7 @@ impl From<&RunReport> for ProgressSummary {
 }
 
 /// Per-run quality report.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct QualityReport {
     /// Quality of every committed frame, in commit order.
     pub frames: Vec<FrameQuality>,

@@ -11,11 +11,10 @@ use crate::pragma::{Pragma, PragmaSet};
 use nvp_kernels::KernelId;
 use nvp_nvm::RetentionPolicy;
 use nvp_power::PowerProfile;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A quality-of-service target.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum QosTarget {
     /// Mean output PSNR must reach this many dB.
     PsnrDb(f64),
@@ -34,7 +33,7 @@ impl fmt::Display for QosTarget {
 }
 
 /// A tuned incidental operating point (one Table 2 row).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QosPolicy {
     /// The testbench.
     pub kernel: KernelId,

@@ -16,14 +16,12 @@
 //! eight bits are eligible for degradation, which matches hardware where the
 //! approximate byte-lane is the one at reduced voltage.
 
-use serde::{Deserialize, Serialize};
-
 /// Maximum data-domain bitwidth.
 pub const FULL_BITS: u8 = 8;
 
 /// Per-lane approximation configuration, set each control epoch by the
 /// approximation control unit (Figure 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ApproxConfig {
     /// Global AC enable (the `AC_EN` register; a running program can unset
     /// it to force full-precision execution).

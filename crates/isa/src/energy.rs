@@ -15,181 +15,125 @@
 //! measured income levels makes backups consume the paper's observed
 //! 20–33 % of income energy (Section 3.2).
 //!
-//! The model lives in `nvp-isa` (rather than the simulator) so that static
-//! analyses — notably the WCEC certifier in `nvp-analysis` — can price
-//! instructions with *exactly* the same arithmetic the simulator charges at
-//! runtime. `nvp-sim` re-exports it unchanged.
+//! The model is one calibrated platform, so it is a set of constants and
+//! the functions that price with them; nothing is configurable. It lives
+//! in `nvp-isa` (rather than the simulator) so that static analyses —
+//! notably the WCEC certifier in `nvp-analysis` — price instructions with
+//! *exactly* the same arithmetic the simulator charges at runtime.
 
 use crate::{ApproxConfig, InstrClass};
 use nvp_nvm::retention::WORD_BITS;
-use nvp_nvm::{RetentionPolicy, SttRamModel};
-use nvp_power::Energy;
-use serde::{Deserialize, Serialize};
+use nvp_nvm::{sttram, RetentionPolicy};
+use nvp_power::{Energy, Ticks};
 
-/// The system energy model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EnergyModel {
-    /// STT-RAM cell model for backup writes.
-    pub sttram: SttRamModel,
-    /// Multiplier from raw cell write energy to system-level backup energy
-    /// per bit (drivers, distributed parallel writes).
-    pub periphery_multiplier: f64,
-    /// Words of architectural + marked state persisted per backup.
-    pub state_words: usize,
-    /// Fraction of `state_words` that is control state (always written at
-    /// full retention).
-    pub control_fraction: f64,
-    /// Fraction of per-instruction energy that is bitwidth-independent
-    /// (fetch/decode/clock).
-    pub fixed_fraction: f64,
-    /// Exponent of the datapath-energy vs bitwidth curve. The gradient-VDD
-    /// approximate datapath (Gupta/Ye, Section 8.1) powers low-order bit
-    /// slices at reduced voltage, so slice energy falls like C·V² — the
-    /// aggregate is superlinear in active width (1.5 calibrated to the
-    /// paper's Figure 15 / Figure 28 gains).
-    pub datapath_exponent: f64,
-    /// Full-precision per-instruction energy by class, in nJ.
-    pub class_base_nj: ClassEnergies,
-    /// Fixed wake-up energy added to every restore, in nJ.
-    pub wakeup_overhead_nj: f64,
-}
+/// Multiplier from raw cell write energy to system-level backup energy
+/// per bit (drivers, distributed parallel writes).
+const PERIPHERY_MULTIPLIER: f64 = 700.0;
 
-/// Per-class full-precision instruction energies (nJ, single lane).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ClassEnergies {
-    /// Register move / immediate load.
-    pub mov: f64,
-    /// Single-cycle ALU.
-    pub alu: f64,
-    /// Multiply.
-    pub mul: f64,
-    /// Data-memory access.
-    pub mem: f64,
-    /// Branch.
-    pub branch: f64,
-    /// Control bookkeeping.
-    pub control: f64,
-}
+/// Words of architectural + marked state persisted per backup.
+const STATE_WORDS: usize = 1024;
 
-impl Default for ClassEnergies {
-    fn default() -> Self {
-        // Chosen so a typical kernel mix averages ≈0.209 nJ/instruction.
-        ClassEnergies {
-            mov: 0.16,
-            alu: 0.20,
-            mul: 0.42,
-            mem: 0.28,
-            branch: 0.18,
-            control: 0.08,
-        }
+/// Fraction of [`STATE_WORDS`] that is control state (always written at
+/// full retention).
+const CONTROL_FRACTION: f64 = 0.2;
+
+/// Fraction of per-instruction energy that is bitwidth-independent
+/// (fetch/decode/clock).
+const FIXED_FRACTION: f64 = 0.4;
+
+/// Exponent of the datapath-energy vs bitwidth curve. The gradient-VDD
+/// approximate datapath (Gupta/Ye, Section 8.1) powers low-order bit
+/// slices at reduced voltage, so slice energy falls like C·V² — the
+/// aggregate is superlinear in active width (1.5 calibrated to the
+/// paper's Figure 15 / Figure 28 gains).
+const DATAPATH_EXPONENT: f64 = 1.5;
+
+/// Fixed wake-up energy added to every restore, in nJ.
+const WAKEUP_OVERHEAD_NJ: f64 = 5.0;
+
+/// Full-precision single-lane energy of one instruction of `class`, in
+/// nJ, chosen so a typical kernel mix averages ≈0.209 nJ/instruction.
+fn class_base_nj(class: InstrClass) -> f64 {
+    match class {
+        InstrClass::Move => 0.16,
+        InstrClass::Alu => 0.20,
+        InstrClass::Mul => 0.42,
+        InstrClass::Mem => 0.28,
+        InstrClass::Branch => 0.18,
+        InstrClass::Control => 0.08,
     }
 }
 
-impl ClassEnergies {
-    fn base(&self, class: InstrClass) -> f64 {
-        match class {
-            InstrClass::Move => self.mov,
-            InstrClass::Alu => self.alu,
-            InstrClass::Mul => self.mul,
-            InstrClass::Mem => self.mem,
-            InstrClass::Branch => self.branch,
-            InstrClass::Control => self.control,
-        }
+/// Energy of one instruction of `class` under the given approximation
+/// configuration (all active lanes).
+pub fn instr_energy(class: InstrClass, cfg: &ApproxConfig) -> Energy {
+    let base = class_base_nj(class);
+    let fixed = base * FIXED_FRACTION;
+    let datapath_full = base * (1.0 - FIXED_FRACTION);
+    let mut e = fixed;
+    for l in 0..cfg.lanes as usize {
+        let width = cfg.effective_alu_bits(l) as f64 / 8.0;
+        e += datapath_full * width.powf(DATAPATH_EXPONENT);
     }
+    Energy::from_nj(e)
 }
 
-impl Default for EnergyModel {
-    fn default() -> Self {
-        EnergyModel {
-            sttram: SttRamModel::default(),
-            periphery_multiplier: 700.0,
-            state_words: 1024,
-            control_fraction: 0.2,
-            fixed_fraction: 0.4,
-            datapath_exponent: 1.5,
-            class_base_nj: ClassEnergies::default(),
-            wakeup_overhead_nj: 5.0,
-        }
-    }
+/// A representative instruction energy (ALU class) used for threshold
+/// sizing.
+pub fn representative_instr(cfg: &ApproxConfig) -> Energy {
+    instr_energy(InstrClass::Alu, cfg)
 }
 
-impl EnergyModel {
-    /// Energy of one instruction of `class` under the given approximation
-    /// configuration (all active lanes).
-    pub fn instr_energy(&self, class: InstrClass, cfg: &ApproxConfig) -> Energy {
-        let base = self.class_base_nj.base(class);
-        let fixed = base * self.fixed_fraction;
-        let datapath_full = base * (1.0 - self.fixed_fraction);
-        let mut e = fixed;
-        for l in 0..cfg.lanes as usize {
-            let width = cfg.effective_alu_bits(l) as f64 / 8.0;
-            e += datapath_full * width.powf(self.datapath_exponent);
-        }
-        Energy::from_nj(e)
-    }
+/// Per-bit backup write energy at a retention target, including
+/// periphery.
+fn bit_energy(retention: Ticks) -> Energy {
+    sttram::bit_write_energy(retention) * PERIPHERY_MULTIPLIER
+}
 
-    /// A representative instruction energy (ALU class) used for
-    /// threshold sizing.
-    pub fn representative_instr(&self, cfg: &ApproxConfig) -> Energy {
-        self.instr_energy(InstrClass::Alu, cfg)
-    }
+/// Energy of one backup: control state at full retention plus data state
+/// writing its top `data_bits` bits under `policy`.
+///
+/// # Panics
+///
+/// Panics if `data_bits` is outside `1..=8`.
+pub fn backup_energy(policy: RetentionPolicy, data_bits: u8) -> Energy {
+    backup_energy_scoped(policy, data_bits, 1.0)
+}
 
-    /// Per-bit backup write energy at a retention target, including
-    /// periphery.
-    fn bit_energy(&self, retention: nvp_power::Ticks) -> Energy {
-        self.sttram.bit_write_energy(retention) * self.periphery_multiplier
+/// [`backup_energy`] with only a `data_fraction` of the data words
+/// written (live-only backup scope: dead state need not be persisted).
+/// Control state is always written in full.
+///
+/// # Panics
+///
+/// Panics if `data_bits` is outside `1..=8` or `data_fraction` outside
+/// `0.0..=1.0`.
+pub fn backup_energy_scoped(policy: RetentionPolicy, data_bits: u8, data_fraction: f64) -> Energy {
+    assert!(
+        (1..=WORD_BITS).contains(&data_bits),
+        "data_bits must be 1..=8"
+    );
+    assert!(
+        (0.0..=1.0).contains(&data_fraction),
+        "data_fraction must be 0..=1"
+    );
+    let ctrl_words = STATE_WORDS as f64 * CONTROL_FRACTION;
+    let data_words = (STATE_WORDS as f64 - ctrl_words) * data_fraction;
+    let full_bit = bit_energy(RetentionPolicy::FullRetention.retention_ticks(8));
+    let ctrl = full_bit * (8.0 * ctrl_words);
+    // Data words persist their top `data_bits` bits: bit index b runs from
+    // MSB (8) down.
+    let mut per_word = Energy::ZERO;
+    for b in (8 - data_bits + 1)..=8 {
+        per_word += bit_energy(policy.retention_ticks(b));
     }
+    ctrl + per_word * data_words
+}
 
-    /// Energy of one backup: control state at full retention plus data
-    /// state writing its top `data_bits` bits under `policy`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data_bits` is outside `1..=8`.
-    pub fn backup_energy(&self, policy: RetentionPolicy, data_bits: u8) -> Energy {
-        self.backup_energy_scoped(policy, data_bits, 1.0)
-    }
-
-    /// [`backup_energy`](Self::backup_energy) with only a `data_fraction`
-    /// of the data words written (live-only backup scope: dead state need
-    /// not be persisted). Control state is always written in full.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data_bits` is outside `1..=8` or `data_fraction` outside
-    /// `0.0..=1.0`.
-    pub fn backup_energy_scoped(
-        &self,
-        policy: RetentionPolicy,
-        data_bits: u8,
-        data_fraction: f64,
-    ) -> Energy {
-        assert!(
-            (1..=WORD_BITS).contains(&data_bits),
-            "data_bits must be 1..=8"
-        );
-        assert!(
-            (0.0..=1.0).contains(&data_fraction),
-            "data_fraction must be 0..=1"
-        );
-        let ctrl_words = self.state_words as f64 * self.control_fraction;
-        let data_words = (self.state_words as f64 - ctrl_words) * data_fraction;
-        let full_bit = self.bit_energy(RetentionPolicy::FullRetention.retention_ticks(8));
-        let ctrl = full_bit * (8.0 * ctrl_words);
-        // Data words persist their top `data_bits` bits: bit index b runs
-        // from MSB (8) down.
-        let mut per_word = Energy::ZERO;
-        for b in (8 - data_bits + 1)..=8 {
-            per_word += self.bit_energy(policy.retention_ticks(b));
-        }
-        ctrl + per_word * data_words
-    }
-
-    /// Energy of one restore (reads plus wake-up overhead).
-    pub fn restore_energy(&self) -> Energy {
-        self.sttram.word_read_energy() * (self.state_words as f64 * self.periphery_multiplier)
-            + Energy::from_nj(self.wakeup_overhead_nj)
-    }
+/// Energy of one restore (reads plus wake-up overhead).
+pub fn restore_energy() -> Energy {
+    sttram::word_read_energy() * (STATE_WORDS as f64 * PERIPHERY_MULTIPLIER)
+        + Energy::from_nj(WAKEUP_OVERHEAD_NJ)
 }
 
 #[cfg(test)]
@@ -199,34 +143,31 @@ mod tests {
 
     #[test]
     fn full_precision_instr_near_calibration() {
-        let m = EnergyModel::default();
         let cfg = ApproxConfig::default();
-        let e = m.instr_energy(InstrClass::Alu, &cfg);
+        let e = instr_energy(InstrClass::Alu, &cfg);
         assert!((0.1..0.3).contains(&e.as_nj()), "{e}");
     }
 
     #[test]
     fn narrow_bits_cut_instruction_energy_roughly_in_half() {
         // Figure 15: 1-bit execution roughly doubles forward progress.
-        let m = EnergyModel::default();
-        let full = m.instr_energy(InstrClass::Alu, &ApproxConfig::default());
-        let one = m.instr_energy(InstrClass::Alu, &ApproxConfig::fixed(1));
+        let full = instr_energy(InstrClass::Alu, &ApproxConfig::default());
+        let one = instr_energy(InstrClass::Alu, &ApproxConfig::fixed(1));
         let ratio = full / one;
         assert!((1.7..2.6).contains(&ratio), "ratio {ratio:.2}");
         // Gradient-VDD: low-width datapaths are disproportionately cheap.
-        let two = m.instr_energy(InstrClass::Alu, &ApproxConfig::fixed(2));
+        let two = instr_energy(InstrClass::Alu, &ApproxConfig::fixed(2));
         assert!(two < full * 0.55);
     }
 
     #[test]
     fn simd_lanes_amortize_fetch() {
-        let m = EnergyModel::default();
         let four = ApproxConfig {
             lanes: 4,
             ..Default::default()
         };
-        let e1 = m.instr_energy(InstrClass::Alu, &ApproxConfig::default());
-        let e4 = m.instr_energy(InstrClass::Alu, &four);
+        let e1 = instr_energy(InstrClass::Alu, &ApproxConfig::default());
+        let e4 = instr_energy(InstrClass::Alu, &four);
         // 4 lanes cost far less than 4 independent instructions.
         assert!(e4 < e1 * 4.0 * 0.9);
         assert!(e4 > e1 * 2.0);
@@ -235,8 +176,7 @@ mod tests {
     #[test]
     fn backup_energy_magnitude() {
         // Section 3.2 calibration: a few hundred nJ at full retention.
-        let m = EnergyModel::default();
-        let full = m.backup_energy(RetentionPolicy::FullRetention, FULL_BITS);
+        let full = backup_energy(RetentionPolicy::FullRetention, FULL_BITS);
         assert!(
             (300.0..1600.0).contains(&full.as_nj()),
             "full backup {full}"
@@ -245,31 +185,28 @@ mod tests {
 
     #[test]
     fn shaped_policies_cheaper_ordering() {
-        let m = EnergyModel::default();
-        let full = m.backup_energy(RetentionPolicy::FullRetention, 8);
-        let lin = m.backup_energy(RetentionPolicy::Linear, 8);
-        let log = m.backup_energy(RetentionPolicy::Log, 8);
-        let par = m.backup_energy(RetentionPolicy::Parabola, 8);
+        let full = backup_energy(RetentionPolicy::FullRetention, 8);
+        let lin = backup_energy(RetentionPolicy::Linear, 8);
+        let log = backup_energy(RetentionPolicy::Log, 8);
+        let par = backup_energy(RetentionPolicy::Parabola, 8);
         assert!(log < lin && lin < par && par < full);
     }
 
     #[test]
     fn fewer_data_bits_cheaper_backup() {
-        let m = EnergyModel::default();
-        let b8 = m.backup_energy(RetentionPolicy::FullRetention, 8);
-        let b1 = m.backup_energy(RetentionPolicy::FullRetention, 1);
+        let b8 = backup_energy(RetentionPolicy::FullRetention, 8);
+        let b1 = backup_energy(RetentionPolicy::FullRetention, 1);
         assert!(b1 < b8 * 0.5, "b1 {b1} vs b8 {b8}");
     }
 
     #[test]
     fn restore_cheaper_than_backup() {
-        let m = EnergyModel::default();
-        assert!(m.restore_energy() < m.backup_energy(RetentionPolicy::Log, 1));
+        assert!(restore_energy() < backup_energy(RetentionPolicy::Log, 1));
     }
 
     #[test]
     #[should_panic(expected = "data_bits")]
     fn zero_bits_backup_panics() {
-        EnergyModel::default().backup_energy(RetentionPolicy::Linear, 0);
+        backup_energy(RetentionPolicy::Linear, 0);
     }
 }

@@ -5,11 +5,10 @@
 //! branches, and the incidental-computing marker instructions of Section 4
 //! (resume-point marking and frame commit).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A register name (`R0`–`R15`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Reg(pub u8);
 
 /// Number of architectural registers.
@@ -35,7 +34,7 @@ impl fmt::Display for Reg {
 
 /// Instruction classes for the energy model (Section 7's per-instruction
 /// energy accounting distinguishes datapath, memory and control).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InstrClass {
     /// Single-cycle ALU operation (add, sub, logic, min/max, shifts).
     Alu,
@@ -88,7 +87,7 @@ impl InstrClass {
 ///
 /// All ALU forms are `(dst, src…)`. Branch targets are absolute instruction
 /// indices, produced by [`crate::program::ProgramBuilder`] label resolution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Instr {
     // --- data movement ---
     /// `dst = imm`

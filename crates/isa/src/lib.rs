@@ -47,7 +47,6 @@ pub mod vm;
 
 pub use approx::{alu_approximate, alu_error_bound, mem_error_bound, mem_truncate, ApproxConfig};
 pub use compiled::{ChainEvent, CompileHints, CompiledProgram};
-pub use energy::{ClassEnergies, EnergyModel};
 pub use instr::{Instr, InstrClass, Reg, NUM_REGS};
 pub use program::{Label, Program, ProgramBuilder, ProgramError};
 pub use regfile::RegFile;

@@ -8,12 +8,11 @@
 //! resume points.
 
 use crate::instr::{Instr, Reg, NUM_REGS};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// An unresolved branch target handle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Label(u32);
 
 /// Errors from program construction.
@@ -45,7 +44,7 @@ impl fmt::Display for ProgramError {
 impl std::error::Error for ProgramError {}
 
 /// A fully-resolved, executable program.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     instrs: Vec<Instr>,
     /// Bitmask of registers carrying approximable data (AC bits, Section 4).

@@ -6,10 +6,9 @@
 
 use crate::instr::{Reg, NUM_REGS};
 use nvp_nvm::NUM_VERSIONS;
-use serde::{Deserialize, Serialize};
 
 /// The architectural register file: 16 registers × 4 versions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RegFile {
     regs: [[i32; NUM_VERSIONS]; NUM_REGS],
 }

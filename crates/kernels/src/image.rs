@@ -8,10 +8,9 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// An 8-bit grayscale image.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Image {
     width: usize,
     height: usize,
@@ -240,7 +239,7 @@ impl Image {
 
 /// A planar 8-bit RGB image (three full planes, R then G then B), the input
 /// format of the `tiff2bw` / `tiff2rgba` kernels.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RgbImage {
     /// Red plane.
     pub r: Image,

@@ -19,14 +19,13 @@
 use crate::{fft, image, integral, jpeg, median, sobel, susan, tiff};
 use nvp_isa::Program;
 use nvp_nvm::VersionedMemory;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
 /// Which value domain a kernel's output lives in, selecting the right
 /// MSE/PSNR variant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QualityDomain {
     /// 8-bit image output; compare with [`crate::quality::mse`]/[`crate::quality::psnr`].
     Clamped,
@@ -36,7 +35,7 @@ pub enum QualityDomain {
 }
 
 /// The ten testbenches of Figure 28.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelId {
     /// Sobel edge detection.
     Sobel,

@@ -19,12 +19,11 @@
 //! # Example
 //!
 //! ```
-//! use nvp_nvm::sttram::SttRamModel;
+//! use nvp_nvm::sttram::bit_write_energy;
 //! use nvp_power::Ticks;
 //!
-//! let model = SttRamModel::default();
-//! let day = model.bit_write_energy(Ticks::from_seconds(86_400.0));
-//! let ms10 = model.bit_write_energy(Ticks::from_ms(10.0));
+//! let day = bit_write_energy(Ticks::from_seconds(86_400.0));
+//! let ms10 = bit_write_energy(Ticks::from_ms(10.0));
 //! // Figure 4: ~77% of write energy is saved by dropping retention
 //! // from 1 day to 10 ms.
 //! let saving = 1.0 - ms10 / day;
@@ -40,5 +39,4 @@ pub mod sttram;
 pub mod versioned;
 
 pub use retention::RetentionPolicy;
-pub use sttram::SttRamModel;
 pub use versioned::{MergeMode, VersionedMemory, VersionedWord, NUM_VERSIONS};

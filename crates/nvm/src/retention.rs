@@ -21,16 +21,15 @@
 //! bits near MSB-grade retention (most conservative) and the log collapses
 //! them aggressively (cheapest writes, most forward progress in Figure 25).
 
-use crate::sttram::{anchors, SttRamModel};
+use crate::sttram::{self, anchors};
 use nvp_power::{Energy, Ticks};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Number of bits in a backed-up word.
 pub const WORD_BITS: u8 = 8;
 
 /// A per-bit retention-time policy for approximate backup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RetentionPolicy {
     /// Conventional NVP baseline: every bit retained for ≥ a decade.
     FullRetention,
@@ -92,17 +91,17 @@ impl RetentionPolicy {
         out
     }
 
-    /// Energy to back up one 8-bit word under this policy with the given
-    /// STT-RAM model (the paper's incidental-backup energy saving).
-    pub fn word_write_energy(self, model: &SttRamModel) -> Energy {
-        model.word_write_energy(&self.retention_profile())
+    /// Energy to back up one 8-bit word under this policy (the paper's
+    /// incidental-backup energy saving).
+    pub fn word_write_energy(self) -> Energy {
+        sttram::word_write_energy(&self.retention_profile())
     }
 
     /// Energy saving of this policy relative to the full-retention baseline
     /// (0 = no saving).
-    pub fn saving_vs_full(self, model: &SttRamModel) -> f64 {
-        let full = RetentionPolicy::FullRetention.word_write_energy(model);
-        1.0 - self.word_write_energy(model) / full
+    pub fn saving_vs_full(self) -> f64 {
+        let full = RetentionPolicy::FullRetention.word_write_energy();
+        1.0 - self.word_write_energy() / full
     }
 }
 
@@ -169,20 +168,18 @@ mod tests {
     fn energy_ordering_log_cheapest() {
         // Section 8.4: "The log policy frees the greatest amount of energy
         // and the parabola policy the least."
-        let m = SttRamModel::default();
-        let lin = RetentionPolicy::Linear.word_write_energy(&m);
-        let log = RetentionPolicy::Log.word_write_energy(&m);
-        let par = RetentionPolicy::Parabola.word_write_energy(&m);
-        let full = RetentionPolicy::FullRetention.word_write_energy(&m);
+        let lin = RetentionPolicy::Linear.word_write_energy();
+        let log = RetentionPolicy::Log.word_write_energy();
+        let par = RetentionPolicy::Parabola.word_write_energy();
+        let full = RetentionPolicy::FullRetention.word_write_energy();
         assert!(log < lin && lin < par && par < full);
     }
 
     #[test]
     fn shaped_policies_save_substantial_energy() {
         // Figure 25's ~1.4–1.6× FP gains come from ~30–60% backup savings.
-        let m = SttRamModel::default();
         for p in RetentionPolicy::SHAPED {
-            let s = p.saving_vs_full(&m);
+            let s = p.saving_vs_full();
             assert!((0.25..0.95).contains(&s), "{p}: saving {s:.2}");
         }
     }

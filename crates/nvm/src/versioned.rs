@@ -8,7 +8,6 @@
 //! recompute-and-combine: `sum`, `max`, `min` and `higherbits` (take the
 //! version computed at higher precision).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Number of word versions (the paper's 4-way SIMD limit).
@@ -18,7 +17,7 @@ pub const NUM_VERSIONS: usize = 4;
 pub const MAX_PRECISION: u8 = 8;
 
 /// One multi-version memory word: four values plus per-version precision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct VersionedWord {
     values: [i32; NUM_VERSIONS],
     precision: [u8; NUM_VERSIONS],
@@ -58,7 +57,7 @@ impl VersionedWord {
 }
 
 /// How two result versions are combined (Table 1's `assemble` modes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MergeMode {
     /// Element-wise sum (also updates precision to the max of the two).
     Sum,
@@ -125,7 +124,7 @@ impl fmt::Display for MergeMode {
 /// assert_eq!((mem.read(0, 0), mem.precision(0, 0)), (100, 8));
 /// assert_eq!((mem.read(0, 3), mem.precision(0, 3)), (90, 2));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VersionedMemory {
     words: Vec<VersionedWord>,
 }

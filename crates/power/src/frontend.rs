@@ -11,7 +11,6 @@
 //!   losses, and level-proportional leakage.
 
 use crate::units::{Energy, Power, Ticks};
-use serde::{Deserialize, Serialize};
 
 /// AC-DC rectifier with power-dependent conversion efficiency.
 ///
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// let hi = r.efficiency(Power::from_uw(1000.0));
 /// assert!(lo < hi && hi <= 0.9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rectifier {
     /// Asymptotic efficiency at high input power (0..=1).
     pub peak_efficiency: f64,
@@ -67,7 +66,7 @@ impl Rectifier {
 ///
 /// Sized to hold only a few backups' worth of energy; leakage is a small
 /// constant trickle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Capacitor {
     capacity: Energy,
     level: Energy,
@@ -196,7 +195,7 @@ impl VoltageMonitor {
 ///   large ESD);
 /// * **level-proportional leakage** — a big supercap leaks more the fuller
 ///   it is.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyStore {
     capacity: Energy,
     level: Energy,

@@ -8,10 +8,9 @@
 use crate::profile::PowerProfile;
 use crate::units::{Power, Ticks};
 use nvp_trace::{emit, Event, NoopTracer, Tracer};
-use serde::{Deserialize, Serialize};
 
 /// A single power emergency: a contiguous below-threshold interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Outage {
     /// Tick at which power first dropped below the threshold.
     pub start: Ticks,
@@ -28,7 +27,7 @@ impl Outage {
 
 /// Outage statistics over a power profile (Figure 3 left: durations over
 /// time; right: duration histogram).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct OutageStats {
     outages: Vec<Outage>,
     threshold_uw: f64,

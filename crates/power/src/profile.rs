@@ -2,7 +2,6 @@
 //! input (paper Figure 2).
 
 use crate::units::{Power, Ticks};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A power-income trace sampled once per 0.1 ms tick.
@@ -19,7 +18,7 @@ use std::fmt;
 /// assert_eq!(p.peak(), Power::from_uw(100.0));
 /// assert!((p.mean().as_uw() - 50.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PowerProfile {
     samples_uw: Vec<f64>,
 }

@@ -22,13 +22,12 @@ use crate::profile::PowerProfile;
 use crate::units::Ticks;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Parameters of the two-state burst/idle trace synthesizer.
 ///
 /// All durations are in 0.1 ms ticks, all powers in µW.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SynthParams {
     /// Mean burst (power-on) duration in ticks.
     pub mean_burst_ticks: f64,
@@ -93,7 +92,7 @@ impl Default for SynthParams {
 /// 2, 3 and 5 are progressively weaker — matching the paper's guidance that
 /// linear backup shaping suits profiles 1/4 and parabola suits 2/3/5
 /// (Section 8.6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WatchProfile {
     /// Profile 1: active wearer, frequent strong bursts.
     P1,

@@ -5,7 +5,6 @@
 //! time in distinct newtypes rules out the classic µW-vs-nJ confusion at
 //! compile time (C-NEWTYPE).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
@@ -22,7 +21,7 @@ pub const TICK_SECONDS: f64 = 1.0e-4;
 /// assert_eq!(p.as_uw(), 33.0);
 /// assert_eq!((p + p).as_uw(), 66.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Power(f64);
 
 /// An amount of energy, stored in nanojoules (nJ).
@@ -33,13 +32,11 @@ pub struct Power(f64);
 /// let e = Power::from_uw(1.0) * Ticks(1);
 /// assert!((e.as_nj() - 0.1).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Energy(f64);
 
 /// A duration measured in 0.1 ms simulation ticks.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Ticks(pub u64);
 
 impl Power {

@@ -187,7 +187,8 @@ pub struct RunRequest {
     /// RNG seed for retention decay.
     pub seed: u64,
     /// Whether the report keeps committed output frames (needed for
-    /// quality scoring).
+    /// quality scoring). Without it the report's `committed` is empty and
+    /// every other field is unchanged.
     pub record_outputs: bool,
     /// Retention policy for backups.
     pub backup_policy: RetentionPolicy,
@@ -298,25 +299,22 @@ pub fn simulate(req: &RunRequest) -> RunReport {
 /// concurrent callers of one request share a single simulation. A
 /// request that records outputs always simulates and is never stored as
 /// such: its frames would make the memo megabytes deep. Its report, with
-/// every frame's output and precision cleared, is exactly the report of
-/// the same request without recording, so it is offered to the memo under
-/// that request; a seed counts as neither hit nor miss. `experiments::run`
+/// `committed` emptied, is exactly the report of the same request without
+/// recording, so it is offered to the memo under that request; a seed
+/// counts as neither hit nor miss. `experiments::run`
 /// is the only caller, and it bypasses the memo inside a trace capture.
 pub(crate) fn simulate_memoized(req: &RunRequest) -> Arc<RunReport> {
     if !req.record_outputs {
         return RUNS.get_or_insert_with(req, || Arc::new(simulate(req)));
     }
-    let report = simulate(req);
-    let mut seed = report.clone();
-    for frame in &mut seed.committed {
-        frame.output = Vec::new();
-        frame.precision = Vec::new();
-    }
+    let mut report = simulate(req);
+    let committed = std::mem::take(&mut report.committed);
     let plain = RunRequest {
         record_outputs: false,
         ..req.clone()
     };
-    RUNS.offer(plain, Arc::new(seed));
+    RUNS.offer(plain, Arc::new(report.clone()));
+    report.committed = committed;
     Arc::new(report)
 }
 

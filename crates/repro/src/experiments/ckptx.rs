@@ -52,7 +52,6 @@ pub fn ckpt(scale: Scale) -> Vec<Table> {
             bits_lo,
             bits_hi,
             mem_words: spec.mem_words,
-            ..Default::default()
         };
         let s = synthesize(&spec.program, &acfg, &opts);
         let infeasible = if s.synthesized.infeasible_bits.is_empty() {

@@ -2,13 +2,12 @@
 
 use crate::table::fnum;
 use crate::Table;
-use nvp_nvm::sttram::anchors;
-use nvp_nvm::{RetentionPolicy, SttRamModel};
+use nvp_nvm::sttram::{anchors, bit_write_energy, write_current_ua, PULSE_KNEE_NS};
+use nvp_nvm::RetentionPolicy;
 
 /// Figure 4: write current vs pulse width for the four retention anchors,
 /// plus the headline 1-day → 10-ms energy saving.
 pub fn fig4() -> Vec<Table> {
-    let m = SttRamModel::default();
     let pulses = [0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0];
     let mut t = Table::new(
         "fig4_sttram_write",
@@ -18,21 +17,20 @@ pub fn fig4() -> Vec<Table> {
     for p in pulses {
         t.row([
             fnum(p),
-            fnum(m.write_current_ua(anchors::ten_ms(), p)),
-            fnum(m.write_current_ua(anchors::one_second(), p)),
-            fnum(m.write_current_ua(anchors::one_minute(), p)),
-            fnum(m.write_current_ua(anchors::one_day(), p)),
+            fnum(write_current_ua(anchors::ten_ms(), p)),
+            fnum(write_current_ua(anchors::one_second(), p)),
+            fnum(write_current_ua(anchors::one_minute(), p)),
+            fnum(write_current_ua(anchors::one_day(), p)),
         ]);
     }
-    let saving =
-        1.0 - m.bit_write_energy(anchors::ten_ms()) / m.bit_write_energy(anchors::one_day());
+    let saving = 1.0 - bit_write_energy(anchors::ten_ms()) / bit_write_energy(anchors::one_day());
     t.note(format!(
         "write-energy saving 1 day → 10 ms at optimal pulse: {:.0}% (paper: 77%)",
         saving * 100.0
     ));
     t.note(format!(
         "optimal pulse width (best write energy box): {} ns",
-        fnum(m.optimal_pulse_ns())
+        fnum(PULSE_KNEE_NS)
     ));
     vec![t]
 }
@@ -53,12 +51,11 @@ pub fn fig5() -> Vec<Table> {
             RetentionPolicy::Parabola.retention_ticks(b).0.to_string(),
         ]);
     }
-    let m = SttRamModel::default();
     for p in RetentionPolicy::SHAPED {
         t.note(format!(
             "{p}: word backup energy {} (saving vs full retention {:.0}%)",
-            p.word_write_energy(&m),
-            p.saving_vs_full(&m) * 100.0
+            p.word_write_energy(),
+            p.saving_vs_full() * 100.0
         ));
     }
     vec![t]

@@ -13,7 +13,7 @@ use crate::catalog::RunRequest;
 use crate::sweep::sweep;
 use crate::table::fnum;
 use crate::{dims, Scale, Table};
-use nvp_analysis::{wcec_report, Cfg, CostModel, EnergyBudget, TripBound, Wcec};
+use nvp_analysis::{usable_nj, wcec_report, Cfg, CostModel, TripBound, Wcec};
 use nvp_kernels::KernelId;
 use nvp_power::synth::WatchProfile;
 use nvp_sim::{ExecEngine, ExecMode};
@@ -29,8 +29,7 @@ fn fmt_wcec(w: Wcec) -> String {
 /// governor extremes, the proven entry-region floor, region/loop coverage,
 /// and whether the worst region fits the usable capacitor energy.
 pub fn wcec(scale: Scale) -> Vec<Table> {
-    let budget = EnergyBudget::default_platform();
-    let usable8 = budget.usable_nj(8);
+    let usable8 = usable_nj(8);
     let mut t = Table::new(
         "wcec_certificates",
         "Whole-program WCEC certificates (nvp-lint --energy)",

@@ -204,8 +204,9 @@ pub struct RunKey {
 }
 
 /// The defaults every front-end fills omitted fields with: sobel at
-/// 12 px, 2 frames, a 1.5 s canonical P1 trace, `SystemConfig`'s 3.5 µJ
-/// capacitor, full-state backups, precise mode, compiled engine.
+/// 12 px, 2 frames, a 1.5 s canonical P1 trace, the platform's 3.5 µJ
+/// capacitor ([`nvp_analysis::CAPACITOR_NJ`]), full-state backups, precise
+/// mode, compiled engine.
 impl Default for RunKey {
     fn default() -> Self {
         RunKey {
@@ -215,7 +216,7 @@ impl Default for RunKey {
             trace_ms: 1500,
             profile: WatchProfile::P1,
             member: 0,
-            cap_nj: 3500,
+            cap_nj: nvp_analysis::CAPACITOR_NJ as u64,
             scope: BackupScope::FullState,
             mode: RunMode::Precise,
             engine: ExecEngine::Compiled,
@@ -367,13 +368,5 @@ mod tests {
             key.canonical(),
             "cell/kernel=sobel&img=12&frames=2&ms=1500&profile=p1&member=0&cap_nj=3500&scope=full&mode=fixed:4&engine=compiled&seed=24301"
         );
-    }
-
-    #[test]
-    fn default_capacitor_is_bit_exact_with_the_system_default() {
-        let req = RunKey::default().run_request();
-        let from_key = nvp_power::Energy::from_nj(req.cap_nj as f64);
-        let default = nvp_sim::SystemConfig::default().capacitor_capacity;
-        assert_eq!(from_key.as_nj().to_bits(), default.as_nj().to_bits());
     }
 }

@@ -1,8 +1,9 @@
-//! `record_outputs` changes only the outputs: a run that records its
-//! committed frames reports exactly what the same run without recording
-//! does, once every frame's `output` and `precision` are cleared. This is
-//! what lets a figure that never reads frames run without recording and
-//! share its run with any other figure that does the same.
+//! `record_outputs` changes only the outputs: a run without recording
+//! keeps no committed frame, and a run that records its committed frames
+//! reports exactly what the same run without recording does once its
+//! `committed` is cleared. This is what lets a figure that never reads
+//! frames run without recording and share its run with any other figure
+//! that does the same.
 
 use nvp_isa::ApproxConfig;
 use nvp_kernels::KernelId;
@@ -52,15 +53,17 @@ proptest! {
                     ..RunRequest::default()
                 };
                 let plain = catalog::simulate(&req);
+                prop_assert!(plain.committed.is_empty(), "{:?}", req);
                 let mut recorded = catalog::simulate(&RunRequest {
                     record_outputs: true,
                     ..req.clone()
                 });
-                for frame in &mut recorded.committed {
-                    frames_with_output += usize::from(!frame.output.is_empty());
-                    frame.output.clear();
-                    frame.precision.clear();
-                }
+                frames_with_output += recorded
+                    .committed
+                    .iter()
+                    .filter(|frame| !frame.output.is_empty())
+                    .count();
+                recorded.committed.clear();
                 backups += plain.backups;
                 prop_assert_eq!(recorded, plain, "{:?}", req);
             }

@@ -1,13 +1,11 @@
-//! Energy accounting glue: the model re-export and the trace flush cursor.
+//! Energy accounting glue: the trace flush cursor.
 //!
-//! The calibrated [`EnergyModel`] itself lives in [`nvp_isa::energy`] so
+//! The calibrated energy model itself lives in [`nvp_isa::energy`] so
 //! that static analyses (the WCEC certifier in `nvp-analysis`) price
 //! instructions with exactly the arithmetic the simulator charges at
-//! runtime; it is re-exported here unchanged for existing users. What stays
-//! simulator-local is [`FlushCursor`], which turns the continuously
-//! accruing income/compute totals into telescoping trace deltas.
-
-pub use nvp_isa::energy::{ClassEnergies, EnergyModel};
+//! runtime. What stays simulator-local is [`FlushCursor`], which turns the
+//! continuously accruing income/compute totals into telescoping trace
+//! deltas.
 
 use nvp_power::Energy;
 use nvp_trace::Event;

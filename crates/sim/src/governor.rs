@@ -6,15 +6,13 @@
 //! power each tick and picks a bitwidth in `[minbits, maxbits]` — more
 //! energy, more bits (Section 8.3's dynamic bitwidth approximation).
 
-use serde::{Deserialize, Serialize};
-
 /// Capacitor fill level considered "rich" (maps to `maxbits`).
 const RICH_FILL: f64 = 0.8;
 /// Income power in µW considered "rich" on its own.
 const RICH_INCOME_UW: f64 = 400.0;
 
 /// Dynamic bitwidth governor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Governor {
     /// Minimum bitwidth (the pragma's `minbits` quality floor).
     pub minbits: u8,

@@ -8,8 +8,9 @@
 //! **forward progress** (instructions persistently committed) and the
 //! **number of backups**.
 //!
-//! * [`energy`] — per-instruction, backup and restore energy models
-//!   calibrated to the paper's 0.209 mW @ 1 MHz core,
+//! * [`energy`] — the trace's income/compute flush cursor (the
+//!   per-instruction, backup and restore energy model, calibrated to the
+//!   paper's 0.209 mW @ 1 MHz core, is [`nvp_isa::energy`]),
 //! * [`governor`] — the dynamic-bitwidth approximation control unit
 //!   (Figure 6), mapping stored energy and income power to a bitwidth,
 //! * [`system`] — the execution state machine with roll-back (conventional
@@ -32,7 +33,6 @@ pub mod resume;
 pub mod system;
 pub mod waitcompute;
 
-pub use energy::EnergyModel;
 pub use governor::Governor;
 pub use quickrun::{instructions_per_frame, run_fixed};
 pub use system::{

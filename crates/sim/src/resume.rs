@@ -11,14 +11,13 @@
 //! fourth slot is the live computation).
 
 use nvp_trace::Event;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Number of parking slots (memory versions 1–3).
 pub const PARK_SLOTS: usize = 3;
 
 /// A parked, incomplete frame, waiting at the resume marker.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PendingFrame {
     /// Which input frame this is.
     pub input_index: u64,
@@ -52,7 +51,7 @@ impl PendingFrame {
 }
 
 /// The resume-point FIFO.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResumeController {
     pending: VecDeque<PendingFrame>,
     capacity: usize,

@@ -9,11 +9,12 @@
 //! which either rolls back (conventional NVP) or rolls forward to the
 //! newest buffered frame (incidental NVP, Section 3.1).
 
-use crate::energy::{EnergyModel, FlushCursor};
+use crate::energy::FlushCursor;
 use crate::governor::Governor;
 use crate::resume::{PendingFrame, ResumeController, PARK_SLOTS};
-use nvp_analysis::{BackupLiveness, EnergyBudget};
+use nvp_analysis::{BackupLiveness, BACKUP_POLICY, CAPACITOR_NJ, RESERVE_SAFETY};
 use nvp_isa::approx::FULL_BITS;
+use nvp_isa::energy;
 use nvp_isa::{ApproxConfig, ChainEvent, CompiledProgram, StepEvent, Vm, NUM_REGS};
 use nvp_kernels::KernelSpec;
 use nvp_nvm::backup::decay_region_traced;
@@ -22,7 +23,6 @@ use nvp_power::{Capacitor, Energy, PowerProfile, Rectifier, Ticks, VoltageMonito
 use nvp_trace::{emit, Event, NoopTracer, Tracer};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Cycles available per 0.1 ms tick at the 1 MHz core clock.
@@ -42,7 +42,7 @@ const RUN_QUANTUM_TICKS: u64 = 400;
 const INCIDENTAL_BACKUP_FACTOR: f64 = 1.5;
 
 /// Incidental-mode parameters (the `incidental` pragma's bit range).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct IncidentalSetup {
     /// Minimum bitwidth for incidental (old-frame) lanes.
     pub minbits: u8,
@@ -80,7 +80,7 @@ impl IncidentalSetup {
 }
 
 /// Execution mode: which NVP variant is being simulated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecMode {
     /// Conventional precise 8-bit NVP (roll-back recovery).
     Precise,
@@ -97,8 +97,10 @@ pub enum ExecMode {
     Incidental(IncidentalSetup),
 }
 
-/// One committed output frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One committed output frame, kept only when
+/// [`SystemConfig::record_outputs`] is set (the `frame_committed` trace
+/// event carries the lane and tick of every commit either way).
+#[derive(Debug, Clone, PartialEq)]
 pub struct CommittedFrame {
     /// Index of the input frame this output corresponds to.
     pub input_index: u64,
@@ -106,14 +108,14 @@ pub struct CommittedFrame {
     pub lane: u8,
     /// Tick at which the frame committed.
     pub commit_tick: Ticks,
-    /// Output words (empty if output recording is disabled).
+    /// Output words.
     pub output: Vec<i32>,
     /// Per-element precision tags (parallel to `output`).
     pub precision: Vec<u8>,
 }
 
 /// Aggregate results of a system run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunReport {
     /// Lane-weighted instructions persistently committed (the paper's
     /// forward-progress metric, counting incidental SIMD work).
@@ -152,7 +154,8 @@ pub struct RunReport {
     /// Ticks at each live-lane bitwidth; index 0 counts off-ticks
     /// (Figure 18's utilization histogram).
     pub bit_utilization: [u64; 9],
-    /// Committed frames in commit order.
+    /// Committed frames in commit order; empty unless the run recorded
+    /// outputs.
     pub committed: Vec<CommittedFrame>,
 }
 
@@ -196,7 +199,7 @@ impl RunReport {
 
 /// How the run loop schedules capacitor checks against the instruction
 /// stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecEngine {
     /// Check the reserve before every instruction and retire it through
     /// [`Vm::step`] (the reference engine). Instructions are priced from
@@ -253,7 +256,7 @@ impl ExecEngine {
 }
 
 /// How much architectural state a backup persists.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BackupScope {
     /// Persist the full state image regardless of what is live.
     #[default]
@@ -282,7 +285,7 @@ pub enum BackupScope {
 /// The plan only scopes backup *costs* — the program's resume markers
 /// and recovery semantics are untouched, so a planned run must commit
 /// outputs identical to a full-state run.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CheckpointPlan {
     /// Checkpoint pcs, sorted (informational; recorded in certificates).
     pub checkpoints: Vec<usize>,
@@ -304,7 +307,6 @@ impl CheckpointPlan {
             bits_lo,
             bits_hi,
             mem_words: spec.mem_words,
-            ..Default::default()
         };
         let acfg = nvp_analysis::Cfg::build(&spec.program);
         let placement = nvp_analysis::synthesize(&spec.program, &acfg, &opts).synthesized;
@@ -317,11 +319,12 @@ impl CheckpointPlan {
 
 /// System configuration (capacitor, policy, ablation knobs).
 ///
-/// The energy model and the backup reserve's safety factor are not
-/// configurable: the simulator takes both from
-/// [`nvp_analysis::EnergyBudget::default_platform`], the platform the
-/// static WCEC lints certify against.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The energy model ([`nvp_isa::energy`]) and the backup reserve's safety
+/// factor ([`RESERVE_SAFETY`]) are constants of the platform, not
+/// configuration. The default capacitor and backup policy are the
+/// platform's [`CAPACITOR_NJ`] and [`BACKUP_POLICY`], the budget the static
+/// WCEC lints certify against.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// On-chip capacitor capacity.
     pub capacitor_capacity: Energy,
@@ -332,7 +335,9 @@ pub struct SystemConfig {
     /// Stop after committing this many live-lane frames (None = run the
     /// whole trace).
     pub frames_limit: Option<u64>,
-    /// Whether to record output frames in the report.
+    /// Whether to record output frames in the report. Without it,
+    /// [`RunReport::committed`] stays empty and every other report field
+    /// is unchanged.
     pub record_outputs: bool,
     /// Maximum incidental SIMD width (1..=4; ablation knob, paper uses 4).
     pub max_simd_lanes: u8,
@@ -342,22 +347,20 @@ pub struct SystemConfig {
     /// RNG seed for retention decay.
     pub seed: u64,
     /// Capacitor-check scheduling (results are identical either way).
-    #[serde(default)]
     pub exec_engine: ExecEngine,
     /// The checkpoint placement whose masks scope `BackupScope::LiveDirty`
     /// backups, shared rather than copied. `None` leaves every pc
     /// uncovered: each `LiveDirty` backup then persists the full state
     /// and traces a `backup_scope_fallback` warning. Other scopes ignore
     /// the plan.
-    #[serde(default)]
     pub checkpoint_plan: Option<Arc<CheckpointPlan>>,
 }
 
 impl Default for SystemConfig {
     fn default() -> Self {
         SystemConfig {
-            capacitor_capacity: Energy::from_uj(3.5),
-            backup_policy: RetentionPolicy::FullRetention,
+            capacitor_capacity: Energy::from_nj(CAPACITOR_NJ),
+            backup_policy: BACKUP_POLICY,
             backup_scope: BackupScope::default(),
             frames_limit: None,
             record_outputs: true,
@@ -386,9 +389,6 @@ pub struct SystemSim {
     frames: Arc<Vec<Vec<i32>>>,
     mode: ExecMode,
     cfg: SystemConfig,
-    /// The platform energy model (from [`EnergyBudget::default_platform`],
-    /// which also supplies the backup reserve's safety factor).
-    energy: EnergyModel,
     vm: Vm,
     cap: Capacitor,
     phase: Phase,
@@ -448,29 +448,24 @@ impl SystemSim {
         vm.seed_noise(cfg.seed ^ 0xA1);
         // 20 pJ of capacitor leakage per tick.
         let cap = Capacitor::new(cfg.capacitor_capacity, Energy::from_pj(20.0));
-        let EnergyBudget {
-            model: energy,
-            reserve_safety,
-            ..
-        } = EnergyBudget::default_platform();
         let backup_factor = match mode {
             ExecMode::Incidental(_) => INCIDENTAL_BACKUP_FACTOR,
             _ => 1.0,
         };
-        let quantum = energy.representative_instr(&Self::threshold_cfg(mode))
+        let quantum = energy::representative_instr(&Self::threshold_cfg(mode))
             * (RUN_QUANTUM_TICKS * CYCLES_PER_TICK) as f64;
         let mut backup_cost_by_bits = [Energy::ZERO; 9];
         let mut reserve_by_bits = [Energy::ZERO; 9];
         let mut start_threshold_by_bits = [Energy::ZERO; 9];
         for bits in 1..=FULL_BITS as usize {
-            let backup = energy.backup_energy(cfg.backup_policy, bits as u8) * backup_factor;
-            let reserve = backup * reserve_safety;
+            let backup = energy::backup_energy(cfg.backup_policy, bits as u8) * backup_factor;
+            let reserve = backup * RESERVE_SAFETY;
             // A threshold above the capacitor would deadlock the system;
             // clamp to what the hardware can actually bank (expensive
             // configurations like 4-SIMD end up pinned near the top — the
             // paper's "highest threshold" baseline).
             let start =
-                (reserve + energy.restore_energy() + quantum).min(cfg.capacitor_capacity * 0.95);
+                (reserve + energy::restore_energy() + quantum).min(cfg.capacitor_capacity * 0.95);
             backup_cost_by_bits[bits] = backup;
             reserve_by_bits[bits] = reserve;
             start_threshold_by_bits[bits] = start;
@@ -498,7 +493,6 @@ impl SystemSim {
             frames,
             mode,
             cfg,
-            energy,
             vm,
             cap,
             phase: Phase::Off,
@@ -703,9 +697,7 @@ impl SystemSim {
                 // sized for the full cost, so the scoped cost always fits
                 // (`scoped <= full`).
                 let bits = self.live_data_bits().clamp(1, FULL_BITS);
-                let mut scoped =
-                    self.energy
-                        .backup_energy_scoped(self.cfg.backup_policy, bits, frac);
+                let mut scoped = energy::backup_energy_scoped(self.cfg.backup_policy, bits, frac);
                 if self.is_incidental() {
                     scoped = scoped * INCIDENTAL_BACKUP_FACTOR;
                 }
@@ -821,7 +813,7 @@ impl SystemSim {
     }
 
     fn do_restore(&mut self, tick: u64, cursor: &mut FlushCursor, tracer: &mut dyn Tracer) {
-        let cost = self.energy.restore_energy();
+        let cost = energy::restore_energy();
         self.cap.drain_up_to(cost);
         self.report.energy_restore += cost;
         self.report.restores += 1;
@@ -947,21 +939,15 @@ impl SystemSim {
         let lanes = self.vm.approx().lanes as usize;
         for l in 0..lanes {
             let input_index = self.active_inputs[l];
-            let (output, precision) = if self.cfg.record_outputs {
-                (
-                    self.spec.read_output(self.vm.mem(), l),
-                    self.spec.read_output_precision(self.vm.mem(), l),
-                )
-            } else {
-                (Vec::new(), Vec::new())
-            };
-            self.report.committed.push(CommittedFrame {
-                input_index,
-                lane: l as u8,
-                commit_tick: Ticks(tick),
-                output,
-                precision,
-            });
+            if self.cfg.record_outputs {
+                self.report.committed.push(CommittedFrame {
+                    input_index,
+                    lane: l as u8,
+                    commit_tick: Ticks(tick),
+                    output: self.spec.read_output(self.vm.mem(), l),
+                    precision: self.spec.read_output_precision(self.vm.mem(), l),
+                });
+            }
             let incidental = !(l == 0 || matches!(self.mode, ExecMode::Simd4));
             if incidental {
                 self.report.incidental_frames += 1;
@@ -1014,7 +1000,7 @@ impl SystemSim {
         }
         let mut table = [Energy::ZERO; 6];
         for class in nvp_isa::InstrClass::ALL {
-            table[class.index()] = self.energy.instr_energy(class, cfg);
+            table[class.index()] = energy::instr_energy(class, cfg);
         }
         self.class_cache = Some((*cfg, table));
         table
@@ -1701,11 +1687,6 @@ mod tests {
         // The tables replace a per-check computation; pin them against
         // that computation, in its original operation order, bit for bit.
         let id = KernelId::Sobel;
-        let EnergyBudget {
-            model,
-            reserve_safety,
-            ..
-        } = EnergyBudget::default_platform();
         let policies = [
             RetentionPolicy::FullRetention,
             RetentionPolicy::Linear,
@@ -1728,14 +1709,14 @@ mod tests {
                     let mut sim =
                         SystemSim::new(id.spec(8, 8), small_frames(id, 8, 8, 1), mode, cfg);
                     for bits in 1..=FULL_BITS {
-                        let mut backup = model.backup_energy(policy, bits);
+                        let mut backup = energy::backup_energy(policy, bits);
                         if matches!(mode, ExecMode::Incidental(_)) {
                             backup = backup * INCIDENTAL_BACKUP_FACTOR;
                         }
-                        let reserve = backup * reserve_safety;
-                        let quantum = model.representative_instr(&SystemSim::threshold_cfg(mode))
+                        let reserve = backup * RESERVE_SAFETY;
+                        let quantum = energy::representative_instr(&SystemSim::threshold_cfg(mode))
                             * (RUN_QUANTUM_TICKS * CYCLES_PER_TICK) as f64;
-                        let raw = reserve + model.restore_energy() + quantum;
+                        let raw = reserve + energy::restore_energy() + quantum;
                         let start = raw.min(capacity * 0.95);
                         if raw > start {
                             clamped += 1;
@@ -1782,7 +1763,6 @@ mod tests {
         // width, lane changes set 1–4 lanes, and a program may clear
         // AC_EN: this grid covers every configuration a run can price.
         let id = KernelId::Sobel;
-        let model = EnergyBudget::default_platform().model;
         let mut sim = SystemSim::new(
             id.spec(8, 8),
             small_frames(id, 8, 8, 1),
@@ -1805,7 +1785,7 @@ mod tests {
                             for class in nvp_isa::InstrClass::ALL {
                                 assert_eq!(
                                     table[class.index()].as_nj().to_bits(),
-                                    model.instr_energy(class, &cfg).as_nj().to_bits(),
+                                    energy::instr_energy(class, &cfg).as_nj().to_bits(),
                                     "{class:?} at {cfg:?}"
                                 );
                             }

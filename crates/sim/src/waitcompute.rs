@@ -9,15 +9,13 @@
 //! apply: conversion losses in and out, level-proportional leakage, and no
 //! charging at all below the minimum current.
 
-use crate::energy::EnergyModel;
-use nvp_isa::ApproxConfig;
-use nvp_isa::InstrClass;
+use nvp_isa::energy::instr_energy;
+use nvp_isa::{ApproxConfig, InstrClass};
 use nvp_power::{Energy, EnergyStore, PowerProfile, Rectifier, Ticks};
 use nvp_trace::{emit, Event, NoopTracer, Tracer};
-use serde::{Deserialize, Serialize};
 
 /// Results of a wait-compute run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WaitComputeReport {
     /// Frames fully completed.
     pub frames_completed: u64,
@@ -39,8 +37,6 @@ pub struct WaitComputeSim {
     /// Instructions in one frame (sized with
     /// [`crate::quickrun::instructions_per_frame`]).
     pub frame_instructions: u64,
-    /// Energy model shared with the NVP for a fair comparison.
-    pub energy: EnergyModel,
     /// Front-end rectifier.
     pub rectifier: Rectifier,
     /// The large ESD.
@@ -50,24 +46,22 @@ pub struct WaitComputeSim {
 impl WaitComputeSim {
     /// Builds the baseline for a frame of the given instruction count,
     /// sizing the ESD to hold one frame's energy (the paper's design rule).
+    /// The MCU is priced with the NVP's energy model for a fair comparison.
     pub fn new(frame_instructions: u64) -> Self {
-        let energy = EnergyModel::default();
-        let frame_energy = Self::frame_energy_static(&energy, frame_instructions);
         WaitComputeSim {
             frame_instructions,
-            energy,
             rectifier: Rectifier::default(),
-            store: EnergyStore::sized_for(frame_energy),
+            store: EnergyStore::sized_for(Self::frame_energy_of(frame_instructions)),
         }
     }
 
-    fn frame_energy_static(energy: &EnergyModel, instrs: u64) -> Energy {
-        energy.instr_energy(InstrClass::Alu, &ApproxConfig::default()) * instrs as f64
+    fn frame_energy_of(instrs: u64) -> Energy {
+        instr_energy(InstrClass::Alu, &ApproxConfig::default()) * instrs as f64
     }
 
     /// Energy needed for one frame.
     pub fn frame_energy(&self) -> Energy {
-        Self::frame_energy_static(&self.energy, self.frame_instructions)
+        Self::frame_energy_of(self.frame_instructions)
     }
 
     /// Runs the baseline over a power trace.
@@ -83,9 +77,7 @@ impl WaitComputeSim {
         tracer: &mut dyn Tracer,
     ) -> WaitComputeReport {
         let frame_energy = self.frame_energy();
-        let instr_energy = self
-            .energy
-            .instr_energy(InstrClass::Alu, &ApproxConfig::default());
+        let per_instr = instr_energy(InstrClass::Alu, &ApproxConfig::default());
         // The MCU executes at 1 MHz: 100 instructions per tick.
         let per_tick = 100u64;
         let mut rep = WaitComputeReport::default();
@@ -98,7 +90,7 @@ impl WaitComputeSim {
             if executing_remaining > 0 {
                 rep.run_ticks += 1;
                 let burst = executing_remaining.min(per_tick);
-                if self.store.try_deliver(instr_energy * burst as f64) {
+                if self.store.try_deliver(per_instr * burst as f64) {
                     executing_remaining -= burst;
                     rep.forward_progress += burst;
                     if executing_remaining == 0 {
@@ -117,7 +109,7 @@ impl WaitComputeSim {
                     emit(tracer, || Event::WaitStall {
                         tick: t.0,
                         level_nj: self.store.level().as_nj(),
-                        needed_nj: (instr_energy * burst as f64).as_nj(),
+                        needed_nj: (per_instr * burst as f64).as_nj(),
                     });
                     executing_remaining = 0;
                 }

@@ -208,17 +208,3 @@ fn compiled_actually_runs_and_commits() {
     assert!(rep.frames_committed > 0);
     assert!(trace.contains("run_end"));
 }
-
-#[test]
-fn static_budget_matches_simulator_platform() {
-    // Drift guard promised by `nvp_analysis::EnergyBudget`'s docs: the
-    // platform the WCEC lints certify against must be the platform the
-    // simulator actually runs. If someone retunes `SystemConfig::default`
-    // this fails until the analysis-side budget is retuned with it. The
-    // energy model and reserve safety factor cannot drift: the simulator
-    // reads both from the budget itself.
-    let budget = nvp_analysis::EnergyBudget::default_platform();
-    let sim = SystemConfig::default();
-    assert_eq!(budget.capacity_nj, sim.capacitor_capacity.as_nj());
-    assert_eq!(budget.backup_policy, sim.backup_policy);
-}
