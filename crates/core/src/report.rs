@@ -89,7 +89,6 @@ impl QualityReport {
         let frames = report
             .committed
             .iter()
-            .filter(|c| !c.output.is_empty())
             .map(|c| {
                 let golden = &goldens[(c.input_index as usize) % goldens.len()];
                 let (mse, psnr) = match kernel.quality_domain() {

@@ -16,13 +16,16 @@
 //! identical requests produce byte-identical reports and traces, which
 //! is what makes result caching in `nvp-serve` and `nvp-fleet` sound.
 //! Both always simulate. The sixth cache is the `repro` run memo behind
-//! `experiments::run`: [`RunRequest`] to shared report, for requests that
-//! record no outputs, seeded also by the runs that do ([`run_memo_stats`]).
+//! `experiments::run`: canonical [`RunRequest`] to shared report, for
+//! requests that record no outputs, seeded also by the runs that do
+//! ([`run_memo_stats`]). The canonical form spells each run one way:
+//! `Fixed` at full precision is `Precise`, and a `LiveDirty` request
+//! without a plan names the [`plan_for`] plan it takes.
 
 use crate::dims;
 use crate::key::RunKey;
 use nvp_exec::{Cache, CacheStats};
-use nvp_isa::CompiledProgram;
+use nvp_isa::{ApproxConfig, CompiledProgram};
 use nvp_kernels::{KernelId, KernelSpec};
 use nvp_nvm::RetentionPolicy;
 use nvp_power::synth::WatchProfile;
@@ -46,7 +49,8 @@ const FRAMES_CAPACITY: usize = 128;
 /// Power traces: one per profile × length × family member, up to
 /// ~2.4 MB each at the 30 s request limit.
 const TRACE_CAPACITY: usize = 32;
-/// Memoized `repro` run reports: one per distinct output-free request.
+/// Memoized `repro` run reports: one per distinct canonical output-free
+/// request.
 const RUN_CAPACITY: usize = 512;
 
 type SpecKey = (KernelId, usize, usize);
@@ -251,6 +255,24 @@ impl RunRequest {
         (inputs, machine, knobs, record_outputs, checkpoint_plan)
     }
 
+    /// The one spelling of this request's run: `Fixed` at full precision
+    /// is `Precise` (the same start threshold and approximation
+    /// configuration, and neither has a governor), and a `LiveDirty` run
+    /// without an explicit plan carries the [`plan_for`] plan it resolves
+    /// to. Both rules keep the report and the trace byte for byte
+    /// (`crates/repro/tests/canonical_key.rs`).
+    pub(crate) fn canonical(&self) -> RunRequest {
+        let mut req = self.clone();
+        if req.mode == ExecMode::Fixed(ApproxConfig::default()) {
+            req.mode = ExecMode::Precise;
+        }
+        if req.scope == BackupScope::LiveDirty && req.checkpoint_plan.is_none() {
+            let (w, h) = dims(req.kernel, req.img);
+            req.checkpoint_plan = Some(plan_for(req.kernel, w, h));
+        }
+        req
+    }
+
     /// Builds the system configuration this request implies at frame
     /// dimensions `w` × `h`. A `LiveDirty` run shares its plan (`Arc`)
     /// rather than copying it.
@@ -296,24 +318,26 @@ pub fn simulate(req: &RunRequest) -> RunReport {
 }
 
 /// Runs one request through the run memo, simulating only on a miss;
-/// concurrent callers of one request share a single simulation. A
-/// request that records outputs always simulates and is never stored as
-/// such: its frames would make the memo megabytes deep. Its report, with
-/// `committed` emptied, is exactly the report of the same request without
-/// recording, so it is offered to the memo under that request; a seed
-/// counts as neither hit nor miss. `experiments::run`
-/// is the only caller, and it bypasses the memo inside a trace capture.
+/// concurrent callers of one request share a single simulation. The memo
+/// stores a run under its canonical request ([`RunRequest::canonical`]),
+/// so two requests that differ only in how they spell one run share it.
+/// A request that records outputs always simulates and is never stored
+/// as such: its frames would make the memo megabytes deep. Its report,
+/// with `committed` emptied, is exactly the report of the same request
+/// without recording, so it is offered to the memo under that request's
+/// canonical form; a seed counts as neither hit nor miss. `experiments::run` is the only
+/// caller, and it bypasses the memo inside a trace capture.
 pub(crate) fn simulate_memoized(req: &RunRequest) -> Arc<RunReport> {
+    let key = RunRequest {
+        record_outputs: false,
+        ..req.canonical()
+    };
     if !req.record_outputs {
-        return RUNS.get_or_insert_with(req, || Arc::new(simulate(req)));
+        return RUNS.get_or_insert_with(&key, || Arc::new(simulate(&key)));
     }
     let mut report = simulate(req);
     let committed = std::mem::take(&mut report.committed);
-    let plain = RunRequest {
-        record_outputs: false,
-        ..req.clone()
-    };
-    RUNS.offer(plain, Arc::new(report.clone()));
+    RUNS.offer(key, Arc::new(report.clone()));
     report.committed = committed;
     Arc::new(report)
 }
@@ -417,6 +441,42 @@ mod tests {
             ..dirty
         });
         assert_eq!(unscoped.energy_backup_saved, Energy::ZERO);
+    }
+
+    #[test]
+    fn canonical_key_folds_only_the_two_equivalent_spellings() {
+        let key = |mode, scope, checkpoint_plan| {
+            RunRequest {
+                mode,
+                scope,
+                checkpoint_plan,
+                ..req()
+            }
+            .canonical()
+        };
+        let full = BackupScope::FullState;
+        let precise = key(ExecMode::Precise, full, None);
+        let fixed = |bits| ExecMode::Fixed(ApproxConfig::fixed(bits));
+        assert_eq!(key(fixed(8), full, None), precise);
+        assert_ne!(key(fixed(7), full, None), precise);
+        assert_ne!(key(fixed(7), full, None), key(fixed(8), full, None));
+
+        let dirty = BackupScope::LiveDirty;
+        let implicit = key(ExecMode::Precise, dirty, None);
+        let (w, h) = dims(req().kernel, req().img);
+        let cached = plan_for(req().kernel, w, h);
+        assert_eq!(
+            key(ExecMode::Precise, dirty, Some(cached.clone())),
+            implicit
+        );
+        let other = CheckpointPlan {
+            masks: cached.masks.iter().map(|m| !m).collect(),
+            ..(*cached).clone()
+        };
+        assert_ne!(
+            key(ExecMode::Precise, dirty, Some(Arc::new(other))),
+            implicit
+        );
     }
 
     #[test]

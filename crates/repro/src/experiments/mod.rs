@@ -98,13 +98,41 @@ pub(crate) fn run(req: &RunRequest) -> Arc<RunReport> {
 }
 
 /// Every experiment in paper order; used by `repro all`.
+///
+/// Figures 19, 21 and 24 score outputs, so their runs record them, and a
+/// recording run seeds the run memo for its output-free twin. They are
+/// made first, so Figures 15, 18 and 22 find those runs in the memo
+/// instead of simulating them again. Their tables still come out, and
+/// inside a [`traced`] capture their traces still land, in paper order:
+/// a `repro all --trace` file equals the traces of its experiments run
+/// one by one.
 pub fn all(scale: Scale) -> Vec<Table> {
     all_with_ablation(scale, false)
+}
+
+/// A figure made ahead of its paper position, with the trace text it
+/// captured when made inside a capture.
+fn early(make: impl FnOnce() -> Vec<Table>) -> (Vec<Table>, String) {
+    if capture_active() {
+        traced(make)
+    } else {
+        (make(), String::new())
+    }
+}
+
+/// Puts a figure made by [`early`] back at its paper position: appends
+/// its trace text to the capture and hands back its tables.
+fn in_place((tables, text): (Vec<Table>, String)) -> Vec<Table> {
+    capture_append(&text);
+    tables
 }
 
 /// [`all`], ending with Figure 28's ablation columns when `ablate` (`repro
 /// all --ablate`).
 pub fn all_with_ablation(scale: Scale, ablate: bool) -> Vec<Table> {
+    let recorded_fig19 = early(|| fig19(scale));
+    let recorded_fig21 = early(|| fig21(scale));
+    let recorded_fig24 = early(|| fig24(scale));
     let mut out = Vec::new();
     out.extend(fig2(scale));
     out.extend(fig3(scale));
@@ -121,11 +149,11 @@ pub fn all_with_ablation(scale: Scale, ablate: bool) -> Vec<Table> {
     out.extend(fig15(scale));
     out.extend(fig16(scale));
     out.extend(fig18(scale));
-    out.extend(fig19(scale));
+    out.extend(in_place(recorded_fig19));
     out.extend(fig20(scale));
-    out.extend(fig21(scale));
+    out.extend(in_place(recorded_fig21));
     out.extend(fig22(scale));
-    out.extend(fig24(scale));
+    out.extend(in_place(recorded_fig24));
     out.extend(fig25(scale));
     out.extend(fig27(scale));
     out.extend(table2(scale));

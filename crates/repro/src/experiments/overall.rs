@@ -329,7 +329,7 @@ fn jpeg_inflation(
     target: f64,
 ) -> (f64, f64) {
     let mut inflations = Vec::new();
-    for c in rep.committed.iter().filter(|c| !c.output.is_empty()) {
+    for c in &rep.committed {
         let input = &frames[(c.input_index as usize) % frames.len()];
         let golden = KernelId::JpegEncode.golden(input, w, h);
         let precise = jpeg::true_sad(input, w, h, &golden);

@@ -64,7 +64,7 @@ pub fn images(scale: Scale, dir: &Path) -> std::io::Result<Vec<Table>> {
             cfg,
         )
         .run(&wp.synthesize_seconds(scale.trace_seconds.max(3.0)));
-        if let Some(frame) = rep.committed.iter().find(|c| !c.output.is_empty()) {
+        if let Some(frame) = rep.committed.first() {
             let f = save(
                 dir,
                 &format!("fig17_median_dynamic_p{}", wp.index()),
@@ -86,7 +86,7 @@ pub fn images(scale: Scale, dir: &Path) -> std::io::Result<Vec<Table>> {
         };
         let rep = SystemSim::new(id.spec(w, h), vec![input.clone()], ExecMode::Precise, cfg)
             .run(&WatchProfile::P2.synthesize_seconds(scale.trace_seconds.max(3.0)));
-        if let Some(frame) = rep.committed.iter().find(|c| !c.output.is_empty()) {
+        if let Some(frame) = rep.committed.first() {
             let f = save(dir, &format!("fig26_median_{policy}"), w, h, &frame.output)?;
             t.row([
                 "fig 26".into(),

@@ -38,7 +38,7 @@ proptest! {
         bits in 1u8..=8,
         seed in any::<u64>(),
     ) {
-        let (mut frames_with_output, mut backups) = (0, 0);
+        let (mut frames_recorded, mut backups) = (0, 0);
         for scope in SCOPES {
             for mode in modes(bits) {
                 let req = RunRequest {
@@ -58,17 +58,17 @@ proptest! {
                     record_outputs: true,
                     ..req.clone()
                 });
-                frames_with_output += recorded
-                    .committed
-                    .iter()
-                    .filter(|frame| !frame.output.is_empty())
-                    .count();
+                prop_assert!(
+                    recorded.committed.iter().all(|frame| !frame.output.is_empty()),
+                    "{:?}", req
+                );
+                frames_recorded += recorded.committed.len();
                 recorded.committed.clear();
                 backups += plain.backups;
                 prop_assert_eq!(recorded, plain, "{:?}", req);
             }
         }
-        prop_assert!(frames_with_output > 0, "no run recorded an output");
+        prop_assert!(frames_recorded > 0, "no run recorded an output");
         prop_assert!(backups > 0, "no run backed up");
     }
 }

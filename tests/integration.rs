@@ -120,11 +120,7 @@ fn dynamic_quality_not_below_floor() {
         cfg,
     )
     .run(&profile);
-    let frame = rep
-        .committed
-        .iter()
-        .find(|c| !c.output.is_empty())
-        .expect("one frame commits");
+    let frame = rep.committed.first().expect("one frame commits");
     let mse_dyn = quality::mse(&golden, &frame.output);
     assert!(
         mse_dyn <= mse_1 * 1.5,
