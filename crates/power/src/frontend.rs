@@ -133,6 +133,22 @@ impl Capacitor {
         take
     }
 
+    /// Lowers the stored level to `level`: the end of a run of
+    /// [`try_drain`](Self::try_drain)-equivalent drains that the caller
+    /// kept in a local (a metered instruction loop).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `level` is negative or above the current level.
+    #[inline]
+    pub fn drain_to(&mut self, level: Energy) {
+        assert!(
+            level >= Energy::ZERO && level <= self.level,
+            "drain_to may only lower the level"
+        );
+        self.level = level;
+    }
+
     /// Applies one tick of leakage.
     pub fn leak_tick(&mut self) {
         self.level = self.level.saturating_sub(self.leak_per_tick);
@@ -345,6 +361,16 @@ mod tests {
         assert_eq!(c.level(), Energy::from_nj(5.0));
         assert!(c.try_drain(Energy::from_nj(5.0)));
         assert_eq!(c.level(), Energy::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "may only lower")]
+    fn capacitor_drain_to_only_lowers() {
+        let mut c = Capacitor::new(Energy::from_nj(10.0), Energy::ZERO);
+        c.charge(Energy::from_nj(5.0));
+        c.drain_to(Energy::from_nj(2.0));
+        assert_eq!(c.level(), Energy::from_nj(2.0));
+        c.drain_to(Energy::from_nj(3.0));
     }
 
     #[test]

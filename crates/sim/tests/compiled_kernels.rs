@@ -1,7 +1,6 @@
 //! Whole-kernel equivalence gate for the compiled table: every shipped
 //! kernel, run to halt one instruction at a time through
-//! [`CompiledProgram::step_vm`] (falling back to [`Vm::step`] at pcs the
-//! table does not cover), must end in exactly the state
+//! [`CompiledProgram::step_vm`], must end in exactly the state
 //! [`Vm::run_to_halt`] reaches — same output frame, counters, register
 //! file, and memory values and precision tags in every version.
 //!
