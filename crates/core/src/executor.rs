@@ -12,7 +12,7 @@ use crate::pragma::PragmaSet;
 use crate::report::{ProgressSummary, QualityReport};
 use nvp_kernels::{KernelId, KernelSpec};
 use nvp_power::PowerProfile;
-use nvp_sim::{ExecMode, IncidentalSetup, RunReport, SystemConfig, SystemSim};
+use nvp_sim::{ExecMode, RunReport, SystemConfig, SystemSim};
 
 /// Results of one executor run.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,13 +95,13 @@ impl ExecutorBuilder {
             match (self.pragmas.incidental(), self.pragmas.rolls_forward()) {
                 (Some((minbits, maxbits, policy)), true) => {
                     system.backup_policy = policy;
-                    ExecMode::Incidental(IncidentalSetup::new(minbits, maxbits))
+                    ExecMode::Incidental(minbits, maxbits)
                 }
                 (Some((minbits, maxbits, policy)), false) => {
                     // Approximation without roll-forward: dynamic bitwidth
                     // on the live lane.
                     system.backup_policy = policy;
-                    ExecMode::Dynamic(nvp_sim::Governor::new(minbits, maxbits))
+                    ExecMode::Dynamic(minbits, maxbits)
                 }
                 (None, _) => ExecMode::Precise,
             }
@@ -219,7 +219,7 @@ mod tests {
         let exec = IncidentalExecutor::builder(KernelId::Median, 8, 8)
             .pragmas(figure8_a1())
             .build();
-        assert!(matches!(exec.mode(), ExecMode::Incidental(s) if s.minbits == 2));
+        assert!(matches!(exec.mode(), ExecMode::Incidental(2, _)));
     }
 
     #[test]
@@ -234,7 +234,7 @@ mod tests {
         let exec = IncidentalExecutor::builder(KernelId::Median, 8, 8)
             .pragmas(pragmas)
             .build();
-        assert!(matches!(exec.mode(), ExecMode::Dynamic(_)));
+        assert!(matches!(exec.mode(), ExecMode::Dynamic(..)));
     }
 
     #[test]

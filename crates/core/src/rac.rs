@@ -13,7 +13,7 @@ use nvp_kernels::spec::QualityDomain;
 use nvp_kernels::KernelId;
 use nvp_nvm::MergeMode;
 use nvp_power::PowerProfile;
-use nvp_sim::{ExecMode, Governor, SystemConfig, SystemSim};
+use nvp_sim::{ExecMode, SystemConfig, SystemSim};
 
 /// Result of an N-pass recompute-and-combine run.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,7 +89,7 @@ pub fn recompute_and_combine(
         let sim = SystemSim::new(
             spec.clone(),
             vec![input.to_vec()],
-            ExecMode::Dynamic(Governor::new(minbits, 8)),
+            ExecMode::Dynamic(minbits, 8),
             cfg,
         );
         let run = sim.run(&segment);

@@ -139,19 +139,6 @@ impl QualityReport {
         }
     }
 
-    /// Worst (lowest) frame PSNR, infinite if all perfect, 0 if empty.
-    pub fn min_psnr(&self) -> f64 {
-        self.frames
-            .iter()
-            .map(|f| f.psnr)
-            .fold(f64::INFINITY, f64::min)
-            .min(if self.frames.is_empty() {
-                0.0
-            } else {
-                f64::INFINITY
-            })
-    }
-
     /// Quality restricted to one lane class.
     pub fn lane_frames(&self, incidental: bool) -> impl Iterator<Item = &FrameQuality> {
         self.frames

@@ -40,7 +40,8 @@ pub mod spec;
 pub use agg::FleetAggregate;
 pub use cell::{cell_cache_stats, cells_computed, cells_shared, evaluate_cell, CellOutcome};
 pub use engine::{run_chunks, Progress, RunOptions, RunStatus};
-pub use nvp_repro::key::{scope_tag, RunKey as CellKey, RunMode as FleetMode};
+pub use nvp_repro::key::{scope_tag, RunKey as CellKey};
+pub use nvp_sim::ExecMode as FleetMode;
 pub use reservoir::{TopK, WeightedReservoir};
 pub use sample::{cell_for_device, cohort, splitmix64};
 pub use snapshot::{decode_snapshot, encode_snapshot, SnapshotError};

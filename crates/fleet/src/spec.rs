@@ -32,9 +32,9 @@ use nvp_exec::fnv1a64;
 use nvp_kernels::KernelId;
 use nvp_power::synth::WatchProfile;
 use nvp_repro::key::{
-    limits, parse_kernel, parse_profile, parse_scope, scope_tag, seconds_to_ms, RunKey, RunMode,
+    limits, parse_kernel, parse_profile, parse_scope, scope_tag, seconds_to_ms, RunKey,
 };
-use nvp_sim::{BackupScope, ExecEngine};
+use nvp_sim::{BackupScope, ExecEngine, ExecMode};
 use std::fmt;
 
 /// Most distinct cells one scenario may expand to. The axis cross-product
@@ -119,7 +119,7 @@ pub struct ScenarioSpec {
     /// Backup-scope distribution.
     pub scopes: Vec<Weighted<BackupScope>>,
     /// NVP-variant distribution (the governor-policy axis).
-    pub modes: Vec<Weighted<RunMode>>,
+    pub modes: Vec<Weighted<ExecMode>>,
     /// Execution-engine distribution.
     pub engines: Vec<Weighted<ExecEngine>>,
 }
@@ -202,7 +202,7 @@ impl ScenarioSpec {
                     })?
                 }
                 "scopes" => scopes = parse_axis(value, ln, parse_scope)?,
-                "modes" => modes = parse_axis(value, ln, RunMode::parse)?,
+                "modes" => modes = parse_axis(value, ln, ExecMode::parse)?,
                 "engines" => engines = parse_axis(value, ln, ExecEngine::parse)?,
                 other => return Err(SpecError::new(ln, format!("unknown key '{other}'"))),
             }
@@ -323,7 +323,7 @@ impl ScenarioSpec {
             axis(&self.profiles, |p| format!("p{}", p.index())),
             axis(&self.caps_nj, |c| c.to_string()),
             axis(&self.scopes, |s| scope_tag(*s).to_string()),
-            axis(&self.modes, RunMode::to_string),
+            axis(&self.modes, ExecMode::to_string),
             axis(&self.engines, |e| e.name().to_string()),
         )
     }

@@ -21,7 +21,7 @@ pub const FULL_BITS: u8 = 8;
 
 /// Per-lane approximation configuration, set each control epoch by the
 /// approximation control unit (Figure 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ApproxConfig {
     /// Global AC enable (the `AC_EN` register; a running program can unset
     /// it to force full-precision execution).

@@ -58,11 +58,6 @@ impl Power {
         self.0
     }
 
-    /// Returns the value in milliwatts.
-    pub fn as_mw(self) -> f64 {
-        self.0 * 1e-3
-    }
-
     /// Clamps to the `[lo, hi]` range.
     pub fn clamp(self, lo: Power, hi: Power) -> Power {
         Power(self.0.clamp(lo.0, hi.0))
@@ -106,11 +101,6 @@ impl Energy {
     /// Returns the value in nanojoules.
     pub fn as_nj(self) -> f64 {
         self.0
-    }
-
-    /// Returns the value in microjoules.
-    pub fn as_uj(self) -> f64 {
-        self.0 * 1e-3
     }
 
     /// Returns the value in picojoules.

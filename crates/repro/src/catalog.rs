@@ -27,11 +27,11 @@
 use crate::dims;
 use crate::key::RunKey;
 use nvp_exec::{Cache, CacheStats};
-use nvp_isa::{ApproxConfig, CompiledProgram};
+use nvp_isa::CompiledProgram;
 use nvp_kernels::{KernelId, KernelSpec};
 use nvp_nvm::RetentionPolicy;
 use nvp_power::synth::WatchProfile;
-use nvp_power::{Energy, PowerProfile};
+use nvp_power::{Energy, PowerProfile, Ticks};
 use nvp_sim::{
     compile_kernel, BackupScope, CheckpointPlan, ExecEngine, ExecMode, RunReport, SystemConfig,
     SystemSim,
@@ -192,6 +192,9 @@ pub struct RunRequest {
     pub engine: ExecEngine,
     /// RNG seed for retention decay.
     pub seed: u64,
+    /// Data-age deadline past which an incidental restore rolls forward
+    /// ([`SystemConfig::staleness`]).
+    pub staleness: Ticks,
     /// Whether the report keeps committed output frames (needed for
     /// quality scoring). Without it the report's `committed` is empty and
     /// every other field is unchanged.
@@ -245,6 +248,7 @@ impl RunRequest {
             mode,
             engine,
             seed,
+            staleness,
             record_outputs,
             backup_policy,
             max_simd_lanes,
@@ -252,7 +256,7 @@ impl RunRequest {
             ref checkpoint_plan,
         } = self;
         let inputs = (kernel, img, frames, profile, member, seconds.to_bits());
-        let machine = (cap_nj, scope, mode, engine, seed);
+        let machine = (cap_nj, scope, mode, engine, seed, staleness);
         let knobs = (backup_policy, max_simd_lanes, park_slots);
         (inputs, machine, knobs, record_outputs, checkpoint_plan)
     }
@@ -265,7 +269,7 @@ impl RunRequest {
     /// (`crates/repro/tests/canonical_key.rs`).
     pub(crate) fn canonical(&self) -> RunRequest {
         let mut req = self.clone();
-        if req.mode == ExecMode::Fixed(ApproxConfig::default()) {
+        if req.mode == ExecMode::Fixed(8) {
             req.mode = ExecMode::Precise;
         }
         if req.scope == BackupScope::LiveDirty && req.checkpoint_plan.is_none() {
@@ -292,6 +296,7 @@ impl RunRequest {
             max_simd_lanes: self.max_simd_lanes,
             park_slots: self.park_slots,
             seed: self.seed,
+            staleness: self.staleness,
             exec_engine: self.engine,
             checkpoint_plan,
             ..Default::default()
@@ -458,7 +463,7 @@ mod tests {
         };
         let full = BackupScope::FullState;
         let precise = key(ExecMode::Precise, full, None);
-        let fixed = |bits| ExecMode::Fixed(ApproxConfig::fixed(bits));
+        let fixed = ExecMode::Fixed;
         assert_eq!(key(fixed(8), full, None), precise);
         assert_ne!(key(fixed(7), full, None), precise);
         assert_ne!(key(fixed(7), full, None), key(fixed(8), full, None));

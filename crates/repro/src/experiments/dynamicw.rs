@@ -6,10 +6,9 @@ use crate::sweep::sweep;
 use crate::table::fnum;
 use crate::{dims, Scale, Table};
 use incidental::QualityReport;
-use nvp_isa::ApproxConfig;
 use nvp_kernels::KernelId;
 use nvp_power::synth::WatchProfile;
-use nvp_sim::{ExecMode, Governor, RunReport};
+use nvp_sim::{ExecMode, RunReport};
 use std::sync::Arc;
 
 const KERNEL: KernelId = KernelId::Median;
@@ -24,12 +23,11 @@ fn kernel_run(scale: Scale, w: WatchProfile, mode: ExecMode, scored: bool) -> Ar
 }
 
 fn dynamic_run(scale: Scale, w: WatchProfile, minbits: u8, scored: bool) -> Arc<RunReport> {
-    let mode = ExecMode::Dynamic(Governor::new(minbits, 8));
-    kernel_run(scale, w, mode, scored)
+    kernel_run(scale, w, ExecMode::Dynamic(minbits, 8), scored)
 }
 
 fn fixed_run(scale: Scale, w: WatchProfile, bits: u8, scored: bool) -> Arc<RunReport> {
-    kernel_run(scale, w, ExecMode::Fixed(ApproxConfig::fixed(bits)), scored)
+    kernel_run(scale, w, ExecMode::Fixed(bits), scored)
 }
 
 fn score(scale: Scale, rep: &RunReport) -> QualityReport {

@@ -37,7 +37,7 @@ use crate::sweep::{capture_active, capture_append};
 use crate::{Scale, Table};
 use nvp_kernels::KernelId;
 use nvp_power::synth::WatchProfile;
-use nvp_sim::{ExecMode, RunReport};
+use nvp_sim::{ExecEngine, ExecMode, RunReport};
 use nvp_trace::{Event, JsonlBufSink, Tracer};
 use std::sync::Arc;
 
@@ -48,9 +48,9 @@ fn mode_tag(mode: &ExecMode) -> &'static str {
     match mode {
         ExecMode::Precise => "precise",
         ExecMode::Fixed(_) => "fixed",
-        ExecMode::Dynamic(_) => "dynamic",
+        ExecMode::Dynamic(..) => "dynamic",
         ExecMode::Simd4 => "simd4",
-        ExecMode::Incidental(_) => "incidental",
+        ExecMode::Incidental(..) => "incidental",
     }
 }
 
@@ -61,8 +61,10 @@ pub(crate) fn make_frames(id: KernelId, scale: Scale) -> Frames {
 }
 
 /// The request an experiment run starts from: `id` at `scale` under
-/// `mode` over `profile`'s canonical trace, outputs not recorded, and
-/// [`RunRequest::default`] for everything else.
+/// `mode` over `profile`'s canonical trace on the Step engine, outputs
+/// not recorded, and [`RunRequest::default`] for everything else. (The
+/// default request names Compiled; both engines run one loop, and the
+/// run memo keys on the name.)
 pub(crate) fn base(
     id: KernelId,
     scale: Scale,
@@ -76,7 +78,7 @@ pub(crate) fn base(
         trace_seconds: scale.trace_seconds,
         profile,
         mode,
-        engine: scale.engine,
+        engine: ExecEngine::Step,
         ..RunRequest::default()
     }
 }

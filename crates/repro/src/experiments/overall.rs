@@ -10,13 +10,14 @@ use incidental::{policy_for, table2 as tuned_policies, QosPolicy, QosTarget, Qua
 use nvp_kernels::{jpeg, quality, KernelId};
 use nvp_nvm::RetentionPolicy;
 use nvp_power::synth::WatchProfile;
-use nvp_sim::{instructions_per_frame, ExecMode, IncidentalSetup, RunReport, WaitComputeSim};
+use nvp_power::Ticks;
+use nvp_sim::{instructions_per_frame, ExecMode, RunReport, WaitComputeSim};
 use std::sync::Arc;
 
 /// `id` on the incidental NVP under its Table 2 `policy`: the policy's
 /// minbits and retention shaping.
 fn tuned(id: KernelId, scale: Scale, wp: WatchProfile, policy: &QosPolicy) -> RunRequest {
-    let mode = ExecMode::Incidental(IncidentalSetup::new(policy.minbits, 8));
+    let mode = ExecMode::Incidental(policy.minbits, 8);
     RunRequest {
         backup_policy: policy.backup,
         ..base(id, scale, wp, mode)
@@ -46,14 +47,8 @@ pub fn fig9(scale: Scale) -> Vec<Table> {
     );
     let cases: Vec<(&str, ExecMode)> = vec![
         ("precise 8-bit NVP", ExecMode::Precise),
-        (
-            "incidental (a1,b): [2..8] bits",
-            ExecMode::Incidental(IncidentalSetup::new(2, 8)),
-        ),
-        (
-            "incidental (a2,b): [6..8] bits",
-            ExecMode::Incidental(IncidentalSetup::new(6, 8)),
-        ),
+        ("incidental (a1,b): [2..8] bits", ExecMode::Incidental(2, 8)),
+        ("incidental (a2,b): [6..8] bits", ExecMode::Incidental(6, 8)),
         ("4-SIMD NVP", ExecMode::Simd4),
     ];
     for row in sweep(scale, cases, |(name, mode)| {
@@ -361,7 +356,7 @@ pub fn ablate_simd(scale: Scale) -> Vec<Table> {
         ],
     );
     for row in sweep(scale, vec![1u8, 2, 4], |lanes| {
-        let mode = ExecMode::Incidental(IncidentalSetup::new(2, 8));
+        let mode = ExecMode::Incidental(2, 8);
         let rep = run(&RunRequest {
             max_simd_lanes: lanes,
             backup_policy: RetentionPolicy::Linear,
@@ -395,15 +390,15 @@ pub fn ablate_buffer(scale: Scale) -> Vec<Table> {
     for row in sweep(scale, vec![1u8, 2, 3], |slots| {
         // A weak profile with an aggressive data deadline forces frequent
         // roll-forwards, so the parking FIFO actually fills.
-        let setup = IncidentalSetup::new(2, 8).with_staleness(nvp_power::Ticks(300));
         let rep = run(&RunRequest {
             park_slots: slots,
             backup_policy: RetentionPolicy::Linear,
+            staleness: Ticks(300),
             ..base(
                 KernelId::Median,
                 scale,
                 WatchProfile::P5,
-                ExecMode::Incidental(setup),
+                ExecMode::Incidental(2, 8),
             )
         });
         [

@@ -4,7 +4,6 @@ use super::{base, run};
 use crate::sweep::sweep;
 use crate::table::fnum;
 use crate::{Scale, Table};
-use nvp_isa::ApproxConfig;
 use nvp_kernels::KernelId;
 use nvp_power::synth::WatchProfile;
 use nvp_sim::ExecMode;
@@ -18,8 +17,7 @@ fn bit_sweep(scale: Scale) -> Vec<Vec<(u64, u64)>> {
         .flat_map(|&w| (1..=8u8).rev().map(move |bits| (w, bits)))
         .collect();
     let flat = sweep(scale, cells, |(w, bits)| {
-        let mode = ExecMode::Fixed(ApproxConfig::fixed(bits));
-        let rep = run(&base(KernelId::Median, scale, w, mode));
+        let rep = run(&base(KernelId::Median, scale, w, ExecMode::Fixed(bits)));
         (rep.forward_progress, rep.backups)
     });
     flat.chunks(8).map(|c| c.to_vec()).collect()

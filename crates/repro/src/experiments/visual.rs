@@ -7,7 +7,7 @@ use nvp_isa::ApproxConfig;
 use nvp_kernels::{Image, KernelId};
 use nvp_nvm::{MergeMode, RetentionPolicy};
 use nvp_power::synth::WatchProfile;
-use nvp_sim::{run_fixed, ExecMode, Governor, SystemConfig, SystemSim};
+use nvp_sim::{run_fixed, ExecMode, SystemConfig, SystemSim};
 use std::path::Path;
 
 fn save(dir: &Path, name: &str, w: usize, h: usize, words: &[i32]) -> std::io::Result<String> {
@@ -60,7 +60,7 @@ pub fn images(scale: Scale, dir: &Path) -> std::io::Result<Vec<Table>> {
         let rep = SystemSim::new(
             id.spec(w, h),
             vec![id.make_input(w, h, 0x17)],
-            ExecMode::Dynamic(Governor::new(1, 8)),
+            ExecMode::Dynamic(1, 8),
             cfg,
         )
         .run(&wp.synthesize_seconds(scale.trace_seconds.max(3.0)));

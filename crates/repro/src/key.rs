@@ -4,18 +4,17 @@
 //! and nothing else. `nvp-serve` builds one from a JSON body, `nvp-fleet`
 //! by sampling a device from a scenario spec, and both spell tokens with
 //! the parsers here, so one configuration is one key in either front-end:
-//! [`RunMode`] and its tag grammar, the kernel/profile/scope token
-//! parsers (engines use [`ExecEngine::parse`]), the request [`limits`],
-//! and the two pinned spellings [`RunKey::canonical`] (`cell/…`) and
+//! the kernel/profile/scope token parsers (modes use [`ExecMode::parse`],
+//! engines [`ExecEngine::parse`]), the request [`limits`], and the two
+//! pinned spellings [`RunKey::canonical`] (`cell/…`) and
 //! [`RunKey::run_spelling`] (`run/…`). Parse errors are detail strings;
 //! each front-end adds its own location (a JSON field, a spec line).
 
 use crate::catalog::RunRequest;
-use nvp_isa::ApproxConfig;
 use nvp_kernels::KernelId;
 use nvp_power::synth::WatchProfile;
-use nvp_sim::{BackupScope, ExecEngine, ExecMode, Governor, IncidentalSetup, SystemConfig};
-use std::fmt::{self, Write as _};
+use nvp_sim::{BackupScope, ExecEngine, ExecMode, SystemConfig};
+use std::fmt::Write as _;
 
 /// Bounds on what one request may ask the simulator to do (inclusive).
 pub mod limits {
@@ -33,94 +32,6 @@ pub mod limits {
     pub const CHUNK: (u64, u64) = (64, 1_000_000);
     /// Relative draw weight of one fleet axis entry.
     pub const WEIGHT: (u64, u64) = (1, 1_000_000);
-}
-
-/// Which NVP variant to simulate, in canonical (validated) form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum RunMode {
-    /// Conventional precise NVP.
-    Precise,
-    /// Full-precision 4-lane SIMD baseline.
-    Simd4,
-    /// Fixed approximate datapath at the given bitwidth.
-    Fixed(u8),
-    /// Dynamic-bitwidth governor over `[minbits, maxbits]`.
-    Dynamic(u8, u8),
-    /// Incidental NVP over `[minbits, maxbits]`.
-    Incidental(u8, u8),
-}
-
-/// The tag renderer: `precise`, `simd4`, `fixed:N`, `dynamic:LO-HI`,
-/// `incidental:LO-HI`.
-impl fmt::Display for RunMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RunMode::Precise => f.write_str("precise"),
-            RunMode::Simd4 => f.write_str("simd4"),
-            RunMode::Fixed(bits) => write!(f, "fixed:{bits}"),
-            RunMode::Dynamic(lo, hi) => write!(f, "dynamic:{lo}-{hi}"),
-            RunMode::Incidental(lo, hi) => write!(f, "incidental:{lo}-{hi}"),
-        }
-    }
-}
-
-impl RunMode {
-    /// The canonical tag (also the fleet cohort spelling).
-    pub fn canonical(&self) -> String {
-        self.to_string()
-    }
-
-    /// Parses a mode tag (case-insensitive); bitwidths must lie in 1..=8
-    /// and ranges must not be inverted.
-    pub fn parse(tag: &str) -> Result<RunMode, String> {
-        let bits = |s: &str, what: &str| -> Result<u8, String> {
-            s.parse::<u8>()
-                .ok()
-                .filter(|b| (1..=8).contains(b))
-                .ok_or_else(|| format!("{what} '{s}' must be an integer in 1..=8"))
-        };
-        let range = |s: &str, what: &str| -> Result<(u8, u8), String> {
-            let (lo, hi) = s
-                .split_once('-')
-                .ok_or_else(|| format!("{what} wants LO-HI bits, got '{s}'"))?;
-            let (lo, hi) = (bits(lo, what)?, bits(hi, what)?);
-            if lo > hi {
-                return Err(format!("{what} minbits {lo} exceeds maxbits {hi}"));
-            }
-            Ok((lo, hi))
-        };
-        let tag = tag.to_ascii_lowercase();
-        match tag.split_once(':') {
-            None => match tag.as_str() {
-                "precise" => Ok(RunMode::Precise),
-                "simd4" => Ok(RunMode::Simd4),
-                other => Err(format!(
-                    "unknown mode '{other}' (want precise|simd4|fixed:N|dynamic:LO-HI|incidental:LO-HI)"
-                )),
-            },
-            Some(("fixed", b)) => Ok(RunMode::Fixed(bits(b, "fixed bits")?)),
-            Some(("dynamic", r)) => {
-                let (lo, hi) = range(r, "dynamic mode")?;
-                Ok(RunMode::Dynamic(lo, hi))
-            }
-            Some(("incidental", r)) => {
-                let (lo, hi) = range(r, "incidental mode")?;
-                Ok(RunMode::Incidental(lo, hi))
-            }
-            Some((other, _)) => Err(format!("unknown mode family '{other}'")),
-        }
-    }
-
-    /// The simulator mode this tag denotes.
-    pub fn exec_mode(&self) -> ExecMode {
-        match *self {
-            RunMode::Precise => ExecMode::Precise,
-            RunMode::Simd4 => ExecMode::Simd4,
-            RunMode::Fixed(bits) => ExecMode::Fixed(ApproxConfig::fixed(bits)),
-            RunMode::Dynamic(lo, hi) => ExecMode::Dynamic(Governor::new(lo, hi)),
-            RunMode::Incidental(lo, hi) => ExecMode::Incidental(IncidentalSetup::new(lo, hi)),
-        }
-    }
 }
 
 /// Parses a kernel name, case-insensitively ([`KernelId::name`] is the
@@ -194,10 +105,10 @@ pub struct RunKey {
     /// Backup scope.
     pub scope: BackupScope,
     /// NVP variant.
-    pub mode: RunMode,
-    /// Execution engine. Results are engine-invariant, but the field is
-    /// kept in the key so runs can be attributed and the engines
-    /// benchmarked against each other.
+    pub mode: ExecMode,
+    /// Engine the run names. Both engines run the one metered loop, so
+    /// results are engine-invariant; the field stays in the key because
+    /// service bodies, fleet specs and `/metrics` labels carry it.
     pub engine: ExecEngine,
     /// Retention-decay RNG seed.
     pub seed: u64,
@@ -218,7 +129,7 @@ impl Default for RunKey {
             member: 0,
             cap_nj: nvp_analysis::CAPACITOR_NJ as u64,
             scope: BackupScope::FullState,
-            mode: RunMode::Precise,
+            mode: ExecMode::Precise,
             engine: ExecEngine::Compiled,
             seed: 0x5EED,
         }
@@ -284,9 +195,10 @@ impl RunKey {
             member: self.member,
             cap_nj: self.cap_nj,
             scope: self.scope,
-            mode: self.mode.exec_mode(),
+            mode: self.mode,
             engine: self.engine,
             seed: self.seed,
+            staleness: sim.staleness,
             record_outputs: false,
             backup_policy: sim.backup_policy,
             max_simd_lanes: sim.max_simd_lanes,
@@ -302,19 +214,7 @@ mod tests {
 
     #[test]
     fn every_token_round_trips_render_then_parse() {
-        let mut modes = vec![RunMode::Precise, RunMode::Simd4];
-        for lo in 1..=8 {
-            modes.push(RunMode::Fixed(lo));
-            for hi in lo..=8 {
-                modes.push(RunMode::Dynamic(lo, hi));
-                modes.push(RunMode::Incidental(lo, hi));
-            }
-        }
-        for mode in modes {
-            assert_eq!(RunMode::parse(&mode.canonical()), Ok(mode));
-            assert_eq!(RunMode::parse(&mode.canonical().to_uppercase()), Ok(mode));
-            let _ = mode.exec_mode(); // must not panic
-        }
+        // Mode tags are `ExecMode`'s own grammar, tested in `nvp-sim`.
         for kernel in KernelId::ALL {
             assert_eq!(parse_kernel(kernel.name()), Ok(kernel));
         }
@@ -335,16 +235,6 @@ mod tests {
 
     #[test]
     fn bad_tokens_are_refused() {
-        for tag in [
-            "vibes",
-            "fixed:0",
-            "fixed:9",
-            "dynamic:6-2",
-            "dynamic:4",
-            "warp:1",
-        ] {
-            assert!(RunMode::parse(tag).is_err(), "{tag}");
-        }
         assert!(parse_kernel("warp").is_err());
         assert!(parse_profile("p9").is_err());
         assert!(parse_profile("p").is_err());
@@ -357,7 +247,7 @@ mod tests {
     #[test]
     fn both_spellings_share_their_field_tokens() {
         let key = RunKey {
-            mode: RunMode::Fixed(4),
+            mode: ExecMode::Fixed(4),
             ..RunKey::default()
         };
         assert_eq!(

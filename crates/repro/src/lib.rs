@@ -19,11 +19,9 @@ pub mod table;
 pub use table::Table;
 
 use nvp_kernels::KernelId;
-use nvp_sim::ExecEngine;
 
 /// Experiment scale and run configuration: full (paper-like) or quick
-/// (CI/tests), plus the sweep width and the engine every experiment run
-/// starts from.
+/// (CI/tests), plus the sweep width.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scale {
     /// Power-trace length in seconds.
@@ -35,10 +33,6 @@ pub struct Scale {
     /// Worker threads for experiment sweeps: 0 = auto (hardware width),
     /// 1 = serial reference path.
     pub jobs: usize,
-    /// Engine every experiment simulation starts from. Experiments that
-    /// compare engines set theirs explicitly. Results are identical
-    /// either way; only speed differs.
-    pub engine: ExecEngine,
 }
 
 impl Scale {
@@ -49,7 +43,6 @@ impl Scale {
             img: 24,
             frames: 6,
             jobs: 0,
-            engine: ExecEngine::Step,
         }
     }
 
@@ -60,18 +53,12 @@ impl Scale {
             img: 12,
             frames: 2,
             jobs: 0,
-            engine: ExecEngine::Step,
         }
     }
 
     /// Same scale with an explicit sweep worker count.
     pub fn with_jobs(self, jobs: usize) -> Scale {
         Scale { jobs, ..self }
-    }
-
-    /// Same scale with an explicit default engine.
-    pub fn with_engine(self, engine: ExecEngine) -> Scale {
-        Scale { engine, ..self }
     }
 
     /// The worker count sweeps will actually use (resolves 0 = auto).

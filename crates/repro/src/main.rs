@@ -2,13 +2,12 @@
 //! IoT Nonvolatile Processors* (MICRO-50, 2017).
 //!
 //! ```text
-//! repro <experiment>... [--quick] [--jobs N] [--engine E] [--csv DIR] [--ablate] [--trace FILE]
+//! repro <experiment>... [--quick] [--jobs N] [--csv DIR] [--ablate] [--trace FILE]
 //! repro list
 //! ```
 
 use nvp_repro::experiments;
 use nvp_repro::{Scale, Table};
-use nvp_sim::ExecEngine;
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -72,19 +71,11 @@ fn main() -> ExitCode {
     let mut out_dir = PathBuf::from("figures");
     let mut trace_path: Option<PathBuf> = None;
     let mut ablate = false;
-    let mut engine = ExecEngine::Step;
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => quick = true,
             "--ablate" => ablate = true,
-            "--engine" => match ExecEngine::parse(it.next().as_deref().unwrap_or_default()) {
-                Ok(e) => engine = e,
-                Err(e) => {
-                    eprintln!("--engine: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--jobs" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => jobs = n,
                 _ => {
@@ -130,9 +121,7 @@ fn main() -> ExitCode {
         usage();
         return ExitCode::FAILURE;
     }
-    let scale = if quick { Scale::quick() } else { Scale::full() }
-        .with_jobs(jobs)
-        .with_engine(engine);
+    let scale = if quick { Scale::quick() } else { Scale::full() }.with_jobs(jobs);
     let mut trace_file = match &trace_path {
         None => None,
         Some(p) => match std::fs::File::create(p) {
@@ -235,16 +224,12 @@ fn usage() {
     eprintln!("repro — regenerate the MICRO'17 incidental-computing evaluation");
     eprintln!();
     eprintln!(
-        "usage: repro <experiment>... [--quick] [--jobs N] [--engine E] [--csv DIR] [--out DIR] [--ablate] [--trace FILE]"
+        "usage: repro <experiment>... [--quick] [--jobs N] [--csv DIR] [--out DIR] [--ablate] [--trace FILE]"
     );
     eprintln!("       repro list");
     eprintln!();
     eprintln!(
         "  --jobs N      worker threads for parameter sweeps (default: all cores; 1 = serial)"
-    );
-    eprintln!(
-        "  --engine E    simulation engine: step (reference) or compiled \
-         (results are identical; only speed differs)"
     );
     eprintln!();
     eprintln!("run `repro list` for the experiment catalogue");

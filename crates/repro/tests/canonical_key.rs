@@ -2,11 +2,14 @@
 //! together are the same run. `Fixed` at full precision and `Precise`
 //! give equal reports and byte-equal traces for every kernel, profile,
 //! engine and backup scope, and so do a `LiveDirty` run without a plan
-//! and one that names the cached plan it would take.
+//! and one that names the cached plan it would take. What the key does
+//! not fold stays apart: the incidental data-age deadline is part of it.
 
 use nvp_isa::ApproxConfig;
 use nvp_kernels::KernelId;
+use nvp_nvm::RetentionPolicy;
 use nvp_power::synth::WatchProfile;
+use nvp_power::Ticks;
 use nvp_repro::catalog::{self, RunRequest};
 use nvp_repro::dims;
 use nvp_sim::{BackupScope, ExecEngine, ExecMode, RunReport};
@@ -54,7 +57,7 @@ fn sweep(engine: ExecEngine) {
                     ..req.clone()
                 };
                 let fixed = RunRequest {
-                    mode: ExecMode::Fixed(ApproxConfig::fixed(8)),
+                    mode: ExecMode::Fixed(8),
                     ..req.clone()
                 };
                 let report = assert_same_run(&fixed, &precise);
@@ -84,4 +87,30 @@ fn full_precision_fixed_is_precise_on_the_step_engine() {
 #[test]
 fn full_precision_fixed_is_precise_on_the_compiled_engine() {
     sweep(ExecEngine::Compiled);
+}
+
+/// Two requests that differ only in `staleness` are two memo keys and,
+/// on `ablate_buffer`'s shape (median on P5 at quick scale, incidental
+/// 2–8, linear retention), two different runs: the 30 ms deadline rolls
+/// forward where the default 2 s one resumes in place.
+#[test]
+fn staleness_separates_memo_keys_and_runs() {
+    let with_deadline = |staleness| RunRequest {
+        kernel: KernelId::Median,
+        img: 12,
+        frames: 2,
+        trace_seconds: 1.5,
+        profile: WatchProfile::P5,
+        mode: ExecMode::Incidental(2, 8),
+        backup_policy: RetentionPolicy::Linear,
+        staleness,
+        ..RunRequest::default()
+    };
+    let default = RunRequest::default().staleness;
+    assert_eq!(default, Ticks(20_000));
+    let (tight, loose) = (with_deadline(Ticks(300)), with_deadline(default));
+    assert_ne!(tight, loose, "staleness must be part of the memo key");
+    let (tight, loose) = (catalog::simulate(&tight), catalog::simulate(&loose));
+    assert!(tight.merges > 0, "the 30 ms deadline must roll forward");
+    assert_ne!(tight, loose);
 }

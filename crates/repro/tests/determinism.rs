@@ -74,20 +74,6 @@ fn traces_are_unaffected_by_a_concurrent_untraced_sweep() {
     );
 }
 
-#[test]
-fn engine_choice_changes_neither_tables_nor_traces() {
-    use nvp_sim::ExecEngine;
-    let run = |engine| {
-        let scale = Scale::quick().with_jobs(2).with_engine(engine);
-        let (tables, trace) = experiments::traced(|| experiments::fig9(scale));
-        (render(&tables), trace)
-    };
-    let step = run(ExecEngine::Step);
-    let compiled = run(ExecEngine::Compiled);
-    assert_eq!(step.0, compiled.0, "tables differ across engines");
-    assert!(step.1 == compiled.1, "traces differ across engines");
-}
-
 /// FNV-1a digest of `ablate_buffer`'s quick-scale trace, recorded before
 /// the loop-variable rejoin path was deleted. At quick scale this is the
 /// only experiment whose trace reaches incidental parking, merging and

@@ -11,19 +11,18 @@ use nvp_kernels::KernelId;
 use nvp_power::Energy;
 use nvp_repro::catalog::{self, RunRequest};
 use nvp_repro::dims;
-use nvp_repro::key::RunMode;
-use nvp_sim::{BackupScope, CheckpointPlan, ExecEngine, SystemConfig, SystemSim};
+use nvp_sim::{BackupScope, CheckpointPlan, ExecEngine, ExecMode, SystemConfig, SystemSim};
 use nvp_trace::{CounterSink, JsonlBufSink, TeeSink};
 use std::sync::Arc;
 
-fn request(kernel: KernelId, mode: RunMode) -> RunRequest {
+fn request(kernel: KernelId, mode: ExecMode) -> RunRequest {
     RunRequest {
         kernel,
         img: 12,
         frames: 2,
         trace_seconds: 0.3,
         scope: BackupScope::LiveDirty,
-        mode: mode.exec_mode(),
+        mode,
         engine: ExecEngine::Compiled,
         record_outputs: true,
         ..RunRequest::default()
@@ -77,7 +76,7 @@ fn self_synthesized(req: &RunRequest) -> (nvp_sim::RunReport, String, nvp_trace:
 fn cached_live_dirty_plans_match_self_synthesized_runs() {
     let cases: Vec<RunRequest> = KernelId::QUALITY_TRIO
         .iter()
-        .flat_map(|&k| [RunMode::Precise, RunMode::Incidental(2, 8)].map(|m| request(k, m)))
+        .flat_map(|&k| [ExecMode::Precise, ExecMode::Incidental(2, 8)].map(|m| request(k, m)))
         .collect();
     for req in &cases {
         let (report, jsonl, summary) = via_catalog(req);

@@ -5,11 +5,10 @@
 //! frames run without recording and share its run with any other figure
 //! that does the same.
 
-use nvp_isa::ApproxConfig;
 use nvp_kernels::KernelId;
 use nvp_power::synth::WatchProfile;
 use nvp_repro::catalog::{self, RunRequest};
-use nvp_sim::{BackupScope, ExecMode, Governor, IncidentalSetup};
+use nvp_sim::{BackupScope, ExecMode};
 use proptest::prelude::*;
 
 const SCOPES: [BackupScope; 3] = [
@@ -21,9 +20,9 @@ const SCOPES: [BackupScope; 3] = [
 fn modes(bits: u8) -> [ExecMode; 4] {
     [
         ExecMode::Precise,
-        ExecMode::Fixed(ApproxConfig::fixed(bits)),
-        ExecMode::Dynamic(Governor::new(bits, 8)),
-        ExecMode::Incidental(IncidentalSetup::new(bits, 8)),
+        ExecMode::Fixed(bits),
+        ExecMode::Dynamic(bits, 8),
+        ExecMode::Incidental(bits, 8),
     ]
 }
 

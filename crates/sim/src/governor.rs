@@ -12,7 +12,7 @@ const RICH_FILL: f64 = 0.8;
 const RICH_INCOME_UW: f64 = 400.0;
 
 /// Dynamic bitwidth governor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy)]
 pub struct Governor {
     /// Minimum bitwidth (the pragma's `minbits` quality floor).
     pub minbits: u8,

@@ -11,6 +11,9 @@
 //! * [`energy`] — the trace's income/compute flush cursor (the
 //!   per-instruction, backup and restore energy model, calibrated to the
 //!   paper's 0.209 mW @ 1 MHz core, is [`nvp_isa::energy`]),
+//! * [`mode`] — the five NVP variants ([`ExecMode`]) and their tag
+//!   grammar (`precise`, `simd4`, `fixed:N`, `dynamic:LO-HI`,
+//!   `incidental:LO-HI`),
 //! * [`governor`] — the dynamic-bitwidth approximation control unit
 //!   (Figure 6), mapping stored energy and income power to a bitwidth,
 //! * [`system`] — the execution state machine with roll-back (conventional
@@ -28,15 +31,17 @@
 
 pub mod energy;
 pub mod governor;
+pub mod mode;
 pub mod quickrun;
 pub mod resume;
 pub mod system;
 pub mod waitcompute;
 
 pub use governor::Governor;
+pub use mode::ExecMode;
 pub use quickrun::{instructions_per_frame, run_fixed};
 pub use system::{
-    compile_kernel, BackupScope, CheckpointPlan, CommittedFrame, ExecEngine, ExecMode,
-    IncidentalSetup, RunReport, SystemConfig, SystemSim,
+    compile_kernel, BackupScope, CheckpointPlan, CommittedFrame, ExecEngine, RunReport,
+    SystemConfig, SystemSim,
 };
 pub use waitcompute::{WaitComputeReport, WaitComputeSim};

@@ -11,6 +11,7 @@
 
 use crate::energy::FlushCursor;
 use crate::governor::Governor;
+use crate::mode::ExecMode;
 use crate::resume::{PendingFrame, ResumeController, PARK_SLOTS};
 use nvp_analysis::{BackupLiveness, BACKUP_POLICY, CAPACITOR_NJ, RESERVE_SAFETY};
 use nvp_isa::approx::FULL_BITS;
@@ -40,62 +41,6 @@ const RUN_QUANTUM_TICKS: u64 = 400;
 
 /// Extra cost factor for incidental backups (plane parking writes).
 const INCIDENTAL_BACKUP_FACTOR: f64 = 1.5;
-
-/// Incidental-mode parameters (the `incidental` pragma's bit range).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct IncidentalSetup {
-    /// Minimum bitwidth for incidental (old-frame) lanes.
-    pub minbits: u8,
-    /// Maximum bitwidth for incidental lanes.
-    pub maxbits: u8,
-    /// Maximum wall-clock age of the live frame's data. When a restore
-    /// finds the frame older than this, its relevance has lapsed
-    /// ("importance of data drops over time", Section 3.1) and recovery
-    /// rolls *forward* to the newest buffered frame, parking the old work
-    /// for incidental recomputation from the frame's resume marker.
-    /// Restores within the deadline resume in place like a conventional
-    /// NVP.
-    pub staleness: Ticks,
-}
-
-impl IncidentalSetup {
-    /// The paper's default: old lanes `minbits`–`maxbits` bits,
-    /// roll-forward after outages longer than 0.15 s (the deep-outage
-    /// scale of Figure 3's tail). The live lane always runs at full
-    /// precision (the paper keeps the current iteration precise, Section
-    /// 8.6).
-    pub fn new(minbits: u8, maxbits: u8) -> Self {
-        IncidentalSetup {
-            minbits,
-            maxbits,
-            staleness: Ticks(20_000),
-        }
-    }
-
-    /// Overrides the data-age deadline.
-    pub fn with_staleness(mut self, staleness: Ticks) -> Self {
-        self.staleness = staleness;
-        self
-    }
-}
-
-/// Execution mode: which NVP variant is being simulated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ExecMode {
-    /// Conventional precise 8-bit NVP (roll-back recovery).
-    Precise,
-    /// Fixed approximate configuration, roll-back recovery
-    /// (Figures 15–16).
-    Fixed(ApproxConfig),
-    /// Dynamic bitwidth on the live lane, roll-back recovery
-    /// (Figures 17–21).
-    Dynamic(Governor),
-    /// Always-4-lane full-precision SIMD baseline (Figure 9).
-    Simd4,
-    /// Incidental NVP: roll-forward recovery plus incidental SIMD over
-    /// parked frames.
-    Incidental(IncidentalSetup),
-}
 
 /// One committed output frame, kept only when
 /// [`SystemConfig::record_outputs`] is set (the `frame_committed` trace
@@ -207,22 +152,25 @@ impl RunReport {
 /// carry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecEngine {
-    /// The reference engine.
+    /// The default engine name, which the `repro` experiments use. It
+    /// runs the same loop as [`ExecEngine::Compiled`]; neither is a
+    /// reference model (there is none yet, ROADMAP item 1).
     #[default]
     Step,
     /// The engine the service serves by default. It runs the same loop as
-    /// [`ExecEngine::Step`]; the name stays because run keys, service
-    /// bodies and fleet specs carry it (DESIGN.md §13).
+    /// [`ExecEngine::Step`]; a catalog run under this name still builds
+    /// the kernel's op table, which nothing executes. The name stays
+    /// because run keys, service bodies and fleet specs carry it
+    /// (DESIGN.md §13).
     Compiled,
 }
 
 impl ExecEngine {
-    /// Every engine, reference first.
+    /// Every engine, the default first.
     pub const ALL: [ExecEngine; 2] = [ExecEngine::Step, ExecEngine::Compiled];
 
-    /// Canonical lowercase name, the one spelling used by `repro
-    /// --engine`, service cache keys and bodies, fleet specs and
-    /// `/metrics` labels.
+    /// Canonical lowercase name, the one spelling used by service cache
+    /// keys and bodies, fleet specs and `/metrics` labels.
     pub fn name(self) -> &'static str {
         match self {
             ExecEngine::Step => "step",
@@ -331,6 +279,15 @@ pub struct SystemConfig {
     pub park_slots: u8,
     /// RNG seed for retention decay.
     pub seed: u64,
+    /// Maximum wall-clock age of an incidental run's live frame data.
+    /// When a restore finds the frame older than this, its relevance has
+    /// lapsed ("importance of data drops over time", Section 3.1) and
+    /// recovery rolls *forward* to the newest buffered frame, parking the
+    /// old work for incidental recomputation from the frame's resume
+    /// marker. Restores within the deadline resume in place like a
+    /// conventional NVP. Defaults to 20,000 ticks (2 s); other modes
+    /// never roll forward and ignore it.
+    pub staleness: Ticks,
     /// Engine the run names; both run the one metered loop, so results
     /// are identical either way (see [`ExecEngine`]).
     pub exec_engine: ExecEngine,
@@ -353,6 +310,7 @@ impl Default for SystemConfig {
             max_simd_lanes: 4,
             park_slots: 3,
             seed: 0x5EED,
+            staleness: Ticks(20_000),
             exec_engine: ExecEngine::default(),
             checkpoint_plan: None,
         }
@@ -374,6 +332,8 @@ pub struct SystemSim {
     /// of the same workload clones the `Arc`, not the pixel data.
     frames: Arc<Vec<Vec<i32>>>,
     mode: ExecMode,
+    /// The bitwidth governor of the `Dynamic` and `Incidental` modes.
+    governor: Option<Governor>,
     cfg: SystemConfig,
     vm: Vm,
     cap: Capacitor,
@@ -408,7 +368,8 @@ impl SystemSim {
     ///
     /// # Panics
     ///
-    /// Panics if `frames` is empty or any frame has the wrong length.
+    /// Panics if `frames` is empty, any frame has the wrong length, or
+    /// `mode` has a bitwidth outside 1..=8 or an inverted range.
     pub fn new(
         spec: KernelSpec,
         frames: impl Into<Arc<Vec<Vec<i32>>>>,
@@ -420,13 +381,17 @@ impl SystemSim {
         for f in frames.iter() {
             assert_eq!(f.len(), spec.input_len(), "frame length mismatch");
         }
+        let governor = match mode {
+            ExecMode::Dynamic(lo, hi) | ExecMode::Incidental(lo, hi) => Some(Governor::new(lo, hi)),
+            _ => None,
+        };
         let mut vm = Vm::new(spec.program.clone(), spec.mem_words);
         *vm.mem_mut() = spec.build_memory();
         vm.seed_noise(cfg.seed ^ 0xA1);
         // 20 pJ of capacitor leakage per tick.
         let cap = Capacitor::new(cfg.capacitor_capacity, Energy::from_pj(20.0));
         let backup_factor = match mode {
-            ExecMode::Incidental(_) => INCIDENTAL_BACKUP_FACTOR,
+            ExecMode::Incidental(..) => INCIDENTAL_BACKUP_FACTOR,
             _ => 1.0,
         };
         let quantum = energy::representative_instr(&Self::threshold_cfg(mode))
@@ -458,6 +423,7 @@ impl SystemSim {
             spec,
             frames,
             mode,
+            governor,
             cfg,
             vm,
             cap,
@@ -501,7 +467,7 @@ impl SystemSim {
     }
 
     fn is_incidental(&self) -> bool {
-        matches!(self.mode, ExecMode::Incidental(_))
+        matches!(self.mode, ExecMode::Incidental(..))
     }
 
     /// Approximation configuration to assume when sizing the start
@@ -510,21 +476,18 @@ impl SystemSim {
     fn threshold_cfg(mode: ExecMode) -> ApproxConfig {
         match mode {
             ExecMode::Precise => ApproxConfig::default(),
-            ExecMode::Fixed(c) => c,
-            ExecMode::Dynamic(g) => ApproxConfig::fixed(g.minbits.min(8)),
+            ExecMode::Fixed(bits) => ApproxConfig::fixed(bits),
+            ExecMode::Dynamic(minbits, _) => ApproxConfig::fixed(minbits),
             ExecMode::Simd4 => ApproxConfig {
                 lanes: 4,
                 ..Default::default()
             },
-            ExecMode::Incidental(s) => {
-                let floor = s.minbits.min(8);
-                ApproxConfig {
-                    ac_en: true,
-                    lanes: 2,
-                    alu_bits: [8, floor, floor, floor],
-                    ..Default::default()
-                }
-            }
+            ExecMode::Incidental(floor, _) => ApproxConfig {
+                ac_en: true,
+                lanes: 2,
+                alu_bits: [8, floor, floor, floor],
+                ..Default::default()
+            },
         }
     }
 
@@ -575,32 +538,27 @@ impl SystemSim {
     fn initial_start(&mut self) {
         self.started = true;
         self.live_loaded_at = self.outage_start;
-        match self.mode {
-            ExecMode::Simd4 => {
-                let c = ApproxConfig {
-                    lanes: 4,
-                    ..Default::default()
-                };
-                self.vm.set_approx(c);
-                for v in 0..4 {
-                    self.load_frame(self.next_input + v as u64, v);
-                    self.active_inputs.push(self.next_input + v as u64);
-                }
-                self.next_input += 4;
-            }
-            ExecMode::Fixed(c) => {
-                self.vm.set_approx(c);
-                self.load_frame(self.next_input, 0);
-                self.active_inputs.push(self.next_input);
-                self.next_input += 1;
-            }
-            _ => {
-                self.load_frame(self.next_input, 0);
-                self.active_inputs.push(self.next_input);
-                self.next_input += 1;
-                self.fill_backlog_lanes();
-            }
+        if let ExecMode::Fixed(bits) = self.mode {
+            self.vm.set_approx(ApproxConfig::fixed(bits));
         }
+        self.load_next_frames();
+    }
+
+    /// Loads the next input frame(s) and restarts at the resume marker:
+    /// four frames on the SIMD-4 baseline's lanes, otherwise one on the
+    /// live lane plus backlog frames on free incidental lanes.
+    fn load_next_frames(&mut self) {
+        let lanes = if self.mode == ExecMode::Simd4 { 4 } else { 1 };
+        let mut c = self.vm.approx();
+        c.lanes = lanes;
+        self.vm.set_approx(c);
+        self.active_inputs.clear();
+        for version in 0..lanes as usize {
+            self.load_frame(self.next_input, version);
+            self.active_inputs.push(self.next_input);
+            self.next_input += 1;
+        }
+        self.fill_backlog_lanes();
         self.vm.set_pc(0);
     }
 
@@ -801,22 +759,16 @@ impl SystemSim {
         });
         self.apply_decay(outage, tick, tracer);
         let mut rolled_forward = false;
-        if let ExecMode::Incidental(setup) = self.mode {
-            let age = tick.saturating_sub(self.live_loaded_at);
-            if Ticks(age) > setup.staleness {
-                // The live data's relevance has lapsed: park everything
-                // and roll forward to the newest buffered frame.
-                rolled_forward = true;
-                self.park_all(tick, tracer);
-                self.load_frame(self.next_input, 0);
-                self.active_inputs = vec![self.next_input];
-                self.next_input += 1;
-                self.live_loaded_at = tick;
-                self.fill_backlog_lanes();
-                self.vm.set_pc(0);
-            }
-            // Otherwise resume in place (roll-back), active lanes intact.
+        let age = Ticks(tick.saturating_sub(self.live_loaded_at));
+        if self.is_incidental() && age > self.cfg.staleness {
+            // The live data's relevance has lapsed: park everything and
+            // roll forward to the newest buffered frame.
+            rolled_forward = true;
+            self.park_all(tick, tracer);
+            self.live_loaded_at = tick;
+            self.load_next_frames();
         }
+        // Otherwise resume in place (roll-back), active lanes intact.
         self.phase = Phase::Running;
         emit(tracer, || Event::Restore {
             tick,
@@ -930,26 +882,7 @@ impl SystemSim {
                 return;
             }
         }
-        self.active_inputs.clear();
-        match self.mode {
-            ExecMode::Simd4 => {
-                for v in 0..4 {
-                    self.load_frame(self.next_input + v as u64, v);
-                    self.active_inputs.push(self.next_input + v as u64);
-                }
-                self.next_input += 4;
-            }
-            _ => {
-                let mut c = self.vm.approx();
-                c.lanes = 1;
-                self.vm.set_approx(c);
-                self.load_frame(self.next_input, 0);
-                self.active_inputs.push(self.next_input);
-                self.next_input += 1;
-                self.fill_backlog_lanes();
-            }
-        }
-        self.vm.set_pc(0);
+        self.load_next_frames();
     }
 
     /// Per-class energies at `cfg`, memoized across epochs (the energy
@@ -1058,11 +991,6 @@ impl SystemSim {
         // first governed tick.
         let mut applied: Option<u8> = None;
         let rectifier = Rectifier::default();
-        let governor = match self.mode {
-            ExecMode::Dynamic(g) => Some(g),
-            ExecMode::Incidental(s) => Some(Governor::new(s.minbits, s.maxbits)),
-            _ => None,
-        };
         for (t, power) in profile.iter() {
             if self.phase == Phase::Done {
                 break;
@@ -1072,7 +1000,7 @@ impl SystemSim {
             self.report.energy_income += banked;
             self.cap.leak_tick();
             self.report.total_ticks += 1;
-            if let Some(g) = &governor {
+            if let Some(g) = self.governor {
                 let bits = g.bits_for(self.cap.fill(), power.as_uw()).min(FULL_BITS);
                 let prev = applied.replace(bits);
                 if prev != Some(bits) {
@@ -1212,12 +1140,7 @@ mod tests {
                 record_outputs: false,
                 ..Default::default()
             };
-            let sim = SystemSim::new(
-                id.spec(8, 8),
-                frames.clone(),
-                ExecMode::Fixed(ApproxConfig::fixed(bits)),
-                cfg,
-            );
+            let sim = SystemSim::new(id.spec(8, 8), frames.clone(), ExecMode::Fixed(bits), cfg);
             sim.run(&profile).forward_progress
         };
         let fp8 = fp_at(8);
@@ -1238,12 +1161,11 @@ mod tests {
             .map(|i| if i % 120 < 45 { 700.0 } else { 0.0 })
             .collect();
         let profile = PowerProfile::from_uw(pattern);
-        let sim = SystemSim::new(
-            spec,
-            frames,
-            ExecMode::Incidental(IncidentalSetup::new(2, 8).with_staleness(Ticks(20))),
-            SystemConfig::default(),
-        );
+        let cfg = SystemConfig {
+            staleness: Ticks(20),
+            ..Default::default()
+        };
+        let sim = SystemSim::new(spec, frames, ExecMode::Incidental(2, 8), cfg);
         let rep = sim.run(&profile);
         assert!(rep.backups > 0);
         assert!(rep.merges > 0, "expected at least one incidental merge");
@@ -1520,12 +1442,7 @@ mod tests {
             record_outputs: false,
             ..Default::default()
         };
-        let sim = SystemSim::new(
-            id.spec(8, 8),
-            frames,
-            ExecMode::Dynamic(Governor::new(1, 8)),
-            cfg,
-        );
+        let sim = SystemSim::new(id.spec(8, 8), frames, ExecMode::Dynamic(1, 8), cfg);
         let rep = sim.run(&profile);
         let running: u64 = rep.bit_utilization[1..].iter().sum();
         assert_eq!(running, rep.on_ticks);
@@ -1554,9 +1471,9 @@ mod tests {
     fn every_mode() -> Vec<ExecMode> {
         let mut modes = vec![ExecMode::Precise, ExecMode::Simd4];
         for bits in 1..=FULL_BITS {
-            modes.push(ExecMode::Fixed(ApproxConfig::fixed(bits)));
-            modes.push(ExecMode::Dynamic(Governor::new(bits, FULL_BITS)));
-            modes.push(ExecMode::Incidental(IncidentalSetup::new(bits, FULL_BITS)));
+            modes.push(ExecMode::Fixed(bits));
+            modes.push(ExecMode::Dynamic(bits, FULL_BITS));
+            modes.push(ExecMode::Incidental(bits, FULL_BITS));
         }
         modes
     }
@@ -1589,7 +1506,7 @@ mod tests {
                         SystemSim::new(id.spec(8, 8), small_frames(id, 8, 8, 1), mode, cfg);
                     for bits in 1..=FULL_BITS {
                         let mut backup = energy::backup_energy(policy, bits);
-                        if matches!(mode, ExecMode::Incidental(_)) {
+                        if matches!(mode, ExecMode::Incidental(..)) {
                             backup = backup * INCIDENTAL_BACKUP_FACTOR;
                         }
                         let reserve = backup * RESERVE_SAFETY;

@@ -160,7 +160,8 @@ mod tests {
     #[test]
     fn nvp_outperforms_waitcompute_on_watch_profile() {
         // Section 2.2: NVP execution beats wait-compute by 2.2–5×.
-        use crate::system::{ExecMode, SystemConfig, SystemSim};
+        use crate::system::{SystemConfig, SystemSim};
+        use crate::ExecMode;
         use nvp_kernels::KernelId;
 
         let id = KernelId::Tiff2Bw;

@@ -7,14 +7,12 @@
 //! an engine may change a result. It also crosses the three backup
 //! scopes, since they read the pc at which power dies.
 
-use nvp_isa::ApproxConfig;
 use nvp_kernels::KernelId;
 use nvp_power::synth::WatchProfile;
 use nvp_power::{Power, PowerProfile, Ticks};
-use nvp_sim::system::{
-    BackupScope, CheckpointPlan, ExecEngine, ExecMode, IncidentalSetup, SystemConfig, SystemSim,
+use nvp_sim::{
+    BackupScope, CheckpointPlan, ExecEngine, ExecMode, RunReport, SystemConfig, SystemSim,
 };
-use nvp_sim::{Governor, RunReport};
 use nvp_trace::{CounterSink, JsonlBufSink, TeeSink};
 use std::sync::Arc;
 
@@ -37,6 +35,8 @@ fn run(
         exec_engine: engine,
         backup_scope: scope,
         frames_limit: Some(4),
+        // Only an incidental run reads the deadline.
+        staleness: Ticks(50),
         checkpoint_plan: (scope == BackupScope::LiveDirty)
             .then(|| Arc::new(CheckpointPlan::synthesized(&spec))),
         ..Default::default()
@@ -136,21 +136,11 @@ fn compiled_is_lockstep_across_modes() {
     // Fixed-width, dynamic-governed, and incidental (where the engine
     // must bypass itself) all stay lockstep.
     let p = WatchProfile::P3.synthesize_seconds(2.0);
-    assert_lockstep(
-        KernelId::Sobel,
-        ExecMode::Fixed(ApproxConfig::fixed(2)),
-        &p,
-        "fixed2",
-    );
-    assert_lockstep(
-        KernelId::Sobel,
-        ExecMode::Dynamic(Governor::new(1, 8)),
-        &p,
-        "dynamic",
-    );
+    assert_lockstep(KernelId::Sobel, ExecMode::Fixed(2), &p, "fixed2");
+    assert_lockstep(KernelId::Sobel, ExecMode::Dynamic(1, 8), &p, "dynamic");
     assert_lockstep(
         KernelId::Tiff2Bw,
-        ExecMode::Incidental(IncidentalSetup::new(2, 8).with_staleness(Ticks(50))),
+        ExecMode::Incidental(2, 8),
         &p,
         "incidental",
     );
@@ -160,7 +150,7 @@ fn compiled_is_lockstep_across_modes() {
     // harvested profile reaches.
     assert_lockstep(
         KernelId::Sobel,
-        ExecMode::Fixed(ApproxConfig::fixed(4)),
+        ExecMode::Fixed(4),
         &PowerProfile::constant(Power::from_uw(500.0), Ticks(20_000)),
         "fixed4-constant",
     );

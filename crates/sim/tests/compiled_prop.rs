@@ -8,11 +8,10 @@
 //! must never change a result. Program shape mirrors the
 //! `dirty_soundness` harness in `nvp-analysis`.
 
-use nvp_isa::{ApproxConfig, Program, ProgramBuilder, Reg};
+use nvp_isa::{Program, ProgramBuilder, Reg};
 use nvp_kernels::{KernelId, KernelSpec};
 use nvp_power::PowerProfile;
-use nvp_sim::system::{ExecEngine, ExecMode, SystemConfig, SystemSim};
-use nvp_sim::RunReport;
+use nvp_sim::{ExecEngine, ExecMode, RunReport, SystemConfig, SystemSim};
 use nvp_trace::JsonlBufSink;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -190,7 +189,7 @@ proptest! {
         let p = build(&raw, trip);
         let (spec, frames) = spec_and_frames(p, seed);
         let mode = if fixed {
-            ExecMode::Fixed(ApproxConfig::fixed(2))
+            ExecMode::Fixed(2)
         } else {
             ExecMode::Precise
         };

@@ -19,11 +19,9 @@
 //! A digest change means the simulator's results changed; if that is
 //! intended, rerun the suite and copy the printed digests.
 
-use nvp_isa::ApproxConfig;
 use nvp_kernels::KernelId;
 use nvp_power::{Energy, PowerProfile, Ticks};
-use nvp_sim::system::{ExecEngine, ExecMode, IncidentalSetup, SystemConfig, SystemSim};
-use nvp_sim::Governor;
+use nvp_sim::{ExecEngine, ExecMode, SystemConfig, SystemSim};
 use nvp_trace::JsonlBufSink;
 use std::iter::repeat_n;
 
@@ -35,7 +33,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Bursts at four income levels (poor to rich), with every third gap
-/// longer than the incidental staleness deadline below.
+/// longer than the incidental staleness deadline in [`digests`].
 fn bursty() -> PowerProfile {
     let mut uw = Vec::new();
     for burst in 0..12 {
@@ -48,13 +46,10 @@ fn bursty() -> PowerProfile {
 fn modes() -> [(&'static str, ExecMode); 5] {
     [
         ("precise", ExecMode::Precise),
-        ("fixed3", ExecMode::Fixed(ApproxConfig::fixed(3))),
-        ("dynamic2-8", ExecMode::Dynamic(Governor::new(2, 8))),
+        ("fixed3", ExecMode::Fixed(3)),
+        ("dynamic2-8", ExecMode::Dynamic(2, 8)),
         ("simd4", ExecMode::Simd4),
-        (
-            "incidental2-8",
-            ExecMode::Incidental(IncidentalSetup::new(2, 8).with_staleness(Ticks(2_000))),
-        ),
+        ("incidental2-8", ExecMode::Incidental(2, 8)),
     ]
 }
 
@@ -69,6 +64,8 @@ fn digests(mode: ExecMode, capacitor_uj: f64, engine: ExecEngine) -> (u64, u64) 
         capacitor_capacity: Energy::from_uj(capacitor_uj),
         record_outputs: true,
         max_simd_lanes: 4,
+        // Only the incidental mode reads the deadline.
+        staleness: Ticks(2_000),
         exec_engine: engine,
         ..Default::default()
     };

@@ -6,7 +6,7 @@
 use nvp_kernels::KernelId;
 use nvp_power::synth::WatchProfile;
 use nvp_power::{PowerProfile, Ticks};
-use nvp_sim::{ExecMode, IncidentalSetup, RunReport, SystemConfig, SystemSim};
+use nvp_sim::{ExecMode, RunReport, SystemConfig, SystemSim};
 use nvp_trace::{Event, EventKind, NoopTracer, TraceSummary, VecSink};
 
 fn frames(id: KernelId, n: usize) -> Vec<Vec<i32>> {
@@ -14,11 +14,13 @@ fn frames(id: KernelId, n: usize) -> Vec<Vec<i32>> {
 }
 
 /// Runs a kernel in `mode` over `profile`, returning both the report and
-/// the captured event stream.
+/// the captured event stream. An incidental run rolls forward once its
+/// live frame is 20 ticks old.
 fn run_traced(mode: ExecMode, profile: &PowerProfile, n: usize) -> (RunReport, Vec<Event>) {
     let id = KernelId::Tiff2Bw;
     let cfg = SystemConfig {
         record_outputs: false,
+        staleness: Ticks(20),
         ..Default::default()
     };
     let mut sink = VecSink::new();
@@ -71,7 +73,7 @@ fn ledger_reconciles_on_bursty_profile() {
 #[test]
 fn ledger_reconciles_on_watch_profile_incidental() {
     let profile = WatchProfile::P1.synthesize_seconds(4.0);
-    let mode = ExecMode::Incidental(IncidentalSetup::new(2, 8).with_staleness(Ticks(20)));
+    let mode = ExecMode::Incidental(2, 8);
     let (rep, events) = run_traced(mode, &profile, 6);
     let s = summarize(&events);
     assert_eq!(s.reconcile(), vec![], "ledger must reconcile");
@@ -137,7 +139,7 @@ fn emergency_and_recovery_event_ordering() {
 #[test]
 fn commit_ticks_monotone_per_lane() {
     let profile = WatchProfile::P1.synthesize_seconds(4.0);
-    let mode = ExecMode::Incidental(IncidentalSetup::new(2, 8).with_staleness(Ticks(20)));
+    let mode = ExecMode::Incidental(2, 8);
     let (rep, events) = run_traced(mode, &profile, 6);
     assert!(rep.frames_committed > 0);
     let mut last_per_lane = [0u64; 8];

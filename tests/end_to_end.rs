@@ -2,7 +2,7 @@
 //! must hold (directionally) at quick experiment scale.
 
 use incidental::prelude::*;
-use nvp_sim::{instructions_per_frame, IncidentalSetup, SystemConfig, SystemSim, WaitComputeSim};
+use nvp_sim::{instructions_per_frame, SystemConfig, SystemSim, WaitComputeSim};
 
 fn frames_for(id: KernelId, w: usize, h: usize, n: usize) -> Vec<Vec<i32>> {
     (0..n).map(|i| id.make_input(w, h, 77 + i as u64)).collect()
@@ -30,13 +30,7 @@ fn incidental_beats_precise_by_a_wide_margin() {
     .run(&profile);
 
     cfg.backup_policy = RetentionPolicy::Linear;
-    let inc = SystemSim::new(
-        id.spec(w, h),
-        frames,
-        ExecMode::Incidental(IncidentalSetup::new(2, 8)),
-        cfg,
-    )
-    .run(&profile);
+    let inc = SystemSim::new(id.spec(w, h), frames, ExecMode::Incidental(2, 8), cfg).run(&profile);
 
     let gain = inc.forward_progress as f64 / base.forward_progress.max(1) as f64;
     assert!(gain > 1.5, "incidental gain only {gain:.2}x");
@@ -95,7 +89,6 @@ fn retention_shaping_improves_progress() {
 /// than 8-bit execution.
 #[test]
 fn narrow_bits_double_progress() {
-    use nvp_isa::ApproxConfig;
     let id = KernelId::Median;
     let (w, h) = (10, 10);
     let profile = WatchProfile::P3.synthesize_seconds(2.5);
@@ -105,14 +98,9 @@ fn narrow_bits_double_progress() {
             record_outputs: false,
             ..Default::default()
         };
-        SystemSim::new(
-            id.spec(w, h),
-            frames.clone(),
-            ExecMode::Fixed(ApproxConfig::fixed(bits)),
-            cfg,
-        )
-        .run(&profile)
-        .forward_progress
+        SystemSim::new(id.spec(w, h), frames.clone(), ExecMode::Fixed(bits), cfg)
+            .run(&profile)
+            .forward_progress
     };
     let fp8 = fp(8);
     let fp1 = fp(1);
@@ -152,7 +140,7 @@ fn end_to_end_runs_are_deterministic() {
         SystemSim::new(
             id.spec(10, 10),
             frames_for(id, 10, 10, 2),
-            ExecMode::Incidental(IncidentalSetup::new(2, 8)),
+            ExecMode::Incidental(2, 8),
             cfg,
         )
         .run(&profile)

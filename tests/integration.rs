@@ -7,7 +7,7 @@ use nvp_isa::ApproxConfig;
 use nvp_kernels::quality;
 use nvp_power::outage::OutageStats;
 use nvp_power::{Power, Ticks};
-use nvp_sim::{run_fixed, ExecMode, Governor, IncidentalSetup, SystemConfig, SystemSim};
+use nvp_sim::{run_fixed, ExecMode, SystemConfig, SystemSim};
 
 /// Every kernel's ISA program reproduces its golden reference bit-for-bit
 /// at full precision — the functional-simulator correctness contract.
@@ -54,7 +54,7 @@ fn figure8_pragmas_drive_an_incidental_run() {
         .pragmas(pragmas)
         .frames(3)
         .build();
-    assert!(matches!(exec.mode(), ExecMode::Incidental(_)));
+    assert!(matches!(exec.mode(), ExecMode::Incidental(..)));
     let profile = WatchProfile::P1.synthesize_seconds(1.5);
     let rep = exec.run(&profile);
     assert!(rep.progress.forward_progress > 0);
@@ -116,7 +116,7 @@ fn dynamic_quality_not_below_floor() {
     let rep = SystemSim::new(
         spec.clone(),
         vec![input.clone()],
-        ExecMode::Dynamic(Governor::new(1, 8)),
+        ExecMode::Dynamic(1, 8),
         cfg,
     )
     .run(&profile);
@@ -144,7 +144,7 @@ fn ablation_knobs_bound_incidental_gain() {
         SystemSim::new(
             id.spec(10, 10),
             frames.clone(),
-            ExecMode::Incidental(IncidentalSetup::new(2, 8)),
+            ExecMode::Incidental(2, 8),
             cfg,
         )
         .run(&profile)
