@@ -142,9 +142,9 @@ impl Metrics {
             ("nvp_simulations_total", read(&self.simulations)),
             ("nvp_runs_engine_step_total", read(&self.runs_step)),
             ("nvp_runs_engine_compiled_total", read(&self.runs_compiled)),
-            // Superinstruction-table compilations: the catalog cache keeps
-            // this flat at one per kernel × dimensions, and comparing it
-            // against the compiled-run count shows cache health.
+            // Op tables built for `Compiled` runs, which no engine executes
+            // any more (DESIGN §13, ROADMAP item 3): the catalog cache keeps
+            // this flat at one per kernel × dimensions.
             ("nvp_compile_total", nvp_repro::catalog::compile_count()),
             // Checkpoint-plan syntheses for live-dirty runs: flat at one
             // per kernel × dimensions while the plan cache holds them.

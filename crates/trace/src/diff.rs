@@ -52,14 +52,14 @@ pub fn diff(a: &[Event], b: &[Event]) -> TraceDiff {
         .map(|k| (k, sa.count(k), sb.count(k)))
         .collect();
 
-    let fields = [
-        ("income_nj", sa.ledger.income_nj, sb.ledger.income_nj),
-        ("compute_nj", sa.ledger.compute_nj, sb.ledger.compute_nj),
-        ("backup_nj", sa.ledger.backup_nj, sb.ledger.backup_nj),
-        ("restore_nj", sa.ledger.restore_nj, sb.ledger.restore_nj),
-        ("saved_nj", sa.ledger.saved_nj, sb.ledger.saved_nj),
-    ];
-    let ledger_deltas = fields.into_iter().filter(|&(_, x, y)| x != y).collect();
+    let ledger_deltas = sa
+        .ledger
+        .fields()
+        .into_iter()
+        .zip(sb.ledger.fields())
+        .map(|((field, x), (_, y))| (field, x, y))
+        .filter(|&(_, x, y)| x != y)
+        .collect();
 
     let mut first_kind_divergence = None;
     let mut first_event_divergence = None;

@@ -8,19 +8,114 @@
 //! times raw ticks (no `nvp-power` newtypes) to keep this crate
 //! dependency-free: every runtime crate, including `nvp-power` itself, can
 //! depend on it without a cycle.
+//!
+//! The schema is declared once, in the `events!` table below: each entry
+//! gives a variant's name, its wire name (the `"ev"` discriminant), its
+//! tick and its other fields in wire order, and the table generates
+//! [`Event`], [`EventKind`] and the JSONL codec from it. A new event is
+//! appended at the end: fleet snapshots persist per-kind counts in
+//! declaration order.
 
 use crate::json::Json;
 use std::fmt;
 
-/// A structured trace event.
-///
-/// All energy fields are in nanojoules; all time fields in 0.1 ms
-/// simulation ticks. Floating-point fields must be finite — the JSON
-/// encoding has no representation for NaN or infinity.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Event {
+/// Generates [`Event`], [`EventKind`] and the per-variant halves of
+/// [`Event::json`] / [`Event::from_json`] from one table. A field's wire
+/// key is its name (the tick's is `"t"`), and its JSON form is its type's
+/// [`Wire`] impl.
+macro_rules! events {
+    ($(
+        $(#[$attr:meta])*
+        $name:ident = $wire:literal {
+            $(#[$tick_attr:meta])*
+            tick: u64
+            $(, $(#[$field_attr:meta])* $field:ident: $ty:ty)* $(,)?
+        }
+    ),* $(,)?) => {
+        /// A structured trace event.
+        ///
+        /// All energy fields are in nanojoules; all time fields in 0.1 ms
+        /// simulation ticks. Floating-point fields must be finite — the JSON
+        /// encoding has no representation for NaN or infinity.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Event {
+            $(
+                $(#[$attr])*
+                $name {
+                    $(#[$tick_attr])*
+                    tick: u64,
+                    $($(#[$field_attr])* $field: $ty,)*
+                },
+            )*
+        }
+
+        /// Fieldless mirror of [`Event`] for counting and dispatch.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        pub enum EventKind {
+            $(
+                #[doc = concat!("[`Event::", stringify!($name), "`].")]
+                $name,
+            )*
+        }
+
+        impl EventKind {
+            /// Every kind, in schema order.
+            pub const ALL: [EventKind; Self::COUNT] = [$(EventKind::$name),*];
+
+            /// Number of kinds (array-index domain).
+            pub const COUNT: usize = [$($wire),*].len();
+
+            /// Stable wire name (the JSON `"ev"` discriminant).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(EventKind::$name => $wire,)*
+                }
+            }
+        }
+
+        impl Event {
+            /// The event's kind.
+            pub fn kind(&self) -> EventKind {
+                match self {
+                    $(Event::$name { .. } => EventKind::$name,)*
+                }
+            }
+
+            /// The event's tick.
+            pub fn tick(&self) -> u64 {
+                match self {
+                    $(Event::$name { tick, .. })|* => *tick,
+                }
+            }
+
+            /// The variant's `"ev"`, `"t"` and fields, in wire order.
+            fn wire_fields(&self) -> Vec<(&'static str, Json)> {
+                match self {
+                    $(Event::$name { tick, $($field),* } => vec![
+                        ("ev", Json::str($wire)),
+                        ("t", tick.json()),
+                        $((stringify!($field), $field.json()),)*
+                    ],)*
+                }
+            }
+
+            /// Reads the variant named `ev` from a parsed line.
+            fn read_variant(obj: &Json, ev: &str, tick: u64) -> Result<Event, ParseError> {
+                Ok(match ev {
+                    $($wire => Event::$name {
+                        tick,
+                        $($field: Wire::read(obj, stringify!($field))?,)*
+                    },)*
+                    _ => return Err(ParseError::new(format!("unknown event kind '{ev}'"))),
+                })
+            }
+        }
+    };
+}
+
+events! {
     /// A new simulator run begins (separates runs in a shared trace file).
-    RunStart {
+    RunStart = "run_start" {
         /// Tick of the run's first sample (0 for a fresh simulator).
         tick: u64,
         /// Human-readable run label (kernel/profile/mode).
@@ -28,7 +123,7 @@ pub enum Event {
     },
     /// The capacitor crossed the restart threshold (the voltage monitor's
     /// comparator edge).
-    ThresholdCross {
+    ThresholdCross = "threshold_cross" {
         /// Tick of the crossing.
         tick: u64,
         /// Capacitor level at the crossing, nJ.
@@ -41,7 +136,7 @@ pub enum Event {
     },
     /// The energy reserve was hit: a power emergency is declared and a
     /// backup is about to happen.
-    PowerEmergency {
+    PowerEmergency = "power_emergency" {
         /// Tick of the emergency.
         tick: u64,
         /// Capacitor level when the emergency was declared, nJ.
@@ -51,14 +146,14 @@ pub enum Event {
     },
     /// A scoped backup (`LiveOnly`/`LiveDirty`) found no mask for the
     /// interruption pc and degraded to a full-state backup.
-    BackupScopeFallback {
+    BackupScopeFallback = "backup_scope_fallback" {
         /// Tick of the backup that degraded.
         tick: u64,
         /// Interruption pc the mask table had no entry for.
         pc: u64,
     },
     /// A backup was performed.
-    Backup {
+    Backup = "backup" {
         /// Tick of the backup.
         tick: u64,
         /// Energy spent on this backup, nJ.
@@ -73,19 +168,19 @@ pub enum Event {
         bits: u8,
     },
     /// Power is out: the span between a backup and the next restore begins.
-    OutageStart {
+    OutageStart = "outage_start" {
         /// First dark tick.
         tick: u64,
     },
     /// Power returned; the outage is over.
-    OutageEnd {
+    OutageEnd = "outage_end" {
         /// Tick at which power returned.
         tick: u64,
         /// Outage length in ticks.
         duration: u64,
     },
     /// A restore was performed.
-    Restore {
+    Restore = "restore" {
         /// Tick of the restore.
         tick: u64,
         /// Energy spent on this restore, nJ.
@@ -100,7 +195,7 @@ pub enum Event {
         cold: bool,
     },
     /// A frame committed on some SIMD lane.
-    FrameCommitted {
+    FrameCommitted = "frame_committed" {
         /// Commit tick.
         tick: u64,
         /// Lane the frame was computed on (0 = live lane).
@@ -111,7 +206,7 @@ pub enum Event {
         incidental: bool,
     },
     /// A partially-computed frame was parked in the resume buffer.
-    FrameParked {
+    FrameParked = "frame_parked" {
         /// Tick of the roll-forward that parked it.
         tick: u64,
         /// Input frame index.
@@ -122,14 +217,14 @@ pub enum Event {
         recompute: bool,
     },
     /// A parked frame was abandoned by FIFO eviction.
-    FrameAbandoned {
+    FrameAbandoned = "frame_abandoned" {
         /// Tick of the eviction.
         tick: u64,
         /// Input frame index of the abandoned work.
         input_index: u64,
     },
     /// A parked frame merged into a free SIMD lane.
-    Merge {
+    Merge = "merge" {
         /// Tick of the merge.
         tick: u64,
         /// Lane the frame rejoined on.
@@ -140,7 +235,7 @@ pub enum Event {
         pc: u64,
     },
     /// The dynamic-bitwidth governor switched the datapath width.
-    GovernorSwitch {
+    GovernorSwitch = "governor_switch" {
         /// Tick of the switch.
         tick: u64,
         /// Previous bitwidth.
@@ -150,7 +245,7 @@ pub enum Event {
         to_bits: u8,
     },
     /// Retention failures observed while restoring after an outage.
-    RetentionDecay {
+    RetentionDecay = "retention_decay" {
         /// Tick of the restore that observed the decay.
         tick: u64,
         /// Bit position (0 = LSB).
@@ -160,7 +255,7 @@ pub enum Event {
     },
     /// The wait-compute baseline's ESD ran dry mid-frame (the whole frame
     /// is lost — volatile MCU).
-    WaitStall {
+    WaitStall = "wait_stall" {
         /// Tick of the stall.
         tick: u64,
         /// ESD level at the stall, nJ.
@@ -174,7 +269,7 @@ pub enum Event {
     /// them per occurrence would dwarf the rest of the trace, so the
     /// simulator flushes deltas at phase boundaries (backup, restore, run
     /// end). Summing the deltas reproduces the run totals.
-    EnergyFlush {
+    EnergyFlush = "energy_flush" {
         /// Tick of the flush.
         tick: u64,
         /// Income banked since the last flush, nJ.
@@ -184,7 +279,7 @@ pub enum Event {
     },
     /// The run finished; carries the run's aggregate totals so a trace is
     /// self-checking (the summed per-event ledger must reconcile).
-    RunEnd {
+    RunEnd = "run_end" {
         /// Final tick (total ticks simulated).
         tick: u64,
         /// Total energy banked, nJ.
@@ -208,96 +303,10 @@ pub enum Event {
     },
 }
 
-/// Fieldless mirror of [`Event`] for counting and dispatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum EventKind {
-    /// [`Event::RunStart`].
-    RunStart,
-    /// [`Event::ThresholdCross`].
-    ThresholdCross,
-    /// [`Event::PowerEmergency`].
-    PowerEmergency,
-    /// [`Event::BackupScopeFallback`].
-    BackupScopeFallback,
-    /// [`Event::Backup`].
-    Backup,
-    /// [`Event::OutageStart`].
-    OutageStart,
-    /// [`Event::OutageEnd`].
-    OutageEnd,
-    /// [`Event::Restore`].
-    Restore,
-    /// [`Event::FrameCommitted`].
-    FrameCommitted,
-    /// [`Event::FrameParked`].
-    FrameParked,
-    /// [`Event::FrameAbandoned`].
-    FrameAbandoned,
-    /// [`Event::Merge`].
-    Merge,
-    /// [`Event::GovernorSwitch`].
-    GovernorSwitch,
-    /// [`Event::RetentionDecay`].
-    RetentionDecay,
-    /// [`Event::WaitStall`].
-    WaitStall,
-    /// [`Event::EnergyFlush`].
-    EnergyFlush,
-    /// [`Event::RunEnd`].
-    RunEnd,
-}
-
 impl EventKind {
-    /// Every kind, in schema order.
-    pub const ALL: [EventKind; 17] = [
-        EventKind::RunStart,
-        EventKind::ThresholdCross,
-        EventKind::PowerEmergency,
-        EventKind::BackupScopeFallback,
-        EventKind::Backup,
-        EventKind::OutageStart,
-        EventKind::OutageEnd,
-        EventKind::Restore,
-        EventKind::FrameCommitted,
-        EventKind::FrameParked,
-        EventKind::FrameAbandoned,
-        EventKind::Merge,
-        EventKind::GovernorSwitch,
-        EventKind::RetentionDecay,
-        EventKind::WaitStall,
-        EventKind::EnergyFlush,
-        EventKind::RunEnd,
-    ];
-
-    /// Number of kinds (array-index domain).
-    pub const COUNT: usize = Self::ALL.len();
-
-    /// Stable wire name (the JSON `"ev"` discriminant).
-    pub fn name(self) -> &'static str {
-        match self {
-            EventKind::RunStart => "run_start",
-            EventKind::ThresholdCross => "threshold_cross",
-            EventKind::PowerEmergency => "power_emergency",
-            EventKind::BackupScopeFallback => "backup_scope_fallback",
-            EventKind::Backup => "backup",
-            EventKind::OutageStart => "outage_start",
-            EventKind::OutageEnd => "outage_end",
-            EventKind::Restore => "restore",
-            EventKind::FrameCommitted => "frame_committed",
-            EventKind::FrameParked => "frame_parked",
-            EventKind::FrameAbandoned => "frame_abandoned",
-            EventKind::Merge => "merge",
-            EventKind::GovernorSwitch => "governor_switch",
-            EventKind::RetentionDecay => "retention_decay",
-            EventKind::WaitStall => "wait_stall",
-            EventKind::EnergyFlush => "energy_flush",
-            EventKind::RunEnd => "run_end",
-        }
-    }
-
     /// Dense array index (inverse of `ALL[i]`).
     pub fn index(self) -> usize {
-        Self::ALL.iter().position(|&k| k == self).expect("in ALL")
+        self as usize
     }
 }
 
@@ -308,189 +317,12 @@ impl fmt::Display for EventKind {
 }
 
 impl Event {
-    /// The event's kind.
-    pub fn kind(&self) -> EventKind {
-        match self {
-            Event::RunStart { .. } => EventKind::RunStart,
-            Event::ThresholdCross { .. } => EventKind::ThresholdCross,
-            Event::PowerEmergency { .. } => EventKind::PowerEmergency,
-            Event::BackupScopeFallback { .. } => EventKind::BackupScopeFallback,
-            Event::Backup { .. } => EventKind::Backup,
-            Event::OutageStart { .. } => EventKind::OutageStart,
-            Event::OutageEnd { .. } => EventKind::OutageEnd,
-            Event::Restore { .. } => EventKind::Restore,
-            Event::FrameCommitted { .. } => EventKind::FrameCommitted,
-            Event::FrameParked { .. } => EventKind::FrameParked,
-            Event::FrameAbandoned { .. } => EventKind::FrameAbandoned,
-            Event::Merge { .. } => EventKind::Merge,
-            Event::GovernorSwitch { .. } => EventKind::GovernorSwitch,
-            Event::RetentionDecay { .. } => EventKind::RetentionDecay,
-            Event::WaitStall { .. } => EventKind::WaitStall,
-            Event::EnergyFlush { .. } => EventKind::EnergyFlush,
-            Event::RunEnd { .. } => EventKind::RunEnd,
-        }
-    }
-
-    /// The event's tick.
-    pub fn tick(&self) -> u64 {
-        match self {
-            Event::RunStart { tick, .. }
-            | Event::ThresholdCross { tick, .. }
-            | Event::PowerEmergency { tick, .. }
-            | Event::BackupScopeFallback { tick, .. }
-            | Event::Backup { tick, .. }
-            | Event::OutageStart { tick }
-            | Event::OutageEnd { tick, .. }
-            | Event::Restore { tick, .. }
-            | Event::FrameCommitted { tick, .. }
-            | Event::FrameParked { tick, .. }
-            | Event::FrameAbandoned { tick, .. }
-            | Event::Merge { tick, .. }
-            | Event::GovernorSwitch { tick, .. }
-            | Event::RetentionDecay { tick, .. }
-            | Event::WaitStall { tick, .. }
-            | Event::EnergyFlush { tick, .. }
-            | Event::RunEnd { tick, .. } => *tick,
-        }
-    }
-
     /// The event as a JSON object: `"ev"` (the kind's wire name), `"t"`
     /// (the tick), then the variant's fields in declaration order.
     pub fn json(&self) -> Json {
-        let int = |v: u64| Json::Num(v as f64);
-        let small = |v: u8| Json::Num(f64::from(v));
-        let mut fields = vec![
-            ("ev", Json::str(self.kind().name())),
-            ("t", int(self.tick())),
-        ];
-        match self {
-            Event::RunStart { label, .. } => fields.push(("label", Json::str(label.as_str()))),
-            Event::ThresholdCross {
-                level_nj,
-                threshold_nj,
-                up,
-                ..
-            } => fields.extend([
-                ("level_nj", Json::Num(*level_nj)),
-                ("threshold_nj", Json::Num(*threshold_nj)),
-                ("up", Json::Bool(*up)),
-            ]),
-            Event::PowerEmergency {
-                level_nj,
-                reserve_nj,
-                ..
-            } => fields.extend([
-                ("level_nj", Json::Num(*level_nj)),
-                ("reserve_nj", Json::Num(*reserve_nj)),
-            ]),
-            Event::BackupScopeFallback { pc, .. } => fields.push(("pc", int(*pc))),
-            Event::Backup {
-                cost_nj,
-                saved_nj,
-                live_fraction,
-                bits,
-                ..
-            } => fields.extend([
-                ("cost_nj", Json::Num(*cost_nj)),
-                ("saved_nj", Json::Num(*saved_nj)),
-                ("live_fraction", Json::Num(*live_fraction)),
-                ("bits", small(*bits)),
-            ]),
-            Event::OutageStart { .. } => {}
-            Event::OutageEnd { duration, .. } => fields.push(("duration", int(*duration))),
-            Event::Restore {
-                cost_nj,
-                outage_ticks,
-                rolled_forward,
-                cold,
-                ..
-            } => fields.extend([
-                ("cost_nj", Json::Num(*cost_nj)),
-                ("outage_ticks", int(*outage_ticks)),
-                ("rolled_forward", Json::Bool(*rolled_forward)),
-                ("cold", Json::Bool(*cold)),
-            ]),
-            Event::FrameCommitted {
-                lane,
-                input_index,
-                incidental,
-                ..
-            } => fields.extend([
-                ("lane", small(*lane)),
-                ("input_index", int(*input_index)),
-                ("incidental", Json::Bool(*incidental)),
-            ]),
-            Event::FrameParked {
-                input_index,
-                version,
-                recompute,
-                ..
-            } => fields.extend([
-                ("input_index", int(*input_index)),
-                ("version", small(*version)),
-                ("recompute", Json::Bool(*recompute)),
-            ]),
-            Event::FrameAbandoned { input_index, .. } => {
-                fields.push(("input_index", int(*input_index)))
-            }
-            Event::Merge {
-                lane,
-                input_index,
-                pc,
-                ..
-            } => fields.extend([
-                ("lane", small(*lane)),
-                ("input_index", int(*input_index)),
-                ("pc", int(*pc)),
-            ]),
-            Event::GovernorSwitch {
-                from_bits, to_bits, ..
-            } => fields.extend([
-                ("from_bits", small(*from_bits)),
-                ("to_bits", small(*to_bits)),
-                ("reason", Json::str("power")),
-            ]),
-            Event::RetentionDecay { bit, failures, .. } => {
-                fields.extend([("bit", small(*bit)), ("failures", int(*failures))])
-            }
-            Event::WaitStall {
-                level_nj,
-                needed_nj,
-                ..
-            } => fields.extend([
-                ("level_nj", Json::Num(*level_nj)),
-                ("needed_nj", Json::Num(*needed_nj)),
-            ]),
-            Event::EnergyFlush {
-                income_nj,
-                compute_nj,
-                ..
-            } => fields.extend([
-                ("income_nj", Json::Num(*income_nj)),
-                ("compute_nj", Json::Num(*compute_nj)),
-            ]),
-            Event::RunEnd {
-                income_nj,
-                compute_nj,
-                backup_nj,
-                restore_nj,
-                saved_nj,
-                backups,
-                restores,
-                frames,
-                forward_progress,
-                ..
-            } => fields.extend([
-                ("income_nj", Json::Num(*income_nj)),
-                ("compute_nj", Json::Num(*compute_nj)),
-                ("backup_nj", Json::Num(*backup_nj)),
-                ("restore_nj", Json::Num(*restore_nj)),
-                ("saved_nj", Json::Num(*saved_nj)),
-                ("backups", int(*backups)),
-                ("restores", int(*restores)),
-                ("frames", int(*frames)),
-                ("forward_progress", int(*forward_progress)),
-            ]),
+        let mut fields = self.wire_fields();
+        if let Event::GovernorSwitch { .. } = self {
+            fields.push(("reason", Json::str("power")));
         }
         Json::obj(fields)
     }
@@ -506,123 +338,20 @@ impl Event {
     /// Parses one JSONL line back into an event.
     pub fn from_json(line: &str) -> Result<Event, ParseError> {
         let obj = Json::parse(line).map_err(|e| ParseError::new(e.to_string()))?;
-        let num = |key: &str| num_field(&obj, key);
-        let uint = |key: &str| u64_field(&obj, key);
-        let small = |key: &str| u8_field(&obj, key);
-        let flag = |key: &str| bool_field(&obj, key);
-        let ev = str_field(&obj, "ev")?;
-        let t = uint("t")?;
-        let kind = EventKind::ALL
-            .iter()
-            .copied()
-            .find(|k| k.name() == ev)
-            .ok_or_else(|| ParseError::new(format!("unknown event kind '{ev}'")))?;
-        Ok(match kind {
-            EventKind::RunStart => Event::RunStart {
-                tick: t,
-                label: str_field(&obj, "label")?.to_string(),
-            },
-            EventKind::ThresholdCross => Event::ThresholdCross {
-                tick: t,
-                level_nj: num("level_nj")?,
-                threshold_nj: num("threshold_nj")?,
-                up: flag("up")?,
-            },
-            EventKind::PowerEmergency => Event::PowerEmergency {
-                tick: t,
-                level_nj: num("level_nj")?,
-                reserve_nj: num("reserve_nj")?,
-            },
-            EventKind::BackupScopeFallback => Event::BackupScopeFallback {
-                tick: t,
-                pc: uint("pc")?,
-            },
-            EventKind::Backup => Event::Backup {
-                tick: t,
-                cost_nj: num("cost_nj")?,
-                saved_nj: num("saved_nj")?,
-                live_fraction: num("live_fraction")?,
-                bits: small("bits")?,
-            },
-            EventKind::OutageStart => Event::OutageStart { tick: t },
-            EventKind::OutageEnd => Event::OutageEnd {
-                tick: t,
-                duration: uint("duration")?,
-            },
-            EventKind::Restore => Event::Restore {
-                tick: t,
-                cost_nj: num("cost_nj")?,
-                outage_ticks: uint("outage_ticks")?,
-                rolled_forward: flag("rolled_forward")?,
-                cold: flag("cold")?,
-            },
-            EventKind::FrameCommitted => Event::FrameCommitted {
-                tick: t,
-                lane: small("lane")?,
-                input_index: uint("input_index")?,
-                incidental: flag("incidental")?,
-            },
-            EventKind::FrameParked => Event::FrameParked {
-                tick: t,
-                input_index: uint("input_index")?,
-                version: small("version")?,
-                recompute: flag("recompute")?,
-            },
-            EventKind::FrameAbandoned => Event::FrameAbandoned {
-                tick: t,
-                input_index: uint("input_index")?,
-            },
-            EventKind::Merge => Event::Merge {
-                tick: t,
-                lane: small("lane")?,
-                input_index: uint("input_index")?,
-                pc: uint("pc")?,
-            },
-            EventKind::GovernorSwitch => {
-                // Older traces have no reason field; every switch is
-                // power-driven, so any other reason is refused.
-                if let Some(reason) = obj.get("reason") {
-                    if reason.as_str() != Some("power") {
-                        return Err(ParseError::new(format!(
-                            "unknown switch reason {}",
-                            reason.render()
-                        )));
-                    }
-                }
-                Event::GovernorSwitch {
-                    tick: t,
-                    from_bits: small("from_bits")?,
-                    to_bits: small("to_bits")?,
-                }
-            }
-            EventKind::RetentionDecay => Event::RetentionDecay {
-                tick: t,
-                bit: small("bit")?,
-                failures: uint("failures")?,
-            },
-            EventKind::WaitStall => Event::WaitStall {
-                tick: t,
-                level_nj: num("level_nj")?,
-                needed_nj: num("needed_nj")?,
-            },
-            EventKind::EnergyFlush => Event::EnergyFlush {
-                tick: t,
-                income_nj: num("income_nj")?,
-                compute_nj: num("compute_nj")?,
-            },
-            EventKind::RunEnd => Event::RunEnd {
-                tick: t,
-                income_nj: num("income_nj")?,
-                compute_nj: num("compute_nj")?,
-                backup_nj: num("backup_nj")?,
-                restore_nj: num("restore_nj")?,
-                saved_nj: num("saved_nj")?,
-                backups: uint("backups")?,
-                restores: uint("restores")?,
-                frames: uint("frames")?,
-                forward_progress: uint("forward_progress")?,
-            },
-        })
+        let ev = typed(&obj, "ev", "a string", Json::as_str)?;
+        let tick = u64::read(&obj, "t")?;
+        // Older traces have no switch reason; every switch is power-driven,
+        // so any other reason is refused.
+        if let Some(reason) = obj
+            .get("reason")
+            .filter(|r| ev == EventKind::GovernorSwitch.name() && r.as_str() != Some("power"))
+        {
+            return Err(ParseError::new(format!(
+                "unknown switch reason {}",
+                reason.render()
+            )));
+        }
+        Event::read_variant(&obj, ev, tick)
     }
 }
 
@@ -646,43 +375,72 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-// Typed field getters over a parsed trace line.
-
-fn field<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, ParseError> {
-    obj.get(key)
-        .ok_or_else(|| ParseError::new(format!("missing field '{key}'")))
+/// A field type's JSON form: how [`Event::json`] writes it and
+/// [`Event::from_json`] reads it back.
+trait Wire: Sized {
+    fn json(&self) -> Json;
+    fn read(obj: &Json, key: &str) -> Result<Self, ParseError>;
 }
 
+impl Wire for u64 {
+    fn json(&self) -> Json {
+        Json::Num(*self as f64)
+    }
+    fn read(obj: &Json, key: &str) -> Result<Self, ParseError> {
+        typed(obj, key, "an unsigned integer", Json::as_u64)
+    }
+}
+
+impl Wire for u8 {
+    fn json(&self) -> Json {
+        Json::Num(f64::from(*self))
+    }
+    fn read(obj: &Json, key: &str) -> Result<Self, ParseError> {
+        let n = u64::read(obj, key)?;
+        u8::try_from(n)
+            .map_err(|_| ParseError::new(format!("field '{key}' is out of range for u8: {n}")))
+    }
+}
+
+impl Wire for f64 {
+    fn json(&self) -> Json {
+        Json::Num(*self)
+    }
+    fn read(obj: &Json, key: &str) -> Result<Self, ParseError> {
+        typed(obj, key, "a number", Json::as_f64)
+    }
+}
+
+impl Wire for bool {
+    fn json(&self) -> Json {
+        Json::Bool(*self)
+    }
+    fn read(obj: &Json, key: &str) -> Result<Self, ParseError> {
+        typed(obj, key, "a boolean", Json::as_bool)
+    }
+}
+
+impl Wire for String {
+    fn json(&self) -> Json {
+        Json::str(self.as_str())
+    }
+    fn read(obj: &Json, key: &str) -> Result<Self, ParseError> {
+        typed(obj, key, "a string", |v| v.as_str().map(str::to_string))
+    }
+}
+
+/// Reads field `key` of a parsed trace line through `read`, naming the
+/// field and the expected type (`what`) when it is missing or mistyped.
 fn typed<'a, T>(
     obj: &'a Json,
     key: &str,
     what: &str,
     read: impl FnOnce(&'a Json) -> Option<T>,
 ) -> Result<T, ParseError> {
-    let value = field(obj, key)?;
+    let value = obj
+        .get(key)
+        .ok_or_else(|| ParseError::new(format!("missing field '{key}'")))?;
     read(value).ok_or_else(|| ParseError::new(format!("field '{key}' is not {what}: {value:?}")))
-}
-
-fn str_field<'a>(obj: &'a Json, key: &str) -> Result<&'a str, ParseError> {
-    typed(obj, key, "a string", Json::as_str)
-}
-
-fn num_field(obj: &Json, key: &str) -> Result<f64, ParseError> {
-    typed(obj, key, "a number", Json::as_f64)
-}
-
-fn u64_field(obj: &Json, key: &str) -> Result<u64, ParseError> {
-    typed(obj, key, "an unsigned integer", Json::as_u64)
-}
-
-fn u8_field(obj: &Json, key: &str) -> Result<u8, ParseError> {
-    let n = u64_field(obj, key)?;
-    u8::try_from(n)
-        .map_err(|_| ParseError::new(format!("field '{key}' is out of range for u8: {n}")))
-}
-
-fn bool_field(obj: &Json, key: &str) -> Result<bool, ParseError> {
-    typed(obj, key, "a boolean", Json::as_bool)
 }
 
 #[cfg(test)]
@@ -783,10 +541,38 @@ mod tests {
         ]
     }
 
+    /// The wire line of each sample, byte for byte as existing traces carry
+    /// it. Old traces must still parse and fleet snapshots' per-kind counts
+    /// must keep their order, so neither a wire name nor a kind's position
+    /// may change.
+    const SAMPLE_LINES: [&str; EventKind::COUNT] = [
+        r#"{"ev":"run_start","t":0,"label":"sobel/p1/\"quoted\"\\mode"}"#,
+        r#"{"ev":"threshold_cross","t":17,"level_nj":812.5,"threshold_nj":811.999999999,"up":true}"#,
+        r#"{"ev":"power_emergency","t":40,"level_nj":410.25,"reserve_nj":409}"#,
+        r#"{"ev":"backup_scope_fallback","t":40,"pc":23}"#,
+        r#"{"ev":"backup","t":40,"cost_nj":372.1234567890123,"saved_nj":12.5,"live_fraction":0.625,"bits":8}"#,
+        r#"{"ev":"outage_start","t":41}"#,
+        r#"{"ev":"outage_end","t":90,"duration":49}"#,
+        r#"{"ev":"restore","t":90,"cost_nj":55,"outage_ticks":49,"rolled_forward":true,"cold":false}"#,
+        r#"{"ev":"frame_committed","t":120,"lane":2,"input_index":7,"incidental":true}"#,
+        r#"{"ev":"frame_parked","t":90,"input_index":3,"version":1,"recompute":true}"#,
+        r#"{"ev":"frame_abandoned","t":90,"input_index":1}"#,
+        r#"{"ev":"merge","t":100,"lane":1,"input_index":3,"pc":12}"#,
+        r#"{"ev":"governor_switch","t":55,"from_bits":8,"to_bits":2,"reason":"power"}"#,
+        r#"{"ev":"retention_decay","t":90,"bit":0,"failures":144}"#,
+        r#"{"ev":"wait_stall","t":300,"level_nj":4.5,"needed_nj":20.9}"#,
+        r#"{"ev":"energy_flush","t":40,"income_nj":1234.0000000001,"compute_nj":900.125}"#,
+        r#"{"ev":"run_end","t":15000,"income_nj":99000.5,"compute_nj":60000.25,"backup_nj":20000,"restore_nj":5000,"saved_nj":0,"backups":42,"restores":43,"frames":9,"forward_progress":123456789}"#,
+    ];
+
     #[test]
     fn every_variant_roundtrips() {
-        for ev in sample_events() {
+        let samples = sample_events();
+        assert_eq!(samples.len(), EventKind::COUNT);
+        for ((ev, kind), want) in samples.into_iter().zip(EventKind::ALL).zip(SAMPLE_LINES) {
+            assert_eq!(ev.kind(), kind, "sample order is schema order");
             let line = ev.to_json();
+            assert_eq!(line, want, "wire bytes of {kind}");
             let back = Event::from_json(&line).expect(&line);
             assert_eq!(back, ev, "line: {line}");
         }

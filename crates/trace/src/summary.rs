@@ -49,6 +49,17 @@ impl EnergyLedger {
         }
     }
 
+    /// The five fields as `(name, nJ)`, in declaration order.
+    pub(crate) fn fields(&self) -> [(&'static str, f64); 5] {
+        [
+            ("income_nj", self.income_nj),
+            ("compute_nj", self.compute_nj),
+            ("backup_nj", self.backup_nj),
+            ("restore_nj", self.restore_nj),
+            ("saved_nj", self.saved_nj),
+        ]
+    }
+
     /// Checks this ledger against reference totals within a relative
     /// tolerance, returning the per-field mismatches (empty = reconciled).
     ///
@@ -58,15 +69,10 @@ impl EnergyLedger {
     /// the default tolerance in [`TraceSummary::reconcile`] allows for
     /// that and nothing more.
     pub fn mismatches(&self, reference: &EnergyLedger, rel_tol: f64) -> Vec<LedgerMismatch> {
-        let fields = [
-            ("income_nj", self.income_nj, reference.income_nj),
-            ("compute_nj", self.compute_nj, reference.compute_nj),
-            ("backup_nj", self.backup_nj, reference.backup_nj),
-            ("restore_nj", self.restore_nj, reference.restore_nj),
-            ("saved_nj", self.saved_nj, reference.saved_nj),
-        ];
-        fields
+        self.fields()
             .into_iter()
+            .zip(reference.fields())
+            .map(|((field, got), (_, want))| (field, got, want))
             .filter(|&(_, got, want)| {
                 let scale = want.abs().max(got.abs()).max(1.0);
                 (got - want).abs() > rel_tol * scale
