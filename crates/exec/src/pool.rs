@@ -1,189 +1,15 @@
-//! The work-stealing pool implementation.
+//! The batch pool: scoped workers claiming item slots from one counter.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// A boxed job: runs once, produces a `T`.
-type Job<'env, T> = Box<dyn FnOnce() -> T + Send + 'env>;
-
-/// One worker's deque of (submission index, job) pairs.
-type Deque<'env, T> = Mutex<VecDeque<(usize, Job<'env, T>)>>;
-
-/// The number of hardware threads, with a serial fallback when the OS
-/// cannot say.
-pub fn available_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// An ordered collection of jobs awaiting execution.
+/// A reusable handle describing how wide to run a batch.
 ///
-/// Jobs are indexed by submission order; [`JobSet::run`] returns one result
-/// per job in that same order.
-pub struct JobSet<'env, T> {
-    jobs: Vec<Job<'env, T>>,
-}
-
-impl<T> Default for JobSet<'_, T> {
-    fn default() -> Self {
-        JobSet { jobs: Vec::new() }
-    }
-}
-
-impl<'env, T: Send> JobSet<'env, T> {
-    /// Creates an empty job set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a job; returns its index (also its slot in the result vector).
-    pub fn push(&mut self, job: impl FnOnce() -> T + Send + 'env) -> usize {
-        self.jobs.push(Box::new(job));
-        self.jobs.len() - 1
-    }
-
-    /// Number of queued jobs.
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
-    }
-
-    /// Executes every job on up to `workers` threads and returns the
-    /// results in submission order.
-    ///
-    /// `workers <= 1` (or a single job) runs everything on the calling
-    /// thread — the serial reference path, bit-identical to the parallel
-    /// one for any deterministic job.
-    ///
-    /// # Panics
-    ///
-    /// If a job panics, the sweep is aborted and one panic payload is
-    /// re-raised here after all workers have stopped. Every job either ran
-    /// or was cancelled, never both, and the cancelled ones are dropped in
-    /// submission order, so cancellation side effects are deterministic.
-    /// Workers stop pulling new jobs once they see the abort, but that is
-    /// best-effort: siblings on other cores may finish the whole queue
-    /// before the panicking job unwinds, so how many jobs get cancelled
-    /// (possibly none) depends on the schedule.
-    pub fn run(self, workers: usize) -> Vec<T> {
-        let n = workers.min(self.jobs.len());
-        if n <= 1 {
-            return self.jobs.into_iter().map(|j| j()).collect();
-        }
-        run_stealing(self.jobs, n)
-    }
-}
-
-/// The parallel path: deal jobs round-robin onto `n` deques, run `n`
-/// scoped workers, collect per-index results.
-fn run_stealing<'env, T: Send>(jobs: Vec<Job<'env, T>>, n: usize) -> Vec<T> {
-    let total = jobs.len();
-    let mut deques: Vec<Deque<'env, T>> = (0..n).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (i, job) in jobs.into_iter().enumerate() {
-        deques[i % n]
-            .get_mut()
-            .expect("fresh deque")
-            .push_back((i, job));
-    }
-    let deques = &deques;
-    let slots: Vec<Mutex<Option<T>>> = (0..total).map(|_| Mutex::new(None)).collect();
-    let slots = &slots;
-    let abort = &AtomicBool::new(false);
-    let panic_box: &Mutex<Option<Box<dyn std::any::Any + Send>>> = &Mutex::new(None);
-
-    std::thread::scope(|scope| {
-        for me in 0..n {
-            scope.spawn(move || worker(me, deques, slots, abort, panic_box));
-        }
-    });
-
-    if let Some(payload) = panic_box.lock().expect("panic box lock").take() {
-        // Cancel queued-but-unstarted jobs deterministically: collect the
-        // survivors from every deque, order them by submission index, and
-        // drop them one by one. Without this, jobs would die in deque-then
-        // -position order — a function of how the round-robin deal and the
-        // steals interleaved — and any cancellation side effect (a Drop
-        // impl releasing a resource, a test observer) would see a
-        // scheduling-dependent order.
-        let mut unstarted: Vec<(usize, Job<'env, T>)> = deques
-            .iter()
-            .flat_map(|d| {
-                d.lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .drain(..)
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        unstarted.sort_by_key(|&(index, _)| index);
-        for (_, job) in unstarted {
-            drop(job);
-        }
-        resume_unwind(payload);
-    }
-    slots
-        .iter()
-        .map(|s| {
-            s.lock()
-                .expect("result lock")
-                .take()
-                .expect("every job ran exactly once")
-        })
-        .collect()
-}
-
-/// One worker: LIFO pop from its own deque, FIFO steal from the others.
-fn worker<'env, T: Send>(
-    me: usize,
-    deques: &[Deque<'env, T>],
-    slots: &[Mutex<Option<T>>],
-    abort: &AtomicBool,
-    panic_box: &Mutex<Option<Box<dyn std::any::Any + Send>>>,
-) {
-    let n = deques.len();
-    loop {
-        if abort.load(Ordering::Acquire) {
-            return;
-        }
-        // Own deque first, newest job first (LIFO).
-        let mut next = deques[me].lock().expect("deque lock").pop_back();
-        if next.is_none() {
-            // Steal oldest-first (FIFO) from the victims, starting after us.
-            for k in 1..n {
-                let victim = (me + k) % n;
-                next = deques[victim].lock().expect("deque lock").pop_front();
-                if next.is_some() {
-                    break;
-                }
-            }
-        }
-        // The job set is fixed up front, so empty-everywhere means done.
-        let Some((index, job)) = next else { return };
-        match catch_unwind(AssertUnwindSafe(job)) {
-            Ok(value) => *slots[index].lock().expect("result lock") = Some(value),
-            Err(payload) => {
-                abort.store(true, Ordering::Release);
-                let mut slot = panic_box.lock().expect("panic box lock");
-                // First panic observed wins; later ones are dropped.
-                slot.get_or_insert(payload);
-                return;
-            }
-        }
-    }
-}
-
-/// A reusable handle describing how wide to run job sets.
-///
-/// `Pool` holds no threads — workers are spawned scoped per [`Pool::run`]
+/// `Pool` holds no threads — workers are spawned scoped per [`Pool::map`]
 /// call and joined before it returns, which is what lets jobs borrow from
 /// the caller and lets pools nest arbitrarily.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct Pool {
     workers: usize,
 }
@@ -196,35 +22,87 @@ impl Pool {
         }
     }
 
-    /// A pool as wide as the hardware.
-    pub fn auto() -> Self {
-        Self::new(available_parallelism())
-    }
-
-    /// Configured worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Runs a pre-built job set.
-    pub fn run<'env, T: Send>(&self, jobs: JobSet<'env, T>) -> Vec<T> {
-        jobs.run(self.workers)
-    }
-
     /// Parallel map preserving input order: `f` is applied to every item
     /// and the results come back in the items' original order.
+    ///
+    /// Workers claim items from one shared counter, last item first.
+    /// `workers <= 1` (or a single item) runs everything on the calling
+    /// thread — the serial reference path, bit-identical to the parallel
+    /// one for any deterministic `f`.
+    ///
+    /// # Panics
+    ///
+    /// If `f` panics, the batch is aborted and one panic payload is
+    /// re-raised here after all workers have stopped. Every item either
+    /// ran or was cancelled, never both, and the cancelled ones are
+    /// dropped in ascending index order, so cancellation side effects are
+    /// deterministic. Workers stop claiming once they see the abort, but
+    /// that is best-effort: siblings on other cores may finish the whole
+    /// batch before the panicking job unwinds, so how many items get
+    /// cancelled (possibly none) depends on the schedule.
     pub fn map<I, T, F>(&self, items: Vec<I>, f: F) -> Vec<T>
     where
         I: Send,
         T: Send,
         F: Fn(I) -> T + Sync,
     {
-        let f = &f;
-        let mut set = JobSet::new();
-        for item in items {
-            set.push(move || f(item));
+        let total = items.len();
+        let n = self.workers.min(total);
+        if n <= 1 {
+            return items.into_iter().map(f).collect();
         }
-        set.run(self.workers)
+        let slots: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
+        let results: Vec<Mutex<Option<T>>> = (0..total).map(|_| Mutex::new(None)).collect();
+        let claims = AtomicUsize::new(0);
+        let abort = AtomicBool::new(false);
+        let panic_box = Mutex::new(None);
+
+        let work = || {
+            while !abort.load(Ordering::Relaxed) {
+                // Claim k takes item total-1-k: one claim per item.
+                let k = claims.fetch_add(1, Ordering::Relaxed);
+                let Some(index) = (total - 1).checked_sub(k) else {
+                    return;
+                };
+                let item = slots[index]
+                    .lock()
+                    .expect("item lock")
+                    .take()
+                    .expect("each item is claimed once");
+                match catch_unwind(AssertUnwindSafe(|| f(item))) {
+                    Ok(value) => *results[index].lock().expect("result lock") = Some(value),
+                    Err(payload) => {
+                        abort.store(true, Ordering::Relaxed);
+                        // First panic observed wins; later ones are dropped.
+                        panic_box
+                            .lock()
+                            .expect("panic box lock")
+                            .get_or_insert(payload);
+                        return;
+                    }
+                }
+            }
+        };
+        std::thread::scope(|scope| {
+            for _ in 0..n {
+                scope.spawn(work);
+            }
+        });
+
+        if let Some(payload) = panic_box.into_inner().expect("panic box lock") {
+            // Unclaimed items are still in their slots; dropping the
+            // `Vec` drops them in ascending index order.
+            drop(slots);
+            resume_unwind(payload);
+        }
+        results
+            .into_iter()
+            .map(|r| {
+                r.into_inner()
+                    .expect("result lock")
+                    .expect("every item ran exactly once")
+            })
+            .collect()
     }
 }
 
@@ -258,9 +136,13 @@ mod tests {
     fn zero_jobs_is_fine() {
         let out: Vec<u32> = Pool::new(8).map(Vec::<u32>::new(), |x| x);
         assert!(out.is_empty());
-        let empty: JobSet<'_, u32> = JobSet::new();
-        assert!(empty.is_empty());
-        assert!(Pool::new(3).run(empty).is_empty());
+        // Zero workers clamp to one: the serial path on the caller's thread.
+        let caller = std::thread::current().id();
+        let out = Pool::new(0).map(vec![1, 2, 3], |x| {
+            assert_eq!(std::thread::current().id(), caller);
+            x * 2
+        });
+        assert_eq!(out, vec![2, 4, 6]);
     }
 
     #[test]
@@ -325,8 +207,8 @@ mod tests {
         }
     }
 
-    /// Runs `jobs` probed jobs on `workers` threads, where `body(index)`
-    /// is each job's work (job `panicker` panics after it), and checks the
+    /// Maps `jobs` probes on `workers` threads, where `body(index)` is each
+    /// job's work (job `panicker` panics after it), and checks the
     /// guarantees that hold under every schedule: the panic propagates,
     /// every job either ran or was cancelled (never both, never neither),
     /// and cancellations arrive in ascending submission order.
@@ -334,29 +216,30 @@ mod tests {
         jobs: usize,
         workers: usize,
         panicker: usize,
-        body: impl Fn(usize) + Send + Sync + Clone + 'static,
+        body: impl Fn(usize) + Sync,
     ) {
         let cancelled = Arc::new(Mutex::new(Vec::new()));
         let ran_flags: Vec<Arc<AtomicBool>> = (0..jobs)
             .map(|_| Arc::new(AtomicBool::new(false)))
             .collect();
-        let mut set = JobSet::new();
-        for (index, ran) in ran_flags.iter().enumerate() {
-            let probe = Probe {
+        let probes: Vec<Probe> = ran_flags
+            .iter()
+            .enumerate()
+            .map(|(index, ran)| Probe {
                 index,
                 ran: ran.clone(),
                 cancelled: cancelled.clone(),
-            };
-            let body = body.clone();
-            set.push(move || {
+            })
+            .collect();
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            Pool::new(workers).map(probes, |probe| {
                 probe.ran.store(true, Ordering::SeqCst);
                 body(probe.index);
                 if probe.index == panicker {
                     panic!("worker down");
                 }
-            });
-        }
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| set.run(workers)));
+            })
+        }));
         assert!(result.is_err(), "panic must propagate");
 
         let cancelled = cancelled.lock().unwrap().clone();
@@ -383,12 +266,12 @@ mod tests {
 
     #[test]
     fn panic_under_load_cancels_unstarted_jobs_in_order() {
-        // 64 jobs dealt round-robin over 4 deques; workers pop their own
-        // deque LIFO, so job 60 is in the first wave. The other first-wave
-        // jobs spin until it has panicked. The deadline is a hang escape
-        // only, not a timing knob.
-        let panicked = Arc::new(AtomicBool::new(false));
-        assert_abort_contract(64, 4, 60, move |index| {
+        // 64 jobs on 4 workers claiming from the last item down: the first
+        // wave is jobs 63 to 60, so panicker 60 is in it. The other
+        // first-wave jobs spin until it has panicked. The deadline is a
+        // hang escape only, not a timing knob.
+        let panicked = AtomicBool::new(false);
+        assert_abort_contract(64, 4, 60, |index| {
             if index == 60 {
                 panicked.store(true, Ordering::SeqCst);
                 return;
@@ -401,10 +284,9 @@ mod tests {
     }
 
     #[test]
-    fn stealing_actually_happens() {
-        // One worker's deque gets all the slow jobs (round-robin dealing is
-        // defeated by making every job slow): with 4 workers and 4x jobs,
-        // multiple distinct threads must execute them.
+    fn more_than_one_thread_runs_jobs() {
+        // Every job is slow, so with 4 workers and 16 jobs several
+        // distinct threads must claim some.
         let ids = Mutex::new(std::collections::HashSet::new());
         Pool::new(4).map((0..16).collect::<Vec<u32>>(), |i| {
             std::thread::sleep(std::time::Duration::from_millis(3));
@@ -412,21 +294,5 @@ mod tests {
             i
         });
         assert!(ids.lock().unwrap().len() > 1, "no parallelism observed");
-    }
-
-    #[test]
-    fn job_set_indices_match_results() {
-        let mut set = JobSet::new();
-        let a = set.push(|| "a");
-        let b = set.push(|| "b");
-        assert_eq!((a, b), (0, 1));
-        assert_eq!(set.len(), 2);
-        assert_eq!(set.run(4), vec!["a", "b"]);
-    }
-
-    #[test]
-    fn pool_auto_is_at_least_one() {
-        assert!(Pool::auto().workers() >= 1);
-        assert_eq!(Pool::new(0).workers(), 1);
     }
 }

@@ -10,8 +10,8 @@
 //!
 //! Jobs are `FnOnce() + Send + 'static` closures; result delivery is the
 //! caller's concern (a closure typically fills a slot guarded by its own
-//! mutex/condvar). A panicking job is caught and counted — a service
-//! worker must survive bad jobs, not take the process down.
+//! mutex/condvar). A panicking job is caught — a service worker must
+//! survive bad jobs, not take the process down.
 //!
 //! Shutdown is a drain, not an abort: [`ServicePool::shutdown`] closes the
 //! intake, lets the workers finish everything already admitted, then
@@ -20,7 +20,6 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
@@ -50,7 +49,6 @@ struct Shared {
     /// Signalled when a job finishes (the shutdown drain waits).
     idle: Condvar,
     capacity: usize,
-    panics: AtomicU64,
 }
 
 struct State {
@@ -89,7 +87,6 @@ impl ServicePool {
             work: Condvar::new(),
             idle: Condvar::new(),
             capacity: capacity.max(1),
-            panics: AtomicU64::new(0),
         });
         let workers = (0..workers.max(1))
             .map(|_| {
@@ -118,21 +115,6 @@ impl ServicePool {
     /// Jobs admitted but not yet started.
     pub fn queue_depth(&self) -> usize {
         self.shared.lock().queue.len()
-    }
-
-    /// Jobs currently executing.
-    pub fn running(&self) -> usize {
-        self.shared.lock().running
-    }
-
-    /// Queue capacity.
-    pub fn capacity(&self) -> usize {
-        self.shared.capacity
-    }
-
-    /// Jobs that panicked (caught; the worker survived).
-    pub fn panics(&self) -> u64 {
-        self.shared.panics.load(Ordering::Relaxed)
     }
 
     /// Closes the intake, waits for every admitted job to finish, and
@@ -189,9 +171,9 @@ fn worker_loop(shared: &Shared) {
                     .unwrap_or_else(|poisoned| poisoned.into_inner());
             }
         };
-        if catch_unwind(AssertUnwindSafe(job)).is_err() {
-            shared.panics.fetch_add(1, Ordering::Relaxed);
-        }
+        // Caught so the worker survives; reporting the failure is the
+        // caller's, like result delivery.
+        let _ = catch_unwind(AssertUnwindSafe(job));
         let mut state = shared.lock();
         state.running -= 1;
         drop(state);
@@ -202,7 +184,7 @@ fn worker_loop(shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
     #[test]
@@ -237,7 +219,7 @@ mod tests {
         })
         .unwrap();
         // Wait for the worker to pick up the blocking job.
-        while pool.running() == 0 {
+        while pool.queue_depth() > 0 {
             std::thread::yield_now();
         }
         pool.try_submit(|| {}).unwrap();

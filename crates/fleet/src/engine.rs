@@ -3,12 +3,12 @@
 //! Devices are visited in index order, `spec.chunk` at a time. Each call
 //! first enumerates the spec's cells as dense ordinals (`CellTable`);
 //! each chunk is then counted into a per-ordinal device tally, the cells
-//! this call has not resolved yet are evaluated on the `nvp-exec`
-//! work-stealing pool (parallelism affects wall-clock only — the fold
-//! order is the ordinal order, which is canonical cell order, fixed by
-//! the spec), and the chunk is folded into the aggregate. The loop can
-//! pause after any chunk boundary, which is exactly the granularity the
-//! snapshot format persists.
+//! this call has not resolved yet are evaluated on the `nvp-exec` batch
+//! pool (parallelism affects wall-clock only — the fold order is the
+//! ordinal order, which is canonical cell order, fixed by the spec), and
+//! the chunk is folded into the aggregate. The loop can pause after any
+//! chunk boundary, which is exactly the granularity the snapshot format
+//! persists.
 
 use crate::agg::{DenseState, FleetAggregate};
 use crate::cell::{evaluate_cell, CellOutcome};

@@ -64,7 +64,7 @@ impl Scale {
     /// The worker count sweeps will actually use (resolves 0 = auto).
     pub fn effective_jobs(&self) -> usize {
         if self.jobs == 0 {
-            nvp_exec::available_parallelism()
+            std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
             self.jobs
         }

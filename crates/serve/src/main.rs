@@ -48,30 +48,43 @@ fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, 
         .map_err(|_| format!("{name}: cannot parse '{value}'"))
 }
 
-fn cmd_serve(args: &[String]) -> ExitCode {
+/// The most simulation workers `--jobs` may ask for (`nvp-fleet`'s bound).
+const MAX_JOBS: usize = 256;
+
+/// Parses `serve`'s flags into a config. Starts nothing: the worker pool
+/// is built later, by `Server::bind`.
+fn parse_serve(args: &[String]) -> Result<ServerConfig, String> {
     let mut config = ServerConfig::default();
-    let parsed = (|| -> Result<(), String> {
-        if let Some(port) = flag::<u16>(args, "--port")? {
-            config.port = port;
-        }
-        if let Some(jobs) = flag::<usize>(args, "--jobs")? {
-            config.workers = jobs.max(1);
-        }
-        if let Some(queue) = flag::<usize>(args, "--queue")? {
-            config.queue = queue.max(1);
-        }
-        if let Some(cache) = flag::<usize>(args, "--cache")? {
-            config.cache = cache.max(1);
-        }
-        if let Some(ms) = flag::<u64>(args, "--deadline-ms")? {
-            config.read_deadline = Duration::from_millis(ms.max(1));
-        }
-        Ok(())
-    })();
-    if let Err(msg) = parsed {
-        eprintln!("{msg}");
-        return ExitCode::FAILURE;
+    if let Some(port) = flag::<u16>(args, "--port")? {
+        config.port = port;
     }
+    if let Some(jobs) = flag::<String>(args, "--jobs")? {
+        config.workers = jobs
+            .parse()
+            .ok()
+            .filter(|j| (1..=MAX_JOBS).contains(j))
+            .ok_or_else(|| format!("--jobs '{jobs}' must be 1..={MAX_JOBS}"))?;
+    }
+    if let Some(queue) = flag::<usize>(args, "--queue")? {
+        config.queue = queue.max(1);
+    }
+    if let Some(cache) = flag::<usize>(args, "--cache")? {
+        config.cache = cache.max(1);
+    }
+    if let Some(ms) = flag::<u64>(args, "--deadline-ms")? {
+        config.read_deadline = Duration::from_millis(ms.max(1));
+    }
+    Ok(config)
+}
+
+fn cmd_serve(args: &[String]) -> ExitCode {
+    let config = match parse_serve(args) {
+        Ok(config) => config,
+        Err(msg) => {
+            eprintln!("{msg}");
+            return ExitCode::FAILURE;
+        }
+    };
     signal::install();
     let server = match Server::bind(config) {
         Ok(server) => server,
@@ -85,4 +98,23 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     server.run();
     eprintln!("drained, exiting");
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn jobs(value: &str) -> Result<usize, String> {
+        let args = ["--jobs", value].map(String::from);
+        parse_serve(&args).map(|config| config.workers)
+    }
+
+    #[test]
+    fn jobs_must_be_within_one_to_256() {
+        assert_eq!(jobs("1"), Ok(1));
+        assert_eq!(jobs("256"), Ok(256));
+        for bad in ["0", "257", "1000000", "-1", "x"] {
+            assert_eq!(jobs(bad), Err(format!("--jobs '{bad}' must be 1..=256")));
+        }
+    }
 }

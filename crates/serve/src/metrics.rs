@@ -35,7 +35,7 @@ pub struct Metrics {
     pub ok: AtomicU64,
     /// 400s: malformed JSON or invalid fields.
     pub bad_request: AtomicU64,
-    /// 404s: unknown route.
+    /// 404s and 405s: unknown route, or a known route with the wrong method.
     pub not_found: AtomicU64,
     /// 413s: body over the configured limit.
     pub too_large: AtomicU64,
