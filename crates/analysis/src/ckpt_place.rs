@@ -35,8 +35,8 @@ use crate::dirty::{DirtyAnalyzer, MemDirty};
 use crate::loop_bound::{loop_report, LoopReport, TripBound};
 use crate::safe_bits::DeclaredBits;
 use crate::war::region_hazards;
-use crate::wcec::{declared_checkpoints, solve, solve_min, RegionKind};
-use crate::{Pass, PassContext};
+use crate::wcec::{declared_checkpoints, solve, Bound, RegionCut, RegionKind};
+use crate::{AnalysisReport, Pass, PassContext};
 use nvp_isa::energy::backup_energy_scoped;
 use nvp_isa::{Instr, Program, NUM_REGS};
 use nvp_trace::json::Json;
@@ -169,72 +169,45 @@ fn pc_weights(cfg: &Cfg, loops: &LoopReport, len: usize) -> Vec<f64> {
 }
 
 /// Evaluates one placement end to end.
-#[allow(clippy::too_many_arguments)] // one-shot internal scorer
 fn evaluate(
     program: &Program,
     cfg: &Cfg,
-    opts: &CkptOptions,
     analyzer: &DirtyAnalyzer<'_>,
     loops_per_bits: &[(u8, LoopReport, CostModel)],
     weights: &[f64],
     checkpoints: &[(usize, RegionKind)],
 ) -> PlacementEval {
     let len = program.len();
-    let dirty = analyzer.report_at(checkpoints);
-    let mut is_checkpoint = vec![false; len];
-    for &(pc, _) in checkpoints {
-        if pc < len {
-            is_checkpoint[pc] = true;
-        }
-    }
+    let cut = RegionCut::new(cfg, checkpoints);
+    let dirty = analyzer.report_cut(&cut);
 
     // Per-region certificates at the scoring width (the last entry of
-    // `loops_per_bits` is bits_hi), plus feasibility across the range.
-    let mut regions = Vec::with_capacity(dirty.regions.len());
+    // `loops_per_bits`), plus feasibility across the range.
+    let cost_hi = &loops_per_bits.last().expect("at least one bits setting").2;
+    let mut regions = Vec::with_capacity(cut.regions.len());
     let mut infeasible_bits = Vec::new();
     for &(bits, ref loops, ref cost) in loops_per_bits {
         let usable = usable_nj(bits);
         let mut feasible_here = true;
-        for rd in &dirty.regions {
-            let mut active = vec![false; len];
-            for &pc in &rd.pcs {
-                active[pc] = true;
-            }
-            let ceiling = solve(
-                program,
-                cfg,
-                loops,
-                cost,
-                &active,
-                rd.start_pc,
-                true,
-                |pc| is_checkpoint[pc],
-            );
+        for (r, rd) in cut.regions.iter().zip(&dirty.regions) {
+            let scope = Some((&cut, r));
+            let ceiling = solve(program, cfg, loops, cost, scope, Bound::Ceiling);
             if !(ceiling.is_finite() && ceiling <= usable) {
                 feasible_here = false;
             }
-            if bits == opts.bits_hi {
-                let min_nj = solve_min(
-                    program,
-                    cfg,
-                    loops,
-                    cost,
-                    &active,
-                    rd.start_pc,
-                    true,
-                    |pc| is_checkpoint[pc],
-                );
-                let region: Vec<usize> = rd
+            if bits == cost_hi.bits {
+                let min_nj = solve(program, cfg, loops, cost, scope, Bound::Floor);
+                let region: Vec<usize> = r
                     .pcs
                     .iter()
                     .copied()
-                    .filter(|&pc| pc == rd.start_pc || !is_checkpoint[pc])
+                    .filter(|&pc| pc == r.start_pc || !cut.is_checkpoint[pc])
                     .collect();
-                let hazard_pcs = region_hazards(program, cfg, rd.start_pc, &region);
+                let hazard_pcs = region_hazards(program, cfg, r.start_pc, &region);
                 regions.push(RegionCert {
-                    start_pc: rd.start_pc,
-                    kind: rd.kind,
-                    len: rd.pcs.len(),
+                    start_pc: r.start_pc,
+                    kind: r.kind,
+                    len: r.pcs.len(),
                     dirty_regs: rd.dirty_regs,
                     mem_dirty_words: match &rd.mem {
                         MemDirty::Words(w) => Some(w.len()),
@@ -252,7 +225,6 @@ fn evaluate(
     }
 
     // Scalar cost at the scoring width.
-    let cost_hi = &loops_per_bits.last().expect("at least one bits setting").2;
     let scoped = |mask: u16| {
         backup_energy_scoped(
             BACKUP_POLICY,
@@ -325,15 +297,7 @@ pub fn synthesize(program: &Program, cfg: &Cfg, opts: &CkptOptions) -> Synthesis
 
     let declared_set = declared_checkpoints(program);
     let eval = |ckpts: &[(usize, RegionKind)]| {
-        evaluate(
-            program,
-            cfg,
-            opts,
-            &analyzer,
-            &loops_per_bits,
-            &weights,
-            ckpts,
-        )
+        evaluate(program, cfg, &analyzer, &loops_per_bits, &weights, ckpts)
     };
     let declared = eval(&declared_set);
 
@@ -482,15 +446,11 @@ impl CkptPass {
     pub fn synthesis(&self, cx: &PassContext<'_>) -> Synthesis {
         synthesize(cx.program, cx.cfg, &self.options(cx))
     }
-}
 
-impl Pass for CkptPass {
-    fn name(&self) -> &'static str {
-        "checkpoint-placement"
-    }
-
-    fn run(&self, cx: &PassContext<'_>) -> Vec<Diagnostic> {
-        let synth = self.synthesis(cx);
+    /// The lints over `synth`, the [`synthesis`](Self::synthesis) of `cx`,
+    /// in report order: what [`Pass::run`] returns, without searching
+    /// again.
+    pub fn diagnostics(&self, cx: &PassContext<'_>, synth: &Synthesis) -> AnalysisReport {
         let mut out = Vec::new();
         for r in &synth.declared.regions {
             if let Some(&first) = r.hazard_pcs.first() {
@@ -537,7 +497,17 @@ impl Pass for CkptPass {
                 ),
             ));
         }
-        out
+        AnalysisReport::sorted(out)
+    }
+}
+
+impl Pass for CkptPass {
+    fn name(&self) -> &'static str {
+        "checkpoint-placement"
+    }
+
+    fn run(&self, cx: &PassContext<'_>) -> Vec<Diagnostic> {
+        self.diagnostics(cx, &self.synthesis(cx)).diagnostics
     }
 }
 

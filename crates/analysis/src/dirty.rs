@@ -37,7 +37,7 @@ use crate::backup_liveness::BackupLiveness;
 use crate::cfg::Cfg;
 use crate::dataflow::Solution;
 use crate::error_bound::{solve_error_bounds, ApproxState};
-use crate::wcec::{declared_checkpoints, RegionKind};
+use crate::wcec::{declared_checkpoints, RegionCut, RegionKind};
 use nvp_isa::{Instr, Program};
 use std::collections::BTreeSet;
 
@@ -156,42 +156,25 @@ impl<'a> DirtyAnalyzer<'a> {
         }
     }
 
-    /// The cached backup-liveness result.
-    pub fn liveness(&self) -> &BackupLiveness {
-        &self.live
-    }
-
     /// Builds the dirty report for one checkpoint set.
     pub fn report_at(&self, checkpoints: &[(usize, RegionKind)]) -> DirtyReport {
+        self.report_cut(&RegionCut::new(self.cfg, checkpoints))
+    }
+
+    /// The dirty report over the regions of `cut`.
+    pub(crate) fn report_cut(&self, cut: &RegionCut) -> DirtyReport {
         let program = self.program;
         let len = program.len();
-        let mut is_checkpoint = vec![false; len];
-        for &(pc, _) in checkpoints {
-            if pc < len {
-                is_checkpoint[pc] = true;
-            }
-        }
-
-        let mut regions = Vec::with_capacity(checkpoints.len());
+        let mut regions = Vec::with_capacity(cut.regions.len());
         // Union over regions of the per-pc written-since-entry sets.
         let mut dirty_at = vec![0u16; len];
         let mut covered = vec![false; len];
-        for &(start_pc, kind) in checkpoints {
-            if start_pc >= len {
-                continue;
-            }
-            let pcs = self
-                .cfg
-                .reachable_until(start_pc, |pc| pc != start_pc && is_checkpoint[pc]);
-            let mut in_region = vec![false; len];
-            for &pc in &pcs {
-                in_region[pc] = true;
-            }
-
+        for region in &cut.regions {
+            let (start_pc, pcs) = (region.start_pc, &region.pcs);
             // Region-level summary: union of dsts and store targets.
             let mut dirty_regs = 0u16;
             let mut mem = MemDirty::Words(BTreeSet::new());
-            for &pc in &pcs {
+            for &pc in pcs {
                 let instr = program.fetch(pc).expect("pc in range");
                 if let Some(d) = instr.dst() {
                     dirty_regs |= 1 << d.0;
@@ -239,12 +222,12 @@ impl<'a> DirtyAnalyzer<'a> {
             let mut before = vec![0u16; len];
             let mut on_work = vec![false; len];
             let mut work = pcs.clone();
-            for &pc in &pcs {
+            for &pc in pcs {
                 on_work[pc] = true;
             }
             while let Some(pc) = work.pop() {
                 on_work[pc] = false;
-                if pc != start_pc && is_checkpoint[pc] {
+                if pc != start_pc && cut.is_checkpoint[pc] {
                     continue;
                 }
                 let mut after = before[pc];
@@ -252,7 +235,7 @@ impl<'a> DirtyAnalyzer<'a> {
                     after |= 1 << d.0;
                 }
                 for &s in self.cfg.succs(pc) {
-                    if !in_region[s] || s == start_pc {
+                    if !region.active[s] || s == start_pc {
                         continue;
                     }
                     if before[s] | after != before[s] {
@@ -264,15 +247,15 @@ impl<'a> DirtyAnalyzer<'a> {
                     }
                 }
             }
-            for &pc in &pcs {
+            for &pc in pcs {
                 dirty_at[pc] |= before[pc];
                 covered[pc] = true;
             }
 
             regions.push(RegionDirty {
                 start_pc,
-                kind,
-                pcs,
+                kind: region.kind,
+                pcs: pcs.clone(),
                 dirty_regs,
                 mem,
             });

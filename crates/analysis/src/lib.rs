@@ -158,6 +158,16 @@ pub struct AnalysisReport {
 }
 
 impl AnalysisReport {
+    /// The report of `diagnostics`, put in report order.
+    pub(crate) fn sorted(mut diagnostics: Vec<Diagnostic>) -> AnalysisReport {
+        diagnostics.sort_by(|a, b| {
+            b.severity()
+                .cmp(&a.severity())
+                .then(a.pc.unwrap_or(usize::MAX).cmp(&b.pc.unwrap_or(usize::MAX)))
+        });
+        AnalysisReport { diagnostics }
+    }
+
     /// `true` if any diagnostic is an error.
     pub fn has_errors(&self) -> bool {
         self.count_at_least(Severity::Error) > 0
@@ -196,13 +206,7 @@ pub fn analyze_with(
         cfg: &cfg,
         config,
     };
-    let mut diagnostics: Vec<Diagnostic> = passes.iter().flat_map(|p| p.run(&cx)).collect();
-    diagnostics.sort_by(|a, b| {
-        b.severity()
-            .cmp(&a.severity())
-            .then(a.pc.unwrap_or(usize::MAX).cmp(&b.pc.unwrap_or(usize::MAX)))
-    });
-    AnalysisReport { diagnostics }
+    AnalysisReport::sorted(passes.iter().flat_map(|p| p.run(&cx)).collect())
 }
 
 #[cfg(test)]

@@ -224,8 +224,88 @@ impl Contraction {
     }
 }
 
-/// Longest weighted path from `start` over the rep graph induced by
-/// `edges` (pairs of *pc*-level endpoints, mapped through the contraction).
+/// Which side of a region's energy a [`solve`] bounds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Bound {
+    /// The WCEC ceiling ([`Region::wcec`]).
+    Ceiling,
+    /// The proven floor ([`Region::min_nj`]).
+    Floor,
+}
+
+/// The pcs one checkpoint-to-checkpoint region covers.
+pub(crate) struct CutRegion {
+    /// The checkpoint pc the region starts at.
+    pub(crate) start_pc: usize,
+    /// What kind of checkpoint starts it.
+    pub(crate) kind: RegionKind,
+    /// Its pcs, sorted (bounding checkpoints included).
+    pub(crate) pcs: Vec<usize>,
+    /// `active[pc]` ⇔ `pc` is in `pcs`.
+    pub(crate) active: Vec<bool>,
+}
+
+/// A program cut into regions at one checkpoint set: the checkpoint
+/// mask, and per checkpoint the pcs reachable from it without crossing
+/// another. The WCEC certificate, the dirty-set analysis and placement
+/// synthesis all price regions cut this one way.
+pub(crate) struct RegionCut {
+    /// `is_checkpoint[pc]` ⇔ `pc` starts a region.
+    pub(crate) is_checkpoint: Vec<bool>,
+    /// One region per in-range checkpoint, in checkpoint order.
+    pub(crate) regions: Vec<CutRegion>,
+}
+
+impl RegionCut {
+    /// Cuts `cfg`'s program at `checkpoints`; a checkpoint at or past the
+    /// end of the program cuts nothing.
+    pub(crate) fn new(cfg: &Cfg, checkpoints: &[(usize, RegionKind)]) -> RegionCut {
+        let len = cfg.len();
+        let mut is_checkpoint = vec![false; len];
+        for &(pc, _) in checkpoints {
+            if pc < len {
+                is_checkpoint[pc] = true;
+            }
+        }
+        let regions = checkpoints
+            .iter()
+            .filter(|&&(start_pc, _)| start_pc < len)
+            .map(|&(start_pc, kind)| {
+                let pcs = cfg.reachable_until(start_pc, |pc| pc != start_pc && is_checkpoint[pc]);
+                let mut active = vec![false; len];
+                for &pc in &pcs {
+                    active[pc] = true;
+                }
+                CutRegion {
+                    start_pc,
+                    kind,
+                    pcs,
+                    active,
+                }
+            })
+            .collect();
+        RegionCut {
+            is_checkpoint,
+            regions,
+        }
+    }
+}
+
+/// The rep graph induced by `edges` (pairs of *pc*-level endpoints,
+/// mapped through the contraction): deduplicated, without self loops
+/// (those are internal to supernodes).
+fn rep_adjacency(uf: &mut Contraction, edges: &[(usize, usize)]) -> Vec<Vec<usize>> {
+    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); uf.parent.len()];
+    for &(a, b) in edges {
+        let (a, b) = (uf.find(a), uf.find(b));
+        if a != b && !adj[a].contains(&b) {
+            adj[a].push(b);
+        }
+    }
+    adj
+}
+
+/// Longest weighted path from `start` over the rep graph of `edges`.
 /// Node weights come from the contraction roots. Returns `INFINITY` when a
 /// cycle is reachable from `start` — with loops already contracted that
 /// only happens for irreducible flow, and every instruction has positive
@@ -233,14 +313,7 @@ impl Contraction {
 fn longest_path(uf: &mut Contraction, edges: &[(usize, usize)], start: usize) -> f64 {
     let n = uf.parent.len();
     let start = uf.find(start);
-    // Dedup rep-level edges, dropping self loops (internal to supernodes).
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for &(a, b) in edges {
-        let (a, b) = (uf.find(a), uf.find(b));
-        if a != b && !adj[a].contains(&b) {
-            adj[a].push(b);
-        }
-    }
+    let adj = rep_adjacency(uf, edges);
     // Restrict to reps reachable from start.
     let mut reach = vec![false; n];
     let mut stack = vec![start];
@@ -290,22 +363,16 @@ fn longest_path(uf: &mut Contraction, edges: &[(usize, usize)], start: usize) ->
     best
 }
 
-/// Shortest-path distances from `start` over the rep graph induced by
-/// `edges`, charging node weights at both endpoints — the best-case
-/// counterpart of [`longest_path`]. Unlike the longest path, the shortest
-/// is well-defined even with residual cycles (extra laps only add
+/// Shortest-path distances from `start` over the rep graph of `edges`,
+/// charging node weights at both endpoints — the best-case counterpart
+/// of [`longest_path`]. Unlike the longest path, the shortest is
+/// well-defined even with residual cycles (extra laps only add
 /// non-negative cost), so this is a plain heap-less Dijkstra. Unreached
 /// reps stay at `INFINITY`.
 fn shortest_dists(uf: &mut Contraction, edges: &[(usize, usize)], start: usize) -> Vec<f64> {
     let n = uf.parent.len();
     let start = uf.find(start);
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for &(a, b) in edges {
-        let (a, b) = (uf.find(a), uf.find(b));
-        if a != b && !adj[a].contains(&b) {
-            adj[a].push(b);
-        }
-    }
+    let adj = rep_adjacency(uf, edges);
     let mut dist = vec![f64::INFINITY; n];
     dist[start] = uf.weight[start];
     let mut done = vec![false; n];
@@ -332,164 +399,43 @@ fn shortest_dists(uf: &mut Contraction, edges: &[(usize, usize)], start: usize) 
     dist
 }
 
-/// Proven lower bound on the energy of any *complete* traversal of the
-/// region (`active`, entered at `start_pc`): the shortest weighted path
-/// from the checkpoint to any exit, with loops whose minimum trip count
-/// was proven ([`crate::loop_bound`]) contracted at
-/// `min_bound × cheapest-iteration`. Everything unprovable collapses to
-/// a contribution of 0 — the result under-approximates by construction,
-/// which is what lets `NVP-E006` treat "lower bound exceeds budget" as a
-/// proof rather than a suspicion.
-#[allow(clippy::too_many_arguments)] // internal solver; mirrors `solve` so the two stay diffable
-pub(crate) fn solve_min(
-    program: &Program,
-    cfg: &Cfg,
-    loops: &LoopReport,
-    cost: &CostModel,
-    active: &[bool],
-    start_pc: usize,
-    cut_reentry: bool,
-    stop: impl Fn(usize) -> bool,
-) -> f64 {
-    let len = program.len();
-    if len == 0 || !active[start_pc] {
-        return 0.0;
-    }
-    let weights: Vec<f64> = (0..len)
-        .map(|pc| {
-            if active[pc] {
-                cost.instr_nj(program.fetch(pc).expect("pc in range"))
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    let mut uf = Contraction::new(weights);
-
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    for pc in 0..len {
-        if !active[pc] || (stop(pc) && pc != start_pc) {
-            continue;
-        }
-        for &s in cfg.succs(pc) {
-            if active[s] && !(cut_reentry && s == start_pc) {
-                edges.push((pc, s));
-            }
-        }
-    }
-
-    for l in &loops.loops {
-        let member_pcs: Vec<usize> = l
-            .members
-            .iter()
-            .flat_map(|&b| cfg.blocks()[b].pcs())
-            .collect();
-        let head = uf.find(l.head_pc(cfg));
-        let mut in_loop = vec![false; len];
-        for &pc in &member_pcs {
-            in_loop[uf.find(pc)] = true;
-        }
-        let iter_edges: Vec<(usize, usize)> = edges
-            .iter()
-            .copied()
-            .filter(|&(a, b)| {
-                let (ra, rb) = (uf.find(a), uf.find(b));
-                in_loop[ra] && in_loop[rb] && rb != head
-            })
-            .collect();
-        let mut reach = vec![false; len];
-        let mut stack = vec![head];
-        while let Some(x) = stack.pop() {
-            if reach[x] {
-                continue;
-            }
-            reach[x] = true;
-            for &(a, b) in &iter_edges {
-                if uf.find(a) == x {
-                    stack.push(uf.find(b));
-                }
-            }
-        }
-        let turns = edges.iter().any(|&(a, b)| {
-            let (ra, rb) = (uf.find(a), uf.find(b));
-            rb == head && in_loop[ra] && reach[ra]
-        });
-        if !turns {
-            // The region severed the back edge: members are ordinary DAG
-            // nodes paid at most once, exactly what the path sum charges.
-            continue;
-        }
-        // The min-trip derivation assumed the latch terminator is the
-        // only exit; a checkpoint inside the body adds one (the region
-        // completes there), so the multiplied bound no longer holds.
-        let internal_stop = member_pcs
-            .iter()
-            .any(|&pc| (stop(pc) && pc != start_pc) || (cut_reentry && pc == start_pc));
-        let min_iter = if internal_stop || l.min_bound == 0 {
-            0.0
-        } else {
-            // Cheapest single iteration: shortest head → latch-terminator
-            // path (iterations are disjoint in time, so they sum).
-            let dists = shortest_dists(&mut uf, &iter_edges, l.head_pc(cfg));
-            l.latches
-                .iter()
-                .map(|&latch| dists[uf.find(cfg.blocks()[latch].end - 1)])
-                .fold(f64::INFINITY, f64::min)
-        };
-        let total = if min_iter.is_finite() {
-            l.min_bound as f64 * min_iter
-        } else {
-            0.0
-        };
-        uf.contract(&member_pcs, total);
-    }
-
-    // A complete traversal ends at a sink: a stop pc (its out-edges were
-    // dropped) or a halt. Cheapest such path is the bound.
-    let dists = shortest_dists(&mut uf, &edges, start_pc);
-    let mut outdeg = vec![0usize; len];
-    for &(a, b) in &edges {
-        let (a, b) = (uf.find(a), uf.find(b));
-        if a != b {
-            outdeg[a] += 1;
-        }
-    }
-    let best = (0..len)
-        .filter(|&x| outdeg[x] == 0)
-        .map(|x| dists[x])
-        .fold(f64::INFINITY, f64::min);
-    if best.is_finite() {
-        best
-    } else {
-        0.0
-    }
-}
-
-/// Solves the longest-path WCEC over the pcs in `active`, entering at
-/// `start_pc`. `stop` marks pcs whose successors must not be crossed
-/// (checkpoint boundaries); the stop pc itself is still charged. With
-/// `cut_reentry`, edges *into* `start_pc` are dropped too: a path that
-/// returns to the region's own checkpoint has completed the region, so a
-/// loop wrapped around a checkpoint contributes one traversal per region,
-/// not its whole trip count.
-#[allow(clippy::too_many_arguments)] // internal solver; mirrors `solve_min` so the two stay diffable
+/// Solves `bound` over `region` of `cut`, or over the whole program
+/// from its entry when `region` is `None`. A region is entered at its
+/// checkpoint; successors of every other checkpoint are not crossed
+/// (the checkpoint itself is still charged), and edges back into its
+/// own checkpoint are cut: a path that returns there has completed
+/// the region, so a loop wrapped around a checkpoint contributes one
+/// traversal per region, not its whole trip count.
+///
+/// The ceiling ([`Bound::Ceiling`]) is the longest weighted path, loops
+/// contracted innermost-first at `trips × worst-iteration`. The floor
+/// ([`Bound::Floor`]) is a proven lower bound on the energy of any
+/// *complete* traversal: the shortest weighted path from the start to
+/// any exit, with loops whose minimum trip count was proven
+/// ([`crate::loop_bound`]) contracted at `min_bound × cheapest-iteration`.
+/// Everything unprovable collapses to a floor contribution of 0 — the
+/// floor under-approximates by construction, which is what lets
+/// `NVP-E006` treat "floor exceeds budget" as a proof rather than a
+/// suspicion.
 pub(crate) fn solve(
     program: &Program,
     cfg: &Cfg,
     loops: &LoopReport,
     cost: &CostModel,
-    active: &[bool],
-    start_pc: usize,
-    cut_reentry: bool,
-    stop: impl Fn(usize) -> bool,
+    region: Option<(&RegionCut, &CutRegion)>,
+    bound: Bound,
 ) -> f64 {
+    let active = |pc: usize| region.is_none_or(|(_, r)| r.active[pc]);
+    let start_pc = region.map_or(0, |(_, r)| r.start_pc);
+    let stop = |pc: usize| region.is_some_and(|(cut, _)| cut.is_checkpoint[pc]);
+    let cut_reentry = region.is_some();
     let len = program.len();
-    if len == 0 || !active[start_pc] {
+    if len == 0 || !active(start_pc) {
         return 0.0;
     }
     let weights: Vec<f64> = (0..len)
         .map(|pc| {
-            if active[pc] {
+            if active(pc) {
                 cost.instr_nj(program.fetch(pc).expect("pc in range"))
             } else {
                 0.0
@@ -501,11 +447,11 @@ pub(crate) fn solve(
     // Edge set under the region restriction.
     let mut edges: Vec<(usize, usize)> = Vec::new();
     for pc in 0..len {
-        if !active[pc] || (stop(pc) && pc != start_pc) {
+        if !active(pc) || (stop(pc) && pc != start_pc) {
             continue;
         }
         for &s in cfg.succs(pc) {
-            if active[s] && !(cut_reentry && s == start_pc) {
+            if active(s) && !(cut_reentry && s == start_pc) {
                 edges.push((pc, s));
             }
         }
@@ -523,8 +469,8 @@ pub(crate) fn solve(
         for &pc in &member_pcs {
             in_loop[uf.find(pc)] = true;
         }
-        // Worst single iteration: longest path from the head inside the
-        // loop with the back edges (rep edges into the head) removed.
+        // One iteration: paths from the head inside the loop with the
+        // back edges (rep edges into the head) removed.
         let iter_edges: Vec<(usize, usize)> = edges
             .iter()
             .copied()
@@ -537,7 +483,7 @@ pub(crate) fn solve(
         // set: a surviving back edge whose latch the head still reaches.
         // A checkpoint inside the loop body severs exactly this — each
         // turn completes the region — and then the members stay ordinary
-        // DAG nodes, paid once per traversal.
+        // DAG nodes, paid at most once per traversal.
         let mut reach = vec![false; len];
         let mut stack = vec![head];
         while let Some(x) = stack.pop() {
@@ -558,18 +504,70 @@ pub(crate) fn solve(
         if !turns {
             continue;
         }
-        let iter_nj = longest_path(&mut uf, &iter_edges, l.head_pc(cfg));
-        let trips = match l.bound {
-            TripBound::Bounded(n) => n as f64,
-            TripBound::Unbounded => f64::INFINITY,
+        let total = match bound {
+            Bound::Ceiling => {
+                let iter_nj = longest_path(&mut uf, &iter_edges, l.head_pc(cfg));
+                let trips = match l.bound {
+                    TripBound::Bounded(n) => n as f64,
+                    TripBound::Unbounded => f64::INFINITY,
+                };
+                // An inactive loop body costs nothing no matter how often
+                // it could turn — and 0 × ∞ must be 0 here, not NaN.
+                if iter_nj == 0.0 {
+                    0.0
+                } else {
+                    trips * iter_nj
+                }
+            }
+            Bound::Floor => {
+                // The min-trip derivation assumed the latch terminator is
+                // the only exit; a checkpoint inside the body adds one (the
+                // region completes there), so the multiplied bound no
+                // longer holds.
+                let internal_stop = member_pcs
+                    .iter()
+                    .any(|&pc| (stop(pc) && pc != start_pc) || (cut_reentry && pc == start_pc));
+                let min_iter = if internal_stop || l.min_bound == 0 {
+                    0.0
+                } else {
+                    // Cheapest single iteration: shortest head →
+                    // latch-terminator path (iterations are disjoint in
+                    // time, so they sum).
+                    let dists = shortest_dists(&mut uf, &iter_edges, l.head_pc(cfg));
+                    l.latches
+                        .iter()
+                        .map(|&latch| dists[uf.find(cfg.blocks()[latch].end - 1)])
+                        .fold(f64::INFINITY, f64::min)
+                };
+                if min_iter.is_finite() {
+                    l.min_bound as f64 * min_iter
+                } else {
+                    0.0
+                }
+            }
         };
-        // An inactive loop body costs nothing no matter how often it could
-        // turn — and 0 × ∞ must be 0 here, not NaN.
-        let total = if iter_nj == 0.0 { 0.0 } else { trips * iter_nj };
         uf.contract(&member_pcs, total);
     }
 
-    longest_path(&mut uf, &edges, start_pc)
+    match bound {
+        Bound::Ceiling => longest_path(&mut uf, &edges, start_pc),
+        Bound::Floor => {
+            // A complete traversal ends at a sink: a stop pc (its
+            // out-edges were dropped) or a halt. Cheapest such path is
+            // the bound.
+            let dists = shortest_dists(&mut uf, &edges, start_pc);
+            let adj = rep_adjacency(&mut uf, &edges);
+            let best = (0..len)
+                .filter(|&x| adj[x].is_empty())
+                .map(|x| dists[x])
+                .fold(f64::INFINITY, f64::min);
+            if best.is_finite() {
+                best
+            } else {
+                0.0
+            }
+        }
+    }
 }
 
 /// Every declared checkpoint of `program`, sorted by pc.
@@ -589,7 +587,8 @@ pub fn wcec_report(program: &Program, cfg: &Cfg, cost: &CostModel) -> WcecReport
 /// [`wcec_report`] over an *explicit* checkpoint set — the entry point
 /// placement synthesis uses to price candidate placements. `checkpoints`
 /// must be sorted by pc and include pc 0; regions are cut at exactly
-/// these pcs (the declared set is ignored).
+/// these pcs (the declared set is ignored), and one at or past the end
+/// of the program cuts nothing.
 pub fn wcec_report_at(
     program: &Program,
     cfg: &Cfg,
@@ -597,8 +596,6 @@ pub fn wcec_report_at(
     checkpoints: &[(usize, RegionKind)],
 ) -> WcecReport {
     let loops = loop_report(program, cfg, cost.bits);
-    let len = program.len();
-
     let block_nj: Vec<f64> = cfg
         .blocks()
         .iter()
@@ -609,57 +606,21 @@ pub fn wcec_report_at(
         })
         .collect();
 
-    let all_active = vec![true; len];
-    let program_wcec = if len == 0 {
-        Wcec::Bounded(0.0)
-    } else {
-        Wcec::from_nj(solve(
-            program,
-            cfg,
-            &loops,
-            cost,
-            &all_active,
-            0,
-            false,
-            |_| false,
-        ))
-    };
+    let program_wcec = Wcec::from_nj(solve(program, cfg, &loops, cost, None, Bound::Ceiling));
 
     // One region per checkpoint.
-    let mut is_checkpoint = vec![false; len];
-    for &(pc, _) in checkpoints {
-        if pc < len {
-            is_checkpoint[pc] = true;
-        }
-    }
-    let regions = checkpoints
+    let cut = RegionCut::new(cfg, checkpoints);
+    let regions = cut
+        .regions
         .iter()
-        .copied()
-        .map(|(start_pc, kind)| {
-            let pcs = cfg.reachable_until(start_pc, |pc| pc != start_pc && is_checkpoint[pc]);
-            let mut active = vec![false; len];
-            for &pc in &pcs {
-                active[pc] = true;
-            }
-            let wcec = Wcec::from_nj(solve(
-                program,
-                cfg,
-                &loops,
-                cost,
-                &active,
-                start_pc,
-                true,
-                |pc| is_checkpoint[pc],
-            ));
-            let min_nj = solve_min(program, cfg, &loops, cost, &active, start_pc, true, |pc| {
-                is_checkpoint[pc]
-            });
+        .map(|r| {
+            let region = Some((&cut, r));
             Region {
-                start_pc,
-                kind,
-                pcs,
-                wcec,
-                min_nj,
+                start_pc: r.start_pc,
+                kind: r.kind,
+                pcs: r.pcs.clone(),
+                wcec: Wcec::from_nj(solve(program, cfg, &loops, cost, region, Bound::Ceiling)),
+                min_nj: solve(program, cfg, &loops, cost, region, Bound::Floor),
             }
         })
         .collect();
@@ -892,6 +853,19 @@ mod tests {
             panic!("expected bounded at both widths")
         };
         assert!(w2 < w8, "2b {w2} not below 8b {w8}");
+    }
+
+    #[test]
+    fn checkpoints_past_the_end_cut_nothing() {
+        let mut b = ProgramBuilder::new();
+        b.ldi(Reg(0), 1).halt();
+        let p = b.build().unwrap();
+        let (cfg, cost) = (Cfg::build(&p), CostModel::for_bits(8));
+        let past = [(0, RegionKind::Entry), (p.len(), RegionKind::Synthetic)];
+        assert_eq!(
+            wcec_report_at(&p, &cfg, &cost, &past),
+            wcec_report(&p, &cfg, &cost)
+        );
     }
 
     #[test]

@@ -27,7 +27,7 @@
 use crate::cost_model::{usable_nj, CostModel};
 use crate::diag::{Diagnostic, LintCode};
 use crate::wcec::{wcec_report, Wcec, WcecReport};
-use crate::{Pass, PassContext};
+use crate::{AnalysisReport, Pass, PassContext};
 
 /// The WCEC certification pass, judged against the platform's
 /// [`usable_nj`]. See the module docs for the lints.
@@ -51,24 +51,20 @@ impl WcecPass {
             .map(|bits| wcec_report(cx.program, cx.cfg, &CostModel::for_bits(bits)))
             .collect()
     }
-}
 
-impl Pass for WcecPass {
-    fn name(&self) -> &'static str {
-        "wcec"
-    }
-
-    fn run(&self, cx: &PassContext<'_>) -> Vec<Diagnostic> {
-        let reports = self.certificates(cx);
+    /// The lints over `reports`, the [`certificates`](Self::certificates)
+    /// of `cx`, in report order: what [`Pass::run`] returns, without
+    /// computing the certificates again.
+    pub fn diagnostics(&self, cx: &PassContext<'_>, reports: &[WcecReport]) -> AnalysisReport {
         let Some(floor) = reports.first() else {
-            return Vec::new();
+            return AnalysisReport::default();
         };
         let mut diags = Vec::new();
 
         // W004: a loop unbounded at any evaluated setting (reported once,
         // at the setting where it first fails), plus irreducible flow.
         let mut warned_heads: Vec<usize> = Vec::new();
-        for r in &reports {
+        for r in reports {
             if r.loops.irreducible {
                 diags.push(Diagnostic::program_level(
                     LintCode::UnboundedLoop,
@@ -81,7 +77,7 @@ impl Pass for WcecPass {
                 break;
             }
         }
-        for r in &reports {
+        for r in reports {
             for l in &r.loops.loops {
                 let head_pc = l.head_pc(cx.cfg);
                 if !l.bound.is_bounded() && !warned_heads.contains(&head_pc) {
@@ -108,7 +104,7 @@ impl Pass for WcecPass {
         for (ri, region) in floor.regions.iter().enumerate() {
             let mut min_excess: Option<f64> = None; // smallest overshoot seen
             let mut livelock = true;
-            for r in &reports {
+            for r in reports {
                 let usable = usable_nj(r.bits);
                 let need = r.regions[ri].min_nj;
                 if need > usable {
@@ -166,7 +162,17 @@ impl Pass for WcecPass {
             diags.push(Diagnostic::program_level(LintCode::WcecHeadroom, msg));
         }
 
-        diags
+        AnalysisReport::sorted(diags)
+    }
+}
+
+impl Pass for WcecPass {
+    fn name(&self) -> &'static str {
+        "wcec"
+    }
+
+    fn run(&self, cx: &PassContext<'_>) -> Vec<Diagnostic> {
+        self.diagnostics(cx, &self.certificates(cx)).diagnostics
     }
 }
 

@@ -65,16 +65,28 @@ fn parse_serve(args: &[String]) -> Result<ServerConfig, String> {
             .filter(|j| (1..=MAX_JOBS).contains(j))
             .ok_or_else(|| format!("--jobs '{jobs}' must be 1..={MAX_JOBS}"))?;
     }
-    if let Some(queue) = flag::<usize>(args, "--queue")? {
-        config.queue = queue.max(1);
+    if let Some(queue) = positive::<usize>(args, "--queue")? {
+        config.queue = queue;
     }
-    if let Some(cache) = flag::<usize>(args, "--cache")? {
-        config.cache = cache.max(1);
+    if let Some(cache) = positive::<usize>(args, "--cache")? {
+        config.cache = cache;
     }
-    if let Some(ms) = flag::<u64>(args, "--deadline-ms")? {
-        config.read_deadline = Duration::from_millis(ms.max(1));
+    if let Some(ms) = positive::<u64>(args, "--deadline-ms")? {
+        config.read_deadline = Duration::from_millis(ms);
     }
     Ok(config)
+}
+
+/// [`flag`] for a count that must be at least 1. No upper bound: nothing
+/// these flags size is allocated up front.
+fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(
+    args: &[String],
+    name: &str,
+) -> Result<Option<T>, String> {
+    match flag::<T>(args, name)? {
+        Some(v) if v < T::from(1) => Err(format!("{name} must be at least 1")),
+        v => Ok(v),
+    }
 }
 
 fn cmd_serve(args: &[String]) -> ExitCode {
@@ -115,6 +127,24 @@ mod tests {
         assert_eq!(jobs("256"), Ok(256));
         for bad in ["0", "257", "1000000", "-1", "x"] {
             assert_eq!(jobs(bad), Err(format!("--jobs '{bad}' must be 1..=256")));
+        }
+    }
+
+    #[test]
+    fn queue_cache_and_deadline_must_be_at_least_one() {
+        for name in ["--queue", "--cache", "--deadline-ms"] {
+            let parse = |value: &str| parse_serve(&[name, value].map(String::from));
+            assert_eq!(
+                parse("0").map(|_| ()),
+                Err(format!("{name} must be at least 1"))
+            );
+            let config = parse("1").expect("1 is accepted");
+            let got = match name {
+                "--queue" => config.queue as u64,
+                "--cache" => config.cache as u64,
+                _ => config.read_deadline.as_millis() as u64,
+            };
+            assert_eq!(got, 1, "{name} 1");
         }
     }
 }
