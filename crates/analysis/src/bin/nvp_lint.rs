@@ -22,9 +22,9 @@
 
 use nvp_analysis::diag::render_legend;
 use nvp_analysis::{
-    analyze_program, bitwidth_report, usable_nj, AnalysisConfig, AnalysisReport, Cfg, CkptPass,
-    DeclaredBits, Diagnostic, LintCode, PassContext, Severity, TripBound, Wcec, WcecPass,
-    BACKUP_POLICY, CAPACITOR_NJ, NEVER_SAFE, RESERVE_SAFETY,
+    analyze_program, bitwidth_report, default_passes, usable_nj, AnalysisConfig, AnalysisReport,
+    BitwidthPass, Cfg, CkptPass, DeclaredBits, Diagnostic, LintCode, Pass, PassContext, Severity,
+    TripBound, Wcec, WcecPass, BACKUP_POLICY, CAPACITOR_NJ, NEVER_SAFE, RESERVE_SAFETY,
 };
 use nvp_kernels::KernelId;
 use nvp_trace::json::Json;
@@ -373,8 +373,15 @@ fn bitwidth_kernel(id: KernelId, cx: &PassContext<'_>, verbose: bool) -> Kernel 
             println!("    hazard at pc {}: {:?}", hz.pc, hz.kind);
         }
     }
-    // E-level diagnostics from the full pipeline gate the exit code.
-    let diags = analyze_program(cx.program, cx.config);
+    // E-level diagnostics from the full pipeline gate the exit code. The
+    // bitwidth pass (the last default pass, so the order holds) lints the
+    // report above instead of computing it again.
+    let diags: AnalysisReport = default_passes()
+        .iter()
+        .filter(|p| p.name() != BitwidthPass.name())
+        .flat_map(|p| p.run(cx))
+        .chain(BitwidthPass.diagnostics(cx, &report).diagnostics)
+        .collect();
     let errors = diags.count_at_least(Severity::Error);
     print_diags(&diags, Severity::Error);
 

@@ -30,151 +30,103 @@ impl fmt::Display for Severity {
     }
 }
 
-/// Stable lint codes, one per distinct finding class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LintCode {
-    /// `NVP-E001`: a branch condition reads an approximate register.
-    BranchOnApprox,
-    /// `NVP-E002`: an effective address is computed from an approximate
-    /// register.
-    AddressFromApprox,
-    /// `NVP-E003`: an approximate value is stored outside the declared
-    /// approximable region.
-    StoreOutsideRegion,
-    /// `NVP-E004`: at the kernel's declared minimum bitwidth a branch
-    /// operand or indirect base can deviate from the exact run (control
-    /// flow or addressing is not approximation-safe).
-    ApproxUnsafeAddressOrBranch,
-    /// `NVP-E005`: a branch operand or indirect base may stem from
-    /// concrete `i32` wraparound — unsafe at every bitwidth.
-    ExactValueOverflow,
-    /// `NVP-W001`: a non-idempotent write inside a roll-forward region
+/// Declares [`LintCode`] from one table: each code's variant (with its
+/// docs), stable code string and one-line legend description, in legend
+/// order (errors, warnings, infos). The severity is the code's letter.
+macro_rules! lint_codes {
+    ($($(#[$doc:meta])* $name:ident = $code:literal, $text:literal;)*) => {
+        /// Stable lint codes, one per distinct finding class.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum LintCode {
+            $(
+                #[doc = concat!("`", $code, "`:")]
+                $(#[$doc])*
+                $name,
+            )*
+        }
+
+        impl LintCode {
+            /// Every lint code, in legend order (errors, warnings, infos).
+            pub const ALL: [LintCode; [$($code),*].len()] = [$(LintCode::$name),*];
+
+            /// The stable code string (`NVP-E001`, …).
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $(LintCode::$name => $code,)*
+                }
+            }
+
+            /// One-line legend description.
+            pub fn description(self) -> &'static str {
+                match self {
+                    $(LintCode::$name => $text,)*
+                }
+            }
+        }
+    };
+}
+
+lint_codes! {
+    /// a branch condition reads an approximate register.
+    BranchOnApprox = "NVP-E001", "branch condition reads an approximate register";
+    /// an effective address is computed from an approximate register.
+    AddressFromApprox = "NVP-E002", "effective address computed from an approximate register";
+    /// an approximate value is stored outside the declared approximable
+    /// region.
+    StoreOutsideRegion = "NVP-E003", "approximate store outside the declared region";
+    /// at the kernel's declared minimum bitwidth a branch operand or
+    /// indirect base can deviate from the exact run (control flow or
+    /// addressing is not approximation-safe).
+    ApproxUnsafeAddressOrBranch = "NVP-E004",
+        "control flow or addressing deviates at the declared bit floor";
+    /// a branch operand or indirect base may stem from concrete `i32`
+    /// wraparound — unsafe at every bitwidth.
+    ExactValueOverflow = "NVP-E005", "possible exact-value wraparound reaches a branch/address";
+    /// a checkpoint-to-checkpoint region's worst-case energy exceeds the
+    /// usable capacitor energy at every governor setting — the region can
+    /// provably never complete (livelock).
+    RegionLivelock = "NVP-E006",
+        "region's cheapest traversal exceeds the capacitor at every setting";
+    /// a checkpoint-to-checkpoint region is not provably re-executable
+    /// under its `live ∩ dirty` backup mask (a WAR hazard survives the
+    /// dirty-set restriction).
+    DirtyNotReexecutable = "NVP-E007",
+        "region not provably re-executable under its live∩dirty mask";
+    /// a non-idempotent write inside a roll-forward region
     /// (write-after-read of the same NV location).
-    WarHazard,
-    /// `NVP-W002`: a register in the resume loop-variable mask is never
-    /// read — its backed-up value can never influence resume matching.
-    DeadResumeReg,
-    /// `NVP-W003`: the kernel's declared minimum bitwidth is provably
+    WarHazard = "NVP-W001", "non-idempotent write inside a roll-forward region";
+    /// a register in the resume loop-variable mask is never read — its
+    /// backed-up value can never influence resume matching.
+    DeadResumeReg = "NVP-W002", "resume loop-variable register is never read";
+    /// the kernel's declared minimum bitwidth is provably
     /// over-conservative — a lower floor is statically safe.
-    OverConservativeBits,
-    /// `NVP-E006`: a checkpoint-to-checkpoint region's worst-case energy
-    /// exceeds the usable capacitor energy at every governor setting —
-    /// the region can provably never complete (livelock).
-    RegionLivelock,
-    /// `NVP-W004`: a loop's trip count could not be bounded, so the WCEC
-    /// certificate is unbounded along paths through it.
-    UnboundedLoop,
-    /// `NVP-I001`: backup live-set report at a resume point.
-    BackupLiveSet,
-    /// `NVP-I002`: WCEC headroom report — worst region energy vs. the
-    /// usable capacitor budget at the declared operating floor.
-    WcecHeadroom,
-    /// `NVP-E007`: a checkpoint-to-checkpoint region is not provably
-    /// re-executable under its `live ∩ dirty` backup mask (a WAR hazard
-    /// survives the dirty-set restriction).
-    DirtyNotReexecutable,
-    /// `NVP-W005`: no checkpoint placement is simultaneously
-    /// re-executable and WCEC-feasible at some governor bitwidth.
-    NoFeasiblePlacement,
-    /// `NVP-I003`: the synthesized checkpoint placement saves a
-    /// significant fraction of backup energy vs. the declared placement.
-    PlacementSavings,
+    OverConservativeBits = "NVP-W003", "declared bit floor is provably over-conservative";
+    /// a loop's trip count could not be bounded, so the WCEC certificate
+    /// is unbounded along paths through it.
+    UnboundedLoop = "NVP-W004", "loop trip count could not be bounded";
+    /// no checkpoint placement is simultaneously re-executable and
+    /// WCEC-feasible at some governor bitwidth.
+    NoFeasiblePlacement = "NVP-W005",
+        "no re-executable, WCEC-feasible checkpoint placement at some bitwidth";
+    /// backup live-set report at a resume point.
+    BackupLiveSet = "NVP-I001", "backup live-set report at a resume point";
+    /// WCEC headroom report — worst region energy vs. the usable capacitor
+    /// budget at the declared operating floor.
+    WcecHeadroom = "NVP-I002", "WCEC headroom vs. the usable capacitor budget";
+    /// the synthesized checkpoint placement saves a significant fraction
+    /// of backup energy vs. the declared placement.
+    PlacementSavings = "NVP-I003",
+        "synthesized placement saves significant backup energy vs. declared";
 }
 
 impl LintCode {
-    /// Every lint code, in legend order (errors, warnings, infos).
-    pub const ALL: [LintCode; 15] = [
-        LintCode::BranchOnApprox,
-        LintCode::AddressFromApprox,
-        LintCode::StoreOutsideRegion,
-        LintCode::ApproxUnsafeAddressOrBranch,
-        LintCode::ExactValueOverflow,
-        LintCode::RegionLivelock,
-        LintCode::DirtyNotReexecutable,
-        LintCode::WarHazard,
-        LintCode::DeadResumeReg,
-        LintCode::OverConservativeBits,
-        LintCode::UnboundedLoop,
-        LintCode::NoFeasiblePlacement,
-        LintCode::BackupLiveSet,
-        LintCode::WcecHeadroom,
-        LintCode::PlacementSavings,
-    ];
-
-    /// The stable code string (`NVP-E001`, …).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            LintCode::BranchOnApprox => "NVP-E001",
-            LintCode::AddressFromApprox => "NVP-E002",
-            LintCode::StoreOutsideRegion => "NVP-E003",
-            LintCode::ApproxUnsafeAddressOrBranch => "NVP-E004",
-            LintCode::ExactValueOverflow => "NVP-E005",
-            LintCode::RegionLivelock => "NVP-E006",
-            LintCode::WarHazard => "NVP-W001",
-            LintCode::DeadResumeReg => "NVP-W002",
-            LintCode::OverConservativeBits => "NVP-W003",
-            LintCode::UnboundedLoop => "NVP-W004",
-            LintCode::BackupLiveSet => "NVP-I001",
-            LintCode::WcecHeadroom => "NVP-I002",
-            LintCode::DirtyNotReexecutable => "NVP-E007",
-            LintCode::NoFeasiblePlacement => "NVP-W005",
-            LintCode::PlacementSavings => "NVP-I003",
-        }
-    }
-
-    /// One-line legend description.
-    pub fn description(self) -> &'static str {
-        match self {
-            LintCode::BranchOnApprox => "branch condition reads an approximate register",
-            LintCode::AddressFromApprox => {
-                "effective address computed from an approximate register"
-            }
-            LintCode::StoreOutsideRegion => "approximate store outside the declared region",
-            LintCode::ApproxUnsafeAddressOrBranch => {
-                "control flow or addressing deviates at the declared bit floor"
-            }
-            LintCode::ExactValueOverflow => {
-                "possible exact-value wraparound reaches a branch/address"
-            }
-            LintCode::RegionLivelock => {
-                "region's cheapest traversal exceeds the capacitor at every setting"
-            }
-            LintCode::WarHazard => "non-idempotent write inside a roll-forward region",
-            LintCode::DeadResumeReg => "resume loop-variable register is never read",
-            LintCode::OverConservativeBits => "declared bit floor is provably over-conservative",
-            LintCode::UnboundedLoop => "loop trip count could not be bounded",
-            LintCode::BackupLiveSet => "backup live-set report at a resume point",
-            LintCode::WcecHeadroom => "WCEC headroom vs. the usable capacitor budget",
-            LintCode::DirtyNotReexecutable => {
-                "region not provably re-executable under its live∩dirty mask"
-            }
-            LintCode::NoFeasiblePlacement => {
-                "no re-executable, WCEC-feasible checkpoint placement at some bitwidth"
-            }
-            LintCode::PlacementSavings => {
-                "synthesized placement saves significant backup energy vs. declared"
-            }
-        }
-    }
-
-    /// The severity this code always carries.
+    /// The severity this code always carries: the letter after `NVP-`
+    /// (`E` error, `W` warning, `I` info).
     pub fn severity(self) -> Severity {
-        match self {
-            LintCode::BranchOnApprox
-            | LintCode::AddressFromApprox
-            | LintCode::StoreOutsideRegion
-            | LintCode::ApproxUnsafeAddressOrBranch
-            | LintCode::ExactValueOverflow
-            | LintCode::RegionLivelock
-            | LintCode::DirtyNotReexecutable => Severity::Error,
-            LintCode::WarHazard
-            | LintCode::DeadResumeReg
-            | LintCode::OverConservativeBits
-            | LintCode::UnboundedLoop
-            | LintCode::NoFeasiblePlacement => Severity::Warning,
-            LintCode::BackupLiveSet | LintCode::WcecHeadroom | LintCode::PlacementSavings => {
-                Severity::Info
-            }
+        match self.as_str().as_bytes()[4] {
+            b'E' => Severity::Error,
+            b'W' => Severity::Warning,
+            _ => Severity::Info,
         }
     }
 }
@@ -313,6 +265,24 @@ mod tests {
         strs.sort_unstable();
         strs.dedup();
         assert_eq!(strs.len(), LintCode::ALL.len());
+        // Legend order is errors, warnings, infos, each by number, and the
+        // letter names the severity.
+        for pair in LintCode::ALL.windows(2) {
+            let (a, b) = (pair[0], pair[1]);
+            assert!(
+                a.severity() > b.severity()
+                    || (a.severity() == b.severity() && a.as_str() < b.as_str()),
+                "{a} before {b}"
+            );
+        }
+        for code in LintCode::ALL {
+            let s = code.as_str();
+            assert!(
+                s.len() == 8 && s.starts_with("NVP-") && s[5..].parse::<u16>().is_ok(),
+                "{s}"
+            );
+            assert!("EWI".contains(&s[4..5]), "{s}");
+        }
     }
 
     #[test]

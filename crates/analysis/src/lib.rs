@@ -189,6 +189,13 @@ impl AnalysisReport {
     }
 }
 
+impl FromIterator<Diagnostic> for AnalysisReport {
+    /// The report of the collected diagnostics, put in report order.
+    fn from_iter<I: IntoIterator<Item = Diagnostic>>(diagnostics: I) -> Self {
+        AnalysisReport::sorted(diagnostics.into_iter().collect())
+    }
+}
+
 /// Runs the default pass pipeline over `program`.
 pub fn analyze_program(program: &Program, config: &AnalysisConfig) -> AnalysisReport {
     analyze_with(program, config, &default_passes())
@@ -206,7 +213,7 @@ pub fn analyze_with(
         cfg: &cfg,
         config,
     };
-    AnalysisReport::sorted(passes.iter().flat_map(|p| p.run(&cx)).collect())
+    passes.iter().flat_map(|p| p.run(&cx)).collect()
 }
 
 #[cfg(test)]

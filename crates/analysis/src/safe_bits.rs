@@ -26,7 +26,7 @@
 use crate::cfg::Cfg;
 use crate::diag::{Diagnostic, LintCode};
 use crate::error_bound::{dev_bound, solve_error_bounds, ApproxState};
-use crate::{Pass, PassContext};
+use crate::{AnalysisReport, Pass, PassContext};
 use nvp_isa::{Instr, Program, Reg};
 
 /// A kernel's declared governor operating range.
@@ -279,15 +279,27 @@ impl Pass for BitwidthPass {
     }
 
     fn run(&self, cx: &PassContext<'_>) -> Vec<Diagnostic> {
-        let Some(declared) = cx.config.declared else {
+        if cx.config.declared.is_none() {
             return Vec::new();
-        };
+        }
         let report = bitwidth_report(
             cx.program,
             cx.cfg,
             cx.config.sanitized_regs,
             cx.config.mem_words,
         );
+        self.diagnostics(cx, &report).diagnostics
+    }
+}
+
+impl BitwidthPass {
+    /// The lints over `report`, the [`bitwidth_report`] of `cx`, in
+    /// report order: what [`Pass::run`] returns, without computing the
+    /// report again.
+    pub fn diagnostics(&self, cx: &PassContext<'_>, report: &BitwidthReport) -> AnalysisReport {
+        let Some(declared) = cx.config.declared else {
+            return AnalysisReport::default();
+        };
         let mut out = Vec::new();
         // Hazards standing at the declared minimum setting.
         for h in hazards_at(
@@ -346,7 +358,7 @@ impl Pass for BitwidthPass {
                 ),
             ));
         }
-        out
+        AnalysisReport::sorted(out)
     }
 }
 

@@ -8,8 +8,6 @@
 //! the precise result — the paper finds "little value in recomputation
 //! beyond four to five passes" (Figure 27).
 
-use nvp_kernels::quality;
-use nvp_kernels::spec::QualityDomain;
 use nvp_kernels::KernelId;
 use nvp_nvm::MergeMode;
 use nvp_power::PowerProfile;
@@ -95,7 +93,7 @@ pub fn recompute_and_combine(
         let run = sim.run(&segment);
         let Some(frame) = run.committed.first() else {
             // Pass starved of power: record unchanged quality and continue.
-            let (m, p) = score(kernel, &golden, &merged);
+            let (m, p) = kernel.score(&golden, &merged);
             mse_after.push(m);
             psnr_after.push(p);
             continue;
@@ -111,7 +109,7 @@ pub fn recompute_and_combine(
                 mode.merge((merged[i], merged_prec[i]), src)
             };
         }
-        let (m, p) = score(kernel, &golden, &merged);
+        let (m, p) = kernel.score(&golden, &merged);
         mse_after.push(m);
         psnr_after.push(p);
     }
@@ -120,16 +118,6 @@ pub fn recompute_and_combine(
         psnr_after_pass: psnr_after,
         mse_after_pass: mse_after,
         merged,
-    }
-}
-
-fn score(kernel: KernelId, golden: &[i32], merged: &[i32]) -> (f64, f64) {
-    match kernel.quality_domain() {
-        QualityDomain::Clamped => (quality::mse(golden, merged), quality::psnr(golden, merged)),
-        QualityDomain::Raw => (
-            quality::mse_raw(golden, merged),
-            quality::psnr_raw(golden, merged),
-        ),
     }
 }
 

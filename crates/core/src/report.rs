@@ -4,8 +4,6 @@
 //! evaluation vocabulary: per-frame MSE/PSNR against the golden reference,
 //! forward progress, backup counts and system-on time.
 
-use nvp_kernels::quality;
-use nvp_kernels::spec::QualityDomain;
 use nvp_kernels::KernelId;
 use nvp_sim::RunReport;
 
@@ -91,16 +89,7 @@ impl QualityReport {
             .iter()
             .map(|c| {
                 let golden = &goldens[(c.input_index as usize) % goldens.len()];
-                let (mse, psnr) = match kernel.quality_domain() {
-                    QualityDomain::Clamped => (
-                        quality::mse(golden, &c.output),
-                        quality::psnr(golden, &c.output),
-                    ),
-                    QualityDomain::Raw => (
-                        quality::mse_raw(golden, &c.output),
-                        quality::psnr_raw(golden, &c.output),
-                    ),
-                };
+                let (mse, psnr) = kernel.score(golden, &c.output);
                 FrameQuality {
                     input_index: c.input_index,
                     lane: c.lane,

@@ -16,7 +16,7 @@
 //! precise. Tables are replicated into all four memory versions so every
 //! SIMD lane can read them.
 
-use crate::{fft, image, integral, jpeg, median, sobel, susan, tiff};
+use crate::{fft, image, integral, jpeg, median, quality, sobel, susan, tiff};
 use nvp_isa::Program;
 use nvp_nvm::VersionedMemory;
 use std::fmt;
@@ -98,6 +98,21 @@ impl KernelId {
         match self {
             KernelId::Integral | KernelId::Fft | KernelId::JpegEncode => QualityDomain::Raw,
             _ => QualityDomain::Clamped,
+        }
+    }
+
+    /// `(MSE, PSNR)` of `candidate` against `reference` in the kernel's
+    /// [`quality_domain`](Self::quality_domain).
+    pub fn score(self, reference: &[i32], candidate: &[i32]) -> (f64, f64) {
+        match self.quality_domain() {
+            QualityDomain::Clamped => (
+                quality::mse(reference, candidate),
+                quality::psnr(reference, candidate),
+            ),
+            QualityDomain::Raw => (
+                quality::mse_raw(reference, candidate),
+                quality::psnr_raw(reference, candidate),
+            ),
         }
     }
 

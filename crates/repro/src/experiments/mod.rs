@@ -99,15 +99,120 @@ pub(crate) fn run(req: &RunRequest) -> Arc<RunReport> {
     Arc::new(report)
 }
 
-/// Every experiment in paper order; used by `repro all`.
+/// How `repro NAME` makes an experiment.
+#[derive(Debug, Clone, Copy)]
+pub enum Make {
+    /// Tables from the scale and `--ablate` (only Figure 28 reads it).
+    Tables(fn(Scale, bool) -> Vec<Table>),
+    /// [`images`], which writes PGM files under `--out` rather than
+    /// returning tables; the `repro` binary runs it.
+    Images,
+}
+
+/// Where `repro all` makes an experiment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InAll {
+    /// `repro all` does not run it.
+    No,
+    /// At its place in the table.
+    InOrder,
+    /// Before everything else, to seed the run memo; its tables and
+    /// trace still land at its place in the table.
+    First,
+}
+
+/// One row of [`EXPERIMENTS`].
+#[derive(Debug)]
+pub struct Experiment {
+    /// The name `repro` takes.
+    pub name: &'static str,
+    /// Other names for the same experiment (a figure another one covers).
+    pub aliases: &'static [&'static str],
+    /// Where `repro all` makes it.
+    pub in_all: InAll,
+    /// What it runs.
+    pub make: Make,
+    /// The one-line description `repro list` prints.
+    pub about: &'static str,
+}
+
+/// Declares [`EXPERIMENTS`], one row per experiment: its name and
+/// aliases, where `repro all` makes it, what it runs, its description.
+macro_rules! experiments {
+    ($(
+        $name:literal $(| $alias:literal)*:
+            $in_all:ident, $make:ident $(($run:expr))?, $about:literal;
+    )*) => {
+        /// Every experiment, in paper order: `repro list` prints this
+        /// table, `repro NAME` looks names up in it ([`find`]) and
+        /// [`all`] walks it.
+        pub const EXPERIMENTS: &[Experiment] = &[$(
+            Experiment {
+                name: $name,
+                aliases: &[$($alias),*],
+                in_all: InAll::$in_all,
+                make: Make::$make $(($run))?,
+                about: $about,
+            },
+        )*];
+    };
+}
+
+experiments! {
+    "fig2": InOrder, Tables(|s, _| fig2(s)), "watch power profiles";
+    "fig3": InOrder, Tables(|s, _| fig3(s)), "outage duration statistics";
+    "fig4": InOrder, Tables(|_, _| fig4()), "STT-RAM write current vs retention";
+    "fig5": InOrder, Tables(|_, _| fig5()), "retention-time shaping policies";
+    "waitcompute": InOrder, Tables(|s, _| waitcompute(s)), "Section 2.2 NVP vs wait-compute";
+    "backup-cost": InOrder, Tables(|s, _| backup_cost(s)),
+        "Section 3.2 backup rate and energy share";
+    "fig9": InOrder, Tables(|s, _| fig9(s)), "timing behaviour of the four NVP variants";
+    "fig12" | "fig11": InOrder, Tables(|s, _| fig12(s)),
+        "approximate-ALU quality (covers figs 11-12)";
+    "fig14" | "fig13": InOrder, Tables(|s, _| fig14(s)),
+        "approximate-memory quality (covers figs 13-14)";
+    "safebits": InOrder, Tables(|s, _| safebits(s)),
+        "statically-proven safe bitwidths (nvp-lint --bitwidth)";
+    "wcec": InOrder, Tables(|s, _| wcec(s)), "per-region WCEC certificates (nvp-lint --energy)";
+    "ckpt": InOrder, Tables(|s, _| ckpt(s)),
+        "checkpoint placement synthesis and backup scopes (nvp-lint --checkpoint)";
+    "fig15": InOrder, Tables(|s, _| fig15(s)), "forward progress vs bitwidth";
+    "fig16": InOrder, Tables(|s, _| fig16(s)), "backup count vs bitwidth";
+    "fig18" | "fig17": InOrder, Tables(|s, _| fig18(s)),
+        "dynamic bitwidth utilization (covers figs 17-18)";
+    "fig19": First, Tables(|s, _| fig19(s)), "dynamic bitwidth quality";
+    "fig20": InOrder, Tables(|s, _| fig20(s)), "dynamic bitwidth forward progress";
+    "fig21": First, Tables(|s, _| fig21(s)), "minbits=4 dynamic vs 7-bit fixed";
+    "fig22": InOrder, Tables(|s, _| fig22(s)), "retention failures per bit and policy";
+    "fig24" | "fig23": First, Tables(|s, _| fig24(s)),
+        "quality vs retention policy (covers figs 23-24)";
+    "fig25": InOrder, Tables(|s, _| fig25(s)), "FP improvement from retention shaping";
+    "fig27" | "fig26": InOrder, Tables(|s, _| fig27(s)),
+        "recompute-and-combine (covers figs 26-27)";
+    "table2": InOrder, Tables(|s, _| table2(s)), "fine-tuned QoS policies";
+    "frametime": InOrder, Tables(|s, _| frametime(s)), "Section 7 seconds per frame";
+    "fig28": InOrder, Tables(fig28), "overall incidental FP gain (add --ablate for breakdown)";
+    "ablate-simd": No, Tables(|s, _| ablate_simd(s)), "ablation: SIMD width cap";
+    "ablate-buffer": No, Tables(|s, _| ablate_buffer(s)), "ablation: resume-buffer depth";
+    "images": No, Images, "PGM dumps of the visual figures 11/13/17/26 (use --out DIR)";
+}
+
+/// The experiment `repro NAME` runs: the one named `name`, or aliased so.
+pub fn find(name: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS
+        .iter()
+        .find(|e| e.name == name || e.aliases.contains(&name))
+}
+
+/// Every [`EXPERIMENTS`] row `repro all` runs, in table order.
 ///
 /// Figures 19, 21 and 24 score outputs, so their runs record them, and a
 /// recording run seeds the run memo for its output-free twin. They are
-/// made first, so Figures 15, 18 and 22 find those runs in the memo
-/// instead of simulating them again. Their tables still come out, and
-/// inside a [`traced`] capture their traces still land, in paper order:
-/// a `repro all --trace` file equals the traces of its experiments run
-/// one by one.
+/// made first ([`InAll::First`]), so Figures 15, 18 and 22 find those
+/// runs in the memo instead of simulating them again. Their tables still
+/// come out, and inside a [`traced`] capture their traces still land, at
+/// their place in the table: a `repro all --trace` file equals the
+/// traces of its experiments run one by one.
 pub fn all(scale: Scale) -> Vec<Table> {
     all_with_ablation(scale, false)
 }
@@ -132,34 +237,90 @@ fn in_place((tables, text): (Vec<Table>, String)) -> Vec<Table> {
 /// [`all`], ending with Figure 28's ablation columns when `ablate` (`repro
 /// all --ablate`).
 pub fn all_with_ablation(scale: Scale, ablate: bool) -> Vec<Table> {
-    let recorded_fig19 = early(|| fig19(scale));
-    let recorded_fig21 = early(|| fig21(scale));
-    let recorded_fig24 = early(|| fig24(scale));
+    let make = |e: &Experiment| match e.make {
+        Make::Tables(make) => make(scale, ablate),
+        Make::Images => panic!("`repro all` writes no images"),
+    };
+    let mut first = EXPERIMENTS
+        .iter()
+        .filter(|e| e.in_all == InAll::First)
+        .map(|e| early(|| make(e)))
+        .collect::<Vec<_>>()
+        .into_iter();
     let mut out = Vec::new();
-    out.extend(fig2(scale));
-    out.extend(fig3(scale));
-    out.extend(fig4());
-    out.extend(fig5());
-    out.extend(waitcompute(scale));
-    out.extend(backup_cost(scale));
-    out.extend(fig9(scale));
-    out.extend(fig12(scale));
-    out.extend(fig14(scale));
-    out.extend(safebits(scale));
-    out.extend(wcec(scale));
-    out.extend(ckpt(scale));
-    out.extend(fig15(scale));
-    out.extend(fig16(scale));
-    out.extend(fig18(scale));
-    out.extend(in_place(recorded_fig19));
-    out.extend(fig20(scale));
-    out.extend(in_place(recorded_fig21));
-    out.extend(fig22(scale));
-    out.extend(in_place(recorded_fig24));
-    out.extend(fig25(scale));
-    out.extend(fig27(scale));
-    out.extend(table2(scale));
-    out.extend(frametime(scale));
-    out.extend(fig28(scale, ablate));
+    for e in EXPERIMENTS {
+        match e.in_all {
+            InAll::No => {}
+            InAll::InOrder => out.extend(make(e)),
+            InAll::First => out.extend(in_place(first.next().expect("made first"))),
+        }
+    }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn names_and_aliases_are_unique() {
+        let mut names: Vec<&str> = EXPERIMENTS
+            .iter()
+            .flat_map(|e| std::iter::once(e.name).chain(e.aliases.iter().copied()))
+            .collect();
+        let len = names.len();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), len, "a name or alias is declared twice");
+    }
+
+    #[test]
+    fn every_alias_resolves_to_its_figure() {
+        let aliases: Vec<(&str, &str)> = EXPERIMENTS
+            .iter()
+            .flat_map(|e| e.aliases.iter().map(move |&a| (a, e.name)))
+            .collect();
+        assert_eq!(
+            aliases,
+            [
+                ("fig11", "fig12"),
+                ("fig13", "fig14"),
+                ("fig17", "fig18"),
+                ("fig23", "fig24"),
+                ("fig26", "fig27"),
+            ]
+        );
+        for (alias, name) in aliases {
+            assert_eq!(find(alias).map(|e| e.name), Some(name));
+        }
+        assert!(find("all").is_none() && find("fig1").is_none());
+    }
+
+    /// The figures `repro all` runs, with their aliases, come out with
+    /// ascending numbers, and the rows it skips come after all of them.
+    #[test]
+    fn all_runs_its_rows_in_paper_order() {
+        let in_all = EXPERIMENTS
+            .iter()
+            .take_while(|e| e.in_all != InAll::No)
+            .count();
+        assert!(EXPERIMENTS[in_all..].iter().all(|e| e.in_all == InAll::No));
+        let figures: Vec<u32> = EXPERIMENTS[..in_all]
+            .iter()
+            .flat_map(|e| e.aliases.iter().rev().chain([&e.name]))
+            .filter_map(|n| n.strip_prefix("fig")?.parse().ok())
+            .collect();
+        assert!(figures.windows(2).all(|w| w[0] < w[1]), "{figures:?}");
+        assert_eq!(figures.len(), 23);
+    }
+
+    #[test]
+    fn exactly_figures_19_21_and_24_are_made_first() {
+        let first: Vec<&str> = EXPERIMENTS
+            .iter()
+            .filter(|e| e.in_all == InAll::First)
+            .map(|e| e.name)
+            .collect();
+        assert_eq!(first, ["fig19", "fig21", "fig24"]);
+    }
 }

@@ -7,8 +7,7 @@ use crate::table::fnum;
 use crate::{dims, Scale, Table};
 use nvp_analysis::{bitwidth_report, Cfg, NEVER_SAFE};
 use nvp_isa::ApproxConfig;
-use nvp_kernels::spec::QualityDomain;
-use nvp_kernels::{quality, KernelId};
+use nvp_kernels::KernelId;
 use nvp_sim::run_fixed;
 
 fn quality_sweep(
@@ -39,13 +38,7 @@ fn quality_sweep(
         let input = id.make_input(w, h, 0x51);
         let golden = id.golden(&input, w, h);
         let out = run_fixed(&spec, &input, cfg_for(bits), 0xB1 + bits as u64);
-        match id.quality_domain() {
-            QualityDomain::Clamped => (quality::mse(&golden, &out), quality::psnr(&golden, &out)),
-            QualityDomain::Raw => (
-                quality::mse_raw(&golden, &out),
-                quality::psnr_raw(&golden, &out),
-            ),
-        }
+        id.score(&golden, &out)
     });
     let per_kernel: Vec<(KernelId, Vec<(f64, f64)>)> = KernelId::QUALITY_TRIO
         .iter()

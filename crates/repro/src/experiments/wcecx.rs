@@ -1,14 +1,14 @@
-//! WCEC certificates and the compiled engine.
+//! WCEC certificates.
 //!
 //! Not a paper figure: the MICRO'17 evaluation assumes per-instruction
 //! capacitor checks. This experiment prints the static energy certificates
 //! `nvp-lint --energy` derives for every kernel (two-sided: the I002
-//! ceiling and the E006 floor) and then shows that the compiled engine
-//! leaves every simulated outcome untouched across the five watch
-//! profiles. The `wcec_block_engine` table keeps its name and title from
-//! when the compiled engine scheduled capacitor checks per certified
-//! block; both engines now run the one metered loop, which checks every
-//! instruction.
+//! ceiling and the E006 floor). Its second table, `wcec_block_engine`,
+//! keeps its name, title and columns from when the compiled engine
+//! scheduled capacitor checks per certified block. No engine does that
+//! any more: both run the one metered loop, which checks every
+//! instruction, so the table compares that loop with itself and shows no
+//! block-engine equivalence.
 
 use super::{base, cached_spec, run};
 use crate::catalog::RunRequest;

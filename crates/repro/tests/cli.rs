@@ -38,3 +38,8 @@ fn all_with_ablate_ends_with_the_ablated_fig28_table() {
     assert!(plain_last.starts_with("=== Figure 28"));
     assert!(!plain_last.contains("backup-only"), "{plain_last}");
 }
+
+#[test]
+fn an_alias_runs_its_figure() {
+    assert_eq!(repro(&["fig11", "--quick"]), repro(&["fig12", "--quick"]));
+}
