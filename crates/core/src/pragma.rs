@@ -11,9 +11,11 @@
 //! ```
 //!
 //! [`PragmaSet::parse`] accepts the paper's literal syntax so annotated
-//! source fragments (Figure 8) can be carried over verbatim.
+//! source fragments (Figure 8) can be carried over verbatim, and
+//! [`PragmaSet::lower`] maps a set onto the machine a run simulates.
 
 use nvp_nvm::{MergeMode, RetentionPolicy};
+use nvp_sim::{ExecMode, SystemConfig};
 use std::fmt;
 
 /// One parsed annotation.
@@ -304,6 +306,22 @@ impl PragmaSet {
         });
         explicit.or_else(|| self.recompute_minbits().map(|_| MergeMode::HigherBits))
     }
+
+    /// Lowers the set onto the machine: the execution mode a run takes and
+    /// the retention policy it backs up under. `incidental (…)` with
+    /// `incidental_recover_from` is the incidental NVP; without roll-forward
+    /// the live lane runs at dynamic bitwidth. Either backs up under the
+    /// pragma's policy. With no `incidental` pragma the NVP is precise and
+    /// keeps the platform's backup policy. `recompute` and `assemble` are
+    /// not lowered: a run makes one pass, and recompute-and-combine merges
+    /// several ([`combine_passes`](crate::combine_passes)).
+    pub fn lower(&self) -> (ExecMode, RetentionPolicy) {
+        match (self.incidental(), self.rolls_forward()) {
+            (Some((lo, hi, policy)), true) => (ExecMode::Incidental(lo, hi), policy),
+            (Some((lo, hi, policy)), false) => (ExecMode::Dynamic(lo, hi), policy),
+            (None, _) => (ExecMode::Precise, SystemConfig::default().backup_policy),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -419,6 +437,40 @@ mod tests {
         assert!(a1.rolls_forward());
         let a2 = PragmaSet::parse(["#pragma ac incidental (src, 6, 8, linear);"]).unwrap();
         assert_eq!(a2.incidental(), Some((6, 8, RetentionPolicy::Linear)));
+    }
+
+    /// Figure 8's (a1) annotation: `(src, 2, 8, linear)` with per-frame
+    /// roll-forward.
+    fn figure8_a1() -> PragmaSet {
+        PragmaSet::parse([
+            "#pragma ac incidental (src, 2, 8, linear);",
+            "#pragma ac incidental_recover_from (frame);",
+        ])
+        .unwrap()
+    }
+
+    #[test]
+    fn pragmas_select_incidental_mode() {
+        assert_eq!(
+            figure8_a1().lower(),
+            (ExecMode::Incidental(2, 8), RetentionPolicy::Linear)
+        );
+    }
+
+    #[test]
+    fn no_pragmas_mean_precise() {
+        let (mode, policy) = PragmaSet::default().lower();
+        assert_eq!(mode, ExecMode::Precise);
+        assert_eq!(policy, SystemConfig::default().backup_policy);
+    }
+
+    #[test]
+    fn incidental_without_rollforward_is_dynamic() {
+        let pragmas = PragmaSet::parse(["#pragma ac incidental (src, 3, 8, log)"]).unwrap();
+        assert_eq!(
+            pragmas.lower(),
+            (ExecMode::Dynamic(3, 8), RetentionPolicy::Log)
+        );
     }
 
     #[test]

@@ -7,11 +7,14 @@
 //! passes by per-element precision metadata ("higherbits") converges toward
 //! the precise result — the paper finds "little value in recomputation
 //! beyond four to five passes" (Figure 27).
+//!
+//! The passes are ordinary runs; `nvp_repro::experiments::racx` issues
+//! them as catalog requests. This module merges and scores what they
+//! committed.
 
 use nvp_kernels::KernelId;
 use nvp_nvm::MergeMode;
-use nvp_power::PowerProfile;
-use nvp_sim::{ExecMode, SystemConfig, SystemSim};
+use nvp_sim::CommittedFrame;
 
 /// Result of an N-pass recompute-and-combine run.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,113 +37,104 @@ impl RacOutcome {
     }
 }
 
-/// Runs `passes` dynamic-precision recomputation passes of `kernel` over
-/// `input` and merges them element-wise by the given mode (the paper's
-/// model: "always performs entire output passes with dynamic precision and
-/// then takes the highest precision output pixel from each").
-///
-/// Each pass executes under a different segment of `profile`, so the
-/// random power variation exposes different elements at high precision.
+/// Merges recomputation passes of `kernel` over `input` element-wise by
+/// `mode` (the paper's model: "always performs entire output passes with
+/// dynamic precision and then takes the highest precision output pixel
+/// from each"), scoring the merge against the golden output after each
+/// pass. Each pass is the frame it committed, or `None` if it was starved
+/// of power, which leaves the merge unchanged.
 ///
 /// # Panics
 ///
-/// Panics if `passes` is zero, `minbits` is outside `1..=8`, or the profile
-/// is empty.
-#[allow(clippy::too_many_arguments)]
-pub fn recompute_and_combine(
+/// Panics if there are no passes.
+pub fn combine_passes<'a>(
     kernel: KernelId,
     width: usize,
     height: usize,
     input: &[i32],
-    minbits: u8,
-    passes: usize,
     mode: MergeMode,
-    profile: &PowerProfile,
+    passes: impl IntoIterator<Item = Option<&'a CommittedFrame>>,
 ) -> RacOutcome {
-    assert!(passes > 0, "need at least one pass");
-    assert!((1..=8).contains(&minbits), "minbits must be 1..=8");
-    assert!(!profile.is_empty(), "profile must be non-empty");
-
-    let spec = kernel.spec(width, height);
     let golden = kernel.golden(input, width, height);
-    let out_len = spec.output_len();
-
-    let mut merged: Vec<i32> = vec![0; out_len];
-    let mut merged_prec: Vec<u8> = vec![0; out_len];
-    let mut psnr_after = Vec::with_capacity(passes);
-    let mut mse_after = Vec::with_capacity(passes);
-
-    for pass in 0..passes {
-        // Each pass sees the trace rotated to a different phase (and a
-        // fresh decay/noise seed): consecutive recomputations ride
-        // different power conditions.
-        let offset = nvp_power::Ticks((pass as u64 * profile.len() as u64) / passes as u64);
-        let mut segment = profile.segment(offset, profile.duration());
-        segment.extend(&profile.segment(nvp_power::Ticks(0), offset));
-        // Give the pass room to finish its frame even from a weak phase.
-        let segment = segment.tiled(nvp_power::Ticks(2 * profile.len() as u64));
-        let cfg = SystemConfig {
-            frames_limit: Some(1),
-            seed: 0xAC ^ (pass as u64).wrapping_mul(0x9E37_79B9),
-            ..Default::default()
-        };
-        let sim = SystemSim::new(
-            spec.clone(),
-            vec![input.to_vec()],
-            ExecMode::Dynamic(minbits, 8),
-            cfg,
-        );
-        let run = sim.run(&segment);
-        let Some(frame) = run.committed.first() else {
-            // Pass starved of power: record unchanged quality and continue.
-            let (m, p) = kernel.score(&golden, &merged);
-            mse_after.push(m);
-            psnr_after.push(p);
-            continue;
-        };
-
-        for i in 0..out_len {
-            let src = (frame.output[i], frame.precision[i]);
-            // An empty accumulator (precision 0) takes the first pass's
-            // value under `Min`; folding it in would pin the minimum at 0.
-            (merged[i], merged_prec[i]) = if mode == MergeMode::Min && merged_prec[i] == 0 {
-                src
-            } else {
-                mode.merge((merged[i], merged_prec[i]), src)
-            };
+    let mut merged: Vec<(i32, u8)> = vec![(0, 0); golden.len()];
+    let mut outcome = RacOutcome {
+        psnr_after_pass: Vec::new(),
+        mse_after_pass: Vec::new(),
+        merged: Vec::new(),
+    };
+    for frame in passes {
+        if let Some(frame) = frame {
+            let src = frame.output.iter().zip(&frame.precision);
+            for (dst, (&value, &precision)) in merged.iter_mut().zip(src) {
+                // An empty accumulator (precision 0) takes the first pass's
+                // value under `Min`; folding it in would pin the minimum at 0.
+                *dst = if mode == MergeMode::Min && dst.1 == 0 {
+                    (value, precision)
+                } else {
+                    mode.merge(*dst, (value, precision))
+                };
+            }
         }
-        let (m, p) = kernel.score(&golden, &merged);
-        mse_after.push(m);
-        psnr_after.push(p);
+        outcome.merged = merged.iter().map(|&(value, _)| value).collect();
+        let (mse, psnr) = kernel.score(&golden, &outcome.merged);
+        outcome.mse_after_pass.push(mse);
+        outcome.psnr_after_pass.push(psnr);
     }
-
-    RacOutcome {
-        psnr_after_pass: psnr_after,
-        mse_after_pass: mse_after,
-        merged,
-    }
+    assert!(!outcome.mse_after_pass.is_empty(), "need at least one pass");
+    outcome
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nvp_power::synth::WatchProfile;
+
+    /// Pass `pass` as the simulator commits it under a varying supply:
+    /// every element at a pseudo-random precision in 1..=8, its value the
+    /// golden one with the bits below that precision cleared.
+    fn pass(golden: &[i32], pass: u64) -> CommittedFrame {
+        let precision: Vec<u8> = (0..golden.len() as u64)
+            .map(|e| {
+                let x = (pass * 1_000_003 + e).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                1 + ((x ^ (x >> 29)) % 8) as u8
+            })
+            .collect();
+        let output = golden
+            .iter()
+            .zip(&precision)
+            .map(|(&v, &p)| v & !((1 << (8 - p)) - 1))
+            .collect();
+        CommittedFrame {
+            input_index: 0,
+            lane: 0,
+            commit_tick: Default::default(),
+            output,
+            precision,
+        }
+    }
+
+    fn combine(seed: u64, passes: u64) -> RacOutcome {
+        let id = KernelId::Median;
+        let input = id.make_input(12, 12, seed);
+        let golden = id.golden(&input, 12, 12);
+        let frames: Vec<CommittedFrame> = (0..passes).map(|p| pass(&golden, p)).collect();
+        combine_passes(
+            id,
+            12,
+            12,
+            &input,
+            MergeMode::HigherBits,
+            frames.iter().map(Some),
+        )
+    }
 
     #[test]
     fn quality_improves_monotonically_with_passes() {
-        let id = KernelId::Median;
-        let input = id.make_input(12, 12, 3);
-        let profile = WatchProfile::P1.synthesize_seconds(4.0);
-        let out = recompute_and_combine(id, 12, 12, &input, 2, 5, MergeMode::HigherBits, &profile);
+        let out = combine(3, 5);
         assert_eq!(out.psnr_after_pass.len(), 5);
-        // Merging is statistically improving: no pass may regress much,
-        // and the final merge must clearly beat the first pass.
+        // Higherbits never lowers an element's precision, so no pass may
+        // regress, and the final merge must clearly beat the first pass.
         for w in out.mse_after_pass.windows(2) {
-            assert!(
-                w[1] <= w[0] * 1.2 + 1.0,
-                "MSE regressed sharply: {:?}",
-                out.mse_after_pass
-            );
+            assert!(w[1] <= w[0], "MSE regressed: {:?}", out.mse_after_pass);
         }
         let first = out.mse_after_pass[0];
         let last = *out.mse_after_pass.last().unwrap();
@@ -151,10 +145,7 @@ mod tests {
     #[test]
     fn gains_flatten_after_early_passes() {
         // Figure 27: most of the improvement lands in the first few passes.
-        let id = KernelId::Median;
-        let input = id.make_input(12, 12, 9);
-        let profile = WatchProfile::P2.synthesize_seconds(4.0);
-        let out = recompute_and_combine(id, 12, 12, &input, 2, 6, MergeMode::HigherBits, &profile);
+        let out = combine(9, 6);
         let early = out.mse_after_pass[0] - out.mse_after_pass[3];
         let late = out.mse_after_pass[3] - out.mse_after_pass[5];
         assert!(
@@ -165,11 +156,27 @@ mod tests {
     }
 
     #[test]
+    fn a_starved_pass_leaves_the_merge_unchanged() {
+        let id = KernelId::Median;
+        let input = id.make_input(12, 12, 3);
+        let first = pass(&id.golden(&input, 12, 12), 0);
+        let out = combine_passes(
+            id,
+            12,
+            12,
+            &input,
+            MergeMode::HigherBits,
+            [Some(&first), None],
+        );
+        assert_eq!(out.mse_after_pass[0], out.mse_after_pass[1]);
+        assert_eq!(out.merged, first.output);
+    }
+
+    #[test]
     #[should_panic(expected = "at least one pass")]
     fn zero_passes_panics() {
         let id = KernelId::Median;
         let input = id.make_input(8, 8, 1);
-        let profile = WatchProfile::P1.synthesize_seconds(0.5);
-        recompute_and_combine(id, 8, 8, &input, 2, 0, MergeMode::HigherBits, &profile);
+        combine_passes(id, 8, 8, &input, MergeMode::HigherBits, []);
     }
 }

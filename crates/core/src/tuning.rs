@@ -3,14 +3,13 @@
 //! The paper's methodology: "programmers should first decide the minbits to
 //! make the QoS above the QoS threshold, then reduce the minbits, and try
 //! to fine-tune the incidental backup policy and the recompute times to
-//! compensate the QoS loss." [`tune_for_qos`] automates that debug-test-
-//! modify loop; [`table2`] records the paper's hand-tuned operating points.
+//! compensate the QoS loss." [`table2`] records the paper's hand-tuned
+//! operating points; a policy runs as its [`QosPolicy::pragmas`] lower
+//! ([`PragmaSet::lower`]).
 
-use crate::executor::IncidentalExecutor;
 use crate::pragma::{Pragma, PragmaSet};
 use nvp_kernels::KernelId;
 use nvp_nvm::RetentionPolicy;
-use nvp_power::PowerProfile;
 use std::fmt;
 
 /// A quality-of-service target.
@@ -130,49 +129,6 @@ pub fn policy_for(kernel: KernelId) -> QosPolicy {
         })
 }
 
-/// Searches for the lowest `minbits` whose incidental run still meets a
-/// PSNR target on the given profile, mirroring the paper's tuning loop.
-/// Returns the tuned policy (falling back to `minbits = 8` if even full
-/// precision misses the target — e.g. the target is unattainable under
-/// this trace).
-pub fn tune_for_qos(
-    kernel: KernelId,
-    width: usize,
-    height: usize,
-    target_psnr_db: f64,
-    backup: RetentionPolicy,
-    profile: &PowerProfile,
-) -> QosPolicy {
-    let mut best = 8u8;
-    for minbits in (1..=8).rev() {
-        let policy = QosPolicy {
-            kernel,
-            target: QosTarget::PsnrDb(target_psnr_db),
-            minbits,
-            recompute_passes: 0,
-            backup,
-        };
-        let exec = IncidentalExecutor::builder(kernel, width, height)
-            .pragmas(policy.pragmas())
-            .frames(2)
-            .build();
-        let rep = exec.run(profile);
-        let psnr = rep.quality.mean_psnr();
-        if rep.quality.frames.is_empty() || psnr >= target_psnr_db {
-            best = minbits;
-        } else {
-            break;
-        }
-    }
-    QosPolicy {
-        kernel,
-        target: QosTarget::PsnrDb(target_psnr_db),
-        minbits: best,
-        recompute_passes: 0,
-        backup,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,18 +169,17 @@ mod tests {
         assert!(s.contains("minbits"));
     }
 
+    /// Every Table 2 policy lowers to the incidental NVP at its minbits,
+    /// backing up under its retention policy.
     #[test]
-    fn tuning_finds_a_minbits() {
-        use nvp_power::synth::WatchProfile;
-        let profile = WatchProfile::P1.synthesize_seconds(1.5);
-        let p = tune_for_qos(
-            KernelId::Median,
-            8,
-            8,
-            20.0,
-            RetentionPolicy::Linear,
-            &profile,
-        );
-        assert!((1..=8).contains(&p.minbits));
+    fn table2_policies_lower_to_incidental_runs() {
+        use nvp_sim::ExecMode;
+        for policy in table2() {
+            assert_eq!(
+                policy.pragmas().lower(),
+                (ExecMode::Incidental(policy.minbits, 8), policy.backup),
+                "{policy}"
+            );
+        }
     }
 }

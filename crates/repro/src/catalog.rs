@@ -8,16 +8,18 @@
 //! [`Cache`] for each, sized to hold the largest benchmark working set
 //! with room to spare (DESIGN.md §9 lists capacities and worst-case
 //! bytes); an evicted artifact is rebuilt deterministically on its next
-//! use. A fifth cache holds each kernel's compiled op table
-//! ([`compiled_for`]), which `ExecEngine::Compiled` runs are still
-//! handed although no engine executes it (DESIGN.md §13).
+//! use. Power traces are cached as synthesized; a request's
+//! [`TraceShape`] is applied per run and never cached. A fifth cache
+//! holds each kernel's compiled op table ([`compiled_for`]), which
+//! `ExecEngine::Compiled` runs are still handed although no engine
+//! executes it (DESIGN.md §13).
 //!
 //! [`simulate`] / [`simulate_traced`] are the request-shaped entry points
-//! and the only way a catalog run becomes a `SystemSim`: a plain-data
-//! [`RunRequest`] in, a [`RunReport`] out, fully deterministic — two
-//! identical requests produce byte-identical reports and traces, which
-//! is what makes result caching in `nvp-serve` and `nvp-fleet` sound.
-//! Both always simulate. The sixth cache is the `repro` run memo behind
+//! and, outside `nvp-sim` and tests, the only way any run becomes a
+//! `SystemSim`: a plain-data [`RunRequest`] in, a [`RunReport`] out,
+//! fully deterministic — two identical requests produce byte-identical
+//! reports and traces, which is what makes result caching in `nvp-serve`
+//! and `nvp-fleet` sound. Both always simulate. The sixth cache is the `repro` run memo behind
 //! `experiments::run`: canonical [`RunRequest`] to shared report, for
 //! requests that record no outputs, seeded also by the runs that do
 //! ([`run_memo_stats`]). The canonical form spells each run one way:
@@ -46,7 +48,7 @@ pub type Frames = Arc<Vec<Vec<i32>>>;
 /// Kernel specs, compiled tables and checkpoint plans: one per kernel ×
 /// dimensions.
 const SPEC_CAPACITY: usize = 64;
-/// Frame sets: one per kernel × img × frame count.
+/// Frame sets: one per kernel × img × frame count × input seed.
 const FRAMES_CAPACITY: usize = 128;
 /// Power traces: one per profile × length × family member, up to
 /// ~2.4 MB each at the 30 s request limit.
@@ -56,12 +58,14 @@ const TRACE_CAPACITY: usize = 32;
 const RUN_CAPACITY: usize = 512;
 
 type SpecKey = (KernelId, usize, usize);
+/// Kernel, img, frame count and input seed.
+type FramesKey = (KernelId, usize, usize, u64);
 /// Profile, trace length (`f64` bits, seconds) and family member.
 type TraceKey = (WatchProfile, u64, u32);
 
 static SPECS: LazyLock<Arc<Cache<SpecKey, KernelSpec>>> =
     LazyLock::new(|| Cache::new(SPEC_CAPACITY));
-static FRAMES: LazyLock<Arc<Cache<SpecKey, Frames>>> =
+static FRAMES: LazyLock<Arc<Cache<FramesKey, Frames>>> =
     LazyLock::new(|| Cache::new(FRAMES_CAPACITY));
 static COMPILED: LazyLock<Arc<Cache<SpecKey, Arc<CompiledProgram>>>> =
     LazyLock::new(|| Cache::new(SPEC_CAPACITY));
@@ -78,14 +82,23 @@ pub fn cached_spec(id: KernelId, w: usize, h: usize) -> KernelSpec {
     SPECS.get_or_insert_with(&(id, w, h), || id.spec(w, h))
 }
 
+/// The input seed of frame 0 unless a request names another
+/// ([`RunRequest::input_seed`]).
+pub const INPUT_SEED: u64 = 0xBEEF;
+
 /// Builds (or fetches) the cycled input-frame set for a kernel at an image
 /// scale, shared immutably across every simulation that uses it.
 pub fn frames_for(id: KernelId, img: usize, frames: usize) -> Frames {
-    FRAMES.get_or_insert_with(&(id, img, frames), || {
+    seeded_frames(id, img, frames, INPUT_SEED)
+}
+
+/// [`frames_for`] with frame *i* seeded `seed + i`.
+fn seeded_frames(id: KernelId, img: usize, frames: usize, seed: u64) -> Frames {
+    FRAMES.get_or_insert_with(&(id, img, frames, seed), || {
         let (w, h) = dims(id, img);
         Arc::new(
             (0..frames)
-                .map(|i| id.make_input(w, h, 0xBEEF + i as u64))
+                .map(|i| id.make_input(w, h, seed + i as u64))
                 .collect(),
         )
     })
@@ -155,9 +168,41 @@ pub fn trace_cache_stats() -> CacheStats {
     TRACES.stats()
 }
 
+/// How a recompute-and-combine pass replays its trace: rotated to start
+/// `pass / passes` of the way in (wrapping round), so the passes ride
+/// different phases of one trace, then tiled to twice the trace's length,
+/// so a pass starting in a weak phase still has room to finish its frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TraceShape {
+    /// Which pass (`0..passes`).
+    pub pass: u32,
+    /// How many passes divide the trace.
+    pub passes: u32,
+}
+
+impl TraceShape {
+    /// The shaped copy of `trace`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `pass < passes`.
+    pub fn apply(&self, trace: &PowerProfile) -> PowerProfile {
+        assert!(
+            self.pass < self.passes,
+            "pass {} of {}",
+            self.pass,
+            self.passes
+        );
+        let samples = trace.as_uw_slice();
+        let offset = self.pass as usize * samples.len() / self.passes as usize;
+        let shaped = samples.iter().copied().cycle().skip(offset);
+        PowerProfile::from_uw(shaped.take(2 * samples.len()))
+    }
+}
+
 /// One fully-specified simulation: kernel × scale × profile × mode, plus
-/// the device inputs a fleet cell varies and the ablation knobs the
-/// `repro` experiments set.
+/// the device inputs a fleet cell varies and the ablation knobs and
+/// recompute-pass shape the `repro` experiments set.
 ///
 /// This is the plain-data request shape behind every `repro`
 /// experiment run, `nvp-serve`'s `POST /v1/run`, `nvp-fleet`'s cells and
@@ -175,12 +220,20 @@ pub struct RunRequest {
     pub img: usize,
     /// Number of distinct input frames to cycle.
     pub frames: usize,
+    /// Input frame *i* is seeded `input_seed + i` ([`INPUT_SEED`] unless
+    /// an experiment names its own input).
+    pub input_seed: u64,
+    /// Stop after committing this many live-lane frames (`None` runs the
+    /// whole trace).
+    pub frames_limit: Option<u64>,
     /// Power-trace length in seconds.
     pub trace_seconds: f64,
     /// Harvested-power profile to replay.
     pub profile: WatchProfile,
     /// Power-profile family member (0 = the canonical trace).
     pub member: u32,
+    /// How the run replays its trace (`None`: as synthesized).
+    pub trace_shape: Option<TraceShape>,
     /// Capacitor capacity in nanojoules.
     pub cap_nj: u64,
     /// How much architectural state a backup persists.
@@ -240,9 +293,12 @@ impl RunRequest {
             kernel,
             img,
             frames,
+            input_seed,
+            frames_limit,
             trace_seconds: seconds,
             profile,
             member,
+            trace_shape,
             cap_nj,
             scope,
             mode,
@@ -255,10 +311,11 @@ impl RunRequest {
             park_slots,
             ref checkpoint_plan,
         } = self;
-        let inputs = (kernel, img, frames, profile, member, seconds.to_bits());
+        let inputs = (kernel, img, frames, input_seed, frames_limit);
+        let trace = (profile, member, seconds.to_bits(), trace_shape);
         let machine = (cap_nj, scope, mode, engine, seed, staleness);
-        let knobs = (backup_policy, max_simd_lanes, park_slots);
-        (inputs, machine, knobs, record_outputs, checkpoint_plan)
+        let knobs = (backup_policy, max_simd_lanes, park_slots, record_outputs);
+        (inputs, trace, machine, knobs, checkpoint_plan)
     }
 
     /// The one spelling of this request's run: `Fixed` at full precision
@@ -292,6 +349,7 @@ impl RunRequest {
             capacitor_capacity: Energy::from_nj(self.cap_nj as f64),
             backup_policy: self.backup_policy,
             backup_scope: self.scope,
+            frames_limit: self.frames_limit,
             record_outputs: self.record_outputs,
             max_simd_lanes: self.max_simd_lanes,
             park_slots: self.park_slots,
@@ -299,18 +357,27 @@ impl RunRequest {
             staleness: self.staleness,
             exec_engine: self.engine,
             checkpoint_plan,
-            ..Default::default()
         }
+    }
+
+    /// The cycled input frames this request runs (and its outputs are
+    /// scored against), from the shared cache.
+    pub fn inputs(&self) -> Frames {
+        seeded_frames(self.kernel, self.img, self.frames, self.input_seed)
     }
 
     /// The one run assembler: builds the simulator from the shared caches
     /// (spec, frames, compiled table, checkpoint plan and power trace).
+    /// A shaped trace is built for this run alone and never cached: each
+    /// pass's is a different megabyte-sized copy of a cached trace.
     fn assemble(&self) -> (SystemSim, Arc<PowerProfile>) {
         let (w, h) = dims(self.kernel, self.img);
         let spec = cached_spec(self.kernel, w, h);
-        let frames = frames_for(self.kernel, self.img, self.frames);
-        let trace = synth_profile_member(self.profile, self.trace_seconds, self.member);
-        let mut sim = SystemSim::new(spec, frames, self.mode, self.config(w, h));
+        let mut trace = synth_profile_member(self.profile, self.trace_seconds, self.member);
+        if let Some(shape) = self.trace_shape {
+            trace = Arc::new(shape.apply(&trace));
+        }
+        let mut sim = SystemSim::new(spec, self.inputs(), self.mode, self.config(w, h));
         if self.engine == ExecEngine::Compiled {
             sim.set_compiled(compiled_for(self.kernel, w, h));
         }
@@ -484,6 +551,56 @@ mod tests {
             key(ExecMode::Precise, dirty, Some(Arc::new(other))),
             implicit
         );
+    }
+
+    #[test]
+    fn input_seed_seeds_each_frame() {
+        let seeded = RunRequest {
+            frames: 2,
+            input_seed: 77,
+            ..req()
+        };
+        let (w, h) = dims(seeded.kernel, seeded.img);
+        let want: Vec<Vec<i32>> = (77..79)
+            .map(|seed| seeded.kernel.make_input(w, h, seed))
+            .collect();
+        assert_eq!(*seeded.inputs(), want);
+        let default = RunRequest {
+            input_seed: INPUT_SEED,
+            ..seeded
+        };
+        let shared = frames_for(default.kernel, default.img, default.frames);
+        assert!(Arc::ptr_eq(&default.inputs(), &shared));
+    }
+
+    #[test]
+    fn trace_shape_rotates_by_the_pass_then_tiles() {
+        let trace = PowerProfile::from_uw([1.0, 2.0, 3.0, 4.0]);
+        let shape = |pass| TraceShape { pass, passes: 4 };
+        let shaped = shape(1).apply(&trace);
+        assert_eq!(
+            shaped.as_uw_slice(),
+            [2.0, 3.0, 4.0, 1.0, 2.0, 3.0, 4.0, 1.0]
+        );
+        assert_eq!(
+            shape(0).apply(&trace).as_uw_slice()[..4],
+            [1.0, 2.0, 3.0, 4.0]
+        );
+    }
+
+    #[test]
+    fn a_shaped_run_differs_from_its_unshaped_twin() {
+        let plain = RunRequest {
+            record_outputs: true,
+            frames_limit: Some(1),
+            ..req()
+        };
+        let shaped = RunRequest {
+            trace_shape: Some(TraceShape { pass: 1, passes: 2 }),
+            ..plain.clone()
+        };
+        assert_ne!(plain, shaped, "the shape must join the key");
+        assert_ne!(simulate(&plain), simulate(&shaped));
     }
 
     #[test]

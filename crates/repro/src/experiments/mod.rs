@@ -25,7 +25,7 @@ pub use overall::{
 pub use powerx::{fig2, fig3};
 pub use progress::{fig15, fig16};
 pub use quality::{fig12, fig14, safebits};
-pub use racx::fig27;
+pub use racx::{fig27, recompute};
 pub use retention::{fig22, fig24, fig25};
 pub use visual::images;
 pub use wcecx::wcec;

@@ -14,12 +14,12 @@ use nvp_power::Ticks;
 use nvp_sim::{instructions_per_frame, ExecMode, RunReport, WaitComputeSim};
 use std::sync::Arc;
 
-/// `id` on the incidental NVP under its Table 2 `policy`: the policy's
-/// minbits and retention shaping.
+/// `id` on the incidental NVP under its Table 2 `policy`, as the policy's
+/// pragmas lower: its minbits and retention shaping.
 fn tuned(id: KernelId, scale: Scale, wp: WatchProfile, policy: &QosPolicy) -> RunRequest {
-    let mode = ExecMode::Incidental(policy.minbits, 8);
+    let (mode, backup_policy) = policy.pragmas().lower();
     RunRequest {
-        backup_policy: policy.backup,
+        backup_policy,
         ..base(id, scale, wp, mode)
     }
 }

@@ -1,13 +1,15 @@
 //! The visual figures: PGM image dumps for Figures 11, 13, 17 and 26.
 
+use super::racx::{figure_frame, recompute};
+use super::run;
+use crate::catalog::RunRequest;
 use crate::table::Table;
 use crate::{dims, Scale};
-use incidental::recompute_and_combine;
 use nvp_isa::ApproxConfig;
 use nvp_kernels::{Image, KernelId};
 use nvp_nvm::{MergeMode, RetentionPolicy};
 use nvp_power::synth::WatchProfile;
-use nvp_sim::{run_fixed, ExecMode, SystemConfig, SystemSim};
+use nvp_sim::{run_fixed, ExecMode};
 use std::path::Path;
 
 fn save(dir: &Path, name: &str, w: usize, h: usize, words: &[i32]) -> std::io::Result<String> {
@@ -15,6 +17,18 @@ fn save(dir: &Path, name: &str, w: usize, h: usize, words: &[i32]) -> std::io::R
     let file = format!("{name}.pgm");
     img.write_pgm(&dir.join(&file))?;
     Ok(file)
+}
+
+/// The output of the first frame `req` commits from its first input,
+/// if power allows one.
+fn first_output(req: RunRequest) -> Option<Vec<i32>> {
+    let report = run(&RunRequest {
+        frames: 1,
+        frames_limit: Some(1),
+        record_outputs: true,
+        ..req
+    });
+    report.committed.first().map(|frame| frame.output.clone())
 }
 
 /// Writes the visual-figure image set into `dir` and returns an index
@@ -50,44 +64,34 @@ pub fn images(scale: Scale, dir: &Path) -> std::io::Result<Vec<Table>> {
     }
 
     // Figure 17: dynamic bitwidth on median under profiles 1–3.
-    let id = KernelId::Median;
-    let (w, h) = dims(id, img_edge);
-    for wp in &WatchProfile::ALL[..3] {
-        let cfg = SystemConfig {
-            frames_limit: Some(1),
-            ..Default::default()
+    let (w, h) = dims(KernelId::Median, img_edge);
+    for &wp in &WatchProfile::ALL[..3] {
+        let req = RunRequest {
+            profile: wp,
+            input_seed: 0x17,
+            ..figure_frame(scale, img_edge, ExecMode::Dynamic(1, 8))
         };
-        let rep = SystemSim::new(
-            id.spec(w, h),
-            vec![id.make_input(w, h, 0x17)],
-            ExecMode::Dynamic(1, 8),
-            cfg,
-        )
-        .run(&wp.synthesize_seconds(scale.trace_seconds.max(3.0)));
-        if let Some(frame) = rep.committed.first() {
+        if let Some(output) = first_output(req) {
             let f = save(
                 dir,
                 &format!("fig17_median_dynamic_p{}", wp.index()),
                 w,
                 h,
-                &frame.output,
+                &output,
             )?;
             t.row(["fig 17".into(), f, format!("median, dynamic bits, {wp}")]);
         }
     }
 
     // Figure 26 left: retention policies; right: recomputation passes.
-    let input = id.make_input(w, h, 0x26);
     for policy in RetentionPolicy::SHAPED {
-        let cfg = SystemConfig {
+        let req = RunRequest {
+            profile: WatchProfile::P2,
             backup_policy: policy,
-            frames_limit: Some(1),
-            ..Default::default()
+            ..figure_frame(scale, img_edge, ExecMode::Precise)
         };
-        let rep = SystemSim::new(id.spec(w, h), vec![input.clone()], ExecMode::Precise, cfg)
-            .run(&WatchProfile::P2.synthesize_seconds(scale.trace_seconds.max(3.0)));
-        if let Some(frame) = rep.committed.first() {
-            let f = save(dir, &format!("fig26_median_{policy}"), w, h, &frame.output)?;
+        if let Some(output) = first_output(req) {
+            let f = save(dir, &format!("fig26_median_{policy}"), w, h, &output)?;
             t.row([
                 "fig 26".into(),
                 f,
@@ -95,10 +99,9 @@ pub fn images(scale: Scale, dir: &Path) -> std::io::Result<Vec<Table>> {
             ]);
         }
     }
-    let profile = WatchProfile::P1.synthesize_seconds(scale.trace_seconds.max(3.0));
-    for passes in [1usize, 2, 4, 8] {
-        let out =
-            recompute_and_combine(id, w, h, &input, 2, passes, MergeMode::HigherBits, &profile);
+    for passes in [1, 2, 4, 8] {
+        let frame = figure_frame(scale, img_edge, ExecMode::Dynamic(2, 8));
+        let out = recompute(&frame, passes, MergeMode::HigherBits);
         let f = save(
             dir,
             &format!("fig26_recompute_{passes}pass"),

@@ -181,18 +181,22 @@ impl RunKey {
         out
     }
 
-    /// The catalog request this key denotes: outputs not recorded, and
-    /// the simulator knobs a key does not carry at
-    /// [`SystemConfig::default`]'s values.
+    /// The catalog request this key denotes: outputs not recorded, the
+    /// catalog's default input seed, the trace as synthesized, and the
+    /// simulator knobs a key does not carry at [`SystemConfig::default`]'s
+    /// values.
     pub fn run_request(&self) -> RunRequest {
         let sim = SystemConfig::default();
         RunRequest {
             kernel: self.kernel,
             img: self.img,
             frames: self.frames,
+            input_seed: crate::catalog::INPUT_SEED,
+            frames_limit: sim.frames_limit,
             trace_seconds: self.trace_ms as f64 / 1000.0,
             profile: self.profile,
             member: self.member,
+            trace_shape: None,
             cap_nj: self.cap_nj,
             scope: self.scope,
             mode: self.mode,

@@ -159,9 +159,10 @@ fn dynamic_governor_trace_bytes_are_pinned() {
     );
 }
 
-/// FNV-1a digests of `recompute_and_combine`'s merged output and per-pass
+/// FNV-1a digests of recompute-and-combine's merged output and per-pass
 /// PSNR bits (median, P1 for 2 s, minbits 2, 5 passes), per image side and
-/// `MergeMode`, recorded before the merge table moved into `MergeMode`. At
+/// `MergeMode`, recorded before the merge table moved into `MergeMode` and
+/// kept since the passes became catalog requests. At
 /// 8×8 every pass commits precise output, so only `Sum` differs; at 16×16
 /// passes are approximate and all four modes give distinct merges.
 const RAC_MERGE_FNV: [(usize, MergeMode, u64); 8] = [
@@ -182,11 +183,20 @@ const FIG27_QUICK_FNV: u64 = 0x7839_400c_3461_853c;
 fn recompute_and_combine_outputs_are_pinned() {
     use nvp_kernels::KernelId;
     use nvp_power::synth::WatchProfile;
-    let id = KernelId::Median;
-    let profile = WatchProfile::P1.synthesize_seconds(2.0);
+    use nvp_repro::catalog::RunRequest;
+    use nvp_sim::ExecMode;
     for (side, mode, want) in RAC_MERGE_FNV {
-        let input = id.make_input(side, side, 0x27);
-        let out = incidental::recompute_and_combine(id, side, side, &input, 2, 5, mode, &profile);
+        let frame = RunRequest {
+            kernel: KernelId::Median,
+            img: side,
+            frames: 1,
+            input_seed: 0x27,
+            trace_seconds: 2.0,
+            profile: WatchProfile::P1,
+            mode: ExecMode::Dynamic(2, 8),
+            ..RunRequest::default()
+        };
+        let out = experiments::recompute(&frame, 5, mode);
         let mut bytes: Vec<u8> = out.merged.iter().flat_map(|v| v.to_le_bytes()).collect();
         for p in &out.psnr_after_pass {
             bytes.extend_from_slice(&p.to_bits().to_le_bytes());
@@ -197,6 +207,20 @@ fn recompute_and_combine_outputs_are_pinned() {
             "{side}x{side} {mode:?}: rac output changed ({digest:#018x})"
         );
     }
+}
+
+/// Every recompute-and-combine pass is a run a trace capture records:
+/// fig27's 4 minbits floors × 8 passes, in the same bytes at any worker
+/// count.
+#[test]
+fn fig27_traces_every_recompute_pass() {
+    let trace = |jobs| experiments::traced(|| experiments::fig27(Scale::quick().with_jobs(jobs))).1;
+    let serial = trace(1);
+    assert_eq!(serial.matches("\"ev\":\"run_start\"").count(), 4 * 8);
+    assert!(
+        serial == trace(2),
+        "--jobs 2 fig27 trace differs from serial"
+    );
 }
 
 #[test]

@@ -3,8 +3,9 @@
 //! an implicit `LiveDirty` plan is the cached one it resolves to), and
 //! `all` makes the figures that record outputs first, so their runs seed
 //! the memo before the figures that only count ask for them. A quick
-//! `repro all` then makes 171 simulations: 146 memo misses plus the 25
-//! recording runs, which always simulate.
+//! `repro all` then makes 203 simulations: 146 memo misses plus the 57
+//! recording runs, which always simulate (25 scoring runs and fig27's 32
+//! recompute-and-combine passes). Each recording run leaves an entry.
 //!
 //! One test in its own binary, so no concurrent test can move the
 //! process-wide memo counters.
@@ -23,7 +24,7 @@ fn repro_all_simulates_each_distinct_run_once() {
     let serial = catalog::run_memo_stats();
     assert_eq!(
         (serial.misses, serial.hits, serial.coalesced, serial.entries),
-        (MISSES, 112, 0, 171),
+        (MISSES, 112, 0, 203),
         "{serial:?}"
     );
 

@@ -1,63 +1,70 @@
 //! QoS-targeted tuning: the paper's Section 8.6 debug-test-modify loop.
 //!
 //! Given a quality target (PSNR floor), find the lowest `minbits` whose
-//! incidental execution still meets it, then show the resulting Table 2
-//! style policy beside the paper's published operating points.
+//! incidental execution still meets it, beside the paper's published
+//! Table 2 operating points.
 //!
 //! ```text
-//! cargo run --release --example qos_tuning
+//! cargo run --release -p nvp-repro --example qos_tuning
 //! ```
 
-use incidental::prelude::*;
+use incidental::{table2, QosPolicy, QosTarget, QualityReport};
+use nvp_kernels::KernelId;
+use nvp_nvm::RetentionPolicy;
+use nvp_power::synth::WatchProfile;
+use nvp_repro::catalog::{self, RunRequest};
+use nvp_repro::dims;
 
 fn main() {
-    let profile = WatchProfile::P1.synthesize_seconds(3.0);
-
     println!("paper's Table 2 policies:");
     for p in table2() {
         println!("  {p}");
     }
 
-    println!("\ntuning median for a 30 dB floor on profile 1...");
-    let tuned = tune_for_qos(
-        KernelId::Median,
-        12,
-        12,
-        30.0,
-        RetentionPolicy::Linear,
-        &profile,
-    );
-    println!("  tuned: {tuned}");
-
-    // Validate the tuned point end to end.
-    let rep = IncidentalExecutor::builder(KernelId::Median, 12, 12)
-        .frames(3)
-        .pragmas(tuned.pragmas())
-        .build()
-        .run(&profile);
-    println!(
-        "  validation: mean PSNR {:.1} dB across {} committed frames, FP {}",
-        rep.quality.mean_psnr().min(99.9),
-        rep.quality.frames.len(),
-        rep.progress.forward_progress
-    );
-
-    // Show the tradeoff curve the programmer is navigating.
-    println!("\nminbits sweep (median, profile 1):");
+    // "Decide the minbits to make the QoS above the QoS threshold, then
+    // reduce the minbits": walk down from full precision while median on
+    // profile 1 still meets a 30 dB floor.
+    let target = 30.0;
+    println!("\nminbits sweep (median, profile 1, {target:.0} dB floor):");
     println!("  minbits   PSNR (dB)   forward progress");
-    for minbits in [1u8, 2, 4, 6, 8] {
-        let mut policy = tuned.clone();
-        policy.minbits = minbits;
-        let rep = IncidentalExecutor::builder(KernelId::Median, 12, 12)
-            .frames(3)
-            .pragmas(policy.pragmas())
-            .build()
-            .run(&profile);
+    let mut tuned = None;
+    for minbits in (1..=8).rev() {
+        let policy = QosPolicy {
+            kernel: KernelId::Median,
+            target: QosTarget::PsnrDb(target),
+            minbits,
+            recompute_passes: 0,
+            backup: RetentionPolicy::Linear,
+        };
+        let (mode, backup_policy) = policy.pragmas().lower();
+        let req = RunRequest {
+            kernel: policy.kernel,
+            img: 12,
+            frames: 3,
+            trace_seconds: 3.0,
+            profile: WatchProfile::P1,
+            mode,
+            backup_policy,
+            record_outputs: true,
+            ..RunRequest::default()
+        };
+        let report = catalog::simulate(&req);
+        let (w, h) = dims(req.kernel, req.img);
+        let quality = QualityReport::score(req.kernel, w, h, &req.inputs(), &report);
+        let psnr = quality.mean_psnr();
         println!(
             "  {:>7}   {:>9.1}   {:>16}",
             minbits,
-            rep.quality.mean_psnr().min(99.9),
-            rep.progress.forward_progress
+            psnr.min(99.9),
+            report.forward_progress
         );
+        if quality.frames.is_empty() || psnr < target {
+            break;
+        }
+        tuned = Some(policy);
+    }
+    match tuned {
+        Some(policy) => println!("\ntuned: {policy}"),
+        None => println!("\neven full precision misses {target:.0} dB on this trace"),
     }
 }

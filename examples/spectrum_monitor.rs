@@ -7,17 +7,21 @@
 //! workflow the `recompute`/`assemble` pragmas exist for.
 //!
 //! ```text
-//! cargo run --release --example spectrum_monitor
+//! cargo run --release -p nvp-repro --example spectrum_monitor
 //! ```
 
-use incidental::prelude::*;
+use incidental::PragmaSet;
 use nvp_kernels::quality::psnr_raw;
-use nvp_nvm::MergeMode;
+use nvp_kernels::KernelId;
+use nvp_power::synth::WatchProfile;
+use nvp_repro::catalog::{self, RunRequest};
+use nvp_repro::dims;
+use nvp_repro::experiments::recompute;
+use nvp_sim::ExecMode;
 
 fn main() {
-    let (w, h) = (16, 8); // 128-point FFT
     let id = KernelId::Fft;
-    let profile = WatchProfile::P3.synthesize_seconds(6.0);
+    let img = 11; // a 128-point FFT: 16 × 8 words
 
     // Run the sensing pipeline with aggressive incidental settings: the
     // monitor cares about timeliness first, fidelity second.
@@ -28,27 +32,42 @@ fn main() {
         "#pragma ac assemble (spectrum, higherbits);",
     ])
     .expect("pragmas parse");
-    let exec = IncidentalExecutor::builder(id, w, h)
-        .frames(4)
-        .pragmas(pragmas)
-        .build();
-    let rep = exec.run(&profile);
+    let (mode, backup_policy) = pragmas.lower();
+    let monitor = RunRequest {
+        kernel: id,
+        img,
+        frames: 4,
+        trace_seconds: 6.0,
+        profile: WatchProfile::P3,
+        mode,
+        backup_policy,
+        ..RunRequest::default()
+    };
+    let rep = catalog::simulate(&monitor);
     println!(
         "spectra computed: {} full-precision + {} incidental ({} backups, {:.1}% on-time)",
-        rep.progress.frames_committed,
-        rep.progress.incidental_frames,
-        rep.progress.backups,
-        rep.progress.system_on * 100.0
+        rep.frames_committed,
+        rep.incidental_frames,
+        rep.backups,
+        rep.system_on_fraction() * 100.0
     );
 
-    // An incidental spectrum flagged a suspicious peak: recompute it.
-    let input = id.make_input(w, h, 0xF00D);
-    let golden = id.golden(&input, w, h);
-    let outcome = recompute_and_combine(id, w, h, &input, 2, 5, MergeMode::HigherBits, &profile);
+    // An incidental spectrum flagged a suspicious peak: recompute it at
+    // the `recompute` pragma's floor, merged as `assemble` says.
+    let minbits = pragmas.recompute_minbits().expect("a recompute pragma");
+    let flagged = RunRequest {
+        input_seed: 0xF00D,
+        mode: ExecMode::Dynamic(minbits, 8),
+        ..monitor
+    };
+    let merge = pragmas.assemble_mode().expect("an assemble mode");
+    let outcome = recompute(&flagged, 5, merge);
     println!("\nrecompute-and-combine on the flagged spectrum:");
     for (i, p) in outcome.psnr_after_pass.iter().enumerate() {
         println!("  after pass {}: {:>6.1} dB", i + 1, p.min(99.9));
     }
+    let (w, h) = dims(id, img);
+    let golden = id.golden(&flagged.inputs()[0], w, h);
     println!(
         "merged spectrum now at {:.1} dB vs the precise FFT",
         psnr_raw(&golden, &outcome.merged).min(99.9)

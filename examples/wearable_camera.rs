@@ -7,19 +7,31 @@
 //! the quality of the incidentally-computed frames.
 //!
 //! ```text
-//! cargo run --release --example wearable_camera
+//! cargo run --release -p nvp-repro --example wearable_camera
 //! ```
 
-use incidental::prelude::*;
+use incidental::{policy_for, QualityReport};
+use nvp_kernels::KernelId;
+use nvp_power::synth::WatchProfile;
+use nvp_repro::catalog::{self, RunRequest};
+use nvp_repro::dims;
 use nvp_sim::{instructions_per_frame, WaitComputeSim};
 
 fn main() {
-    let (w, h) = (16, 16);
     let id = KernelId::SusanEdges;
-    let profile = WatchProfile::P2.synthesize_seconds(8.0);
-    let spec = id.spec(w, h);
-    let sample = id.make_input(w, h, 1);
-    let frame_instr = instructions_per_frame(&spec, &sample);
+    let precise = RunRequest {
+        kernel: id,
+        img: 16,
+        frames: 6,
+        trace_seconds: 8.0,
+        profile: WatchProfile::P2,
+        record_outputs: true,
+        ..RunRequest::default()
+    };
+    let (w, h) = dims(id, precise.img);
+    let inputs = precise.inputs();
+    let profile = catalog::synth_profile(precise.profile, precise.trace_seconds);
+    let frame_instr = instructions_per_frame(&catalog::cached_spec(id, w, h), &inputs[0]);
     println!(
         "susan.edges {w}x{h}: {frame_instr} instructions per frame, trace mean {:.1} µW\n",
         profile.mean().as_uw()
@@ -36,34 +48,31 @@ fn main() {
     );
 
     // Precise NVP: compute-through with roll-back recovery.
-    let precise = IncidentalExecutor::builder(id, w, h).frames(6).build();
-    let base = precise.run(&profile);
+    let base = catalog::simulate(&precise);
     println!(
         "precise NVP      : {:>3} frames, {} backups",
-        base.progress.frames_committed, base.progress.backups
+        base.frames_committed, base.backups
     );
 
     // Incidental NVP tuned per Table 2 (susan is unlisted: default linear
     // backup, minbits 4).
-    let policy = policy_for(id);
-    let inc = IncidentalExecutor::builder(id, w, h)
-        .frames(6)
-        .pragmas(policy.pragmas())
-        .build()
-        .run(&profile);
-    let inc_frames = inc.progress.frames_committed + inc.progress.incidental_frames;
+    let (mode, backup_policy) = policy_for(id).pragmas().lower();
+    let inc = catalog::simulate(&RunRequest {
+        mode,
+        backup_policy,
+        ..precise
+    });
+    let inc_frames = inc.frames_committed + inc.incidental_frames;
     println!(
         "incidental NVP   : {:>3} frames ({} full-quality + {} incidental), {} abandoned",
-        inc_frames,
-        inc.progress.frames_committed,
-        inc.progress.incidental_frames,
-        inc.progress.frames_abandoned,
+        inc_frames, inc.frames_committed, inc.incidental_frames, inc.frames_abandoned,
     );
 
     // Quality split: the live lane is precise; incidental lanes trade
     // fidelity for coverage.
-    let live: Vec<f64> = inc.quality.lane_frames(false).map(|f| f.psnr).collect();
-    let old: Vec<f64> = inc.quality.lane_frames(true).map(|f| f.psnr).collect();
+    let quality = QualityReport::score(id, w, h, &inputs, &inc);
+    let live: Vec<f64> = quality.lane_frames(false).map(|f| f.psnr).collect();
+    let old: Vec<f64> = quality.lane_frames(true).map(|f| f.psnr).collect();
     println!(
         "\nlive-lane PSNR  : {:.1} dB over {} frames",
         mean(&live).min(99.9),

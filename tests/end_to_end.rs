@@ -1,37 +1,44 @@
 //! End-to-end reproduction smoke tests: the headline claims of the paper
 //! must hold (directionally) at quick experiment scale.
 
-use incidental::prelude::*;
-use nvp_sim::{instructions_per_frame, SystemConfig, SystemSim, WaitComputeSim};
+use nvp_kernels::KernelId;
+use nvp_nvm::{MergeMode, RetentionPolicy};
+use nvp_power::synth::WatchProfile;
+use nvp_repro::catalog::{self, RunRequest};
+use nvp_repro::experiments::recompute;
+use nvp_sim::{instructions_per_frame, ExecMode, WaitComputeSim};
 
-fn frames_for(id: KernelId, w: usize, h: usize, n: usize) -> Vec<Vec<i32>> {
-    (0..n).map(|i| id.make_input(w, h, 77 + i as u64)).collect()
+/// `kernel` at `img` on `frames` inputs seeded from 77 under `profile`
+/// for `seconds`, precise, outputs not recorded.
+fn request(
+    kernel: KernelId,
+    img: usize,
+    frames: usize,
+    profile: WatchProfile,
+    seconds: f64,
+) -> RunRequest {
+    RunRequest {
+        kernel,
+        img,
+        frames,
+        input_seed: 77,
+        trace_seconds: seconds,
+        profile,
+        ..RunRequest::default()
+    }
 }
 
 /// Abstract / Section 8.6: incidental computing delivers a multi-x
 /// forward-progress gain over the precise NVP.
 #[test]
 fn incidental_beats_precise_by_a_wide_margin() {
-    let id = KernelId::Median;
-    let (w, h) = (12, 12);
-    let profile = WatchProfile::P1.synthesize_seconds(2.5);
-    let frames = frames_for(id, w, h, 3);
-
-    let mut cfg = SystemConfig {
-        record_outputs: false,
-        ..Default::default()
-    };
-    let base = SystemSim::new(
-        id.spec(w, h),
-        frames.clone(),
-        ExecMode::Precise,
-        cfg.clone(),
-    )
-    .run(&profile);
-
-    cfg.backup_policy = RetentionPolicy::Linear;
-    let inc = SystemSim::new(id.spec(w, h), frames, ExecMode::Incidental(2, 8), cfg).run(&profile);
-
+    let precise = request(KernelId::Median, 12, 3, WatchProfile::P1, 2.5);
+    let base = catalog::simulate(&precise);
+    let inc = catalog::simulate(&RunRequest {
+        mode: ExecMode::Incidental(2, 8),
+        backup_policy: RetentionPolicy::Linear,
+        ..precise
+    });
     let gain = inc.forward_progress as f64 / base.forward_progress.max(1) as f64;
     assert!(gain > 1.5, "incidental gain only {gain:.2}x");
 }
@@ -39,19 +46,17 @@ fn incidental_beats_precise_by_a_wide_margin() {
 /// Section 2.2: the NVP outperforms wait-compute on harvested power.
 #[test]
 fn nvp_beats_waitcompute() {
-    let id = KernelId::Tiff2Bw;
-    let (w, h) = (12, 12);
-    let spec = id.spec(w, h);
-    let input = id.make_input(w, h, 1);
-    let frame_instr = instructions_per_frame(&spec, &input);
-    let profile = WatchProfile::P1.synthesize_seconds(4.0);
+    let req = RunRequest {
+        input_seed: 1,
+        ..request(KernelId::Tiff2Bw, 12, 1, WatchProfile::P1, 4.0)
+    };
+    let (w, h) = nvp_repro::dims(req.kernel, req.img);
+    let spec = catalog::cached_spec(req.kernel, w, h);
+    let frame_instr = instructions_per_frame(&spec, &req.inputs()[0]);
+    let profile = catalog::synth_profile(req.profile, req.trace_seconds);
 
     let wc = WaitComputeSim::new(frame_instr).run(&profile);
-    let cfg = SystemConfig {
-        record_outputs: false,
-        ..Default::default()
-    };
-    let nvp = SystemSim::new(spec, vec![input], ExecMode::Precise, cfg).run(&profile);
+    let nvp = catalog::simulate(&req);
     assert!(
         nvp.forward_progress > wc.forward_progress,
         "NVP {} vs wait-compute {}",
@@ -64,19 +69,12 @@ fn nvp_beats_waitcompute() {
 /// forward progress rises vs the 1-day uniform baseline.
 #[test]
 fn retention_shaping_improves_progress() {
-    let id = KernelId::Median;
-    let (w, h) = (10, 10);
-    let profile = WatchProfile::P2.synthesize_seconds(2.5);
-    let frames = frames_for(id, w, h, 2);
-    let fp = |policy: RetentionPolicy| {
-        let cfg = SystemConfig {
-            record_outputs: false,
-            backup_policy: policy,
-            ..Default::default()
-        };
-        SystemSim::new(id.spec(w, h), frames.clone(), ExecMode::Precise, cfg)
-            .run(&profile)
-            .forward_progress
+    let fp = |backup_policy: RetentionPolicy| {
+        catalog::simulate(&RunRequest {
+            backup_policy,
+            ..request(KernelId::Median, 10, 2, WatchProfile::P2, 2.5)
+        })
+        .forward_progress
     };
     let baseline = fp(RetentionPolicy::one_day());
     for policy in RetentionPolicy::SHAPED {
@@ -89,18 +87,12 @@ fn retention_shaping_improves_progress() {
 /// than 8-bit execution.
 #[test]
 fn narrow_bits_double_progress() {
-    let id = KernelId::Median;
-    let (w, h) = (10, 10);
-    let profile = WatchProfile::P3.synthesize_seconds(2.5);
-    let frames = frames_for(id, w, h, 2);
     let fp = |bits: u8| {
-        let cfg = SystemConfig {
-            record_outputs: false,
-            ..Default::default()
-        };
-        SystemSim::new(id.spec(w, h), frames.clone(), ExecMode::Fixed(bits), cfg)
-            .run(&profile)
-            .forward_progress
+        catalog::simulate(&RunRequest {
+            mode: ExecMode::Fixed(bits),
+            ..request(KernelId::Median, 10, 2, WatchProfile::P3, 2.5)
+        })
+        .forward_progress
     };
     let fp8 = fp(8);
     let fp1 = fp(1);
@@ -111,13 +103,12 @@ fn narrow_bits_double_progress() {
 /// a handful of passes.
 #[test]
 fn recomputation_recovers_quality() {
-    use nvp_nvm::MergeMode;
-    let id = KernelId::Median;
-    let (w, h) = (12, 12);
-    let input = id.make_input(w, h, 9);
-    let profile = WatchProfile::P1.synthesize_seconds(2.0);
-    let out =
-        incidental::recompute_and_combine(id, w, h, &input, 2, 5, MergeMode::HigherBits, &profile);
+    let frame = RunRequest {
+        input_seed: 9,
+        mode: ExecMode::Dynamic(2, 8),
+        ..request(KernelId::Median, 12, 1, WatchProfile::P1, 2.0)
+    };
+    let out = recompute(&frame, 5, MergeMode::HigherBits);
     let first = out.psnr_after_pass[0];
     let last = out.psnr_after_pass[4];
     assert!(
@@ -126,26 +117,17 @@ fn recomputation_recovers_quality() {
     );
 }
 
-/// Determinism: identical configuration and trace produce identical
-/// reports (the whole stack is seeded).
+/// Determinism: identical requests produce identical reports (the whole
+/// stack is seeded).
 #[test]
 fn end_to_end_runs_are_deterministic() {
-    let id = KernelId::Sobel;
-    let profile = WatchProfile::P4.synthesize_seconds(1.0);
-    let run = || {
-        let cfg = SystemConfig {
-            backup_policy: RetentionPolicy::Log,
-            ..Default::default()
-        };
-        SystemSim::new(
-            id.spec(10, 10),
-            frames_for(id, 10, 10, 2),
-            ExecMode::Incidental(2, 8),
-            cfg,
-        )
-        .run(&profile)
+    let req = RunRequest {
+        mode: ExecMode::Incidental(2, 8),
+        backup_policy: RetentionPolicy::Log,
+        record_outputs: true,
+        ..request(KernelId::Sobel, 10, 2, WatchProfile::P4, 1.0)
     };
-    let a = run();
-    let b = run();
+    let a = catalog::simulate(&req);
+    let b = catalog::simulate(&req);
     assert_eq!(a, b);
 }

@@ -1,13 +1,28 @@
 //! Cross-crate integration tests: substrates wired together the way the
 //! reproduction harness uses them.
 
-use incidental::prelude::*;
-use incidental::PragmaSet;
+use incidental::{PragmaSet, QualityReport};
 use nvp_isa::ApproxConfig;
-use nvp_kernels::quality;
+use nvp_kernels::{quality, KernelId};
+use nvp_nvm::RetentionPolicy;
 use nvp_power::outage::OutageStats;
-use nvp_power::{Power, Ticks};
+use nvp_power::synth::WatchProfile;
+use nvp_power::{Power, PowerProfile, Ticks};
+use nvp_repro::catalog::{self, RunRequest};
 use nvp_sim::{run_fixed, ExecMode, SystemConfig, SystemSim};
+
+/// `kernel` at `img` under `profile` for `seconds`, precise, outputs not
+/// recorded, every other field [`RunRequest::default`]'s.
+fn request(kernel: KernelId, img: usize, profile: WatchProfile, seconds: f64) -> RunRequest {
+    RunRequest {
+        kernel,
+        img,
+        frames: 1,
+        trace_seconds: seconds,
+        profile,
+        ..RunRequest::default()
+    }
+}
 
 /// Every kernel's ISA program reproduces its golden reference bit-for-bit
 /// at full precision — the functional-simulator correctness contract.
@@ -27,22 +42,36 @@ fn all_kernels_match_golden_at_full_precision() {
 }
 
 /// Steady power and roll-back recovery never lose quality, for any kernel.
+/// (A constant supply is not a catalog trace, so the simulator is built
+/// here.)
 #[test]
 fn steady_power_is_lossless_end_to_end() {
-    for id in [KernelId::Sobel, KernelId::Tiff2Rgba, KernelId::Fft] {
+    for (id, power_uw) in [
+        (KernelId::Sobel, 700.0),
+        (KernelId::Tiff2Rgba, 700.0),
+        (KernelId::Fft, 700.0),
+        (KernelId::Tiff2Bw, 600.0),
+    ] {
         let (w, h) = match id {
             KernelId::Fft => (8, 4),
             _ => (8, 8),
         };
-        let exec = IncidentalExecutor::builder(id, w, h).frames(2).build();
-        let profile = PowerProfile::constant(Power::from_uw(700.0), Ticks::from_seconds(4.0));
-        let rep = exec.run(&profile);
-        assert!(rep.progress.frames_committed >= 1, "{id}");
-        assert_eq!(rep.quality.mean_mse(), 0.0, "{id} lost quality");
+        let frames: Vec<Vec<i32>> = (0..2).map(|i| id.make_input(w, h, 0xF00D + i)).collect();
+        let profile = PowerProfile::constant(Power::from_uw(power_uw), Ticks::from_seconds(4.0));
+        let sim = SystemSim::new(
+            id.spec(w, h),
+            frames.clone(),
+            ExecMode::Precise,
+            SystemConfig::default(),
+        );
+        let rep = sim.run(&profile);
+        assert!(rep.frames_committed >= 1, "{id}");
+        let quality = QualityReport::score(id, w, h, &frames, &rep);
+        assert_eq!(quality.mean_mse(), 0.0, "{id} lost quality");
     }
 }
 
-/// The pragma pipeline: Figure 8 text → executor mode → simulated run.
+/// The pragma pipeline: Figure 8 text → lowered mode → simulated run.
 #[test]
 fn figure8_pragmas_drive_an_incidental_run() {
     let pragmas = PragmaSet::parse([
@@ -50,16 +79,17 @@ fn figure8_pragmas_drive_an_incidental_run() {
         "#pragma ac incidental_recover_from (frame);",
     ])
     .unwrap();
-    let exec = IncidentalExecutor::builder(KernelId::Median, 10, 10)
-        .pragmas(pragmas)
-        .frames(3)
-        .build();
-    assert!(matches!(exec.mode(), ExecMode::Incidental(..)));
-    let profile = WatchProfile::P1.synthesize_seconds(1.5);
-    let rep = exec.run(&profile);
-    assert!(rep.progress.forward_progress > 0);
+    let (mode, backup_policy) = pragmas.lower();
+    assert!(matches!(mode, ExecMode::Incidental(..)));
+    let rep = catalog::simulate(&RunRequest {
+        frames: 3,
+        mode,
+        backup_policy,
+        ..request(KernelId::Median, 10, WatchProfile::P1, 1.5)
+    });
+    assert!(rep.forward_progress > 0);
     // The watch profile must interrupt execution.
-    assert!(rep.run.backups > 0);
+    assert!(rep.backups > 0);
 }
 
 /// Outage statistics drive retention failures: the LSB (shortest
@@ -67,24 +97,17 @@ fn figure8_pragmas_drive_an_incidental_run() {
 /// the MSB's retention means zero MSB failures.
 #[test]
 fn outage_profile_bounds_msb_failures() {
-    let profile = WatchProfile::P2.synthesize_seconds(3.0);
+    let req = RunRequest {
+        input_seed: 1,
+        backup_policy: RetentionPolicy::Linear,
+        ..request(KernelId::Median, 10, WatchProfile::P2, 3.0)
+    };
+    let profile = catalog::synth_profile(req.profile, req.trace_seconds);
     let stats = OutageStats::extract(&profile, Power::from_uw(33.0));
     let msb_retention = RetentionPolicy::Linear.retention_ticks(8);
     let covered = stats.covered_by(msb_retention);
 
-    let id = KernelId::Median;
-    let cfg = SystemConfig {
-        backup_policy: RetentionPolicy::Linear,
-        record_outputs: false,
-        ..Default::default()
-    };
-    let sim = SystemSim::new(
-        id.spec(10, 10),
-        vec![id.make_input(10, 10, 1)],
-        ExecMode::Precise,
-        cfg,
-    );
-    let rep = sim.run(&profile);
+    let rep = catalog::simulate(&req);
     if covered >= 1.0 {
         assert_eq!(
             rep.retention_failures[7], 0,
@@ -98,28 +121,23 @@ fn outage_profile_bounds_msb_failures() {
 /// whose quality is no worse than the 1-bit fixed floor (its minbits).
 #[test]
 fn dynamic_quality_not_below_floor() {
-    let id = KernelId::Median;
-    let (w, h) = (12, 12);
-    let input = id.make_input(w, h, 5);
-    let golden = id.golden(&input, w, h);
-    let spec = id.spec(w, h);
+    let req = RunRequest {
+        input_seed: 5,
+        mode: ExecMode::Dynamic(1, 8),
+        frames_limit: Some(1),
+        record_outputs: true,
+        ..request(KernelId::Median, 12, WatchProfile::P1, 2.0)
+    };
+    let id = req.kernel;
+    let (w, h) = nvp_repro::dims(id, req.img);
+    let input = &req.inputs()[0];
+    let golden = id.golden(input, w, h);
 
     let mse_1 = quality::mse(
         &golden,
-        &run_fixed(&spec, &input, ApproxConfig::fixed(1), 3),
+        &run_fixed(&id.spec(w, h), input, ApproxConfig::fixed(1), 3),
     );
-    let profile = WatchProfile::P1.synthesize_seconds(2.0);
-    let cfg = SystemConfig {
-        frames_limit: Some(1),
-        ..Default::default()
-    };
-    let rep = SystemSim::new(
-        spec.clone(),
-        vec![input.clone()],
-        ExecMode::Dynamic(1, 8),
-        cfg,
-    )
-    .run(&profile);
+    let rep = catalog::simulate(&req);
     let frame = rep.committed.first().expect("one frame commits");
     let mse_dyn = quality::mse(&golden, &frame.output);
     assert!(
@@ -132,22 +150,14 @@ fn dynamic_quality_not_below_floor() {
 /// throughput.
 #[test]
 fn ablation_knobs_bound_incidental_gain() {
-    let id = KernelId::Tiff2Bw;
-    let profile = WatchProfile::P1.synthesize_seconds(2.0);
-    let frames: Vec<Vec<i32>> = (0..3).map(|i| id.make_input(10, 10, i)).collect();
-    let fp = |lanes: u8| {
-        let cfg = SystemConfig {
-            max_simd_lanes: lanes,
-            record_outputs: false,
-            ..Default::default()
-        };
-        SystemSim::new(
-            id.spec(10, 10),
-            frames.clone(),
-            ExecMode::Incidental(2, 8),
-            cfg,
-        )
-        .run(&profile)
+    let fp = |max_simd_lanes: u8| {
+        catalog::simulate(&RunRequest {
+            frames: 3,
+            input_seed: 0,
+            mode: ExecMode::Incidental(2, 8),
+            max_simd_lanes,
+            ..request(KernelId::Tiff2Bw, 10, WatchProfile::P1, 2.0)
+        })
         .forward_progress
     };
     let fp1 = fp(1);
@@ -156,7 +166,8 @@ fn ablation_knobs_bound_incidental_gain() {
 }
 
 /// Wait-compute and NVP agree on the energy model: with strong steady
-/// power both complete frames.
+/// power both complete frames. (A constant supply is not a catalog
+/// trace, so the simulator is built here.)
 #[test]
 fn waitcompute_and_nvp_complete_under_strong_power() {
     use nvp_sim::{instructions_per_frame, WaitComputeSim};
