@@ -5,11 +5,13 @@
 //! register that is dead at the interruption point (rewritten before any
 //! read on every path) contributes nothing to the continuation — skipping
 //! it shrinks the backup, and backup energy is the dominant overhead of
-//! an NVP (20–33 % of income, paper Section 3.2). The sim consumes
-//! [`BackupLiveness::live_at`] through its `BackupScope::LiveOnly` option;
-//! `nvp-lint` reports the live sets at resume markers (`NVP-I001`) and
-//! flags resume loop-variables that are never read (`NVP-W002`) — their
-//! backed-up values can never influence resume matching or execution.
+//! an NVP (20–33 % of income, paper Section 3.2). The repro catalog
+//! turns [`BackupLiveness::live_at`] into the per-pc masks of the
+//! `CheckpointPlan` a `BackupScope::LiveOnly` run backs up under (the
+//! simulator runs no analysis itself); `nvp-lint` reports the live sets
+//! at resume markers (`NVP-I001`) and flags resume loop-variables that
+//! are never read (`NVP-W002`) — their backed-up values can never
+//! influence resume matching or execution.
 
 use crate::cfg::Cfg;
 use crate::diag::{Diagnostic, LintCode};
@@ -51,11 +53,6 @@ impl BackupLiveness {
             Some(&m) => m,
             None => u16::MAX,
         }
-    }
-
-    /// Fraction of the register file live at `pc` (`0.0..=1.0`).
-    pub fn live_fraction(&self, pc: usize) -> f64 {
-        f64::from(self.live_at(pc).count_ones()) / NUM_REGS as f64
     }
 }
 
@@ -126,7 +123,6 @@ mod tests {
         assert_eq!(bl.live_at(2), 1 << 0);
         assert_eq!(bl.live_at(4), 0);
         assert_eq!(bl.resume_points, vec![(0, 0)]);
-        assert!(bl.live_fraction(2) > 0.0);
     }
 
     #[test]

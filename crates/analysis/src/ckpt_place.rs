@@ -26,7 +26,8 @@
 //!
 //! The result is a machine-checkable [`Synthesis`] certificate built as
 //! the workspace's one JSON tree ([`Json`], from `nvp_trace::json`), and the per-pc masks the
-//! simulator consumes as `BackupScope::LiveDirty` / `CheckpointPlan`.
+//! repro catalog hands the simulator as a `BackupScope::LiveDirty` run's
+//! `CheckpointPlan`.
 
 use crate::cfg::Cfg;
 use crate::cost_model::{usable_nj, CostModel, BACKUP_POLICY};
@@ -39,6 +40,7 @@ use crate::wcec::{declared_checkpoints, solve, Bound, RegionCut, RegionKind};
 use crate::{AnalysisReport, Pass, PassContext};
 use nvp_isa::energy::backup_energy_scoped;
 use nvp_isa::{Instr, Program, NUM_REGS};
+use nvp_kernels::KernelSpec;
 use nvp_trace::json::Json;
 
 /// Static execution weight assumed for a loop whose trip count could
@@ -68,6 +70,19 @@ impl Default for CkptOptions {
             bits_lo: 1,
             bits_hi: 8,
             mem_words: 1024,
+        }
+    }
+}
+
+impl CkptOptions {
+    /// The options a shipped kernel implies: its declared bitwidth range
+    /// and its memory size.
+    pub fn for_kernel(spec: &KernelSpec) -> CkptOptions {
+        let (bits_lo, bits_hi) = spec.id.declared_bits();
+        CkptOptions {
+            bits_lo,
+            bits_hi,
+            mem_words: spec.mem_words,
         }
     }
 }

@@ -12,8 +12,9 @@
 //!   derives the *usable* energy per charge cycle of the platform
 //!   ([`CAPACITOR_NJ`], [`BACKUP_POLICY`], [`RESERVE_SAFETY`]): what is left
 //!   for compute after the reserved backup and the restore that bracket
-//!   it. The simulator's defaults read the same constants, so the static
-//!   budget and the simulated platform cannot drift apart.
+//!   it. The constants are `nvp_isa::energy`'s, which the simulator's
+//!   defaults read too, so the static budget and the simulated platform
+//!   cannot drift apart.
 //!
 //! The usable figure is deliberately the **supremum** over reachable
 //! capacitor states: it assumes the capacitor recharges to *full* capacity
@@ -24,18 +25,8 @@
 //! `NVP-E006` (see [`crate::wcec_lint`]).
 
 use nvp_isa::energy::{backup_energy, instr_energy, restore_energy};
+pub use nvp_isa::energy::{BACKUP_POLICY, CAPACITOR_NJ, RESERVE_SAFETY};
 use nvp_isa::{ApproxConfig, Instr, InstrClass};
-use nvp_nvm::RetentionPolicy;
-
-/// Storage capacitor capacity of the platform, in nJ (3.5 µJ): the
-/// default `SystemConfig` capacitor and the WCEC budget.
-pub const CAPACITOR_NJ: f64 = 3_500.0;
-
-/// Retention policy the platform writes backups under.
-pub const BACKUP_POLICY: RetentionPolicy = RetentionPolicy::FullRetention;
-
-/// Safety multiplier on the reserved backup energy.
-pub const RESERVE_SAFETY: f64 = 1.1;
 
 /// Per-class static instruction energies (nJ) at one governor bitwidth.
 ///
@@ -101,6 +92,7 @@ pub fn usable_nj(bits: u8) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nvp_nvm::RetentionPolicy;
 
     #[test]
     fn class_table_matches_direct_model_calls() {

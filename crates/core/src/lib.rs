@@ -19,8 +19,8 @@
 //! * [`rac`] — recompute-and-combine quality recovery (Section 8.5): the
 //!   merge and scoring of recomputation passes,
 //! * [`tuning`] — the fine-tuned QoS policies of Table 2,
-//! * [`report`] — quality/progress reporting shared by the examples and
-//!   the reproduction harness.
+//! * [`report`] — quality scoring shared by the examples and the
+//!   reproduction harness.
 //!
 //! Runs themselves are `nvp_repro::catalog::RunRequest`s: the catalog
 //! builds every simulator, memoizes and traces its runs. The substrates
@@ -57,7 +57,7 @@ pub mod tuning;
 
 pub use pragma::{Pragma, PragmaError, PragmaSet};
 pub use rac::{combine_passes, RacOutcome};
-pub use report::{FrameQuality, ProgressSummary, QualityReport};
+pub use report::{FrameQuality, QualityReport};
 pub use tuning::{policy_for, table2, QosPolicy, QosTarget};
 
 /// A kernel run under lowered pragmas and a power trace, scored against
@@ -66,11 +66,11 @@ pub use tuning::{policy_for, table2, QosPolicy, QosTarget};
 #[cfg(test)]
 mod executor {
     mod tests {
-        use crate::{PragmaSet, ProgressSummary, QualityReport};
+        use crate::{PragmaSet, QualityReport};
         use nvp_kernels::KernelId;
         use nvp_power::synth::WatchProfile;
         use nvp_power::{Power, PowerProfile, Ticks};
-        use nvp_sim::{SystemConfig, SystemSim};
+        use nvp_sim::{RunReport, SystemConfig, SystemSim};
 
         /// `frames` inputs of `kernel` at `w`×`h` (seeded from 0xF00D) run
         /// under `pragmas` on `profile`.
@@ -81,7 +81,7 @@ mod executor {
             frames: u64,
             pragmas: &PragmaSet,
             profile: &PowerProfile,
-        ) -> (ProgressSummary, QualityReport) {
+        ) -> (RunReport, QualityReport) {
             let inputs: Vec<Vec<i32>> = (0..frames)
                 .map(|i| kernel.make_input(w, h, 0xF00D + i))
                 .collect();
@@ -92,7 +92,7 @@ mod executor {
             };
             let rep = SystemSim::new(kernel.spec(w, h), inputs.clone(), mode, system).run(profile);
             let quality = QualityReport::score(kernel, w, h, &inputs, &rep);
-            (ProgressSummary::from(&rep), quality)
+            (rep, quality)
         }
 
         #[test]

@@ -1,8 +1,9 @@
-//! Quality and progress reporting.
+//! Quality reporting.
 //!
-//! Converts raw simulator output ([`nvp_sim::RunReport`]) into the paper's
-//! evaluation vocabulary: per-frame MSE/PSNR against the golden reference,
-//! forward progress, backup counts and system-on time.
+//! Scores raw simulator output ([`nvp_sim::RunReport`]) in the paper's
+//! evaluation vocabulary: per-frame MSE/PSNR against the golden
+//! reference. Progress (forward progress, backups, system-on time) is the
+//! report's own fields and accessors.
 
 use nvp_kernels::KernelId;
 use nvp_sim::RunReport;
@@ -18,46 +19,6 @@ pub struct FrameQuality {
     pub mse: f64,
     /// PSNR in dB against the golden output.
     pub psnr: f64,
-}
-
-/// Compact progress summary extracted from a [`RunReport`].
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ProgressSummary {
-    /// Lane-weighted instructions committed.
-    pub forward_progress: u64,
-    /// Backups performed.
-    pub backups: u64,
-    /// System-on fraction of total time.
-    pub system_on: f64,
-    /// Live-lane frames committed.
-    pub frames_committed: u64,
-    /// Incidental-lane frames committed.
-    pub incidental_frames: u64,
-    /// Frames abandoned by FIFO eviction.
-    pub frames_abandoned: u64,
-    /// Backup energy as a fraction of income.
-    pub backup_energy_fraction: f64,
-    /// Backup energy avoided by live-only backup scope, in nanojoules
-    /// (0 under `BackupScope::FullState`).
-    pub backup_energy_saved_nj: f64,
-    /// Total retention failures.
-    pub retention_failures: u64,
-}
-
-impl From<&RunReport> for ProgressSummary {
-    fn from(r: &RunReport) -> Self {
-        ProgressSummary {
-            forward_progress: r.forward_progress,
-            backups: r.backups,
-            system_on: r.system_on_fraction(),
-            frames_committed: r.frames_committed,
-            incidental_frames: r.incidental_frames,
-            frames_abandoned: r.frames_abandoned,
-            backup_energy_fraction: r.backup_energy_fraction(),
-            backup_energy_saved_nj: r.energy_backup_saved.as_nj(),
-            retention_failures: r.total_retention_failures(),
-        }
-    }
 }
 
 /// Per-run quality report.
@@ -211,44 +172,9 @@ mod tests {
         let q = QualityReport::default();
         assert_eq!(q.mean_mse(), 0.0);
         assert_eq!(q.mean_psnr(), 0.0);
-    }
-
-    #[test]
-    fn progress_summary_maps_every_field() {
-        use nvp_power::Energy;
-        let r = RunReport {
-            forward_progress: 12345,
-            backups: 17,
-            on_ticks: 250,
-            total_ticks: 1000,
-            frames_committed: 9,
-            incidental_frames: 4,
-            frames_abandoned: 2,
-            energy_income: Energy::from_nj(2000.0),
-            energy_backup: Energy::from_nj(500.0),
-            energy_backup_saved: Energy::from_nj(125.0),
-            retention_failures: [1, 2, 3, 0, 0, 0, 0, 4],
-            ..Default::default()
-        };
-        let s = ProgressSummary::from(&r);
-        assert_eq!(s.forward_progress, 12345);
-        assert_eq!(s.backups, 17);
-        assert_eq!(s.system_on, 0.25);
-        assert_eq!(s.frames_committed, 9);
-        assert_eq!(s.incidental_frames, 4);
-        assert_eq!(s.frames_abandoned, 2);
-        assert_eq!(s.backup_energy_fraction, 0.25);
-        assert_eq!(s.backup_energy_saved_nj, 125.0);
-        assert_eq!(s.retention_failures, 10);
-    }
-
-    #[test]
-    fn progress_summary_of_empty_report_is_zeroed() {
-        // Guard the division-by-zero paths: a default (0-tick, 0-income)
-        // report must map to all-zero ratios, not NaN.
-        let s = ProgressSummary::from(&RunReport::default());
-        assert_eq!(s, ProgressSummary::default());
-        assert_eq!(s.system_on, 0.0);
-        assert_eq!(s.backup_energy_fraction, 0.0);
+        // A 0-tick, 0-income run report's ratios are 0, not NaN.
+        let r = RunReport::default();
+        assert_eq!(r.system_on_fraction(), 0.0);
+        assert_eq!(r.backup_energy_fraction(), 0.0);
     }
 }

@@ -16,7 +16,10 @@
 //! 20–33 % of income energy (Section 3.2).
 //!
 //! The model is one calibrated platform, so it is a set of constants and
-//! the functions that price with them; nothing is configurable. It lives
+//! the functions that price with them; nothing is configurable. The
+//! platform's capacitor, backup policy and reserve factor
+//! ([`CAPACITOR_NJ`], [`BACKUP_POLICY`], [`RESERVE_SAFETY`]) sit here
+//! too, next to the prices they parameterize. It lives
 //! in `nvp-isa` (rather than the simulator) so that static analyses —
 //! notably the WCEC certifier in `nvp-analysis` — price instructions with
 //! *exactly* the same arithmetic the simulator charges at runtime.
@@ -50,6 +53,16 @@ const DATAPATH_EXPONENT: f64 = 1.5;
 
 /// Fixed wake-up energy added to every restore, in nJ.
 const WAKEUP_OVERHEAD_NJ: f64 = 5.0;
+
+/// Storage capacitor capacity of the platform, in nJ (3.5 µJ): the
+/// simulator's default capacitor and the static WCEC budget.
+pub const CAPACITOR_NJ: f64 = 3_500.0;
+
+/// Retention policy the platform writes backups under.
+pub const BACKUP_POLICY: RetentionPolicy = RetentionPolicy::FullRetention;
+
+/// Safety multiplier on the reserved backup energy.
+pub const RESERVE_SAFETY: f64 = 1.1;
 
 /// Full-precision single-lane energy of one instruction of `class`, in
 /// nJ, chosen so a typical kernel mix averages ≈0.209 nJ/instruction.

@@ -2,17 +2,20 @@
 //!
 //! Every consumer of the simulator — the `repro` experiments, `nvp-serve`
 //! and `nvp-fleet` — needs a built [`KernelSpec`], a cycled input-frame
-//! set, a synthesized power trace and,
-//! for `BackupScope::LiveDirty`, a synthesized checkpoint plan per
-//! kernel × dimensions. This module owns one process-wide bounded
-//! [`Cache`] for each, sized to hold the largest benchmark working set
-//! with room to spare (DESIGN.md §9 lists capacities and worst-case
-//! bytes); an evicted artifact is rebuilt deterministically on its next
-//! use. Power traces are cached as synthesized; a request's
-//! [`TraceShape`] is applied per run and never cached. A fifth cache
-//! holds each kernel's compiled op table ([`compiled_for`]), which
-//! `ExecEngine::Compiled` runs are still handed although no engine
-//! executes it (DESIGN.md §13).
+//! set and a synthesized power trace. The simulator runs no static
+//! analysis, so this module also computes the static facts a run reads
+//! as data: the checkpoint plan a scoped backup persists by (for
+//! `BackupScope::LiveDirty` a synthesized placement per kernel ×
+//! dimensions, [`plan_for`]; for `BackupScope::LiveOnly` backup
+//! liveness, built per run) and each kernel's compiled op table
+//! ([`compiled_for`]). This module owns one process-wide bounded
+//! [`Cache`] for each of these but the `LiveOnly` plan, sized to hold
+//! the largest benchmark working set with room to spare (DESIGN.md §9
+//! lists capacities and worst-case bytes); an evicted artifact is
+//! rebuilt deterministically on its next use. Power traces are cached as
+//! synthesized; a request's [`TraceShape`] is applied per run and never
+//! cached. `ExecEngine::Compiled` runs are still handed the compiled op
+//! table although no engine executes it (DESIGN.md §13).
 //!
 //! [`simulate`] / [`simulate_traced`] are the request-shaped entry points
 //! and, outside `nvp-sim` and tests, the only way any run becomes a
@@ -28,6 +31,7 @@
 
 use crate::dims;
 use crate::key::RunKey;
+use nvp_analysis::{compile_hints, synthesize, BackupLiveness, Cfg, CkptOptions};
 use nvp_exec::{Cache, CacheStats};
 use nvp_isa::CompiledProgram;
 use nvp_kernels::{KernelId, KernelSpec};
@@ -35,8 +39,7 @@ use nvp_nvm::RetentionPolicy;
 use nvp_power::synth::WatchProfile;
 use nvp_power::{Energy, PowerProfile, Ticks};
 use nvp_sim::{
-    compile_kernel, BackupScope, CheckpointPlan, ExecEngine, ExecMode, RunReport, SystemConfig,
-    SystemSim,
+    BackupScope, CheckpointPlan, ExecEngine, ExecMode, RunReport, SystemConfig, SystemSim,
 };
 use nvp_trace::Tracer;
 use std::hash::{Hash, Hasher};
@@ -114,11 +117,15 @@ pub fn compile_count() -> u64 {
 
 /// Compiles (or fetches) the compiled op table for a kernel at given
 /// frame dimensions, shared behind an `Arc` by every simulation of that
-/// kernel — a sweep of a thousand runs pays for one compilation.
+/// kernel — a sweep of a thousand runs pays for one compilation. The
+/// interval analysis' in-range proofs (`nvp_analysis::compile_hints`)
+/// decide which accesses skip their bounds check.
 pub fn compiled_for(id: KernelId, w: usize, h: usize) -> Arc<CompiledProgram> {
     COMPILED.get_or_insert_with(&(id, w, h), || {
         let spec = cached_spec(id, w, h);
-        Arc::new(compile_kernel(&spec.program, spec.mem_words))
+        let hints = compile_hints(&spec.program, &Cfg::build(&spec.program), spec.mem_words);
+        let table = CompiledProgram::compile(&spec.program, spec.mem_words, &hints);
+        Arc::new(table)
     })
 }
 
@@ -136,15 +143,37 @@ pub fn plan_cache_stats() -> CacheStats {
 }
 
 /// Synthesizes (or fetches) the checkpoint plan `BackupScope::LiveDirty`
-/// runs a kernel under at given frame dimensions
-/// ([`CheckpointPlan::synthesized`]). The synthesis costs more than most
-/// simulations it serves, so every run of that kernel × dimensions
-/// shares one. This is the only caller of the synthesizer outside tests:
-/// a [`RunRequest`] without an explicit plan takes this one.
+/// runs a kernel under at given frame dimensions: the placement
+/// `nvp_analysis::synthesize` finds over the kernel's declared bitwidth
+/// range and memory size. The shipped kernels declare one whole-program
+/// region (a single resume marker at pc 0), under which every live
+/// register is also dirty; the synthesized placement is what makes
+/// `LiveDirty` cheaper than `LiveOnly`. The synthesis costs more than
+/// most simulations it serves, so every run of that kernel × dimensions
+/// shares one: a [`RunRequest`] without an explicit plan takes this one.
 pub fn plan_for(id: KernelId, w: usize, h: usize) -> Arc<CheckpointPlan> {
     PLANS.get_or_insert_with(&(id, w, h), || {
-        Arc::new(CheckpointPlan::synthesized(&cached_spec(id, w, h)))
+        let spec = cached_spec(id, w, h);
+        let opts = CkptOptions::for_kernel(&spec);
+        let placement = synthesize(&spec.program, &Cfg::build(&spec.program), &opts).synthesized;
+        Arc::new(CheckpointPlan {
+            checkpoints: placement.checkpoints.iter().map(|&(pc, _)| pc).collect(),
+            masks: placement.masks,
+        })
     })
+}
+
+/// The plan a `BackupScope::LiveOnly` run backs up under: at each pc, the
+/// registers static backup liveness proves may still be read, and no
+/// checkpoints. It costs 3–23 µs per kernel at img 8–24 (release build),
+/// far less than the run that reads it, so it is built per run and never
+/// cached; [`plan_count`] counts only `LiveDirty` syntheses.
+fn live_only_plan(spec: &KernelSpec) -> CheckpointPlan {
+    let live = BackupLiveness::compute(&spec.program);
+    CheckpointPlan {
+        checkpoints: Vec::new(),
+        masks: (0..spec.program.len()).map(|pc| live.live_at(pc)).collect(),
+    }
 }
 
 /// Synthesizes (or fetches) a watch profile's canonical power trace.
@@ -260,7 +289,8 @@ pub struct RunRequest {
     pub park_slots: u8,
     /// The placement a `LiveDirty` run scopes its backups by; `None`
     /// takes the cached [`plan_for`] at the run's dimensions. Other
-    /// scopes ignore it.
+    /// scopes ignore it: a `LiveOnly` run always backs up under its
+    /// kernel's backup liveness.
     pub checkpoint_plan: Option<Arc<CheckpointPlan>>,
 }
 
@@ -336,15 +366,20 @@ impl RunRequest {
         req
     }
 
-    /// Builds the system configuration this request implies at frame
-    /// dimensions `w` × `h`. A `LiveDirty` run shares its plan (`Arc`)
-    /// rather than copying it.
-    fn config(&self, w: usize, h: usize) -> SystemConfig {
-        let checkpoint_plan = (self.scope == BackupScope::LiveDirty).then(|| {
-            self.checkpoint_plan
-                .clone()
-                .unwrap_or_else(|| plan_for(self.kernel, w, h))
-        });
+    /// Builds the system configuration this request implies for `spec`,
+    /// its kernel at frame dimensions `w` × `h`, with the plan its backup
+    /// scope reads. A `LiveDirty` run shares its plan (`Arc`) rather than
+    /// copying it; a `LiveOnly` run gets its kernel's backup liveness.
+    fn config(&self, spec: &KernelSpec, w: usize, h: usize) -> SystemConfig {
+        let checkpoint_plan = match self.scope {
+            BackupScope::FullState => None,
+            BackupScope::LiveOnly => Some(Arc::new(live_only_plan(spec))),
+            BackupScope::LiveDirty => Some(
+                self.checkpoint_plan
+                    .clone()
+                    .unwrap_or_else(|| plan_for(self.kernel, w, h)),
+            ),
+        };
         SystemConfig {
             capacitor_capacity: Energy::from_nj(self.cap_nj as f64),
             backup_policy: self.backup_policy,
@@ -367,7 +402,8 @@ impl RunRequest {
     }
 
     /// The one run assembler: builds the simulator from the shared caches
-    /// (spec, frames, compiled table, checkpoint plan and power trace).
+    /// (spec, frames, compiled table, checkpoint plan and power trace)
+    /// and, for a `LiveOnly` run, its backup-liveness plan.
     /// A shaped trace is built for this run alone and never cached: each
     /// pass's is a different megabyte-sized copy of a cached trace.
     fn assemble(&self) -> (SystemSim, Arc<PowerProfile>) {
@@ -377,7 +413,8 @@ impl RunRequest {
         if let Some(shape) = self.trace_shape {
             trace = Arc::new(shape.apply(&trace));
         }
-        let mut sim = SystemSim::new(spec, self.inputs(), self.mode, self.config(w, h));
+        let config = self.config(&spec, w, h);
+        let mut sim = SystemSim::new(spec, self.inputs(), self.mode, config);
         if self.engine == ExecEngine::Compiled {
             sim.set_compiled(compiled_for(self.kernel, w, h));
         }
@@ -601,6 +638,50 @@ mod tests {
         };
         assert_ne!(plain, shaped, "the shape must join the key");
         assert_ne!(simulate(&plain), simulate(&shaped));
+    }
+
+    #[test]
+    fn scoped_runs_back_up_under_the_analyses_masks() {
+        for id in KernelId::ALL {
+            for img in [8, 24] {
+                let (w, h) = dims(id, img);
+                let spec = cached_spec(id, w, h);
+                let what = format!("{id} at img {img}");
+                let plan = |scope| {
+                    let run = RunRequest {
+                        kernel: id,
+                        img,
+                        scope,
+                        ..req()
+                    };
+                    run.config(&spec, w, h).checkpoint_plan
+                };
+                assert!(plan(BackupScope::FullState).is_none(), "{what}");
+
+                let live = plan(BackupScope::LiveOnly).expect("a LiveOnly run gets a plan");
+                let liveness = BackupLiveness::compute(&spec.program);
+                assert!(live.checkpoints.is_empty(), "{what}");
+                assert_eq!(live.masks.len(), spec.program.len(), "{what}");
+                for (pc, &mask) in live.masks.iter().enumerate() {
+                    assert_eq!(mask, liveness.live_at(pc), "{what}: pc {pc}");
+                }
+
+                let (bits_lo, bits_hi) = id.declared_bits();
+                let opts = CkptOptions {
+                    bits_lo,
+                    bits_hi,
+                    mem_words: spec.mem_words,
+                };
+                let placement = synthesize(&spec.program, &Cfg::build(&spec.program), &opts);
+                let want = &placement.synthesized;
+                let cached = plan_for(id, w, h);
+                let pcs: Vec<usize> = want.checkpoints.iter().map(|&(pc, _)| pc).collect();
+                assert_eq!(cached.checkpoints, pcs, "{what}");
+                assert_eq!(cached.masks, want.masks, "{what}");
+                let dirty = plan(BackupScope::LiveDirty).expect("a LiveDirty run gets a plan");
+                assert_eq!(dirty, cached, "{what}");
+            }
+        }
     }
 
     #[test]

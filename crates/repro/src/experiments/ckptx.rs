@@ -47,13 +47,7 @@ pub fn ckpt(scale: Scale) -> Vec<Table> {
         let (w, h) = dims(id, scale.img.max(16));
         let spec = cached_spec(id, w, h);
         let acfg = Cfg::build(&spec.program);
-        let (bits_lo, bits_hi) = id.declared_bits();
-        let opts = CkptOptions {
-            bits_lo,
-            bits_hi,
-            mem_words: spec.mem_words,
-        };
-        let s = synthesize(&spec.program, &acfg, &opts);
+        let s = synthesize(&spec.program, &acfg, &CkptOptions::for_kernel(&spec));
         let infeasible = if s.synthesized.infeasible_bits.is_empty() {
             "-".to_string()
         } else {

@@ -7,7 +7,8 @@
 //! One test in its own binary, so no concurrent test can move the
 //! process-wide synthesis counter between the two rounds.
 
-use nvp_kernels::KernelId;
+use nvp_analysis::{synthesize, Cfg, CkptOptions};
+use nvp_kernels::{KernelId, KernelSpec};
 use nvp_power::Energy;
 use nvp_repro::catalog::{self, RunRequest};
 use nvp_repro::dims;
@@ -43,6 +44,16 @@ fn via_catalog(req: &RunRequest) -> (nvp_sim::RunReport, String, nvp_trace::Trac
     (report, jsonl.into_string(), counter.summary)
 }
 
+/// The placement `nvp_analysis::synthesize` finds for `spec`, as a plan.
+fn synthesized(spec: &KernelSpec) -> CheckpointPlan {
+    let opts = CkptOptions::for_kernel(spec);
+    let placement = synthesize(&spec.program, &Cfg::build(&spec.program), &opts).synthesized;
+    CheckpointPlan {
+        checkpoints: placement.checkpoints.iter().map(|&(pc, _)| pc).collect(),
+        masks: placement.masks,
+    }
+}
+
 /// Runs `req` on a directly built simulator handed its own freshly
 /// synthesized plan, bypassing every catalog cache but the frames and
 /// trace.
@@ -57,7 +68,7 @@ fn self_synthesized(req: &RunRequest) -> (nvp_sim::RunReport, String, nvp_trace:
         record_outputs: req.record_outputs,
         seed: req.seed,
         exec_engine: req.engine,
-        checkpoint_plan: Some(Arc::new(CheckpointPlan::synthesized(&spec))),
+        checkpoint_plan: Some(Arc::new(synthesized(&spec))),
         ..Default::default()
     };
     let sim = SystemSim::new(spec, frames, req.mode, cfg);

@@ -41,7 +41,6 @@ pub use governor::Governor;
 pub use mode::ExecMode;
 pub use quickrun::{instructions_per_frame, run_fixed};
 pub use system::{
-    compile_kernel, BackupScope, CheckpointPlan, CommittedFrame, ExecEngine, RunReport,
-    SystemConfig, SystemSim,
+    BackupScope, CheckpointPlan, CommittedFrame, ExecEngine, RunReport, SystemConfig, SystemSim,
 };
 pub use waitcompute::{WaitComputeReport, WaitComputeSim};

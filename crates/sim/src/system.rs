@@ -13,9 +13,8 @@ use crate::energy::FlushCursor;
 use crate::governor::Governor;
 use crate::mode::ExecMode;
 use crate::resume::{PendingFrame, ResumeController, PARK_SLOTS};
-use nvp_analysis::{BackupLiveness, BACKUP_POLICY, CAPACITOR_NJ, RESERVE_SAFETY};
 use nvp_isa::approx::FULL_BITS;
-use nvp_isa::energy;
+use nvp_isa::energy::{self, BACKUP_POLICY, CAPACITOR_NJ, RESERVE_SAFETY};
 use nvp_isa::{ApproxConfig, CompiledProgram, Meter, MeterStop, Vm, NUM_REGS};
 use nvp_kernels::KernelSpec;
 use nvp_nvm::backup::decay_region_traced;
@@ -189,65 +188,49 @@ impl ExecEngine {
 }
 
 /// How much architectural state a backup persists.
+///
+/// The two scoped modes differ only in where their masks come from; the
+/// simulator reads both from [`SystemConfig::checkpoint_plan`] and runs
+/// no analysis itself. A scoped backup at a pc the plan's mask table does
+/// not cover, or in a run with no plan at all, persists the full state
+/// and traces a `backup_scope_fallback` warning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BackupScope {
     /// Persist the full state image regardless of what is live.
     #[default]
     FullState,
-    /// Persist only state that static backup-liveness analysis
-    /// ([`nvp_analysis::BackupLiveness`]) proves may still be read at the
-    /// interruption point. Dead state is rewritten before any read on
-    /// every path, so skipping it cannot change execution; the data-word
-    /// portion of the backup cost scales with the live fraction.
+    /// Persist only state that may still be read at the interruption
+    /// point, as `nvp-analysis`' static backup liveness proves it; the
+    /// repro catalog builds that plan for every `LiveOnly` run. Dead
+    /// state is rewritten before any read on every path, so skipping it
+    /// cannot change execution; the data-word portion of the backup cost
+    /// scales with the live fraction.
     LiveOnly,
     /// Persist only state that is both live *and* provably written since
-    /// the last checkpoint crossing (`live ∩ dirty`,
-    /// [`nvp_analysis::dirty`]): clean state already persists from the
-    /// previous crossing, so rewriting it buys nothing. Masks come from
-    /// [`SystemConfig::checkpoint_plan`] (the repro catalog supplies one
-    /// [`CheckpointPlan::synthesized`] plan per kernel × dimensions). A pc
-    /// outside the mask table, or a run with no plan at all, degrades
-    /// that backup to full state and traces a `backup_scope_fallback`
-    /// warning.
+    /// the last checkpoint crossing (`live ∩ dirty`, `nvp-analysis`' dirty
+    /// sets): clean state already persists from the previous crossing, so
+    /// rewriting it buys nothing. The repro catalog supplies one
+    /// synthesized plan per kernel × dimensions (`catalog::plan_for`).
     LiveDirty,
 }
 
-/// An explicit checkpoint placement for the simulator to honor, as
-/// synthesized by `nvp_analysis::ckpt_place` (or hand-written).
+/// The per-pc backup masks a scoped backup reads, with the checkpoint
+/// pcs they were cut at. The plan is data: its caller computes it (the
+/// repro catalog: backup liveness for `LiveOnly`, the placement
+/// `nvp-analysis`' checkpoint synthesis finds for `LiveDirty`) or writes
+/// it by hand.
 ///
 /// The plan only scopes backup *costs* — the program's resume markers
 /// and recovery semantics are untouched, so a planned run must commit
 /// outputs identical to a full-state run.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CheckpointPlan {
-    /// Checkpoint pcs, sorted (informational; recorded in certificates).
+    /// Checkpoint pcs, sorted (recorded in certificates). A `LiveOnly`
+    /// plan has none.
     pub checkpoints: Vec<usize>,
-    /// Per-pc `live ∩ dirty` backup masks (index = pc, bit per register).
+    /// Per-pc backup masks (index = pc, bit per register): the live set
+    /// for `LiveOnly`, `live ∩ dirty` for `LiveDirty`.
     pub masks: Vec<u16>,
-}
-
-impl CheckpointPlan {
-    /// The placement `nvp_analysis::synthesize` finds for `spec` over its
-    /// kernel's declared bitwidth range and memory size. A pure function
-    /// of the program, so callers may memoize it per kernel × dimensions.
-    /// The shipped kernels declare one whole-program region (a single
-    /// resume marker at pc 0), under which every live register is also
-    /// dirty; the synthesized placement is what makes `LiveDirty`
-    /// cheaper than `LiveOnly`.
-    pub fn synthesized(spec: &KernelSpec) -> CheckpointPlan {
-        let (bits_lo, bits_hi) = spec.id.declared_bits();
-        let opts = nvp_analysis::CkptOptions {
-            bits_lo,
-            bits_hi,
-            mem_words: spec.mem_words,
-        };
-        let acfg = nvp_analysis::Cfg::build(&spec.program);
-        let placement = nvp_analysis::synthesize(&spec.program, &acfg, &opts).synthesized;
-        CheckpointPlan {
-            checkpoints: placement.checkpoints.iter().map(|&(pc, _)| pc).collect(),
-            masks: placement.masks,
-        }
-    }
 }
 
 /// System configuration (capacitor, policy, ablation knobs).
@@ -291,11 +274,10 @@ pub struct SystemConfig {
     /// Engine the run names; both run the one metered loop, so results
     /// are identical either way (see [`ExecEngine`]).
     pub exec_engine: ExecEngine,
-    /// The checkpoint placement whose masks scope `BackupScope::LiveDirty`
-    /// backups, shared rather than copied. `None` leaves every pc
-    /// uncovered: each `LiveDirty` backup then persists the full state
-    /// and traces a `backup_scope_fallback` warning. Other scopes ignore
-    /// the plan.
+    /// The per-pc masks that scope `LiveOnly` and `LiveDirty` backups,
+    /// shared rather than copied. `None` leaves every pc uncovered: each
+    /// scoped backup then persists the full state and traces a
+    /// `backup_scope_fallback` warning. `FullState` ignores the plan.
     pub checkpoint_plan: Option<Arc<CheckpointPlan>>,
 }
 
@@ -356,8 +338,6 @@ pub struct SystemSim {
     /// configuration, the one source both engines price instructions
     /// from (recomputed whenever the configuration changes).
     class_cache: Option<(ApproxConfig, [Energy; 6])>,
-    /// Per-pc live register sets (drives `BackupScope::LiveOnly`).
-    backup_liveness: BackupLiveness,
     rng: SmallRng,
     report: RunReport,
 }
@@ -418,7 +398,6 @@ impl SystemSim {
         );
         let controller = ResumeController::with_capacity(cfg.park_slots as usize);
         let rng = SmallRng::seed_from_u64(cfg.seed);
-        let backup_liveness = BackupLiveness::compute(&spec.program);
         SystemSim {
             spec,
             frames,
@@ -438,16 +417,17 @@ impl SystemSim {
             reserve_by_bits,
             start_threshold_by_bits,
             class_cache: None,
-            backup_liveness,
             rng,
             report: RunReport::default(),
         }
     }
 
     /// Checks a pre-compiled op table against this simulator's kernel.
-    /// No engine runs the table any more (see [`ExecEngine::Compiled`]),
-    /// so it is not kept; the call stays for the callers that share one
-    /// compilation per kernel (`nvp_repro::catalog::compiled_for`).
+    /// The caller compiles it (`nvp_repro::catalog::compiled_for`
+    /// compiles each kernel once, with the interval analysis' hints). No
+    /// engine runs the table any more (see [`ExecEngine::Compiled`]), so
+    /// it is not kept; the call stays for the callers that share one
+    /// compilation per kernel.
     ///
     /// # Panics
     ///
@@ -588,16 +568,13 @@ impl SystemSim {
         });
         let full = self.backup_cost();
         let pc = self.vm.pc();
-        // Scoped modes back up the fraction of data state their per-pc
-        // mask keeps; a pc the mask table does not cover degrades to a
-        // full-state backup with a traced warning (graceful degradation
-        // beats silently under-persisting).
+        // Scoped modes back up the fraction of data state their plan's
+        // per-pc mask keeps; a pc the mask table does not cover degrades
+        // to a full-state backup with a traced warning (graceful
+        // degradation beats silently under-persisting).
         let frac = match self.cfg.backup_scope {
             BackupScope::FullState => None,
-            BackupScope::LiveOnly => {
-                (pc < self.spec.program.len()).then(|| self.backup_liveness.live_fraction(pc))
-            }
-            BackupScope::LiveDirty => self
+            BackupScope::LiveOnly | BackupScope::LiveDirty => self
                 .cfg
                 .checkpoint_plan
                 .as_ref()
@@ -1059,20 +1036,6 @@ impl SystemSim {
     }
 }
 
-/// Pre-decodes `program` into the per-pc op table of `nvp_isa::compiled`,
-/// feeding the interval analysis' in-range proofs into the bounds-check
-/// hoisting (see `nvp_analysis::hints`). No engine runs the table (see
-/// [`ExecEngine::Compiled`]).
-///
-/// Compilation is pure and deterministic; share the result behind an
-/// `Arc` across every run of the same kernel (the repro catalog memoises
-/// exactly that).
-pub fn compile_kernel(program: &nvp_isa::Program, mem_words: usize) -> CompiledProgram {
-    let cfg = nvp_analysis::Cfg::build(program);
-    let hints = nvp_analysis::compile_hints(program, &cfg, mem_words);
-    CompiledProgram::compile(program, mem_words, &hints)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1085,6 +1048,31 @@ mod tests {
 
     fn steady(uw: f64, seconds: f64) -> PowerProfile {
         PowerProfile::constant(Power::from_uw(uw), Ticks::from_seconds(seconds))
+    }
+
+    /// The plan the repro catalog hands a `scope` run of `spec`: backup
+    /// liveness for `LiveOnly`, the synthesized placement for `LiveDirty`.
+    fn catalog_plan(scope: BackupScope, spec: &KernelSpec) -> Option<Arc<CheckpointPlan>> {
+        let plan = match scope {
+            BackupScope::FullState => return None,
+            BackupScope::LiveOnly => {
+                let live = nvp_analysis::BackupLiveness::compute(&spec.program);
+                CheckpointPlan {
+                    checkpoints: Vec::new(),
+                    masks: (0..spec.program.len()).map(|pc| live.live_at(pc)).collect(),
+                }
+            }
+            BackupScope::LiveDirty => {
+                let opts = nvp_analysis::CkptOptions::for_kernel(spec);
+                let cfg = nvp_analysis::Cfg::build(&spec.program);
+                let placement = nvp_analysis::synthesize(&spec.program, &cfg, &opts).synthesized;
+                CheckpointPlan {
+                    checkpoints: placement.checkpoints.iter().map(|&(pc, _)| pc).collect(),
+                    masks: placement.masks,
+                }
+            }
+        };
+        Some(Arc::new(plan))
     }
 
     #[test]
@@ -1190,6 +1178,7 @@ mod tests {
             let cfg = SystemConfig {
                 frames_limit: Some(1),
                 backup_scope: scope,
+                checkpoint_plan: catalog_plan(scope, &spec),
                 ..Default::default()
             };
             let sim = SystemSim::new(spec, frames, ExecMode::Precise, cfg);
@@ -1225,7 +1214,7 @@ mod tests {
         // backup energy than LiveOnly — the dirty intersection can only
         // shrink the mask.
         let id = KernelId::Median;
-        let run = |scope: BackupScope, plan: Option<Arc<CheckpointPlan>>| {
+        let run = |scope: BackupScope| {
             let spec = id.spec(16, 16);
             let frames = small_frames(id, 16, 16, 1);
             let pattern: Vec<f64> = (0..100_000)
@@ -1234,18 +1223,15 @@ mod tests {
             let cfg = SystemConfig {
                 frames_limit: Some(1),
                 backup_scope: scope,
-                checkpoint_plan: plan,
+                checkpoint_plan: catalog_plan(scope, &spec),
                 ..Default::default()
             };
             let sim = SystemSim::new(spec, frames, ExecMode::Precise, cfg);
             sim.run(&PowerProfile::from_uw(pattern))
         };
-        let full = run(BackupScope::FullState, None);
-        let live = run(BackupScope::LiveOnly, None);
-        let dirty = run(
-            BackupScope::LiveDirty,
-            Some(Arc::new(CheckpointPlan::synthesized(&id.spec(16, 16)))),
-        );
+        let full = run(BackupScope::FullState);
+        let live = run(BackupScope::LiveOnly);
+        let dirty = run(BackupScope::LiveDirty);
         assert!(full.backups > 0, "need emergencies to compare scopes");
         let golden = id.golden(&small_frames(id, 16, 16, 1)[0], 16, 16);
         for (name, rep) in [("full", &full), ("live", &live), ("dirty", &dirty)] {
@@ -1274,7 +1260,11 @@ mod tests {
         // lane and Precise bits the full cost per backup is a constant, so
         // the implied per-backup full cost must match the reference run's.
         let id = KernelId::Tiff2Bw;
-        let plan = Arc::new(CheckpointPlan::synthesized(&id.spec(8, 8)));
+        let spec = id.spec(8, 8);
+        let (live_plan, dirty_plan) = (
+            catalog_plan(BackupScope::LiveOnly, &spec),
+            catalog_plan(BackupScope::LiveDirty, &spec),
+        );
         for profile in nvp_power::synth::WatchProfile::ALL {
             let trace = profile.synthesize_seconds(2.0);
             let run = |scope: BackupScope, plan: Option<Arc<CheckpointPlan>>| {
@@ -1293,8 +1283,8 @@ mod tests {
                 .run(&trace)
             };
             let full = run(BackupScope::FullState, None);
-            let live = run(BackupScope::LiveOnly, None);
-            let dirty = run(BackupScope::LiveDirty, Some(plan.clone()));
+            let live = run(BackupScope::LiveOnly, live_plan.clone());
+            let dirty = run(BackupScope::LiveDirty, dirty_plan.clone());
             assert!(full.backups > 0, "{profile:?}: need emergencies");
             let frames = small_frames(id, 8, 8, 2);
             let full_per_backup = full.energy_backup.as_nj() / full.backups as f64;
@@ -1357,30 +1347,33 @@ mod tests {
         };
         let (full, full_events) = run(None, BackupScope::FullState);
         assert!(full.backups > 0);
-        for plan in [Some(Arc::new(empty_plan)), None] {
-            let what = if plan.is_some() {
-                "empty plan"
-            } else {
-                "no plan"
-            };
-            let (degraded, degraded_events) = run(plan, BackupScope::LiveDirty);
-            assert_eq!(degraded.backups, full.backups, "{what}");
-            assert_eq!(
-                degraded.outputs_for(0)[0].output,
-                full.outputs_for(0)[0].output,
-                "{what}"
-            );
-            // Degraded backups cost exactly what full-state ones do.
-            assert_eq!(degraded.energy_backup, full.energy_backup, "{what}");
-            assert_eq!(degraded.energy_backup_saved, Energy::ZERO, "{what}");
-            let fallbacks = degraded_events
-                .iter()
-                .filter(|e| matches!(e, Event::BackupScopeFallback { .. }))
-                .count();
-            assert_eq!(
-                fallbacks as u64, degraded.backups,
-                "{what}: every scoped backup must trace its degradation"
-            );
+        let empty_plan = Some(Arc::new(empty_plan));
+        for scope in [BackupScope::LiveOnly, BackupScope::LiveDirty] {
+            for plan in [empty_plan.clone(), None] {
+                let what = if plan.is_some() {
+                    format!("{scope:?}, empty plan")
+                } else {
+                    format!("{scope:?}, no plan")
+                };
+                let (degraded, degraded_events) = run(plan, scope);
+                assert_eq!(degraded.backups, full.backups, "{what}");
+                assert_eq!(
+                    degraded.outputs_for(0)[0].output,
+                    full.outputs_for(0)[0].output,
+                    "{what}"
+                );
+                // Degraded backups cost exactly what full-state ones do.
+                assert_eq!(degraded.energy_backup, full.energy_backup, "{what}");
+                assert_eq!(degraded.energy_backup_saved, Energy::ZERO, "{what}");
+                let fallbacks = degraded_events
+                    .iter()
+                    .filter(|e| matches!(e, Event::BackupScopeFallback { .. }))
+                    .count();
+                assert_eq!(
+                    fallbacks as u64, degraded.backups,
+                    "{what}: every scoped backup must trace its degradation"
+                );
+            }
         }
         assert!(
             !full_events

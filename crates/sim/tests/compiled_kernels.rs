@@ -4,15 +4,15 @@
 //! [`Vm::run_to_halt`] reaches — same output frame, counters, register
 //! file, and memory values and precision tags in every version.
 //!
-//! Tables come from [`compile_kernel`], so the interval analysis' real
-//! in-range proofs decide which accesses run with hoisted bounds checks.
+//! Tables are compiled as the repro catalog compiles them, with
+//! `nvp_analysis::compile_hints`, so the interval analysis' real in-range
+//! proofs decide which accesses run with hoisted bounds checks.
 //! [`ApproxConfig::default`] exercises the single-lane precise `fast`
 //! bodies and [`ApproxConfig::fixed`] the approximate `gen` bodies.
 
 use nvp_isa::{mem_truncate, ApproxConfig, CompiledProgram, Vm};
 use nvp_kernels::{KernelId, KernelSpec};
 use nvp_nvm::NUM_VERSIONS;
-use nvp_sim::compile_kernel;
 
 /// Instruction budget for the reference run; kernels halt far below it.
 const HALT_BUDGET: u64 = 200_000_000;
@@ -44,7 +44,9 @@ fn every_kernel_runs_to_halt_identically_through_step_vm() {
         for (w, h) in [id.min_dims(), (16, 16)] {
             let spec = id.spec(w, h);
             let input = id.make_input(w, h, 4);
-            let compiled = compile_kernel(&spec.program, spec.mem_words);
+            let cfg = nvp_analysis::Cfg::build(&spec.program);
+            let hints = nvp_analysis::compile_hints(&spec.program, &cfg, spec.mem_words);
+            let compiled = CompiledProgram::compile(&spec.program, spec.mem_words, &hints);
             for cfg in [ApproxConfig::default(), ApproxConfig::fixed(3)] {
                 let at = format!("{id} {w}x{h} under {cfg:?}");
                 let mut reference = prepared(&spec, &input, cfg);

@@ -7,7 +7,7 @@
 //! an engine may change a result. It also crosses the three backup
 //! scopes, since they read the pc at which power dies.
 
-use nvp_kernels::KernelId;
+use nvp_kernels::{KernelId, KernelSpec};
 use nvp_power::synth::WatchProfile;
 use nvp_power::{Power, PowerProfile, Ticks};
 use nvp_sim::{
@@ -18,6 +18,28 @@ use std::sync::Arc;
 
 fn frames(id: KernelId, w: usize, h: usize, n: usize) -> Arc<Vec<Vec<i32>>> {
     Arc::new((0..n).map(|i| id.make_input(w, h, 90 + i as u64)).collect())
+}
+
+/// The masks the repro catalog hands a `scope` run of `spec`: backup
+/// liveness for `LiveOnly`, the synthesized placement's for `LiveDirty`
+/// (the simulator reads only the masks).
+fn plan(scope: BackupScope, spec: &KernelSpec) -> Option<Arc<CheckpointPlan>> {
+    let masks = match scope {
+        BackupScope::FullState => return None,
+        BackupScope::LiveOnly => {
+            let live = nvp_analysis::BackupLiveness::compute(&spec.program);
+            (0..spec.program.len()).map(|pc| live.live_at(pc)).collect()
+        }
+        BackupScope::LiveDirty => {
+            let opts = nvp_analysis::CkptOptions::for_kernel(spec);
+            let cfg = nvp_analysis::Cfg::build(&spec.program);
+            nvp_analysis::synthesize(&spec.program, &cfg, &opts)
+                .synthesized
+                .masks
+        }
+    };
+    let checkpoints = Vec::new();
+    Some(Arc::new(CheckpointPlan { checkpoints, masks }))
 }
 
 /// Runs `id` under `mode`/`profile` with the given engine and backup
@@ -37,8 +59,7 @@ fn run(
         frames_limit: Some(4),
         // Only an incidental run reads the deadline.
         staleness: Ticks(50),
-        checkpoint_plan: (scope == BackupScope::LiveDirty)
-            .then(|| Arc::new(CheckpointPlan::synthesized(&spec))),
+        checkpoint_plan: plan(scope, &spec),
         ..Default::default()
     };
     let sim = SystemSim::new(spec, frames(id, w, h, 4), mode, cfg);

@@ -5,11 +5,12 @@
 //! cargo run --release -p nvp-repro --example quickstart
 //! ```
 
-use incidental::{PragmaSet, ProgressSummary, QualityReport};
+use incidental::{PragmaSet, QualityReport};
 use nvp_kernels::KernelId;
 use nvp_power::synth::WatchProfile;
 use nvp_repro::catalog::{self, RunRequest};
 use nvp_repro::dims;
+use nvp_sim::RunReport;
 
 fn main() {
     // 1. A harvested-power trace: profile 1 of the paper's Figure 2
@@ -77,9 +78,9 @@ fn main() {
 
 /// Simulates `req` and scores its committed frames against the golden
 /// outputs of its inputs.
-fn run(req: &RunRequest) -> (ProgressSummary, QualityReport) {
+fn run(req: &RunRequest) -> (RunReport, QualityReport) {
     let report = catalog::simulate(req);
     let (w, h) = dims(req.kernel, req.img);
     let quality = QualityReport::score(req.kernel, w, h, &req.inputs(), &report);
-    (ProgressSummary::from(&report), quality)
+    (report, quality)
 }
