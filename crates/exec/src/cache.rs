@@ -1,9 +1,10 @@
-//! A bounded, sharded, single-flight LRU cache: the one cache type behind
-//! the service's rendered bodies, fleet cell outcomes and the catalog's
+//! A bounded, single-flight LRU cache: the one cache type behind the
+//! service's rendered bodies, fleet cell outcomes and the catalog's
 //! specs, frame sets, compiled tables and power traces (DESIGN.md §9).
 //!
-//! * Keys are FNV-1a hashed onto up to eight locked shards (one per 64
-//!   entries of capacity), so callers on different keys rarely contend.
+//! * One lock guards the whole state: entries, in-flight fills, the LRU
+//!   clock and the counters. It is held for a hash probe, plus a scan
+//!   for the LRU victim when a store finds the cache full.
 //! * The first requester of a missing key leads the fill (a
 //!   [`LeaderToken`]); concurrent requesters join its [`Flight`], so N
 //!   identical requests cost one fill. A token dropped unfinished (a
@@ -11,54 +12,24 @@
 //!   and frees the key for a new fill.
 //! * A caller may [`Cache::offer`] a value it computed on the side; an
 //!   offer fills only an absent key and counts as no lookup.
-//! * A full shard evicts its least-recently-used entry.
+//! * A full cache evicts its least-recently-used entry; capacity is
+//!   exact, so nothing is evicted below it.
 //! * The cache counts its own hits, misses, joins and evictions.
 //!
-//! Fills run outside every lock and locks recover from poisoning, so a
-//! panic can neither leave a half-built entry nor wedge a shard.
+//! Fills run outside the lock and the lock recovers from poisoning, so a
+//! panic can neither leave a half-built entry nor wedge the cache.
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::hash::Hash;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-/// Most shards one cache splits into (a power of two).
-const MAX_SHARDS: usize = 8;
-
-/// Capacity per shard below which a cache stops splitting: a small cache
-/// is one LRU, so key skew across shards cannot evict its working set.
-const MIN_SHARD_ENTRIES: usize = 64;
-
-/// FNV-1a, 64-bit, as a [`Hasher`]: stable across runs and platforms, no
-/// dependence on `RandomState`.
-struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for Fnv1a {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// FNV-1a over bytes, 64-bit: the stable hash behind cache sharding and
-/// content-addressed ids.
+/// FNV-1a over bytes, 64-bit: a stable content hash for ids and digests,
+/// with no dependence on `RandomState`.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::default();
-    h.write(bytes);
-    h.finish()
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// What a joiner learns when a flight completes without a value: the
@@ -119,7 +90,7 @@ pub struct LeaderToken<K: Hash + Eq + Clone, V: Clone> {
 
 impl<K: Hash + Eq + Clone, V: Clone> LeaderToken<K, V> {
     /// Publishes the value: inserts it into the cache (evicting the LRU
-    /// entry if the shard is full) and wakes every joiner with it.
+    /// entry if the cache is full) and wakes every joiner with it.
     pub fn complete(mut self, value: V) {
         self.finished = true;
         self.cache.insert(self.key.clone(), value.clone());
@@ -143,7 +114,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Drop for LeaderToken<K, V> {
     fn drop(&mut self) {
         if !self.finished {
             let err = self.verdict.clone().unwrap_or(FlightError::Failed);
-            self.cache.shard(&self.key).inflight.remove(&self.key);
+            self.cache.state().inflight.remove(&self.key);
             self.flight.publish(Err(err));
         }
     }
@@ -178,9 +149,15 @@ pub struct CacheStats {
     pub capacity: usize,
 }
 
-struct Shard<K, V> {
+/// Everything the cache's one lock guards.
+struct State<K, V> {
     entries: HashMap<K, Entry<V>>,
     inflight: HashMap<K, Arc<Flight<V>>>,
+    /// The LRU clock: one tick per lookup or store.
+    clock: u64,
+    /// Counters for [`CacheStats`]; `entries` and `capacity` are read
+    /// from the maps and the cache.
+    stats: CacheStats,
 }
 
 struct Entry<V> {
@@ -189,54 +166,35 @@ struct Entry<V> {
     tick: u64,
 }
 
-/// The sharded, single-flight, LRU-bounded cache.
+/// The single-flight, LRU-bounded cache.
 pub struct Cache<K, V> {
-    shards: Box<[Mutex<Shard<K, V>>]>,
-    per_shard: usize,
-    clock: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    coalesced: AtomicU64,
-    evictions: AtomicU64,
+    state: Mutex<State<K, V>>,
+    capacity: usize,
 }
 
-fn bump(counter: &AtomicU64) {
-    counter.fetch_add(1, Ordering::Relaxed);
+impl<K, V> State<K, V> {
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
-    /// A cache holding at most `capacity` entries (rounded up to a
-    /// multiple of the shard count, minimum one entry per shard).
+    /// A cache holding at most `capacity` entries (at least one).
     pub fn new(capacity: usize) -> Arc<Cache<K, V>> {
-        let shards = 1 << (capacity / MIN_SHARD_ENTRIES).clamp(1, MAX_SHARDS).ilog2();
-        let per_shard = capacity.div_ceil(shards).max(1);
         Arc::new(Cache {
-            shards: (0..shards)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        entries: HashMap::new(),
-                        inflight: HashMap::new(),
-                    })
-                })
-                .collect(),
-            per_shard,
-            clock: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            state: Mutex::new(State {
+                entries: HashMap::new(),
+                inflight: HashMap::new(),
+                clock: 0,
+                stats: CacheStats::default(),
+            }),
+            capacity: capacity.max(1),
         })
     }
 
-    fn shard<Q: Hash + ?Sized>(&self, key: &Q) -> MutexGuard<'_, Shard<K, V>> {
-        let mut h = Fnv1a::default();
-        key.hash(&mut h);
-        let idx = (h.finish() as usize) & (self.shards.len() - 1);
-        self.shards[idx].lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed)
+    fn state(&self) -> MutexGuard<'_, State<K, V>> {
+        self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// Looks up `key`, claiming leadership of the fill on a miss.
@@ -245,20 +203,22 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ToOwned<Owned = K> + ?Sized,
     {
-        let tick = self.tick();
-        let mut shard = self.shard(key);
-        if let Some(entry) = shard.entries.get_mut(key) {
+        let mut state = self.state();
+        let tick = state.tick();
+        if let Some(entry) = state.entries.get_mut(key) {
             entry.tick = tick;
-            bump(&self.hits);
-            return Lookup::Hit(entry.value.clone());
+            let value = entry.value.clone();
+            state.stats.hits += 1;
+            return Lookup::Hit(value);
         }
-        if let Some(flight) = shard.inflight.get(key) {
-            bump(&self.coalesced);
-            return Lookup::Join(Arc::clone(flight));
+        if let Some(flight) = state.inflight.get(key) {
+            let flight = Arc::clone(flight);
+            state.stats.coalesced += 1;
+            return Lookup::Join(flight);
         }
         let flight = Flight::new();
-        shard.inflight.insert(key.to_owned(), Arc::clone(&flight));
-        bump(&self.misses);
+        state.inflight.insert(key.to_owned(), Arc::clone(&flight));
+        state.stats.misses += 1;
         Lookup::Miss(LeaderToken {
             cache: Arc::clone(self),
             key: key.to_owned(),
@@ -295,20 +255,13 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
         }
     }
 
-    /// The cache's counters and occupancy.
+    /// The cache's counters and occupancy, read under one lock.
     pub fn stats(&self) -> CacheStats {
-        let read = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let state = self.state();
         CacheStats {
-            hits: read(&self.hits),
-            misses: read(&self.misses),
-            coalesced: read(&self.coalesced),
-            evictions: read(&self.evictions),
-            entries: self
-                .shards
-                .iter()
-                .map(|s| s.lock().unwrap_or_else(|p| p.into_inner()).entries.len())
-                .sum(),
-            capacity: self.per_shard * self.shards.len(),
+            entries: state.entries.len(),
+            capacity: self.capacity,
+            ..state.stats
         }
     }
 
@@ -316,33 +269,32 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
     /// filled, counting neither a hit nor a miss: for a value a caller
     /// computed as the by-product of another fill.
     pub fn offer(&self, key: K, value: V) {
-        let tick = self.tick();
-        let mut shard = self.shard(&key);
-        if !shard.entries.contains_key(&key) && !shard.inflight.contains_key(&key) {
-            self.store(&mut shard, key, value, tick);
+        let mut state = self.state();
+        if !state.entries.contains_key(&key) && !state.inflight.contains_key(&key) {
+            self.store(&mut state, key, value);
         }
     }
 
     fn insert(&self, key: K, value: V) {
-        let tick = self.tick();
-        let mut shard = self.shard(&key);
-        shard.inflight.remove(&key);
-        self.store(&mut shard, key, value, tick);
+        let mut state = self.state();
+        state.inflight.remove(&key);
+        self.store(&mut state, key, value);
     }
 
-    fn store(&self, shard: &mut Shard<K, V>, key: K, value: V, tick: u64) {
-        if shard.entries.len() >= self.per_shard && !shard.entries.contains_key(&key) {
-            if let Some(victim) = shard
+    fn store(&self, state: &mut State<K, V>, key: K, value: V) {
+        if state.entries.len() >= self.capacity && !state.entries.contains_key(&key) {
+            if let Some(victim) = state
                 .entries
                 .iter()
                 .min_by_key(|(_, e)| e.tick)
                 .map(|(k, _)| k.clone())
             {
-                shard.entries.remove(&victim);
-                bump(&self.evictions);
+                state.entries.remove(&victim);
+                state.stats.evictions += 1;
             }
         }
-        shard.entries.insert(key, Entry { value, tick });
+        let tick = state.tick();
+        state.entries.insert(key, Entry { value, tick });
     }
 }
 
@@ -469,12 +421,32 @@ mod tests {
                     assert_eq!(cache.get_or_insert_with(&key, || key * 3), key * 3);
                     let stats = cache.stats();
                     assert!(stats.entries <= stats.capacity, "{stats:?}");
-                    assert!(stats.capacity < capacity + MAX_SHARDS, "{stats:?}");
+                    assert_eq!(stats.capacity, capacity, "{stats:?}");
                     // Every miss stored one entry; every eviction dropped one.
                     assert_eq!(stats.misses - stats.evictions, stats.entries as u64);
                 }
             }
         }
+    }
+
+    #[test]
+    fn keys_with_colliding_hash_bits_fill_the_whole_capacity() {
+        // Capacity is exact whatever the keys hash to: every key here
+        // shares the low FNV-1a bits a hash-partitioned cache routes on.
+        let capacity = 512;
+        let keys: Vec<u64> = (0..)
+            .filter(|k: &u64| fnv1a64(&k.to_ne_bytes()).is_multiple_of(8))
+            .take(capacity)
+            .collect();
+        let cache = Cache::<u64, u64>::new(capacity);
+        for &k in &keys {
+            cache.get_or_insert_with(&k, || k);
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.evictions), (capacity, 0), "{stats:?}");
+        assert!(keys
+            .iter()
+            .all(|k| matches!(cache.lookup(k), Lookup::Hit(_))));
     }
 
     #[test]
@@ -563,20 +535,20 @@ mod tests {
 
     #[test]
     fn recovers_from_a_poisoned_shard() {
-        // A thread dying while holding a shard lock must not wedge the
-        // cache for every later caller.
+        // A thread dying while holding the cache's lock must not wedge
+        // the cache for every later caller.
         let cache = Cache::<u32, u32>::new(4);
         cache.get_or_insert_with(&1, || 10);
         let poisoner = {
             let cache = Arc::clone(&cache);
             thread::spawn(move || {
-                let _guard = cache.shard(&1);
-                panic!("die while holding the shard lock");
+                let _guard = cache.state();
+                panic!("die while holding the cache lock");
             })
         };
         assert!(poisoner.join().is_err(), "the thread must have panicked");
         assert!(
-            cache.shards[0].lock().is_err(),
+            cache.state.lock().is_err(),
             "the lock must actually be poisoned for this test to mean anything"
         );
         assert_eq!(cache.get_or_insert_with(&1, || 99), 10);
@@ -589,20 +561,12 @@ mod tests {
         let doomed = Cache::<u8, u8>::new(4);
         let sibling = Cache::<u8, u8>::new(4);
         let _ = thread::spawn(move || {
-            let _guard = doomed.shard(&0);
+            let _guard = doomed.state();
             panic!("poison");
         })
         .join();
         assert_eq!(sibling.get_or_insert_with(&0, || 5), 5);
         assert!(matches!(sibling.lookup(&0), Lookup::Hit(5)));
-    }
-
-    #[test]
-    fn large_caches_shard_and_small_ones_do_not() {
-        assert_eq!(Cache::<u8, u8>::new(32).shards.len(), 1);
-        assert_eq!(Cache::<u8, u8>::new(128).shards.len(), 2);
-        let served = Cache::<u8, u8>::new(1024);
-        assert_eq!((served.shards.len(), served.per_shard), (8, 128));
     }
 
     #[test]

@@ -38,8 +38,9 @@ pub struct CellOutcome {
     pub summary: TraceSummary,
 }
 
-/// Cells the process-wide cache holds: twice [`MAX_CELLS`], so one spec
-/// never evicts its own cells even under shard skew.
+/// Cells the process-wide cache holds: twice [`MAX_CELLS`], so two
+/// maximal fleet jobs, which `nvp-serve` runs side by side, keep their
+/// cells without evicting each other.
 const CELL_CACHE_CAPACITY: usize = 2 * MAX_CELLS as usize;
 
 static CELLS: LazyLock<Arc<Cache<CellKey, Arc<CellOutcome>>>> =

@@ -39,14 +39,12 @@
 #![warn(missing_docs)]
 
 pub mod frontend;
-pub mod io;
 pub mod outage;
 pub mod profile;
 pub mod synth;
 pub mod units;
 
 pub use frontend::{Capacitor, EnergyStore, Rectifier, VoltageMonitor};
-pub use io::{read_trace_csv, write_trace_csv, TraceIoError};
 pub use outage::{Outage, OutageStats};
 pub use profile::PowerProfile;
 pub use synth::{SynthParams, TraceSynthesizer, WatchProfile};

@@ -118,20 +118,6 @@ impl PowerProfile {
         self.samples_uw.extend_from_slice(&other.samples_uw);
     }
 
-    /// Repeats the trace until it covers at least `n` ticks.
-    ///
-    /// Long experiments (e.g. Fig 28's multi-frame runs) reuse the 10 s
-    /// measured window the way the paper loops its traces.
-    pub fn tiled(&self, n: Ticks) -> PowerProfile {
-        assert!(!self.is_empty(), "cannot tile an empty profile");
-        let mut out = Vec::with_capacity(n.0 as usize);
-        while out.len() < n.0 as usize {
-            let take = (n.0 as usize - out.len()).min(self.samples_uw.len());
-            out.extend_from_slice(&self.samples_uw[..take]);
-        }
-        PowerProfile { samples_uw: out }
-    }
-
     /// Fraction of ticks with power at or above `threshold`.
     pub fn duty_cycle(&self, threshold: Power) -> f64 {
         if self.samples_uw.is_empty() {
@@ -186,8 +172,6 @@ mod tests {
         let p = PowerProfile::from_uw([1.0, 2.0, 3.0]);
         assert_eq!(p.segment(Ticks(1), Ticks(3)).as_uw_slice(), &[2.0, 3.0]);
         assert_eq!(p.segment(Ticks(2), Ticks(1)).len(), 0);
-        let t = p.tiled(Ticks(7));
-        assert_eq!(t.as_uw_slice(), &[1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1.0]);
     }
 
     #[test]
@@ -202,11 +186,5 @@ mod tests {
             .into_iter()
             .collect();
         assert_eq!(p.len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty profile")]
-    fn tiling_empty_panics() {
-        let _ = PowerProfile::default().tiled(Ticks(10));
     }
 }

@@ -12,7 +12,7 @@
 //!   same parser and renderer the JSONL traces go through;
 //! * [`key`] — request canonicalization into [`key::SimKey`]s over the
 //!   shared `nvp_repro::key` grammar;
-//! * [`ResultCache`] — the sharded, LRU-bounded, single-flight
+//! * [`ResultCache`] — the LRU-bounded, single-flight
 //!   [`nvp_exec::Cache`] of rendered bodies;
 //! * `fleet` — asynchronous fleet jobs (`POST /v1/fleet`, polled via
 //!   `GET /v1/fleet/{id}`), content-addressed by canonical spec;

@@ -29,7 +29,14 @@ const FAST_RUN: &str = r#"{"kernel":"sobel","img":8,"frames":1,"seconds":0.2}"#;
 
 #[test]
 fn health_kernels_and_metrics_respond() {
-    let (addr, handle) = small_server();
+    // A capacity that no power-of-two split divides: the cache holds
+    // exactly what it was given.
+    let (addr, handle) = spawn_local_server(ServerConfig {
+        read_deadline: Duration::from_millis(300),
+        max_body: 4 * 1024,
+        cache: 1001,
+        ..ServerConfig::default()
+    });
     let health = http_request(addr, "GET", "/healthz", "").unwrap();
     assert_eq!(health.status, 200);
     assert_eq!(health.body, b"ok\n");
@@ -48,6 +55,7 @@ fn health_kernels_and_metrics_respond() {
     let text = String::from_utf8(metrics.body).unwrap();
     assert!(text.contains("nvp_requests_total"), "{text}");
     assert!(text.contains("nvp_cache_entries"), "{text}");
+    assert_eq!(metric(&text, "nvp_cache_capacity"), 1001, "{text}");
     // Three connections so far, this scrape's own among them. The scrape
     // is open while it renders; the two before it may not have left yet.
     assert_eq!(metric(&text, "nvp_connections_accepted_total"), 3, "{text}");

@@ -211,7 +211,7 @@ proptest! {
             .iter()
             .flat_map(|&on| (0..on + 138).map(move |t| if t < on { 800.0 } else { 0.0 }))
             .collect();
-        let profile = PowerProfile::from_uw(cycle).tiled(Ticks(100_000));
+        let profile = PowerProfile::from_uw(cycle.iter().copied().cycle().take(100_000));
         for engine in [ExecEngine::Step, ExecEngine::Compiled] {
             let cfg = SystemConfig {
                 frames_limit: Some(1),
