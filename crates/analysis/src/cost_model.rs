@@ -24,7 +24,7 @@
 //! complete — that is the provable-livelock condition behind lint
 //! `NVP-E006` (see [`crate::wcec_lint`]).
 
-use nvp_isa::energy::{backup_energy, instr_energy, restore_energy};
+use nvp_isa::energy::{backup_energy, class_prices, restore_energy};
 pub use nvp_isa::energy::{BACKUP_POLICY, CAPACITOR_NJ, RESERVE_SAFETY};
 use nvp_isa::{ApproxConfig, Instr, InstrClass};
 
@@ -33,9 +33,7 @@ use nvp_isa::{ApproxConfig, Instr, InstrClass};
 /// Single-lane pricing: the static analysis bounds the lane-0 live
 /// computation. Incidental SIMD lanes only ever *add* energy at runtime,
 /// but they also only exist when the runtime chose to merge parked frames —
-/// the certificate bounds the program as declared, and the simulator's
-/// compiled engine independently refuses to arm blocks under incidental
-/// execution (see `nvp-sim`).
+/// the certificate bounds the program as declared.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Governor bitwidth this table was built for (1..=8).
@@ -52,11 +50,7 @@ impl CostModel {
     ///
     /// Panics if `bits` is outside `1..=8`.
     pub fn for_bits(bits: u8) -> CostModel {
-        let cfg = ApproxConfig::fixed(bits);
-        let mut class_nj = [0.0; 6];
-        for class in InstrClass::ALL {
-            class_nj[class.index()] = instr_energy(class, &cfg).as_nj();
-        }
+        let class_nj = class_prices(&ApproxConfig::fixed(bits)).map(|e| e.as_nj());
         CostModel { bits, class_nj }
     }
 
@@ -92,6 +86,7 @@ pub fn usable_nj(bits: u8) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nvp_isa::energy::instr_energy;
     use nvp_nvm::RetentionPolicy;
 
     #[test]
@@ -162,7 +157,7 @@ mod tests {
             RetentionPolicy::Linear,
             RetentionPolicy::Log,
             RetentionPolicy::Parabola,
-            RetentionPolicy::one_day(),
+            RetentionPolicy::OneDay,
         ];
         for policy in policies {
             for bits in 1..=8u8 {

@@ -91,6 +91,13 @@ pub fn instr_energy(class: InstrClass, cfg: &ApproxConfig) -> Energy {
     Energy::from_nj(e)
 }
 
+/// [`instr_energy`] of every class under `cfg`, indexed by
+/// [`InstrClass::index`]: the price table the simulator meters with and
+/// the static cost model tabulates.
+pub fn class_prices(cfg: &ApproxConfig) -> [Energy; 6] {
+    InstrClass::ALL.map(|class| instr_energy(class, cfg))
+}
+
 /// A representative instruction energy (ALU class) used for threshold
 /// sizing.
 pub fn representative_instr(cfg: &ApproxConfig) -> Energy {

@@ -791,7 +791,7 @@ mod tests {
     }
 
     fn charged(nj: f64) -> Capacitor {
-        let mut cap = Capacitor::new(Energy::from_nj(1_000.0), Energy::ZERO);
+        let mut cap = Capacitor::new(Energy::from_nj(1_000.0));
         cap.charge(Energy::from_nj(nj));
         cap
     }

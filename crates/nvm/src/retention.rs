@@ -33,12 +33,9 @@ pub const WORD_BITS: u8 = 8;
 pub enum RetentionPolicy {
     /// Conventional NVP baseline: every bit retained for ≥ a decade.
     FullRetention,
-    /// Uniform fixed retention for every bit (e.g. "1 day" in Figure 25's
-    /// "8Bit 1 Day Baseline").
-    Uniform {
-        /// Retention applied to all eight bits.
-        retention: Ticks,
-    },
+    /// One day of retention for every bit: Figure 25's "8Bit 1 Day
+    /// Baseline".
+    OneDay,
     /// Equation (1): `T = 427·B − 426`.
     Linear,
     /// Equation (2), reconstructed: `T = 426·log₂(B) + 9`.
@@ -55,13 +52,6 @@ impl RetentionPolicy {
         RetentionPolicy::Parabola,
     ];
 
-    /// The paper's "1 day" uniform baseline.
-    pub fn one_day() -> RetentionPolicy {
-        RetentionPolicy::Uniform {
-            retention: anchors::one_day(),
-        }
-    }
-
     /// Retention time for bit `b` (1 = LSB … 8 = MSB).
     ///
     /// # Panics
@@ -75,7 +65,7 @@ impl RetentionPolicy {
         let bf = b as f64;
         match self {
             RetentionPolicy::FullRetention => anchors::ten_years(),
-            RetentionPolicy::Uniform { retention } => retention,
+            RetentionPolicy::OneDay => anchors::one_day(),
             RetentionPolicy::Linear => Ticks((427.0 * bf - 426.0) as u64),
             RetentionPolicy::Log => Ticks((426.0 * bf.log2() + 9.0).round() as u64),
             RetentionPolicy::Parabola => Ticks((-61.0 * bf * bf + 976.0 * bf - 905.0) as u64),
@@ -109,8 +99,8 @@ impl fmt::Display for RetentionPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RetentionPolicy::FullRetention => f.write_str("full-retention"),
-            RetentionPolicy::Uniform { retention } => {
-                write!(f, "uniform({:.0} ms)", retention.as_ms())
+            RetentionPolicy::OneDay => {
+                write!(f, "uniform({:.0} ms)", anchors::one_day().as_ms())
             }
             RetentionPolicy::Linear => f.write_str("linear"),
             RetentionPolicy::Log => f.write_str("log"),
@@ -186,17 +176,16 @@ mod tests {
 
     #[test]
     fn uniform_policy_applies_same_retention() {
-        let p = RetentionPolicy::Uniform {
-            retention: Ticks(500),
-        };
-        assert!(p.retention_profile().iter().all(|&t| t == Ticks(500)));
+        let p = RetentionPolicy::OneDay;
+        assert_eq!(p.retention_profile(), [anchors::one_day(); 8]);
+        assert_eq!(p.to_string(), "uniform(86400000 ms)");
     }
 
     #[test]
     fn display_nonempty() {
         for p in [
             RetentionPolicy::FullRetention,
-            RetentionPolicy::one_day(),
+            RetentionPolicy::OneDay,
             RetentionPolicy::Linear,
             RetentionPolicy::Log,
             RetentionPolicy::Parabola,

@@ -9,86 +9,76 @@
 //!   the conventional wait-compute scheme. Exhibits the published
 //!   pathologies: minimum charging current, charge/discharge conversion
 //!   losses, and level-proportional leakage.
+//!
+//! The front end is the paper's one platform, so every parameter of the
+//! rectifier and both stores is a constant of this module; nothing is
+//! configurable.
 
 use crate::units::{Energy, Power, Ticks};
 
-/// AC-DC rectifier with power-dependent conversion efficiency.
+/// Asymptotic rectifier efficiency at high input power.
+const PEAK_EFFICIENCY: f64 = 0.85;
+
+/// Knee power in µW at which rectifier efficiency reaches half its peak.
+const KNEE_UW: f64 = 8.0;
+
+/// AC-DC rectifier conversion efficiency for the given instantaneous input
+/// power.
 ///
 /// Rotational harvesters produce AC; the rectifier's efficiency collapses at
 /// very low input power (diode drops dominate) and saturates at
-/// `peak_efficiency` for strong inputs. We model this with a soft knee:
-/// `η(p) = η_peak · p / (p + knee)`.
+/// `PEAK_EFFICIENCY` for strong inputs. We model this with a soft knee:
+/// `η(p) = PEAK_EFFICIENCY · p / (p + KNEE_UW)`.
 ///
 /// ```
-/// use nvp_power::frontend::Rectifier;
+/// use nvp_power::frontend::efficiency;
 /// use nvp_power::units::Power;
-/// let r = Rectifier::default();
-/// let lo = r.efficiency(Power::from_uw(5.0));
-/// let hi = r.efficiency(Power::from_uw(1000.0));
+/// let lo = efficiency(Power::from_uw(5.0));
+/// let hi = efficiency(Power::from_uw(1000.0));
 /// assert!(lo < hi && hi <= 0.9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Rectifier {
-    /// Asymptotic efficiency at high input power (0..=1).
-    pub peak_efficiency: f64,
-    /// Knee power in µW at which efficiency reaches half its peak.
-    pub knee_uw: f64,
+pub fn efficiency(input: Power) -> f64 {
+    let p = input.as_uw().max(0.0);
+    PEAK_EFFICIENCY * p / (p + KNEE_UW)
 }
 
-impl Default for Rectifier {
-    fn default() -> Self {
-        Rectifier {
-            peak_efficiency: 0.85,
-            knee_uw: 8.0,
-        }
-    }
+/// DC power the rectifier delivers downstream for the given harvested input.
+pub fn convert(input: Power) -> Power {
+    input * efficiency(input)
 }
 
-impl Rectifier {
-    /// Conversion efficiency for the given instantaneous input power.
-    pub fn efficiency(&self, input: Power) -> f64 {
-        let p = input.as_uw().max(0.0);
-        self.peak_efficiency * p / (p + self.knee_uw)
-    }
-
-    /// DC power delivered downstream for the given harvested input.
-    pub fn convert(&self, input: Power) -> Power {
-        input * self.efficiency(input)
-    }
-
-    /// DC energy delivered over one tick for the given input power.
-    pub fn convert_tick(&self, input: Power) -> Energy {
-        self.convert(input) * Ticks(1)
-    }
+/// DC energy the rectifier delivers over one tick for the given input power.
+pub fn convert_tick(input: Power) -> Energy {
+    convert(input) * Ticks(1)
 }
 
 /// Small on-chip capacitor used by an NVP system.
 ///
 /// Sized to hold only a few backups' worth of energy; leakage is a small
-/// constant trickle.
+/// constant trickle, `LEAK_PER_TICK`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Capacitor {
     capacity: Energy,
     level: Energy,
-    leak_per_tick: Energy,
 }
 
 impl Capacitor {
+    /// Leakage per tick.
+    const LEAK_PER_TICK: Energy = Energy::from_pj(20.0);
+
     /// Creates an empty capacitor.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is not a positive finite energy.
-    pub fn new(capacity: Energy, leak_per_tick: Energy) -> Self {
+    pub fn new(capacity: Energy) -> Self {
         assert!(
             capacity.is_valid() && capacity > Energy::ZERO,
             "capacitor capacity must be positive"
         );
-        assert!(leak_per_tick.is_valid(), "leakage must be non-negative");
         Capacitor {
             capacity,
             level: Energy::ZERO,
-            leak_per_tick,
         }
     }
 
@@ -151,12 +141,7 @@ impl Capacitor {
 
     /// Applies one tick of leakage.
     pub fn leak_tick(&mut self) {
-        self.level = self.level.saturating_sub(self.leak_per_tick);
-    }
-
-    /// Empties the capacitor (deep power-down).
-    pub fn deplete(&mut self) {
-        self.level = Energy::ZERO;
+        self.level = self.level.saturating_sub(Self::LEAK_PER_TICK);
     }
 }
 
@@ -204,39 +189,42 @@ impl VoltageMonitor {
 ///
 /// Captures the conventional scheme's limitations called out by the paper:
 ///
-/// * **minimum charging current** — below `min_charge_power` the charger
+/// * **minimum charging current** — below `MIN_CHARGE_POWER` the charger
 ///   cannot bank anything (e.g. 20 µA for the CAP-XX GZ115);
-/// * **conversion losses** — `charge_efficiency` on the way in and
-///   `discharge_efficiency` on the way out (moving charge into and out of a
+/// * **slow charging** — the current-limited charger pushes at most
+///   `MAX_CHARGE_POWER` into the store; income above that is wasted;
+/// * **conversion losses** — `CHARGE_EFFICIENCY` on the way in and
+///   `DISCHARGE_EFFICIENCY` on the way out (moving charge into and out of a
 ///   large ESD);
 /// * **level-proportional leakage** — a big supercap leaks more the fuller
-///   it is.
+///   it is, on top of a constant self-discharge floor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnergyStore {
     capacity: Energy,
     level: Energy,
-    /// Minimum DC input power required to charge at all.
-    pub min_charge_power: Power,
-    /// Maximum power the (current-limited) charger can push into the
-    /// store; income above this is wasted — the "slow charging curve".
-    pub max_charge_power: Power,
-    /// Fraction of input energy actually banked.
-    pub charge_efficiency: f64,
-    /// Fraction of drawn energy actually delivered to the load.
-    pub discharge_efficiency: f64,
-    /// Per-tick leakage as a fraction of the current level.
-    pub leak_fraction_per_tick: f64,
-    /// Constant leakage floor per tick (supercap self-discharge, tens of
-    /// µA — e.g. the GZ115 class the paper cites).
-    pub leak_floor: Energy,
 }
 
 impl EnergyStore {
+    /// Minimum DC input power required to charge at all (~50 µA at 2 V).
+    const MIN_CHARGE_POWER: Power = Power::from_uw(100.0);
+    /// Maximum power the current-limited charger pushes into the store.
+    const MAX_CHARGE_POWER: Power = Power::from_uw(150.0);
+    /// Fraction of input energy actually banked.
+    const CHARGE_EFFICIENCY: f64 = 0.80;
+    /// Fraction of drawn energy actually delivered to the load.
+    const DISCHARGE_EFFICIENCY: f64 = 0.90;
+    /// Per-tick leakage as a fraction of the current level (~0.17%/s at
+    /// full).
+    const LEAK_FRACTION_PER_TICK: f64 = 2.0e-7;
+    /// Constant leakage floor per tick: ≈3 µW of supercap self-discharge
+    /// (tens of µA — e.g. the GZ115 class the paper cites).
+    const LEAK_FLOOR: Energy = Energy::from_nj(0.3);
+
     /// Creates an empty store.
     ///
     /// # Panics
     ///
-    /// Panics if capacity is non-positive or an efficiency is outside (0,1].
+    /// Panics if capacity is non-positive.
     pub fn new(capacity: Energy) -> Self {
         assert!(
             capacity.is_valid() && capacity > Energy::ZERO,
@@ -245,12 +233,6 @@ impl EnergyStore {
         EnergyStore {
             capacity,
             level: Energy::ZERO,
-            min_charge_power: Power::from_uw(100.0), // ~50 µA at 2 V
-            max_charge_power: Power::from_uw(150.0), // current-limited charger
-            charge_efficiency: 0.80,
-            discharge_efficiency: 0.90,
-            leak_fraction_per_tick: 2.0e-7,   // ~0.17%/s at full
-            leak_floor: Energy::from_nj(0.3), // ≈3 µW self-discharge
         }
     }
 
@@ -282,37 +264,36 @@ impl EnergyStore {
     /// Input below the minimum charging current banks nothing (the paper's
     /// "minimum charging current" limitation).
     pub fn charge_tick(&mut self, dc_input: Power) -> Energy {
-        if dc_input < self.min_charge_power {
+        if dc_input < Self::MIN_CHARGE_POWER {
             return Energy::ZERO;
         }
-        let incoming = dc_input.min(self.max_charge_power) * Ticks(1);
-        let banked = (incoming * self.charge_efficiency).min(self.capacity - self.level);
+        let incoming = dc_input.min(Self::MAX_CHARGE_POWER) * Ticks(1);
+        let banked = (incoming * Self::CHARGE_EFFICIENCY).min(self.capacity - self.level);
         self.level += banked;
         banked
+    }
+
+    /// Whether the store holds enough to deliver `e` to the load after
+    /// discharge losses.
+    pub fn can_deliver(&self, e: Energy) -> bool {
+        self.level >= e / Self::DISCHARGE_EFFICIENCY
     }
 
     /// Attempts to deliver `e` to the load, accounting for discharge losses.
     /// Returns `true` on success.
     pub fn try_deliver(&mut self, e: Energy) -> bool {
-        let need = e / self.discharge_efficiency;
-        if self.level >= need {
-            self.level -= need;
-            true
-        } else {
-            false
+        let deliverable = self.can_deliver(e);
+        if deliverable {
+            self.level -= e / Self::DISCHARGE_EFFICIENCY;
         }
+        deliverable
     }
 
     /// Applies one tick of leakage (constant floor plus
     /// level-proportional).
     pub fn leak_tick(&mut self) {
-        let leak = self.level * self.leak_fraction_per_tick + self.leak_floor;
+        let leak = self.level * Self::LEAK_FRACTION_PER_TICK + Self::LEAK_FLOOR;
         self.level = self.level.saturating_sub(leak);
-    }
-
-    /// Empties the store.
-    pub fn deplete(&mut self) {
-        self.level = Energy::ZERO;
     }
 }
 
@@ -322,31 +303,30 @@ mod tests {
 
     #[test]
     fn rectifier_efficiency_monotonic() {
-        let r = Rectifier::default();
         let mut last = 0.0;
         for p in [1.0, 5.0, 20.0, 100.0, 1000.0] {
-            let e = r.efficiency(Power::from_uw(p));
+            let e = efficiency(Power::from_uw(p));
             assert!(e > last);
-            assert!(e <= r.peak_efficiency);
+            assert!(e <= PEAK_EFFICIENCY);
             last = e;
         }
-        assert_eq!(r.efficiency(Power::ZERO), 0.0);
+        assert_eq!(efficiency(Power::ZERO), 0.0);
+        // Half the peak at the knee.
+        let at_knee = efficiency(Power::from_uw(KNEE_UW));
+        assert!((at_knee - PEAK_EFFICIENCY / 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn rectifier_convert_tick_energy() {
-        let r = Rectifier {
-            peak_efficiency: 0.5,
-            knee_uw: 0.0,
-        };
-        // 100 µW at 50% for one tick = 5 nJ.
-        let e = r.convert_tick(Power::from_uw(100.0));
-        assert!((e.as_nj() - 5.0).abs() < 1e-9);
+        // 100 µW for one tick is 10 nJ harvested, scaled by η(100 µW).
+        let e = convert_tick(Power::from_uw(100.0));
+        let eta = PEAK_EFFICIENCY * 100.0 / (100.0 + KNEE_UW);
+        assert!((e.as_nj() - 10.0 * eta).abs() < 1e-9);
     }
 
     #[test]
     fn capacitor_charge_clamps_at_capacity() {
-        let mut c = Capacitor::new(Energy::from_nj(10.0), Energy::ZERO);
+        let mut c = Capacitor::new(Energy::from_nj(10.0));
         assert_eq!(c.charge(Energy::from_nj(6.0)), Energy::from_nj(6.0));
         assert_eq!(c.charge(Energy::from_nj(6.0)), Energy::from_nj(4.0));
         assert_eq!(c.level(), c.capacity());
@@ -355,7 +335,7 @@ mod tests {
 
     #[test]
     fn capacitor_drain_semantics() {
-        let mut c = Capacitor::new(Energy::from_nj(10.0), Energy::ZERO);
+        let mut c = Capacitor::new(Energy::from_nj(10.0));
         c.charge(Energy::from_nj(5.0));
         assert!(!c.try_drain(Energy::from_nj(6.0)));
         assert_eq!(c.level(), Energy::from_nj(5.0));
@@ -366,7 +346,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "may only lower")]
     fn capacitor_drain_to_only_lowers() {
-        let mut c = Capacitor::new(Energy::from_nj(10.0), Energy::ZERO);
+        let mut c = Capacitor::new(Energy::from_nj(10.0));
         c.charge(Energy::from_nj(5.0));
         c.drain_to(Energy::from_nj(2.0));
         assert_eq!(c.level(), Energy::from_nj(2.0));
@@ -375,7 +355,7 @@ mod tests {
 
     #[test]
     fn capacitor_drain_up_to_partial() {
-        let mut c = Capacitor::new(Energy::from_nj(10.0), Energy::ZERO);
+        let mut c = Capacitor::new(Energy::from_nj(10.0));
         c.charge(Energy::from_nj(3.0));
         assert_eq!(c.drain_up_to(Energy::from_nj(5.0)), Energy::from_nj(3.0));
         assert_eq!(c.level(), Energy::ZERO);
@@ -383,9 +363,11 @@ mod tests {
 
     #[test]
     fn capacitor_leaks() {
-        let mut c = Capacitor::new(Energy::from_nj(10.0), Energy::from_nj(1.0));
-        c.charge(Energy::from_nj(2.5));
+        let mut c = Capacitor::new(Energy::from_nj(10.0));
+        c.charge(Capacitor::LEAK_PER_TICK * 2.5);
         c.leak_tick();
+        let left = (Capacitor::LEAK_PER_TICK * 1.5).as_nj();
+        assert!((c.level().as_nj() - left).abs() < 1e-12);
         c.leak_tick();
         c.leak_tick();
         assert_eq!(c.level(), Energy::ZERO); // saturates at zero
@@ -396,47 +378,41 @@ mod tests {
         let mut s = EnergyStore::new(Energy::from_uj(10.0));
         assert_eq!(s.charge_tick(Power::from_uw(10.0)), Energy::ZERO);
         assert_eq!(s.charge_tick(Power::from_uw(99.0)), Energy::ZERO);
-        assert!(s.charge_tick(Power::from_uw(100.0)) > Energy::ZERO);
+        assert!(s.charge_tick(EnergyStore::MIN_CHARGE_POWER) > Energy::ZERO);
     }
 
     #[test]
     fn store_charge_losses() {
         let mut s = EnergyStore::new(Energy::from_uj(10.0));
-        s.charge_efficiency = 0.5;
         let banked = s.charge_tick(Power::from_uw(100.0));
-        // 100 µW·tick = 10 nJ in, 5 nJ banked.
-        assert!((banked.as_nj() - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn store_deplete_empties() {
-        let mut s = EnergyStore::new(Energy::from_uj(1.0));
-        s.charge_tick(Power::from_uw(100.0));
-        s.deplete();
-        assert_eq!(s.level(), Energy::ZERO);
+        // 100 µW·tick = 10 nJ in, 8 nJ banked.
+        assert!((banked.as_nj() - 10.0 * EnergyStore::CHARGE_EFFICIENCY).abs() < 1e-9);
     }
 
     #[test]
     fn store_discharge_losses() {
         let mut s = EnergyStore::new(Energy::from_uj(1.0));
-        s.discharge_efficiency = 0.5;
         for _ in 0..10 {
             s.charge_tick(Power::from_mw(5.0)); // bank plenty (rate-limited)
         }
         let before = s.level();
+        assert!(s.can_deliver(Energy::from_nj(10.0)));
         assert!(s.try_deliver(Energy::from_nj(10.0)));
-        assert!((before - s.level()).as_nj() - 20.0 < 1e-9);
+        let drawn = (before - s.level()).as_nj();
+        assert!((drawn - 10.0 / EnergyStore::DISCHARGE_EFFICIENCY).abs() < 1e-9);
+        // Delivering everything stored would need more than is stored.
+        assert!(!s.can_deliver(s.level()));
+        assert!(!s.try_deliver(s.level()));
     }
 
     #[test]
     fn store_leak_proportional_plus_floor() {
         let mut s = EnergyStore::new(Energy::from_uj(10.0));
-        s.leak_fraction_per_tick = 0.5;
-        s.leak_floor = Energy::from_nj(1.0);
         s.charge_tick(Power::from_mw(1.0));
-        let before = s.level();
+        let before = s.level().as_nj();
         s.leak_tick();
-        assert!((s.level().as_nj() - (before.as_nj() * 0.5 - 1.0)).abs() < 1e-9);
+        let leak = before * EnergyStore::LEAK_FRACTION_PER_TICK + EnergyStore::LEAK_FLOOR.as_nj();
+        assert!((s.level().as_nj() - (before - leak)).abs() < 1e-9);
         // Floor saturates at zero.
         let mut empty = EnergyStore::new(Energy::from_uj(1.0));
         empty.leak_tick();
@@ -446,16 +422,71 @@ mod tests {
     #[test]
     fn store_charge_rate_limited() {
         let mut s = EnergyStore::new(Energy::from_uj(10.0));
-        s.charge_efficiency = 1.0;
-        // 10 mW input, but the charger caps at 150 µW -> 15 nJ per tick.
+        // 10 mW input, but the charger caps at 150 µW -> 15 nJ per tick,
+        // of which the charge efficiency banks 12 nJ.
         let banked = s.charge_tick(Power::from_mw(10.0));
-        assert!((banked.as_nj() - 15.0).abs() < 1e-9);
+        assert!((banked.as_nj() - 15.0 * EnergyStore::CHARGE_EFFICIENCY).abs() < 1e-9);
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn capacitor_zero_capacity_panics() {
-        let _ = Capacitor::new(Energy::ZERO, Energy::ZERO);
+        let _ = Capacitor::new(Energy::ZERO);
+    }
+
+    /// FNV-1a digest of every value `front_end_values_are_pinned` sees.
+    const FRONT_END_FNV: u64 = 0x1f4c_67e1_b57e_1b29;
+
+    /// Pins the rectifier curve and both stores' charge, leak and deliver
+    /// arithmetic bit for bit: a nudged constant or a regrouped product
+    /// changes the digest.
+    #[test]
+    fn front_end_values_are_pinned() {
+        let mut bits_seen: Vec<u64> = Vec::new();
+        for uw in [
+            0.0, 0.5, 1.0, 5.0, KNEE_UW, 20.0, 33.0, 100.0, 150.0, 400.0, 1000.0, 2000.0,
+        ] {
+            let p = Power::from_uw(uw);
+            bits_seen.push(efficiency(p).to_bits());
+            bits_seen.push(convert_tick(p).as_nj().to_bits());
+        }
+        let mut c = Capacitor::new(Energy::from_nj(10.0));
+        for nj in [0.0, 0.5, 3.0, 7.5] {
+            bits_seen.push(c.charge(Energy::from_nj(nj)).as_nj().to_bits());
+            c.leak_tick();
+            bits_seen.push(c.level().as_nj().to_bits());
+        }
+        for _ in 0..520 {
+            c.leak_tick();
+            bits_seen.push(c.level().as_nj().to_bits());
+        }
+        let mut s = EnergyStore::new(Energy::from_uj(1.0));
+        for uw in [0.0, 99.9, 100.0, 120.0, 150.0, 2000.0] {
+            bits_seen.push(s.charge_tick(Power::from_uw(uw)).as_nj().to_bits());
+            s.leak_tick();
+            bits_seen.push(s.level().as_nj().to_bits());
+        }
+        for _ in 0..100 {
+            bits_seen.push(s.charge_tick(Power::from_uw(2000.0)).as_nj().to_bits());
+        }
+        let burst = Energy::from_nj(45.0);
+        for _ in 0..30 {
+            bits_seen.push(u64::from(s.can_deliver(burst)));
+            bits_seen.push(u64::from(s.try_deliver(burst)));
+            s.leak_tick();
+            bits_seen.push(s.level().as_nj().to_bits());
+        }
+        let digest = bits_seen.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, v| {
+            v.to_le_bytes().iter().fold(h, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        });
+        assert_eq!(
+            digest,
+            FRONT_END_FNV,
+            "front-end values changed ({} values, digest {digest:#018x})",
+            bits_seen.len()
+        );
     }
 
     #[test]

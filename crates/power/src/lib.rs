@@ -10,9 +10,10 @@
 //! * [`synth`] — a seeded synthetic generator reproducing the published
 //!   statistics of a wrist-worn rotational ("unbalanced ring") harvester,
 //! * [`outage`] — power-emergency extraction and duration statistics
-//!   (Figure 3),
+//!   (Figure 3) at the 33 µW operating threshold,
 //! * [`frontend`] — AC-DC rectifier and capacitor models, including the
-//!   large energy-storage device used by the wait-compute baseline.
+//!   large energy-storage device used by the wait-compute baseline, all
+//!   fixed to the paper's one platform.
 //!
 //! # Units
 //!
@@ -26,10 +27,9 @@
 //! ```
 //! use nvp_power::synth::WatchProfile;
 //! use nvp_power::outage::OutageStats;
-//! use nvp_power::units::Power;
 //!
 //! let profile = WatchProfile::P1.synthesize_seconds(10.0);
-//! let stats = OutageStats::extract(&profile, Power::from_uw(33.0));
+//! let stats = OutageStats::extract(&profile);
 //! // A watch harvester experiences on the order of 10^3 power
 //! // emergencies in a 10 s window (Section 2.2).
 //! assert!(stats.count() > 200);
@@ -44,7 +44,7 @@ pub mod profile;
 pub mod synth;
 pub mod units;
 
-pub use frontend::{Capacitor, EnergyStore, Rectifier, VoltageMonitor};
+pub use frontend::{Capacitor, EnergyStore, VoltageMonitor};
 pub use outage::{Outage, OutageStats};
 pub use profile::PowerProfile;
 pub use synth::{SynthParams, TraceSynthesizer, WatchProfile};

@@ -9,6 +9,10 @@ use crate::profile::PowerProfile;
 use crate::units::{Power, Ticks};
 use nvp_trace::{emit, Event, NoopTracer, Tracer};
 
+/// Income power below which the paper's 1 MHz NVP cannot operate: the
+/// threshold every outage is measured against.
+pub const OPERATING_THRESHOLD: Power = Power::from_uw(33.0);
+
 /// A single power emergency: a contiguous below-threshold interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Outage {
@@ -30,32 +34,28 @@ impl Outage {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct OutageStats {
     outages: Vec<Outage>,
-    threshold_uw: f64,
     trace_len: Ticks,
 }
 
 impl OutageStats {
-    /// Extracts all outages from `profile` at the given operating threshold.
+    /// Extracts all outages from `profile` at the
+    /// [`OPERATING_THRESHOLD`].
     ///
     /// A trailing below-threshold run that extends to the end of the trace
     /// counts as an outage (the device is still dark when the trace ends).
-    pub fn extract(profile: &PowerProfile, threshold: Power) -> Self {
-        Self::extract_traced(profile, threshold, &mut NoopTracer)
+    pub fn extract(profile: &PowerProfile) -> Self {
+        Self::extract_traced(profile, &mut NoopTracer)
     }
 
     /// [`extract`](Self::extract), additionally emitting an
     /// `outage_start`/`outage_end` event pair per outage so a profile's
     /// dark structure can be inspected with the same tooling as a
     /// simulator trace.
-    pub fn extract_traced(
-        profile: &PowerProfile,
-        threshold: Power,
-        tracer: &mut dyn Tracer,
-    ) -> Self {
+    pub fn extract_traced(profile: &PowerProfile, tracer: &mut dyn Tracer) -> Self {
         let mut outages = Vec::new();
         let mut run_start: Option<u64> = None;
         for (t, p) in profile.iter() {
-            if p < threshold {
+            if p < OPERATING_THRESHOLD {
                 if run_start.is_none() {
                     run_start = Some(t.0);
                     emit(tracer, || Event::OutageStart { tick: t.0 });
@@ -83,7 +83,6 @@ impl OutageStats {
         }
         OutageStats {
             outages,
-            threshold_uw: threshold.as_uw(),
             trace_len: profile.duration(),
         }
     }
@@ -96,11 +95,6 @@ impl OutageStats {
     /// Number of outages (power emergencies).
     pub fn count(&self) -> usize {
         self.outages.len()
-    }
-
-    /// The threshold used for extraction.
-    pub fn threshold(&self) -> Power {
-        Power::from_uw(self.threshold_uw)
     }
 
     /// Longest outage, or zero if there are none.
@@ -188,7 +182,7 @@ mod tests {
     #[test]
     fn extracts_interior_outage() {
         let p = profile(&[50.0, 10.0, 10.0, 50.0, 50.0]);
-        let s = OutageStats::extract(&p, Power::from_uw(33.0));
+        let s = OutageStats::extract(&p);
         assert_eq!(s.count(), 1);
         assert_eq!(s.outages()[0].start, Ticks(1));
         assert_eq!(s.outages()[0].duration, Ticks(2));
@@ -198,7 +192,7 @@ mod tests {
     #[test]
     fn trailing_outage_counted() {
         let p = profile(&[50.0, 1.0, 1.0]);
-        let s = OutageStats::extract(&p, Power::from_uw(33.0));
+        let s = OutageStats::extract(&p);
         assert_eq!(s.count(), 1);
         assert_eq!(s.outages()[0].duration, Ticks(2));
     }
@@ -206,7 +200,7 @@ mod tests {
     #[test]
     fn leading_outage_counted() {
         let p = profile(&[0.0, 0.0, 99.0]);
-        let s = OutageStats::extract(&p, Power::from_uw(33.0));
+        let s = OutageStats::extract(&p);
         assert_eq!(s.count(), 1);
         assert_eq!(s.outages()[0].start, Ticks(0));
     }
@@ -214,7 +208,7 @@ mod tests {
     #[test]
     fn no_outage_when_always_above() {
         let p = profile(&[40.0, 50.0]);
-        let s = OutageStats::extract(&p, Power::from_uw(33.0));
+        let s = OutageStats::extract(&p);
         assert_eq!(s.count(), 0);
         assert_eq!(s.max_duration(), Ticks::ZERO);
         assert_eq!(s.median_duration(), Ticks::ZERO);
@@ -226,7 +220,7 @@ mod tests {
     fn threshold_is_inclusive_above() {
         // Power exactly at the threshold keeps the processor on.
         let p = profile(&[33.0, 32.9, 33.0]);
-        let s = OutageStats::extract(&p, Power::from_uw(33.0));
+        let s = OutageStats::extract(&p);
         assert_eq!(s.count(), 1);
         assert_eq!(s.outages()[0].duration, Ticks(1));
     }
@@ -234,7 +228,7 @@ mod tests {
     #[test]
     fn histogram_bins_durations() {
         let p = profile(&[99.0, 0.0, 99.0, 0.0, 0.0, 0.0, 99.0]);
-        let s = OutageStats::extract(&p, Power::from_uw(33.0));
+        let s = OutageStats::extract(&p);
         // durations: 1 and 3
         let h = s.duration_histogram(2);
         // bins: (0..2] -> 1 outage (duration 1), (2..4] -> 1 outage (duration 3)
@@ -244,7 +238,7 @@ mod tests {
     #[test]
     fn covered_by_fraction() {
         let p = profile(&[99.0, 0.0, 99.0, 0.0, 0.0, 0.0, 99.0]);
-        let s = OutageStats::extract(&p, Power::from_uw(33.0));
+        let s = OutageStats::extract(&p);
         assert!((s.covered_by(Ticks(1)) - 0.5).abs() < 1e-12);
         assert!((s.covered_by(Ticks(3)) - 1.0).abs() < 1e-12);
     }
@@ -252,14 +246,14 @@ mod tests {
     #[test]
     fn dark_fraction_sums_outages() {
         let p = profile(&[99.0, 0.0, 0.0, 99.0]);
-        let s = OutageStats::extract(&p, Power::from_uw(33.0));
+        let s = OutageStats::extract(&p);
         assert!((s.dark_fraction() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn mean_duration_matches() {
         let p = profile(&[99.0, 0.0, 99.0, 0.0, 0.0, 0.0, 99.0]);
-        let s = OutageStats::extract(&p, Power::from_uw(33.0));
+        let s = OutageStats::extract(&p);
         assert!((s.mean_duration() - 2.0).abs() < 1e-12);
     }
 
@@ -267,7 +261,7 @@ mod tests {
     #[should_panic(expected = "bin width")]
     fn zero_bin_width_panics() {
         let p = profile(&[0.0]);
-        OutageStats::extract(&p, Power::from_uw(33.0)).duration_histogram(0);
+        OutageStats::extract(&p).duration_histogram(0);
     }
 
     #[test]
@@ -276,7 +270,7 @@ mod tests {
         // Interior outage (ticks 1..3) plus trailing outage (ticks 5..7).
         let p = profile(&[99.0, 0.0, 0.0, 99.0, 99.0, 0.0, 0.0]);
         let mut sink = VecSink::new();
-        let s = OutageStats::extract_traced(&p, Power::from_uw(33.0), &mut sink);
+        let s = OutageStats::extract_traced(&p, &mut sink);
         assert_eq!(s.count(), 2);
         let evs = &sink.events;
         assert_eq!(evs.len(), 4);
@@ -297,6 +291,6 @@ mod tests {
             }
         ));
         // Untraced extraction is unchanged.
-        assert_eq!(s, OutageStats::extract(&p, Power::from_uw(33.0)));
+        assert_eq!(s, OutageStats::extract(&p));
     }
 }

@@ -1,6 +1,7 @@
 //! Income-power time series ([`PowerProfile`]), the simulator's primary
 //! input (paper Figure 2).
 
+use crate::outage::OPERATING_THRESHOLD;
 use crate::units::{Power, Ticks};
 use std::fmt;
 
@@ -118,15 +119,16 @@ impl PowerProfile {
         self.samples_uw.extend_from_slice(&other.samples_uw);
     }
 
-    /// Fraction of ticks with power at or above `threshold`.
-    pub fn duty_cycle(&self, threshold: Power) -> f64 {
+    /// Fraction of ticks with power at or above the
+    /// [`OPERATING_THRESHOLD`].
+    pub fn duty_cycle(&self) -> f64 {
         if self.samples_uw.is_empty() {
             return 0.0;
         }
         let above = self
             .samples_uw
             .iter()
-            .filter(|&&p| p >= threshold.as_uw())
+            .filter(|&&p| p >= OPERATING_THRESHOLD.as_uw())
             .count();
         above as f64 / self.samples_uw.len() as f64
     }
@@ -177,7 +179,7 @@ mod tests {
     #[test]
     fn duty_cycle_counts_threshold_inclusive() {
         let p = PowerProfile::from_uw([10.0, 33.0, 50.0, 0.0]);
-        assert!((p.duty_cycle(Power::from_uw(33.0)) - 0.5).abs() < 1e-12);
+        assert!((p.duty_cycle() - 0.5).abs() < 1e-12);
     }
 
     #[test]

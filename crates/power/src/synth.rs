@@ -338,9 +338,6 @@ impl TraceSynthesizer {
 mod tests {
     use super::*;
     use crate::outage::OutageStats;
-    use crate::units::Power;
-
-    const OPERATING_THRESHOLD_UW: f64 = 33.0;
 
     #[test]
     fn deterministic_per_seed() {
@@ -379,7 +376,7 @@ mod tests {
         // Section 2.2: 1000 to 2000 power emergencies in a 10 s window.
         for w in WatchProfile::ALL {
             let p = w.synthesize_seconds(10.0);
-            let stats = OutageStats::extract(&p, Power::from_uw(OPERATING_THRESHOLD_UW));
+            let stats = OutageStats::extract(&p);
             assert!(
                 (500..=2500).contains(&stats.count()),
                 "{w}: {} emergencies per 10s",
@@ -391,7 +388,7 @@ mod tests {
     #[test]
     fn outage_durations_heavy_tailed() {
         let p = WatchProfile::P1.synthesize_seconds(10.0);
-        let stats = OutageStats::extract(&p, Power::from_uw(OPERATING_THRESHOLD_UW));
+        let stats = OutageStats::extract(&p);
         let max = stats.max_duration().0;
         let median = stats.median_duration().0;
         // Figure 3: most outages are a few ms, tail reaches hundreds of ms.

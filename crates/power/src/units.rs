@@ -44,7 +44,7 @@ impl Power {
     pub const ZERO: Power = Power(0.0);
 
     /// Creates a power value from microwatts.
-    pub fn from_uw(uw: f64) -> Self {
+    pub const fn from_uw(uw: f64) -> Self {
         Power(uw)
     }
 
@@ -84,7 +84,7 @@ impl Energy {
     pub const ZERO: Energy = Energy(0.0);
 
     /// Creates an energy value from nanojoules.
-    pub fn from_nj(nj: f64) -> Self {
+    pub const fn from_nj(nj: f64) -> Self {
         Energy(nj)
     }
 
@@ -94,7 +94,7 @@ impl Energy {
     }
 
     /// Creates an energy value from picojoules.
-    pub fn from_pj(pj: f64) -> Self {
+    pub const fn from_pj(pj: f64) -> Self {
         Energy(pj * 1e-3)
     }
 

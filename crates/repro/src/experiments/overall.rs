@@ -123,7 +123,7 @@ pub fn backup_cost(scale: Scale) -> Vec<Table> {
     );
     for row in sweep(scale, WatchProfile::ALL[..3].to_vec(), |wp| {
         let rep = precise(KernelId::Median, scale, wp);
-        let minutes = (rep.total_ticks as f64 * 1e-4) / 60.0;
+        let minutes = Ticks(rep.total_ticks).as_seconds() / 60.0;
         [
             wp.to_string(),
             fnum(rep.backups as f64 / minutes),

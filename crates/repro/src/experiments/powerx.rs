@@ -5,9 +5,7 @@ use crate::table::fnum;
 use crate::{Scale, Table};
 use nvp_power::outage::OutageStats;
 use nvp_power::synth::WatchProfile;
-use nvp_power::{Power, Ticks};
-
-const OPERATING_THRESHOLD_UW: f64 = 33.0;
+use nvp_power::Ticks;
 
 /// Figure 2: the five "watch in daily life" power profiles.
 pub fn fig2(scale: Scale) -> Vec<Table> {
@@ -26,12 +24,12 @@ pub fn fig2(scale: Scale) -> Vec<Table> {
     for row in sweep(scale, WatchProfile::ALL.to_vec(), |w| {
         let p = w.synthesize_seconds(scale.trace_seconds.max(10.0));
         let window = p.segment(Ticks(0), Ticks::from_seconds(10.0));
-        let stats = OutageStats::extract(&window, Power::from_uw(OPERATING_THRESHOLD_UW));
+        let stats = OutageStats::extract(&window);
         [
             w.to_string(),
             fnum(p.mean().as_uw()),
             fnum(p.peak().as_uw()),
-            fnum(p.duty_cycle(Power::from_uw(OPERATING_THRESHOLD_UW))),
+            fnum(p.duty_cycle()),
             stats.count().to_string(),
             fnum(stats.dark_fraction()),
         ]
@@ -45,7 +43,7 @@ pub fn fig2(scale: Scale) -> Vec<Table> {
 /// Figure 3: outage durations and the duration histogram for profile 1.
 pub fn fig3(scale: Scale) -> Vec<Table> {
     let p = WatchProfile::P1.synthesize_seconds(scale.trace_seconds.max(10.0));
-    let stats = OutageStats::extract(&p, Power::from_uw(OPERATING_THRESHOLD_UW));
+    let stats = OutageStats::extract(&p);
 
     let mut summary = Table::new(
         "fig3_outage_summary",

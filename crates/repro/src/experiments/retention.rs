@@ -108,7 +108,7 @@ pub fn fig25(scale: Scale) -> Vec<Table> {
         &["policy", "profile 1", "profile 2", "profile 3", "mean"],
     );
     let baseline: Vec<u64> = sweep(scale, WatchProfile::ALL[..3].to_vec(), |w| {
-        run_with_policy(scale, w, RetentionPolicy::one_day(), false).forward_progress
+        run_with_policy(scale, w, RetentionPolicy::OneDay, false).forward_progress
     });
     let combos: Vec<(RetentionPolicy, WatchProfile)> = RetentionPolicy::SHAPED
         .iter()

@@ -15,9 +15,9 @@ const RICH_INCOME_UW: f64 = 400.0;
 #[derive(Debug, Clone, Copy)]
 pub struct Governor {
     /// Minimum bitwidth (the pragma's `minbits` quality floor).
-    pub minbits: u8,
+    minbits: u8,
     /// Maximum bitwidth (the pragma's `maxbits`).
-    pub maxbits: u8,
+    maxbits: u8,
 }
 
 impl Governor {

@@ -19,7 +19,7 @@ use nvp_isa::{ApproxConfig, CompiledProgram, Meter, MeterStop, Vm, NUM_REGS};
 use nvp_kernels::KernelSpec;
 use nvp_nvm::backup::decay_region_traced;
 use nvp_nvm::RetentionPolicy;
-use nvp_power::{Capacitor, Energy, PowerProfile, Rectifier, Ticks, VoltageMonitor};
+use nvp_power::{frontend, Capacitor, Energy, PowerProfile, Ticks, VoltageMonitor};
 use nvp_trace::{emit, Event, NoopTracer, Tracer};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -368,8 +368,7 @@ impl SystemSim {
         let mut vm = Vm::new(spec.program.clone(), spec.mem_words);
         *vm.mem_mut() = spec.build_memory();
         vm.seed_noise(cfg.seed ^ 0xA1);
-        // 20 pJ of capacitor leakage per tick.
-        let cap = Capacitor::new(cfg.capacitor_capacity, Energy::from_pj(20.0));
+        let cap = Capacitor::new(cfg.capacitor_capacity);
         let backup_factor = match mode {
             ExecMode::Incidental(..) => INCIDENTAL_BACKUP_FACTOR,
             _ => 1.0,
@@ -871,10 +870,7 @@ impl SystemSim {
                 return *table;
             }
         }
-        let mut table = [Energy::ZERO; 6];
-        for class in nvp_isa::InstrClass::ALL {
-            table[class.index()] = energy::instr_energy(class, cfg);
-        }
+        let table = energy::class_prices(cfg);
         self.class_cache = Some((*cfg, table));
         table
     }
@@ -967,12 +963,11 @@ impl SystemSim {
         // The width last applied to the governed lanes; `None` until the
         // first governed tick.
         let mut applied: Option<u8> = None;
-        let rectifier = Rectifier::default();
         for (t, power) in profile.iter() {
             if self.phase == Phase::Done {
                 break;
             }
-            let income = rectifier.convert_tick(power);
+            let income = frontend::convert_tick(power);
             let banked = self.cap.charge(income);
             self.report.energy_income += banked;
             self.cap.leak_tick();

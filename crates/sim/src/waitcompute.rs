@@ -11,7 +11,7 @@
 
 use nvp_isa::energy::instr_energy;
 use nvp_isa::{ApproxConfig, InstrClass};
-use nvp_power::{Energy, EnergyStore, PowerProfile, Rectifier, Ticks};
+use nvp_power::{frontend, Energy, EnergyStore, PowerProfile, Ticks};
 use nvp_trace::{emit, Event, NoopTracer, Tracer};
 
 /// Results of a wait-compute run.
@@ -31,16 +31,19 @@ pub struct WaitComputeReport {
     pub seconds_per_frame: Option<f64>,
 }
 
+/// The volatile MCU's instructions per tick: 1 MHz over a 0.1 ms tick.
+const CYCLES_PER_TICK: u64 = 100;
+
 /// The wait-compute simulator.
 #[derive(Debug, Clone)]
 pub struct WaitComputeSim {
     /// Instructions in one frame (sized with
     /// [`crate::quickrun::instructions_per_frame`]).
-    pub frame_instructions: u64,
-    /// Front-end rectifier.
-    pub rectifier: Rectifier,
+    frame_instructions: u64,
+    /// Energy of one instruction: the NVP's full-precision ALU price.
+    per_instr: Energy,
     /// The large ESD.
-    pub store: EnergyStore,
+    store: EnergyStore,
 }
 
 impl WaitComputeSim {
@@ -48,20 +51,17 @@ impl WaitComputeSim {
     /// sizing the ESD to hold one frame's energy (the paper's design rule).
     /// The MCU is priced with the NVP's energy model for a fair comparison.
     pub fn new(frame_instructions: u64) -> Self {
+        let per_instr = instr_energy(InstrClass::Alu, &ApproxConfig::default());
         WaitComputeSim {
             frame_instructions,
-            rectifier: Rectifier::default(),
-            store: EnergyStore::sized_for(Self::frame_energy_of(frame_instructions)),
+            per_instr,
+            store: EnergyStore::sized_for(per_instr * frame_instructions as f64),
         }
-    }
-
-    fn frame_energy_of(instrs: u64) -> Energy {
-        instr_energy(InstrClass::Alu, &ApproxConfig::default()) * instrs as f64
     }
 
     /// Energy needed for one frame.
     pub fn frame_energy(&self) -> Energy {
-        Self::frame_energy_of(self.frame_instructions)
+        self.per_instr * self.frame_instructions as f64
     }
 
     /// Runs the baseline over a power trace.
@@ -77,19 +77,17 @@ impl WaitComputeSim {
         tracer: &mut dyn Tracer,
     ) -> WaitComputeReport {
         let frame_energy = self.frame_energy();
-        let per_instr = instr_energy(InstrClass::Alu, &ApproxConfig::default());
-        // The MCU executes at 1 MHz: 100 instructions per tick.
-        let per_tick = 100u64;
+        let per_instr = self.per_instr;
         let mut rep = WaitComputeReport::default();
         let mut executing_remaining = 0u64;
         for (t, power) in profile.iter() {
             rep.total_ticks += 1;
-            let dc = self.rectifier.convert(power);
+            let dc = frontend::convert(power);
             // The charger runs continuously, including during execution.
             self.store.charge_tick(dc);
             if executing_remaining > 0 {
                 rep.run_ticks += 1;
-                let burst = executing_remaining.min(per_tick);
+                let burst = executing_remaining.min(CYCLES_PER_TICK);
                 if self.store.try_deliver(per_instr * burst as f64) {
                     executing_remaining -= burst;
                     rep.forward_progress += burst;
@@ -116,8 +114,7 @@ impl WaitComputeSim {
             } else {
                 rep.charge_ticks += 1;
                 // Enough banked for a full frame (plus discharge losses)?
-                let needed = frame_energy / self.store.discharge_efficiency;
-                if self.store.level() >= needed {
+                if self.store.can_deliver(frame_energy) {
                     executing_remaining = self.frame_instructions;
                 }
             }
@@ -149,7 +146,7 @@ mod tests {
     #[test]
     fn weak_power_below_min_current_never_charges() {
         let sim = WaitComputeSim::new(10_000);
-        // 20 µW harvested → ~13 µW DC, below the 40 µW minimum charging
+        // 20 µW harvested → ~12 µW DC, below the 100 µW minimum charging
         // power: the ESD never accumulates anything.
         let profile = PowerProfile::constant(Power::from_uw(20.0), Ticks::from_seconds(5.0));
         let rep = sim.run(&profile);

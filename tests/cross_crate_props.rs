@@ -6,7 +6,7 @@ use nvp_kernels::quality::{mse, psnr};
 use nvp_kernels::KernelId;
 use nvp_nvm::backup::decay_region_traced;
 use nvp_nvm::{MergeMode, RetentionPolicy, VersionedMemory, NUM_VERSIONS};
-use nvp_power::outage::OutageStats;
+use nvp_power::outage::{OutageStats, OPERATING_THRESHOLD};
 use nvp_power::synth::{SynthParams, TraceSynthesizer};
 use nvp_power::{Energy, Power, PowerProfile, Ticks};
 use proptest::prelude::*;
@@ -144,9 +144,12 @@ proptest! {
     #[test]
     fn outages_partition_trace(samples in proptest::collection::vec(0.0f64..100.0, 1..500)) {
         let p = PowerProfile::from_uw(samples.iter().copied());
-        let stats = OutageStats::extract(&p, Power::from_uw(33.0));
+        let stats = OutageStats::extract(&p);
         let dark: u64 = stats.outages().iter().map(|o| o.duration.0).sum();
-        let below = samples.iter().filter(|&&s| s < 33.0).count() as u64;
+        let below = samples
+            .iter()
+            .filter(|&&s| s < OPERATING_THRESHOLD.as_uw())
+            .count() as u64;
         prop_assert_eq!(dark, below);
     }
 

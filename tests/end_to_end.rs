@@ -76,7 +76,7 @@ fn retention_shaping_improves_progress() {
         })
         .forward_progress
     };
-    let baseline = fp(RetentionPolicy::one_day());
+    let baseline = fp(RetentionPolicy::OneDay);
     for policy in RetentionPolicy::SHAPED {
         let shaped = fp(policy);
         assert!(shaped > baseline, "{policy}: {shaped} vs 1-day {baseline}");

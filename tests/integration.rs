@@ -103,7 +103,7 @@ fn outage_profile_bounds_msb_failures() {
         ..request(KernelId::Median, 10, WatchProfile::P2, 3.0)
     };
     let profile = catalog::synth_profile(req.profile, req.trace_seconds);
-    let stats = OutageStats::extract(&profile, Power::from_uw(33.0));
+    let stats = OutageStats::extract(&profile);
     let msb_retention = RetentionPolicy::Linear.retention_ticks(8);
     let covered = stats.covered_by(msb_retention);
 
