@@ -26,7 +26,7 @@ pub fn http_request(
 ) -> std::io::Result<Exchange> {
     let mut stream = TcpStream::connect(addr)?;
     let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\r\n",
+        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\nContent-Length: {}\r\n\r\n",
         body.len()
     );
     // Writes are best-effort: a server rejecting early (413 from the

@@ -16,7 +16,8 @@
 //!   [`nvp_exec::Cache`] of rendered bodies;
 //! * `fleet` — asynchronous fleet jobs (`POST /v1/fleet`, polled via
 //!   `GET /v1/fleet/{id}`), content-addressed by canonical spec;
-//! * [`http`] — a minimal HTTP/1.1 subset with read deadlines;
+//! * [`http`] — a minimal HTTP/1.1 subset with persistent connections
+//!   and read deadlines;
 //! * [`server`] — routing, admission control, and the drain path;
 //! * [`metrics`] — counters, latency quantiles, and folded trace
 //!   summaries for `/metrics`;

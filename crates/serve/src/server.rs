@@ -16,7 +16,7 @@
 //! responses for one key are byte-identical — the property PR 4's
 //! determinism work makes checkable.
 
-use crate::http::{read_request, RecvError, Request, Response};
+use crate::http::{Connection, RecvError, Request, Response};
 use crate::json::Json;
 use crate::key::{BadRequest, SimKey, SweepSpec};
 use crate::metrics::{bump, Metrics};
@@ -46,7 +46,8 @@ pub struct ServerConfig {
     pub queue: usize,
     /// Result-cache capacity in bodies.
     pub cache: usize,
-    /// Per-request read deadline for slow clients.
+    /// Read deadline for one request (slow clients get `408`), and how
+    /// long a connection may idle after a response before it is closed.
     pub read_deadline: Duration,
     /// Largest accepted request body.
     pub max_body: usize,
@@ -138,7 +139,9 @@ impl Server {
 
     /// Serves until `POST /shutdown` or SIGTERM, then drains: the
     /// listener stops accepting, queued jobs run to completion, in-flight
-    /// responses are written, and only then does this return.
+    /// responses are written (each closing its connection), connections
+    /// idling between requests close within 25 ms, and only then does
+    /// this return.
     pub fn run(self) {
         // SIGTERM/SIGINT only set a flag, and `accept` restarts after the
         // handler, so a watcher thread turns the flag into a drain.
@@ -174,7 +177,7 @@ impl Server {
                         Response::new(503)
                             .header("Retry-After", "1")
                             .json(error_body("server", "connection limit reached"))
-                            .send(&mut stream);
+                            .send(&mut stream, true);
                         continue;
                     }
                     inner.active.fetch_add(1, Ordering::SeqCst);
@@ -230,37 +233,48 @@ fn bad_request_response(err: &BadRequest) -> Response {
     Response::new(400).json(error_body(err.field, &err.detail))
 }
 
-fn handle_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
-    let request = match read_request(
-        &mut stream,
-        inner.config.read_deadline,
-        inner.config.max_body,
-    ) {
+/// Serves requests on one connection until the client closes, asks to
+/// close, or sends a request whose framing cannot be trusted; until
+/// `POST /shutdown` or a drain; or until the connection idles past the
+/// read deadline after a response, which closes it without one.
+fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
+    let Ok(mut conn) = Connection::new(stream) else {
+        return;
+    };
+    while serve_request(inner, &mut conn)
+        && conn.await_request(inner.config.read_deadline, &inner.draining)
+    {}
+}
+
+/// Reads, routes and answers one request. False when the response
+/// closed the connection.
+fn serve_request(inner: &Arc<Inner>, conn: &mut Connection) -> bool {
+    let request = match conn.read_request(inner.config.read_deadline, inner.config.max_body) {
         Ok(req) => req,
-        Err(RecvError::Closed) => return,
-        Err(RecvError::Io(_)) => return,
+        Err(RecvError::Closed) => return false,
+        Err(RecvError::Io(_)) => return false,
         Err(RecvError::Timeout) => {
             bump(&inner.metrics.timeouts);
             Response::new(408)
                 .json(error_body("request", "read deadline exceeded"))
-                .send(&mut stream);
-            return;
+                .send(conn.stream(), true);
+            return false;
         }
         Err(RecvError::TooLarge) => {
             bump(&inner.metrics.too_large);
             Response::new(413)
                 .json(error_body("body", "request exceeds size limit"))
-                .send(&mut stream);
-            crate::http::drain_input(&mut stream, 1024 * 1024);
-            return;
+                .send(conn.stream(), true);
+            conn.drain(1024 * 1024);
+            return false;
         }
         Err(RecvError::Malformed(reason)) => {
             bump(&inner.metrics.bad_request);
             Response::new(400)
                 .json(error_body("request", reason))
-                .send(&mut stream);
-            crate::http::drain_input(&mut stream, 64 * 1024);
-            return;
+                .send(conn.stream(), true);
+            conn.drain(64 * 1024);
+            return false;
         }
     };
     bump(&inner.metrics.requests);
@@ -275,11 +289,14 @@ fn handle_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
         503 => bump(&inner.metrics.unavailable),
         _ => {}
     }
-    response.send(&mut stream);
+    let shutdown = request.method == "POST" && request.path == "/shutdown";
+    let close = request.close || shutdown || inner.draining.load(Ordering::SeqCst);
+    response.send(conn.stream(), close);
     // /shutdown starts the drain only after its 200 is on the wire.
-    if request.method == "POST" && request.path == "/shutdown" {
+    if shutdown {
         inner.begin_drain();
     }
+    !close
 }
 
 fn route(inner: &Arc<Inner>, request: &Request) -> Response {

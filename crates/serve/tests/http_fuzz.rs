@@ -1,5 +1,5 @@
-//! Fuzzes `nvp_serve::http::read_request`, the first code that reads a
-//! client's untrusted bytes.
+//! Fuzzes `nvp_serve::http::Connection::read_request`, the first code
+//! that reads a client's untrusted bytes.
 //!
 //! Valid `GET` and `POST` heads are corrupted by seeded bit flips, byte
 //! insertions, truncations, duplicate `Content-Length` headers (agreeing
@@ -8,8 +8,13 @@
 //! write side after sending; some stall, so the read deadline is what
 //! ends the read. Whatever arrives, `read_request` must return `Ok` or a
 //! `RecvError` in bounded time, and never panic.
+//!
+//! A kept-alive connection reads on past one request, so a second mode
+//! writes two requests, valid or corrupted, in one write and reads both
+//! through one `Connection`: what the first request leaves buffered is
+//! where the second begins.
 
-use nvp_serve::http::{read_request, RecvError};
+use nvp_serve::http::{Connection, RecvError};
 use std::io::Write;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
@@ -111,16 +116,30 @@ fn mutate(seed: &[u8], rng: &mut Rng) -> Vec<u8> {
     bytes
 }
 
-/// Writes `bytes` as a client, then reads them back through
-/// `read_request`; a stalled client keeps its write side open.
-fn read_back(listener: &TcpListener, bytes: &[u8], stall: bool) -> Result<usize, RecvError> {
+/// Writes `bytes` as a client and returns the server's side of the
+/// connection; a stalled client keeps its write side open.
+fn connect(listener: &TcpListener, bytes: &[u8], stall: bool) -> (TcpStream, Connection) {
     let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
     client.write_all(bytes).unwrap();
     if !stall {
         client.shutdown(Shutdown::Write).unwrap();
     }
-    let (mut stream, _) = listener.accept().unwrap();
-    read_request(&mut stream, DEADLINE, MAX_BODY).map(|req| req.body.len())
+    let (stream, _) = listener.accept().unwrap();
+    (client, Connection::new(stream).unwrap())
+}
+
+/// Writes `bytes` as a client, then reads them back through
+/// `read_request`.
+fn read_back(listener: &TcpListener, bytes: &[u8], stall: bool) -> Result<usize, RecvError> {
+    let (_client, mut conn) = connect(listener, bytes, stall);
+    conn.read_request(DEADLINE, MAX_BODY)
+        .map(|req| req.body.len())
+}
+
+/// The body a seed request carries: everything after its head.
+fn body_of(seed: &[u8]) -> &[u8] {
+    let head_end = seed.windows(4).position(|w| w == b"\r\n\r\n").unwrap();
+    &seed[head_end + 4..]
 }
 
 #[test]
@@ -136,8 +155,9 @@ fn seeds_parse() {
 fn mutated_requests_never_panic_or_hang() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let seeds = seeds();
-    // The loop checks the deadline between reads, and one read can block
-    // for a whole read timeout, so a read ends within two deadlines.
+    // The loop checks the deadline between reads, and one read blocks for
+    // at most the socket's 25 ms poll, so a read ends within a deadline
+    // and a poll; the bound leaves room for a loaded host.
     let bound = 2 * DEADLINE + Duration::from_secs(1);
     for case in 0..CASES {
         let mut rng = Rng(case);
@@ -150,6 +170,52 @@ fn mutated_requests_never_panic_or_hang() {
         assert!(took < bound, "case {case} took {took:?}: {text:?}");
         if let Ok(body) = result {
             assert!(body <= MAX_BODY, "case {case}: {body} B body: {text:?}");
+        }
+    }
+}
+
+#[test]
+fn request_pairs_on_one_connection_never_panic_or_hang() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let seeds = seeds();
+    // Two reads, each bounded as in `mutated_requests_never_panic_or_hang`.
+    let bound = 4 * DEADLINE + Duration::from_secs(1);
+    for case in 0..CASES / 2 {
+        let mut rng = Rng(CASES + case);
+        let (a, b) = (rng.below(seeds.len()), rng.below(seeds.len()));
+        // A quarter of the pairs stay valid; the rest corrupt the first
+        // request, the second, or both.
+        let corrupt = rng.below(4);
+        let mut first = seeds[a].clone();
+        let mut second = seeds[b].clone();
+        if corrupt & 1 == 1 {
+            first = mutate(&first, &mut rng);
+        }
+        if corrupt & 2 == 2 {
+            second = mutate(&second, &mut rng);
+        }
+        let wire = [first, second].concat();
+        let stall = rng.below(40) == 0;
+        let start = Instant::now();
+        let (_client, mut conn) = connect(&listener, &wire, stall);
+        let bodies = [(); 2].map(|()| conn.read_request(DEADLINE, MAX_BODY).map(|req| req.body));
+        let took = start.elapsed();
+        let text = String::from_utf8_lossy(&wire);
+        assert!(took < bound, "case {case} took {took:?}: {text:?}");
+        if corrupt == 0 {
+            let read: Vec<&[u8]> = bodies.iter().flatten().map(Vec::as_slice).collect();
+            assert_eq!(
+                read,
+                [body_of(&seeds[a]), body_of(&seeds[b])],
+                "case {case}: {text:?}"
+            );
+        }
+        for body in bodies.iter().flatten() {
+            assert!(
+                body.len() <= MAX_BODY,
+                "case {case}: {} B body: {text:?}",
+                body.len()
+            );
         }
     }
 }

@@ -8,7 +8,7 @@
 use nvp_serve::client::{http_request, shutdown_local_server, spawn_local_server, Exchange};
 use nvp_serve::server::{Server, ServerConfig};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -181,7 +181,7 @@ fn slow_client_is_cut_off_by_read_deadline() {
     let mut stream = TcpStream::connect(addr).unwrap();
     // Declare a body, never deliver it; the 300ms deadline must fire.
     stream
-        .write_all(b"POST /v1/run HTTP/1.1\r\nContent-Length: 50\r\n\r\n")
+        .write_all(b"POST /v1/run HTTP/1.1\r\nConnection: close\r\nContent-Length: 50\r\n\r\n")
         .unwrap();
     stream.flush().unwrap();
     let mut raw = Vec::new();
@@ -469,7 +469,10 @@ fn connection_cap_answers_503_with_retry_after() {
 
     // An accepted connection that never sends holds the only slot.
     let mut idle = TcpStream::connect(addr).unwrap();
-    let refused = send_raw(addr, "GET /healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
+    let refused = send_raw(
+        addr,
+        "GET /healthz HTTP/1.1\r\nConnection: close\r\nContent-Length: 0\r\n\r\n",
+    );
     assert!(refused.starts_with("HTTP/1.1 503"), "{refused}");
     assert!(refused.contains("\r\nRetry-After: 1\r\n"), "{refused}");
     assert!(refused.contains("connection limit reached"), "{refused}");
@@ -483,15 +486,226 @@ fn connection_cap_answers_503_with_retry_after() {
         String::from_utf8_lossy(&raw)
     );
 
-    let (text, also_refused) =
-        send_past_cap(addr, "GET /metrics HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
+    let (text, also_refused) = send_past_cap(
+        addr,
+        "GET /metrics HTTP/1.1\r\nConnection: close\r\nContent-Length: 0\r\n\r\n",
+    );
     assert!(text.starts_with("HTTP/1.1 200"), "{text}");
     assert_eq!(
         metric(&text, "nvp_responses_unavailable_total"),
         1 + also_refused,
         "{text}"
     );
-    let (ack, _) = send_past_cap(addr, "POST /shutdown HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
+    let (ack, _) = send_past_cap(
+        addr,
+        "POST /shutdown HTTP/1.1\r\nConnection: close\r\nContent-Length: 0\r\n\r\n",
+    );
     assert!(ack.starts_with("HTTP/1.1 200"), "{ack}");
     handle.join().unwrap();
+}
+
+/// One request in wire format; `headers` are extra `Name: value\r\n` lines.
+fn wire(method: &str, path: &str, headers: &str, body: &str) -> String {
+    format!(
+        "{method} {path} HTTP/1.1\r\nHost: test\r\n{headers}Content-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+}
+
+/// Connects with a read timeout, so a server that never answers fails
+/// the test instead of hanging it.
+fn connect(addr: SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream
+}
+
+/// Reads one response off a connection that stays open, framed by its
+/// `Content-Length`; `carry` keeps the bytes read past it. Returns the
+/// head and the body.
+fn read_framed(stream: &mut TcpStream, carry: &mut Vec<u8>) -> (String, Vec<u8>) {
+    let mut chunk = [0u8; 4096];
+    loop {
+        if let Some(end) = carry.windows(4).position(|w| w == b"\r\n\r\n") {
+            let head = String::from_utf8(carry[..end].to_vec()).unwrap();
+            let length: usize = head
+                .lines()
+                .find_map(|l| l.strip_prefix("Content-Length: "))
+                .and_then(|v| v.parse().ok())
+                .unwrap_or_else(|| panic!("no Content-Length in {head}"));
+            while carry.len() < end + 4 + length {
+                let n = stream.read(&mut chunk).unwrap();
+                assert!(n > 0, "connection closed inside a body: {head}");
+                carry.extend_from_slice(&chunk[..n]);
+            }
+            let rest = carry.split_off(end + 4 + length);
+            let body = carry[end + 4..].to_vec();
+            *carry = rest;
+            return (head, body);
+        }
+        let n = stream.read(&mut chunk).unwrap();
+        assert!(n > 0, "connection closed before a response");
+        carry.extend_from_slice(&chunk[..n]);
+    }
+}
+
+/// Reads until the server closes the connection.
+fn read_to_eof(stream: &mut TcpStream) -> String {
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).unwrap();
+    String::from_utf8_lossy(&raw).into_owned()
+}
+
+#[test]
+fn one_connection_carries_many_requests() {
+    let (addr, handle) = small_server();
+    let scrape = http_request(addr, "GET", "/metrics", "").unwrap();
+    let accepted = metric(
+        &String::from_utf8(scrape.body).unwrap(),
+        "nvp_connections_accepted_total",
+    );
+
+    let mut stream = connect(addr);
+    let mut carry = Vec::new();
+    let mut bodies = Vec::new();
+    for cache in ["miss", "hit"] {
+        stream
+            .write_all(wire("POST", "/v1/run", "", FAST_RUN).as_bytes())
+            .unwrap();
+        let (head, body) = read_framed(&mut stream, &mut carry);
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        assert!(head.contains(&format!("\r\nX-Cache: {cache}")), "{head}");
+        assert!(!head.contains("Connection:"), "{head}");
+        bodies.push(body);
+    }
+    stream
+        .write_all(wire("GET", "/metrics", "", "").as_bytes())
+        .unwrap();
+    let (_, text) = read_framed(&mut stream, &mut carry);
+    let text = String::from_utf8(text).unwrap();
+    assert_eq!(
+        metric(&text, "nvp_connections_accepted_total"),
+        accepted + 1,
+        "{text}"
+    );
+    assert!(carry.is_empty(), "nothing follows the last response");
+
+    let reference = post_run(addr, FAST_RUN);
+    assert_eq!(bodies, [reference.body.clone(), reference.body]);
+    drop(stream);
+    shutdown_local_server(addr, handle);
+}
+
+#[test]
+fn pipelined_requests_are_answered_in_order() {
+    let (addr, handle) = small_server();
+    let mut stream = connect(addr);
+    let both = wire("POST", "/v1/run", "", FAST_RUN)
+        + &wire("GET", "/healthz", "Connection: close\r\n", "");
+    stream.write_all(both.as_bytes()).unwrap();
+
+    let mut carry = Vec::new();
+    let (head, body) = read_framed(&mut stream, &mut carry);
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    assert!(!head.contains("Connection:"), "{head}");
+    assert_eq!(body, post_run(addr, FAST_RUN).body);
+    let (head, body) = read_framed(&mut stream, &mut carry);
+    assert!(head.contains("\r\nConnection: close"), "{head}");
+    assert_eq!(body, b"ok\n");
+    assert_eq!(read_to_eof(&mut stream), "", "the second response ends it");
+    shutdown_local_server(addr, handle);
+}
+
+#[test]
+fn connection_close_and_http_1_0_end_the_connection() {
+    // A long idle limit: a connection left open would outlast the bound.
+    let (addr, handle) = spawn_local_server(ServerConfig {
+        read_deadline: Duration::from_secs(5),
+        ..ServerConfig::default()
+    });
+    for request in [
+        wire("GET", "/healthz", "Connection: close\r\n", ""),
+        "GET /healthz HTTP/1.0\r\n\r\n".to_string(),
+    ] {
+        let mut stream = connect(addr);
+        let start = Instant::now();
+        stream.write_all(request.as_bytes()).unwrap();
+        let text = read_to_eof(&mut stream);
+        assert!(start.elapsed() < Duration::from_secs(2), "{request:?}");
+        assert!(text.starts_with("HTTP/1.1 200"), "{text}");
+        assert!(text.contains("\r\nConnection: close\r\n"), "{text}");
+        assert!(text.ends_with("\r\n\r\nok\n"), "{text}");
+    }
+    shutdown_local_server(addr, handle);
+}
+
+#[test]
+fn an_idle_connection_closes_without_a_response_after_the_read_deadline() {
+    let (addr, handle) = small_server();
+    let mut stream = connect(addr);
+    stream
+        .write_all(wire("GET", "/healthz", "", "").as_bytes())
+        .unwrap();
+    let mut carry = Vec::new();
+    let (head, _) = read_framed(&mut stream, &mut carry);
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+
+    // Nothing more is sent: after the 300 ms deadline the server closes
+    // without the 408 a fresh connection would get.
+    let start = Instant::now();
+    let text = read_to_eof(&mut stream);
+    let idled = start.elapsed();
+    assert_eq!(text, "", "closed without a response");
+    assert!(
+        (Duration::from_millis(200)..Duration::from_secs(3)).contains(&idled),
+        "closed after {idled:?}"
+    );
+    shutdown_local_server(addr, handle);
+}
+
+#[test]
+fn a_malformed_second_request_gets_400_then_eof() {
+    let (addr, handle) = small_server();
+    let mut stream = connect(addr);
+    stream
+        .write_all(wire("GET", "/healthz", "", "").as_bytes())
+        .unwrap();
+    let (head, _) = read_framed(&mut stream, &mut Vec::new());
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+
+    stream.write_all(b"NOT-HTTP\r\n\r\n").unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let text = read_to_eof(&mut stream);
+    assert!(text.starts_with("HTTP/1.1 400"), "{text}");
+    assert!(text.contains("\r\nConnection: close\r\n"), "{text}");
+    shutdown_local_server(addr, handle);
+}
+
+#[test]
+fn shutdown_does_not_wait_out_an_idle_kept_connection() {
+    let server = Server::bind(ServerConfig {
+        read_deadline: Duration::from_secs(5),
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let addr = server.addr();
+    let (done_tx, done) = mpsc::channel();
+    thread::spawn(move || {
+        server.run();
+        let _ = done_tx.send(());
+    });
+    // This connection has served a request and idles in its handler.
+    let mut idle = connect(addr);
+    idle.write_all(wire("GET", "/healthz", "", "").as_bytes())
+        .unwrap();
+    let (head, _) = read_framed(&mut idle, &mut Vec::new());
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+
+    let ack = http_request(addr, "POST", "/shutdown", "").unwrap();
+    assert_eq!(ack.status, 200);
+    done.recv_timeout(Duration::from_secs(1))
+        .expect("run() returns well within the 5 s read deadline");
+    assert_eq!(read_to_eof(&mut idle), "", "closed without a response");
 }
